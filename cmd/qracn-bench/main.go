@@ -45,15 +45,11 @@ func main() {
 		walDir     = flag.String("wal-dir", "", "base directory for per-run commit logs (default: system temp)")
 		fsyncEvery = flag.Duration("fsync-interval", 0, "group-commit accumulation window (0: 2ms default; negative: fsync every append)")
 		snapEvery  = flag.Int("snapshot-every", 0, "checkpoint the store every N logged records (0: default; negative: never)")
-		walAB      = flag.Bool("wal-ab", false, "run each figure twice — WAL on and off — and emit a combined JSON A/B document")
 		codecName  = flag.String("codec", wire.DefaultCodec.Name(), "serialize simulated-network messages and WAL records with this codec: binary or gob")
-		codecAB    = flag.Bool("codec-ab", false, "run each figure twice — binary codec vs gob — and emit a combined JSON A/B document with read-stage p50s and the speedup ratio")
 		stages     = flag.Bool("stages", false, "print per-stage latency percentiles (read, prefetch, prepare, commit, fsync wait) after each summary")
 		traceCap   = flag.Int("trace-capacity", 0, "span/event ring size per node and client; >0 turns tracing on")
 		traceRate  = flag.Int("trace-sample", 1, "with tracing on, record spans for 1-in-N transactions (0/1: all, negative: events only)")
-		traceAB    = flag.Bool("trace-ab", false, "run each figure twice — tracing on and off — and emit a combined JSON A/B document with the overhead ratio")
 		shards     = flag.Int("shards", 0, "partition the keyspace across this many independent quorum groups (0/1: one cluster-wide tree)")
-		shardsAB   = flag.Bool("shards-ab", false, "run each figure twice — sharded (-shards groups, default 4) vs the single cluster-wide tree — and emit a combined JSON A/B document with the committed-throughput ratio")
 
 		maxInflight = flag.Int("max-inflight", 0, "admission control on every node: max concurrently executing gated requests (0: gate off)")
 		queueDepth  = flag.Int("queue-depth", 0, "admission wait-queue depth before requests are shed with StatusOverloaded (0: 4x -max-inflight)")
@@ -154,58 +150,6 @@ func main() {
 			fmt.Println()
 			continue
 		}
-		if *walAB {
-			doc, err := runWALAB(ctx, f, scale, modes, *repeat)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "figure %s wal A/B: %v\n", f.ID, err)
-				os.Exit(1)
-			}
-			jsonDocs = append(jsonDocs, doc)
-			if *jsonFile == "" {
-				fmt.Println(string(doc))
-			}
-			continue
-		}
-		if *codecAB {
-			doc, err := runCodecAB(ctx, f, scale, modes, *repeat)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "figure %s codec A/B: %v\n", f.ID, err)
-				os.Exit(1)
-			}
-			jsonDocs = append(jsonDocs, doc)
-			if *jsonFile == "" {
-				fmt.Println(string(doc))
-			}
-			continue
-		}
-		if *traceAB {
-			doc, err := runTraceAB(ctx, f, scale, modes, *repeat)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "figure %s trace A/B: %v\n", f.ID, err)
-				os.Exit(1)
-			}
-			jsonDocs = append(jsonDocs, doc)
-			if *jsonFile == "" {
-				fmt.Println(string(doc))
-			}
-			continue
-		}
-		if *shardsAB {
-			n := *shards
-			if n <= 1 {
-				n = 4
-			}
-			doc, err := runShardsAB(ctx, f, scale, modes, *repeat, n)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "figure %s shards A/B: %v\n", f.ID, err)
-				os.Exit(1)
-			}
-			jsonDocs = append(jsonDocs, doc)
-			if *jsonFile == "" {
-				fmt.Println(string(doc))
-			}
-			continue
-		}
 		res, err := runAveraged(ctx, f, scale, modes, *repeat)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "figure %s: %v\n", f.ID, err)
@@ -258,279 +202,6 @@ func main() {
 		}
 		fmt.Printf("results written to %s\n", *jsonFile)
 	}
-}
-
-// runWALAB measures the durability cost: the same figure, same seeds, once
-// with the commit log on and once volatile, combined into one JSON document
-// with the headline throughput delta.
-func runWALAB(ctx context.Context, f harness.Figure, scale harness.Scale, modes []harness.Mode, repeat int) (json.RawMessage, error) {
-	on := scale
-	on.Durable = true
-	off := scale
-	off.Durable = false
-
-	resOn, err := runAveraged(ctx, f, on, modes, repeat)
-	if err != nil {
-		return nil, fmt.Errorf("wal on: %w", err)
-	}
-	resOff, err := runAveraged(ctx, f, off, modes, repeat)
-	if err != nil {
-		return nil, fmt.Errorf("wal off: %w", err)
-	}
-	jsOn, err := resOn.ExportJSON()
-	if err != nil {
-		return nil, err
-	}
-	jsOff, err := resOff.ExportJSON()
-	if err != nil {
-		return nil, err
-	}
-	doc := struct {
-		Figure     string          `json:"figure"`
-		Title      string          `json:"title"`
-		WALOn      json.RawMessage `json:"wal_on"`
-		WALOff     json.RawMessage `json:"wal_off"`
-		Throughput map[string]struct {
-			On    float64 `json:"wal_on_tx_per_s"`
-			Off   float64 `json:"wal_off_tx_per_s"`
-			Ratio float64 `json:"on_over_off"`
-		} `json:"mean_throughput"`
-	}{Figure: f.ID, Title: f.Title, WALOn: jsOn, WALOff: jsOff}
-	doc.Throughput = map[string]struct {
-		On    float64 `json:"wal_on_tx_per_s"`
-		Off   float64 `json:"wal_off_tx_per_s"`
-		Ratio float64 `json:"on_over_off"`
-	}{}
-	for _, m := range modes {
-		sOn, sOff := resOn.Series[m], resOff.Series[m]
-		if sOn == nil || sOff == nil {
-			continue
-		}
-		entry := doc.Throughput[m.String()]
-		entry.On = meanOf(sOn.Throughput)
-		entry.Off = meanOf(sOff.Throughput)
-		if entry.Off > 0 {
-			entry.Ratio = entry.On / entry.Off
-		}
-		doc.Throughput[m.String()] = entry
-	}
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-// runCodecAB measures the serialization cost: the same figure, same seeds,
-// once with the binary wire codec and once with gob — both through the
-// channel network's real encode/decode path and the matching WAL record
-// format — combined into one JSON document. The headline is the read-stage
-// p50 (the marshaling-dominated quorum-read round trip) and the
-// gob-over-binary speedup ratio per mode.
-func runCodecAB(ctx context.Context, f harness.Figure, scale harness.Scale, modes []harness.Mode, repeat int) (json.RawMessage, error) {
-	bin := scale
-	bin.Codec = wire.Binary
-	bin.WALFormat = wal.FormatBinary
-	// Disable the simulated interconnect delay for both sides: a fixed 60µs
-	// per hop would swamp the marshaling difference the A/B isolates.
-	bin.NetLatency = -1
-	bin.NetJitter = -1
-	gob := bin
-	gob.Codec = wire.Gob
-	gob.WALFormat = wal.FormatGob
-
-	resBin, err := runAveraged(ctx, f, bin, modes, repeat)
-	if err != nil {
-		return nil, fmt.Errorf("binary codec: %w", err)
-	}
-	resGob, err := runAveraged(ctx, f, gob, modes, repeat)
-	if err != nil {
-		return nil, fmt.Errorf("gob codec: %w", err)
-	}
-	jsBin, err := resBin.ExportJSON()
-	if err != nil {
-		return nil, err
-	}
-	jsGob, err := resGob.ExportJSON()
-	if err != nil {
-		return nil, err
-	}
-	type entry struct {
-		BinaryReadP50Micros  float64 `json:"binary_read_p50_us"`
-		GobReadP50Micros     float64 `json:"gob_read_p50_us"`
-		ReadP50GobOverBinary float64 `json:"read_p50_gob_over_binary"`
-		BinaryTxPerSec       float64 `json:"binary_tx_per_s"`
-		GobTxPerSec          float64 `json:"gob_tx_per_s"`
-	}
-	doc := struct {
-		Figure    string           `json:"figure"`
-		Title     string           `json:"title"`
-		Binary    json.RawMessage  `json:"binary"`
-		Gob       json.RawMessage  `json:"gob"`
-		ReadStage map[string]entry `json:"read_stage"`
-	}{Figure: f.ID, Title: f.Title, Binary: jsBin, Gob: jsGob, ReadStage: map[string]entry{}}
-	for _, m := range modes {
-		sBin, sGob := resBin.Series[m], resGob.Series[m]
-		if sBin == nil || sGob == nil {
-			continue
-		}
-		e := entry{
-			BinaryReadP50Micros: float64(sBin.Stages.Read.P50) / 1e3,
-			GobReadP50Micros:    float64(sGob.Stages.Read.P50) / 1e3,
-			BinaryTxPerSec:      meanOf(sBin.Throughput),
-			GobTxPerSec:         meanOf(sGob.Throughput),
-		}
-		if e.BinaryReadP50Micros > 0 {
-			e.ReadP50GobOverBinary = e.GobReadP50Micros / e.BinaryReadP50Micros
-		}
-		doc.ReadStage[m.String()] = e
-	}
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-// runTraceAB measures the observability cost: the same figure, same seeds,
-// once with full tracing (span ring on every node and client, every
-// transaction sampled) and once untraced, combined into one JSON document
-// with the throughput ratio. The acceptance bar is on/off ≥ 0.95.
-func runTraceAB(ctx context.Context, f harness.Figure, scale harness.Scale, modes []harness.Mode, repeat int) (json.RawMessage, error) {
-	on := scale
-	if on.TraceCapacity <= 0 {
-		on.TraceCapacity = 4096
-	}
-	if on.TraceSample == 0 {
-		on.TraceSample = 1
-	}
-	off := scale
-	off.TraceCapacity = 0
-	off.TraceSample = 0
-
-	resOn, err := runAveraged(ctx, f, on, modes, repeat)
-	if err != nil {
-		return nil, fmt.Errorf("trace on: %w", err)
-	}
-	resOff, err := runAveraged(ctx, f, off, modes, repeat)
-	if err != nil {
-		return nil, fmt.Errorf("trace off: %w", err)
-	}
-	jsOn, err := resOn.ExportJSON()
-	if err != nil {
-		return nil, err
-	}
-	jsOff, err := resOff.ExportJSON()
-	if err != nil {
-		return nil, err
-	}
-	type ratio struct {
-		On    float64 `json:"traced_tx_per_s"`
-		Off   float64 `json:"untraced_tx_per_s"`
-		Ratio float64 `json:"traced_over_untraced"`
-	}
-	doc := struct {
-		Figure      string           `json:"figure"`
-		Title       string           `json:"title"`
-		TraceSample int              `json:"trace_sample"`
-		TraceOn     json.RawMessage  `json:"trace_on"`
-		TraceOff    json.RawMessage  `json:"trace_off"`
-		Throughput  map[string]ratio `json:"mean_throughput"`
-	}{
-		Figure: f.ID, Title: f.Title, TraceSample: on.TraceSample,
-		TraceOn: jsOn, TraceOff: jsOff, Throughput: map[string]ratio{},
-	}
-	for _, m := range modes {
-		sOn, sOff := resOn.Series[m], resOff.Series[m]
-		if sOn == nil || sOff == nil {
-			continue
-		}
-		entry := ratio{On: meanOf(sOn.Throughput), Off: meanOf(sOff.Throughput)}
-		if entry.Off > 0 {
-			entry.Ratio = entry.On / entry.Off
-		}
-		doc.Throughput[m.String()] = entry
-	}
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-// runShardsAB measures the sharding win: the same figure, same seeds, once
-// with the keyspace partitioned across independent quorum groups and once
-// over the single cluster-wide tree, combined into one JSON document with
-// the committed-throughput ratio and the sharded side's routing profile.
-// Both sides run volatile and without the simulated interconnect delay, so
-// the ratio isolates quorum size, validation spread, and cross-group 2PC
-// cost rather than fsync scheduling or the fixed per-hop latency (the same
-// isolation the codec A/B uses).
-func runShardsAB(ctx context.Context, f harness.Figure, scale harness.Scale, modes []harness.Mode, repeat, shards int) (json.RawMessage, error) {
-	sharded := scale
-	sharded.Shards = shards
-	sharded.Durable = false
-	sharded.NetLatency = -1
-	sharded.NetJitter = -1
-	single := sharded
-	single.Shards = 0
-
-	resSharded, err := runAveraged(ctx, f, sharded, modes, repeat)
-	if err != nil {
-		return nil, fmt.Errorf("%d shards: %w", shards, err)
-	}
-	resSingle, err := runAveraged(ctx, f, single, modes, repeat)
-	if err != nil {
-		return nil, fmt.Errorf("1 shard: %w", err)
-	}
-	jsSharded, err := resSharded.ExportJSON()
-	if err != nil {
-		return nil, err
-	}
-	jsSingle, err := resSingle.ExportJSON()
-	if err != nil {
-		return nil, err
-	}
-	type entry struct {
-		ShardedTxPerSec    float64 `json:"sharded_tx_per_s"`
-		UnshardedTxPerSec  float64 `json:"unsharded_tx_per_s"`
-		Ratio              float64 `json:"sharded_over_unsharded"`
-		ShardedCommits     uint64  `json:"sharded_commits"`
-		UnshardedCommits   uint64  `json:"unsharded_commits"`
-		SingleShardCommits uint64  `json:"single_shard_commits"`
-		CrossShardCommits  uint64  `json:"cross_shard_commits"`
-		CrossShardRatio    float64 `json:"cross_shard_ratio"`
-	}
-	doc := struct {
-		Figure     string           `json:"figure"`
-		Title      string           `json:"title"`
-		Shards     int              `json:"shards"`
-		Sharded    json.RawMessage  `json:"sharded"`
-		Unsharded  json.RawMessage  `json:"unsharded"`
-		Throughput map[string]entry `json:"mean_throughput"`
-	}{
-		Figure: f.ID, Title: f.Title, Shards: shards,
-		Sharded: jsSharded, Unsharded: jsSingle, Throughput: map[string]entry{},
-	}
-	for _, m := range modes {
-		sSharded, sSingle := resSharded.Series[m], resSingle.Series[m]
-		if sSharded == nil || sSingle == nil {
-			continue
-		}
-		e := entry{
-			ShardedTxPerSec:    meanOf(sSharded.Throughput),
-			UnshardedTxPerSec:  meanOf(sSingle.Throughput),
-			ShardedCommits:     sSharded.Commits,
-			UnshardedCommits:   sSingle.Commits,
-			SingleShardCommits: sSharded.Metrics.SingleShardCommits,
-			CrossShardCommits:  sSharded.Metrics.CrossShardCommits,
-			CrossShardRatio:    sSharded.CrossShardRatio,
-		}
-		if e.UnshardedTxPerSec > 0 {
-			e.Ratio = e.ShardedTxPerSec / e.UnshardedTxPerSec
-		}
-		doc.Throughput[m.String()] = e
-	}
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // runAblation measures QR-ACN with each algorithm step disabled in turn,

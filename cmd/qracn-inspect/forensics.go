@@ -115,15 +115,51 @@ func renderSnapshot(out io.Writer, snap forensics.Snapshot, topK, maxEvents int)
 	}
 	if len(snap.HotKeys) > 0 {
 		fmt.Fprintln(out, "hot keys:")
+		modes := holderModes(snap.Aborts)
 		for i, h := range snap.HotKeys {
 			if topK > 0 && i >= topK {
 				break
 			}
-			fmt.Fprintf(out, "  %-30s %d conflicts\n", h.Key, h.Conflicts)
+			renderHotKey(out, h.Key, h.Conflicts, modes)
 		}
 	}
 	renderRecomposes(out, snap.Recomposes, snap.TotalRecomposes)
 	renderEvents(out, snap.Aborts, maxEvents)
+}
+
+// holderTally counts a key's buffered lock conflicts by the mode the
+// refusing holder held it in.
+type holderTally struct{ shared, exclusive uint64 }
+
+// holderModes splits each key's lock conflicts by holder mode, from the
+// witnesses the buffered events carry: a key refused mostly by SHARED
+// holders is a read-mostly row whose readers starve a writer, one refused by
+// EXCLUSIVE holders is a written hot spot.
+func holderModes(evs []forensics.AbortEvent) map[string]holderTally {
+	modes := map[string]holderTally{}
+	for _, ev := range evs {
+		if ev.Key == "" || ev.ConflictingTxID == "" {
+			continue
+		}
+		t := modes[ev.Key]
+		if _, shared := forensics.SplitWitness(ev.ConflictingTxID); shared {
+			t.shared++
+		} else {
+			t.exclusive++
+		}
+		modes[ev.Key] = t
+	}
+	return modes
+}
+
+// renderHotKey prints one hot-key row, with the holder-mode split when the
+// buffered events witnessed any holder for the key.
+func renderHotKey(out io.Writer, key string, conflicts uint64, modes map[string]holderTally) {
+	fmt.Fprintf(out, "  %-30s %d conflicts", key, conflicts)
+	if t, ok := modes[key]; ok {
+		fmt.Fprintf(out, "  (holders witnessed: %d exclusive, %d shared)", t.exclusive, t.shared)
+	}
+	fmt.Fprintln(out)
 }
 
 // renderRecomposes prints the controller decision timeline.
@@ -263,6 +299,7 @@ func renderBenchForensics(out io.Writer, data []byte, topK, maxEvents int) int {
 				fmt.Fprintf(out, "controller: %d decisions, %d applied, %d merge refusals\n",
 					f.Recomposes, f.Applied, f.MergeRefusals)
 			}
+			modes := holderModes(f.Events)
 			for i, h := range f.HotKeys {
 				if topK > 0 && i >= topK {
 					break
@@ -270,7 +307,7 @@ func renderBenchForensics(out io.Writer, data []byte, topK, maxEvents int) int {
 				if i == 0 {
 					fmt.Fprintln(out, "hot keys:")
 				}
-				fmt.Fprintf(out, "  %-30s %d conflicts\n", h.Key, h.Conflicts)
+				renderHotKey(out, h.Key, h.Conflicts, modes)
 			}
 			renderEvents(out, f.Events, maxEvents)
 			fmt.Fprintln(out)

@@ -61,21 +61,7 @@ func TestChaosConservation(t *testing.T) {
 			for ctx.Err() == nil {
 				from := rng.Intn(accounts)
 				to := (from + 1 + rng.Intn(accounts-1)) % accounts
-				err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
-					fv, err := tx.Read(store.ID("acct", from))
-					if err != nil {
-						return err
-					}
-					tv, err := tx.Read(store.ID("acct", to))
-					if err != nil {
-						return err
-					}
-					if err := tx.Write(store.ID("acct", from), store.Int64(store.AsInt64(fv)-3)); err != nil {
-						return err
-					}
-					return tx.Write(store.ID("acct", to), store.Int64(store.AsInt64(tv)+3))
-				})
-				if err == nil {
+				if err := transfer(ctx, rt, accounts, from, to); err == nil {
 					commits.Add(1)
 				}
 				// Errors (quorum unavailable during a kill window, retry
@@ -112,6 +98,7 @@ func TestChaosConservation(t *testing.T) {
 		}
 	}
 	time.Sleep(60 * time.Millisecond) // let protection leases of killed attempts lapse
+	requireNoHolds(t, c.Nodes, "after chaos and the lease TTL")
 
 	rt := c.Runtime(99, dtm.Config{Seed: 99})
 	var total int64
@@ -191,21 +178,7 @@ func TestChaosConservationDetectorOnly(t *testing.T) {
 			for ctx.Err() == nil {
 				from := rng.Intn(accounts)
 				to := (from + 1 + rng.Intn(accounts-1)) % accounts
-				err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
-					fv, err := tx.Read(store.ID("acct", from))
-					if err != nil {
-						return err
-					}
-					tv, err := tx.Read(store.ID("acct", to))
-					if err != nil {
-						return err
-					}
-					if err := tx.Write(store.ID("acct", from), store.Int64(store.AsInt64(fv)-3)); err != nil {
-						return err
-					}
-					return tx.Write(store.ID("acct", to), store.Int64(store.AsInt64(tv)+3))
-				})
-				if err == nil {
+				if err := transfer(ctx, rt, accounts, from, to); err == nil {
 					commits.Add(1)
 				}
 			}
@@ -238,6 +211,7 @@ func TestChaosConservationDetectorOnly(t *testing.T) {
 		}
 	}
 	time.Sleep(60 * time.Millisecond)
+	requireNoHolds(t, c.Nodes, "after detector-only chaos and the lease TTL")
 
 	rt := c.Runtime(99, dtm.Config{Seed: 99})
 	var total int64

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -105,9 +106,14 @@ func coordKillScenario(t *testing.T, killAt int, afterSend, restartParticipant b
 		BackoffMax:    200 * time.Microsecond,
 	})
 	ctx := context.Background()
-	// The transfer under the gun: acct/0 → acct/1. An error just means the
-	// kill landed before the outcome was decided or acked.
+	// The transfer under the gun: acct/0 → acct/1, with acct/2 only read so
+	// every kill point also strands (and must release) a shared hold. An
+	// error just means the kill landed before the outcome was decided or
+	// acked.
 	_ = rt.Atomic(ctx, func(tx *dtm.Tx) error {
+		if _, err := tx.Read(store.ID("acct", 2)); err != nil {
+			return err
+		}
 		fv, err := tx.Read(store.ID("acct", 0))
 		if err != nil {
 			return err
@@ -166,14 +172,11 @@ func auditCoordKill(t *testing.T, c *cluster.Cluster, killAt int, accounts int, 
 		ver uint64
 		val int64
 	}
+	requireNoHolds(t, c.Nodes, fmt.Sprintf("kill@%d, after resolution", killAt))
 	maxVer := map[store.ObjectID]cell{}
 	applied := map[store.ObjectID]int{} // replicas holding version 2 (the transfer's writes)
 	for _, n := range c.Nodes {
 		for id, o := range n.Store().Snapshot() {
-			if o.Protected {
-				t.Fatalf("kill@%d: node %d left %s protected by %s after resolution",
-					killAt, n.ID(), id, o.ProtectedBy)
-			}
 			v := store.AsInt64(o.Value)
 			if cur, ok := maxVer[id]; !ok || o.Version > cur.ver {
 				maxVer[id] = cell{ver: o.Version, val: v}

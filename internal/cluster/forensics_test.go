@@ -133,6 +133,56 @@ func TestConflictAttributionEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSharedHolderWitnessEndToEnd: a transaction that only READ k holds it
+// shared on every node. A client read of k passes; a client write of k is
+// refused at prepare, and its abort event names the holder and says the hold
+// was shared — over the real wire codec, with no field added to it.
+func TestSharedHolderWitnessEndToEnd(t *testing.T) {
+	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour})
+	defer c.Close()
+	c.Seed(map[store.ObjectID]store.Value{"k": store.Int64(1)})
+
+	const holder = "c9-t3-a0"
+	ctx := context.Background()
+	var all []quorum.NodeID
+	for _, n := range c.Nodes {
+		all = append(all, n.ID())
+	}
+	for _, n := range c.Nodes {
+		resp := n.Handle(ctx, &wire.Request{
+			Kind:    wire.KindPrepare,
+			TxID:    holder,
+			Prepare: &wire.PrepareRequest{Reads: []store.ReadDesc{{ID: "k", Version: 1}}, Quorum: all},
+		})
+		if resp.Status != wire.StatusOK || !resp.Prepare.Vote {
+			t.Fatalf("read-only participant on node %d: %+v", n.ID(), resp)
+		}
+	}
+	defer releaseEverywhere(t, c, holder, "k")
+
+	rt := c.Runtime(2, dtm.Config{Seed: 3, MaxAttempts: 1})
+	if err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
+		_, err := tx.Read("k")
+		return err
+	}); err != nil {
+		t.Fatalf("read of a shared-held key: %v", err)
+	}
+	err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
+		return tx.Write("k", store.Int64(2))
+	})
+	if err == nil {
+		t.Fatal("write of a shared-held key committed")
+	}
+	evs := rt.Forensics().Aborts()
+	if len(evs) != 1 {
+		t.Fatalf("want exactly one abort event, got %+v", evs)
+	}
+	ev := evs[0]
+	if h, shared := forensics.SplitWitness(ev.ConflictingTxID); ev.Cause != forensics.CauseLockConflict || ev.Key != "k" || h != holder || !shared {
+		t.Fatalf("abort event = %+v, want a lock conflict on k witnessed as a shared hold by %s", ev, holder)
+	}
+}
+
 // TestForensicsFetchRPC drives the wire path the inspect subcommand uses:
 // KindForensics against live nodes returns the merged server-side snapshot.
 func TestForensicsFetchRPC(t *testing.T) {

@@ -417,6 +417,7 @@ func TestSlowFsyncConservation(t *testing.T) {
 	wg.Wait()
 
 	time.Sleep(60 * time.Millisecond) // let protections of interrupted commits lapse
+	requireNoHolds(t, c.Nodes, "after the slow-disk run and the lease TTL")
 	if commits.Load() == 0 {
 		t.Fatal("slow-disk run committed nothing")
 	}

@@ -15,11 +15,17 @@ import (
 	"qracn/internal/store"
 )
 
-// transfer moves 3 units between two accounts; the bank workload both TCP
-// chaos tests drive.
+// transfer moves 3 units between two accounts, after looking at a third it
+// does not write; the bank workload the chaos, TCP and slow-disk suites
+// drive. The third account puts a shared hold in every commit, on a row
+// other transfers write, so the suites cover both protection modes and the
+// conflicts between them.
 func transfer(ctx context.Context, rt *dtm.Runtime, accounts, from, to int) error {
 	return rt.Atomic(ctx, func(tx *dtm.Tx) error {
 		if err := tx.Prefetch(store.ID("acct", from), store.ID("acct", to)); err != nil {
+			return err
+		}
+		if _, err := tx.Read(store.ID("acct", (to+1)%accounts)); err != nil {
 			return err
 		}
 		fv, err := tx.Read(store.ID("acct", from))

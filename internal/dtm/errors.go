@@ -49,8 +49,9 @@ type AbortError struct {
 	// Key is the first object implicated in the abort ("" when the abort
 	// has no single-object witness, e.g. a rejected prepare round).
 	Key store.ObjectID
-	// ConflictTx names the transaction whose protection or commit caused
-	// the conflict, when a server-side witness identified one.
+	// ConflictTx is the server's conflict witness: the transaction whose
+	// protection refused this one and the mode it held it in
+	// (forensics.SplitWitness), when a server identified one.
 	ConflictTx string
 	// Block is the index of the execution context that detected the
 	// conflict: 0 for top-level (including commit time), k for the k-th

@@ -165,7 +165,10 @@ type commitPart struct {
 
 // partitionCommit splits a commit's reads/writes/release by owning shard,
 // in shard order. Groups only read from still get a part: their members
-// must validate those reads (and vote) even though they apply nothing.
+// must hold those reads (shared) from vote to decision and validate them,
+// even though they apply nothing — the prepare's Quorum is what tells a
+// server this write-free part is a 2PC participant, not a read-only
+// transaction's validation round.
 func partitionCommit(m *shard.Map, reads []store.ReadDesc, writes []store.WriteDesc, release []store.ObjectID) []commitPart {
 	byShard := make(map[int]*commitPart)
 	part := func(s int) *commitPart {

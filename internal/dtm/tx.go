@@ -370,9 +370,9 @@ func (tx *Tx) remoteReadInner(id store.ObjectID, spanID uint64) (store.Value, er
 		}
 
 		if best == nil && busy {
-			// The object is protected everywhere we asked: a commit is in
-			// flight. Back off and retry the read in place a few times
-			// before aborting this context.
+			// The object is exclusively protected everywhere we asked: a
+			// commit that writes it is in flight. Back off and retry the
+			// read in place a few times before aborting this context.
 			if busyTry < rt.cfg.ReadBusyRetries {
 				rt.metrics.BusyBackoffs.Add(1)
 				rt.cfg.Tracer.Record(trace.KindBusy, tx.id, string(id))

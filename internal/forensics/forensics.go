@@ -16,6 +16,7 @@ package forensics
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -88,6 +89,32 @@ func (r RefusalReason) String() string {
 	}
 }
 
+// sharedMark suffixes a conflict witness whose holder held the key in shared
+// mode. An unmarked witness is an exclusive holder, which is also what every
+// witness from a peer that predates protection modes was.
+const sharedMark = "/shared"
+
+// Witness renders a conflict witness — the transaction whose protection
+// refused a read or a prepare, and the mode it held — as the one string the
+// Busy reply's ConflictTx and AbortEvent.ConflictingTxID carry. The witness
+// is a label for reports: nothing routes on it or looks a transaction up by
+// it, which is why the mode can ride in it instead of in a new wire field.
+func Witness(holder string, shared bool) string {
+	if shared && holder != "" {
+		return holder + sharedMark
+	}
+	return holder
+}
+
+// SplitWitness is Witness's inverse: the holder's transaction ID and whether
+// its hold was shared.
+func SplitWitness(w string) (holder string, shared bool) {
+	if h, ok := strings.CutSuffix(w, sharedMark); ok {
+		return h, true
+	}
+	return w, false
+}
+
 // AbortEvent attributes one abort to a concrete (cause, key, position).
 type AbortEvent struct {
 	At time.Time `json:"at"`
@@ -112,9 +139,10 @@ type AbortEvent struct {
 	Cause Cause `json:"-"`
 	// CauseName mirrors Cause for JSON consumers.
 	CauseName string `json:"cause"`
-	// ConflictingTxID is the transaction holding the conflicting protection
-	// (piggybacked from the server; empty when the server predates it or the
-	// conflict was version-based).
+	// ConflictingTxID is the conflict witness: the transaction holding the
+	// conflicting protection and its mode (see Witness; piggybacked from the
+	// server; empty when the server predates it or the conflict was
+	// version-based).
 	ConflictingTxID string `json:"conflict_tx,omitempty"`
 	// Partial is true for a sub-transaction rollback (the parent survived).
 	Partial bool `json:"partial"`

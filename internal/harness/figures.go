@@ -34,11 +34,6 @@ type Scale struct {
 	// record encoding on durable runs.
 	Codec     wire.Codec
 	WALFormat wal.Format
-	// NetLatency/NetJitter override the simulated one-way interconnect
-	// delay (0: harness defaults; negative: no simulated latency at all, so
-	// stage latencies isolate protocol and marshaling cost).
-	NetLatency time.Duration
-	NetJitter  time.Duration
 	// DecideTimeout bounds each client's 2PC decision delivery;
 	// ResolveAfter (>0) runs the nodes' cooperative termination loop with
 	// that in-doubt deadline. Both zero by default.
@@ -90,8 +85,6 @@ func (s Scale) apply(o Options) Options {
 	o.TraceSample = s.TraceSample
 	o.Codec = s.Codec
 	o.WALFormat = s.WALFormat
-	o.NetLatency = s.NetLatency
-	o.NetJitter = s.NetJitter
 	o.DecideTimeout = s.DecideTimeout
 	o.ResolveAfter = s.ResolveAfter
 	o.Shards = s.Shards

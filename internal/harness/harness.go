@@ -97,7 +97,7 @@ type Options struct {
 	// NetLatency/NetJitter simulate the interconnect (defaults 60µs/30µs
 	// per one-way message, a LAN-scale round trip once doubled). Negative
 	// disables the simulation outright — stage latencies then measure pure
-	// protocol and marshaling cost, which codec A/B comparisons rely on.
+	// protocol and marshaling cost.
 	NetLatency time.Duration
 	NetJitter  time.Duration
 	// Seed fixes all randomness (workload draws, jitter, backoff).
@@ -143,7 +143,7 @@ type Options struct {
 	TraceSample int
 	// Codec, when set, crosses every simulated-network message through this
 	// wire codec's real encode/decode path instead of a deep copy, so runs
-	// measure true marshaling cost — the knob codec A/B comparisons flip.
+	// measure true marshaling cost.
 	Codec wire.Codec
 	// WALFormat selects the commit-log record encoding on durable runs
 	// (default binary).

@@ -518,15 +518,9 @@ func (n *Node) ResolveNow(ctx context.Context, client transport.Client) int {
 // resolveOne runs the termination protocol for a single in-doubt entry.
 func (n *Node) resolveOne(ctx context.Context, client transport.Client, e *inDoubtTx, now time.Time) bool {
 	txID := e.rec.TxID
-	// Keep the lease alive while undecided: re-protecting refreshes the
-	// protection timestamp, pausing the store's TTL release.
-	created := make(map[store.ObjectID]bool, len(e.rec.Writes))
-	for _, w := range e.rec.Writes {
-		created[w.ID] = true
-	}
-	for _, id := range e.rec.Release {
-		_ = n.store.Protect(id, txID, created[id])
-	}
+	// Keep the lease alive while undecided: re-protecting refreshes this
+	// holder's protection timestamps, pausing the store's TTL release.
+	n.reprotect(&e.rec)
 
 	peers := make([]quorum.NodeID, 0, len(e.rec.Quorum))
 	for _, p := range e.rec.Quorum {

@@ -185,3 +185,76 @@ func TestTxStatusUnknownAfterEviction(t *testing.T) {
 		t.Fatalf("retained outcome answered %+v, want Committed", resp)
 	}
 }
+
+// TestRecoveryReinstallsHoldsByMode: the prepare record stores no protection
+// mode — a log written before modes existed replays the same way — so a
+// restart must derive each hold's mode from the record itself: exclusive for
+// the entries in its write-set (created when the write is the object's
+// first), shared for the ones it only read.
+func TestRecoveryReinstallsHoldsByMode(t *testing.T) {
+	n, dir := newDurableTestNode(t)
+	resp := prepare(n, "tx-live", &wire.PrepareRequest{
+		Reads: []store.ReadDesc{{ID: "a", Version: 1}, {ID: "b", Version: 1}, {ID: "fresh", Version: 0}},
+		Writes: []store.WriteDesc{
+			{ID: "b", Value: store.Int64(9), NewVersion: 2},
+			{ID: "fresh", Value: store.Int64(1), NewVersion: 1},
+		},
+		Quorum: []quorum.NodeID{0, 1, 2},
+	})
+	if resp.Status != wire.StatusOK || !resp.Prepare.Vote {
+		t.Fatalf("prepare: %+v", resp)
+	}
+	// A cross-shard transaction's read-only part: no writes, still a vote.
+	resp = prepare(n, "tx-ro", &wire.PrepareRequest{
+		Reads:  []store.ReadDesc{{ID: "a", Version: 1}},
+		Quorum: []quorum.NodeID{0, 5},
+	})
+	if resp.Status != wire.StatusOK || !resp.Prepare.Vote {
+		t.Fatalf("read-only participant: %+v", resp)
+	}
+	if err := n.Checkpoint(); err != nil { // seeded rows reach the log through the snapshot
+		t.Fatal(err)
+	}
+	n.WAL().Crash()
+
+	l2, rec, err := wal.Open(dir, wal.Options{FsyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	n2 := NewNode(0, Config{StatsWindow: time.Hour, WAL: l2, SnapshotEvery: -1})
+	n2.FinishRecovery(rec)
+
+	snap := n2.Store().Snapshot()
+	if got := n2.InDoubt(); len(got) != 2 {
+		t.Fatalf("recovered in-doubt table = %v, want tx-live and tx-ro", got)
+	}
+	if o := snap["a"]; o.Protected || len(o.SharedBy) != 2 {
+		t.Fatalf("a (only read, twice): exclusive %q shared %v, want shared holds by tx-live and tx-ro", o.ProtectedBy, o.SharedBy)
+	}
+	for _, id := range []store.ObjectID{"b", "fresh"} {
+		if o := snap[id]; o.ProtectedBy != "tx-live" || len(o.SharedBy) != 0 {
+			t.Fatalf("%s (written): exclusive %q shared %v, want an exclusive hold by tx-live", id, o.ProtectedBy, o.SharedBy)
+		}
+	}
+	if r := read(n2, "t2", "a", nil); r.Status != wire.StatusOK {
+		t.Fatalf("read of the shared-held row after recovery = %v, want ok", r.Status)
+	}
+	if r := read(n2, "t2", "b", nil); r.Status != wire.StatusBusy {
+		t.Fatalf("read of the exclusively held row after recovery = %v, want busy", r.Status)
+	}
+
+	// The decisions release both modes.
+	for _, tx := range []string{"tx-live", "tx-ro"} {
+		n2.Handle(context.Background(), &wire.Request{
+			Kind:     wire.KindDecision,
+			TxID:     tx,
+			Decision: &wire.DecisionRequest{Commit: false, Release: []store.ObjectID{"a", "b", "fresh"}},
+		})
+	}
+	for id, o := range n2.Store().Snapshot() {
+		if o.Protected || len(o.SharedBy) > 0 {
+			t.Fatalf("%s still held after the decisions: exclusive %q shared %v", id, o.ProtectedBy, o.SharedBy)
+		}
+	}
+}

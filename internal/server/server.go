@@ -230,17 +230,18 @@ func (n *Node) shardFor(id store.ObjectID) int {
 }
 
 // noteConflict records a server-side conflict observation: key refused
-// req.TxID because holder's protection was active (lock-conflict), or a
-// validation failure when holder is "" (read-validation). These are witness
-// events, not final aborts — the client may still retry and commit — so the
-// client-side recorder remains the authority on abort outcomes; the server
-// ring answers "which key, which holder" at the replica that refused.
-func (n *Node) noteConflict(req *wire.Request, key store.ObjectID, holder string) {
+// req.TxID because a protection was active (lock-conflict; witness names the
+// holder and its mode, see forensics.Witness), or a validation failure when
+// witness is "" (read-validation). These are witness events, not final
+// aborts — the client may still retry and commit — so the client-side
+// recorder remains the authority on abort outcomes; the server ring answers
+// "which key, which holder, which mode" at the replica that refused.
+func (n *Node) noteConflict(req *wire.Request, key store.ObjectID, witness string) {
 	if n.forensics == nil {
 		return
 	}
 	cause := forensics.CauseLockConflict
-	if holder == "" {
+	if witness == "" {
 		cause = forensics.CauseReadValidation
 	}
 	n.forensics.RecordAbort(forensics.AbortEvent{
@@ -251,8 +252,48 @@ func (n *Node) noteConflict(req *wire.Request, key store.ObjectID, holder string
 		Key:             string(key),
 		Shard:           n.shardFor(key),
 		Cause:           cause,
-		ConflictingTxID: holder,
+		ConflictingTxID: witness,
 	})
+}
+
+// busyWitness renders the conflict witness of a store refusal: the holder
+// and mode the store reported under the lock that refused.
+func busyWitness(err error) string {
+	var be *store.BusyError
+	if !errors.As(err, &be) {
+		return ""
+	}
+	return forensics.Witness(be.Holder, be.Shared)
+}
+
+// writeSet indexes a prepare's write-set: membership decides an entry's
+// protection mode (written: exclusive, only read: shared), at prepare time,
+// on lease refresh and on recovery alike, so the mode is never stored.
+func writeSet(writes []store.WriteDesc) map[store.ObjectID]bool {
+	written := make(map[store.ObjectID]bool, len(writes))
+	for _, w := range writes {
+		written[w.ID] = true
+	}
+	return written
+}
+
+// protect takes txID's protection on one read-set entry, in the mode its
+// write-set membership gives it. Written objects may not exist yet (a
+// first-ever write creates them); objects only read are never created.
+func (n *Node) protect(id store.ObjectID, txID string, written bool) error {
+	if written {
+		return n.store.Protect(id, txID, true)
+	}
+	return n.store.ProtectShared(id, txID)
+}
+
+// reprotect re-installs (or refreshes the lease of) every protection a
+// durable prepare recorded, in the mode its write-set gives each entry.
+func (n *Node) reprotect(p *wal.Record) {
+	written := writeSet(p.Writes)
+	for _, id := range p.Release {
+		_ = n.protect(id, p.TxID, written[id])
+	}
 }
 
 // ID returns the node's quorum ID.
@@ -289,10 +330,11 @@ func (n *Node) BeginRecovery() { n.recovering.Store(true) }
 
 // FinishRecovery installs the WAL-recovered object state into the replica
 // and opens the node for service. In-doubt prepares rebuilt from the log
-// re-enter the in-doubt table with their protections re-installed (the
-// in-memory locks died with the process, but the durable yes vote still
-// binds this node), and known outcomes seed the decided memory so peers'
-// termination queries get authoritative answers across the restart.
+// re-enter the in-doubt table with their protections re-installed in the
+// mode the record's write-set gives each entry (the in-memory locks died
+// with the process, but the durable yes vote still binds this node), and
+// known outcomes seed the decided memory so peers' termination queries get
+// authoritative answers across the restart.
 func (n *Node) FinishRecovery(rec *wal.Recovered) {
 	if rec != nil {
 		n.store.Restore(rec.Objects)
@@ -307,14 +349,8 @@ func (n *Node) FinishRecovery(rec *wal.Recovered) {
 			n.resCtr.recoveredInDoubt.Add(1)
 		}
 		n.idMu.Unlock()
-		for _, p := range rec.InDoubt {
-			created := make(map[store.ObjectID]bool, len(p.Writes))
-			for _, w := range p.Writes {
-				created[w.ID] = true
-			}
-			for _, id := range p.Release {
-				_ = n.store.Protect(id, p.TxID, created[id])
-			}
+		for i := range rec.InDoubt {
+			n.reprotect(&rec.InDoubt[i])
 		}
 	}
 	n.recovering.Store(false)
@@ -571,13 +607,11 @@ func (n *Node) handleRead(req *wire.Request) *wire.Response {
 	v, ver, err := n.store.Get(r.Object)
 	switch {
 	case errors.Is(err, store.ErrBusy):
-		// Piggyback the conflict witness: the holder whose protection made
-		// this read Busy. Looked up after Get under its own RLock — the
-		// protection could lapse between the two, leaving an empty witness,
-		// which old-peer-compatible encoding treats as "not present".
-		holder := n.store.ProtectedOwner(r.Object)
-		n.noteConflict(req, r.Object, holder)
-		return &wire.Response{Status: wire.StatusBusy, Read: resp, ConflictTx: holder}
+		// Piggyback the conflict witness: the holder whose (exclusive)
+		// protection made this read Busy.
+		witness := busyWitness(err)
+		n.noteConflict(req, r.Object, witness)
+		return &wire.Response{Status: wire.StatusBusy, Read: resp, ConflictTx: witness}
 	case errors.Is(err, store.ErrNotFound):
 		return &wire.Response{Status: wire.StatusNotFound, Read: resp}
 	case err != nil:
@@ -590,11 +624,18 @@ func (n *Node) handleRead(req *wire.Request) *wire.Response {
 	return &wire.Response{Status: wire.StatusOK, Read: resp}
 }
 
-// handlePrepare is 2PC phase one. Per the QR-CN commit rule, locks are
+// handlePrepare is 2PC phase one. Per the QR-CN commit rule, protections are
 // acquired on the read-set's elements (which contains the write-set, since
-// every written object was fetched first); validation runs after the
+// every written object was fetched first): exclusive on the entries the
+// prepare writes, shared on the ones it only read. Validation runs after the
 // protections are in place so no commit can slip between the two.
-// Read-only transactions (no writes) validate without protecting.
+//
+// A prepare that names its Quorum is a 2PC participant even when it writes
+// nothing here — commitCrossShard sends that shape to a group the
+// transaction only reads from — and must hold its reads until the decision
+// like any other part, or two transactions reading each other's written
+// group could both commit. Only a read-only transaction's validation round
+// (no writes, no Quorum) votes without protecting.
 func (n *Node) handlePrepare(req *wire.Request) *wire.Response {
 	p := req.Prepare
 	if p == nil {
@@ -602,70 +643,67 @@ func (n *Node) handlePrepare(req *wire.Request) *wire.Response {
 	}
 	resp := &wire.PrepareResponse{}
 
-	if len(p.Writes) > 0 {
-		created := make(map[store.ObjectID]bool, len(p.Writes))
-		for _, w := range p.Writes {
-			created[w.ID] = true
-		}
-		var protected []store.ObjectID
-		rollback := func() {
-			for _, id := range protected {
-				_ = n.store.Unprotect(id, req.TxID)
-			}
-		}
-		for _, rd := range p.Reads {
-			err := n.store.Protect(rd.ID, req.TxID, created[rd.ID])
-			switch {
-			case errors.Is(err, store.ErrBusy):
-				resp.Busy = append(resp.Busy, rd.ID)
-				holder := n.store.ProtectedOwner(rd.ID)
-				n.noteConflict(req, rd.ID, holder)
-				rollback()
-				return &wire.Response{Status: wire.StatusOK, Prepare: resp, ConflictTx: holder}
-			case errors.Is(err, store.ErrNotFound):
-				// The replica never saw this object; it cannot vote on it,
-				// but some other quorum member will hold it. Skip.
-			case err != nil:
-				rollback()
-				return &wire.Response{Status: wire.StatusError, Detail: err.Error(), Prepare: resp}
-			default:
-				protected = append(protected, rd.ID)
-			}
-		}
+	if len(p.Writes) == 0 && len(p.Quorum) == 0 {
+		// Read-only: validation-only vote, no protections.
 		if inv := n.store.Validate(p.Reads); len(inv) > 0 {
 			resp.Invalid = inv
 			n.noteConflict(req, inv[0], "")
-			rollback()
 			return &wire.Response{Status: wire.StatusOK, Prepare: resp}
-		}
-		// Durability point of the vote: once "yes" leaves this node, the
-		// coordinator may commit on it — so the promise (write set, release
-		// set, quorum membership) must survive a crash first. A transaction
-		// the node already knows to be terminated (an abort promise made to
-		// a resolving peer, or a decision that outran this prepare) cannot
-		// be re-prepared.
-		if err := n.registerPrepare(wal.Record{
-			Type:    wal.RecordPrepare,
-			TxID:    req.TxID,
-			Writes:  p.Writes,
-			Release: protected,
-			Quorum:  p.Quorum,
-		}); err != nil {
-			rollback()
-			if errors.Is(err, errTxTerminated) {
-				return &wire.Response{Status: wire.StatusOK, Prepare: resp} // vote no
-			}
-			return &wire.Response{Status: wire.StatusError, Detail: "wal: " + err.Error(), Prepare: resp}
 		}
 		resp.Vote = true
 		return &wire.Response{Status: wire.StatusOK, Prepare: resp}
 	}
 
-	// Read-only: validation-only vote, no protections.
+	written := writeSet(p.Writes)
+	var protected []store.ObjectID
+	rollback := func() {
+		for _, id := range protected {
+			_ = n.store.Unprotect(id, req.TxID)
+		}
+	}
+	for _, rd := range p.Reads {
+		err := n.protect(rd.ID, req.TxID, written[rd.ID])
+		switch {
+		case errors.Is(err, store.ErrBusy):
+			resp.Busy = append(resp.Busy, rd.ID)
+			witness := busyWitness(err)
+			n.noteConflict(req, rd.ID, witness)
+			rollback()
+			return &wire.Response{Status: wire.StatusOK, Prepare: resp, ConflictTx: witness}
+		case errors.Is(err, store.ErrNotFound):
+			// The replica never saw this object; it cannot vote on it,
+			// but some other quorum member will hold it. Skip.
+		case err != nil:
+			rollback()
+			return &wire.Response{Status: wire.StatusError, Detail: err.Error(), Prepare: resp}
+		default:
+			protected = append(protected, rd.ID)
+		}
+	}
 	if inv := n.store.Validate(p.Reads); len(inv) > 0 {
 		resp.Invalid = inv
 		n.noteConflict(req, inv[0], "")
+		rollback()
 		return &wire.Response{Status: wire.StatusOK, Prepare: resp}
+	}
+	// Durability point of the vote: once "yes" leaves this node, the
+	// coordinator may commit on it — so the promise (write set, release
+	// set, quorum membership) must survive a crash first. A transaction
+	// the node already knows to be terminated (an abort promise made to
+	// a resolving peer, or a decision that outran this prepare) cannot
+	// be re-prepared.
+	if err := n.registerPrepare(wal.Record{
+		Type:    wal.RecordPrepare,
+		TxID:    req.TxID,
+		Writes:  p.Writes,
+		Release: protected,
+		Quorum:  p.Quorum,
+	}); err != nil {
+		rollback()
+		if errors.Is(err, errTxTerminated) {
+			return &wire.Response{Status: wire.StatusOK, Prepare: resp} // vote no
+		}
+		return &wire.Response{Status: wire.StatusError, Detail: "wal: " + err.Error(), Prepare: resp}
 	}
 	resp.Vote = true
 	return &wire.Response{Status: wire.StatusOK, Prepare: resp}
@@ -782,8 +820,9 @@ func (n *Node) handleSync(req *wire.Request) *wire.Response {
 // handleRepair applies a read-repair push: the client observed this replica
 // behind the quorum maximum and is forwarding the fresh value. The write is
 // version-guarded (Apply only moves versions forward) and refused while the
-// object is protected by another transaction's in-flight commit, so a
-// racing 2PC always wins.
+// object is exclusively protected by another transaction's in-flight
+// commit, so a racing 2PC always wins. Shared holders do not refuse it:
+// they validated the version they read, and keep their holds.
 func (n *Node) handleRepair(req *wire.Request) *wire.Response {
 	r := req.Repair
 	if r == nil {

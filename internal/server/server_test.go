@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"qracn/internal/forensics"
+	"qracn/internal/quorum"
 	"qracn/internal/store"
 	"qracn/internal/wire"
 )
@@ -233,35 +235,110 @@ func TestDecisionRecordsContention(t *testing.T) {
 	}
 }
 
+// prepare sends one prepare to a node.
+func prepare(n *Node, tx string, p *wire.PrepareRequest) *wire.Response {
+	return n.Handle(context.Background(), &wire.Request{Kind: wire.KindPrepare, TxID: tx, Prepare: p})
+}
+
+// TestAbortReleasesEverything pins the protection contract of a prepare that
+// writes a and only reads b: a is held exclusively (reads and every prepare
+// refused), b shared (reads and other readers pass, a writer's prepare is
+// refused, with a witness naming the holder and its mode) — and an abort
+// releases both.
 func TestAbortReleasesEverything(t *testing.T) {
 	n := newTestNode()
-	p := n.Handle(context.Background(), &wire.Request{
-		Kind: wire.KindPrepare,
-		TxID: "t1",
-		Prepare: &wire.PrepareRequest{
-			Reads: []store.ReadDesc{{ID: "a", Version: 1}, {ID: "b", Version: 1}},
-			Writes: []store.WriteDesc{
-				{ID: "a", Value: store.Int64(10), NewVersion: 2},
-			},
-		},
+	p := prepare(n, "t1", &wire.PrepareRequest{
+		Reads:  []store.ReadDesc{{ID: "a", Version: 1}, {ID: "b", Version: 1}},
+		Writes: []store.WriteDesc{{ID: "a", Value: store.Int64(10), NewVersion: 2}},
 	})
 	if !p.Prepare.Vote {
 		t.Fatalf("prepare: %+v", p)
 	}
-	// Both a (written) and b (read) are protected now.
-	if r := read(n, "t2", "b", nil); r.Status != wire.StatusBusy {
-		t.Fatalf("read of protected read-set object = %v, want busy", r.Status)
+	if r := read(n, "t2", "a", nil); r.Status != wire.StatusBusy || r.ConflictTx != "t1" {
+		t.Fatalf("read of the written object = %v (witness %q), want busy, held exclusively by t1", r.Status, r.ConflictTx)
 	}
-	n.Handle(context.Background(), &wire.Request{
-		Kind:     wire.KindDecision,
-		TxID:     "t1",
-		Decision: &wire.DecisionRequest{Commit: false, Release: []store.ObjectID{"a", "b"}},
+	if r := read(n, "t2", "b", nil); r.Status != wire.StatusOK {
+		t.Fatalf("read of an object t1 only read = %v, want ok (shared hold)", r.Status)
+	}
+	// Another transaction that only reads b prepares beside t1 ...
+	reader := prepare(n, "t3", &wire.PrepareRequest{
+		Reads:  []store.ReadDesc{{ID: "b", Version: 1}, {ID: "c", Version: 0}},
+		Writes: []store.WriteDesc{{ID: "c", Value: store.Int64(1), NewVersion: 1}},
 	})
+	if !reader.Prepare.Vote {
+		t.Fatalf("second reader of b refused: %+v", reader)
+	}
+	// ... a writer of b does not, and learns who refused it and in what mode.
+	writeB := &wire.PrepareRequest{
+		Reads:  []store.ReadDesc{{ID: "b", Version: 1}},
+		Writes: []store.WriteDesc{{ID: "b", Value: store.Int64(9), NewVersion: 2}},
+	}
+	writer := prepare(n, "t4", writeB)
+	if writer.Prepare.Vote || len(writer.Prepare.Busy) != 1 || writer.Prepare.Busy[0] != "b" {
+		t.Fatalf("writer of a shared-held object: %+v, want busy on b", writer.Prepare)
+	}
+	if holder, shared := forensics.SplitWitness(writer.ConflictTx); !shared || (holder != "t1" && holder != "t3") {
+		t.Fatalf("witness = %q, want a shared hold by t1 or t3", writer.ConflictTx)
+	}
+	evs := n.Forensics().Aborts()
+	if last := evs[len(evs)-1]; last.Key != "b" || last.ConflictingTxID != writer.ConflictTx {
+		t.Fatalf("forensic event = %+v, want key b with the reply's witness", last)
+	}
+
+	for _, tx := range []string{"t1", "t3"} {
+		n.Handle(context.Background(), &wire.Request{
+			Kind:     wire.KindDecision,
+			TxID:     tx,
+			Decision: &wire.DecisionRequest{Commit: false, Release: []store.ObjectID{"a", "b", "c"}},
+		})
+	}
 	if r := read(n, "t2", "a", nil); r.Status != wire.StatusOK || store.AsInt64(r.Read.Value) != 1 {
 		t.Fatalf("abort did not roll back: %+v", r)
 	}
-	if r := read(n, "t2", "b", nil); r.Status != wire.StatusOK {
-		t.Fatalf("b still protected: %v", r.Status)
+	for id, o := range n.Store().Snapshot() {
+		if o.Protected || len(o.SharedBy) > 0 {
+			t.Fatalf("%s still held after the aborts: exclusive %q shared %v", id, o.ProtectedBy, o.SharedBy)
+		}
+	}
+	if w := prepare(n, "t5", writeB); !w.Prepare.Vote {
+		t.Fatalf("writer of b after the release: %+v", w)
+	}
+}
+
+// TestReadOnlyParticipantHoldsItsReads pins the cross-shard participant
+// rule: a prepare that writes nothing here but names a Quorum is one part of
+// a 2PC whose writes live in another group. It must hold its reads (shared)
+// and stay in doubt until the decision — a validation-only vote would let a
+// writer of those reads commit between this vote and the decision.
+func TestReadOnlyParticipantHoldsItsReads(t *testing.T) {
+	n := newTestNode()
+	part := prepare(n, "x1", &wire.PrepareRequest{
+		Reads:  []store.ReadDesc{{ID: "a", Version: 1}},
+		Quorum: []quorum.NodeID{0, 7},
+	})
+	if !part.Prepare.Vote {
+		t.Fatalf("read-only participant refused: %+v", part)
+	}
+	if got := n.InDoubt(); len(got) != 1 || got[0] != "x1" {
+		t.Fatalf("in-doubt = %v, want the participant's vote", got)
+	}
+	w := prepare(n, "w1", &wire.PrepareRequest{
+		Reads:  []store.ReadDesc{{ID: "a", Version: 1}},
+		Writes: []store.WriteDesc{{ID: "a", Value: store.Int64(5), NewVersion: 2}},
+	})
+	if w.Prepare.Vote {
+		t.Fatal("a writer prepared over a read-only participant's read")
+	}
+	n.Handle(context.Background(), &wire.Request{
+		Kind:     wire.KindDecision,
+		TxID:     "x1",
+		Decision: &wire.DecisionRequest{Commit: true, Release: []store.ObjectID{"a"}},
+	})
+	if len(n.InDoubt()) != 0 {
+		t.Fatalf("participant still in doubt after its decision: %v", n.InDoubt())
+	}
+	if o := n.Store().Snapshot()["a"]; len(o.SharedBy) > 0 {
+		t.Fatalf("participant's hold survived its decision: %v", o.SharedBy)
 	}
 }
 
@@ -311,14 +388,22 @@ func TestSyncSkipsProtectedObjects(t *testing.T) {
 	if err := n.Store().Protect("a", "tx-in-flight", false); err != nil {
 		t.Fatal(err)
 	}
+	if err := n.Store().ProtectShared("b", "tx-in-flight"); err != nil {
+		t.Fatal(err)
+	}
 	resp := n.Handle(context.Background(), &wire.Request{
 		Kind: wire.KindSync,
 		Sync: &wire.SyncRequest{Known: nil},
 	})
+	shipped := map[store.ObjectID]bool{}
 	for _, w := range resp.Sync.Objects {
-		if w.ID == "a" {
-			t.Fatal("sync shipped a protected (mid-commit) object")
-		}
+		shipped[w.ID] = true
+	}
+	if shipped["a"] {
+		t.Fatal("sync shipped an exclusively protected (mid-commit) object")
+	}
+	if !shipped["b"] {
+		t.Fatal("sync held back an object that is only shared-protected")
 	}
 }
 

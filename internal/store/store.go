@@ -46,21 +46,76 @@ type WriteDesc struct {
 	Block int
 }
 
-// Object is one replica-local versioned object.
+// object is one live replica-local versioned object.
+//
+// A committing transaction holds a protection on every object of its
+// read-set from its prepare to its decision, in one of two modes. An object
+// it writes is held EXCLUSIVE (the paper's commit flag): one holder, and
+// reads and every other protection are refused until the decision. An object
+// it only read is held SHARED: any number of holders, reads and other shared
+// holders pass (the value is not about to change), only an exclusive
+// protection — a writer — is refused.
+//
+// The struct is kept within the 80-byte allocation class: a replica holds
+// one per row, and seeding and snapshots scale with it. Lease starts are
+// therefore offsets from the store's epoch, not time.Time values.
+type object struct {
+	value   Value
+	version uint64
+	// protected/protectedBy/protectedAt are the exclusive protection, its
+	// holder and its lease start.
+	protected   bool
+	protectedBy string
+	protectedAt time.Duration
+	// shared lists the shared holders. It stays a small slice on the object
+	// (a hot read-only row has one holder per in-flight commit), scanned in
+	// place; Get never looks at it.
+	shared []sharedHold
+}
+
+// sharedHold is one transaction's shared protection, with its own lease
+// start so holders expire independently.
+type sharedHold struct {
+	owner string
+	at    time.Duration
+}
+
+// Object is a Snapshot's copy of one object: value, version, and the
+// protections in force on it.
 type Object struct {
 	Value   Value
 	Version uint64
-	// Protected implements the paper's commit flag: while true, reads and
-	// prepares of this object are refused until the owning transaction's
-	// commit completes.
+	// Protected/ProtectedBy are the exclusive protection and its holder.
 	Protected   bool
 	ProtectedBy string
-	protectedAt time.Time
+	// SharedBy names the shared holders (nil when there are none).
+	SharedBy []string
 }
+
+// BusyError is the ErrBusy of a refused Get or protection. It names the
+// holder that refused and the mode it held, read under the same lock that
+// made the refusal, so the witness is always the holder that actually
+// refused.
+type BusyError struct {
+	Holder string
+	Shared bool
+}
+
+func (e *BusyError) Error() string {
+	mode := "exclusive"
+	if e.Shared {
+		mode = "shared"
+	}
+	return fmt.Sprintf("%v (%s hold by %s)", ErrBusy, mode, e.Holder)
+}
+
+// Unwrap makes errors.Is(err, ErrBusy) hold for every refusal.
+func (e *BusyError) Unwrap() error { return ErrBusy }
 
 // Errors reported by Store operations.
 var (
 	// ErrBusy indicates the object is protected by a committing transaction.
+	// Refusals carry it wrapped in a *BusyError.
 	ErrBusy = errors.New("store: object protected by a committing transaction")
 	// ErrNotFound indicates the object does not exist on this replica.
 	ErrNotFound = errors.New("store: object not found")
@@ -72,7 +127,7 @@ var (
 // All methods are safe for concurrent use.
 type Store struct {
 	mu   sync.RWMutex
-	objs map[ObjectID]*Object
+	objs map[ObjectID]*object
 
 	// protectTTL, when positive, expires protections whose owner never
 	// delivered a commit decision (e.g. a client crashed between the two
@@ -80,11 +135,13 @@ type Store struct {
 	// injection harnesses enable it, plain runs leave it off.
 	protectTTL time.Duration
 	now        func() time.Time
+	// epoch is what lease starts are measured from (see object).
+	epoch time.Time
 }
 
 // New returns an empty store.
 func New() *Store {
-	return &Store{objs: make(map[ObjectID]*Object), now: time.Now}
+	return &Store{objs: make(map[ObjectID]*object), now: time.Now, epoch: time.Now()}
 }
 
 // SetProtectTTL enables lease-style expiry of protections; d <= 0 disables
@@ -98,16 +155,31 @@ func (s *Store) SetProtectTTL(d time.Duration, now func() time.Time) {
 	}
 }
 
-// protectionActive reports whether o's protection is still in force.
-// Callers hold s.mu (read or write).
-func (s *Store) protectionActive(o *Object) bool {
-	if !o.Protected {
-		return false
+// sinceEpoch is the store's clock reading, as lease starts record it.
+func (s *Store) sinceEpoch() time.Duration { return s.now().Sub(s.epoch) }
+
+// leaseLive reports whether a protection taken at the given clock reading is
+// still in force. Callers hold s.mu (read or write).
+func (s *Store) leaseLive(at time.Duration) bool {
+	return s.protectTTL <= 0 || s.sinceEpoch()-at < s.protectTTL
+}
+
+// protectionActive reports whether o's exclusive protection is still in
+// force. Callers hold s.mu (read or write).
+func (s *Store) protectionActive(o *object) bool {
+	return o.protected && s.leaseLive(o.protectedAt)
+}
+
+// dropShared removes owner's shared hold and every lapsed one, in place (a
+// hot row keeps its slice). Callers hold s.mu for writing.
+func (s *Store) dropShared(o *object, owner string) {
+	kept := o.shared[:0]
+	for _, h := range o.shared {
+		if h.owner != owner && s.leaseLive(h.at) {
+			kept = append(kept, h)
+		}
 	}
-	if s.protectTTL <= 0 {
-		return true
-	}
-	return s.now().Sub(o.protectedAt) < s.protectTTL
+	o.shared = kept
 }
 
 // Seed installs an object with version 1, overwriting any previous state.
@@ -115,7 +187,7 @@ func (s *Store) protectionActive(o *Object) bool {
 func (s *Store) Seed(id ObjectID, v Value) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.objs[id] = &Object{Value: v, Version: 1}
+	s.objs[id] = &object{value: v, version: 1}
 }
 
 // SeedBatch installs many objects at once.
@@ -123,13 +195,15 @@ func (s *Store) SeedBatch(objs map[ObjectID]Value) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for id, v := range objs {
-		s.objs[id] = &Object{Value: v, Version: 1}
+		s.objs[id] = &object{value: v, version: 1}
 	}
 }
 
 // Get returns a deep copy of the object's value and its version.
-// It returns ErrBusy while the object is protected and ErrNotFound for
-// missing objects.
+// It returns ErrBusy (a *BusyError naming the holder) while the object is
+// exclusively protected and ErrNotFound for missing objects. Shared
+// protections do not refuse it: their holders only read the object, so the
+// value Get returns stays current until every one of them has decided.
 func (s *Store) Get(id ObjectID) (Value, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -138,28 +212,13 @@ func (s *Store) Get(id ObjectID) (Value, uint64, error) {
 		return nil, 0, ErrNotFound
 	}
 	if s.protectionActive(o) {
-		return nil, 0, ErrBusy
+		return nil, 0, &BusyError{Holder: o.protectedBy}
 	}
 	var v Value
-	if o.Value != nil {
-		v = o.Value.CloneValue()
+	if o.value != nil {
+		v = o.value.CloneValue()
 	}
-	return v, o.Version, nil
-}
-
-// ProtectedOwner names the transaction holding an active protection on the
-// object, or "" when the object is absent, unprotected, or the protection's
-// TTL has lapsed. It is the conflict witness the forensics layer piggybacks
-// on Busy replies: the id returned here is exactly the owner whose Protect
-// would make a concurrent Get or Protect fail with ErrBusy.
-func (s *Store) ProtectedOwner(id ObjectID) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	o, ok := s.objs[id]
-	if !ok || !s.protectionActive(o) {
-		return ""
-	}
-	return o.ProtectedBy
+	return v, o.version, nil
 }
 
 // Version returns the replica-local version of an object, and false if the
@@ -171,7 +230,7 @@ func (s *Store) Version(id ObjectID) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return o.Version, true
+	return o.version, true
 }
 
 // Validate checks a read-set against this replica and returns the IDs whose
@@ -183,17 +242,18 @@ func (s *Store) Validate(reads []ReadDesc) []ObjectID {
 	defer s.mu.RUnlock()
 	var invalid []ObjectID
 	for _, r := range reads {
-		if o, ok := s.objs[r.ID]; ok && o.Version > r.Version {
+		if o, ok := s.objs[r.ID]; ok && o.version > r.Version {
 			invalid = append(invalid, r.ID)
 		}
 	}
 	return invalid
 }
 
-// Protect sets the Protected flag on behalf of transaction owner.
-// A transaction may re-protect an object it already protects (idempotent).
-// It fails with ErrBusy when another transaction holds the protection and
-// with ErrNotFound when the object is absent; objects being created by a
+// Protect takes the exclusive protection on behalf of transaction owner.
+// A transaction may re-protect an object it already protects (idempotent,
+// and the lease restarts); a shared hold of its own is upgraded. It fails
+// with ErrBusy when another transaction holds a protection of either mode
+// and with ErrNotFound when the object is absent; objects being created by a
 // first-ever write are implicitly created empty at version 0 so they can be
 // protected.
 func (s *Store) Protect(id ObjectID, owner string, createIfMissing bool) error {
@@ -204,19 +264,56 @@ func (s *Store) Protect(id ObjectID, owner string, createIfMissing bool) error {
 		if !createIfMissing {
 			return ErrNotFound
 		}
-		o = &Object{}
+		o = &object{}
 		s.objs[id] = o
 	}
-	if s.protectionActive(o) && o.ProtectedBy != owner {
-		return ErrBusy
+	if s.protectionActive(o) && o.protectedBy != owner {
+		return &BusyError{Holder: o.protectedBy}
 	}
-	o.Protected = true
-	o.ProtectedBy = owner
-	o.protectedAt = s.now()
+	if len(o.shared) > 0 {
+		s.dropShared(o, "") // lapsed holds refuse nothing
+		for _, h := range o.shared {
+			if h.owner != owner {
+				return &BusyError{Holder: h.owner, Shared: true}
+			}
+		}
+		o.shared = o.shared[:0] // only owner's own hold can be left: upgrade it
+	}
+	o.protected = true
+	o.protectedBy = owner
+	o.protectedAt = s.sinceEpoch()
 	return nil
 }
 
-// Unprotect clears the Protected flag if owner holds it.
+// ProtectShared takes a shared protection on behalf of transaction owner:
+// it refuses later exclusive protections by others, not reads and not other
+// shared holders. Re-protecting restarts owner's lease; an owner that already
+// holds the object exclusively keeps that (stronger) hold. It fails with
+// ErrBusy when another transaction holds the object exclusively and with
+// ErrNotFound when the object is absent.
+func (s *Store) ProtectShared(id ObjectID, owner string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	o, ok := s.objs[id]
+	if !ok {
+		return ErrNotFound
+	}
+	if s.protectionActive(o) {
+		if o.protectedBy != owner {
+			return &BusyError{Holder: o.protectedBy}
+		}
+		o.protectedAt = s.sinceEpoch()
+		return nil
+	}
+	s.dropShared(o, owner)
+	o.shared = append(o.shared, sharedHold{owner: owner, at: s.sinceEpoch()})
+	return nil
+}
+
+// Unprotect releases whatever protection owner holds on the object, in
+// either mode, and nothing anyone else holds. It reports ErrNotOwner when
+// owner holds nothing while another transaction holds the object
+// exclusively.
 func (s *Store) Unprotect(id ObjectID, owner string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -224,41 +321,47 @@ func (s *Store) Unprotect(id ObjectID, owner string) error {
 	if !ok {
 		return ErrNotFound
 	}
-	if !o.Protected {
+	if len(o.shared) > 0 {
+		s.dropShared(o, owner)
+	}
+	if !o.protected {
 		return nil
 	}
-	if o.ProtectedBy != owner {
+	if o.protectedBy != owner {
 		return ErrNotOwner
 	}
-	o.Protected = false
-	o.ProtectedBy = ""
+	o.protected = false
+	o.protectedBy = ""
 	return nil
 }
 
-// Apply installs a committed write and releases the protection. The version
-// only moves forward: replicas that already learned a newer version through
-// another write quorum keep it.
+// Apply installs a committed write and releases owner's protection (other
+// transactions' shared holds stay). The version only moves forward: replicas
+// that already learned a newer version through another write quorum keep it.
 func (s *Store) Apply(w WriteDesc, owner string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o, ok := s.objs[w.ID]
 	if !ok {
-		o = &Object{}
+		o = &object{}
 		s.objs[w.ID] = o
 	}
-	if o.Protected && o.ProtectedBy != owner {
+	if o.protected && o.protectedBy != owner {
 		return ErrNotOwner
 	}
-	if w.NewVersion > o.Version {
-		o.Version = w.NewVersion
+	if len(o.shared) > 0 {
+		s.dropShared(o, owner)
+	}
+	if w.NewVersion > o.version {
+		o.version = w.NewVersion
 		if w.Value != nil {
-			o.Value = w.Value.CloneValue()
+			o.value = w.Value.CloneValue()
 		} else {
-			o.Value = nil
+			o.value = nil
 		}
 	}
-	o.Protected = false
-	o.ProtectedBy = ""
+	o.protected = false
+	o.protectedBy = ""
 	return nil
 }
 
@@ -272,17 +375,17 @@ func (s *Store) Restore(objs []WriteDesc) {
 	for _, w := range objs {
 		o, ok := s.objs[w.ID]
 		if !ok {
-			o = &Object{}
+			o = &object{}
 			s.objs[w.ID] = o
 		}
-		if w.NewVersion <= o.Version {
+		if w.NewVersion <= o.version {
 			continue
 		}
-		o.Version = w.NewVersion
+		o.version = w.NewVersion
 		if w.Value != nil {
-			o.Value = w.Value.CloneValue()
+			o.value = w.Value.CloneValue()
 		} else {
-			o.Value = nil
+			o.value = nil
 		}
 	}
 }
@@ -306,16 +409,27 @@ func (s *Store) IDs() []ObjectID {
 	return ids
 }
 
-// Snapshot returns a deep copy of value+version for every object, used by
-// invariant-checking tests to audit replica state.
+// Snapshot returns a deep copy of value+version for every object, together
+// with the protections in force on it (exclusive holder, shared holders;
+// lapsed leases are left out). Checkpoints use the values; invariant-checking
+// tests audit the holds — a stranded shared hold refuses no read, so this is
+// the only place it shows.
 func (s *Store) Snapshot() map[ObjectID]Object {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[ObjectID]Object, len(s.objs))
 	for id, o := range s.objs {
-		c := Object{Version: o.Version, Protected: o.Protected, ProtectedBy: o.ProtectedBy}
-		if o.Value != nil {
-			c.Value = o.Value.CloneValue()
+		c := Object{Version: o.version}
+		if s.protectionActive(o) {
+			c.Protected, c.ProtectedBy = true, o.protectedBy
+		}
+		for _, h := range o.shared {
+			if s.leaseLive(h.at) {
+				c.SharedBy = append(c.SharedBy, h.owner)
+			}
+		}
+		if o.value != nil {
+			c.Value = o.value.CloneValue()
 		}
 		out[id] = c
 	}
@@ -324,9 +438,10 @@ func (s *Store) Snapshot() map[ObjectID]Object {
 
 // Newer returns a write descriptor for every object whose replica-local
 // version exceeds the version in the given view (objects absent from the
-// view are included wholesale). Objects protected by an in-flight commit
-// are skipped — their next decision will republish them. Anti-entropy uses
-// this to compute the state transfer for a healing replica.
+// view are included wholesale). Objects exclusively protected by an
+// in-flight commit are skipped — their next decision will republish them;
+// shared-protected ones are sent, since their holders do not change them.
+// Anti-entropy uses this to compute the state transfer for a healing replica.
 func (s *Store) Newer(known []ReadDesc) []WriteDesc {
 	view := make(map[ObjectID]uint64, len(known))
 	for _, k := range known {
@@ -339,12 +454,12 @@ func (s *Store) Newer(known []ReadDesc) []WriteDesc {
 		if s.protectionActive(o) {
 			continue
 		}
-		if ver, ok := view[id]; ok && o.Version <= ver {
+		if ver, ok := view[id]; ok && o.version <= ver {
 			continue
 		}
-		w := WriteDesc{ID: id, NewVersion: o.Version}
-		if o.Value != nil {
-			w.Value = o.Value.CloneValue()
+		w := WriteDesc{ID: id, NewVersion: o.version}
+		if o.value != nil {
+			w.Value = o.value.CloneValue()
 		}
 		out = append(out, w)
 	}
@@ -358,7 +473,7 @@ func (s *Store) Versions() []ReadDesc {
 	defer s.mu.RUnlock()
 	out := make([]ReadDesc, 0, len(s.objs))
 	for id, o := range s.objs {
-		out = append(out, ReadDesc{ID: id, Version: o.Version})
+		out = append(out, ReadDesc{ID: id, Version: o.version})
 	}
 	return out
 }

@@ -314,7 +314,9 @@ func (c *TCPClient) SetCodec(codec wire.Codec) {
 	}
 }
 
-// Retries reports how many reconnect attempts the client has made.
+// Retries reports how many reconnect attempts the client has made: every
+// retry of a call, plus every re-dial of a lost connection a call's first
+// attempt had to make.
 func (c *TCPClient) Retries() uint64 { return c.retries.Load() }
 
 // SetRetryCounter mirrors every reconnect attempt into an external counter
@@ -328,25 +330,30 @@ func (c *TCPClient) countRetry() {
 	}
 }
 
-func (c *TCPClient) getConn(to quorum.NodeID) (*tcpConn, error) {
+// getConn returns the node's connection, dialing one if there is none or
+// the last one died. redial reports the second case: the read loop can see
+// the peer go away before any call does, and then the reconnect happens here,
+// on a call's first attempt, where Call's retry loop would never count it.
+func (c *TCPClient) getConn(to quorum.NodeID) (tc *tcpConn, redial bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, ErrClosed
+		return nil, false, ErrClosed
 	}
-	if tc, ok := c.conns[to]; ok && !tc.isDead() {
-		return tc, nil
+	old, had := c.conns[to]
+	if had && !old.isDead() {
+		return old, false, nil
 	}
 	addr, ok := c.addrs[to]
 	if !ok {
-		return nil, ErrUnknownNode
+		return nil, false, ErrUnknownNode
 	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		return nil, &Error{Kind: ErrKindDial, Node: to,
+		return nil, had, &Error{Kind: ErrKindDial, Node: to,
 			Err: fmt.Errorf("%w: dial %s: %v", ErrNodeDown, addr, err)}
 	}
-	tc := &tcpConn{
+	tc = &tcpConn{
 		conn:    conn,
 		out:     make(chan *wire.Envelope, outQueueLen),
 		stop:    make(chan struct{}),
@@ -359,7 +366,7 @@ func (c *TCPClient) getConn(to quorum.NodeID) (*tcpConn, error) {
 	if err := wire.WritePreamble(bw, c.codec); err != nil {
 		conn.Close()
 		delete(c.conns, to)
-		return nil, &Error{Kind: ErrKindDial, Node: to,
+		return nil, had, &Error{Kind: ErrKindDial, Node: to,
 			Err: fmt.Errorf("%w: preamble to %s: %v", ErrNodeDown, addr, err)}
 	}
 	enc := c.codec.NewEncoder(bw, c.compress)
@@ -368,7 +375,7 @@ func (c *TCPClient) getConn(to quorum.NodeID) (*tcpConn, error) {
 		writeLoop(enc, bw, tc.out, tc.stop)
 	}()
 	go tc.readLoop(c.codec.NewDecoder(conn))
-	return tc, nil
+	return tc, had, nil
 }
 
 func (tc *tcpConn) isDead() bool {
@@ -497,7 +504,10 @@ func (c *TCPClient) Call(ctx context.Context, to quorum.NodeID, req *wire.Reques
 				return nil, err
 			}
 		}
-		tc, err := c.getConn(to)
+		tc, redial, err := c.getConn(to)
+		if redial && attempt == 0 {
+			c.countRetry() // later attempts were counted as retries above
+		}
 		if err != nil {
 			if errors.Is(err, ErrUnknownNode) || errors.Is(err, ErrClosed) {
 				return nil, err

@@ -68,7 +68,10 @@ type Record struct {
 
 	// Prepare-record payload: the promised write set, the protections the
 	// decision must release, and the write quorum the coordinator selected
-	// (the peers cooperative termination interrogates).
+	// (the peers cooperative termination interrogates). No protection mode
+	// is recorded: recovery re-takes a Release entry exclusively when it is
+	// also in Writes and shared otherwise, so a read-only participant
+	// (Writes empty) and a log from before the modes both replay as is.
 	Writes  []store.WriteDesc
 	Release []store.ObjectID
 	Quorum  []quorum.NodeID
