@@ -265,36 +265,25 @@ func benchEnvelope() *wire.Envelope {
 	}
 }
 
-// BenchmarkWireMarshal measures encoding of a 32-read prepare message under
-// both wire codecs: one-shot gob (the oracle) and the appending binary
-// encoder (the default).
+// BenchmarkWireMarshal measures encoding of a 32-read prepare message with
+// the appending binary encoder.
 func BenchmarkWireMarshal(b *testing.B) {
 	env := benchEnvelope()
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := wire.Marshal(env); err != nil {
-				b.Fatal(err)
-			}
+	var buf []byte
+	var err error
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if buf, err = wire.AppendEnvelope(buf[:0], env); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		var buf []byte
-		var err error
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if buf, err = wire.AppendEnvelope(buf[:0], env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkFrame compares framing with and without flate compression (the
 // paper compresses piggybacked stats to bound their cost).
 func BenchmarkFrame(b *testing.B) {
 	env := benchEnvelope()
-	payload, err := wire.Marshal(env)
+	payload, err := wire.AppendEnvelope(nil, env)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -306,8 +295,9 @@ func BenchmarkFrame(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(payload)))
 			buf := make(discard, 0)
+			enc := wire.NewBinaryEncoder(&buf, compress)
 			for i := 0; i < b.N; i++ {
-				if err := wire.WriteFrame(&buf, payload, compress); err != nil {
+				if err := enc.Encode(env); err != nil {
 					b.Fatal(err)
 				}
 			}

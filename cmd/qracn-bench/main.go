@@ -19,8 +19,6 @@ import (
 	"time"
 
 	"qracn/internal/harness"
-	"qracn/internal/wal"
-	"qracn/internal/wire"
 )
 
 func main() {
@@ -45,7 +43,6 @@ func main() {
 		walDir     = flag.String("wal-dir", "", "base directory for per-run commit logs (default: system temp)")
 		fsyncEvery = flag.Duration("fsync-interval", 0, "group-commit accumulation window (0: 2ms default; negative: fsync every append)")
 		snapEvery  = flag.Int("snapshot-every", 0, "checkpoint the store every N logged records (0: default; negative: never)")
-		codecName  = flag.String("codec", wire.DefaultCodec.Name(), "serialize simulated-network messages and WAL records with this codec: binary or gob")
 		stages     = flag.Bool("stages", false, "print per-stage latency percentiles (read, prefetch, prepare, commit, fsync wait) after each summary")
 		traceCap   = flag.Int("trace-capacity", 0, "span/event ring size per node and client; >0 turns tracing on")
 		traceRate  = flag.Int("trace-sample", 1, "with tracing on, record spans for 1-in-N transactions (0/1: all, negative: events only)")
@@ -65,17 +62,6 @@ func main() {
 		*jsonOut = true
 	}
 
-	codec, err := wire.CodecByName(*codecName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	walFormat, err := wal.FormatByName(*codecName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	scale := harness.Scale{
 		IntervalLength:   *interval,
 		Clients:          *clients,
@@ -90,8 +76,6 @@ func main() {
 		SnapshotEvery:    *snapEvery,
 		TraceCapacity:    *traceCap,
 		TraceSample:      *traceRate,
-		Codec:            codec,
-		WALFormat:        walFormat,
 		DecideTimeout:    *decideTO,
 		ResolveAfter:     *resolveAft,
 		Shards:           *shards,

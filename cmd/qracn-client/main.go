@@ -28,7 +28,6 @@ import (
 	"qracn/internal/trace"
 	"qracn/internal/transport"
 	"qracn/internal/unitgraph"
-	"qracn/internal/wire"
 	"qracn/internal/workload"
 	"qracn/internal/workload/bank"
 	"qracn/internal/workload/tpcc"
@@ -47,7 +46,6 @@ func main() {
 		clientID   = flag.Int("client", 1, "client identity (spreads quorum selection)")
 		seedData   = flag.Bool("seed-data", false, "install the workload's initial objects before running")
 		compress   = flag.Bool("compress", false, "flate-compress large frames")
-		codecName  = flag.String("codec", wire.DefaultCodec.Name(), "wire codec to dial with: binary or gob (servers accept both)")
 		noPrefetch = flag.Bool("no-prefetch", false, "disable the batched first-access read prefetch")
 
 		suspectAfter  = flag.Int("suspect-after", 3, "rapid RPC failures before a node is suspected and excluded from quorums")
@@ -93,13 +91,7 @@ func main() {
 	if *spansOut != "" && *traceCap == 0 {
 		*traceCap = 4096
 	}
-	codec, err := wire.CodecByName(*codecName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	client := transport.NewTCPClient(addrs, *compress)
-	client.SetCodec(codec)
 	defer client.Close()
 
 	// Sharded clusters advertise their shard map; fetch it from the first

@@ -19,8 +19,9 @@ import (
 // `qracn-inspect wal [-records] [-in-doubt] [-strict] <dir-or-segment>...`:
 // it scans snapshot and segment files, CRC-verifying every frame, and
 // prints record counts plus the maximum committed version per object key.
-// The exit status is 0 only if every file verified cleanly — a torn tail or
-// a corrupt frame exits 1, so the command doubles as an integrity check in
+// The exit status is 0 only if every file verified cleanly — a torn tail, a
+// corrupt frame or a file in the pre-binary gob format (reported with its
+// path and offset) exits 1, so the command doubles as an integrity check in
 // scripts. -in-doubt reports every prepare record with no matching decision
 // (the transactions a crashed node would re-enter cooperative termination
 // for); with -strict a non-empty in-doubt set also exits 1, so operators can
@@ -28,8 +29,8 @@ import (
 //
 // A sharded cluster's WAL parent (shard-<s>/node-<id> subdirectories, the
 // layout the cluster runtimes write) is accepted directly: every node's log
-// is scanned and each shard gets a rollup line with its record count, wire
-// format breakdown, and in-doubt total — in-doubt is always reported in
+// is scanned and each shard gets a rollup line with its record count and
+// in-doubt total — in-doubt is always reported in
 // this mode, and -strict applies to the cross-shard total.
 func walMain(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("qracn-inspect wal", flag.ExitOnError)
@@ -111,12 +112,15 @@ func (d *doubtScan) report(out io.Writer) int {
 	return len(doubt)
 }
 
-func inspectWALPath(path string, dump, reportDoubt bool, agg map[wal.Format]int, out io.Writer) (int, error) {
+// inspectWALPath reports one segment file or WAL directory. total, when
+// non-nil, is a shard rollup's running record count (and marks path as a
+// node directory inside a shard root, not a shard root itself).
+func inspectWALPath(path string, dump, reportDoubt bool, total *int, out io.Writer) (int, error) {
 	info, err := os.Stat(path)
 	if err != nil {
 		return 0, err
 	}
-	if info.IsDir() && agg == nil {
+	if info.IsDir() && total == nil {
 		if doubt, ok, err := inspectShardRoot(path, dump, out); ok {
 			return doubt, err
 		}
@@ -125,7 +129,7 @@ func inspectWALPath(path string, dump, reportDoubt bool, agg map[wal.Format]int,
 	scan := newDoubtScan()
 	var firstErr error
 	if !info.IsDir() {
-		if err := inspectSegment(path, dump, maxVer, scan, agg, out); err != nil {
+		if err := inspectSegment(path, dump, maxVer, scan, total, out); err != nil {
 			firstErr = err
 		}
 		printMaxVersions(maxVer, out)
@@ -141,15 +145,17 @@ func inspectWALPath(path string, dump, reportDoubt bool, agg map[wal.Format]int,
 		return 0, err
 	}
 	for _, s := range snaps {
-		objs, format, err := wal.ReadSnapshotFormat(s)
+		objs, err := wal.ReadSnapshot(s)
 		if err != nil {
+			// Includes a snapshot in the legacy format, whose error names
+			// the path and offset.
 			fmt.Fprintf(out, "%s: UNREADABLE: %v\n", filepath.Base(s), err)
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		fmt.Fprintf(out, "%s: %d objects (%s), crc ok\n", filepath.Base(s), len(objs), format)
+		fmt.Fprintf(out, "%s: %d objects, crc ok\n", filepath.Base(s), len(objs))
 		for _, w := range objs {
 			if w.NewVersion > maxVer[w.ID] {
 				maxVer[w.ID] = w.NewVersion
@@ -164,7 +170,7 @@ func inspectWALPath(path string, dump, reportDoubt bool, agg map[wal.Format]int,
 		return 0, fmt.Errorf("no snapshot or segment files")
 	}
 	for _, s := range segs {
-		if err := inspectSegment(s, dump, maxVer, scan, agg, out); err != nil && firstErr == nil {
+		if err := inspectSegment(s, dump, maxVer, scan, total, out); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -176,13 +182,8 @@ func inspectWALPath(path string, dump, reportDoubt bool, agg map[wal.Format]int,
 	return doubt, firstErr
 }
 
-func inspectSegment(path string, dump bool, maxVer map[store.ObjectID]uint64, scan *doubtScan, agg map[wal.Format]int, out io.Writer) error {
-	formats := map[wal.Format]int{}
-	n, err := wal.ScanSegmentFormats(path, func(rec *wal.Record, off int64, f wal.Format) error {
-		formats[f]++
-		if agg != nil {
-			agg[f]++
-		}
+func inspectSegment(path string, dump bool, maxVer map[store.ObjectID]uint64, scan *doubtScan, total *int, out io.Writer) error {
+	n, err := wal.ScanSegment(path, func(rec *wal.Record, off int64) error {
 		scan.observe(rec)
 		if rec.Version > maxVer[rec.Key] {
 			maxVer[rec.Key] = rec.Version
@@ -190,41 +191,44 @@ func inspectSegment(path string, dump bool, maxVer map[store.ObjectID]uint64, sc
 		if dump {
 			switch rec.Type {
 			case wal.RecordPrepare:
-				fmt.Fprintf(out, "  %08x [%s] prepare tx=%s writes=%d release=%d quorum=%v\n",
-					off, f, rec.TxID, len(rec.Writes), len(rec.Release), rec.Quorum)
+				fmt.Fprintf(out, "  %08x prepare tx=%s writes=%d release=%d quorum=%v\n",
+					off, rec.TxID, len(rec.Writes), len(rec.Release), rec.Quorum)
 			case wal.RecordDecision:
 				outcome := "abort"
 				if rec.Commit {
 					outcome = "commit"
 				}
-				fmt.Fprintf(out, "  %08x [%s] decision tx=%s %s\n", off, f, rec.TxID, outcome)
+				fmt.Fprintf(out, "  %08x decision tx=%s %s\n", off, rec.TxID, outcome)
 			default:
-				fmt.Fprintf(out, "  %08x [%s] tx=%s block=%d key=%s version=%d\n",
-					off, f, rec.TxID, rec.Block, rec.Key, rec.Version)
+				fmt.Fprintf(out, "  %08x tx=%s block=%d key=%s version=%d\n",
+					off, rec.TxID, rec.Block, rec.Key, rec.Version)
 			}
 		}
 		return nil
 	})
+	if total != nil {
+		*total += n
+	}
 	var torn *wal.TornTailError
 	var bad *wal.BadRecordError
 	switch {
 	case errors.As(err, &torn):
-		fmt.Fprintf(out, "%s: %d records%s, TORN TAIL at offset %d\n",
-			filepath.Base(path), n, formatBreakdown(formats), torn.Offset)
-		return err
+		fmt.Fprintf(out, "%s: %d records, TORN TAIL at offset %d\n", filepath.Base(path), n, torn.Offset)
 	case errors.As(err, &bad):
 		// The frame's CRC verified — this is not a torn tail but bytes that
-		// were durably written wrong (e.g. an out-of-range format or version
-		// byte), which an integrity check must fail loudly on.
-		fmt.Fprintf(out, "%s: %d records%s, BAD RECORD at offset %d: %s\n",
-			filepath.Base(path), n, formatBreakdown(formats), bad.Offset, bad.Reason)
-		return err
+		// were durably written wrong (e.g. an out-of-range version byte),
+		// which an integrity check must fail loudly on.
+		fmt.Fprintf(out, "%s: %d records, BAD RECORD at offset %d: %s\n", filepath.Base(path), n, bad.Offset, bad.Reason)
+	case errors.Is(err, wal.ErrLegacyFormat):
+		// Intact, but written by a release this build no longer reads; the
+		// error carries the path and offset of the first such frame.
+		fmt.Fprintf(out, "%s: %d records, LEGACY FORMAT: %v\n", filepath.Base(path), n, err)
 	case err != nil:
-		fmt.Fprintf(out, "%s: %d records%s, CORRUPT: %v\n", filepath.Base(path), n, formatBreakdown(formats), err)
-		return err
+		fmt.Fprintf(out, "%s: %d records, CORRUPT: %v\n", filepath.Base(path), n, err)
+	default:
+		fmt.Fprintf(out, "%s: %d records, crc ok\n", filepath.Base(path), n)
 	}
-	fmt.Fprintf(out, "%s: %d records%s, crc ok\n", filepath.Base(path), n, formatBreakdown(formats))
-	return nil
+	return err
 }
 
 // inspectShardRoot handles a sharded cluster's WAL parent: a directory of
@@ -248,22 +252,18 @@ func inspectShardRoot(path string, dump bool, out io.Writer) (int, bool, error) 
 			continue
 		}
 		sortByNumericSuffix(nodeDirs)
-		agg := map[wal.Format]int{}
+		records := 0
 		shardDoubt := 0
 		for _, nd := range nodeDirs {
 			fmt.Fprintf(out, "%s/%s:\n", filepath.Base(sd), filepath.Base(nd))
-			doubt, err := inspectWALPath(nd, dump, true, agg, out)
+			doubt, err := inspectWALPath(nd, dump, true, &records, out)
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
 			shardDoubt += doubt
 		}
-		records := 0
-		for _, n := range agg {
-			records += n
-		}
-		fmt.Fprintf(out, "%s: %d nodes, %d records%s, %d in doubt\n",
-			filepath.Base(sd), len(nodeDirs), records, formatBreakdown(agg), shardDoubt)
+		fmt.Fprintf(out, "%s: %d nodes, %d records, %d in doubt\n",
+			filepath.Base(sd), len(nodeDirs), records, shardDoubt)
 		totalDoubt += shardDoubt
 	}
 	return totalDoubt, true, firstErr
@@ -292,25 +292,6 @@ func sortByNumericSuffix(paths []string) {
 		}
 		return paths[i] < paths[j]
 	})
-}
-
-// formatBreakdown renders a per-format record count like " (3 binary, 2 gob)";
-// empty segments yield "".
-func formatBreakdown(formats map[wal.Format]int) string {
-	if len(formats) == 0 {
-		return ""
-	}
-	s := " ("
-	for i, f := range []wal.Format{wal.FormatBinary, wal.FormatGob} {
-		if formats[f] == 0 {
-			continue
-		}
-		if i > 0 && s != " (" {
-			s += ", "
-		}
-		s += fmt.Sprintf("%d %s", formats[f], f)
-	}
-	return s + ")"
 }
 
 func printMaxVersions(maxVer map[store.ObjectID]uint64, out io.Writer) {

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -47,7 +50,7 @@ func TestWalSubcommandCleanLog(t *testing.T) {
 		t.Fatalf("exit %d on a clean log\n%s", code, out.String())
 	}
 	got := out.String()
-	for _, want := range []string{"5 records (5 binary), crc ok", "acct/0", "acct/1", "max committed version"} {
+	for _, want := range []string{"5 records, crc ok", "acct/0", "acct/1", "max committed version"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}
@@ -90,36 +93,68 @@ func TestWalSubcommandMissingPath(t *testing.T) {
 	}
 }
 
-// TestWalSubcommandReportsMixedFormats writes segments in both record
-// encodings into one directory (the mid-rollout state) and checks the
-// inspector labels each segment with its format.
-func TestWalSubcommandReportsMixedFormats(t *testing.T) {
-	dir := t.TempDir()
-	for _, format := range []wal.Format{wal.FormatGob, wal.FormatBinary} {
-		log, _, err := wal.Open(dir, wal.Options{FsyncInterval: -1, Format: format})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := log.Append(wal.Record{
-			TxID: "tx-" + format.String(), Key: store.ID("acct", 0),
-			Version: 1, Value: store.Int64(1),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := log.Close(); err != nil {
-			t.Fatal(err)
-		}
+// appendRawFrame appends one CRC-valid WAL frame carrying payload to path.
+func appendRawFrame(t *testing.T, path string, payload []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var frame [8]byte
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	if _, err := f.Write(append(frame[:], payload...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWalSubcommandReportsLegacyFormat puts a gob-format record and a
+// gob-format snapshot — what a node on `-codec gob` wrote — into a log and
+// checks the inspector names each with its path and offset and exits
+// non-zero, still counting the binary prefix.
+func TestWalSubcommandReportsLegacyFormat(t *testing.T) {
+	dir := t.TempDir()
+	buildLog(t, dir)
+	segs, err := wal.Segments(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments: %v (%d)", err, len(segs))
+	}
+	last := segs[len(segs)-1]
+	info, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec, snap bytes.Buffer
+	if err := gob.NewEncoder(&rec).Encode(&wal.Record{TxID: "tx-gob", Key: store.ID("acct", 0), Version: 9, Value: store.Int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	appendRawFrame(t, last, rec.Bytes())
+	if err := gob.NewEncoder(&snap).Encode(&struct{ Objects []store.WriteDesc }{
+		[]store.WriteDesc{{ID: store.ID("acct", 0), Value: store.Int64(1), NewVersion: 1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	snapPath := filepath.Join(dir, "snap-00000001.db")
+	appendRawFrame(t, snapPath, snap.Bytes())
 
 	var out strings.Builder
-	if code := walMain([]string{"-records", dir}, &out); code != 0 {
-		t.Fatalf("exit %d on a clean mixed-format log\n%s", code, out.String())
+	if code := walMain([]string{"-records", dir}, &out); code == 0 {
+		t.Fatalf("exit 0 on a log holding legacy-format files\n%s", out.String())
 	}
 	got := out.String()
-	for _, want := range []string{"(1 gob)", "(1 binary)", "[gob] tx=tx-gob", "[binary] tx=tx-binary"} {
+	for _, want := range []string{
+		fmt.Sprintf("5 records, LEGACY FORMAT: %v: %s at offset %d", wal.ErrLegacyFormat, last, info.Size()),
+		fmt.Sprintf("UNREADABLE: %v: %s at offset 0", wal.ErrLegacyFormat, snapPath),
+	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}
+	}
+	if strings.Contains(got, "TORN TAIL") || strings.Contains(got, "tx-gob") {
+		t.Fatalf("legacy record read or taken for a torn tail:\n%s", got)
 	}
 }
 
@@ -133,20 +168,7 @@ func TestWalSubcommandBadRecordExitsNonZero(t *testing.T) {
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments: %v (%d)", err, len(segs))
 	}
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte{0x00, 0x7F, 'x'} // binary marker, unknown version byte
-	var frame [8]byte
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
-	if _, err := f.Write(append(frame[:], payload...)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendRawFrame(t, segs[len(segs)-1], []byte{0x00, 0x7F, 'x'}) // binary marker, unknown version byte
 
 	var out strings.Builder
 	if code := walMain([]string{dir}, &out); code == 0 {
@@ -199,8 +221,8 @@ func TestWalSubcommandShardedParent(t *testing.T) {
 		"shard-0/node-0:",
 		"shard-0/node-1:",
 		"shard-1/node-2:",
-		"shard-0: 2 nodes, 10 records (10 binary), 0 in doubt",
-		"shard-1: 1 nodes, 1 records (1 binary), 1 in doubt",
+		"shard-0: 2 nodes, 10 records, 0 in doubt",
+		"shard-1: 1 nodes, 1 records, 1 in doubt",
 		"stranded-tx",
 	} {
 		if !strings.Contains(got, want) {

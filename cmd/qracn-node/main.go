@@ -5,16 +5,16 @@
 // The server speaks the batched RPC pipeline: KindBatch requests fan their
 // sub-requests out to concurrent goroutines, each request runs under a
 // context that a client cancel frame (or a dropped connection) cancels,
-// and both stream directions use persistent codecs with coalesced writes.
-// The wire codec (binary by default, gob for old clients) is negotiated per
-// connection from the client's preamble, so mixed-codec fleets work during
-// a rollout.
+// and both stream directions use persistent encoders with coalesced writes.
+// A connection must open with the two-byte protocol-version preamble; one
+// that does not (a pre-binary gob client, say) is closed unanswered.
 //
 // With -wal-dir the node is durable: commits are appended to a write-ahead
 // log and group-commit fsynced before they are acknowledged, the store is
 // periodically checkpointed into snapshots, and a restart replays
 // snapshot+log — answering pings but refusing work with StatusUnavailable
-// until the replay has finished.
+// until the replay has finished. A log written in the pre-binary gob format
+// is refused at startup and left untouched (wal.ErrLegacyFormat).
 //
 // Usage:
 //
@@ -54,7 +54,6 @@ func main() {
 		snapEvery   = flag.Int("snapshot-every", 0, "checkpoint the store every N logged records (0: default 4096; negative: never)")
 		traceCap    = flag.Int("trace", 0, "span/event ring size for distributed tracing; >0 turns tracing on (spans fetchable via qracn-inspect trace)")
 		debugAddr   = flag.String("debug-addr", "", "HTTP listen address for /metrics, /debug/vars and /debug/pprof (empty disables)")
-		codecName   = flag.String("codec", wal.FormatDefault.String(), "WAL record encoding for new writes: binary or gob (replay auto-detects; the wire codec is negotiated per connection by each client)")
 		resolveAft  = flag.Duration("resolve-after", 0, "how long a yes vote may sit undecided before this node queries its quorum peers for the outcome (0: 5s default)")
 		ttlAbort    = flag.Duration("ttl-abort-after", 0, "last-resort abort deadline when a complete peer round finds every participant equally in doubt (0: 60s default; must exceed the clients' -decide-timeout)")
 		unsafeTTL   = flag.Bool("unsafe-ttl-abort", false, "allow -ttl-abort-after at or below the default client -decide-timeout (only safe when every client runs with a smaller -decide-timeout)")
@@ -90,12 +89,6 @@ func main() {
 		shards = m
 	} else if *shardID >= 0 {
 		fmt.Fprintln(os.Stderr, "-shard-id requires -shard-map")
-		os.Exit(2)
-	}
-
-	walFormat, err := wal.FormatByName(*codecName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -165,7 +158,7 @@ func main() {
 		fmt.Printf("debug endpoint on http://%s (/metrics, /debug/vars, /debug/pprof)\n", dbg)
 	}
 	if durable {
-		log, rec, err := wal.Open(*walDir, wal.Options{FsyncInterval: *fsyncEvery, Format: walFormat})
+		log, rec, err := wal.Open(*walDir, wal.Options{FsyncInterval: *fsyncEvery})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			srv.Close()
@@ -173,8 +166,8 @@ func main() {
 		}
 		node.AttachWAL(log)
 		node.FinishRecovery(rec)
-		fmt.Printf("qracn-node %d serving on %s (stats window %v, wal %s [%s records]: %d snapshot objects + %d log records replayed)\n",
-			*id, addr, *statsWindow, *walDir, walFormat, rec.SnapshotObjects, rec.LogRecords)
+		fmt.Printf("qracn-node %d serving on %s (stats window %v, wal %s: %d snapshot objects + %d log records replayed)\n",
+			*id, addr, *statsWindow, *walDir, rec.SnapshotObjects, rec.LogRecords)
 	} else {
 		fmt.Printf("qracn-node %d serving on %s (stats window %v, volatile)\n", *id, addr, *statsWindow)
 	}

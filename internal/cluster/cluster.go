@@ -58,9 +58,6 @@ type Config struct {
 	// SnapshotEvery is the automatic checkpoint threshold in records
 	// (0: server default; negative: only explicit checkpoints).
 	SnapshotEvery int
-	// WALFormat selects the commit-log record encoding (default binary).
-	// The wire codec for the simulated interconnect is Network.Codec.
-	WALFormat wal.Format
 	// TraceCapacity, when positive, gives every node a tracer ring of that
 	// many events and spans, so traced transactions get server-side serve
 	// spans and Cluster.Spans can reassemble cross-node timelines.
@@ -167,16 +164,9 @@ func (c *Cluster) buildNode(id quorum.NodeID) (*server.Node, error) {
 	}
 	var rec *wal.Recovered
 	if cfg.WALDir != "" {
-		dir := filepath.Join(cfg.WALDir, fmt.Sprintf("node-%d", id))
-		if c.Shards != nil {
-			// Per-shard WAL layout: each quorum group owns a directory, so
-			// an operator (or qracn-inspect wal) can reason about one
-			// shard's durable state in isolation.
-			dir = filepath.Join(cfg.WALDir, fmt.Sprintf("shard-%d", c.Shards.HomeOf(id)), fmt.Sprintf("node-%d", id))
-		}
-		log, r, err := wal.Open(dir, wal.Options{FsyncInterval: cfg.FsyncInterval, Format: cfg.WALFormat})
+		log, r, err := openNodeWAL(cfg.WALDir, c.Shards, id, cfg.FsyncInterval)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: node %d wal: %w", id, err)
+			return nil, err
 		}
 		scfg.WAL = log
 		rec = r
@@ -192,6 +182,22 @@ func (c *Cluster) buildNode(id quorum.NodeID) (*server.Node, error) {
 		n.Store().SetProtectTTL(cfg.ProtectTTL, cfg.Now)
 	}
 	return n, nil
+}
+
+// openNodeWAL opens node id's commit log under root — the one rule both
+// cluster runtimes place logs by: root/node-i, or root/shard-s/node-i when
+// sharded, so that each quorum group owns a directory and an operator (or
+// qracn-inspect wal) can reason about one shard's durable state in isolation.
+func openNodeWAL(root string, shards *shard.Map, id quorum.NodeID, fsyncInterval time.Duration) (*wal.Log, *wal.Recovered, error) {
+	dir := filepath.Join(root, fmt.Sprintf("node-%d", id))
+	if shards != nil {
+		dir = filepath.Join(root, fmt.Sprintf("shard-%d", shards.HomeOf(id)), fmt.Sprintf("node-%d", id))
+	}
+	log, rec, err := wal.Open(dir, wal.Options{FsyncInterval: fsyncInterval})
+	if err != nil {
+		return nil, nil, fmt.Errorf("cluster: node %d wal: %w", id, err)
+	}
+	return log, rec, nil
 }
 
 // CrashRestart simulates a participant process crash and cold restart on a

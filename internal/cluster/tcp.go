@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -13,7 +12,6 @@ import (
 	"qracn/internal/store"
 	"qracn/internal/transport"
 	"qracn/internal/wal"
-	"qracn/internal/wire"
 )
 
 // TCPConfig sizes a loopback TCP deployment.
@@ -46,12 +44,6 @@ type TCPConfig struct {
 	// SnapshotEvery is the automatic checkpoint threshold in records
 	// (0: server default; negative: only explicit checkpoints).
 	SnapshotEvery int
-	// Codec selects the wire codec client runtimes dial with (nil:
-	// wire.DefaultCodec). Servers negotiate per connection, so clusters can
-	// mix clients on different codecs.
-	Codec wire.Codec
-	// WALFormat selects the commit-log record encoding (default binary).
-	WALFormat wal.Format
 	// ResolveAfter is how long a participant's yes vote may sit undecided
 	// before it queries its quorum peers for the outcome (0: server
 	// default 5s).
@@ -72,9 +64,8 @@ type TCPConfig struct {
 
 // TCPCluster is a multi-listener deployment on the loopback interface: the
 // same quorum-node logic as the in-process cluster, but every message
-// crosses a real TCP connection through the wire codec. Useful for
-// integration tests and as a template for multi-machine deployment with
-// cmd/qracn-node.
+// crosses a real TCP connection in binary frames. Useful for integration
+// tests and as a template for multi-machine deployment with cmd/qracn-node.
 type TCPCluster struct {
 	Tree  *quorum.Tree
 	Nodes []*server.Node
@@ -91,8 +82,6 @@ type TCPCluster struct {
 	walDir        string
 	fsyncInterval time.Duration
 	snapshotEvery int
-	codec         wire.Codec
-	walFormat     wal.Format
 	resolveAfter  time.Duration
 	ttlAbortAfter time.Duration
 	maxInflight   int
@@ -107,13 +96,6 @@ type TCPCluster struct {
 
 // Durable reports whether the cluster's nodes write commit logs.
 func (c *TCPCluster) Durable() bool { return c.walDir != "" }
-
-func (c *TCPCluster) nodeWALDir(id quorum.NodeID) string {
-	if c.Shards != nil {
-		return filepath.Join(c.walDir, fmt.Sprintf("shard-%d", c.Shards.HomeOf(id)), fmt.Sprintf("node-%d", id))
-	}
-	return filepath.Join(c.walDir, fmt.Sprintf("node-%d", id))
-}
 
 // newNode builds a quorum node with the cluster's store/meter tuning.
 func (c *TCPCluster) newNode(id quorum.NodeID, log *wal.Log) *server.Node {
@@ -153,8 +135,6 @@ func NewTCP(cfg TCPConfig) (*TCPCluster, error) {
 		walDir:        cfg.WALDir,
 		fsyncInterval: cfg.FsyncInterval,
 		snapshotEvery: cfg.SnapshotEvery,
-		codec:         cfg.Codec,
-		walFormat:     cfg.WALFormat,
 		resolveAfter:  cfg.ResolveAfter,
 		ttlAbortAfter: cfg.TTLAbortAfter,
 		maxInflight:   cfg.MaxInflight,
@@ -170,10 +150,10 @@ func NewTCP(cfg TCPConfig) (*TCPCluster, error) {
 		if c.Durable() {
 			var rec *wal.Recovered
 			var err error
-			log, rec, err = wal.Open(c.nodeWALDir(id), wal.Options{FsyncInterval: cfg.FsyncInterval, Format: cfg.WALFormat})
+			log, rec, err = openNodeWAL(c.walDir, c.Shards, id, c.fsyncInterval)
 			if err != nil {
 				c.Close()
-				return nil, fmt.Errorf("cluster: node %d wal: %w", i, err)
+				return nil, err
 			}
 			n := c.newNode(id, log)
 			// A pre-existing log (re-opened directory) seeds the replica,
@@ -231,9 +211,6 @@ func (c *TCPCluster) Seed(objs map[store.ObjectID]store.Value) {
 // see dtm.ClampDecideTimeout). Safe for concurrent use.
 func (c *TCPCluster) Runtime(clientSeed int, cfg dtm.Config) *dtm.Runtime {
 	client := transport.NewTCPClient(c.Addrs(), c.compress)
-	if c.codec != nil {
-		client.SetCodec(c.codec)
-	}
 	c.mu.Lock()
 	c.clients = append(c.clients, client)
 	c.mu.Unlock()
@@ -278,9 +255,6 @@ func (c *TCPCluster) StartResolvers(pollEvery time.Duration) {
 
 func (c *TCPCluster) startNodeResolver(n *server.Node) {
 	client := transport.NewTCPClient(c.Addrs(), c.compress)
-	if c.codec != nil {
-		client.SetCodec(c.codec)
-	}
 	c.mu.Lock()
 	c.clients = append(c.clients, client)
 	poll := c.resolverPoll
@@ -337,10 +311,10 @@ func (c *TCPCluster) Restart(id quorum.NodeID, cold bool) error {
 		if err != nil {
 			return fmt.Errorf("cluster: restart node %d: %w", id, err)
 		}
-		log, rec, err := wal.Open(c.nodeWALDir(id), wal.Options{FsyncInterval: c.fsyncInterval, Format: c.walFormat})
+		log, rec, err := openNodeWAL(c.walDir, c.Shards, id, c.fsyncInterval)
 		if err != nil {
 			srv.Close()
-			return fmt.Errorf("cluster: restart node %d wal: %w", id, err)
+			return fmt.Errorf("cluster: restart: %w", err)
 		}
 		n.AttachWAL(log)
 		n.FinishRecovery(rec)

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"qracn/internal/wal"
-	"qracn/internal/wire"
 	"qracn/internal/workload/bank"
 	"qracn/internal/workload/tpcc"
 	"qracn/internal/workload/vacation"
@@ -29,11 +27,6 @@ type Scale struct {
 	SnapshotEvery    int
 	TraceCapacity    int
 	TraceSample      int
-	// Codec serializes every simulated-network message through this wire
-	// codec (nil: deep copy, no marshaling); WALFormat picks the commit-log
-	// record encoding on durable runs.
-	Codec     wire.Codec
-	WALFormat wal.Format
 	// DecideTimeout bounds each client's 2PC decision delivery;
 	// ResolveAfter (>0) runs the nodes' cooperative termination loop with
 	// that in-doubt deadline. Both zero by default.
@@ -83,8 +76,6 @@ func (s Scale) apply(o Options) Options {
 	o.SnapshotEvery = s.SnapshotEvery
 	o.TraceCapacity = s.TraceCapacity
 	o.TraceSample = s.TraceSample
-	o.Codec = s.Codec
-	o.WALFormat = s.WALFormat
 	o.DecideTimeout = s.DecideTimeout
 	o.ResolveAfter = s.ResolveAfter
 	o.Shards = s.Shards

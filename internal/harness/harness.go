@@ -27,7 +27,6 @@ import (
 	"qracn/internal/trace"
 	"qracn/internal/transport"
 	"qracn/internal/unitgraph"
-	"qracn/internal/wal"
 	"qracn/internal/wire"
 	"qracn/internal/workload"
 )
@@ -141,13 +140,6 @@ type Options struct {
 	// 0 or 1 records every transaction, N>1 records one in N, negative
 	// disables spans while keeping protocol events.
 	TraceSample int
-	// Codec, when set, crosses every simulated-network message through this
-	// wire codec's real encode/decode path instead of a deep copy, so runs
-	// measure true marshaling cost.
-	Codec wire.Codec
-	// WALFormat selects the commit-log record encoding on durable runs
-	// (default binary).
-	WALFormat wal.Format
 	// DecideTimeout bounds each client's delivery of a 2PC decision after a
 	// yes-vote quorum (0: dtm default 10s).
 	DecideTimeout time.Duration
@@ -340,7 +332,9 @@ func runMode(ctx context.Context, opts Options, mode Mode) (*Series, error) {
 			Latency: max(opts.NetLatency, 0),
 			Jitter:  max(opts.NetJitter, 0),
 			Seed:    opts.Seed,
-			Codec:   opts.Codec,
+			// Real encode/decode instead of a deep copy, so runs measure
+			// true marshaling cost.
+			Codec: wire.Binary,
 		},
 		StatsWindow:   opts.IntervalLength,
 		ProtectTTL:    opts.ProtectTTL,
@@ -363,7 +357,6 @@ func runMode(ctx context.Context, opts Options, mode Mode) (*Series, error) {
 		ccfg.WALDir = dir
 		ccfg.FsyncInterval = opts.FsyncInterval
 		ccfg.SnapshotEvery = opts.SnapshotEvery
-		ccfg.WALFormat = opts.WALFormat
 	}
 	c, err := cluster.NewDurable(ccfg)
 	if err != nil {

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
 	"sync"
@@ -22,12 +21,10 @@ type ChannelConfig struct {
 	// Seed makes the jitter sequence reproducible; 0 derives a seed from
 	// the clock.
 	Seed int64
-	// Codec, when set, crosses the node boundary through a real wire codec
-	// stream instead of the Clone deep copy: every request and response is
-	// encoded and decoded through a persistent per-destination pipe, exactly
-	// the serialization a TCP connection performs (gob amortizes its type
-	// metadata the same way). This is what makes in-process codec A/B
-	// benchmarks measure true marshaling cost. nil keeps Clone.
+	// Codec, when set to wire.Binary, crosses the node boundary through a
+	// real encode and decode of every request and response instead of the
+	// Clone deep copy — the marshaling a TCP connection performs, so
+	// in-process benchmarks pay true serialization cost. nil keeps Clone.
 	Codec wire.Codec
 }
 
@@ -67,50 +64,24 @@ type ChannelNetwork struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	pipeMu sync.Mutex
-	pipes  map[quorum.NodeID]*codecPipe
 }
 
-// codecPipe carries envelopes across the in-process node boundary through a
-// persistent codec stream: one shared buffer with a long-lived encoder and
-// decoder, encode and decode performed back-to-back under the lock. The
-// strict alternation means each Decode consumes exactly the frame its
-// Encode produced, which both stream codecs guarantee (one envelope = one
-// frame).
-type codecPipe struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-	enc wire.EnvelopeEncoder
-	dec wire.EnvelopeDecoder
-}
+// envBufs recycles the byte buffers serialize encodes into.
+var envBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-func newCodecPipe(c wire.Codec) *codecPipe {
-	p := &codecPipe{}
-	p.enc = c.NewEncoder(&p.buf, false)
-	p.dec = c.NewDecoder(&p.buf)
-	return p
-}
-
-func (p *codecPipe) transfer(env *wire.Envelope) (*wire.Envelope, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.enc.Encode(env); err != nil {
+// serialize carries env across the node boundary as bytes: encoded into a
+// pooled buffer and decoded into a fresh envelope that shares nothing with
+// the original (the decoder copies every string and byte slice out of its
+// input).
+func serialize(env *wire.Envelope) (*wire.Envelope, error) {
+	bp := envBufs.Get().(*[]byte)
+	defer envBufs.Put(bp)
+	buf, err := wire.AppendEnvelope((*bp)[:0], env)
+	if err != nil {
 		return nil, err
 	}
-	return p.dec.Decode()
-}
-
-// pipe returns the destination node's codec pipe, creating it on first use.
-func (n *ChannelNetwork) pipe(to quorum.NodeID) *codecPipe {
-	n.pipeMu.Lock()
-	defer n.pipeMu.Unlock()
-	p, ok := n.pipes[to]
-	if !ok {
-		p = newCodecPipe(n.cfg.Codec)
-		n.pipes[to] = p
-	}
-	return p
+	*bp = buf[:0]
+	return wire.DecodeEnvelope(buf)
 }
 
 // NewChannelNetwork creates an empty simulated network.
@@ -124,7 +95,6 @@ func NewChannelNetwork(cfg ChannelConfig) *ChannelNetwork {
 		handlers: make(map[quorum.NodeID]Handler),
 		down:     make(map[quorum.NodeID]bool),
 		rng:      rand.New(rand.NewSource(seed)),
-		pipes:    make(map[quorum.NodeID]*codecPipe),
 	}
 }
 
@@ -229,11 +199,11 @@ func (n *ChannelNetwork) Call(ctx context.Context, to quorum.NodeID, req *wire.R
 	if err := n.hop(ctx); err != nil {
 		return nil, err
 	}
-	// Isolate the two sides: either serialize through the configured codec
-	// (as a real connection would) or deep-copy via Clone.
+	// Isolate the two sides: either serialize (as a real connection would)
+	// or deep-copy via Clone.
 	reqIn := req
 	if n.cfg.Codec != nil {
-		env, err := n.pipe(to).transfer(&wire.Envelope{Req: req})
+		env, err := serialize(&wire.Envelope{Req: req})
 		if err != nil {
 			return nil, &Error{Kind: ErrKindDecode, Node: to, Err: err}
 		}
@@ -257,7 +227,7 @@ func (n *ChannelNetwork) Call(ctx context.Context, to quorum.NodeID, req *wire.R
 		return nil, err
 	}
 	if n.cfg.Codec != nil {
-		env, err := n.pipe(to).transfer(&wire.Envelope{IsResponse: true, Resp: resp})
+		env, err := serialize(&wire.Envelope{IsResponse: true, Resp: resp})
 		if err != nil {
 			return nil, &Error{Kind: ErrKindDecode, Node: to, Err: err}
 		}

@@ -1,84 +1,165 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"os"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"qracn/internal/quorum"
 	"qracn/internal/store"
 	"qracn/internal/wire"
 )
 
-// TestTCPEveryCodec drives a full round trip over a real TCP connection with
-// each registered codec, checking the server sniffs the client's choice and
-// the payload survives intact.
-func TestTCPEveryCodec(t *testing.T) {
-	for _, codec := range wire.Codecs() {
-		t.Run(codec.Name(), func(t *testing.T) {
-			cli, stop := startTCPPair(t, func(_ context.Context, req *wire.Request) *wire.Response {
-				return &wire.Response{
-					Status: wire.StatusOK,
-					Detail: req.TxID,
-					Read:   &wire.ReadResponse{Value: store.Int64(42), Version: 7},
-				}
-			})
-			defer stop()
-			cli.SetCodec(codec)
-			resp, err := cli.Call(context.Background(), 0, &wire.Request{
-				Kind: wire.KindRead, TxID: "codec-" + codec.Name(),
-				Read: &wire.ReadRequest{Object: store.ID("acct", 1)},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.Detail != "codec-"+codec.Name() || resp.Read.Value != store.Int64(42) {
-				t.Fatalf("response mutated: %+v", resp)
-			}
-		})
+// pingFrame is the first thing a TCPClient writes for
+// Call(0, {Kind: KindPing, TxID: "pin-1"}), captured from the commit before
+// gob left production (PR 12): the two preamble bytes, then one binary frame
+// (length 12, no flags, CRC-32C, payload). A peer from either side of that
+// change must keep reading and writing exactly this.
+var pingFrame = []byte{
+	0xc6, 0x02,
+	0x00, 0x00, 0x00, 0x0c, 0x00, 0xe1, 0x47, 0xb6, 0x1d,
+	0x00, 0x04, 0x04, 0x05, 'p', 'i', 'n', '-', '1', 0x00, 0x00, 0x00,
+}
+
+// TestTCPClientOpeningBytes pins the surviving wire path byte for byte.
+func TestTCPClientOpeningBytes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cli := NewTCPClient(map[quorum.NodeID]string{0: ln.Addr().String()}, false)
+	defer cli.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go cli.Call(ctx, 0, &wire.Request{Kind: wire.KindPing, TxID: "pin-1"})
+
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got := make([]byte, len(pingFrame))
+	if _, err := io.ReadFull(conn, got); err != nil {
+		t.Fatalf("read after % x: %v", got, err)
+	}
+	if !bytes.Equal(got, pingFrame) {
+		t.Fatalf("client opened with\n  % x\nwant\n  % x", got, pingFrame)
 	}
 }
 
-// TestTCPMixedCodecClients is the rollout scenario: one upgraded server,
-// clients speaking different codecs concurrently. Each connection negotiates
-// independently, so both must work at once.
-func TestTCPMixedCodecClients(t *testing.T) {
-	srv := NewTCPServer(echoHandler, false)
+// gobEraRequest is what a pre-binary client put on a fresh connection: no
+// preamble, a 4-byte length and a flag byte, then a gob-encoded envelope.
+func gobEraRequest(t *testing.T) []byte {
+	t.Helper()
+	var body bytes.Buffer
+	env := &wire.Envelope{Seq: 1, Req: &wire.Request{Kind: wire.KindPing, TxID: "legacy"}}
+	if err := gob.NewEncoder(&body).Encode(env); err != nil {
+		t.Fatal(err)
+	}
+	hdr := make([]byte, 5)
+	binary.BigEndian.PutUint32(hdr, uint32(body.Len()))
+	return append(hdr, body.Bytes()...)
+}
+
+// TestTCPServerRefusesOtherPreambles: a connection that does not open with
+// the version preamble is closed before any handler runs — a gob-era client
+// (whose first byte is the top of a length, so <= 0x04) and a client
+// announcing a version this build does not know — and the server goes on
+// serving connections that do.
+func TestTCPServerRefusesOtherPreambles(t *testing.T) {
+	var handled atomic.Int64
+	srv := NewTCPServer(func(ctx context.Context, req *wire.Request) *wire.Response {
+		handled.Add(1)
+		return echoHandler(ctx, req)
+	}, false)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	var wg sync.WaitGroup
-	errs := make(chan error, 2*20)
-	for _, codec := range wire.Codecs() {
-		cli := NewTCPClient(map[quorum.NodeID]string{0: addr}, false)
-		cli.SetCodec(codec)
-		defer cli.Close()
-		for i := 0; i < 20; i++ {
-			wg.Add(1)
-			go func(codec wire.Codec, i int) {
-				defer wg.Done()
-				txid := fmt.Sprintf("%s-%d", codec.Name(), i)
-				resp, err := cli.Call(context.Background(), 0, &wire.Request{Kind: wire.KindPing, TxID: txid})
-				if err != nil {
-					errs <- fmt.Errorf("%s call %d: %w", codec.Name(), i, err)
-					return
-				}
-				if resp.Detail != txid {
-					errs <- fmt.Errorf("%s call %d: echoed %q", codec.Name(), i, resp.Detail)
-				}
-			}(codec, i)
+	legacy := gobEraRequest(t)
+	if legacy[0] > 0x04 {
+		t.Fatalf("gob-era stream starts with %#x", legacy[0])
+	}
+	for name, opening := range map[string][]byte{
+		"gob-era stream":  legacy,
+		"unknown version": append([]byte{0xC6, 0x7F}, pingFrame[2:]...),
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if _, err := conn.Write(opening); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		// The server may close with our bytes unread, which TCP reports as a
+		// reset instead of EOF; either way it must answer nothing.
+		if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s: read %d bytes, err %v; want the connection closed", name, n, err)
+		}
+		conn.Close()
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	if n := handled.Load(); n != 0 {
+		t.Fatalf("handler ran %d times for refused connections", n)
 	}
+
+	cli := NewTCPClient(map[quorum.NodeID]string{0: addr}, false)
+	defer cli.Close()
+	resp, err := cli.Call(context.Background(), 0, &wire.Request{Kind: wire.KindPing, TxID: "after"})
+	if err != nil || resp.Detail != "after" {
+		t.Fatalf("server stopped serving after refusals: resp %+v, err %v", resp, err)
+	}
+}
+
+// TestTCPClientClassifiesNonBinaryPeer: a peer that answers in anything but
+// binary frames fails the call with ErrKindDecode — the kind internal/health
+// reads as "the codec rejected a frame", not as a dead node — instead of
+// leaving it to hang.
+func TestTCPClientClassifiesNonBinaryPeer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	reply := append(gobEraRequest(t), make([]byte, 64)...)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		conn.Write(reply)
+		io.Copy(io.Discard, conn) // hold the connection open until the client gives up
+	}()
+
+	cli := NewTCPClient(map[quorum.NodeID]string{0: ln.Addr().String()}, false)
+	cli.SetRetryPolicy(RetryPolicy{MaxRetries: -1})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err = cli.Call(ctx, 0, &wire.Request{Kind: wire.KindPing})
+	var te *Error
+	if !errors.As(err, &te) || te.Kind != ErrKindDecode {
+		t.Fatalf("err = %v, want a *transport.Error of kind %s", err, ErrKindDecode)
+	}
+	cli.Close()
+	<-done
 }
 
 // TestTCPBinaryCompressedPayload pushes a payload past CompressThreshold
@@ -97,7 +178,6 @@ func TestTCPBinaryCompressedPayload(t *testing.T) {
 		return &wire.Response{Status: wire.StatusOK, Sync: &wire.SyncResponse{Objects: req.Prepare.Writes}}
 	})
 	defer stop()
-	cli.SetCodec(wire.Binary)
 	resp, err := cli.Call(context.Background(), 0, &wire.Request{
 		Kind: wire.KindPrepare, TxID: "big",
 		Prepare: &wire.PrepareRequest{Writes: writes},
@@ -114,39 +194,35 @@ func TestTCPBinaryCompressedPayload(t *testing.T) {
 // Codec configured, messages cross the boundary via encode/decode instead of
 // Clone — mutation isolation still holds and payloads are preserved.
 func TestChannelCodecMode(t *testing.T) {
-	for _, codec := range wire.Codecs() {
-		t.Run(codec.Name(), func(t *testing.T) {
-			var got *wire.Request
-			n := NewChannelNetwork(ChannelConfig{Codec: codec})
-			n.Register(3, func(_ context.Context, req *wire.Request) *wire.Response {
-				got = req
-				req.TxID = "mutated-server-side"
-				return &wire.Response{Status: wire.StatusOK, Read: &wire.ReadResponse{Value: store.Int64(9), Version: 1}}
-			})
-			req := &wire.Request{
-				Kind: wire.KindRead, TxID: "iso",
-				Read: &wire.ReadRequest{Object: store.ID("acct", 5), Validate: []store.ReadDesc{{ID: "x", Version: 2}}},
-			}
-			resp, err := n.Call(context.Background(), 3, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if req.TxID != "iso" {
-				t.Fatal("server-side mutation leaked back to the caller")
-			}
-			if got == req || got.Read == req.Read {
-				t.Fatal("request crossed the boundary by reference")
-			}
-			if resp.Read.Value != store.Int64(9) || resp.Read.Version != 1 {
-				t.Fatalf("response mutated: %+v", resp.Read)
-			}
-		})
+	var got *wire.Request
+	n := NewChannelNetwork(ChannelConfig{Codec: wire.Binary})
+	n.Register(3, func(_ context.Context, req *wire.Request) *wire.Response {
+		got = req
+		req.TxID = "mutated-server-side"
+		return &wire.Response{Status: wire.StatusOK, Read: &wire.ReadResponse{Value: store.Int64(9), Version: 1}}
+	})
+	req := &wire.Request{
+		Kind: wire.KindRead, TxID: "iso",
+		Read: &wire.ReadRequest{Object: store.ID("acct", 5), Validate: []store.ReadDesc{{ID: "x", Version: 2}}},
+	}
+	resp, err := n.Call(context.Background(), 3, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.TxID != "iso" {
+		t.Fatal("server-side mutation leaked back to the caller")
+	}
+	if got == req || got.Read == req.Read {
+		t.Fatal("request crossed the boundary by reference")
+	}
+	if resp.Read.Value != store.Int64(9) || resp.Read.Version != 1 {
+		t.Fatalf("response mutated: %+v", resp.Read)
 	}
 }
 
-// TestChannelCodecModeConcurrent hammers one destination's pipe from many
-// goroutines: the per-pipe lock must serialize encode/decode pairs without
-// cross-talk between calls.
+// TestChannelCodecModeConcurrent hammers one destination from many
+// goroutines: the pooled encode buffers must not leak one call's bytes into
+// another's.
 func TestChannelCodecModeConcurrent(t *testing.T) {
 	n := NewChannelNetwork(ChannelConfig{Codec: wire.Binary})
 	n.Register(0, echoHandler)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -15,16 +16,19 @@ import (
 	"qracn/internal/wire"
 )
 
-// Both directions of a TCP connection run one persistent wire codec stream
-// (for gob, type metadata is paid once per connection instead of per
-// message; for binary, the encode scratch buffers are reused across frames)
-// behind a single writer goroutine that coalesces queued envelopes into one
-// buffered write + flush, so pipelined requests share syscalls.
-//
-// The codec is chosen by the CLIENT per connection: it writes the wire
-// negotiation preamble (nothing for gob, [magic, id] otherwise) before its
-// first frame, and the server sniffs it and answers in the same codec — so
-// a mixed-codec cluster keeps working during a rollout.
+// Both directions of a TCP connection run one persistent binary encoder or
+// decoder (the scratch buffers are reused across frames) behind a single
+// writer goroutine that coalesces queued envelopes into one buffered write +
+// flush, so pipelined requests share syscalls.
+
+// preamble is what a client writes before its first frame: a magic byte,
+// then the protocol version. A server closes any connection that opens with
+// anything else. The magic cannot begin a length-prefixed stream of the
+// pre-binary (gob) era — that starts with the top byte of a 4-byte length
+// bounded by wire.MaxFrameSize, so at most 0x04 — which keeps a legacy
+// client from being mistaken for a current one, and the refusal from
+// depending on what its bytes happen to decode as.
+var preamble = [2]byte{0xC6, 0x02}
 
 // outBufSize is the buffered-writer size of the coalescing writer.
 const outBufSize = 32 << 10
@@ -36,7 +40,7 @@ const outQueueLen = 128
 // already queued when one finishes encoding are encoded into the same
 // buffered write before the flush. It exits when stop closes or a write
 // fails; the caller's deferred cleanup unblocks any remaining senders.
-func writeLoop(enc wire.EnvelopeEncoder, bw *bufio.Writer, out <-chan *wire.Envelope, stop <-chan struct{}) {
+func writeLoop(enc *wire.BinaryEncoder, bw *bufio.Writer, out <-chan *wire.Envelope, stop <-chan struct{}) {
 	for {
 		var env *wire.Envelope
 		select {
@@ -60,10 +64,10 @@ func writeLoop(enc wire.EnvelopeEncoder, bw *bufio.Writer, out <-chan *wire.Enve
 	}
 }
 
-// TCPServer serves a node's handler over a TCP listener using the wire
-// stream codec. Each connection multiplexes concurrent requests by sequence
-// number; every request runs under a context cancelled when the client sends
-// a cancel frame or the connection goes away.
+// TCPServer serves a node's handler over a TCP listener in binary frames.
+// Each connection multiplexes concurrent requests by sequence number; every
+// request runs under a context cancelled when the client sends a cancel frame
+// or the connection goes away.
 type TCPServer struct {
 	handler  Handler
 	compress bool
@@ -124,13 +128,11 @@ func (s *TCPServer) acceptLoop(ln net.Listener) {
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 
-	// Negotiate the connection's codec before anything else: the client
-	// declares it in a preamble ahead of its first frame (legacy gob sends
-	// none), and the server answers in kind. An idle connection blocked
-	// here is no different from one blocked on its first frame; Close()
-	// closing the conn unblocks both.
-	codec, cr, err := wire.SniffCodec(conn)
-	if err != nil {
+	// Check the protocol version before anything else. An idle connection
+	// blocked here is no different from one blocked on its first frame;
+	// Close() closing the conn unblocks both.
+	var opened [len(preamble)]byte
+	if _, err := io.ReadFull(conn, opened[:]); err != nil || opened != preamble {
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -148,7 +150,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 
 	out := make(chan *wire.Envelope, outQueueLen)
 	bw := bufio.NewWriterSize(conn, outBufSize)
-	enc := codec.NewEncoder(bw, s.compress)
+	enc := wire.NewBinaryEncoder(bw, s.compress)
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
@@ -172,7 +174,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	dec := codec.NewDecoder(cr)
+	dec := wire.NewBinaryDecoder(conn)
 	for {
 		env, err := dec.Decode()
 		if err != nil {
@@ -260,7 +262,6 @@ func (p *RetryPolicy) fillDefaults() {
 type TCPClient struct {
 	addrs    map[quorum.NodeID]string
 	compress bool
-	codec    wire.Codec
 	retry    RetryPolicy
 
 	retries   atomic.Uint64
@@ -292,8 +293,7 @@ func NewTCPClient(addrs map[quorum.NodeID]string, compress bool) *TCPClient {
 	for k, v := range addrs {
 		m[k] = v
 	}
-	c := &TCPClient{addrs: m, compress: compress, codec: wire.DefaultCodec,
-		conns: make(map[quorum.NodeID]*tcpConn)}
+	c := &TCPClient{addrs: m, compress: compress, conns: make(map[quorum.NodeID]*tcpConn)}
 	c.retry.fillDefaults()
 	return c
 }
@@ -303,15 +303,6 @@ func NewTCPClient(addrs map[quorum.NodeID]string, compress bool) *TCPClient {
 func (c *TCPClient) SetRetryPolicy(p RetryPolicy) {
 	p.fillDefaults()
 	c.retry = p
-}
-
-// SetCodec picks the wire codec for connections dialed after the call
-// (existing connections keep the codec they negotiated). Not safe to call
-// concurrently with Call. The default is wire.DefaultCodec.
-func (c *TCPClient) SetCodec(codec wire.Codec) {
-	if codec != nil {
-		c.codec = codec
-	}
 }
 
 // Retries reports how many reconnect attempts the client has made: every
@@ -361,20 +352,16 @@ func (c *TCPClient) getConn(to quorum.NodeID) (tc *tcpConn, redial bool, err err
 	}
 	c.conns[to] = tc
 	bw := bufio.NewWriterSize(conn, outBufSize)
-	// The negotiation preamble goes through the buffered writer, so it
-	// coalesces into the same packet as the first frame.
-	if err := wire.WritePreamble(bw, c.codec); err != nil {
-		conn.Close()
-		delete(c.conns, to)
-		return nil, had, &Error{Kind: ErrKindDial, Node: to,
-			Err: fmt.Errorf("%w: preamble to %s: %v", ErrNodeDown, addr, err)}
-	}
-	enc := c.codec.NewEncoder(bw, c.compress)
+	// The preamble goes through the buffered writer, so it coalesces into
+	// the same packet as the first frame. Two bytes into a fresh buffer
+	// never flush, so the write cannot fail.
+	_, _ = bw.Write(preamble[:])
+	enc := wire.NewBinaryEncoder(bw, c.compress)
 	go func() {
 		defer tc.fail()
 		writeLoop(enc, bw, tc.out, tc.stop)
 	}()
-	go tc.readLoop(c.codec.NewDecoder(conn))
+	go tc.readLoop(wire.NewBinaryDecoder(conn))
 	return tc, had, nil
 }
 
@@ -384,7 +371,7 @@ func (tc *tcpConn) isDead() bool {
 	return tc.dead
 }
 
-func (tc *tcpConn) readLoop(dec wire.EnvelopeDecoder) {
+func (tc *tcpConn) readLoop(dec *wire.BinaryDecoder) {
 	for {
 		env, err := dec.Decode()
 		if err != nil {
@@ -411,7 +398,10 @@ func (tc *tcpConn) readLoop(dec wire.EnvelopeDecoder) {
 func (tc *tcpConn) fail() { tc.failWith(ErrKindConnLost) }
 
 func (tc *tcpConn) failWith(kind ErrKind) {
-	tc.conn.Close()
+	// The kind is recorded before the connection is closed: the close makes
+	// the other loop fail as well, and its conn-lost must not be the cause
+	// that waiters are told.
+	defer tc.conn.Close()
 	tc.mu.Lock()
 	if tc.dead && tc.stopDone {
 		tc.mu.Unlock()

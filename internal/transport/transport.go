@@ -2,8 +2,9 @@
 // nodes. Two implementations are provided: an in-process channel network
 // that models the paper's 1 Gbps switched cluster by injecting per-message
 // latency (used by tests, benchmarks, and the figure harness), and a real
-// TCP transport (gob frames, request multiplexing, optional compression)
-// for multi-process deployment via cmd/qracn-node.
+// TCP transport (binary frames behind a protocol-version preamble, request
+// multiplexing, optional compression) for multi-process deployment via
+// cmd/qracn-node.
 package transport
 
 import (

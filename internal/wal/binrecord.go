@@ -1,9 +1,8 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 
 	"qracn/internal/quorum"
@@ -11,57 +10,25 @@ import (
 	"qracn/internal/wire"
 )
 
-// Record format versioning. A record frame's payload is either:
+// Record format. A record frame's payload is:
 //
-//	gob:    a self-contained gob stream (the pre-binary format)
-//	binary: 0x00 marker | 0x01 version | str TxID | varint Block |
-//	        str Key | uvarint Version | value (wire value encoding)
+//	0x00 marker | 0x01 version | str TxID | varint Block |
+//	str Key | uvarint Version | value (wire value encoding)
 //
-// Detection is per-payload and unambiguous: a gob stream begins with its
-// first message's byte count, an unsigned varint that is never zero, so a
-// leading 0x00 can only be the binary marker. Replay therefore reads
-// old gob segments and new binary segments side by side — no migration
-// step, and a node downgraded mid-rollout only needs its own segments to
-// be the format it understands.
+// The marker is what tells this format from the gob stream that releases
+// before the binary codec wrote: a gob stream begins with its first
+// message's byte count, an unsigned varint that is never zero, so a leading
+// 0x00 can only be the binary marker. This build reads binary only; a
+// CRC-valid frame that starts with anything else is ErrLegacyFormat.
 //
 // Snapshot files use the same marker scheme for their body payload.
 
-// Format identifies a record/snapshot payload encoding. The zero value
-// means "default", which resolves to FormatBinary.
-type Format int
-
-const (
-	// FormatDefault resolves to FormatBinary (options left unset).
-	FormatDefault Format = iota
-	// FormatBinary is the hand-rolled, length-delimited binary layout.
-	FormatBinary
-	// FormatGob is the original reflection-driven gob encoding, kept for
-	// replay of old segments and as the differential oracle.
-	FormatGob
-)
-
-func (f Format) String() string {
-	switch f {
-	case FormatBinary, FormatDefault:
-		return "binary"
-	case FormatGob:
-		return "gob"
-	default:
-		return fmt.Sprintf("format(%d)", int(f))
-	}
-}
-
-// FormatByName resolves a -codec flag value to a record format.
-func FormatByName(name string) (Format, error) {
-	switch name {
-	case "binary":
-		return FormatBinary, nil
-	case "gob":
-		return FormatGob, nil
-	default:
-		return FormatDefault, fmt.Errorf("wal: unknown record format %q (use gob or binary)", name)
-	}
-}
+// ErrLegacyFormat reports a log or snapshot written in the gob format that
+// preceded the binary one. The bytes are intact (the frame's CRC verified)
+// but this build cannot read them, and must not treat them as damage: Open
+// returns the error without truncating, skipping or creating any file, so
+// the directory can still be opened by a release that reads gob.
+var ErrLegacyFormat = errors.New("wal: written in the pre-binary (gob) format, which this build does not read")
 
 const (
 	binMarker  byte = 0x00
@@ -81,8 +48,8 @@ const (
 	binVersion2 byte = 0x02
 )
 
-// BadRecordError reports a frame whose CRC is VALID but whose payload is not
-// a well-formed record in any known format — a marker/version byte out of
+// BadRecordError reports a frame whose CRC is VALID and whose payload carries
+// the binary marker but is not a well-formed record — a version byte out of
 // range, or a structurally broken body. Unlike a torn tail this is not a
 // crash artifact: the bytes were written durably and are wrong, so
 // inspection tools must fail loudly on it (recovery still truncates, like a
@@ -162,36 +129,32 @@ func AppendRecordFrame(dst []byte, rec *Record) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeRecordPayload parses one CRC-valid frame payload in whichever
-// format it carries. A structural error is returned as a bare reason string
-// wrapped by the caller into a BadRecordError with file position.
-func decodeRecordPayload(payload []byte) (*Record, Format, error) {
+// decodeRecordPayload parses one CRC-valid frame payload. A structural error
+// is returned as a bare reason string wrapped by the caller into a
+// BadRecordError with file position; ErrLegacyFormat is returned as itself.
+func decodeRecordPayload(payload []byte) (*Record, error) {
 	if len(payload) == 0 {
-		return nil, FormatDefault, fmt.Errorf("empty payload")
+		return nil, fmt.Errorf("empty payload")
 	}
 	if payload[0] != binMarker {
-		var rec Record
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return nil, FormatGob, fmt.Errorf("gob: %v", err)
-		}
-		return &rec, FormatGob, nil
+		return nil, ErrLegacyFormat
 	}
 	if len(payload) < 2 {
-		return nil, FormatBinary, fmt.Errorf("binary record truncated before version byte")
+		return nil, fmt.Errorf("binary record truncated before version byte")
 	}
 	version := payload[1]
 	if version != binVersion && version != binVersion2 {
-		return nil, FormatBinary, fmt.Errorf("binary record version byte %d out of range (know %d and %d)",
+		return nil, fmt.Errorf("binary record version byte %d out of range (know %d and %d)",
 			version, binVersion, binVersion2)
 	}
 	rec := &Record{}
 	buf := payload[2:]
 	if version == binVersion2 {
 		if len(buf) < 1 {
-			return nil, FormatBinary, fmt.Errorf("v2 record truncated before type byte")
+			return nil, fmt.Errorf("v2 record truncated before type byte")
 		}
 		if buf[0] > byte(RecordDecision) {
-			return nil, FormatBinary, fmt.Errorf("record type byte %d out of range", buf[0])
+			return nil, fmt.Errorf("record type byte %d out of range", buf[0])
 		}
 		rec.Type = RecordType(buf[0])
 		buf = buf[1:]
@@ -199,68 +162,68 @@ func decodeRecordPayload(payload []byte) (*Record, Format, error) {
 	var s string
 	var err error
 	if s, buf, err = takeString(buf); err != nil {
-		return nil, FormatBinary, fmt.Errorf("TxID: %v", err)
+		return nil, fmt.Errorf("TxID: %v", err)
 	}
 	rec.TxID = s
 	block, n := binary.Varint(buf)
 	if n <= 0 {
-		return nil, FormatBinary, fmt.Errorf("truncated Block varint")
+		return nil, fmt.Errorf("truncated Block varint")
 	}
 	rec.Block = int(block)
 	buf = buf[n:]
 	if s, buf, err = takeString(buf); err != nil {
-		return nil, FormatBinary, fmt.Errorf("Key: %v", err)
+		return nil, fmt.Errorf("Key: %v", err)
 	}
 	rec.Key = store.ObjectID(s)
 	ver, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, FormatBinary, fmt.Errorf("truncated Version uvarint")
+		return nil, fmt.Errorf("truncated Version uvarint")
 	}
 	rec.Version = ver
 	buf = buf[n:]
 	v, used, err := wire.DecodeValue(buf)
 	if err != nil {
-		return nil, FormatBinary, fmt.Errorf("Value: %v", err)
+		return nil, fmt.Errorf("Value: %v", err)
 	}
 	rec.Value = v
 	buf = buf[used:]
 	if version == binVersion {
 		if len(buf) != 0 {
-			return nil, FormatBinary, fmt.Errorf("%d trailing bytes after value", len(buf))
+			return nil, fmt.Errorf("%d trailing bytes after value", len(buf))
 		}
-		return rec, FormatBinary, nil
+		return rec, nil
 	}
 	if len(buf) < 1 {
-		return nil, FormatBinary, fmt.Errorf("truncated Commit byte")
+		return nil, fmt.Errorf("truncated Commit byte")
 	}
 	rec.Commit = buf[0] != 0
 	buf = buf[1:]
 	count, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, FormatBinary, fmt.Errorf("truncated Writes count")
+		return nil, fmt.Errorf("truncated Writes count")
 	}
 	buf = buf[n:]
 	if count > uint64(len(buf)) {
-		return nil, FormatBinary, fmt.Errorf("Writes count %d exceeds remaining %d bytes", count, len(buf))
+		return nil, fmt.Errorf("Writes count %d exceeds remaining %d bytes", count, len(buf))
 	}
 	if count > 0 {
 		rec.Writes = make([]store.WriteDesc, 0, count)
 		for i := uint64(0); i < count; i++ {
 			var w store.WriteDesc
 			if s, buf, err = takeString(buf); err != nil {
-				return nil, FormatBinary, fmt.Errorf("write %d ID: %v", i, err)
+				return nil, fmt.Errorf("write %d ID: %v", i, err)
 			}
 			w.ID = store.ObjectID(s)
 			if w.Value, used, err = wire.DecodeValue(buf); err != nil {
-				return nil, FormatBinary, fmt.Errorf("write %d value: %v", i, err)
+				return nil, fmt.Errorf("write %d value: %v", i, err)
 			}
 			buf = buf[used:]
 			if w.NewVersion, n = binary.Uvarint(buf); n <= 0 {
-				return nil, FormatBinary, fmt.Errorf("write %d truncated version", i)
+				return nil, fmt.Errorf("write %d truncated version", i)
 			}
 			buf = buf[n:]
 			if block, n = binary.Varint(buf); n <= 0 {
-				return nil, FormatBinary, fmt.Errorf("write %d truncated block", i)
+				return nil, fmt.Errorf("write %d truncated block", i)
 			}
 			w.Block = int(block)
 			buf = buf[n:]
@@ -268,43 +231,43 @@ func decodeRecordPayload(payload []byte) (*Record, Format, error) {
 		}
 	}
 	if count, n = binary.Uvarint(buf); n <= 0 {
-		return nil, FormatBinary, fmt.Errorf("truncated Release count")
+		return nil, fmt.Errorf("truncated Release count")
 	}
 	buf = buf[n:]
 	if count > uint64(len(buf)) {
-		return nil, FormatBinary, fmt.Errorf("Release count %d exceeds remaining %d bytes", count, len(buf))
+		return nil, fmt.Errorf("Release count %d exceeds remaining %d bytes", count, len(buf))
 	}
 	if count > 0 {
 		rec.Release = make([]store.ObjectID, 0, count)
 		for i := uint64(0); i < count; i++ {
 			if s, buf, err = takeString(buf); err != nil {
-				return nil, FormatBinary, fmt.Errorf("release %d: %v", i, err)
+				return nil, fmt.Errorf("release %d: %v", i, err)
 			}
 			rec.Release = append(rec.Release, store.ObjectID(s))
 		}
 	}
 	if count, n = binary.Uvarint(buf); n <= 0 {
-		return nil, FormatBinary, fmt.Errorf("truncated Quorum count")
+		return nil, fmt.Errorf("truncated Quorum count")
 	}
 	buf = buf[n:]
 	if count > uint64(len(buf)) {
-		return nil, FormatBinary, fmt.Errorf("Quorum count %d exceeds remaining %d bytes", count, len(buf))
+		return nil, fmt.Errorf("Quorum count %d exceeds remaining %d bytes", count, len(buf))
 	}
 	if count > 0 {
 		rec.Quorum = make([]quorum.NodeID, 0, count)
 		for i := uint64(0); i < count; i++ {
 			var id int64
 			if id, n = binary.Varint(buf); n <= 0 {
-				return nil, FormatBinary, fmt.Errorf("quorum %d truncated", i)
+				return nil, fmt.Errorf("quorum %d truncated", i)
 			}
 			buf = buf[n:]
 			rec.Quorum = append(rec.Quorum, quorum.NodeID(id))
 		}
 	}
 	if len(buf) != 0 {
-		return nil, FormatBinary, fmt.Errorf("%d trailing bytes after quorum", len(buf))
+		return nil, fmt.Errorf("%d trailing bytes after quorum", len(buf))
 	}
-	return rec, FormatBinary, nil
+	return rec, nil
 }
 
 // takeString reads a uvarint-prefixed string, validating the length against
@@ -341,58 +304,57 @@ func appendSnapshotBody(dst []byte, objs []store.WriteDesc) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeSnapshotBody parses a snapshot payload in either format.
-func decodeSnapshotBody(payload []byte) ([]store.WriteDesc, Format, error) {
-	if len(payload) == 0 || payload[0] != binMarker {
-		var body snapshotBody
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&body); err != nil {
-			return nil, FormatGob, fmt.Errorf("gob: %v", err)
-		}
-		return body.Objects, FormatGob, nil
+// decodeSnapshotBody parses a snapshot payload.
+func decodeSnapshotBody(payload []byte) ([]store.WriteDesc, error) {
+	if len(payload) == 0 {
+		return nil, fmt.Errorf("empty payload")
+	}
+	if payload[0] != binMarker {
+		return nil, ErrLegacyFormat
 	}
 	if len(payload) < 2 || payload[1] != binVersion {
-		return nil, FormatBinary, fmt.Errorf("snapshot version byte out of range")
+		return nil, fmt.Errorf("snapshot version byte out of range")
 	}
 	buf := payload[2:]
 	count, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, FormatBinary, fmt.Errorf("truncated object count")
+		return nil, fmt.Errorf("truncated object count")
 	}
 	buf = buf[n:]
 	if count > uint64(len(buf)) {
-		return nil, FormatBinary, fmt.Errorf("object count %d exceeds remaining %d bytes", count, len(buf))
+		return nil, fmt.Errorf("object count %d exceeds remaining %d bytes", count, len(buf))
 	}
 	objs := make([]store.WriteDesc, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var o store.WriteDesc
 		s, rest, err := takeString(buf)
 		if err != nil {
-			return nil, FormatBinary, fmt.Errorf("object %d ID: %v", i, err)
+			return nil, fmt.Errorf("object %d ID: %v", i, err)
 		}
 		o.ID = store.ObjectID(s)
 		buf = rest
 		v, used, err := wire.DecodeValue(buf)
 		if err != nil {
-			return nil, FormatBinary, fmt.Errorf("object %d value: %v", i, err)
+			return nil, fmt.Errorf("object %d value: %v", i, err)
 		}
 		o.Value = v
 		buf = buf[used:]
 		ver, n := binary.Uvarint(buf)
 		if n <= 0 {
-			return nil, FormatBinary, fmt.Errorf("object %d truncated version", i)
+			return nil, fmt.Errorf("object %d truncated version", i)
 		}
 		o.NewVersion = ver
 		buf = buf[n:]
 		block, n := binary.Varint(buf)
 		if n <= 0 {
-			return nil, FormatBinary, fmt.Errorf("object %d truncated block", i)
+			return nil, fmt.Errorf("object %d truncated block", i)
 		}
 		o.Block = int(block)
 		buf = buf[n:]
 		objs = append(objs, o)
 	}
 	if len(buf) != 0 {
-		return nil, FormatBinary, fmt.Errorf("%d trailing bytes after objects", len(buf))
+		return nil, fmt.Errorf("%d trailing bytes after objects", len(buf))
 	}
-	return objs, FormatBinary, nil
+	return objs, nil
 }

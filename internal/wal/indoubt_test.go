@@ -27,41 +27,44 @@ func decisionRec(txid string, commit bool) Record {
 	return Record{Type: RecordDecision, TxID: txid, Commit: commit}
 }
 
-// TestPrepareDecisionRecordsRoundTrip pins the v2 binary layout and the gob
-// path: prepare and decision records survive an encode/decode cycle with
-// every 2PC field intact, in both formats.
+// TestPrepareDecisionRecordsRoundTrip pins the v2 binary layout: prepare and
+// decision records survive an encode/decode cycle with every 2PC field
+// intact, and decode to what the gob oracle makes of the same record.
 func TestPrepareDecisionRecordsRoundTrip(t *testing.T) {
-	for _, format := range []Format{FormatBinary, FormatGob} {
-		dir := t.TempDir()
-		l, _, err := Open(dir, Options{FsyncInterval: -1, Format: format})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []Record{
-			prepareRec("c1-t1-a0"),
-			decisionRec("c1-t1-a0", true),
-			prepareRec("c1-t2-a0"),
-			decisionRec("c1-t2-a0", false),
-		}
-		if err := l.Append(want...); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		segs, err := Segments(dir)
-		if err != nil || len(segs) != 1 {
-			t.Fatalf("segments = %v (err %v)", segs, err)
-		}
-		var got []Record
-		if _, err := ScanSegment(segs[0], func(r *Record, _ int64) error {
-			got = append(got, *r)
-			return nil
-		}); err != nil {
-			t.Fatalf("%s: scan: %v", format, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: records mutated:\n got %+v\nwant %+v", format, got, want)
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{FsyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Record{
+		prepareRec("c1-t1-a0"),
+		decisionRec("c1-t1-a0", true),
+		prepareRec("c1-t2-a0"),
+		decisionRec("c1-t2-a0", false),
+	}
+	if err := l.Append(want...); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := Segments(dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments = %v (err %v)", segs, err)
+	}
+	var got []Record
+	if _, err := ScanSegment(segs[0], func(r *Record, _ int64) error {
+		got = append(got, *r)
+		return nil
+	}); err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("records mutated:\n got %+v\nwant %+v", got, want)
+	}
+	for i := range want {
+		if ref := gobRoundTrip(t, want[i]); !reflect.DeepEqual(got[i], ref) {
+			t.Errorf("record %d: binary %+v, gob oracle %+v", i, got[i], ref)
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -19,8 +17,8 @@ import (
 )
 
 // RecordType discriminates the durable record flavors. The zero value is a
-// plain object write, so every pre-existing record — gob or binary v1 —
-// decodes as RecordWrite without migration.
+// plain object write, so every binary v1 record — which predates the type
+// byte — decodes as RecordWrite without migration.
 type RecordType int
 
 const (
@@ -145,29 +143,18 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// encodeRecordGob gob-encodes one record into a frame appended to buf.
-// Each record is a self-contained gob stream so segments can be scanned
-// from any record boundary and a torn tail never poisons earlier records.
-// This is the legacy format; the default append path is AppendRecordFrame.
-func encodeRecordGob(buf *bytes.Buffer, rec *Record) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
-		return fmt.Errorf("wal: encode record: %w", err)
-	}
-	return writeFrame(buf, payload.Bytes())
-}
-
-// ScanSegmentFormats reads every intact record of a segment file in order,
-// calling fn with the record, the file offset at which its frame starts, and
-// the format the record was encoded in (formats can mix within a segment
-// after a -codec flag flip). It returns the number of intact records.
+// ScanSegment reads every intact record of a segment file in order, calling
+// fn with the record and the file offset at which its frame starts. It
+// returns the number of intact records.
 //
-// Errors distinguish the two failure shapes: a frame that is incomplete or
+// Errors distinguish three failure shapes. A frame that is incomplete or
 // fails its CRC returns a *TornTailError (crash artifact — the tail was never
-// durably acknowledged), while a CRC-valid frame whose payload is not a
-// well-formed record in any known format returns a *BadRecordError (the bytes
-// ARE what was written, and they are wrong). A clean end returns nil.
-func ScanSegmentFormats(path string, fn func(rec *Record, off int64, f Format) error) (int, error) {
+// durably acknowledged) whose Offset marks the end of the intact prefix. A
+// CRC-valid frame that lacks the binary marker returns an error wrapping
+// ErrLegacyFormat, naming path and offset. A CRC-valid frame with the marker
+// whose payload is not a well-formed record returns a *BadRecordError (the
+// bytes ARE what was written, and they are wrong). A clean end returns nil.
+func ScanSegment(path string, fn func(rec *Record, off int64) error) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
@@ -184,39 +171,20 @@ func ScanSegmentFormats(path string, fn func(rec *Record, off int64, f Format) e
 		if err != nil {
 			return count, &TornTailError{Path: path, Offset: start}
 		}
-		rec, format, err := decodeRecordPayload(payload)
+		rec, err := decodeRecordPayload(payload)
+		if errors.Is(err, ErrLegacyFormat) {
+			return count, fmt.Errorf("%w: %s at offset %d", err, path, start)
+		}
 		if err != nil {
 			return count, &BadRecordError{Path: path, Offset: start, Reason: err.Error()}
 		}
 		if fn != nil {
-			if err := fn(rec, start, format); err != nil {
+			if err := fn(rec, start); err != nil {
 				return count, err
 			}
 		}
 		count++
 	}
-}
-
-// ScanSegment reads every intact record of a segment file in order, calling
-// fn with the record and the file offset at which its frame starts. It
-// returns the number of intact records. A segment that ends mid-record
-// returns a *TornTailError whose Offset marks the end of the intact prefix;
-// a clean end returns a nil error.
-//
-// Unlike ScanSegmentFormats, a CRC-valid but undecodable record is reported
-// as a torn tail too: recovery keeps the intact prefix (truncating if this is
-// the active segment) instead of refusing the whole segment.
-func ScanSegment(path string, fn func(rec *Record, off int64) error) (int, error) {
-	count, err := ScanSegmentFormats(path, func(rec *Record, off int64, _ Format) error {
-		if fn == nil {
-			return nil
-		}
-		return fn(rec, off)
-	})
-	if bad, ok := err.(*BadRecordError); ok {
-		return count, &TornTailError{Path: path, Offset: bad.Offset}
-	}
-	return count, err
 }
 
 // countingReader tracks how many bytes have been consumed so scan offsets
@@ -305,59 +273,41 @@ func listIndexed(dir, prefix, suffix string) ([]uint64, error) {
 	return idxs, nil
 }
 
-// snapshotBody is the gob payload of a snapshot file: the full object state
-// at checkpoint time. WriteDesc.NewVersion doubles as the object's version.
-type snapshotBody struct {
-	Objects []store.WriteDesc
-}
-
-// ReadSnapshot loads and CRC-verifies one snapshot file, auto-detecting its
-// body format.
+// ReadSnapshot loads and CRC-verifies one snapshot file. A CRC-valid body
+// that lacks the binary marker returns an error wrapping ErrLegacyFormat.
 func ReadSnapshot(path string) ([]store.WriteDesc, error) {
-	objs, _, err := ReadSnapshotFormat(path)
-	return objs, err
-}
-
-// ReadSnapshotFormat is ReadSnapshot plus the detected body format, for
-// inspection tools.
-func ReadSnapshotFormat(path string) ([]store.WriteDesc, Format, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, FormatDefault, err
+		return nil, err
 	}
 	defer f.Close()
 	payload, err := readFrame(f)
 	if err != nil {
-		return nil, FormatDefault, fmt.Errorf("wal: snapshot %s: %w", path, err)
+		return nil, fmt.Errorf("wal: snapshot %s: %w", path, err)
 	}
-	objs, format, err := decodeSnapshotBody(payload)
+	objs, err := decodeSnapshotBody(payload)
+	if errors.Is(err, ErrLegacyFormat) {
+		return nil, fmt.Errorf("%w: %s at offset 0", err, path)
+	}
 	if err != nil {
-		return nil, format, fmt.Errorf("wal: snapshot %s: %w", path, err)
+		return nil, fmt.Errorf("wal: snapshot %s: %w", path, err)
 	}
-	return objs, format, nil
+	return objs, nil
 }
 
-// writeSnapshotFile atomically writes a CRC-framed snapshot in the given
-// format: temp file, fsync, rename, directory fsync.
-func writeSnapshotFile(dir string, idx uint64, objs []store.WriteDesc, format Format) error {
-	var payload bytes.Buffer
-	if format == FormatGob {
-		if err := gob.NewEncoder(&payload).Encode(&snapshotBody{Objects: objs}); err != nil {
-			return fmt.Errorf("wal: encode snapshot: %w", err)
-		}
-	} else {
-		body, err := appendSnapshotBody(nil, objs)
-		if err != nil {
-			return fmt.Errorf("wal: encode snapshot: %w", err)
-		}
-		payload.Write(body)
+// writeSnapshotFile atomically writes a CRC-framed snapshot: temp file,
+// fsync, rename, directory fsync.
+func writeSnapshotFile(dir string, idx uint64, objs []store.WriteDesc) error {
+	payload, err := appendSnapshotBody(nil, objs)
+	if err != nil {
+		return fmt.Errorf("wal: encode snapshot: %w", err)
 	}
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := writeFrame(tmp, payload.Bytes()); err != nil {
+	if err := writeFrame(tmp, payload); err != nil {
 		tmp.Close()
 		return err
 	}

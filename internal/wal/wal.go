@@ -14,6 +14,10 @@
 // forward-only rule), truncates a torn tail on the final segment, and
 // hands back the reconstructed object state. A node that replays before
 // serving rejoins version-current without depending on read-repair.
+//
+// Records and snapshots have one encoding, the binary layout of
+// binrecord.go. A directory written in the gob format that preceded it is
+// refused with ErrLegacyFormat and left exactly as found.
 package wal
 
 import (
@@ -26,12 +30,6 @@ import (
 	"time"
 
 	"qracn/internal/store"
-
-	// Importing wire registers the built-in store.Value concrete types with
-	// gob, which record and snapshot payloads rely on. Workload-specific
-	// value types register through wire.RegisterValue exactly as they do for
-	// the TCP transport.
-	_ "qracn/internal/wire"
 )
 
 // ErrClosed is returned by Append after Close or Crash.
@@ -49,11 +47,6 @@ type Options struct {
 	FsyncInterval time.Duration
 	// SegmentSize is the roll threshold in bytes (default 4 MiB).
 	SegmentSize int64
-	// Format selects the record and snapshot payload encoding for NEW
-	// writes (default FormatBinary). Replay auto-detects per record, so a
-	// directory can hold segments of both formats — e.g. after flipping a
-	// node's -codec flag across restarts.
-	Format Format
 }
 
 func (o *Options) fillDefaults() {
@@ -62,9 +55,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.SegmentSize == 0 {
 		o.SegmentSize = 4 << 20
-	}
-	if o.Format == FormatDefault {
-		o.Format = FormatBinary
 	}
 }
 
@@ -194,7 +184,9 @@ func (l *Log) recover() (*Recovered, error) {
 
 	// Newest CRC-valid snapshot wins; corrupt ones (e.g. a crash between
 	// temp-file write and rename never happens thanks to the rename, but a
-	// disk error can still bit-rot a file) fall back to older snapshots.
+	// disk error can still bit-rot a file) fall back to older snapshots. A
+	// legacy-format snapshot is not corrupt: falling back past it would
+	// silently drop the state it holds, so it stops recovery instead.
 	var snapIdx uint64
 	snapIdxs, err := listIndexed(l.dir, snapshotPrefix, snapshotSuffix)
 	if err != nil {
@@ -203,6 +195,9 @@ func (l *Log) recover() (*Recovered, error) {
 	rec := &Recovered{}
 	for i := len(snapIdxs) - 1; i >= 0; i-- {
 		objs, err := ReadSnapshot(snapshotPath(l.dir, snapIdxs[i]))
+		if errors.Is(err, ErrLegacyFormat) {
+			return nil, err
+		}
 		if err != nil {
 			continue
 		}
@@ -250,14 +245,28 @@ func (l *Log) recover() (*Recovered, error) {
 		})
 		rec.LogRecords += n
 		if err != nil {
+			// Crash mid-append on the final segment: keep the intact prefix,
+			// drop the tail. A CRC-valid but malformed binary record there is
+			// cut the same way, to stay available from the prefix. A legacy
+			// record is neither: it matches no case and fails the open.
+			end := int64(-1)
 			var torn *TornTailError
-			if errors.As(err, &torn) && i == len(segIdxs)-1 {
-				// Crash mid-append: keep the intact prefix, drop the tail.
-				if terr := os.Truncate(path, torn.Offset); terr != nil {
+			var bad *BadRecordError
+			switch {
+			case errors.As(err, &torn):
+				end = torn.Offset
+			case errors.As(err, &bad):
+				end = bad.Offset
+			}
+			if end >= 0 && i == len(segIdxs)-1 {
+				if terr := os.Truncate(path, end); terr != nil {
 					return nil, terr
 				}
 				rec.TornTail = true
 				break
+			}
+			if errors.Is(err, ErrLegacyFormat) {
+				return nil, err
 			}
 			return nil, fmt.Errorf("wal: segment %s: %w", path, err)
 		}
@@ -375,13 +384,10 @@ func (l *Log) Append(recs ...Record) error {
 	return <-ch
 }
 
-// stageRecordLocked appends one framed record to the staging buffer in the
-// configured format. The binary path reuses a scratch buffer, so steady-state
-// staging performs no per-record allocation. Callers hold l.mu.
+// stageRecordLocked appends one framed record to the staging buffer. It
+// reuses a scratch buffer, so steady-state staging performs no per-record
+// allocation. Callers hold l.mu.
 func (l *Log) stageRecordLocked(rec *Record) error {
-	if l.opts.Format == FormatGob {
-		return encodeRecordGob(l.buf, rec)
-	}
 	frame, err := AppendRecordFrame(l.scratch[:0], rec)
 	if err != nil {
 		return fmt.Errorf("wal: encode record: %w", err)
@@ -517,7 +523,7 @@ func (l *Log) Checkpoint(objs []store.WriteDesc, keep ...Record) error {
 			return err
 		}
 	}
-	if err := writeSnapshotFile(l.dir, snapIdx, objs, l.opts.Format); err != nil {
+	if err := writeSnapshotFile(l.dir, snapIdx, objs); err != nil {
 		return err
 	}
 	l.snaps.Add(1)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"qracn/internal/store"
@@ -23,59 +24,19 @@ func sampleBatch(n int) *Request {
 	return &Request{Kind: KindBatch, TxID: "batch", Batch: &BatchRequest{Subs: subs}}
 }
 
-func TestBatchMarshalRoundTrip(t *testing.T) {
-	req := sampleBatch(4)
-	data, err := Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Request
-	if err := Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != KindBatch || got.Batch == nil || len(got.Batch.Subs) != 4 {
-		t.Fatalf("got = %+v", got)
-	}
-	for i, sub := range got.Batch.Subs {
-		if sub.Kind != KindRead || sub.Read.Object != store.ObjectID(fmt.Sprintf("obj/%d", i)) {
-			t.Fatalf("sub %d = %+v", i, sub)
-		}
-		if len(sub.Read.Validate) != 1 || sub.Read.Validate[0].Version != uint64(i) {
-			t.Fatalf("sub %d validate = %+v", i, sub.Read.Validate)
-		}
-	}
+func TestBatchRequestRoundTrip(t *testing.T) {
+	mustRoundTrip(t, &Envelope{Seq: 8, Req: sampleBatch(4)}, false)
 }
 
 func TestBatchResponseRoundTrip(t *testing.T) {
-	resp := &Response{
+	mustRoundTrip(t, &Envelope{Seq: 9, IsResponse: true, Resp: &Response{
 		Status: StatusOK,
 		Batch: &BatchResponse{Subs: []*Response{
 			{Status: StatusOK, Read: &ReadResponse{Value: store.Int64(7), Version: 2}},
 			{Status: StatusNotFound},
 			{Status: StatusBusy, Read: &ReadResponse{Invalid: []store.ObjectID{"a"}}},
 		}},
-	}
-	var buf bytes.Buffer
-	if err := WriteEnvelope(&buf, &Envelope{Seq: 9, IsResponse: true, Resp: resp}, true); err != nil {
-		t.Fatal(err)
-	}
-	env, err := ReadEnvelope(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subs := env.Resp.Batch.Subs
-	if len(subs) != 3 {
-		t.Fatalf("subs = %+v", subs)
-	}
-	if store.AsInt64(subs[0].Read.Value) != 7 || subs[0].Read.Version != 2 {
-		t.Fatalf("sub 0 = %+v", subs[0].Read)
-	}
-	if subs[1].Status != StatusNotFound || subs[2].Status != StatusBusy {
-		t.Fatalf("statuses = %v %v", subs[1].Status, subs[2].Status)
-	}
-	if len(subs[2].Read.Invalid) != 1 || subs[2].Read.Invalid[0] != "a" {
-		t.Fatalf("sub 2 invalid = %v", subs[2].Read.Invalid)
-	}
+	}}, true)
 }
 
 func TestBatchCloneIsDeep(t *testing.T) {
@@ -101,14 +62,14 @@ func TestBatchCloneIsDeep(t *testing.T) {
 }
 
 // TestStreamCodecManyEnvelopes pushes a mixed stream (plain, batch, cancel
-// frames) through one persistent encoder/decoder pair — the codec the TCP
-// transport runs — and checks order and content survive, with and without
-// compression.
+// frames) through one persistent encoder/decoder pair — what each direction
+// of a TCP connection runs — and checks order and content survive, with and
+// without compression.
 func TestStreamCodecManyEnvelopes(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
 			var buf bytes.Buffer
-			enc := NewStreamEncoder(&buf, compress)
+			enc := NewBinaryEncoder(&buf, compress)
 			var sent []*Envelope
 			for i := 0; i < 20; i++ {
 				var env *Envelope
@@ -125,19 +86,14 @@ func TestStreamCodecManyEnvelopes(t *testing.T) {
 				}
 				sent = append(sent, env)
 			}
-			dec := NewStreamDecoder(&buf)
+			dec := NewBinaryDecoder(&buf)
 			for i, want := range sent {
 				got, err := dec.Decode()
 				if err != nil {
 					t.Fatalf("envelope %d: %v", i, err)
 				}
-				if got.Seq != want.Seq || got.Cancel != want.Cancel {
-					t.Fatalf("envelope %d header = %+v, want %+v", i, got, want)
-				}
-				if want.Req != nil && want.Req.Kind == KindBatch {
-					if got.Req == nil || got.Req.Batch == nil || len(got.Req.Batch.Subs) != 3 {
-						t.Fatalf("envelope %d lost batch payload: %+v", i, got.Req)
-					}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("envelope %d = %+v, want %+v", i, got, want)
 				}
 			}
 		})
@@ -152,7 +108,7 @@ func TestStreamCodecCompressedLargePayload(t *testing.T) {
 		big[i] = byte(i % 7) // compressible
 	}
 	var buf bytes.Buffer
-	enc := NewStreamEncoder(&buf, true)
+	enc := NewBinaryEncoder(&buf, true)
 	env := &Envelope{Seq: 1, IsResponse: true, Resp: &Response{
 		Status: StatusOK,
 		Read:   &ReadResponse{Value: big, Version: 5},
@@ -163,7 +119,7 @@ func TestStreamCodecCompressedLargePayload(t *testing.T) {
 	if buf.Len() >= len(big) {
 		t.Fatalf("compressed stream (%d bytes) not smaller than payload (%d)", buf.Len(), len(big))
 	}
-	got, err := NewStreamDecoder(&buf).Decode()
+	got, err := NewBinaryDecoder(&buf).Decode()
 	if err != nil {
 		t.Fatal(err)
 	}

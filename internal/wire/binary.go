@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"qracn/internal/forensics"
@@ -18,18 +19,20 @@ import (
 	"qracn/internal/trace"
 )
 
-// The binary codec is a hand-rolled, fixed-layout wire format for Envelopes,
-// replacing gob on the request hot path. Design goals, in order:
+// The binary codec is a hand-rolled, fixed-layout wire format for Envelopes
+// and the only one production speaks. Design goals, in order:
 //
 //  1. Zero allocations on encode: every message is appended into the
 //     encoder's reusable buffer with append-only primitives; nothing escapes.
 //  2. Corruption detection: every frame carries a CRC-32C of its wire
-//     payload (gob frames rely on the decoder noticing garbage).
+//     payload.
 //  3. Self-describing envelopes: payload presence is an explicit bitmask,
-//     so any envelope gob can represent round-trips identically — the
-//     property FuzzCodecEquivalence checks against the gob oracle.
+//     so any envelope encoding/gob can represent round-trips identically —
+//     the property FuzzCodecEquivalence checks against the in-test gob
+//     oracle.
 //
-// Frame layout (codec negotiation happens once per connection, see codec.go):
+// Frame layout (a TCP connection opens with the transport's two-byte
+// protocol-version preamble, then carries frames only):
 //
 //	4B big-endian payload length | 1B flags | 4B big-endian CRC-32C | payload
 //
@@ -47,14 +50,28 @@ import (
 //	value   u8 type tag + body (see appendValue)
 //
 // Slices and maps encode as uvarint count + elements; a zero count decodes
-// as nil, matching gob's omit-empty semantics so the two codecs are
-// decode-equivalent.
+// as nil, matching gob's omit-empty semantics so the codec stays
+// decode-equivalent to the oracle.
 const (
 	binFlagCompressed byte = 1 << 0
 
 	// binHeaderSize is the frame header: length + flags + CRC.
 	binHeaderSize = 9
+
+	// CompressThreshold is the minimum payload size worth compressing.
+	CompressThreshold = 512
+
+	// MaxFrameSize bounds a frame to keep a malformed peer from forcing a
+	// huge allocation.
+	MaxFrameSize = 64 << 20
 )
+
+// flateWriterPool recycles flate writers, which are far more expensive to
+// construct (window + huffman state) than to Reset.
+var flateWriterPool = sync.Pool{New: func() any {
+	fw, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
+	return fw
+}}
 
 // binCRC is the CRC-32C (Castagnoli) table, the same polynomial the WAL uses.
 var binCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -139,17 +156,13 @@ const maxBinaryDepth = 64
 // maxBinaryDepth (the decoder reports the same condition via ErrBadFrame).
 var errTooDeep = fmt.Errorf("wire: envelope nested deeper than %d", maxBinaryDepth)
 
-// binaryCodec implements Codec.
-type binaryCodec struct{}
+// Codec is what transport.ChannelConfig.Codec holds: nil crosses the
+// simulated node boundary by deep copy, Binary by a real encode and decode.
+// There is no second codec to choose, so the type carries nothing else.
+type Codec *struct{}
 
-func (binaryCodec) Name() string { return "binary" }
-func (binaryCodec) ID() byte     { return 2 }
-func (binaryCodec) NewEncoder(w io.Writer, compress bool) EnvelopeEncoder {
-	return &BinaryEncoder{w: w, compress: compress}
-}
-func (binaryCodec) NewDecoder(r io.Reader) EnvelopeDecoder {
-	return &BinaryDecoder{r: r}
-}
+// Binary selects real serialization on the channel network.
+var Binary Codec = new(struct{})
 
 // BinaryEncoder writes binary-codec frames to one stream. Not safe for
 // concurrent use. The payload and compression buffers persist across
@@ -711,6 +724,22 @@ func appendHotKeyEvent(dst []byte, e *forensics.HotKeyEvent) []byte {
 // valueBox wraps a Value so the gob escape hatch can encode the interface
 // (gob requires a concrete top-level type).
 type valueBox struct{ V store.Value }
+
+// The built-in types never take the escape hatch themselves, but a custom
+// type may hold them in a Value-typed field, which gob can only carry once
+// the concrete type is registered.
+func init() {
+	gob.Register(store.Int64(0))
+	gob.Register(store.Float64(0))
+	gob.Register(store.String(""))
+	gob.Register(store.Bytes(nil))
+	gob.Register(store.Tuple(nil))
+}
+
+// RegisterValue makes a concrete store.Value type known to the codec.
+// Workloads with custom value types must call it before using the TCP
+// transport or a durable node.
+func RegisterValue(v store.Value) { gob.Register(v) }
 
 // AppendValue appends a store.Value in the binary value encoding. Built-in
 // types take the fixed tags; registered custom types fall back to an inline

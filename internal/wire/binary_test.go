@@ -37,59 +37,19 @@ func binBatchEnv() *Envelope {
 	return &Envelope{Seq: 8, Req: &Request{Kind: KindBatch, Batch: &BatchRequest{Subs: subs}}}
 }
 
-// TestBinaryNegotiation pins the connection-setup handshake: a gob client
-// writes no preamble and sniffs back to Gob byte-for-byte; a binary client
-// writes [magic, id] and sniffs back to Binary — and in both cases the
-// stream decodes from the returned reader without losing the first frame.
-func TestBinaryNegotiation(t *testing.T) {
-	for _, codec := range Codecs() {
-		var buf bytes.Buffer
-		if err := WritePreamble(&buf, codec); err != nil {
-			t.Fatalf("%s: preamble: %v", codec.Name(), err)
-		}
-		env := binReadEnv()
-		if err := codec.NewEncoder(&buf, false).Encode(env); err != nil {
-			t.Fatalf("%s: encode: %v", codec.Name(), err)
-		}
-		sniffed, r, err := SniffCodec(&buf)
-		if err != nil {
-			t.Fatalf("%s: sniff: %v", codec.Name(), err)
-		}
-		if sniffed.Name() != codec.Name() {
-			t.Fatalf("sniffed %q, wrote %q", sniffed.Name(), codec.Name())
-		}
-		got, err := sniffed.NewDecoder(r).Decode()
-		if err != nil {
-			t.Fatalf("%s: decode after sniff: %v", codec.Name(), err)
-		}
-		if !reflect.DeepEqual(got, env) {
-			t.Fatalf("%s: envelope mutated across negotiation:\n got %+v\nwant %+v",
-				codec.Name(), got, env)
-		}
-	}
-}
-
-// TestSniffRejectsUnknownCodecID keeps the negotiation failure loud: a peer
-// claiming a codec this build does not know must be refused, not guessed at.
-func TestSniffRejectsUnknownCodecID(t *testing.T) {
-	if _, _, err := SniffCodec(bytes.NewReader([]byte{0xC6, 0x7F})); err == nil {
-		t.Fatal("unknown codec id sniffed without error")
-	}
-}
-
 // TestBinaryCRCDetectsCorruption flips each payload byte of a frame in turn
 // and checks the decoder reports ErrBadFrame rather than returning a
 // silently wrong envelope.
 func TestBinaryCRCDetectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Binary.NewEncoder(&buf, false).Encode(binReadEnv()); err != nil {
+	if err := NewBinaryEncoder(&buf, false).Encode(binReadEnv()); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
 	for i := binHeaderSize; i < len(frame); i++ {
 		mut := bytes.Clone(frame)
 		mut[i] ^= 0x40
-		_, err := Binary.NewDecoder(bytes.NewReader(mut)).Decode()
+		_, err := NewBinaryDecoder(bytes.NewReader(mut)).Decode()
 		if !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("flip at %d: got %v, want ErrBadFrame", i, err)
 		}
@@ -102,7 +62,7 @@ func TestBinaryCRCDetectsCorruption(t *testing.T) {
 // byte is outside [0, numKinds).
 func TestBinaryRejectsOutOfRangeKind(t *testing.T) {
 	var buf bytes.Buffer
-	err := Binary.NewEncoder(&buf, false).Encode(&Envelope{Req: &Request{Kind: numKinds}})
+	err := NewBinaryEncoder(&buf, false).Encode(&Envelope{Req: &Request{Kind: numKinds}})
 	if err == nil || !strings.Contains(err.Error(), "out-of-range kind") {
 		t.Fatalf("encode of Kind %d: got %v", int(numKinds), err)
 	}
@@ -164,19 +124,7 @@ func TestBinaryResponseRoundTrips(t *testing.T) {
 		{Seq: 5, Cancel: true},
 	}
 	for _, env := range envs {
-		for _, codec := range Codecs() {
-			var buf bytes.Buffer
-			if err := codec.NewEncoder(&buf, false).Encode(env); err != nil {
-				t.Fatalf("%s seq=%d: %v", codec.Name(), env.Seq, err)
-			}
-			got, err := codec.NewDecoder(&buf).Decode()
-			if err != nil {
-				t.Fatalf("%s seq=%d: %v", codec.Name(), env.Seq, err)
-			}
-			if !reflect.DeepEqual(got, env) {
-				t.Fatalf("%s seq=%d mutated:\n got %+v\nwant %+v", codec.Name(), env.Seq, got, env)
-			}
-		}
+		mustRoundTrip(t, env, false)
 	}
 
 	// A nil sub inside a batch is binary-only: gob cannot encode a nil
@@ -187,10 +135,10 @@ func TestBinaryResponseRoundTrips(t *testing.T) {
 		Batch:  &BatchResponse{Subs: []*Response{nil, {Status: StatusOK}}},
 	}}
 	var buf bytes.Buffer
-	if err := Binary.NewEncoder(&buf, false).Encode(nilSub); err != nil {
+	if err := NewBinaryEncoder(&buf, false).Encode(nilSub); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Binary.NewDecoder(&buf).Decode()
+	got, err := NewBinaryDecoder(&buf).Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +162,10 @@ func TestBinaryCustomValueFallback(t *testing.T) {
 		Repair: &RepairRequest{Object: store.ID("acct", 1), Value: binTestValue{N: 77}, Version: 3},
 	}}
 	var buf bytes.Buffer
-	if err := Binary.NewEncoder(&buf, false).Encode(env); err != nil {
+	if err := NewBinaryEncoder(&buf, false).Encode(env); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Binary.NewDecoder(&buf).Decode()
+	got, err := NewBinaryDecoder(&buf).Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +183,10 @@ func TestBinaryEmptySlicesDecodeNil(t *testing.T) {
 		Read: &ReadRequest{Object: "a", Validate: []store.ReadDesc{}, StatsFor: []store.ObjectID{}},
 	}}
 	var buf bytes.Buffer
-	if err := Binary.NewEncoder(&buf, false).Encode(env); err != nil {
+	if err := NewBinaryEncoder(&buf, false).Encode(env); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Binary.NewDecoder(&buf).Decode()
+	got, err := NewBinaryDecoder(&buf).Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +252,10 @@ func TestBinaryDecodeAllocsBounded(t *testing.T) {
 	}
 }
 
-// Benchmarks: gob vs binary on the two hot-path shapes. Run with -bench to
-// compare; CI's codec A/B job measures the end-to-end effect instead.
-func benchmarkEncode(b *testing.B, codec Codec, env *Envelope) {
+// Benchmarks on the two hot-path shapes.
+func benchmarkEncode(b *testing.B, env *Envelope) {
 	var sink bytes.Buffer
-	enc := codec.NewEncoder(&sink, false)
+	enc := NewBinaryEncoder(&sink, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -319,11 +266,10 @@ func benchmarkEncode(b *testing.B, codec Codec, env *Envelope) {
 	}
 }
 
-func benchmarkDecode(b *testing.B, codec Codec, env *Envelope) {
-	// One long stream of identical frames so persistent-codec state (gob
-	// type metadata) is paid once, as on a real connection.
+func benchmarkDecode(b *testing.B, env *Envelope) {
+	// One long stream of identical frames, as on a real connection.
 	var buf bytes.Buffer
-	enc := codec.NewEncoder(&buf, false)
+	enc := NewBinaryEncoder(&buf, false)
 	const frames = 512
 	for i := 0; i < frames; i++ {
 		if err := enc.Encode(env); err != nil {
@@ -332,16 +278,12 @@ func benchmarkDecode(b *testing.B, codec Codec, env *Envelope) {
 	}
 	stream := buf.Bytes()
 	r := bytes.NewReader(stream)
-	dec := codec.NewDecoder(r)
+	dec := NewBinaryDecoder(r)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if r.Len() == 0 {
 			r.Reset(stream)
-			if codec.Name() == "gob" {
-				// A gob stream cannot be re-entered mid-state; rebind.
-				dec = codec.NewDecoder(r)
-			}
 		}
 		if _, err := dec.Decode(); err != nil {
 			b.Fatal(err)
@@ -349,11 +291,7 @@ func benchmarkDecode(b *testing.B, codec Codec, env *Envelope) {
 	}
 }
 
-func BenchmarkEncodeReadGob(b *testing.B)     { benchmarkEncode(b, Gob, binReadEnv()) }
-func BenchmarkEncodeReadBinary(b *testing.B)  { benchmarkEncode(b, Binary, binReadEnv()) }
-func BenchmarkEncodeBatchGob(b *testing.B)    { benchmarkEncode(b, Gob, binBatchEnv()) }
-func BenchmarkEncodeBatchBinary(b *testing.B) { benchmarkEncode(b, Binary, binBatchEnv()) }
-func BenchmarkDecodeReadGob(b *testing.B)     { benchmarkDecode(b, Gob, binReadEnv()) }
-func BenchmarkDecodeReadBinary(b *testing.B)  { benchmarkDecode(b, Binary, binReadEnv()) }
-func BenchmarkDecodeBatchGob(b *testing.B)    { benchmarkDecode(b, Gob, binBatchEnv()) }
-func BenchmarkDecodeBatchBinary(b *testing.B) { benchmarkDecode(b, Binary, binBatchEnv()) }
+func BenchmarkEncodeReadBinary(b *testing.B)  { benchmarkEncode(b, binReadEnv()) }
+func BenchmarkEncodeBatchBinary(b *testing.B) { benchmarkEncode(b, binBatchEnv()) }
+func BenchmarkDecodeReadBinary(b *testing.B)  { benchmarkDecode(b, binReadEnv()) }
+func BenchmarkDecodeBatchBinary(b *testing.B) { benchmarkDecode(b, binBatchEnv()) }

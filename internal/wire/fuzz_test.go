@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"strings"
@@ -12,92 +14,90 @@ import (
 	"qracn/internal/trace"
 )
 
+// rawFrame wraps payload in a CRC-valid frame header with the given flags.
+func rawFrame(flags byte, payload []byte) []byte {
+	hdr := make([]byte, binHeaderSize, binHeaderSize+len(payload))
+	binary.BigEndian.PutUint32(hdr, uint32(len(payload)))
+	hdr[4] = flags
+	binary.BigEndian.PutUint32(hdr[5:], crc32.Checksum(payload, binCRC))
+	return append(hdr, payload...)
+}
+
 // FuzzReadFrame hardens the frame reader against malformed input: whatever
-// bytes a broken or malicious peer sends, ReadFrame must return an error or
-// a payload — never panic or over-allocate past MaxFrameSize.
+// bytes a broken or malicious peer sends, the stream decoder must return an
+// error or an envelope — never panic or allocate past MaxFrameSize.
 func FuzzReadFrame(f *testing.F) {
-	// Seed corpus: valid plain and compressed frames plus truncations.
+	// Seed corpus: valid plain and compressed frames plus damaged ones.
 	var plain bytes.Buffer
-	_ = WriteFrame(&plain, []byte("hello quorum"), false)
+	_ = NewBinaryEncoder(&plain, false).Encode(&Envelope{Seq: 1, Req: &Request{Kind: KindPing, TxID: "hello quorum"}})
 	f.Add(plain.Bytes())
 
 	var comp bytes.Buffer
-	_ = WriteFrame(&comp, bytes.Repeat([]byte("warehouse district "), 100), true)
+	_ = NewBinaryEncoder(&comp, true).Encode(bytesEnv(bytes.Repeat([]byte("warehouse district "), 100)))
 	f.Add(comp.Bytes())
 
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 4, 1, 'a', 'b'})            // claims compressed, garbage body
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 1, 2, 3}) // oversized length
-	f.Add(plain.Bytes()[:3])                          // truncated header
-	f.Add(append(plain.Bytes(), comp.Bytes()...))     // concatenated frames
+	f.Add(rawFrame(binFlagCompressed, []byte("ab")))              // claims compressed, garbage body
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 1, 2, 3}) // oversized length
+	f.Add(plain.Bytes()[:3])                                      // truncated header
+	f.Add(comp.Bytes()[:len(comp.Bytes())/2])                     // truncated compressed frame
+	f.Add(append(plain.Bytes(), comp.Bytes()...))                 // concatenated frames
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		payload, err := ReadFrame(r)
-		if err == nil && len(payload) > MaxFrameSize {
-			t.Fatalf("payload of %d exceeds the frame limit", len(payload))
+		dec := NewBinaryDecoder(bytes.NewReader(data))
+		for {
+			if _, err := dec.Decode(); err != nil {
+				break
+			}
+		}
+		if cap(dec.frame) > MaxFrameSize {
+			t.Fatalf("frame buffer of %d exceeds the frame limit", cap(dec.frame))
 		}
 	})
 }
 
-// FuzzEnvelopeRoundTrip checks that every envelope the codec emits is
-// parsed back identically, and that arbitrary bytes never panic the
-// decoder.
+// FuzzEnvelopeRoundTrip checks that every envelope the payload parser
+// accepts is re-encoded and parsed back identically, and that arbitrary
+// bytes never panic it.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
-	var buf bytes.Buffer
-	_ = WriteEnvelope(&buf, &Envelope{Seq: 1, Req: &Request{Kind: KindPing, TxID: "t"}}, false)
-	f.Add(buf.Bytes())
-	f.Add([]byte("not an envelope at all"))
-
-	// Batch envelopes, plain and compressed: many repetitive sub-requests
-	// push the compressed variant past CompressThreshold.
-	subs := make([]*Request, 40)
-	for i := range subs {
-		subs[i] = &Request{Kind: KindRead, TxID: "batch-sub", Read: &ReadRequest{Object: "warehouse/stock/item"}}
+	for _, req := range kindFixtures {
+		payload, _ := AppendEnvelope(nil, &Envelope{Seq: 1, Req: req})
+		f.Add(payload)
 	}
-	batch := &Envelope{Seq: 2, Req: &Request{Kind: KindBatch, Batch: &BatchRequest{Subs: subs}}}
-	var plainBatch, compBatch bytes.Buffer
-	_ = WriteEnvelope(&plainBatch, batch, false)
-	_ = WriteEnvelope(&compBatch, batch, true)
-	f.Add(plainBatch.Bytes())
-	f.Add(compBatch.Bytes())
-	f.Add(compBatch.Bytes()[:len(compBatch.Bytes())/2]) // truncated compressed batch
-
-	var cancelBuf bytes.Buffer
-	_ = WriteEnvelope(&cancelBuf, &Envelope{Seq: 3, Cancel: true}, false)
-	f.Add(cancelBuf.Bytes())
+	f.Add([]byte("not an envelope at all"))
+	cancel, _ := AppendEnvelope(nil, &Envelope{Seq: 3, Cancel: true})
+	f.Add(cancel)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := ReadEnvelope(bytes.NewReader(data))
-		if err != nil || env == nil {
+		env, err := DecodeEnvelope(data)
+		if err != nil {
 			return
 		}
-		// Anything that decoded must re-encode and decode to an equal
-		// sequence number (full structural equality is checked by the
-		// deterministic tests; fuzzing guards the parser).
-		var out bytes.Buffer
-		if err := WriteEnvelope(&out, env, true); err != nil {
-			return
+		out, err := AppendEnvelope(nil, env)
+		if err != nil {
+			t.Fatalf("decoded envelope does not re-encode: %v", err)
 		}
-		env2, err := ReadEnvelope(&out)
+		env2, err := DecodeEnvelope(out)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if env2.Seq != env.Seq || env2.IsResponse != env.IsResponse {
-			t.Fatalf("round trip changed header: %+v vs %+v", env, env2)
+		normalizeEnvelope(env)
+		normalizeEnvelope(env2)
+		if !reflect.DeepEqual(env, env2) {
+			t.Fatalf("round trip changed the envelope:\n first  %+v\n second %+v", env, env2)
 		}
 	})
 }
 
 // FuzzCodecEquivalence is the differential oracle from the codec migration:
-// any envelope the GOB codec can produce must survive the BINARY codec
-// byte-for-byte-equivalently (and the binary parser must never panic on
-// arbitrary frames). The fuzzer feeds raw bytes; whatever gob decodes out
-// of them becomes a test vector that is pushed through the negotiated
-// binary framing (preamble + SniffCodec) and compared structurally.
+// any envelope encoding/gob can represent must survive the binary codec
+// structurally unchanged (and the binary parser must never panic on
+// arbitrary frames). The fuzzer feeds raw bytes; whatever the in-test gob
+// oracle decodes out of them becomes a test vector that is pushed through
+// the binary framing and compared structurally.
 //
 // Two codec-semantic differences are normalized before comparison rather
-// than papered over in the codecs themselves:
+// than papered over in the codec itself:
 //
 //   - time.Time: gob keeps the zone/monotonic envelope, binary keeps the
 //     UnixNano instant. Both sides collapse to time.Unix(0, UnixNano).UTC.
@@ -110,11 +110,11 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 func FuzzCodecEquivalence(f *testing.F) {
 	for _, req := range kindFixtures {
 		var buf bytes.Buffer
-		_ = Gob.NewEncoder(&buf, false).Encode(&Envelope{Seq: 3, Req: req})
+		_ = gobEncode(&buf, &Envelope{Seq: 3, Req: req})
 		f.Add(buf.Bytes())
 	}
 	var resp bytes.Buffer
-	_ = Gob.NewEncoder(&resp, false).Encode(&Envelope{
+	_ = gobEncode(&resp, &Envelope{
 		Seq: 4, IsResponse: true,
 		Resp: &Response{Status: StatusOK, Read: &ReadResponse{
 			Value: store.Tuple{store.Int64(1), store.Bytes("b")}, Version: 2,
@@ -122,7 +122,7 @@ func FuzzCodecEquivalence(f *testing.F) {
 		}},
 	})
 	f.Add(resp.Bytes())
-	f.Add([]byte{0xC6, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0}) // binary preamble + tiny frame
+	f.Add(rawFrame(0, []byte{1, 0})) // a tiny binary frame: Seq 1, nothing else
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Mutated gob streams can claim enormous lengths or degenerate type
@@ -131,48 +131,34 @@ func FuzzCodecEquivalence(f *testing.F) {
 		if len(data) > 8<<10 {
 			return
 		}
-		// Arbitrary bytes must never panic the binary stream decoder,
-		// with or without a negotiation preamble in front.
-		if c, r, err := SniffCodec(bytes.NewReader(data)); err == nil {
-			_, _ = c.NewDecoder(r).Decode()
-		}
+		// Arbitrary bytes must never panic the binary stream decoder.
+		_, _ = NewBinaryDecoder(bytes.NewReader(data)).Decode()
 
-		env, err := Gob.NewDecoder(bytes.NewReader(data)).Decode()
+		env, err := gobDecode(bytes.NewReader(data))
 		if err != nil || env == nil {
 			return
 		}
-		// gob → binary direction, through the negotiated framing.
-		var pipe bytes.Buffer
-		if err := WritePreamble(&pipe, Binary); err != nil {
-			t.Fatal(err)
-		}
-		if err := Binary.NewEncoder(&pipe, false).Encode(env); err != nil {
+		// gob → binary direction, through the real framing.
+		binEnv, err := binaryRoundTrip(env, false)
+		if err != nil {
 			if strings.Contains(err.Error(), "out-of-range kind") ||
 				strings.Contains(err.Error(), "nested deeper than") {
 				// Asserted differences: binary refuses garbage kinds and
 				// pathological nesting that gob happens to represent.
 				return
 			}
-			t.Fatalf("binary rejects gob-representable envelope: %v", err)
-		}
-		codec, r, err := SniffCodec(&pipe)
-		if err != nil || codec.Name() != Binary.Name() {
-			t.Fatalf("negotiation broke: codec=%v err=%v", codec, err)
-		}
-		binEnv, err := codec.NewDecoder(r).Decode()
-		if err != nil {
-			t.Fatalf("binary cannot re-decode its own frame: %v", err)
+			t.Fatalf("binary cannot carry a gob-representable envelope: %v", err)
 		}
 
 		// binary → gob direction: the oracle re-encodes the same envelope;
 		// its round trip is the canonical form binary must match.
 		var gobPipe bytes.Buffer
-		if err := Gob.NewEncoder(&gobPipe, false).Encode(env); err != nil {
+		if err := gobEncode(&gobPipe, env); err != nil {
 			return // not canonically re-encodable (e.g. nil in slice)
 		}
-		canon, err := Gob.NewDecoder(&gobPipe).Decode()
+		canon, err := gobDecode(&gobPipe)
 		if err != nil {
-			t.Fatalf("gob cannot re-decode its own frame: %v", err)
+			t.Fatalf("gob cannot re-decode its own stream: %v", err)
 		}
 
 		normalizeEnvelope(canon)

@@ -15,8 +15,7 @@ import (
 // kindFixtures holds one representative request per Kind. The round-trip
 // test below iterates every Kind value [0, numKinds) and fails when a kind
 // has no fixture, so adding a message type without codec coverage is caught
-// the moment the enum grows — a silent gob break in the persistent stream
-// codecs (TCP transport, commit log) cannot slip through.
+// the moment the enum grows.
 var kindFixtures = map[Kind]*Request{
 	KindRead: {
 		Kind:     KindRead,
@@ -98,7 +97,7 @@ var kindFixtures = map[Kind]*Request{
 }
 
 // TestForensicsResponseRoundTrips covers the response side of the forensics
-// RPC through both codecs and Clone: every event type, including derived
+// RPC through the codec and Clone: every event type, including derived
 // name strings, slices inside events, and the running totals.
 func TestForensicsResponseRoundTrips(t *testing.T) {
 	at := time.Unix(1700000000, 42)
@@ -117,30 +116,17 @@ func TestForensicsResponseRoundTrips(t *testing.T) {
 			}},
 			Recomposes: []forensics.RecomposeEvent{{
 				At: at, Trigger: "interval", Before: "[0 1][2]", After: "[0 1 2]",
-				Levels:  []forensics.AnchorLevel{{Anchor: 0, Level: 0.75}, {Anchor: 2, Level: 0.1}},
-				Merges:  1,
+				Levels:   []forensics.AnchorLevel{{Anchor: 0, Level: 0.75}, {Anchor: 2, Level: 0.1}},
+				Merges:   1,
 				Refusals: []forensics.Refusal{{First: 1, Second: 2, Reason: forensics.RefusalShardHome, ReasonName: "shard-home"}},
-				Applied: true,
+				Applied:  true,
 			}},
 			HotKeys:         []forensics.HotKeyEvent{{At: at, Key: "acct/9", Conflicts: 17}},
 			TotalAborts:     23,
 			TotalRecomposes: 2,
 		},
 	}}
-	for _, codec := range Codecs() {
-		var buf bytes.Buffer
-		if err := codec.NewEncoder(&buf, false).Encode(env); err != nil {
-			t.Fatalf("%s: %v", codec.Name(), err)
-		}
-		got, err := codec.NewDecoder(&buf).Decode()
-		if err != nil {
-			t.Fatalf("%s: %v", codec.Name(), err)
-		}
-		if !reflect.DeepEqual(got, env) {
-			t.Fatalf("%s: round trip mutated the envelope:\n got %+v\nwant %+v",
-				codec.Name(), got.Resp.Forensics, env.Resp.Forensics)
-		}
-	}
+	mustRoundTrip(t, env, false)
 	clone := env.Resp.Clone()
 	if !reflect.DeepEqual(clone, env.Resp) {
 		t.Fatalf("Clone dropped forensics fields:\n got %+v\nwant %+v", clone.Forensics, env.Resp.Forensics)
@@ -176,7 +162,7 @@ func TestConflictTxMixedVersionInterop(t *testing.T) {
 
 	enc := func(r *Response) []byte {
 		var buf bytes.Buffer
-		if err := Binary.NewEncoder(&buf, false).Encode(&Envelope{Seq: 1, IsResponse: true, Resp: r}); err != nil {
+		if err := NewBinaryEncoder(&buf, false).Encode(&Envelope{Seq: 1, IsResponse: true, Resp: r}); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
 		return buf.Bytes()
@@ -187,7 +173,7 @@ func TestConflictTxMixedVersionInterop(t *testing.T) {
 		t.Fatal("conflict witness did not change the encoding")
 	}
 
-	got, err := Binary.NewDecoder(bytes.NewReader(oldLayout)).Decode()
+	got, err := NewBinaryDecoder(bytes.NewReader(oldLayout)).Decode()
 	if err != nil {
 		t.Fatalf("decode old layout: %v", err)
 	}
@@ -198,7 +184,7 @@ func TestConflictTxMixedVersionInterop(t *testing.T) {
 		t.Fatalf("old-layout round trip mutated the response: %+v", got.Resp)
 	}
 
-	got, err = Binary.NewDecoder(bytes.NewReader(newLayout)).Decode()
+	got, err = NewBinaryDecoder(bytes.NewReader(newLayout)).Decode()
 	if err != nil {
 		t.Fatalf("decode new layout: %v", err)
 	}
@@ -208,7 +194,7 @@ func TestConflictTxMixedVersionInterop(t *testing.T) {
 }
 
 // TestShardMapResponseRoundTrips covers the response side of the shard-map
-// RPC through both codecs, including the empty "already current" reply.
+// RPC through the codec, including the empty "already current" reply.
 func TestShardMapResponseRoundTrips(t *testing.T) {
 	envs := []*Envelope{
 		{Seq: 1, IsResponse: true, Resp: &Response{
@@ -225,32 +211,19 @@ func TestShardMapResponseRoundTrips(t *testing.T) {
 		}},
 	}
 	for _, env := range envs {
-		for _, codec := range Codecs() {
-			var buf bytes.Buffer
-			if err := codec.NewEncoder(&buf, false).Encode(env); err != nil {
-				t.Fatalf("%s: %v", codec.Name(), err)
-			}
-			got, err := codec.NewDecoder(&buf).Decode()
-			if err != nil {
-				t.Fatalf("%s: %v", codec.Name(), err)
-			}
-			if !reflect.DeepEqual(got, env) {
-				t.Fatalf("%s: round trip mutated the envelope:\n got %+v\nwant %+v",
-					codec.Name(), got.Resp.ShardMap, env.Resp.ShardMap)
-			}
-		}
+		mustRoundTrip(t, env, false)
 		if got := env.Resp.Clone(); !reflect.DeepEqual(got, env.Resp) {
 			t.Fatalf("Clone dropped shard-map fields:\n got %+v\nwant %+v", got.ShardMap, env.Resp.ShardMap)
 		}
 	}
 }
 
-// TestEveryKindRoundTrips drives each request kind through EVERY registered
-// codec, both compressed and not, and checks the decoded message is
-// structurally identical. Because it iterates [0, numKinds) over Codecs(),
-// adding a new wire.Kind without a fixture — or without binary marshaling
-// support (the binary encoder rejects kinds it does not know) — fails here
-// for both codecs rather than silently falling back to gob.
+// TestEveryKindRoundTrips drives each request kind through the codec, both
+// compressed and not, and checks the decoded message is structurally
+// identical and agrees with the gob oracle. Because it iterates
+// [0, numKinds), adding a new wire.Kind without a fixture — or without
+// binary marshaling support (the encoder rejects kinds it does not know) —
+// fails here.
 func TestEveryKindRoundTrips(t *testing.T) {
 	for k := Kind(0); k < numKinds; k++ {
 		req, ok := kindFixtures[k]
@@ -261,22 +234,8 @@ func TestEveryKindRoundTrips(t *testing.T) {
 		if req.Kind != k {
 			t.Fatalf("fixture for Kind %d (%s) declares Kind %d", k, k, req.Kind)
 		}
-		for _, codec := range Codecs() {
-			for _, compress := range []bool{false, true} {
-				var buf bytes.Buffer
-				env := &Envelope{Seq: uint64(k) + 1, Req: req}
-				if err := codec.NewEncoder(&buf, compress).Encode(env); err != nil {
-					t.Fatalf("%s (%s, compress=%v): write: %v", k, codec.Name(), compress, err)
-				}
-				got, err := codec.NewDecoder(&buf).Decode()
-				if err != nil {
-					t.Fatalf("%s (%s, compress=%v): read: %v", k, codec.Name(), compress, err)
-				}
-				if !reflect.DeepEqual(got, env) {
-					t.Fatalf("%s (%s, compress=%v): round trip mutated the envelope:\n got %+v\nwant %+v",
-						k, codec.Name(), compress, got, env)
-				}
-			}
+		for _, compress := range []bool{false, true} {
+			mustRoundTrip(t, &Envelope{Seq: uint64(k) + 1, Req: req}, compress)
 		}
 	}
 }
@@ -299,8 +258,8 @@ func TestEveryKindClones(t *testing.T) {
 }
 
 // TestTraceFetchResponseRoundTrips covers the response side of the trace
-// RPC: spans carry time.Time fields, which gob serializes via GobEncoder —
-// this pins that the envelope codec preserves them to the nanosecond.
+// RPC: spans carry time.Time fields — this pins that the envelope codec
+// preserves them to the nanosecond.
 func TestTraceFetchResponseRoundTrips(t *testing.T) {
 	start := time.Unix(1700000000, 123456789)
 	env := &Envelope{
@@ -321,25 +280,19 @@ func TestTraceFetchResponseRoundTrips(t *testing.T) {
 			},
 		},
 	}
-	for _, codec := range Codecs() {
-		var buf bytes.Buffer
-		if err := codec.NewEncoder(&buf, false).Encode(env); err != nil {
-			t.Fatalf("%s: %v", codec.Name(), err)
-		}
-		got, err := codec.NewDecoder(&buf).Decode()
-		if err != nil {
-			t.Fatalf("%s: %v", codec.Name(), err)
-		}
-		gs := got.Resp.Trace.Spans[0]
-		if !gs.Start.Equal(start) || !gs.End.Equal(start.Add(42*time.Microsecond)) {
-			t.Fatalf("%s: span times mutated: %+v", codec.Name(), gs)
-		}
-		if gs.ID != 5 || gs.Parent != 3 || gs.Trace != "c1-t2-a0" {
-			t.Fatalf("%s: span fields mutated: %+v", codec.Name(), gs)
-		}
-		if got.Resp.Trace.Events[0].Kind != trace.KindRepair {
-			t.Fatalf("%s: event mutated: %+v", codec.Name(), got.Resp.Trace.Events[0])
-		}
+	got, err := binaryRoundTrip(env, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := got.Resp.Trace.Spans[0]
+	if !gs.Start.Equal(start) || !gs.End.Equal(start.Add(42*time.Microsecond)) {
+		t.Fatalf("span times mutated: %+v", gs)
+	}
+	if gs.ID != 5 || gs.Parent != 3 || gs.Trace != "c1-t2-a0" {
+		t.Fatalf("span fields mutated: %+v", gs)
+	}
+	if got.Resp.Trace.Events[0].Kind != trace.KindRepair {
+		t.Fatalf("event mutated: %+v", got.Resp.Trace.Events[0])
 	}
 }
 
@@ -360,7 +313,7 @@ func TestEveryStatusHasAString(t *testing.T) {
 }
 
 // TestStatusOverloadedRoundTrips pins the new backpressure status through
-// both codecs on a response envelope (the varint status encoding makes this
+// the codec on a response envelope (the varint status encoding makes this
 // nearly free, but a decoder that validated against the old status range
 // would reject it — this is the mixed-version smoke for the status side).
 func TestStatusOverloadedRoundTrips(t *testing.T) {
@@ -369,19 +322,7 @@ func TestStatusOverloadedRoundTrips(t *testing.T) {
 		IsResponse: true,
 		Resp:       &Response{Status: StatusOverloaded, Detail: "admission queue full"},
 	}
-	for _, codec := range Codecs() {
-		var buf bytes.Buffer
-		if err := codec.NewEncoder(&buf, false).Encode(env); err != nil {
-			t.Fatalf("%s: %v", codec.Name(), err)
-		}
-		got, err := codec.NewDecoder(&buf).Decode()
-		if err != nil {
-			t.Fatalf("%s: %v", codec.Name(), err)
-		}
-		if !reflect.DeepEqual(got, env) {
-			t.Fatalf("%s: round trip mutated the envelope: got %+v", codec.Name(), got.Resp)
-		}
-	}
+	mustRoundTrip(t, env, false)
 }
 
 // TestDeadlineMixedVersionInterop pins the compatibility story for the
@@ -404,7 +345,7 @@ func TestDeadlineMixedVersionInterop(t *testing.T) {
 
 	enc := func(r *Request) []byte {
 		var buf bytes.Buffer
-		if err := Binary.NewEncoder(&buf, false).Encode(&Envelope{Seq: 1, Req: r}); err != nil {
+		if err := NewBinaryEncoder(&buf, false).Encode(&Envelope{Seq: 1, Req: r}); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
 		return buf.Bytes()
@@ -417,7 +358,7 @@ func TestDeadlineMixedVersionInterop(t *testing.T) {
 
 	// An "old peer" frame (no deadline bit) decodes with a zero deadline and
 	// no trailing-byte error.
-	got, err := Binary.NewDecoder(bytes.NewReader(oldLayout)).Decode()
+	got, err := NewBinaryDecoder(bytes.NewReader(oldLayout)).Decode()
 	if err != nil {
 		t.Fatalf("decode old layout: %v", err)
 	}
@@ -429,7 +370,7 @@ func TestDeadlineMixedVersionInterop(t *testing.T) {
 	}
 
 	// The new layout round-trips with the deadline intact.
-	got, err = Binary.NewDecoder(bytes.NewReader(newLayout)).Decode()
+	got, err = NewBinaryDecoder(bytes.NewReader(newLayout)).Decode()
 	if err != nil {
 		t.Fatalf("decode new layout: %v", err)
 	}

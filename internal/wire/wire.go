@@ -1,20 +1,13 @@
 // Package wire defines the request/response messages exchanged between DTM
-// clients and quorum nodes, and a codec (gob + length-prefixed frames with
-// optional flate compression) for carrying them over a byte stream. The
-// paper notes that contention meta-data is piggybacked on existing messages
-// and that messages are compressed to minimize that cost; ReadRequest's
-// StatsFor field and the frame compression flag implement both.
+// clients and quorum nodes, and the one codec that carries them over a byte
+// stream: a fixed-layout binary encoding in CRC-checked, length-prefixed
+// frames with optional flate compression (binary.go). The paper notes that
+// contention meta-data is piggybacked on existing messages and that messages
+// are compressed to minimize that cost; ReadRequest's StatsFor field and the
+// frame compression flag implement both.
 package wire
 
 import (
-	"bytes"
-	"compress/flate"
-	"encoding/binary"
-	"encoding/gob"
-	"fmt"
-	"io"
-	"sync"
-
 	"qracn/internal/forensics"
 	"qracn/internal/quorum"
 	"qracn/internal/store"
@@ -125,8 +118,7 @@ const (
 	// numKinds counts the Kind values. It MUST stay last: the wire
 	// round-trip test iterates [0, numKinds) and fails compilation-adjacent
 	// (with a missing fixture) when a new Kind is added without codec
-	// coverage, so a new message type cannot silently break the persistent
-	// gob stream codecs.
+	// coverage, so a new message type cannot ship without an encoding.
 	numKinds
 )
 
@@ -168,9 +160,9 @@ type Request struct {
 	TxID string
 	// TraceID and SpanID are the distributed-tracing span context: the trace
 	// the issuing transaction belongs to and the client span that issued this
-	// request. Both are zero on untraced requests — gob omits zero-valued
-	// fields, so the header costs no wire bytes when tracing is off — and a
-	// server that receives them records its serve span under SpanID.
+	// request. Both are zero on untraced requests — an empty string and a
+	// zero varint, one byte each on the wire — and a server that receives
+	// them records its serve span under SpanID.
 	TraceID string
 	SpanID  uint64
 	// Deadline is the absolute expiry of the issuing transaction's budget,
@@ -442,164 +434,4 @@ type Envelope struct {
 	Cancel bool
 	Req    *Request
 	Resp   *Response
-}
-
-func init() {
-	gob.Register(store.Int64(0))
-	gob.Register(store.Float64(0))
-	gob.Register(store.String(""))
-	gob.Register(store.Bytes(nil))
-	gob.Register(store.Tuple(nil))
-}
-
-// RegisterValue makes a concrete store.Value type known to the codec.
-// Workloads with custom value types must call it before using the TCP
-// transport.
-func RegisterValue(v store.Value) { gob.Register(v) }
-
-// bufPool recycles the scratch buffers of the codec hot path (marshal and
-// frame compression). Every message used to grow a fresh bytes.Buffer;
-// pooling removes that churn for the channel transport and the TCP path
-// alike.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// flateWriterPool recycles flate writers, which are far more expensive to
-// construct (window + huffman state) than to Reset.
-var flateWriterPool = sync.Pool{New: func() any {
-	fw, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
-	return fw
-}}
-
-func getBuf() *bytes.Buffer {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	return buf
-}
-
-func putBuf(buf *bytes.Buffer) {
-	// Keep pathological buffers (a one-off huge value) out of the pool.
-	if buf.Cap() <= 1<<20 {
-		bufPool.Put(buf)
-	}
-}
-
-// Marshal gob-encodes v.
-func Marshal(v any) ([]byte, error) {
-	buf := getBuf()
-	defer putBuf(buf)
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("wire: marshal: %w", err)
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
-}
-
-// Unmarshal gob-decodes data into v.
-func Unmarshal(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("wire: unmarshal: %w", err)
-	}
-	return nil
-}
-
-// Frame layout: 4-byte big-endian payload length, 1 flag byte
-// (flagCompressed), payload. CompressThreshold is the payload size above
-// which WriteFrame flate-compresses when compression is enabled.
-const (
-	flagCompressed byte = 1 << 0
-
-	// CompressThreshold is the minimum payload size worth compressing.
-	CompressThreshold = 512
-
-	// MaxFrameSize bounds a frame to keep a malformed peer from forcing a
-	// huge allocation.
-	MaxFrameSize = 64 << 20
-)
-
-// WriteFrame writes one length-prefixed frame. When compress is true and the
-// payload exceeds CompressThreshold, the payload is flate-compressed (and
-// the compressed form is kept only if it is actually smaller).
-func WriteFrame(w io.Writer, payload []byte, compress bool) error {
-	flags := byte(0)
-	var scratch *bytes.Buffer
-	if compress && len(payload) > CompressThreshold {
-		scratch = getBuf()
-		defer putBuf(scratch)
-		fw := flateWriterPool.Get().(*flate.Writer)
-		fw.Reset(scratch)
-		if _, err := fw.Write(payload); err != nil {
-			flateWriterPool.Put(fw)
-			return fmt.Errorf("wire: compress: %w", err)
-		}
-		if err := fw.Close(); err != nil {
-			flateWriterPool.Put(fw)
-			return fmt.Errorf("wire: compress: %w", err)
-		}
-		flateWriterPool.Put(fw)
-		if scratch.Len() < len(payload) {
-			payload = scratch.Bytes()
-			flags |= flagCompressed
-		}
-	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	hdr[4] = flags
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadFrame reads one frame written by WriteFrame, transparently
-// decompressing it.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n > MaxFrameSize {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	if hdr[4]&flagCompressed != 0 {
-		fr := flate.NewReader(bytes.NewReader(payload))
-		defer fr.Close()
-		out, err := io.ReadAll(fr)
-		if err != nil {
-			return nil, fmt.Errorf("wire: decompress: %w", err)
-		}
-		return out, nil
-	}
-	return payload, nil
-}
-
-// WriteEnvelope marshals and frames an envelope. The gob bytes live in a
-// pooled scratch buffer that is framed directly, so a one-shot envelope write
-// allocates nothing beyond what gob itself needs.
-func WriteEnvelope(w io.Writer, env *Envelope, compress bool) error {
-	buf := getBuf()
-	defer putBuf(buf)
-	if err := gob.NewEncoder(buf).Encode(env); err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
-	}
-	return WriteFrame(w, buf.Bytes(), compress)
-}
-
-// ReadEnvelope reads and unmarshals one envelope.
-func ReadEnvelope(r io.Reader) (*Envelope, error) {
-	data, err := ReadFrame(r)
-	if err != nil {
-		return nil, err
-	}
-	var env Envelope
-	if err := Unmarshal(data, &env); err != nil {
-		return nil, err
-	}
-	return &env, nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,23 +26,12 @@ func sampleRequest() *Request {
 	}
 }
 
-func TestMarshalRoundTripRequest(t *testing.T) {
-	in := sampleRequest()
-	data, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out Request
-	if err := Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, &out) {
-		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in, &out)
-	}
+func TestRoundTripRequest(t *testing.T) {
+	mustRoundTrip(t, &Envelope{Seq: 42, Req: sampleRequest()}, true)
 }
 
-func TestMarshalRoundTripResponseWithValues(t *testing.T) {
-	in := &Response{
+func TestRoundTripResponseWithValues(t *testing.T) {
+	mustRoundTrip(t, &Envelope{Seq: 1, IsResponse: true, Resp: &Response{
 		Status: StatusOK,
 		Read: &ReadResponse{
 			Value:   store.Tuple{store.Int64(5), store.String("x"), store.Bytes{1, 2}},
@@ -49,33 +39,28 @@ func TestMarshalRoundTripResponseWithValues(t *testing.T) {
 			Invalid: []store.ObjectID{"a"},
 			Stats:   map[store.ObjectID]float64{"a": 2.5},
 		},
-	}
-	data, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out Response
-	if err := Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, &out) {
-		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in, &out)
-	}
+	}}, false)
+}
+
+// bytesEnv carries payload as a read response, so its size drives the frame
+// size on either side of CompressThreshold.
+func bytesEnv(payload []byte) *Envelope {
+	return &Envelope{Seq: 1, IsResponse: true, Resp: &Response{
+		Status: StatusOK, Read: &ReadResponse{Value: store.Bytes(payload), Version: 1},
+	}}
+}
+
+// frameRoundTrips reports whether payload survives one framed encode/decode.
+func frameRoundTrips(payload []byte, compress bool) bool {
+	got, err := binaryRoundTrip(bytesEnv(payload), compress)
+	return err == nil && bytes.Equal(got.Resp.Read.Value.(store.Bytes), payload)
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		for _, size := range []int{0, 1, CompressThreshold, CompressThreshold + 1, 100000} {
 			payload := bytes.Repeat([]byte("abcdefgh"), size/8+1)[:size]
-			var buf bytes.Buffer
-			if err := WriteFrame(&buf, payload, compress); err != nil {
-				t.Fatal(err)
-			}
-			got, err := ReadFrame(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, payload) {
+			if !frameRoundTrips(payload, compress) {
 				t.Fatalf("compress=%v size=%d: payload mismatch", compress, size)
 			}
 		}
@@ -83,12 +68,12 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestCompressionShrinksRedundantPayload(t *testing.T) {
-	payload := bytes.Repeat([]byte("warehouse/1 district/1 "), 200)
+	env := bytesEnv(bytes.Repeat([]byte("warehouse/1 district/1 "), 200))
 	var plain, comp bytes.Buffer
-	if err := WriteFrame(&plain, payload, false); err != nil {
+	if err := NewBinaryEncoder(&plain, false).Encode(env); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&comp, payload, true); err != nil {
+	if err := NewBinaryEncoder(&comp, true).Encode(env); err != nil {
 		t.Fatal(err)
 	}
 	if comp.Len() >= plain.Len() {
@@ -108,38 +93,26 @@ func TestIncompressiblePayloadKeptPlain(t *testing.T) {
 		payload[i] = byte(x)
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, payload, true); err != nil {
+	if err := NewBinaryEncoder(&buf, true).Encode(bytesEnv(payload)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	if buf.Bytes()[4]&binFlagCompressed != 0 {
+		t.Fatal("incompressible payload was framed compressed")
+	}
+	got, err := NewBinaryDecoder(&buf).Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, payload) {
+	if !bytes.Equal(got.Resp.Read.Value.(store.Bytes), payload) {
 		t.Fatal("round trip mismatch")
 	}
 }
 
-func TestReadFrameRejectsOversized(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 0})
-	if _, err := ReadFrame(&buf); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+func TestDecodeRejectsOversizedFrame(t *testing.T) {
+	hdr := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0}
+	_, err := NewBinaryDecoder(bytes.NewReader(hdr)).Decode()
+	if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("err = %v, want frame-size error", err)
-	}
-}
-
-func TestEnvelopeRoundTrip(t *testing.T) {
-	in := &Envelope{Seq: 42, Req: sampleRequest()}
-	var buf bytes.Buffer
-	if err := WriteEnvelope(&buf, in, true); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadEnvelope(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("mismatch:\n in=%+v\nout=%+v", in, out)
 	}
 }
 
@@ -186,26 +159,15 @@ func TestCloneNil(t *testing.T) {
 	}
 }
 
-func TestDecisionAndPrepareRoundTrip(t *testing.T) {
-	in := &Request{
+func TestDecisionRoundTrip(t *testing.T) {
+	mustRoundTrip(t, &Envelope{Seq: 2, Req: &Request{
 		Kind: KindDecision,
 		TxID: "tx-9",
 		Decision: &DecisionRequest{
 			Commit: true,
 			Writes: []store.WriteDesc{{ID: "a", Value: store.Int64(1), NewVersion: 4}},
 		},
-	}
-	data, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out Request
-	if err := Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, &out) {
-		t.Fatalf("mismatch: %+v vs %+v", in, &out)
-	}
+	}}, false)
 }
 
 func TestStatusAndKindStrings(t *testing.T) {
@@ -222,18 +184,7 @@ func TestStatusAndKindStrings(t *testing.T) {
 // Property: frames round-trip for arbitrary payloads under both compression
 // settings.
 func TestFrameRoundTripProperty(t *testing.T) {
-	err := quick.Check(func(payload []byte, compress bool) bool {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, payload, compress); err != nil {
-			return false
-		}
-		got, err := ReadFrame(&buf)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(got, payload)
-	}, &quick.Config{MaxCount: 200})
-	if err != nil {
+	if err := quick.Check(frameRoundTrips, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
