@@ -29,12 +29,12 @@ import (
 
 // benchScale shrinks the default experiment so one benchmark iteration
 // stays in the seconds range.
-func benchScale() qracn.FigureScale {
-	s := qracn.DefaultScale()
-	s.IntervalLength = 150 * time.Millisecond
-	s.Clients = 4
-	s.ThreadsPerClient = 2
-	return s
+func benchScale() qracn.ExperimentOptions {
+	return qracn.ExperimentOptions{
+		IntervalLength:   150 * time.Millisecond,
+		Clients:          4,
+		ThreadsPerClient: 2,
+	}
 }
 
 func benchFigure(b *testing.B, id string) {
@@ -403,7 +403,7 @@ func BenchmarkTransport(b *testing.B) {
 		run(b, c.Runtime(1, dtm.Config{Seed: 1}))
 	})
 	b.Run("tcp", func(b *testing.B) {
-		c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: time.Hour})
+		c, err := cluster.NewTCP(cluster.Config{Servers: 4, StatsWindow: time.Hour})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -420,7 +420,7 @@ func BenchmarkTransport(b *testing.B) {
 // the batched RPC pipeline buys on real sockets.
 func BenchmarkPrefetchVsSerialReads(b *testing.B) {
 	const k = 8
-	c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: time.Hour})
+	c, err := cluster.NewTCP(cluster.Config{Servers: 4, StatsWindow: time.Hour})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func BenchmarkPrefetchTransferTCP(b *testing.B) {
 		{"prefetch", true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: time.Hour})
+			c, err := cluster.NewTCP(cluster.Config{Servers: 4, StatsWindow: time.Hour})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -22,71 +22,49 @@ import (
 )
 
 func main() {
+	// base is what every figure's experiment is built on; each experiment
+	// flag writes the one field it tunes.
+	var base harness.Options
 	var (
-		fig        = flag.String("fig", "all", "figure to reproduce: 4a..4f or 'all'")
-		interval   = flag.Duration("interval", 400*time.Millisecond, "measurement interval length (paper: 10s)")
-		clients    = flag.Int("clients", 8, "client nodes (paper: up to 20)")
-		threads    = flag.Int("threads", 2, "concurrent transactions per client")
-		servers    = flag.Int("servers", 10, "quorum nodes (paper: 10)")
-		seed       = flag.Int64("seed", 1, "base random seed")
-		repeat     = flag.Int("repeat", 1, "repetitions to average (paper: 4)")
-		modesArg   = flag.String("modes", "all", "systems to run: all, dtm, cn, acn, cp (comma-separated; 'all' = the paper's three)")
-		ablation   = flag.Bool("ablation", false, "run the ACN step-ablation study instead of the system comparison")
-		sweep      = flag.String("sweep", "", "comma-separated client counts for a scalability sweep (e.g. 2,4,8,16)")
-		jsonOut    = flag.Bool("json", false, "emit results as JSON instead of tables")
-		jsonFile   = flag.String("json-out", "", "write the JSON results to this file (implies -json)")
-		noPrefetch = flag.Bool("no-prefetch", false, "disable the batched first-access read prefetch (A/B the RPC pipeline)")
-		noRepair   = flag.Bool("no-repair", false, "disable asynchronous read-repair of stale quorum members (A/B fault recovery)")
-		decideTO   = flag.Duration("decide-timeout", 0, "per-client budget for delivering a 2PC decision after a yes-vote quorum (0: 10s default)")
-		resolveAft = flag.Duration("resolve-after", 0, "run the nodes' cooperative termination loop with this in-doubt deadline (0: off)")
-		noWAL      = flag.Bool("no-wal", false, "run the nodes volatile (no commit log) — the pre-durability configuration")
-		walDir     = flag.String("wal-dir", "", "base directory for per-run commit logs (default: system temp)")
-		fsyncEvery = flag.Duration("fsync-interval", 0, "group-commit accumulation window (0: 2ms default; negative: fsync every append)")
-		snapEvery  = flag.Int("snapshot-every", 0, "checkpoint the store every N logged records (0: default; negative: never)")
-		stages     = flag.Bool("stages", false, "print per-stage latency percentiles (read, prefetch, prepare, commit, fsync wait) after each summary")
-		traceCap   = flag.Int("trace-capacity", 0, "span/event ring size per node and client; >0 turns tracing on")
-		traceRate  = flag.Int("trace-sample", 1, "with tracing on, record spans for 1-in-N transactions (0/1: all, negative: events only)")
-		shards     = flag.Int("shards", 0, "partition the keyspace across this many independent quorum groups (0/1: one cluster-wide tree)")
-
-		maxInflight = flag.Int("max-inflight", 0, "admission control on every node: max concurrently executing gated requests (0: gate off)")
-		queueDepth  = flag.Int("queue-depth", 0, "admission wait-queue depth before requests are shed with StatusOverloaded (0: 4x -max-inflight)")
-		txDeadline  = flag.Duration("tx-deadline", 0, "end-to-end deadline per transaction, propagated so servers refuse expired work (0: none)")
-		retryBudget = flag.Int("retry-budget", 0, "retries per transaction attempt shared across failover, busy, and overload backoff (0: dtm default; negative: unlimited)")
-		hedgeAfter  = flag.Duration("hedge-after", 0, "hedge quorum reads to one spare replica after this delay (0: off; negative: auto from observed p99)")
-
-		forensicsRing = flag.Int("forensics-ring", 0, "abort-forensics event ring capacity per node and client (0: 4096 default)")
-		noForensics   = flag.Bool("no-forensics", false, "disable abort forensics entirely (conflict attribution rings and witnesses)")
+		fig      = flag.String("fig", "all", "figure to reproduce: 4a..4f or 'all'")
+		repeat   = flag.Int("repeat", 1, "repetitions to average (paper: 4)")
+		modesArg = flag.String("modes", "all", "systems to run: all, dtm, cn, acn, cp (comma-separated; 'all' = the paper's three)")
+		ablation = flag.Bool("ablation", false, "run the ACN step-ablation study instead of the system comparison")
+		sweep    = flag.String("sweep", "", "comma-separated client counts for a scalability sweep (e.g. 2,4,8,16)")
+		jsonOut  = flag.Bool("json", false, "emit results as JSON instead of tables")
+		jsonFile = flag.String("json-out", "", "write the JSON results to this file (implies -json)")
+		noWAL    = flag.Bool("no-wal", false, "run the nodes volatile (no commit log) — the pre-durability configuration")
+		stages   = flag.Bool("stages", false, "print per-stage latency percentiles (read, prefetch, prepare, commit, fsync wait) after each summary")
 	)
+	flag.DurationVar(&base.IntervalLength, "interval", 400*time.Millisecond, "measurement interval length (paper: 10s)")
+	flag.IntVar(&base.Clients, "clients", 8, "client nodes (paper: up to 20)")
+	flag.IntVar(&base.ThreadsPerClient, "threads", 2, "concurrent transactions per client")
+	flag.IntVar(&base.Servers, "servers", 10, "quorum nodes (paper: 10)")
+	flag.Int64Var(&base.Seed, "seed", 1, "base random seed")
+	flag.BoolVar(&base.DisablePrefetch, "no-prefetch", false, "disable the batched first-access read prefetch (A/B the RPC pipeline)")
+	flag.BoolVar(&base.Client.NoRepair, "no-repair", false, "disable asynchronous read-repair of stale quorum members (A/B fault recovery)")
+	flag.DurationVar(&base.Client.DecideTimeout, "decide-timeout", 0, "per-client budget for delivering a 2PC decision after a yes-vote quorum (0: 10s default)")
+	flag.DurationVar(&base.Node.ResolveAfter, "resolve-after", 0, "run the nodes' cooperative termination loop with this in-doubt deadline (0: off)")
+	flag.StringVar(&base.WALDir, "wal-dir", "", "base directory for per-run commit logs (default: system temp)")
+	flag.DurationVar(&base.FsyncInterval, "fsync-interval", 0, "group-commit accumulation window (0: 2ms default; negative: fsync every append)")
+	flag.IntVar(&base.Node.SnapshotEvery, "snapshot-every", 0, "checkpoint the store every N logged records (0: default; negative: never)")
+	flag.IntVar(&base.TraceCapacity, "trace-capacity", 0, "span/event ring size per node and client; >0 turns tracing on")
+	flag.IntVar(&base.Client.TraceSample, "trace-sample", 1, "with tracing on, record spans for 1-in-N transactions (0/1: all, negative: events only)")
+	flag.IntVar(&base.Shards, "shards", 0, "partition the keyspace across this many independent quorum groups (0/1: one cluster-wide tree)")
+
+	flag.IntVar(&base.Node.MaxInflight, "max-inflight", 0, "admission control on every node: max concurrently executing gated requests (0: gate off)")
+	flag.IntVar(&base.Node.QueueDepth, "queue-depth", 0, "admission wait-queue depth before requests are shed with StatusOverloaded (0: 4x -max-inflight)")
+	flag.DurationVar(&base.Client.TxDeadline, "tx-deadline", 0, "end-to-end deadline per transaction, propagated so servers refuse expired work (0: none)")
+	flag.IntVar(&base.Client.RetryBudget, "retry-budget", 0, "retries per transaction attempt shared across failover, busy, and overload backoff (0: dtm default; negative: unlimited)")
+	flag.DurationVar(&base.Client.HedgeAfter, "hedge-after", 0, "hedge quorum reads to one spare replica after this delay (0: off; negative: auto from observed p99)")
+
+	flag.IntVar(&base.Node.ForensicsRing, "forensics-ring", 0, "abort-forensics event ring capacity per node and client (0: 4096 default)")
+	flag.BoolVar(&base.Node.NoForensics, "no-forensics", false, "disable abort forensics entirely (conflict attribution rings and witnesses)")
 	flag.Parse()
 	if *jsonFile != "" {
 		*jsonOut = true
 	}
-
-	scale := harness.Scale{
-		IntervalLength:   *interval,
-		Clients:          *clients,
-		ThreadsPerClient: *threads,
-		Servers:          *servers,
-		Seed:             *seed,
-		DisablePrefetch:  *noPrefetch,
-		NoRepair:         *noRepair,
-		Durable:          !*noWAL,
-		WALDir:           *walDir,
-		FsyncInterval:    *fsyncEvery,
-		SnapshotEvery:    *snapEvery,
-		TraceCapacity:    *traceCap,
-		TraceSample:      *traceRate,
-		DecideTimeout:    *decideTO,
-		ResolveAfter:     *resolveAft,
-		Shards:           *shards,
-		MaxInflight:      *maxInflight,
-		QueueDepth:       *queueDepth,
-		TxDeadline:       *txDeadline,
-		RetryBudget:      *retryBudget,
-		HedgeAfter:       *hedgeAfter,
-		ForensicsRing:    *forensicsRing,
-		NoForensics:      *noForensics,
-	}
+	base.Durable = !*noWAL
 
 	modes, err := parseModes(*modesArg)
 	if err != nil {
@@ -112,7 +90,7 @@ func main() {
 		fmt.Printf("=== Figure %s: %s ===\n", f.ID, f.Title)
 		fmt.Printf("paper: %s\n\n", f.Expect)
 		if *ablation {
-			if err := runAblation(ctx, f, scale); err != nil {
+			if err := runAblation(ctx, f, base); err != nil {
 				fmt.Fprintf(os.Stderr, "figure %s ablation: %v\n", f.ID, err)
 				os.Exit(1)
 			}
@@ -125,7 +103,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
 			}
-			sr, err := harness.SweepClients(ctx, f.Options(scale), modes, counts)
+			sr, err := harness.SweepClients(ctx, f.Options(base), modes, counts)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "figure %s sweep: %v\n", f.ID, err)
 				os.Exit(1)
@@ -134,7 +112,7 @@ func main() {
 			fmt.Println()
 			continue
 		}
-		res, err := runAveraged(ctx, f, scale, modes, *repeat)
+		res, err := runAveraged(ctx, f, base, modes, *repeat)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "figure %s: %v\n", f.ID, err)
 			os.Exit(1)
@@ -154,7 +132,7 @@ func main() {
 		fmt.Print(res.Table())
 		fmt.Println()
 		fmt.Print(res.Summary())
-		if !*noForensics {
+		if !base.Node.NoForensics {
 			fmt.Println()
 			fmt.Print(res.AbortRatioTable())
 		}
@@ -191,7 +169,7 @@ func main() {
 // runAblation measures QR-ACN with each algorithm step disabled in turn,
 // quantifying what re-attachment, merging, and contention sorting each
 // contribute (the design-choice index in DESIGN.md).
-func runAblation(ctx context.Context, f harness.Figure, scale harness.Scale) error {
+func runAblation(ctx context.Context, f harness.Figure, base harness.Options) error {
 	variants := []struct {
 		name string
 		mut  func(*harness.Options)
@@ -208,7 +186,7 @@ func runAblation(ctx context.Context, f harness.Figure, scale harness.Scale) err
 	}
 	fmt.Printf("%-28s %12s %12s\n", "variant", "mean tx/s", "commits")
 	for _, v := range variants {
-		opts := f.Options(scale)
+		opts := f.Options(base)
 		v.mut(&opts)
 		res, err := harness.Run(ctx, opts, []harness.Mode{harness.ModeQRACN})
 		if err != nil {
@@ -281,15 +259,15 @@ func splitComma(s string) []string {
 
 // runAveraged repeats the experiment with shifted seeds and averages the
 // per-interval throughput, as the paper does over four runs.
-func runAveraged(ctx context.Context, f harness.Figure, scale harness.Scale, modes []harness.Mode, repeat int) (*harness.Result, error) {
+func runAveraged(ctx context.Context, f harness.Figure, base harness.Options, modes []harness.Mode, repeat int) (*harness.Result, error) {
 	if repeat < 1 {
 		repeat = 1
 	}
 	var acc *harness.Result
 	for r := 0; r < repeat; r++ {
-		s := scale
-		s.Seed = scale.Seed + int64(r)*100
-		res, err := harness.Run(ctx, f.Options(s), modes)
+		opts := f.Options(base)
+		opts.Seed = base.Seed + int64(r)*100
+		res, err := harness.Run(ctx, opts, modes)
 		if err != nil {
 			return nil, err
 		}

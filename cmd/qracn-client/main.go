@@ -35,6 +35,12 @@ import (
 )
 
 func main() {
+	// dcfg is the client runtime's configuration and hcfg its failure
+	// detector's; each tuning flag writes its field.
+	var (
+		dcfg dtm.Config
+		hcfg health.Config
+	)
 	var (
 		nodesArg   = flag.String("nodes", "", "comma-separated node addresses, tree order (node 0 first)")
 		wlArg      = flag.String("workload", "bank", "workload: bank, tpcc, vacation")
@@ -42,27 +48,25 @@ func main() {
 		threads    = flag.Int("threads", 4, "concurrent transactions")
 		intervals  = flag.Int("intervals", 6, "measurement intervals")
 		interval   = flag.Duration("interval", 2*time.Second, "interval length")
-		seed       = flag.Int64("seed", 1, "random seed")
-		clientID   = flag.Int("client", 1, "client identity (spreads quorum selection)")
 		seedData   = flag.Bool("seed-data", false, "install the workload's initial objects before running")
 		compress   = flag.Bool("compress", false, "flate-compress large frames")
 		noPrefetch = flag.Bool("no-prefetch", false, "disable the batched first-access read prefetch")
-
-		suspectAfter  = flag.Int("suspect-after", 3, "rapid RPC failures before a node is suspected and excluded from quorums")
-		probeInterval = flag.Duration("probe-interval", 250*time.Millisecond, "how often one trial request probes a suspected node")
-		noRepair      = flag.Bool("no-repair", false, "disable asynchronous read-repair of stale quorum members")
-		decideTimeout = flag.Duration("decide-timeout", 0, "per-transaction budget for delivering the 2PC decision after a yes-vote quorum (0: 10s; keep below the nodes' -ttl-abort-after)")
-		txDeadline    = flag.Duration("tx-deadline", 0, "end-to-end deadline per transaction, propagated on every request so servers refuse expired work (0: none)")
-		retryBudget   = flag.Int("retry-budget", 0, "retries per transaction attempt shared across failover, busy, and overload backoff (0: 1000; negative: unlimited)")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "hedge quorum reads to one extra replica after this delay (0: off; negative: auto from observed p99 read latency)")
-
-		traceCap    = flag.Int("trace", 0, "span/event ring size for distributed tracing; >0 turns tracing on")
-		traceSample = flag.Int("trace-sample", 1, "with tracing on, record spans for 1-in-N transactions (0/1: all, negative: events only)")
-		spansOut    = flag.String("spans-out", "", "after the run, fetch this client's spans plus every node's and write them as JSON (implies tracing)")
-
-		forensicsRing = flag.Int("forensics-ring", 0, "abort-forensics event ring capacity (0: 4096 default)")
-		noForensics   = flag.Bool("no-forensics", false, "disable abort forensics on this client")
+		traceCap   = flag.Int("trace", 0, "span/event ring size for distributed tracing; >0 turns tracing on")
+		spansOut   = flag.String("spans-out", "", "after the run, fetch this client's spans plus every node's and write them as JSON (implies tracing)")
 	)
+	flag.Int64Var(&dcfg.Seed, "seed", 1, "random seed")
+	flag.IntVar(&dcfg.ClientSeed, "client", 1, "client identity (spreads quorum selection)")
+
+	flag.IntVar(&hcfg.SuspectAfter, "suspect-after", 3, "rapid RPC failures before a node is suspected and excluded from quorums")
+	flag.DurationVar(&hcfg.ProbeInterval, "probe-interval", 250*time.Millisecond, "how often one trial request probes a suspected node")
+	flag.BoolVar(&dcfg.NoRepair, "no-repair", false, "disable asynchronous read-repair of stale quorum members")
+	flag.DurationVar(&dcfg.DecideTimeout, "decide-timeout", 0, "per-transaction budget for delivering the 2PC decision after a yes-vote quorum (0: 10s; keep below the nodes' -ttl-abort-after)")
+	flag.DurationVar(&dcfg.TxDeadline, "tx-deadline", 0, "end-to-end deadline per transaction, propagated on every request so servers refuse expired work (0: none)")
+	flag.IntVar(&dcfg.RetryBudget, "retry-budget", 0, "retries per transaction attempt shared across failover, busy, and overload backoff (0: 1000; negative: unlimited)")
+	flag.DurationVar(&dcfg.HedgeAfter, "hedge-after", 0, "hedge quorum reads to one extra replica after this delay (0: off; negative: auto from observed p99 read latency)")
+	flag.IntVar(&dcfg.TraceSample, "trace-sample", 1, "with tracing on, record spans for 1-in-N transactions (0/1: all, negative: events only)")
+	flag.IntVar(&dcfg.ForensicsRing, "forensics-ring", 0, "abort-forensics event ring capacity (0: 4096 default)")
+	flag.BoolVar(&dcfg.NoForensics, "no-forensics", false, "disable abort forensics on this client")
 	flag.Parse()
 
 	addrs := map[quorum.NodeID]string{}
@@ -111,26 +115,10 @@ func main() {
 		shards = nil
 	}
 
-	tree := quorum.NewTree(len(addrs), 3)
-	dcfg := dtm.Config{
-		Tree:       tree,
-		Shards:     shards,
-		Client:     client,
-		ClientSeed: *clientID,
-		Seed:       *seed,
-		Health: health.New(health.Config{
-			SuspectAfter:  *suspectAfter,
-			ProbeInterval: *probeInterval,
-		}),
-		NoRepair:      *noRepair,
-		TraceSample:   *traceSample,
-		DecideTimeout: *decideTimeout,
-		TxDeadline:    *txDeadline,
-		RetryBudget:   *retryBudget,
-		HedgeAfter:    *hedgeAfter,
-		ForensicsRing: *forensicsRing,
-		NoForensics:   *noForensics,
-	}
+	dcfg.Tree = quorum.NewTree(len(addrs), 3)
+	dcfg.Shards = shards
+	dcfg.Client = client
+	dcfg.Health = health.New(hcfg)
 	if *traceCap > 0 {
 		dcfg.Tracer = trace.New(*traceCap)
 	}
@@ -170,7 +158,7 @@ func main() {
 				}
 				meter.Record()
 			}
-		}(*seed + int64(th))
+		}(dcfg.Seed + int64(th))
 	}
 
 	for i := 0; i < *intervals; i++ {
@@ -203,7 +191,7 @@ func main() {
 		m.Failovers, m.Suspicions, m.Probes, m.Readmissions, m.Repairs)
 	fmt.Printf("overload: backoffs=%d budget-exhausted=%d hedges-fired=%d hedge-wins=%d\n",
 		m.OverloadBackoffs, m.BudgetExhausted, m.HedgesFired, m.HedgeWins)
-	if !*noForensics {
+	if !dcfg.NoForensics {
 		fmt.Printf("forensics: read-val=%d lock=%d commit-round=%d deadline=%d overload=%d blocks=[%d %d %d %d]",
 			m.AbortsReadValidation, m.AbortsLockConflict, m.AbortsCommitRound,
 			m.AbortsDeadline, m.AbortsOverload,

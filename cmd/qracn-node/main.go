@@ -42,35 +42,35 @@ import (
 )
 
 func main() {
+	// scfg is the node's configuration; each tuning flag writes its field.
+	var scfg server.Config
 	var (
 		id          = flag.Int("id", 0, "this node's position in the quorum tree (0 = root)")
 		listen      = flag.String("listen", ":7450", "TCP listen address")
-		statsWindow = flag.Duration("stats-window", 10*time.Second, "contention observation window (paper: 10s)")
 		protectTTL  = flag.Duration("protect-ttl", 30*time.Second, "lease expiry for protections left by crashed clients (0 disables)")
 		compress    = flag.Bool("compress", false, "flate-compress large frames")
 		walDir      = flag.String("wal-dir", "", "write-ahead log directory; empty runs the node volatile")
 		noWAL       = flag.Bool("no-wal", false, "force a volatile node even when -wal-dir is set")
 		fsyncEvery  = flag.Duration("fsync-interval", 0, "group-commit accumulation window (0: 2ms default; negative: fsync every append)")
-		snapEvery   = flag.Int("snapshot-every", 0, "checkpoint the store every N logged records (0: default 4096; negative: never)")
 		traceCap    = flag.Int("trace", 0, "span/event ring size for distributed tracing; >0 turns tracing on (spans fetchable via qracn-inspect trace)")
 		debugAddr   = flag.String("debug-addr", "", "HTTP listen address for /metrics, /debug/vars and /debug/pprof (empty disables)")
-		resolveAft  = flag.Duration("resolve-after", 0, "how long a yes vote may sit undecided before this node queries its quorum peers for the outcome (0: 5s default)")
-		ttlAbort    = flag.Duration("ttl-abort-after", 0, "last-resort abort deadline when a complete peer round finds every participant equally in doubt (0: 60s default; must exceed the clients' -decide-timeout)")
 		unsafeTTL   = flag.Bool("unsafe-ttl-abort", false, "allow -ttl-abort-after at or below the default client -decide-timeout (only safe when every client runs with a smaller -decide-timeout)")
 		peersArg    = flag.String("peers", "", "comma-separated addresses of ALL nodes in tree order (node 0 first, this node included); enables the background cooperative-termination resolver")
 		shardMap    = flag.String("shard-map", "", "keyspace shard map as semicolon-separated quorum groups of node IDs (e.g. \"0-2;3-5\"); the node serves it to clients and scopes itself to its own group")
 		shardID     = flag.Int("shard-id", -1, "this node's shard index in -shard-map (cross-checked against the map; -1 derives it from the map)")
 		shardDegree = flag.Int("shard-degree", 0, "tree-quorum degree within each shard group (0: default 3)")
-		maxInflight = flag.Int("max-inflight", 0, "admission control: max concurrently executing gated requests (0 disables the gate)")
-		queueDepth  = flag.Int("queue-depth", 0, "admission wait-queue depth; beyond it requests are shed with StatusOverloaded (0: 4x -max-inflight)")
-		maxQueueAge = flag.Duration("max-queue-age", 0, "admission queue age past which the gate flips to adaptive LIFO and sheds aged waiters (0: 100ms)")
-
-		forensicsRing = flag.Int("forensics-ring", 0, "abort-forensics event ring capacity (0: 4096 default); rings are fetchable via qracn-inspect forensics")
-		noForensics   = flag.Bool("no-forensics", false, "disable abort forensics: no conflict rings, no conflict-witness piggyback on busy replies")
 	)
+	flag.DurationVar(&scfg.StatsWindow, "stats-window", 10*time.Second, "contention observation window (paper: 10s)")
+	flag.IntVar(&scfg.SnapshotEvery, "snapshot-every", 0, "checkpoint the store every N logged records (0: default 4096; negative: never)")
+	flag.DurationVar(&scfg.ResolveAfter, "resolve-after", 0, "how long a yes vote may sit undecided before this node queries its quorum peers for the outcome (0: 5s default)")
+	flag.DurationVar(&scfg.TTLAbortAfter, "ttl-abort-after", 0, "last-resort abort deadline when a complete peer round finds every participant equally in doubt (0: 60s default; must exceed the clients' -decide-timeout)")
+	flag.IntVar(&scfg.MaxInflight, "max-inflight", 0, "admission control: max concurrently executing gated requests (0 disables the gate)")
+	flag.IntVar(&scfg.QueueDepth, "queue-depth", 0, "admission wait-queue depth; beyond it requests are shed with StatusOverloaded (0: 4x -max-inflight)")
+	flag.DurationVar(&scfg.MaxQueueAge, "max-queue-age", 0, "admission queue age past which the gate flips to adaptive LIFO and sheds aged waiters (0: 100ms)")
+	flag.IntVar(&scfg.ForensicsRing, "forensics-ring", 0, "abort-forensics event ring capacity (0: 4096 default); rings are fetchable via qracn-inspect forensics")
+	flag.BoolVar(&scfg.NoForensics, "no-forensics", false, "disable abort forensics: no conflict rings, no conflict-witness piggyback on busy replies")
 	flag.Parse()
 
-	var shards *shard.Map
 	if *shardMap != "" {
 		m, err := shard.Parse(*shardMap, 1, *shardDegree)
 		if err != nil {
@@ -86,7 +86,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "-shard-id %d contradicts -shard-map %q, which homes node %d in shard %d\n", *shardID, *shardMap, *id, home)
 			os.Exit(2)
 		}
-		shards = m
+		scfg.Shards = m
 	} else if *shardID >= 0 {
 		fmt.Fprintln(os.Stderr, "-shard-id requires -shard-map")
 		os.Exit(2)
@@ -98,7 +98,7 @@ func main() {
 	// -decide-timeout flags, so the default budget is the best available
 	// check — a misconfiguration against it is rejected rather than left to
 	// silently permit a TTL abort racing a still-retrying commit delivery.
-	resolve, ttl := *resolveAft, *ttlAbort
+	resolve, ttl := scfg.ResolveAfter, scfg.TTLAbortAfter
 	if resolve <= 0 {
 		resolve = server.DefaultResolveAfter
 	}
@@ -117,18 +117,6 @@ func main() {
 	}
 
 	durable := *walDir != "" && !*noWAL
-	scfg := server.Config{
-		StatsWindow:   *statsWindow,
-		SnapshotEvery: *snapEvery,
-		ResolveAfter:  *resolveAft,
-		TTLAbortAfter: *ttlAbort,
-		Shards:        shards,
-		MaxInflight:   *maxInflight,
-		QueueDepth:    *queueDepth,
-		MaxQueueAge:   *maxQueueAge,
-		ForensicsRing: *forensicsRing,
-		NoForensics:   *noForensics,
-	}
 	if *traceCap > 0 {
 		scfg.Tracer = trace.New(*traceCap)
 	}
@@ -167,11 +155,11 @@ func main() {
 		node.AttachWAL(log)
 		node.FinishRecovery(rec)
 		fmt.Printf("qracn-node %d serving on %s (stats window %v, wal %s: %d snapshot objects + %d log records replayed)\n",
-			*id, addr, *statsWindow, *walDir, rec.SnapshotObjects, rec.LogRecords)
+			*id, addr, scfg.StatsWindow, *walDir, rec.SnapshotObjects, rec.LogRecords)
 	} else {
-		fmt.Printf("qracn-node %d serving on %s (stats window %v, volatile)\n", *id, addr, *statsWindow)
+		fmt.Printf("qracn-node %d serving on %s (stats window %v, volatile)\n", *id, addr, scfg.StatsWindow)
 	}
-	if shards != nil {
+	if shards := scfg.Shards; shards != nil {
 		fmt.Printf("shard %d of map %q (version %d, %d groups)\n",
 			shards.HomeOf(quorum.NodeID(*id)), shards.String(), shards.Version(), shards.NumShards())
 	}

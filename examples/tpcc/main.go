@@ -22,7 +22,7 @@ func main() {
 	fmt.Printf("Figure %s: %s\n", fig.ID, fig.Title)
 	fmt.Printf("paper: %s\n\n", fig.Expect)
 
-	res, err := qracn.RunExperiment(context.Background(), fig.Options(qracn.DefaultScale()), qracn.AllModes)
+	res, err := qracn.RunExperiment(context.Background(), fig.Options(qracn.ExperimentOptions{}), qracn.AllModes)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package acn_test
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +17,17 @@ import (
 
 func TestHubSharedAdaptation(t *testing.T) {
 	w := bank.New(bank.Config{Branches: 4, Accounts: 100, HotBranches: 2})
-	c := cluster.New(cluster.Config{Servers: 10, StatsWindow: 50 * time.Millisecond})
+	// The nodes' stats window runs on a clock the test advances, so where
+	// the window boundary falls does not depend on how fast the host
+	// commits the warm-up transfers.
+	const window = 50 * time.Millisecond
+	start := time.Now()
+	var elapsed atomic.Int64
+	c := cluster.New(cluster.Config{
+		Servers:     10,
+		StatsWindow: window,
+		Now:         func() time.Time { return start.Add(time.Duration(elapsed.Load())) },
+	})
 	defer c.Close()
 	c.Seed(w.SeedObjects())
 
@@ -49,7 +60,9 @@ func TestHubSharedAdaptation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(60 * time.Millisecond)
+	// Exactly one window later: the warm-up becomes the last completed
+	// window, the one whose counts the nodes report.
+	elapsed.Add(int64(window))
 	for i := 0; i < 10; i++ {
 		if err := execs[bank.ProfileTransfer].Execute(ctx, transfer(i)); err != nil {
 			t.Fatal(err)

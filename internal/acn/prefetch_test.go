@@ -146,7 +146,7 @@ func TestPrefetchSkipsDataDependentRefs(t *testing.T) {
 // server-side sub-dispatch all sit on the path.
 func TestPrefetchOverTCP(t *testing.T) {
 	an := analyze(t)
-	tc, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: time.Hour})
+	tc, err := cluster.NewTCP(cluster.Config{Servers: 4, StatsWindow: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,12 @@ import (
 	"qracn/internal/wal"
 )
 
-// Config sizes and tunes a cluster.
+// Config is the deployment shape both runtimes (New / NewDurable over the
+// channel network, NewTCP over loopback TCP) are built from. Node tunables
+// are not re-declared here: they travel in Node, by value.
 type Config struct {
-	// Servers is the number of quorum nodes (default 10, like the paper).
+	// Servers is the number of quorum nodes (default 10, like the paper;
+	// NewTCP defaults to 4).
 	Servers int
 	// Degree is the quorum tree fan-out (default 3, the paper's ternary
 	// tree).
@@ -37,8 +40,10 @@ type Config struct {
 	// on a durable cluster each shard keeps its WAL under
 	// WALDir/shard-s/node-i. 0 or 1 leaves the cluster unsharded.
 	Shards int
-	// Network tunes the simulated interconnect.
+	// Network tunes the simulated interconnect (channel transport only).
 	Network transport.ChannelConfig
+	// Compress enables flate compression of large frames (TCP only).
+	Compress bool
 	// StatsWindow is the contention observation window on every node.
 	StatsWindow time.Duration
 	// ProtectTTL, when positive, enables lease expiry of protections so the
@@ -50,55 +55,44 @@ type Config struct {
 	// WALDir/node-i — the full write path (group-commit fsync before ack)
 	// runs even on the in-process transport, so benchmarks measure the
 	// durability cost without real networking. New returns an error only
-	// through NewDurable; New panics on a WAL that cannot open.
+	// through NewDurable; New panics on a WAL that cannot open. On TCP, Kill
+	// crashes the log without flushing and Restart replays snapshot+log
+	// before serving (recovery handshake).
 	WALDir string
 	// FsyncInterval is the group-commit accumulation window (0: wal
 	// default; negative: fsync every append).
 	FsyncInterval time.Duration
-	// SnapshotEvery is the automatic checkpoint threshold in records
-	// (0: server default; negative: only explicit checkpoints).
-	SnapshotEvery int
 	// TraceCapacity, when positive, gives every node a tracer ring of that
 	// many events and spans, so traced transactions get server-side serve
-	// spans and Cluster.Spans can reassemble cross-node timelines.
+	// spans and Spans can reassemble cross-node timelines.
 	TraceCapacity int
-	// ResolveAfter is how long a participant's yes vote may sit undecided
-	// before it starts querying its quorum peers for the outcome
-	// (0: server default 5s; tests use milliseconds).
-	ResolveAfter time.Duration
-	// TTLAbortAfter is the last-resort in-doubt abort deadline once a
-	// complete peer round finds everyone equally undecided (0: server
-	// default 60s). Must exceed the coordinators' decide budget.
-	TTLAbortAfter time.Duration
-	// MaxInflight, when positive, bounds concurrently executing gated
-	// requests per node; excess requests queue up to QueueDepth and are
-	// answered StatusOverloaded beyond that (admission control / load
-	// shedding). 0 disables the gate.
-	MaxInflight int
-	// QueueDepth bounds the per-node admission wait queue (0 with
-	// MaxInflight set: 4×MaxInflight).
-	QueueDepth int
-	// MaxQueueAge is the admission queue's adaptive-LIFO threshold (0:
-	// server default 100ms).
-	MaxQueueAge time.Duration
-	// ForensicsRing sizes every node's abort-forensics event rings (0:
-	// forensics.DefaultRingSize). Client runtimes built by Runtime /
-	// DetectorRuntime inherit the setting.
-	ForensicsRing int
-	// NoForensics disables abort forensics on every node and on client
-	// runtimes built by Runtime / DetectorRuntime (A/B overhead runs).
-	NoForensics bool
+	// Node is the template every node is built from: admission control,
+	// termination deadlines, checkpoint threshold and forensics are set
+	// here and nowhere else. The cluster fills what only it knows — WAL,
+	// Shards, Tracer (from TraceCapacity), StatsWindow and Now — replacing
+	// whatever the template holds for those. Client runtimes built by
+	// Runtime / DetectorRuntime inherit Node.ForensicsRing / NoForensics.
+	Node server.Config
 }
 
-// Cluster is a running in-process deployment.
-type Cluster struct {
+// deployment is the transport-independent half of a running cluster: the
+// tree, the shard map, the nodes and the Config they were built from. Cluster
+// and TCPCluster embed it, so node assembly, seeding, runtime configuration
+// and the per-node aggregations exist once.
+type deployment struct {
 	Tree  *quorum.Tree
-	Net   *transport.ChannelNetwork
 	Nodes []*server.Node
 	// Shards is the cluster's shard map (nil when unsharded).
 	Shards *shard.Map
 
-	cfg          Config // retained for CrashRestart node rebuilds
+	cfg Config
+}
+
+// Cluster is a running in-process deployment.
+type Cluster struct {
+	deployment
+	Net *transport.ChannelNetwork
+
 	resolversOn  bool
 	resolverPoll time.Duration
 }
@@ -118,17 +112,7 @@ func NewDurable(cfg Config) (*Cluster, error) {
 	if cfg.Servers == 0 {
 		cfg.Servers = 10
 	}
-	if cfg.Degree == 0 {
-		cfg.Degree = 3
-	}
-	c := &Cluster{
-		Tree: quorum.NewTree(cfg.Servers, cfg.Degree),
-		Net:  transport.NewChannelNetwork(cfg.Network),
-		cfg:  cfg,
-	}
-	if cfg.Shards > 1 {
-		c.Shards = shard.NewUniform(cfg.Servers, cfg.Shards, cfg.Degree)
-	}
+	c := &Cluster{deployment: newDeployment(cfg), Net: transport.NewChannelNetwork(cfg.Network)}
 	for i := 0; i < cfg.Servers; i++ {
 		n, err := c.buildNode(quorum.NodeID(i))
 		if err != nil {
@@ -141,59 +125,70 @@ func NewDurable(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
+// newDeployment lays out tree and shard map for cfg (Servers already
+// defaulted by the caller; the two runtimes differ there).
+func newDeployment(cfg Config) deployment {
+	if cfg.Degree == 0 {
+		cfg.Degree = 3
+	}
+	d := deployment{Tree: quorum.NewTree(cfg.Servers, cfg.Degree), cfg: cfg}
+	if cfg.Shards > 1 {
+		d.Shards = shard.NewUniform(cfg.Servers, cfg.Shards, cfg.Degree)
+	}
+	return d
+}
+
+// Durable reports whether the cluster's nodes write commit logs.
+func (d *deployment) Durable() bool { return d.cfg.WALDir != "" }
+
+// newNode instantiates the Node template for one node over the given log
+// (nil: volatile, or a log attached later by a recovering TCP restart).
+func (d *deployment) newNode(id quorum.NodeID, log *wal.Log) *server.Node {
+	scfg := d.cfg.Node
+	scfg.StatsWindow = d.cfg.StatsWindow
+	scfg.Now = d.cfg.Now
+	scfg.Shards = d.Shards
+	scfg.WAL = log
+	scfg.Tracer = nil
+	if d.cfg.TraceCapacity > 0 {
+		scfg.Tracer = trace.New(d.cfg.TraceCapacity)
+	}
+	n := server.NewNode(id, scfg)
+	if d.cfg.ProtectTTL > 0 {
+		n.Store().SetProtectTTL(d.cfg.ProtectTTL, d.cfg.Now)
+	}
+	return n
+}
+
 // buildNode constructs one quorum node per the cluster config, opening and
 // replaying its WAL on a durable cluster (used at startup and by
 // CrashRestart).
-func (c *Cluster) buildNode(id quorum.NodeID) (*server.Node, error) {
-	cfg := c.cfg
-	scfg := server.Config{
-		StatsWindow:   cfg.StatsWindow,
-		Now:           cfg.Now,
-		SnapshotEvery: cfg.SnapshotEvery,
-		ResolveAfter:  cfg.ResolveAfter,
-		TTLAbortAfter: cfg.TTLAbortAfter,
-		Shards:        c.Shards,
-		MaxInflight:   cfg.MaxInflight,
-		QueueDepth:    cfg.QueueDepth,
-		MaxQueueAge:   cfg.MaxQueueAge,
-		ForensicsRing: cfg.ForensicsRing,
-		NoForensics:   cfg.NoForensics,
+func (d *deployment) buildNode(id quorum.NodeID) (*server.Node, error) {
+	if !d.Durable() {
+		return d.newNode(id, nil), nil
 	}
-	if cfg.TraceCapacity > 0 {
-		scfg.Tracer = trace.New(cfg.TraceCapacity)
+	log, rec, err := d.openWAL(id)
+	if err != nil {
+		return nil, err
 	}
-	var rec *wal.Recovered
-	if cfg.WALDir != "" {
-		log, r, err := openNodeWAL(cfg.WALDir, c.Shards, id, cfg.FsyncInterval)
-		if err != nil {
-			return nil, err
-		}
-		scfg.WAL = log
-		rec = r
-	}
-	n := server.NewNode(id, scfg)
-	if rec != nil {
-		// FinishRecovery rather than a bare Restore: in-doubt prepares
-		// re-enter the termination protocol with their protections, and
-		// recovered decisions answer peers' status queries.
-		n.FinishRecovery(rec)
-	}
-	if cfg.ProtectTTL > 0 {
-		n.Store().SetProtectTTL(cfg.ProtectTTL, cfg.Now)
-	}
+	n := d.newNode(id, log)
+	// FinishRecovery rather than a bare Restore: in-doubt prepares re-enter
+	// the termination protocol with their protections, and recovered
+	// decisions answer peers' status queries.
+	n.FinishRecovery(rec)
 	return n, nil
 }
 
-// openNodeWAL opens node id's commit log under root — the one rule both
-// cluster runtimes place logs by: root/node-i, or root/shard-s/node-i when
-// sharded, so that each quorum group owns a directory and an operator (or
-// qracn-inspect wal) can reason about one shard's durable state in isolation.
-func openNodeWAL(root string, shards *shard.Map, id quorum.NodeID, fsyncInterval time.Duration) (*wal.Log, *wal.Recovered, error) {
-	dir := filepath.Join(root, fmt.Sprintf("node-%d", id))
-	if shards != nil {
-		dir = filepath.Join(root, fmt.Sprintf("shard-%d", shards.HomeOf(id)), fmt.Sprintf("node-%d", id))
+// openWAL opens node id's commit log — the one rule both cluster runtimes
+// place logs by: WALDir/node-i, or WALDir/shard-s/node-i when sharded, so
+// that each quorum group owns a directory and an operator (or qracn-inspect
+// wal) can reason about one shard's durable state in isolation.
+func (d *deployment) openWAL(id quorum.NodeID) (*wal.Log, *wal.Recovered, error) {
+	dir := filepath.Join(d.cfg.WALDir, fmt.Sprintf("node-%d", id))
+	if d.Shards != nil {
+		dir = filepath.Join(d.cfg.WALDir, fmt.Sprintf("shard-%d", d.Shards.HomeOf(id)), fmt.Sprintf("node-%d", id))
 	}
-	log, rec, err := wal.Open(dir, wal.Options{FsyncInterval: fsyncInterval})
+	log, rec, err := wal.Open(dir, wal.Options{FsyncInterval: d.cfg.FsyncInterval})
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: node %d wal: %w", id, err)
 	}
@@ -207,7 +202,7 @@ func openNodeWAL(root string, shards *shard.Map, id quorum.NodeID, fsyncInterval
 // of the old one. Fails on a volatile cluster, which has nothing to recover
 // from.
 func (c *Cluster) CrashRestart(id quorum.NodeID) error {
-	if c.cfg.WALDir == "" {
+	if !c.Durable() {
 		return fmt.Errorf("cluster: CrashRestart needs a durable cluster (WALDir)")
 	}
 	old := c.Nodes[id]
@@ -233,11 +228,11 @@ func (c *Cluster) CrashRestart(id quorum.NodeID) error {
 // when unsharded, the owning quorum group's members only under a shard map
 // (foreign replicas must never hold a shard's objects, or stale copies
 // could answer reads routed by a future map version).
-func (c *Cluster) Seed(objs map[store.ObjectID]store.Value) {
-	for _, n := range c.Nodes {
+func (d *deployment) Seed(objs map[store.ObjectID]store.Value) {
+	for _, n := range d.Nodes {
 		cp := make(map[store.ObjectID]store.Value, len(objs))
 		for id, v := range objs {
-			if c.Shards != nil && !c.Shards.GroupOf(id).Contains(n.ID()) {
+			if d.Shards != nil && !d.Shards.GroupOf(id).Contains(n.ID()) {
 				continue
 			}
 			if v != nil {
@@ -250,44 +245,42 @@ func (c *Cluster) Seed(objs map[store.ObjectID]store.Value) {
 	}
 }
 
-// clampDecide bounds a runtime config's decision-delivery budget below this
-// cluster's TTL-abort deadline — the termination-protocol safety invariant,
-// enforced at the one layer that knows both values (see
-// dtm.ClampDecideTimeout).
-func (c *Cluster) clampDecide(cfg *dtm.Config) {
-	ttl := c.cfg.TTLAbortAfter
+// runtimeConfig fills the fields of a caller's dtm.Config that identify this
+// deployment (Tree, Shards, ClientSeed), hands the cluster's forensics
+// settings down unless the caller chose its own ring size, and bounds the
+// decision-delivery budget below the nodes' TTL-abort deadline — the
+// termination-protocol safety invariant, enforced at the one layer that
+// knows both values (see dtm.ClampDecideTimeout).
+func (d *deployment) runtimeConfig(clientSeed int, cfg dtm.Config) dtm.Config {
+	cfg.Tree = d.Tree
+	cfg.Shards = d.Shards
+	cfg.ClientSeed = clientSeed
+	if cfg.ForensicsRing == 0 {
+		cfg.ForensicsRing = d.cfg.Node.ForensicsRing
+	}
+	if d.cfg.Node.NoForensics {
+		cfg.NoForensics = true
+	}
+	ttl := d.cfg.Node.TTLAbortAfter
 	if ttl <= 0 {
 		ttl = server.DefaultTTLAbortAfter
 	}
 	cfg.DecideTimeout = dtm.ClampDecideTimeout(cfg.DecideTimeout, ttl)
+	return cfg
 }
 
 // Runtime creates a client runtime attached to this cluster. Fields of cfg
-// that identify the cluster (Tree, Client, Alive) are filled in; the rest
-// are taken as given, except that DecideTimeout is clamped below the
+// that identify the cluster (Tree, Shards, Client, Alive, ClientSeed) are
+// filled in; the rest are taken as given, except that the cluster's
+// forensics settings are inherited and DecideTimeout is clamped below the
 // cluster's TTL-abort deadline. The network's liveness oracle drives quorum
 // selection (composed with the runtime's own failure detector), keeping
 // fault tests deterministic.
 func (c *Cluster) Runtime(clientSeed int, cfg dtm.Config) *dtm.Runtime {
-	cfg.Tree = c.Tree
-	cfg.Shards = c.Shards
+	cfg = c.runtimeConfig(clientSeed, cfg)
 	cfg.Client = c.Net
 	cfg.Alive = c.Net.Alive
-	cfg.ClientSeed = clientSeed
-	c.applyForensics(&cfg)
-	c.clampDecide(&cfg)
 	return dtm.New(cfg)
-}
-
-// applyForensics propagates the cluster's forensics settings to a client
-// runtime config unless the caller already chose its own.
-func (c *Cluster) applyForensics(cfg *dtm.Config) {
-	if cfg.ForensicsRing == 0 {
-		cfg.ForensicsRing = c.cfg.ForensicsRing
-	}
-	if c.cfg.NoForensics {
-		cfg.NoForensics = true
-	}
 }
 
 // DetectorRuntime creates a client runtime WITHOUT the network's liveness
@@ -295,13 +288,9 @@ func (c *Cluster) applyForensics(cfg *dtm.Config) {
 // exactly as on a real transport where no oracle exists. Chaos tests use it
 // to exercise detector-driven failover end to end.
 func (c *Cluster) DetectorRuntime(clientSeed int, cfg dtm.Config) *dtm.Runtime {
-	cfg.Tree = c.Tree
-	cfg.Shards = c.Shards
+	cfg = c.runtimeConfig(clientSeed, cfg)
 	cfg.Client = c.Net
 	cfg.Alive = nil
-	cfg.ClientSeed = clientSeed
-	c.applyForensics(&cfg)
-	c.clampDecide(&cfg)
 	return dtm.New(cfg)
 }
 
@@ -335,11 +324,21 @@ func (c *Cluster) ResolveAll(ctx context.Context) int {
 
 // Close shuts the network down and cleanly closes any commit logs.
 func (c *Cluster) Close() {
-	for _, n := range c.Nodes {
+	c.stopResolvers()
+	c.Net.Close()
+	c.closeWALs()
+}
+
+func (d *deployment) stopResolvers() {
+	for _, n := range d.Nodes {
 		n.StopResolver()
 	}
-	c.Net.Close()
-	for _, n := range c.Nodes {
+}
+
+// closeWALs flushes and closes every node's commit log (a clean shutdown,
+// not a crash).
+func (d *deployment) closeWALs() {
+	for _, n := range d.Nodes {
 		if w := n.WAL(); w != nil {
 			w.Close()
 		}
@@ -348,32 +347,38 @@ func (c *Cluster) Close() {
 
 // WALStats sums the commit-log counters across all nodes (zero value on a
 // volatile cluster).
-func (c *Cluster) WALStats() dtm.WALStats {
+func (d *deployment) WALStats() dtm.WALStats {
 	var out dtm.WALStats
-	for _, n := range c.Nodes {
-		if w := n.WAL(); w != nil {
-			out.Add(walStatsFor(w))
+	for _, n := range d.Nodes {
+		w := n.WAL()
+		if w == nil {
+			continue
 		}
+		s := w.Stats()
+		ns := dtm.WALStats{
+			Appends:           s.Appends,
+			Records:           s.Records,
+			Fsyncs:            s.Fsyncs,
+			MaxBatch:          s.MaxBatch,
+			Snapshots:         s.Snapshots,
+			SegmentsRemoved:   s.SegmentsRemoved,
+			ReplayedRecords:   s.ReplayedRecords,
+			ReplayedSnapshots: s.ReplayedSnapshot,
+		}
+		if s.TornTailTruncated {
+			ns.TornTails = 1
+		}
+		out.Add(ns)
 	}
 	return out
 }
 
 // Resolution sums the termination-protocol counters across all nodes (the
 // InDoubt field is the cluster-wide count of currently undecided votes).
-func (c *Cluster) Resolution() dtm.ResolutionStats {
-	var out dtm.ResolutionStats
-	for _, n := range c.Nodes {
-		s := n.ResolutionStats()
-		out.Add(dtm.ResolutionStats{
-			InDoubt:            s.InDoubt,
-			RecoveredInDoubt:   s.RecoveredInDoubt,
-			CoordinatorDecided: s.CoordinatorDecided,
-			PeerCommits:        s.PeerCommits,
-			PeerAborts:         s.PeerAborts,
-			TTLAborts:          s.TTLAborts,
-			StatusQueries:      s.StatusQueries,
-			ResolveForwards:    s.ResolveForwards,
-		})
+func (d *deployment) Resolution() server.ResolutionStats {
+	var out server.ResolutionStats
+	for _, n := range d.Nodes {
+		out.Add(n.ResolutionStats())
 	}
 	return out
 }
@@ -381,9 +386,9 @@ func (c *Cluster) Resolution() dtm.ResolutionStats {
 // Forensics merges the per-node abort-forensics snapshots — the server-side
 // conflict witnesses — into one. topK bounds each node's hot-key table. It
 // returns an empty snapshot on a NoForensics cluster.
-func (c *Cluster) Forensics(topK int) *forensics.Snapshot {
+func (d *deployment) Forensics(topK int) *forensics.Snapshot {
 	out := &forensics.Snapshot{}
-	for _, n := range c.Nodes {
+	for _, n := range d.Nodes {
 		if rec := n.Forensics(); rec != nil {
 			out.Merge(rec.Snapshot(topK))
 		}
@@ -392,9 +397,9 @@ func (c *Cluster) Forensics(topK int) *forensics.Snapshot {
 }
 
 // Admission sums the overload-protection counters across all nodes.
-func (c *Cluster) Admission() server.AdmissionStats {
+func (d *deployment) Admission() server.AdmissionStats {
 	var out server.AdmissionStats
-	for _, n := range c.Nodes {
+	for _, n := range d.Nodes {
 		out.Add(n.AdmissionStats())
 	}
 	return out
@@ -402,18 +407,18 @@ func (c *Cluster) Admission() server.AdmissionStats {
 
 // Spans merges the spans recorded by every node, optionally filtered to one
 // trace ID (empty for everything). Nil on an untraced cluster.
-func (c *Cluster) Spans(traceID string) []trace.Span {
+func (d *deployment) Spans(traceID string) []trace.Span {
 	var out []trace.Span
-	for _, n := range c.Nodes {
+	for _, n := range d.Nodes {
 		out = append(out, n.Tracer().SpansFor(traceID)...)
 	}
 	return out
 }
 
 // FsyncWait merges the per-node group-commit wait histograms into one.
-func (c *Cluster) FsyncWait() *metrics.LatencyHistogram {
+func (d *deployment) FsyncWait() *metrics.LatencyHistogram {
 	out := &metrics.LatencyHistogram{}
-	for _, n := range c.Nodes {
+	for _, n := range d.Nodes {
 		out.Merge(&n.Stages().FsyncWait)
 	}
 	return out

@@ -61,7 +61,7 @@ func TestKillReviveAffectsAlive(t *testing.T) {
 }
 
 func TestTCPClusterEndToEnd(t *testing.T) {
-	c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: time.Hour})
+	c, err := cluster.NewTCP(cluster.Config{Servers: 4, StatsWindow: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 }
 
 func TestTCPClusterConcurrentClients(t *testing.T) {
-	c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: time.Hour, Compress: true})
+	c, err := cluster.NewTCP(cluster.Config{Servers: 4, StatsWindow: time.Hour, Compress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestTCPClusterConcurrentClients(t *testing.T) {
 // controller with stats fetch — over real TCP connections.
 func TestTCPClusterACNWorkload(t *testing.T) {
 	w := bank.New(bank.Config{Branches: 4, Accounts: 16})
-	c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: 50 * time.Millisecond})
+	c, err := cluster.NewTCP(cluster.Config{Servers: 4, StatsWindow: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

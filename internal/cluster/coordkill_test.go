@@ -13,6 +13,7 @@ import (
 	"qracn/internal/cluster"
 	"qracn/internal/dtm"
 	"qracn/internal/quorum"
+	"qracn/internal/server"
 	"qracn/internal/store"
 	"qracn/internal/transport"
 	"qracn/internal/wire"
@@ -67,7 +68,7 @@ func (k *killClient) sent() int {
 // participant, then drives the termination protocol until the in-doubt
 // tables drain and audits the surviving state. It returns the cluster-wide
 // resolution counters for the aggregate report.
-func coordKillScenario(t *testing.T, killAt int, afterSend, restartParticipant bool) dtm.ResolutionStats {
+func coordKillScenario(t *testing.T, killAt int, afterSend, restartParticipant bool) server.ResolutionStats {
 	t.Helper()
 	const (
 		accounts = 4
@@ -79,9 +80,11 @@ func coordKillScenario(t *testing.T, killAt int, afterSend, restartParticipant b
 		StatsWindow:   time.Hour,
 		WALDir:        t.TempDir(),
 		FsyncInterval: -1, // fsync every append: acked state is durable
-		SnapshotEvery: -1,
-		ResolveAfter:  time.Millisecond,
-		TTLAbortAfter: 25 * time.Millisecond,
+		Node: server.Config{
+			SnapshotEvery: -1,
+			ResolveAfter:  time.Millisecond,
+			TTLAbortAfter: 25 * time.Millisecond,
+		},
 	})
 	defer c.Close()
 	objs := map[store.ObjectID]store.Value{}
@@ -244,7 +247,7 @@ func TestChaosCoordinatorKillMatrix(t *testing.T) {
 	t.Logf("matrix: %d protocol messages per transfer, %d scenarios",
 		messages, 2*2*messages)
 
-	var agg dtm.ResolutionStats
+	var agg server.ResolutionStats
 	scenarios := 0
 	for _, restart := range []bool{false, true} {
 		for _, afterSend := range []bool{false, true} {
@@ -272,10 +275,10 @@ func TestChaosCoordinatorKillMatrix(t *testing.T) {
 
 	if path := os.Getenv("QRACN_COORDKILL_REPORT"); path != "" {
 		report := struct {
-			Messages   int                 `json:"messages"`
-			Scenarios  int                 `json:"scenarios"`
-			Conserved  bool                `json:"conserved"`
-			Resolution dtm.ResolutionStats `json:"resolution"`
+			Messages   int                    `json:"messages"`
+			Scenarios  int                    `json:"scenarios"`
+			Conserved  bool                   `json:"conserved"`
+			Resolution server.ResolutionStats `json:"resolution"`
 		}{messages, scenarios, !t.Failed(), agg}
 		data, _ := json.MarshalIndent(report, "", "  ")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -294,8 +297,7 @@ func TestChaosTTLAbortVsPeerResolutionRace(t *testing.T) {
 		StatsWindow: time.Hour,
 		// Both deadlines already expired by resolve time: the entry is
 		// TTL-eligible the moment it is examined.
-		ResolveAfter:  time.Nanosecond,
-		TTLAbortAfter: time.Nanosecond,
+		Node: server.Config{ResolveAfter: time.Nanosecond, TTLAbortAfter: time.Nanosecond},
 	})
 	defer c.Close()
 	c.Seed(map[store.ObjectID]store.Value{"k": store.Int64(1)})

@@ -73,7 +73,7 @@ func TestTCPDurableColdRestart(t *testing.T) {
 		accounts = 16
 		initial  = int64(1_000)
 	)
-	c, err := cluster.NewTCP(cluster.TCPConfig{
+	c, err := cluster.NewTCP(cluster.Config{
 		Servers:     10,
 		StatsWindow: time.Hour,
 		WALDir:      t.TempDir(),
@@ -203,7 +203,7 @@ func TestTCPVolatileColdRestartLosesState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("durability test skipped in -short mode")
 	}
-	c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 4, StatsWindow: time.Hour})
+	c, err := cluster.NewTCP(cluster.Config{Servers: 4, StatsWindow: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestTCPRecoveringNodeHandshake(t *testing.T) {
 		t.Skip("durability test skipped in -short mode")
 	}
 	const accounts = 8
-	c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 10, StatsWindow: time.Hour})
+	c, err := cluster.NewTCP(cluster.Config{Servers: 10, StatsWindow: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"qracn/internal/dtm"
 	"qracn/internal/forensics"
 	"qracn/internal/quorum"
+	"qracn/internal/server"
 	"qracn/internal/store"
 	"qracn/internal/wire"
 )
@@ -226,7 +227,7 @@ func TestForensicsFetchRPC(t *testing.T) {
 
 	// A NoForensics cluster answers the same RPC with empty state rather
 	// than an error, so mixed fleets stay inspectable.
-	off := cluster.New(cluster.Config{Servers: 3, StatsWindow: time.Hour, NoForensics: true})
+	off := cluster.New(cluster.Config{Servers: 3, StatsWindow: time.Hour, Node: server.Config{NoForensics: true}})
 	defer off.Close()
 	var offNodes []quorum.NodeID
 	for _, n := range off.Nodes {

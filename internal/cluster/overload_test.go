@@ -14,6 +14,7 @@ import (
 	"qracn/internal/health"
 	"qracn/internal/metrics"
 	"qracn/internal/quorum"
+	"qracn/internal/server"
 	"qracn/internal/store"
 	"qracn/internal/transport"
 )
@@ -64,9 +65,7 @@ func TestOverloadStormBackpressure(t *testing.T) {
 	c := cluster.New(cluster.Config{
 		Servers:     10,
 		StatsWindow: time.Hour,
-		MaxInflight: 2,
-		QueueDepth:  2,
-		MaxQueueAge: maxQueueAge,
+		Node:        server.Config{MaxInflight: 2, QueueDepth: 2, MaxQueueAge: maxQueueAge},
 	})
 	defer c.Close()
 	objs := map[store.ObjectID]store.Value{}

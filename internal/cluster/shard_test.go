@@ -10,6 +10,7 @@ import (
 	"qracn/internal/cluster"
 	"qracn/internal/dtm"
 	"qracn/internal/quorum"
+	"qracn/internal/server"
 	"qracn/internal/shard"
 	"qracn/internal/store"
 	"qracn/internal/transport"
@@ -181,7 +182,7 @@ func TestShardMapFetchRPC(t *testing.T) {
 // until every group's in-doubt table drains and audits conservation across
 // both shards. Resolution is the only healing mechanism: read-repair is
 // disabled throughout.
-func crossShardKillScenario(t *testing.T, killAt int, afterSend, restartParticipants bool) dtm.ResolutionStats {
+func crossShardKillScenario(t *testing.T, killAt int, afterSend, restartParticipants bool) server.ResolutionStats {
 	t.Helper()
 	const (
 		initial = int64(1_000)
@@ -193,9 +194,11 @@ func crossShardKillScenario(t *testing.T, killAt int, afterSend, restartParticip
 		StatsWindow:   time.Hour,
 		WALDir:        t.TempDir(),
 		FsyncInterval: -1, // fsync every append: acked state is durable
-		SnapshotEvery: -1,
-		ResolveAfter:  time.Millisecond,
-		TTLAbortAfter: 25 * time.Millisecond,
+		Node: server.Config{
+			SnapshotEvery: -1,
+			ResolveAfter:  time.Millisecond,
+			TTLAbortAfter: 25 * time.Millisecond,
+		},
 	})
 	defer c.Close()
 	ids := append(idsInShard(c.Shards, 0, 2, "acct"), idsInShard(c.Shards, 1, 2, "acct")...)
@@ -371,7 +374,7 @@ func TestChaosCrossShardCoordinatorKillMatrix(t *testing.T) {
 	t.Logf("cross-shard matrix: %d protocol messages per transfer, %d scenarios",
 		messages, 2*2*messages)
 
-	var agg dtm.ResolutionStats
+	var agg server.ResolutionStats
 	scenarios := 0
 	for _, restart := range []bool{false, true} {
 		for _, afterSend := range []bool{false, true} {

@@ -7,86 +7,23 @@ import (
 
 	"qracn/internal/dtm"
 	"qracn/internal/quorum"
-	"qracn/internal/server"
-	"qracn/internal/shard"
 	"qracn/internal/store"
 	"qracn/internal/transport"
-	"qracn/internal/wal"
 )
-
-// TCPConfig sizes a loopback TCP deployment.
-type TCPConfig struct {
-	// Servers is the number of quorum nodes (default 4).
-	Servers int
-	// Degree is the quorum tree fan-out (default 3).
-	Degree int
-	// Shards, when > 1, partitions the Servers into that many independent
-	// quorum groups (see cluster.Config.Shards). Durable nodes keep their
-	// logs under WALDir/shard-s/node-i.
-	Shards int
-	// StatsWindow is the contention observation window.
-	StatsWindow time.Duration
-	// Compress enables flate compression of large frames.
-	Compress bool
-	// ProtectTTL, when positive, enables lease expiry of protections so the
-	// cluster self-heals from clients killed mid-commit.
-	ProtectTTL time.Duration
-	// Now injects a clock for server meters (nil: time.Now).
-	Now func() time.Time
-	// WALDir, when non-empty, makes every node durable: node i logs its
-	// commits under WALDir/node-i, Kill crashes the log without flushing,
-	// and Restart replays snapshot+log before serving (recovery handshake).
-	// Empty keeps the pre-WAL volatile behaviour.
-	WALDir string
-	// FsyncInterval is the group-commit accumulation window (0: wal default;
-	// negative: fsync every append).
-	FsyncInterval time.Duration
-	// SnapshotEvery is the automatic checkpoint threshold in records
-	// (0: server default; negative: only explicit checkpoints).
-	SnapshotEvery int
-	// ResolveAfter is how long a participant's yes vote may sit undecided
-	// before it queries its quorum peers for the outcome (0: server
-	// default 5s).
-	ResolveAfter time.Duration
-	// TTLAbortAfter is the last-resort in-doubt abort deadline (0: server
-	// default 60s). Must exceed the coordinators' decide budget.
-	TTLAbortAfter time.Duration
-	// MaxInflight, when positive, bounds concurrently executing gated
-	// requests per node (admission control; see cluster.Config.MaxInflight).
-	MaxInflight int
-	// QueueDepth bounds the per-node admission wait queue (0 with
-	// MaxInflight set: 4×MaxInflight).
-	QueueDepth int
-	// MaxQueueAge is the admission queue's adaptive-LIFO threshold (0:
-	// server default 100ms).
-	MaxQueueAge time.Duration
-}
 
 // TCPCluster is a multi-listener deployment on the loopback interface: the
 // same quorum-node logic as the in-process cluster, but every message
 // crosses a real TCP connection in binary frames. Useful for integration
 // tests and as a template for multi-machine deployment with cmd/qracn-node.
+//
+// It is a second type rather than a transport parameter of Cluster because
+// the lifecycle differs in kind: Cluster.Kill is a partition (the replica
+// keeps its state and its process), TCPCluster.Kill is a process crash.
 type TCPCluster struct {
-	Tree  *quorum.Tree
-	Nodes []*server.Node
-	// Shards is the cluster's shard map (nil when unsharded).
-	Shards *shard.Map
+	deployment
 
-	servers     []*transport.TCPServer
-	addrs       map[quorum.NodeID]string
-	compress    bool
-	statsWindow time.Duration
-	protectTTL  time.Duration
-	now         func() time.Time
-
-	walDir        string
-	fsyncInterval time.Duration
-	snapshotEvery int
-	resolveAfter  time.Duration
-	ttlAbortAfter time.Duration
-	maxInflight   int
-	queueDepth    int
-	maxQueueAge   time.Duration
+	servers []*transport.TCPServer
+	addrs   map[quorum.NodeID]string
 
 	mu           sync.Mutex
 	clients      []*transport.TCPClient
@@ -94,76 +31,24 @@ type TCPCluster struct {
 	resolverPoll time.Duration
 }
 
-// Durable reports whether the cluster's nodes write commit logs.
-func (c *TCPCluster) Durable() bool { return c.walDir != "" }
-
-// newNode builds a quorum node with the cluster's store/meter tuning.
-func (c *TCPCluster) newNode(id quorum.NodeID, log *wal.Log) *server.Node {
-	n := server.NewNode(id, server.Config{
-		StatsWindow:   c.statsWindow,
-		Now:           c.now,
-		WAL:           log,
-		SnapshotEvery: c.snapshotEvery,
-		ResolveAfter:  c.resolveAfter,
-		TTLAbortAfter: c.ttlAbortAfter,
-		Shards:        c.Shards,
-		MaxInflight:   c.maxInflight,
-		QueueDepth:    c.queueDepth,
-		MaxQueueAge:   c.maxQueueAge,
-	})
-	if c.protectTTL > 0 {
-		n.Store().SetProtectTTL(c.protectTTL, c.now)
-	}
-	return n
-}
-
-// NewTCP starts the servers and returns the running cluster.
-func NewTCP(cfg TCPConfig) (*TCPCluster, error) {
+// NewTCP starts the servers and returns the running cluster. cfg.Network is
+// not used (the network is the loopback interface); a pre-existing log under
+// cfg.WALDir seeds each replica, including any in-doubt prepares and decided
+// outcomes.
+func NewTCP(cfg Config) (*TCPCluster, error) {
 	if cfg.Servers == 0 {
 		cfg.Servers = 4
 	}
-	if cfg.Degree == 0 {
-		cfg.Degree = 3
-	}
-	c := &TCPCluster{
-		Tree:          quorum.NewTree(cfg.Servers, cfg.Degree),
-		addrs:         make(map[quorum.NodeID]string),
-		compress:      cfg.Compress,
-		statsWindow:   cfg.StatsWindow,
-		protectTTL:    cfg.ProtectTTL,
-		now:           cfg.Now,
-		walDir:        cfg.WALDir,
-		fsyncInterval: cfg.FsyncInterval,
-		snapshotEvery: cfg.SnapshotEvery,
-		resolveAfter:  cfg.ResolveAfter,
-		ttlAbortAfter: cfg.TTLAbortAfter,
-		maxInflight:   cfg.MaxInflight,
-		queueDepth:    cfg.QueueDepth,
-		maxQueueAge:   cfg.MaxQueueAge,
-	}
-	if cfg.Shards > 1 {
-		c.Shards = shard.NewUniform(cfg.Servers, cfg.Shards, cfg.Degree)
-	}
+	c := &TCPCluster{deployment: newDeployment(cfg), addrs: make(map[quorum.NodeID]string)}
 	for i := 0; i < cfg.Servers; i++ {
 		id := quorum.NodeID(i)
-		var log *wal.Log
-		if c.Durable() {
-			var rec *wal.Recovered
-			var err error
-			log, rec, err = openNodeWAL(c.walDir, c.Shards, id, c.fsyncInterval)
-			if err != nil {
-				c.Close()
-				return nil, err
-			}
-			n := c.newNode(id, log)
-			// A pre-existing log (re-opened directory) seeds the replica,
-			// including any in-doubt prepares and decided outcomes.
-			n.FinishRecovery(rec)
-			c.Nodes = append(c.Nodes, n)
-		} else {
-			c.Nodes = append(c.Nodes, c.newNode(id, nil))
+		n, err := c.buildNode(id)
+		if err != nil {
+			c.Close()
+			return nil, err
 		}
-		srv := transport.NewTCPServer(c.Nodes[i].Handle, cfg.Compress)
+		c.Nodes = append(c.Nodes, n)
+		srv := transport.NewTCPServer(n.Handle, cfg.Compress)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			c.Close()
@@ -184,45 +69,33 @@ func (c *TCPCluster) Addrs() map[quorum.NodeID]string {
 	return out
 }
 
-// Seed installs the same objects on every replica. On a durable cluster the
-// seeded baseline is immediately checkpointed, so a node killed before its
+// Seed installs objects like Cluster.Seed and, on a durable cluster,
+// immediately checkpoints the seeded baseline, so a node killed before its
 // first commit still recovers the full object space.
 func (c *TCPCluster) Seed(objs map[store.ObjectID]store.Value) {
+	c.deployment.Seed(objs)
 	for _, n := range c.Nodes {
-		cp := make(map[store.ObjectID]store.Value, len(objs))
-		for id, v := range objs {
-			if c.Shards != nil && !c.Shards.GroupOf(id).Contains(n.ID()) {
-				continue
-			}
-			if v != nil {
-				cp[id] = v.CloneValue()
-			} else {
-				cp[id] = nil
-			}
-		}
-		n.Store().SeedBatch(cp)
 		_ = n.Checkpoint()
 	}
 }
 
-// Runtime creates a client runtime connected over TCP. The cluster owns the
-// connection and closes it on Close. DecideTimeout is clamped below the
-// cluster's TTL-abort deadline (the termination-protocol safety invariant;
-// see dtm.ClampDecideTimeout). Safe for concurrent use.
-func (c *TCPCluster) Runtime(clientSeed int, cfg dtm.Config) *dtm.Runtime {
-	client := transport.NewTCPClient(c.Addrs(), c.compress)
+// newClient opens a TCP client the cluster owns and closes on Close.
+func (c *TCPCluster) newClient() *transport.TCPClient {
+	client := transport.NewTCPClient(c.Addrs(), c.cfg.Compress)
 	c.mu.Lock()
 	c.clients = append(c.clients, client)
 	c.mu.Unlock()
-	cfg.Tree = c.Tree
-	cfg.Shards = c.Shards
+	return client
+}
+
+// Runtime creates a client runtime connected over TCP, configured like
+// Cluster.Runtime (deployment identity filled in, forensics settings
+// inherited, DecideTimeout clamped). The cluster owns the connection and
+// closes it on Close. Safe for concurrent use.
+func (c *TCPCluster) Runtime(clientSeed int, cfg dtm.Config) *dtm.Runtime {
+	client := c.newClient()
+	cfg = c.runtimeConfig(clientSeed, cfg)
 	cfg.Client = client
-	cfg.ClientSeed = clientSeed
-	ttl := c.ttlAbortAfter
-	if ttl <= 0 {
-		ttl = server.DefaultTTLAbortAfter
-	}
-	cfg.DecideTimeout = dtm.ClampDecideTimeout(cfg.DecideTimeout, ttl)
 	rt := dtm.New(cfg)
 	client.SetRetryCounter(&rt.Metrics().TransportRetries)
 	return rt
@@ -249,45 +122,8 @@ func (c *TCPCluster) StartResolvers(pollEvery time.Duration) {
 	c.resolversOn, c.resolverPoll = true, pollEvery
 	c.mu.Unlock()
 	for _, n := range c.Nodes {
-		c.startNodeResolver(n)
+		n.StartResolver(c.newClient(), pollEvery)
 	}
-}
-
-func (c *TCPCluster) startNodeResolver(n *server.Node) {
-	client := transport.NewTCPClient(c.Addrs(), c.compress)
-	c.mu.Lock()
-	c.clients = append(c.clients, client)
-	poll := c.resolverPoll
-	c.mu.Unlock()
-	n.StartResolver(client, poll)
-}
-
-// Resolution sums the termination-protocol counters across all nodes.
-func (c *TCPCluster) Resolution() dtm.ResolutionStats {
-	var out dtm.ResolutionStats
-	for _, n := range c.Nodes {
-		s := n.ResolutionStats()
-		out.Add(dtm.ResolutionStats{
-			InDoubt:            s.InDoubt,
-			RecoveredInDoubt:   s.RecoveredInDoubt,
-			CoordinatorDecided: s.CoordinatorDecided,
-			PeerCommits:        s.PeerCommits,
-			PeerAborts:         s.PeerAborts,
-			TTLAborts:          s.TTLAborts,
-			StatusQueries:      s.StatusQueries,
-			ResolveForwards:    s.ResolveForwards,
-		})
-	}
-	return out
-}
-
-// Admission sums the overload-protection counters across all nodes.
-func (c *TCPCluster) Admission() server.AdmissionStats {
-	var out server.AdmissionStats
-	for _, n := range c.Nodes {
-		out.Add(n.AdmissionStats())
-	}
-	return out
 }
 
 // Restart brings a killed node back on its original address.
@@ -303,80 +139,37 @@ func (c *TCPCluster) Admission() server.AdmissionStats {
 // otherwise the node rejoins with the state it had when killed (a process
 // pause or partition).
 func (c *TCPCluster) Restart(id quorum.NodeID, cold bool) error {
+	n := c.Nodes[id]
+	if c.Durable() || cold {
+		n = c.newNode(id, nil)
+	}
 	if c.Durable() {
-		n := c.newNode(id, nil)
 		n.BeginRecovery()
-		srv := transport.NewTCPServer(n.Handle, c.compress)
-		addr, err := srv.Listen(c.addrs[id])
-		if err != nil {
-			return fmt.Errorf("cluster: restart node %d: %w", id, err)
-		}
-		log, rec, err := openNodeWAL(c.walDir, c.Shards, id, c.fsyncInterval)
+	}
+	srv := transport.NewTCPServer(n.Handle, c.cfg.Compress)
+	addr, err := srv.Listen(c.addrs[id])
+	if err != nil {
+		return fmt.Errorf("cluster: restart node %d: %w", id, err)
+	}
+	if c.Durable() {
+		log, rec, err := c.openWAL(id)
 		if err != nil {
 			srv.Close()
 			return fmt.Errorf("cluster: restart: %w", err)
 		}
 		n.AttachWAL(log)
 		n.FinishRecovery(rec)
-		c.Nodes[id] = n
-		c.servers[id] = srv
-		c.addrs[id] = addr
-		c.mu.Lock()
-		on := c.resolversOn
-		c.mu.Unlock()
-		if on {
-			c.startNodeResolver(n)
-		}
-		return nil
 	}
-	if cold {
-		c.Nodes[id] = c.newNode(id, nil)
-	}
-	srv := transport.NewTCPServer(c.Nodes[id].Handle, c.compress)
-	addr, err := srv.Listen(c.addrs[id])
-	if err != nil {
-		return fmt.Errorf("cluster: restart node %d: %w", id, err)
-	}
+	c.Nodes[id] = n
 	c.servers[id] = srv
 	c.addrs[id] = addr
 	c.mu.Lock()
-	on := c.resolversOn
+	on, poll := c.resolversOn, c.resolverPoll
 	c.mu.Unlock()
 	if on {
-		c.startNodeResolver(c.Nodes[id])
+		n.StartResolver(c.newClient(), poll)
 	}
 	return nil
-}
-
-// WALStats sums the commit-log counters across all nodes (zero value on a
-// volatile cluster).
-func (c *TCPCluster) WALStats() dtm.WALStats {
-	var out dtm.WALStats
-	for _, n := range c.Nodes {
-		if w := n.WAL(); w != nil {
-			out.Add(walStatsFor(w))
-		}
-	}
-	return out
-}
-
-// walStatsFor converts one log's counters into the dtm aggregate form.
-func walStatsFor(w *wal.Log) dtm.WALStats {
-	s := w.Stats()
-	out := dtm.WALStats{
-		Appends:           s.Appends,
-		Records:           s.Records,
-		Fsyncs:            s.Fsyncs,
-		MaxBatch:          s.MaxBatch,
-		Snapshots:         s.Snapshots,
-		SegmentsRemoved:   s.SegmentsRemoved,
-		ReplayedRecords:   s.ReplayedRecords,
-		ReplayedSnapshots: s.ReplayedSnapshot,
-	}
-	if s.TornTailTruncated {
-		out.TornTails = 1
-	}
-	return out
 }
 
 // Close tears down all clients, servers, and commit logs (logs are flushed,
@@ -386,18 +179,12 @@ func (c *TCPCluster) Close() {
 	clients := c.clients
 	c.clients = nil
 	c.mu.Unlock()
-	for _, n := range c.Nodes {
-		n.StopResolver()
-	}
+	c.stopResolvers()
 	for _, cl := range clients {
 		cl.Close()
 	}
 	for _, s := range c.servers {
 		s.Close()
 	}
-	for _, n := range c.Nodes {
-		if w := n.WAL(); w != nil {
-			w.Close()
-		}
-	}
+	c.closeWALs()
 }

@@ -56,7 +56,7 @@ func TestTCPKillRestartRepair(t *testing.T) {
 		accounts = 8
 		initial  = int64(1_000)
 	)
-	c, err := cluster.NewTCP(cluster.TCPConfig{Servers: 10, StatsWindow: time.Hour})
+	c, err := cluster.NewTCP(cluster.Config{Servers: 10, StatsWindow: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestTCPRecoveryThroughput(t *testing.T) {
 		clients  = 4
 		warmup   = 800 * time.Millisecond
 	)
-	c, err := cluster.NewTCP(cluster.TCPConfig{
+	c, err := cluster.NewTCP(cluster.Config{
 		Servers:     10,
 		StatsWindow: time.Hour,
 		ProtectTTL:  100 * time.Millisecond, // heal protections of clients stopped mid-commit

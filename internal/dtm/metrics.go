@@ -149,51 +149,6 @@ func (w *WALStats) Add(o WALStats) {
 	w.TornTails += o.TornTails
 }
 
-// ResolutionStats aggregates server-side in-doubt resolution counters across
-// the nodes a harness run owns. Like WALStats these live on the servers (the
-// resolver runs where the prepare record is durable), so they are collected
-// from server.Node at snapshot time rather than maintained by Metrics.
-type ResolutionStats struct {
-	// InDoubt is the number of currently in-doubt transactions (a gauge;
-	// Add sums the per-node values, which is the cluster-wide total since
-	// each participant tracks its own prepares).
-	InDoubt uint64
-	// RecoveredInDoubt counts in-doubt prepares rebuilt from the WAL during
-	// crash recovery.
-	RecoveredInDoubt uint64
-	// CoordinatorDecided counts in-doubt transactions resolved by the
-	// coordinator's own (possibly retried) decision arriving.
-	CoordinatorDecided uint64
-	// PeerCommits counts in-doubt transactions committed on the authority
-	// of a quorum peer that had seen the commit decision.
-	PeerCommits uint64
-	// PeerAborts counts in-doubt transactions aborted on the authority of a
-	// peer: either the peer saw the abort decision or it never voted yes
-	// (so a commit decision is impossible).
-	PeerAborts uint64
-	// TTLAborts counts last-resort aborts after every reachable peer was
-	// also in-doubt for the whole resolve window.
-	TTLAborts uint64
-	// StatusQueries counts KindTxStatus queries this node sent while
-	// resolving its own in-doubt transactions.
-	StatusQueries uint64
-	// ResolveForwards counts KindResolve decisions forwarded to still
-	// in-doubt peers after a resolution.
-	ResolveForwards uint64
-}
-
-// Add accumulates another node's resolution counters.
-func (r *ResolutionStats) Add(o ResolutionStats) {
-	r.InDoubt += o.InDoubt
-	r.RecoveredInDoubt += o.RecoveredInDoubt
-	r.CoordinatorDecided += o.CoordinatorDecided
-	r.PeerCommits += o.PeerCommits
-	r.PeerAborts += o.PeerAborts
-	r.TTLAborts += o.TTLAborts
-	r.StatusQueries += o.StatusQueries
-	r.ResolveForwards += o.ResolveForwards
-}
-
 // Snapshot is a point-in-time copy of the counters.
 type Snapshot struct {
 	Commits             uint64

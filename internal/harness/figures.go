@@ -3,92 +3,12 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"time"
 
+	"qracn/internal/workload"
 	"qracn/internal/workload/bank"
 	"qracn/internal/workload/tpcc"
 	"qracn/internal/workload/vacation"
 )
-
-// Scale maps the paper's testbed (10 servers, up to 20 clients, 10-second
-// intervals) onto the in-process cluster. The default runs each figure in a
-// few seconds; cmd/qracn-bench exposes flags to stretch it back out.
-type Scale struct {
-	IntervalLength   time.Duration
-	Clients          int
-	ThreadsPerClient int
-	Servers          int
-	Seed             int64
-	DisablePrefetch  bool
-	NoRepair         bool
-	Durable          bool
-	WALDir           string
-	FsyncInterval    time.Duration
-	SnapshotEvery    int
-	TraceCapacity    int
-	TraceSample      int
-	// DecideTimeout bounds each client's 2PC decision delivery;
-	// ResolveAfter (>0) runs the nodes' cooperative termination loop with
-	// that in-doubt deadline. Both zero by default.
-	DecideTimeout time.Duration
-	ResolveAfter  time.Duration
-	// Shards > 1 partitions the keyspace across that many independent
-	// quorum groups (0/1: one cluster-wide tree quorum).
-	Shards int
-	// Overload-protection knobs, mirrored from Options: MaxInflight > 0
-	// gates every node's concurrency, TxDeadline bounds each transaction
-	// end to end, RetryBudget caps per-attempt retries, and HedgeAfter
-	// hedges slow quorum reads. All zero (off) by default.
-	MaxInflight int
-	QueueDepth  int
-	MaxQueueAge time.Duration
-	TxDeadline  time.Duration
-	RetryBudget int
-	HedgeAfter  time.Duration
-	// Forensics knobs, mirrored from Options: ring capacity per recorder
-	// (0: default) and the switch that turns attribution off entirely.
-	ForensicsRing int
-	NoForensics   bool
-}
-
-// DefaultScale is used by the benchmark suite.
-func DefaultScale() Scale {
-	return Scale{
-		IntervalLength:   400 * time.Millisecond,
-		Clients:          8,
-		ThreadsPerClient: 2,
-		Servers:          10,
-		Seed:             1,
-	}
-}
-
-func (s Scale) apply(o Options) Options {
-	o.IntervalLength = s.IntervalLength
-	o.Clients = s.Clients
-	o.ThreadsPerClient = s.ThreadsPerClient
-	o.Servers = s.Servers
-	o.Seed = s.Seed
-	o.DisablePrefetch = s.DisablePrefetch
-	o.NoRepair = s.NoRepair
-	o.Durable = s.Durable
-	o.WALDir = s.WALDir
-	o.FsyncInterval = s.FsyncInterval
-	o.SnapshotEvery = s.SnapshotEvery
-	o.TraceCapacity = s.TraceCapacity
-	o.TraceSample = s.TraceSample
-	o.DecideTimeout = s.DecideTimeout
-	o.ResolveAfter = s.ResolveAfter
-	o.Shards = s.Shards
-	o.MaxInflight = s.MaxInflight
-	o.QueueDepth = s.QueueDepth
-	o.MaxQueueAge = s.MaxQueueAge
-	o.TxDeadline = s.TxDeadline
-	o.RetryBudget = s.RetryBudget
-	o.HedgeAfter = s.HedgeAfter
-	o.ForensicsRing = s.ForensicsRing
-	o.NoForensics = s.NoForensics
-	return o
-}
 
 // Figure describes one panel of the paper's Figure 4.
 type Figure struct {
@@ -98,97 +18,75 @@ type Figure struct {
 	Title string
 	// Expect quotes the paper's headline numbers for the panel.
 	Expect string
-	// Options builds the experiment for a given scale.
-	Options func(Scale) Options
+
+	// workload builds a fresh instance per experiment; phases is the
+	// panel's contention-shift schedule (nil: none).
+	workload func() workload.Workload
+	phases   []int
+}
+
+// Options builds the panel's experiment on a base Options — the paper's
+// testbed (10 servers, up to 20 clients, 10-second intervals) mapped onto the
+// in-process cluster: the zero base runs each figure in a few seconds, and
+// cmd/qracn-bench's flags stretch it back out. Only Workload, Intervals and
+// PhaseSchedule are set; everything else is the caller's.
+func (f Figure) Options(base Options) Options {
+	base.Workload = f.workload()
+	base.Intervals = 6
+	base.PhaseSchedule = f.phases
+	return base
+}
+
+// tpccFigure is a TPC-C panel on the evaluation's table sizes.
+func tpccFigure(cfg tpcc.Config) func() workload.Workload {
+	cfg.CustomersPerDistrict, cfg.Items = 20, 100
+	return func() workload.Workload { return tpcc.New(cfg) }
 }
 
 // Figures returns every panel of the evaluation, in paper order.
 func Figures() []Figure {
 	return []Figure{
 		{
-			ID:     "4a",
-			Title:  "TPC-C, 100% NewOrder",
-			Expect: "after kick-in: QR-ACN +53% vs QR-DTM, +38% vs QR-CN (District is the hot spot)",
-			Options: func(s Scale) Options {
-				return s.apply(Options{
-					Workload: tpcc.New(tpcc.Config{
-						Warehouses: 1, Districts: 4, CustomersPerDistrict: 20,
-						Items: 100, MixNewOrder: 100,
-					}),
-					Intervals: 6,
-				})
-			},
+			ID:       "4a",
+			Title:    "TPC-C, 100% NewOrder",
+			Expect:   "after kick-in: QR-ACN +53% vs QR-DTM, +38% vs QR-CN (District is the hot spot)",
+			workload: tpccFigure(tpcc.Config{Warehouses: 1, Districts: 4, MixNewOrder: 100}),
 		},
 		{
-			ID:     "4b",
-			Title:  "TPC-C, 100% Payment",
-			Expect: "QR-ACN below baselines at t1, then +53% vs QR-DTM, +45% vs QR-CN (District+Warehouse hot)",
-			Options: func(s Scale) Options {
-				return s.apply(Options{
-					Workload: tpcc.New(tpcc.Config{
-						Warehouses: 1, Districts: 4, CustomersPerDistrict: 20,
-						Items: 100, MixPayment: 100,
-					}),
-					Intervals: 6,
-				})
-			},
+			ID:       "4b",
+			Title:    "TPC-C, 100% Payment",
+			Expect:   "QR-ACN below baselines at t1, then +53% vs QR-DTM, +45% vs QR-CN (District+Warehouse hot)",
+			workload: tpccFigure(tpcc.Config{Warehouses: 1, Districts: 4, MixPayment: 100}),
 		},
 		{
-			ID:     "4c",
-			Title:  "TPC-C, 50% NewOrder + 50% Payment",
-			Expect: "after kick-in: QR-ACN +28% vs QR-DTM, +9% vs QR-CN",
-			Options: func(s Scale) Options {
-				return s.apply(Options{
-					Workload: tpcc.New(tpcc.Config{
-						Warehouses: 1, Districts: 4, CustomersPerDistrict: 20,
-						Items: 100, MixNewOrder: 50, MixPayment: 50,
-					}),
-					Intervals: 6,
-				})
-			},
+			ID:       "4c",
+			Title:    "TPC-C, 50% NewOrder + 50% Payment",
+			Expect:   "after kick-in: QR-ACN +28% vs QR-DTM, +9% vs QR-CN",
+			workload: tpccFigure(tpcc.Config{Warehouses: 1, Districts: 4, MixNewOrder: 50, MixPayment: 50}),
 		},
 		{
-			ID:     "4d",
-			Title:  "TPC-C, 100% Delivery (uniformly low contention)",
-			Expect: "no system wins; QR-ACN within 3% of QR-CN (overhead bound)",
-			Options: func(s Scale) Options {
-				return s.apply(Options{
-					Workload: tpcc.New(tpcc.Config{
-						Warehouses: 4, Districts: 10, CustomersPerDistrict: 20,
-						Items: 100, MixDelivery: 100,
-					}),
-					Intervals: 6,
-				})
-			},
+			ID:       "4d",
+			Title:    "TPC-C, 100% Delivery (uniformly low contention)",
+			Expect:   "no system wins; QR-ACN within 3% of QR-CN (overhead bound)",
+			workload: tpccFigure(tpcc.Config{Warehouses: 4, Districts: 10, MixDelivery: 100}),
 		},
 		{
 			ID:     "4e",
 			Title:  "Vacation, hot table shifts at t2 and t4",
 			Expect: "t2: QR-ACN +120% vs QR-DTM, +35% vs QR-CN; t4 onward: +8% vs QR-DTM",
-			Options: func(s Scale) Options {
-				return s.apply(Options{
-					Workload: vacation.New(vacation.Config{
-						Rows: 300, HotRows: 2, Customers: 500, QueryPct: 10,
-					}),
-					Intervals:     6,
-					PhaseSchedule: []int{0, 1, 1, 2, 2, 2},
-				})
+			workload: func() workload.Workload {
+				return vacation.New(vacation.Config{Rows: 300, HotRows: 2, Customers: 500, QueryPct: 10})
 			},
+			phases: []int{0, 1, 1, 2, 2, 2},
 		},
 		{
 			ID:     "4f",
 			Title:  "Bank, 90% writes, hot class flips at t2 and t4",
 			Expect: "QR-CN best at t1 (ACN still monitoring); then QR-ACN gains up to 55%",
-			Options: func(s Scale) Options {
-				return s.apply(Options{
-					Workload: bank.New(bank.Config{
-						Branches: 50, Accounts: 1000, HotBranches: 8, HotAccounts: 8,
-						WritePct: 90,
-					}),
-					Intervals:     6,
-					PhaseSchedule: []int{0, 1, 1, 0, 0, 0},
-				})
+			workload: func() workload.Workload {
+				return bank.New(bank.Config{Branches: 50, Accounts: 1000, HotBranches: 8, HotAccounts: 8, WritePct: 90})
 			},
+			phases: []int{0, 1, 1, 0, 0, 0},
 		},
 	}
 }

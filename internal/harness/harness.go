@@ -103,8 +103,6 @@ type Options struct {
 	Seed int64
 	// Algo tunes the ACN algorithm module.
 	Algo acn.AlgoConfig
-	// StatsEveryNReads enables piggybacked contention stats (default 16).
-	StatsEveryNReads int
 	// Faults schedules node failures and recoveries at interval
 	// boundaries, exercising the quorum protocol's fault tolerance while
 	// the workload runs.
@@ -116,9 +114,6 @@ type Options struct {
 	// prefetch (one quorum round per Block's statically-known access set),
 	// for A/B comparisons of the RPC pipeline.
 	DisablePrefetch bool
-	// NoRepair disables asynchronous read-repair of stale quorum members,
-	// for A/B comparisons of replica convergence under faults.
-	NoRepair bool
 	// Durable gives every node a commit log: the full write-ahead path
 	// (append + group-commit fsync before the decision ack) runs during the
 	// experiment, measuring the durability cost. Each mode's run gets a
@@ -130,46 +125,26 @@ type Options struct {
 	// FsyncInterval is the group-commit accumulation window (0: wal
 	// default; negative: fsync every append).
 	FsyncInterval time.Duration
-	// SnapshotEvery is the automatic checkpoint threshold in records
-	// (0: server default; negative: only explicit checkpoints).
-	SnapshotEvery int
 	// TraceCapacity, when positive, turns tracing on: every node and every
 	// client runtime gets a span/event ring of this size (0: tracing off).
 	TraceCapacity int
-	// TraceSample is the client-side span sampling rate when tracing is on:
-	// 0 or 1 records every transaction, N>1 records one in N, negative
-	// disables spans while keeping protocol events.
-	TraceSample int
-	// DecideTimeout bounds each client's delivery of a 2PC decision after a
-	// yes-vote quorum (0: dtm default 10s).
-	DecideTimeout time.Duration
-	// ResolveAfter, when positive, starts every node's cooperative
-	// termination loop with this in-doubt deadline, so votes stranded by a
-	// fault-schedule kill resolve among the participants during the run.
-	ResolveAfter time.Duration
-	// MaxInflight, when positive, turns on every node's admission gate: at
-	// most this many gated requests execute concurrently, QueueDepth more
-	// may wait (0: 4x MaxInflight), and a queue older than MaxQueueAge
-	// flips to adaptive LIFO and sheds aged waiters with StatusOverloaded
-	// (0: 100ms).
-	MaxInflight int
-	QueueDepth  int
-	MaxQueueAge time.Duration
-	// TxDeadline gives every transaction an absolute end-to-end deadline,
-	// propagated on each request so servers refuse expired work (0: none).
-	TxDeadline time.Duration
-	// RetryBudget caps the retries one transaction attempt may spend across
-	// failover, busy re-reads, and overload backoff (0: dtm default;
-	// negative: unlimited).
-	RetryBudget int
-	// HedgeAfter hedges quorum reads to one spare replica after this delay
-	// (0: off; negative: auto-derive from the observed p99 read latency).
-	HedgeAfter time.Duration
-	// ForensicsRing sizes every node's and client's forensic event rings
-	// (0: forensics.DefaultRingSize). NoForensics disables abort forensics
-	// outright — the A/B knob the allocation benchmarks compare against.
-	ForensicsRing int
-	NoForensics   bool
+	// Node is the template every quorum node is built from (admission
+	// control, termination deadlines, checkpoint threshold, forensics); it
+	// is handed to the cluster as cluster.Config.Node, which fills WAL,
+	// Shards, Tracer, Now and StatsWindow (= IntervalLength). A positive
+	// Node.ResolveAfter also starts every node's cooperative termination
+	// loop, so votes stranded by a fault-schedule kill resolve among the
+	// participants during the run. Clients inherit Node.ForensicsRing and
+	// Node.NoForensics.
+	Node server.Config
+	// Client is the template every client runtime is built from (read
+	// repair, span sampling, decide budget, transaction deadline, retry
+	// budget, hedging). The cluster fills the deployment identity; the
+	// harness fills Seed (per client), Tracer (from TraceCapacity), the
+	// backoff (50µs–1ms, fixed so figures stay comparable) and the stats
+	// hooks — installed in QR-ACN mode only, so Client.StatsEveryNReads
+	// (default 16) piggybacks contention stats there and nowhere else.
+	Client dtm.Config
 }
 
 // FaultEvent takes a node down (or brings it back) at the start of the
@@ -205,8 +180,8 @@ func (o *Options) fillDefaults() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.StatsEveryNReads == 0 {
-		o.StatsEveryNReads = 16
+	if o.Client.StatsEveryNReads == 0 {
+		o.Client.StatsEveryNReads = 16
 	}
 }
 
@@ -244,7 +219,7 @@ type Series struct {
 	// Resolution aggregates the nodes' termination-protocol counters
 	// (in-doubt votes and how each was decided; all zero on a run where no
 	// coordinator died in-doubt).
-	Resolution dtm.ResolutionStats
+	Resolution server.ResolutionStats
 	// Admission aggregates the nodes' overload-protection counters
 	// (admitted/shed/expired-on-arrival; all zero unless MaxInflight or
 	// TxDeadline was set).
@@ -338,13 +313,9 @@ func runMode(ctx context.Context, opts Options, mode Mode) (*Series, error) {
 		},
 		StatsWindow:   opts.IntervalLength,
 		ProtectTTL:    opts.ProtectTTL,
+		FsyncInterval: opts.FsyncInterval,
 		TraceCapacity: opts.TraceCapacity,
-		ResolveAfter:  opts.ResolveAfter,
-		MaxInflight:   opts.MaxInflight,
-		QueueDepth:    opts.QueueDepth,
-		MaxQueueAge:   opts.MaxQueueAge,
-		ForensicsRing: opts.ForensicsRing,
-		NoForensics:   opts.NoForensics,
+		Node:          opts.Node,
 	}
 	if opts.Durable {
 		// A fresh directory per run: replaying a previous run's log would
@@ -355,8 +326,6 @@ func runMode(ctx context.Context, opts Options, mode Mode) (*Series, error) {
 		}
 		defer os.RemoveAll(dir)
 		ccfg.WALDir = dir
-		ccfg.FsyncInterval = opts.FsyncInterval
-		ccfg.SnapshotEvery = opts.SnapshotEvery
 	}
 	c, err := cluster.NewDurable(ccfg)
 	if err != nil {
@@ -364,11 +333,11 @@ func runMode(ctx context.Context, opts Options, mode Mode) (*Series, error) {
 	}
 	defer c.Close()
 	c.Seed(w.SeedObjects())
-	if opts.ResolveAfter > 0 {
+	if opts.Node.ResolveAfter > 0 {
 		// Poll at the in-doubt deadline itself: harness runs are scaled to
 		// milliseconds, so the resolver default (seconds) would never fire
 		// inside the measurement window.
-		c.StartResolvers(opts.ResolveAfter)
+		c.StartResolvers(opts.Node.ResolveAfter)
 	}
 
 	applyFaults := func(interval int) {
@@ -393,26 +362,16 @@ func runMode(ctx context.Context, opts Options, mode Mode) (*Series, error) {
 	clients := make([]*clientState, opts.Clients)
 	for ci := range clients {
 		cs := &clientState{}
-		dcfg := dtm.Config{
-			Seed:          opts.Seed + int64(ci) + 1,
-			BackoffBase:   50 * time.Microsecond,
-			BackoffMax:    time.Millisecond,
-			NoRepair:      opts.NoRepair,
-			TraceSample:   opts.TraceSample,
-			DecideTimeout: opts.DecideTimeout,
-			TxDeadline:    opts.TxDeadline,
-			RetryBudget:   opts.RetryBudget,
-			HedgeAfter:    opts.HedgeAfter,
-			ForensicsRing: opts.ForensicsRing,
-			NoForensics:   opts.NoForensics,
-		}
+		dcfg := opts.Client
+		dcfg.Seed = opts.Seed + int64(ci) + 1
+		dcfg.BackoffBase = 50 * time.Microsecond
+		dcfg.BackoffMax = time.Millisecond
 		if opts.TraceCapacity > 0 {
 			dcfg.Tracer = trace.New(opts.TraceCapacity)
 		}
 		if mode == ModeQRACN {
 			// Wire the piggyback hooks; the hub exists only after the
 			// runtime, so route through the clientState.
-			dcfg.StatsEveryNReads = opts.StatsEveryNReads
 			dcfg.StatsWanted = func() []store.ObjectID {
 				if cs.hub == nil {
 					return nil

@@ -2,10 +2,15 @@ package harness
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"qracn/internal/dtm"
 	"qracn/internal/workload/bank"
 )
 
@@ -121,7 +126,7 @@ func TestFigureRegistry(t *testing.T) {
 	ids := map[string]bool{}
 	for _, f := range figs {
 		ids[f.ID] = true
-		opts := f.Options(DefaultScale())
+		opts := f.Options(Options{})
 		if opts.Workload == nil || opts.Intervals == 0 {
 			t.Fatalf("figure %s builds incomplete options", f.ID)
 		}
@@ -136,6 +141,63 @@ func TestFigureRegistry(t *testing.T) {
 	}
 	if _, ok := FigureByID("9z"); ok {
 		t.Fatal("FigureByID matched nonsense")
+	}
+}
+
+// TestFigureParity pins every panel's experiment to what the deleted
+// harness.Scale produced: the literals below are Figure.Options(DefaultScale())
+// after fillDefaults as printed at commit 53be850 (every field not listed was
+// zero there), and the workload fingerprints — name, seed-object count, phase
+// count and an FNV-1a hash of the first 200 draws — were taken from the same
+// commit.
+func TestFigureParity(t *testing.T) {
+	want := map[string]struct {
+		phases   []int
+		workload string
+		seeded   int
+		nphases  int
+		draws    uint64
+	}{
+		"4a": {nil, "tpcc", 289, 1, 0x169959ab15614c9a},
+		"4b": {nil, "tpcc", 289, 1, 0x9f2c93eee06da4ae},
+		"4c": {nil, "tpcc", 289, 1, 0x7e86735e72022897},
+		"4d": {nil, "tpcc", 1384, 1, 0xca381566d7bd32e9},
+		"4e": {[]int{0, 1, 1, 2, 2, 2}, "vacation", 1400, 3, 0xcf9363ded96c1fc0},
+		"4f": {[]int{0, 1, 1, 0, 0, 0}, "bank", 1050, 2, 0x2797d28cc6d08b5b},
+	}
+	for _, f := range Figures() {
+		exp, ok := want[f.ID]
+		if !ok {
+			t.Fatalf("figure %s has no parent literal", f.ID)
+		}
+		got := f.Options(Options{})
+		got.fillDefaults()
+		w := got.Workload
+		got.Workload = nil
+		wantOpts := Options{
+			Servers:          10,
+			Clients:          8,
+			ThreadsPerClient: 2,
+			Intervals:        6,
+			IntervalLength:   400 * time.Millisecond,
+			PhaseSchedule:    exp.phases,
+			NetLatency:       60 * time.Microsecond,
+			NetJitter:        30 * time.Microsecond,
+			Seed:             1,
+			Client:           dtm.Config{StatsEveryNReads: 16},
+		}
+		if !reflect.DeepEqual(got, wantOpts) {
+			t.Errorf("figure %s options drifted from the parent:\n got %+v\nwant %+v", f.ID, got, wantOpts)
+		}
+		h := fnv.New64a()
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 200; i++ {
+			p, params := w.Generate(rng, i%w.Phases())
+			fmt.Fprint(h, p, params)
+		}
+		if w.Name() != exp.workload || len(w.SeedObjects()) != exp.seeded || w.Phases() != exp.nphases || h.Sum64() != exp.draws {
+			t.Errorf("figure %s workload drifted: %s seed=%d phases=%d draws=%#x", f.ID, w.Name(), len(w.SeedObjects()), w.Phases(), h.Sum64())
+		}
 	}
 }
 
@@ -312,7 +374,7 @@ func TestRunCollectsForensics(t *testing.T) {
 	}
 
 	// NoForensics keeps the pipeline silent but the run working.
-	opts.NoForensics = true
+	opts.Node.NoForensics = true
 	res2, err := Run(context.Background(), opts, []Mode{ModeQRDTM})
 	if err != nil {
 		t.Fatal(err)

@@ -73,16 +73,46 @@ type resolutionCounters struct {
 
 // ResolutionStats is a point-in-time copy of the node's termination-protocol
 // counters. InDoubt is a gauge (current table size); the rest are
-// monotonic counters.
+// monotonic counters. Deployment layers sum it across nodes with Add.
 type ResolutionStats struct {
-	InDoubt            uint64
-	RecoveredInDoubt   uint64
+	// InDoubt is the number of currently in-doubt transactions (summed
+	// across nodes it is the cluster-wide total, since each participant
+	// tracks its own prepares).
+	InDoubt uint64
+	// RecoveredInDoubt counts in-doubt prepares rebuilt from the WAL during
+	// crash recovery.
+	RecoveredInDoubt uint64
+	// CoordinatorDecided counts in-doubt transactions resolved by the
+	// coordinator's own (possibly retried) decision arriving.
 	CoordinatorDecided uint64
-	PeerCommits        uint64
-	PeerAborts         uint64
-	TTLAborts          uint64
-	StatusQueries      uint64
-	ResolveForwards    uint64
+	// PeerCommits counts in-doubt transactions committed on the authority
+	// of a quorum peer that had seen the commit decision.
+	PeerCommits uint64
+	// PeerAborts counts in-doubt transactions aborted on the authority of a
+	// peer: either the peer saw the abort decision or it never voted yes
+	// (so a commit decision is impossible).
+	PeerAborts uint64
+	// TTLAborts counts last-resort aborts after every reachable peer was
+	// also in-doubt for the whole resolve window.
+	TTLAborts uint64
+	// StatusQueries counts KindTxStatus queries this node sent while
+	// resolving its own in-doubt transactions.
+	StatusQueries uint64
+	// ResolveForwards counts KindResolve decisions forwarded to still
+	// in-doubt peers after a resolution.
+	ResolveForwards uint64
+}
+
+// Add accumulates another node's resolution counters.
+func (r *ResolutionStats) Add(o ResolutionStats) {
+	r.InDoubt += o.InDoubt
+	r.RecoveredInDoubt += o.RecoveredInDoubt
+	r.CoordinatorDecided += o.CoordinatorDecided
+	r.PeerCommits += o.PeerCommits
+	r.PeerAborts += o.PeerAborts
+	r.TTLAborts += o.TTLAborts
+	r.StatusQueries += o.StatusQueries
+	r.ResolveForwards += o.ResolveForwards
 }
 
 // ResolutionStats copies the current termination-protocol counters.

@@ -30,6 +30,7 @@ import (
 	"qracn/internal/metrics"
 	"qracn/internal/model"
 	"qracn/internal/quorum"
+	"qracn/internal/server"
 	"qracn/internal/store"
 	"qracn/internal/trace"
 	"qracn/internal/transport"
@@ -109,8 +110,11 @@ type (
 type (
 	// Cluster is an in-process deployment of quorum nodes.
 	Cluster = cluster.Cluster
-	// ClusterConfig sizes a Cluster.
+	// ClusterConfig sizes a Cluster; node tunables travel in its Node field.
 	ClusterConfig = cluster.Config
+	// NodeConfig is the one declaration of quorum-node tunables
+	// (ClusterConfig.Node, ExperimentOptions.Node).
+	NodeConfig = server.Config
 	// NetworkConfig tunes the simulated interconnect.
 	NetworkConfig = transport.ChannelConfig
 	// NodeID identifies a quorum node.
@@ -231,10 +235,10 @@ type (
 	ExperimentResult = harness.Result
 	// SystemMode selects QR-DTM, QR-CN, or QR-ACN.
 	SystemMode = harness.Mode
-	// FigureSpec describes one panel of the paper's Figure 4.
+	// FigureSpec describes one panel of the paper's Figure 4; its Options
+	// method builds the panel's experiment on a base ExperimentOptions (the
+	// zero value is the scale the benchmark suite uses).
 	FigureSpec = harness.Figure
-	// FigureScale maps the paper's testbed onto the local machine.
-	FigureScale = harness.Scale
 	// FaultEvent schedules a node failure or recovery at an interval
 	// boundary (see ExperimentOptions.Faults).
 	FaultEvent = harness.FaultEvent
@@ -267,9 +271,6 @@ func Figures() []FigureSpec { return harness.Figures() }
 
 // FigureByID looks a panel up by label ("4a".."4f").
 func FigureByID(id string) (FigureSpec, bool) { return harness.FigureByID(id) }
-
-// DefaultScale is the scale the benchmark suite uses.
-func DefaultScale() FigureScale { return harness.DefaultScale() }
 
 // Result runs fn as a transaction and returns the committed attempt's
 // value (a typed convenience over Runtime.Atomic).

@@ -111,9 +111,6 @@ func TestFacadeWorkloadsAndFigures(t *testing.T) {
 	if _, ok := qracn.FigureByID("4c"); !ok {
 		t.Fatal("FigureByID")
 	}
-	if qracn.DefaultScale().Servers != 10 {
-		t.Fatal("scale")
-	}
 }
 
 func TestFacadeExperiment(t *testing.T) {
