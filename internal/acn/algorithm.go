@@ -23,10 +23,10 @@ type AlgoConfig struct {
 	DisableSort     bool
 	// ShardHome, when non-nil, reports the keyspace shard hosting a
 	// UnitBlock's recent accesses (-1: unknown). The merge step then skips
-	// merges across different known homes: a merged Block prefetches and
-	// validates as one batch, and keeping it inside a single quorum group
-	// keeps that batch — and any partial rollback that re-executes it — a
-	// one-group operation.
+	// merges across different known homes, so a partial rollback that
+	// re-executes the Block re-reads from one quorum group. (How reads are
+	// batched no longer depends on Block shape: the executor's read-ahead
+	// spans Blocks and groups.)
 	ShardHome func(anchorID int) int
 }
 

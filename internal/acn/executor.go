@@ -17,11 +17,15 @@ import (
 // time by the Algorithm module; in-flight transactions finish on the
 // sequence they started with.
 //
-// Before running a Block's body the executor prefetches the Block's
-// statically-known remote access set — the anchor objects the UnitGraph
-// proves the Block will touch and whose identities are already computable at
-// Block entry — in one batched quorum round (Tx.Prefetch), collapsing k
-// serial first-access round-trips into one.
+// The decomposition decides what a conflict rolls back, not how many round
+// trips a transaction pays: before running a Block's body the executor reads
+// ahead, in one batched quorum round (Tx.Prefetch), every anchor object of
+// this and any later Block whose identity is already computable — the
+// UnitGraph names them — and that the transaction does not hold yet. The
+// objects wait in the transaction's read-ahead buffer and join the read set
+// of the Block that first touches them, so k serial first-access round trips
+// collapse into one under any composition while each Block keeps owning
+// exactly the reads its body makes.
 type Executor struct {
 	rt          *dtm.Runtime
 	an          *unitgraph.Analysis
@@ -31,20 +35,32 @@ type Executor struct {
 	varDefsNote varDefs
 }
 
-// compiled pairs a composition with its prefetch plan so a sequence swap
+// compiled pairs a composition with its read-ahead plan so a sequence swap
 // replaces both atomically.
 type compiled struct {
 	comp *Composition
-	// prefetch[b] lists the anchor statement indices of Block b whose object
-	// references are resolvable at Block entry (every RefVar defined by an
-	// earlier Block).
-	prefetch [][]int
+	// ahead lists every anchor in Block order; blockStart[b] is the position
+	// of Block b's first anchor, so ahead[blockStart[b]:] are the anchors of
+	// Block b and every later one.
+	ahead      []aheadAnchor
+	blockStart []int
 	// anchors maps the DTM block index (0: top-level context, k: k-th Sub)
 	// to the representative UnitBlock (first anchor ID) the block executes;
 	// -1 for a top-level context that only drives Subs. Stamped on every
 	// transaction via Tx.SetBlockMeta so forensic abort events can name the
 	// decomposition unit a conflict hit.
 	anchors []int
+}
+
+// aheadAnchor is one anchor of the read-ahead plan.
+type aheadAnchor struct {
+	// stmt is the anchor's statement index.
+	stmt int
+	// evalAt is the earliest Block whose entry already sees, for every
+	// variable the anchor's Ref consults, the value the Ref will see at
+	// statement time: one past the Block holding the variable's latest
+	// pre-anchor definition, 0 for a Ref over invocation parameters only.
+	evalAt int
 }
 
 // varDefs maps each variable to the statement indices that define it, in
@@ -77,13 +93,12 @@ func collectVarDefs(an *unitgraph.Analysis) varDefs {
 	return defs
 }
 
-// compile derives the prefetch plan for a composition: for every Block, the
-// anchor statements whose Ref can be evaluated before the Block body runs.
-// An anchor is prefetchable when every variable its Ref consults took its
-// latest pre-anchor definition in an earlier Block — then the value sitting
-// in the Env at Block entry is exactly the value the Ref would see at
-// statement time. Anchors whose Ref depends only on invocation parameters
-// (no RefVars) are always prefetchable.
+// compile derives the read-ahead plan for a composition: for every anchor,
+// the earliest Block entry at which its Ref can be evaluated. The dependency
+// model orders every definition of a variable against its readers, so once
+// the latest pre-anchor definition has run no Block before the anchor's own
+// redefines the variable: the Env holds the statement-time value from that
+// entry on, re-executions of a rolled-back Block included.
 func (e *Executor) compile(c *Composition) *compiled {
 	blockOf := make(map[int]int, len(e.an.Stmts))
 	for bi := range c.Blocks {
@@ -91,15 +106,13 @@ func (e *Executor) compile(c *Composition) *compiled {
 			blockOf[si] = bi
 		}
 	}
-	plan := make([][]int, len(c.Blocks))
+	var plan []aheadAnchor
+	blockStart := make([]int, len(c.Blocks))
 	for bi := range c.Blocks {
+		blockStart[bi] = len(plan)
 		for _, si := range c.Blocks[bi].StmtIdx {
-			info := &e.an.Stmts[si]
-			if !info.IsAnchor {
-				continue
-			}
-			if e.resolvableAtEntry(info.Stmt, si, bi, blockOf) {
-				plan[bi] = append(plan[bi], si)
+			if e.an.Stmts[si].IsAnchor {
+				plan = append(plan, aheadAnchor{stmt: si, evalAt: e.evaluableAt(si, blockOf)})
 			}
 		}
 	}
@@ -120,27 +133,26 @@ func (e *Executor) compile(c *Composition) *compiled {
 			anchors = append(anchors, repr(&c.Blocks[bi]))
 		}
 	}
-	return &compiled{comp: c, prefetch: plan, anchors: anchors}
+	return &compiled{comp: c, ahead: plan, blockStart: blockStart, anchors: anchors}
 }
 
-// resolvableAtEntry reports whether the statement's Ref sees the same
-// variable values at Block entry as at statement time.
-func (e *Executor) resolvableAtEntry(s *txir.Stmt, si, bi int, blockOf map[int]int) bool {
-	for _, v := range s.RefVars {
+// evaluableAt returns the earliest Block whose entry sees the same variable
+// values as anchor statement si's Ref will (see aheadAnchor.evalAt).
+func (e *Executor) evaluableAt(si int, blockOf map[int]int) int {
+	at := 0
+	for _, v := range e.an.Stmts[si].Stmt.RefVars {
+		// Validate guarantees a definition before every use.
 		latest := -1
 		for _, d := range e.varDefsNote[v] {
 			if d < si {
 				latest = d
 			}
 		}
-		if latest < 0 {
-			return false // defined nowhere earlier: Ref would see a zero value
-		}
-		if blockOf[latest] >= bi {
-			return false // defined inside this Block (or later): not yet run
+		if b := blockOf[latest] + 1; b > at {
+			at = b
 		}
 	}
-	return true
+	return at
 }
 
 // Analysis exposes the dependency model the executor runs over.
@@ -153,11 +165,12 @@ func (e *Executor) Runtime() *dtm.Runtime { return e.rt }
 func (e *Executor) Composition() *Composition { return e.comp.Load().comp }
 
 // SetComposition atomically swaps the Block sequence (Algorithm module
-// output → Executor input) and recompiles its prefetch plan.
+// output → Executor input) and recompiles its read-ahead plan.
 func (e *Executor) SetComposition(c *Composition) { e.comp.Store(e.compile(c)) }
 
-// SetPrefetch enables or disables the batched read prefetch (enabled by
-// default; the toggle exists for A/B benchmarks).
+// SetPrefetch enables or disables the batched read-ahead (enabled by
+// default; disabled, every first access is its own quorum round — the
+// toggle exists for A/B benchmarks).
 func (e *Executor) SetPrefetch(enabled bool) { e.noPrefetch.Store(!enabled) }
 
 // AnchorSample returns the recent accesses of UnitBlock id, duplicates
@@ -188,9 +201,15 @@ func (e *Executor) Execute(ctx context.Context, params map[string]any) error {
 	return e.rt.Atomic(ctx, func(tx *dtm.Tx) error {
 		tx.SetBlockMeta(len(comp.anchors), comp.anchors)
 		env := txir.NewEnv(params)
+		// ids holds the anchors' object IDs by plan position, each evaluated
+		// once: from its evalAt entry on an anchor's Ref cannot change.
+		var ids []store.ObjectID
+		if !e.noPrefetch.Load() {
+			ids = make([]store.ObjectID, len(comp.ahead))
+		}
 		if len(comp.comp.Blocks) == 1 {
 			// A single block is flat nesting: no sub-transaction needed.
-			if err := e.prefetchBlock(tx, env, comp, 0); err != nil {
+			if err := e.readAhead(tx, env, comp, ids, 0); err != nil {
 				return err
 			}
 			return e.runStmts(tx, env, comp.comp.Blocks[0].StmtIdx)
@@ -198,7 +217,7 @@ func (e *Executor) Execute(ctx context.Context, params map[string]any) error {
 		for i := range comp.comp.Blocks {
 			blk := &comp.comp.Blocks[i]
 			if err := tx.Sub(func(sub *dtm.Tx) error {
-				if err := e.prefetchBlock(sub, env, comp, i); err != nil {
+				if err := e.readAhead(sub, env, comp, ids, i); err != nil {
 					return err
 				}
 				return e.runStmts(sub, env, blk.StmtIdx)
@@ -210,18 +229,33 @@ func (e *Executor) Execute(ctx context.Context, params map[string]any) error {
 	})
 }
 
-// prefetchBlock fires one batched quorum round for the Block's resolvable
-// remote access set. Single-object sets are skipped: one plain read costs
-// the same round-trip without the batch envelope.
-func (e *Executor) prefetchBlock(tx *dtm.Tx, env *txir.Env, comp *compiled, bi int) error {
-	if e.noPrefetch.Load() || len(comp.prefetch[bi]) < 2 {
+// readAhead runs at the entry of Block bi, first execution or re-execution:
+// one batched quorum round for every anchor object of this and any later
+// Block that is evaluable here and not held yet — on a re-execution that
+// includes the reads the rolled-back try discarded. A lone missing object is
+// left to its own Read, which costs the same round trip without the batch
+// envelope. ids is the attempt's evaluated-ID cache (nil: read-ahead off).
+func (e *Executor) readAhead(tx *dtm.Tx, env *txir.Env, comp *compiled, ids []store.ObjectID, bi int) error {
+	var need []store.ObjectID
+	for i := comp.blockStart[bi]; i < len(ids); i++ {
+		a := comp.ahead[i]
+		if a.evalAt > bi {
+			continue
+		}
+		if ids[i] == "" {
+			ids[i] = e.an.Stmts[a.stmt].Stmt.Ref(env)
+		}
+		if !tx.Holds(ids[i]) {
+			if need == nil {
+				need = make([]store.ObjectID, 0, len(ids)-i)
+			}
+			need = append(need, ids[i])
+		}
+	}
+	if len(need) < 2 {
 		return nil
 	}
-	ids := make([]store.ObjectID, 0, len(comp.prefetch[bi]))
-	for _, si := range comp.prefetch[bi] {
-		ids = append(ids, e.an.Stmts[si].Stmt.Ref(env))
-	}
-	return tx.Prefetch(ids...)
+	return tx.Prefetch(need...)
 }
 
 func (e *Executor) runStmts(tx *dtm.Tx, env *txir.Env, stmtIdx []int) error {

@@ -44,7 +44,7 @@ func transferProgram() *txir.Program {
 	return p
 }
 
-func seedBank(c *cluster.Cluster, branches, accounts int, initial int64) {
+func bankObjects(branches, accounts int, initial int64) map[store.ObjectID]store.Value {
 	objs := map[store.ObjectID]store.Value{}
 	for i := 0; i < branches; i++ {
 		objs[store.ID("branch", i)] = store.Int64(initial)
@@ -52,7 +52,11 @@ func seedBank(c *cluster.Cluster, branches, accounts int, initial int64) {
 	for i := 0; i < accounts; i++ {
 		objs[store.ID("account", i)] = store.Int64(initial)
 	}
-	c.Seed(objs)
+	return objs
+}
+
+func seedBank(c *cluster.Cluster, branches, accounts int, initial int64) {
+	c.Seed(bankObjects(branches, accounts, initial))
 }
 
 func transferParams(sb, db, sa, da, amount int) map[string]any {
@@ -368,6 +372,11 @@ func TestControllerPiggybackHooks(t *testing.T) {
 		if err := exec.Execute(ctx, transferParams(0, 1, 0, 1, 1)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Every first access was a read-ahead hit, so the batched rounds are the
+	// only reads there were to carry the query.
+	if m := rt.Metrics().Snapshot(); m.RemoteReads != 2 || m.BatchReads != 2 {
+		t.Fatalf("rounds = %d, batched = %d; want 2 and 2 (no plain read)", m.RemoteReads, m.BatchReads)
 	}
 	// Four write-commits happened (branch/account writes), so the table
 	// should have observed non-zero contention for at least one object.

@@ -2,6 +2,7 @@ package acn_test
 
 import (
 	"context"
+	"strconv"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"qracn/internal/store"
 	"qracn/internal/txir"
 	"qracn/internal/unitgraph"
+	"qracn/internal/workload/tpcc"
 )
 
 // TestPrefetchCollapsesBlockReadsToOneRound is the headline property of the
@@ -61,42 +63,121 @@ func TestPrefetchCollapsesBlockReadsToOneRound(t *testing.T) {
 	}
 }
 
-// TestPrefetchPerBlockRounds checks the per-Block accounting under a
-// decomposed composition: a two-anchor Block batches, single-anchor Blocks
-// read plainly.
-func TestPrefetchPerBlockRounds(t *testing.T) {
-	an := analyze(t)
-	comp, err := acn.Manual(an, [][]int{{0, 1}, {2}, {3}})
-	if err != nil {
+// readRounds runs one uncontended invocation and returns what it cost in
+// quorum read rounds, batched rounds among them, and read-ahead objects.
+func readRounds(t *testing.T, exec *acn.Executor, params map[string]any) [3]uint64 {
+	t.Helper()
+	m := exec.Runtime().Metrics()
+	before := m.Snapshot()
+	if err := exec.Execute(context.Background(), params); err != nil {
 		t.Fatal(err)
 	}
-	c := cluster.New(cluster.Config{Servers: 10, StatsWindow: time.Hour})
-	defer c.Close()
-	seedBank(c, 2, 4, 1000)
-	rt := c.Runtime(1, dtm.Config{Seed: 7})
-	exec := acn.NewExecutor(rt, an, comp)
-
-	before := rt.Metrics().Snapshot()
-	if err := exec.Execute(context.Background(), transferParams(0, 1, 0, 1, 5)); err != nil {
-		t.Fatal(err)
-	}
-	after := rt.Metrics().Snapshot()
-	// Block {0,1}: one batched round. Blocks {2} and {3}: one plain round
-	// each (a single-object batch would gain nothing).
-	if n := after.RemoteReads - before.RemoteReads; n != 3 {
-		t.Fatalf("RemoteReads = %d, want 3 (1 batched + 2 plain)", n)
-	}
-	if n := after.BatchReads - before.BatchReads; n != 1 {
-		t.Fatalf("BatchReads = %d, want 1", n)
-	}
-	if n := after.PrefetchedObjects - before.PrefetchedObjects; n != 2 {
-		t.Fatalf("PrefetchedObjects = %d, want 2", n)
+	after := m.Snapshot()
+	return [3]uint64{
+		after.RemoteReads - before.RemoteReads,
+		after.BatchReads - before.BatchReads,
+		after.PrefetchedObjects - before.PrefetchedObjects,
 	}
 }
 
-// chainProgram has a read whose object reference depends on a value computed
-// inside the transaction: that anchor must be excluded from the prefetch set
-// while the independent anchors still batch.
+// TestPrefetchPerBlockRounds pins the rule that replaced per-Block prefetch:
+// the decomposition decides what is rolled back, not how many round trips are
+// paid. Whatever Block sequence runs the program — one Block per anchor, one
+// Block for everything, the programmer's grouping, a recomposed and reordered
+// sequence — an uncontended invocation pays the same quorum read rounds: one
+// batched round for every object the parameters name, plus one plain read per
+// object keyed by a value read inside the transaction.
+func TestPrefetchPerBlockRounds(t *testing.T) {
+	w := tpcc.New(tpcc.Config{Warehouses: 4, Districts: 4})
+	newOrder := w.Profiles()[tpcc.ProfileNewOrder]
+	delivery := w.Profiles()[tpcc.ProfileDelivery]
+	newOrderParams := map[string]any{"w": 1, "d": 2, "c": 3}
+	for k := 0; k < tpcc.OrderLines; k++ {
+		newOrderParams["i"+strconv.Itoa(k)] = 10 + k
+		newOrderParams["q"+strconv.Itoa(k)] = 1 + k
+	}
+	cases := []struct {
+		name    string
+		program *txir.Program
+		manual  [][]int
+		seed    map[store.ObjectID]store.Value
+		shards  int
+		params  map[string]any
+		// hot is the anchor the recomposed variant is told is contended, so
+		// the algorithm merges around it and sorts it last.
+		hot  int
+		want [3]uint64 // RemoteReads, BatchReads, PrefetchedObjects
+	}{
+		{
+			name: "bank-transfer", program: transferProgram(), manual: [][]int{{0, 1}, {2}, {3}},
+			seed: bankObjects(2, 4, 1000), params: transferParams(0, 1, 0, 1, 5),
+			hot: 0, want: [3]uint64{1, 1, 4},
+		},
+		{
+			// 13 rows named by parameters in one round; the order row is
+			// keyed by the id read from the district row.
+			name: "tpcc-new-order", program: newOrder.Program, manual: newOrder.Manual,
+			seed: w.SeedObjects(), params: newOrderParams,
+			hot: 1, want: [3]uint64{2, 1, 13},
+		},
+		{
+			// dlv cursor and customer in one round although different quorum
+			// groups own them; then the order row the cursor names.
+			name: "tpcc-delivery-4-shards", program: delivery.Program, manual: delivery.Manual,
+			seed: w.SeedObjects(), shards: 4, params: map[string]any{"w": 1, "d": 2, "c": 3, "amount": 7},
+			hot: 2, want: [3]uint64{2, 1, 2},
+		},
+	}
+	for _, tc := range cases {
+		an, err := unitgraph.Analyze(tc.program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		manual, err := acn.Manual(an, tc.manual)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recomposed := acn.NewAlgorithm(an, acn.AlgoConfig{}).Recompose(func(anchor int) float64 {
+			if anchor == tc.hot {
+				return 40
+			}
+			return 1
+		})
+		if recomposed.String() == acn.Static(an).String() {
+			t.Fatalf("%s: recomposition left the static sequence %s untouched", tc.name, recomposed)
+		}
+		comps := map[string]*acn.Composition{
+			"static": acn.Static(an), "flat": acn.Flat(an), "manual": manual, "recomposed": recomposed,
+		}
+		for name, comp := range comps {
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
+				servers := 10
+				if tc.shards > 1 {
+					servers = 4 * tc.shards
+				}
+				c := cluster.New(cluster.Config{Servers: servers, Shards: tc.shards, StatsWindow: time.Hour})
+				defer c.Close()
+				c.Seed(tc.seed)
+				exec := acn.NewExecutor(c.Runtime(1, dtm.Config{Seed: 7}), an, comp)
+				if m := exec.Runtime().ShardMap(); m != nil &&
+					m.ShardFor(store.ID("dlv", 1, 2)) == m.ShardFor(store.ID("customer", 1, 2, 3)) {
+					t.Fatal("the batched round no longer spans two quorum groups: pick other parameters")
+				}
+				if got := readRounds(t, exec, tc.params); got != tc.want {
+					t.Fatalf("%s: rounds/batched/objects = %v, want %v", comp, got, tc.want)
+				}
+				// Counts, not timings: they repeat exactly.
+				if got := readRounds(t, exec, tc.params); got != tc.want {
+					t.Fatalf("%s, second invocation: rounds/batched/objects = %v, want %v", comp, got, tc.want)
+				}
+			})
+		}
+	}
+}
+
+// chainProgram has reads whose object references depend on a value computed
+// inside the transaction: those anchors cannot be read ahead before the Block
+// that computes the value has run, while the independent anchors still batch.
 func chainProgram() *txir.Program {
 	p := txir.NewProgram("chain")
 	p.ReadP("dir", "d", "slot") // anchor 0: parameter ref
@@ -104,10 +185,12 @@ func chainProgram() *txir.Program {
 		e.SetInt64("k", e.GetInt64("d")+1)
 		return nil
 	}, []txir.Var{"d"}, []txir.Var{"k"})
-	p.Read("obj", "k", func(e *txir.Env) store.ObjectID { // anchor 1: depends on k
-		return store.ID("obj", e.GetInt64("k"))
-	}, "v", "k")
-	p.ReadP("other", "o", "slot") // anchor 2: parameter ref
+	byK := func(class string) txir.RefFunc {
+		return func(e *txir.Env) store.ObjectID { return store.ID(class, e.GetInt64("k")) }
+	}
+	p.Read("obj", "k", byK("obj"), "v", "k")   // anchor 1: depends on k
+	p.Read("peer", "k", byK("peer"), "u", "k") // anchor 2: depends on k
+	p.ReadP("other", "o", "slot")              // anchor 3: parameter ref
 	return p
 }
 
@@ -116,28 +199,30 @@ func TestPrefetchSkipsDataDependentRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := cluster.New(cluster.Config{Servers: 10, StatsWindow: time.Hour})
-	defer c.Close()
-	c.Seed(map[store.ObjectID]store.Value{
-		store.ID("dir", 0):         store.Int64(41),
-		store.ID("obj", int64(42)): store.Int64(7),
-		store.ID("other", 0):       store.Int64(9),
-	})
-	rt := c.Runtime(1, dtm.Config{Seed: 3})
-	exec := acn.NewExecutor(rt, an, acn.Flat(an))
-
-	before := rt.Metrics().Snapshot()
-	if err := exec.Execute(context.Background(), map[string]any{"slot": 0}); err != nil {
-		t.Fatal(err)
-	}
-	after := rt.Metrics().Snapshot()
-	// Anchors 0 and 2 batch into one round; anchor 1 (k is computed inside
-	// the Block) pays its own round.
-	if n := after.RemoteReads - before.RemoteReads; n != 2 {
-		t.Fatalf("RemoteReads = %d, want 2 (1 batched + 1 dependent)", n)
-	}
-	if n := after.PrefetchedObjects - before.PrefetchedObjects; n != 2 {
-		t.Fatalf("PrefetchedObjects = %d, want 2", n)
+	for _, tc := range []struct {
+		comp *acn.Composition
+		want [3]uint64 // RemoteReads, BatchReads, PrefetchedObjects
+	}{
+		// One Block: k is computed inside it, so after the round for dir and
+		// other each link pays its own read.
+		{acn.Flat(an), [3]uint64{3, 1, 2}},
+		// One Block per anchor: dir and other at the first entry; k is
+		// defined in dir's Block, so both links are fetched together at the
+		// entry of the Block after it.
+		{acn.Static(an), [3]uint64{2, 2, 4}},
+	} {
+		c := cluster.New(cluster.Config{Servers: 10, StatsWindow: time.Hour})
+		c.Seed(map[store.ObjectID]store.Value{
+			store.ID("dir", 0):          store.Int64(41),
+			store.ID("obj", int64(42)):  store.Int64(7),
+			store.ID("peer", int64(42)): store.Int64(8),
+			store.ID("other", 0):        store.Int64(9),
+		})
+		exec := acn.NewExecutor(c.Runtime(1, dtm.Config{Seed: 3}), an, tc.comp)
+		if got := readRounds(t, exec, map[string]any{"slot": 0}); got != tc.want {
+			t.Errorf("%s: rounds/batched/objects = %v, want %v", tc.comp, got, tc.want)
+		}
+		c.Close()
 	}
 }
 

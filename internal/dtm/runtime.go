@@ -424,6 +424,17 @@ func (rt *Runtime) nextReadSeq() uint64 {
 	return rt.readSeq
 }
 
+// statsQuery returns the object IDs this read round should piggyback a
+// contention-stats query for (dynamic module): the controller's wanted list
+// on every StatsEveryNReads-th quorum read round, plain or batched, else nil.
+func (rt *Runtime) statsQuery() []store.ObjectID {
+	n := rt.cfg.StatsEveryNReads
+	if n <= 0 || rt.cfg.StatsWanted == nil || rt.nextReadSeq()%uint64(n) != 0 {
+		return nil
+	}
+	return rt.cfg.StatsWanted()
+}
+
 func (rt *Runtime) backoff(ctx context.Context, attempt int) error {
 	rt.rngMu.Lock()
 	d := rt.pol.JitteredDelay(attempt, rt.rng.Int63n)

@@ -72,6 +72,21 @@ type Tx struct {
 	readVals  map[store.ObjectID]store.Value
 	// writes buffers this context's writes (QR-CN write-set).
 	writes map[store.ObjectID]store.Value
+
+	// ahead (top level only) is the read-ahead buffer: what Prefetch fetched
+	// and no context has touched yet. An entry belongs to no Block until a
+	// Read or Write moves it into that context's read set (firstAccess);
+	// until then it rides in every incremental-validation list and is
+	// dropped, not aborted on, when reported stale (abortFor). Allocated by
+	// the first Prefetch.
+	ahead map[store.ObjectID]readAhead
+}
+
+// readAhead is one buffered first access: the value and version a read
+// quorum reported for the object.
+type readAhead struct {
+	val store.Value
+	ver uint64
 }
 
 // ID returns the transaction identifier (unique per top-level attempt).
@@ -133,60 +148,85 @@ func (tx *Tx) firstAccessedHere(id store.ObjectID) bool {
 	return ok
 }
 
-// validationList gathers the chain's full read-set for incremental
-// validation.
-func (tx *Tx) validationList() []store.ReadDesc {
-	var out []store.ReadDesc
-	for c := tx; c != nil; c = c.parent {
-		for _, id := range c.readOrder {
-			out = append(out, store.ReadDesc{ID: id, Version: c.reads[id]})
-		}
+// top returns the chain's top-level context, which owns the read-ahead
+// buffer.
+func (tx *Tx) top() *Tx {
+	if tx.parent != nil {
+		return tx.parent
 	}
-	return out
+	return tx
 }
 
-// validationListFor is validationList restricted to the objects the given
-// quorum group owns (the whole list when unsharded). A group's members store
-// only their own shard's objects, so foreign entries can neither validate
-// nor invalidate there — sending them only wastes bytes. Commit-time
-// prepares still validate every read in its owning group.
+// Holds reports whether the object's first access is already paid for: it
+// sits in a read or write set of the context chain, or in the read-ahead
+// buffer.
+func (tx *Tx) Holds(id store.ObjectID) bool {
+	if _, ok := tx.top().ahead[id]; ok {
+		return true
+	}
+	if _, ok := tx.lookupRead(id); ok {
+		return true
+	}
+	_, ok := tx.lookupWrite(id)
+	return ok
+}
+
+// validationListFor gathers what a remote interaction with quorum group g
+// validates incrementally: the chain's read-set plus the read-ahead buffer,
+// restricted to the objects g owns (everything when unsharded). A group's
+// members store only their own shard's objects, so foreign entries can
+// neither validate nor invalidate there — sending them only wastes bytes.
+// Commit-time prepares still validate every read in its owning group.
 func (tx *Tx) validationListFor(g *shard.Group) []store.ReadDesc {
 	m := tx.rt.cfg.Shards
-	if m == nil || g == nil {
-		return tx.validationList()
-	}
 	var out []store.ReadDesc
 	for c := tx; c != nil; c = c.parent {
 		for _, id := range c.readOrder {
-			if m.GroupOf(id) == g {
+			if m == nil || g == nil || m.GroupOf(id) == g {
 				out = append(out, store.ReadDesc{ID: id, Version: c.reads[id]})
 			}
 		}
 	}
+	for id, e := range tx.top().ahead {
+		if m == nil || g == nil || m.GroupOf(id) == g {
+			out = append(out, store.ReadDesc{ID: id, Version: e.ver})
+		}
+	}
 	return out
 }
 
-// abortFor classifies an invalidation: if every invalid object was first
-// accessed by the currently executing sub-transaction, the rollback is
-// partial (AbortSub); any object owned by the parent's history forces a full
+// abortFor acts on an incremental-validation report. Objects still in the
+// read-ahead buffer are dropped from it: no Block body has seen them, and the
+// Block that wants one will fetch it fresh. If nothing else was named there
+// is no abort (nil). Otherwise the rollback is partial (AbortSub) when every
+// remaining object was first accessed by the currently executing
+// sub-transaction; any object owned by the parent's history forces a full
 // re-execution. At top level every invalidation is a full abort.
-func (tx *Tx) abortFor(invalid []store.ObjectID, busy bool, reason string) *AbortError {
+func (tx *Tx) abortFor(invalid []store.ObjectID, reason string) *AbortError {
+	ahead := tx.top().ahead
+	observed := invalid[:0]
+	for _, id := range invalid {
+		if _, buffered := ahead[id]; buffered {
+			delete(ahead, id)
+		} else {
+			observed = append(observed, id)
+		}
+	}
+	if len(observed) == 0 {
+		return nil
+	}
 	level := AbortParent
 	if tx.parent != nil {
 		level = AbortSub
-		for _, id := range invalid {
+		for _, id := range observed {
 			if !tx.firstAccessedHere(id) {
 				level = AbortParent
 				break
 			}
 		}
 	}
-	ae := &AbortError{Level: level, Invalid: invalid, Busy: busy, Reason: reason,
-		Cause: forensics.CauseReadValidation, Block: tx.block}
-	if len(invalid) > 0 {
-		ae.Key = invalid[0]
-	}
-	return ae
+	return &AbortError{Level: level, Invalid: observed, Reason: reason,
+		Cause: forensics.CauseReadValidation, Key: observed[0], Block: tx.block}
 }
 
 // busyAbort classifies a busy object the same way: a busy object being read
@@ -204,22 +244,24 @@ func (tx *Tx) busyAbort(id store.ObjectID, holder, reason string) *AbortError {
 
 // Read returns the value of a shared object. The first access of an object
 // in the transaction fetches it from a read quorum (remote interaction,
-// QR-CN §II-B) and incrementally validates all previous reads; later
-// accesses are served from the private read/write sets.
+// QR-CN §II-B) and incrementally validates all previous reads — unless
+// Prefetch already paid that round trip; later accesses are served from the
+// private read/write sets.
 func (tx *Tx) Read(id store.ObjectID) (store.Value, error) {
-	if v, ok := tx.lookupWrite(id); ok {
-		if v == nil {
-			return nil, nil
-		}
-		return v.CloneValue(), nil
+	v, ok := tx.lookupWrite(id)
+	if !ok {
+		v, ok = tx.lookupRead(id)
 	}
-	if v, ok := tx.lookupRead(id); ok {
-		if v == nil {
-			return nil, nil
+	if !ok {
+		var err error
+		if v, err = tx.firstAccess(id); err != nil {
+			return nil, err
 		}
-		return v.CloneValue(), nil
 	}
-	return tx.remoteRead(id)
+	if v == nil {
+		return nil, nil
+	}
+	return v.CloneValue(), nil
 }
 
 // Write buffers a new value for the object in the current context. Per
@@ -228,7 +270,7 @@ func (tx *Tx) Read(id store.ObjectID) (store.Value, error) {
 func (tx *Tx) Write(id store.ObjectID, v store.Value) error {
 	if _, ok := tx.lookupWrite(id); !ok {
 		if _, ok := tx.lookupRead(id); !ok {
-			if _, err := tx.remoteRead(id); err != nil {
+			if _, err := tx.firstAccess(id); err != nil {
 				return err
 			}
 		}
@@ -238,6 +280,28 @@ func (tx *Tx) Write(id store.ObjectID, v store.Value) error {
 		tx.writeBlock[id] = tx.block
 	}
 	return nil
+}
+
+// firstAccess makes the current context the object's first accessor and
+// returns the value now in its read set (not a copy): a read-ahead entry
+// moves from the buffer into this context's read set, exactly as if this
+// context had just read it remotely; anything else is read remotely.
+func (tx *Tx) firstAccess(id store.ObjectID) (store.Value, error) {
+	ahead := tx.top().ahead
+	e, ok := ahead[id]
+	if !ok {
+		return tx.remoteRead(id)
+	}
+	delete(ahead, id)
+	tx.recordRead(id, e.val, e.ver)
+	return e.val, nil
+}
+
+// recordRead enters a first access into the current context's read set.
+func (tx *Tx) recordRead(id store.ObjectID, val store.Value, ver uint64) {
+	tx.reads[id] = ver
+	tx.readOrder = append(tx.readOrder, id)
+	tx.readVals[id] = val
 }
 
 // remoteRead performs the quorum read protocol for a first access. It wraps
@@ -287,14 +351,7 @@ func (tx *Tx) remoteReadInner(id store.ObjectID, spanID uint64) (store.Value, er
 		req.TraceID = tx.traceID
 		req.SpanID = spanID
 	}
-	// Piggyback a contention-stats query every Nth read (dynamic module).
-	if n := rt.cfg.StatsEveryNReads; n > 0 && rt.cfg.StatsWanted != nil {
-		if rt.nextReadSeq()%uint64(n) == 0 {
-			if ids := rt.cfg.StatsWanted(); len(ids) > 0 {
-				req.Read.StatsFor = ids
-			}
-		}
-	}
+	req.Read.StatsFor = rt.statsQuery()
 
 	for busyTry := 0; ; busyTry++ {
 		results, fullIdx, err := tx.quorumRead(req)
@@ -341,7 +398,9 @@ func (tx *Tx) remoteReadInner(id store.ObjectID, spanID uint64) (store.Value, er
 		}
 
 		if len(invalid) > 0 {
-			return nil, tx.abortFor(invalid, false, "incremental validation on read of "+string(id))
+			if ae := tx.abortFor(invalid, "incremental validation on read of "+string(id)); ae != nil {
+				return nil, ae
+			}
 		}
 
 		// Under the lean strategy the newest version may have been reported
@@ -364,7 +423,9 @@ func (tx *Tx) remoteReadInner(id store.ObjectID, spanID uint64) (store.Value, er
 				continue
 			}
 			if len(follow.Invalid) > 0 {
-				return nil, tx.abortFor(follow.Invalid, false, "incremental validation on read of "+string(id))
+				if ae := tx.abortFor(follow.Invalid, "incremental validation on read of "+string(id)); ae != nil {
+					return nil, ae
+				}
 			}
 			best = follow
 		}
@@ -400,13 +461,8 @@ func (tx *Tx) remoteReadInner(id store.ObjectID, spanID uint64) (store.Value, er
 		// are behind the quorum maximum: push the fresh state back to them
 		// asynchronously so revived replicas converge.
 		rt.maybeRepair(id, results, val, ver)
-		tx.reads[id] = ver
-		tx.readOrder = append(tx.readOrder, id)
-		tx.readVals[id] = val
-		if val == nil {
-			return nil, nil
-		}
-		return val.CloneValue(), nil
+		tx.recordRead(id, val, ver)
+		return val, nil
 	}
 }
 
