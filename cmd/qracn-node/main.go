@@ -20,7 +20,7 @@
 //
 //	qracn-node -id 0 -listen :7450
 //	qracn-node -id 1 -listen :7451 -stats-window 10s -compress
-//	qracn-node -id 2 -listen :7452 -wal-dir /var/lib/qracn/node-2 -fsync-interval 2ms
+//	qracn-node -id 2 -listen :7452 -wal-dir /var/lib/qracn/node-2 -fsync-interval 10ms
 package main
 
 import (
@@ -51,7 +51,7 @@ func main() {
 		compress    = flag.Bool("compress", false, "flate-compress large frames")
 		walDir      = flag.String("wal-dir", "", "write-ahead log directory; empty runs the node volatile")
 		noWAL       = flag.Bool("no-wal", false, "force a volatile node even when -wal-dir is set")
-		fsyncEvery  = flag.Duration("fsync-interval", 0, "group-commit accumulation window (0: 2ms default; negative: fsync every append)")
+		fsyncEvery  = flag.Duration("fsync-interval", 0, "linger bound of unforced log records (0: 10ms default)")
 		traceCap    = flag.Int("trace", 0, "span/event ring size for distributed tracing; >0 turns tracing on (spans fetchable via qracn-inspect trace)")
 		debugAddr   = flag.String("debug-addr", "", "HTTP listen address for /metrics, /debug/vars and /debug/pprof (empty disables)")
 		unsafeTTL   = flag.Bool("unsafe-ttl-abort", false, "allow -ttl-abort-after at or below the default client -decide-timeout (only safe when every client runs with a smaller -decide-timeout)")

@@ -59,8 +59,8 @@ type Config struct {
 	// crashes the log without flushing and Restart replays snapshot+log
 	// before serving (recovery handshake).
 	WALDir string
-	// FsyncInterval is the group-commit accumulation window (0: wal
-	// default; negative: fsync every append).
+	// FsyncInterval is the linger bound of unforced log records (0: wal
+	// default).
 	FsyncInterval time.Duration
 	// TraceCapacity, when positive, gives every node a tracer ring of that
 	// many events and spans, so traced transactions get server-side serve

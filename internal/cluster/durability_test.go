@@ -12,6 +12,7 @@ import (
 	"qracn/internal/quorum"
 	"qracn/internal/store"
 	"qracn/internal/transport"
+	"qracn/internal/wal"
 )
 
 // subTransfer is the bank transfer decomposed into two sub-transactions
@@ -40,8 +41,9 @@ func subTransfer(ctx context.Context, rt *dtm.Runtime, accounts, from, to int) e
 
 // converge runs one all-pairs anti-entropy round so every replica holds the
 // cluster-max version of every object. Anti-entropy transfers are logged
-// durably (the server appends them before returning), so a converged
-// replica stays converged across a crash.
+// unforced, so it ends with a forced append on every log: its fsync covers
+// everything staged before it, and the crash that follows finds the
+// converged state on disk.
 func converge(t *testing.T, c *cluster.TCPCluster) {
 	t.Helper()
 	client := transport.NewTCPClient(c.Addrs(), false)
@@ -55,6 +57,11 @@ func converge(t *testing.T, c *cluster.TCPCluster) {
 			if _, err := n.RepairFrom(ctx, client, peer.ID()); err != nil {
 				t.Fatalf("anti-entropy node %d <- %d: %v", n.ID(), peer.ID(), err)
 			}
+		}
+	}
+	for _, n := range c.Nodes {
+		if err := n.WAL().Append(wal.Record{Type: wal.RecordDecision, TxID: "converged"}); err != nil {
+			t.Fatalf("sync node %d's log: %v", n.ID(), err)
 		}
 	}
 }

@@ -122,8 +122,8 @@ type Options struct {
 	// WALDir is the base directory for the per-run logs ("" uses the
 	// system temp directory). Only read when Durable is set.
 	WALDir string
-	// FsyncInterval is the group-commit accumulation window (0: wal
-	// default; negative: fsync every append).
+	// FsyncInterval is the linger bound of unforced log records (0: wal
+	// default).
 	FsyncInterval time.Duration
 	// TraceCapacity, when positive, turns tracing on: every node and every
 	// client runtime gets a span/event ring of this size (0: tracing off).

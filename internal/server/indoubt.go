@@ -179,11 +179,14 @@ func (n *Node) setDecidedLocked(txID string, commit bool) {
 
 // registerPrepare durably records a yes vote before it is sent: the entry
 // goes into the in-doubt table, then the prepare record is appended and
-// fsynced. It fails when the transaction already has a known outcome (a
-// termination tombstone or a decision raced ahead of this prepare) or when
-// the WAL refuses the record — in both cases the caller must roll its
-// protections back and withhold the vote.
-func (n *Node) registerPrepare(rec wal.Record) error {
+// fsynced (a forced append: recovery cannot reconstruct a promise). It fails
+// when the transaction already has a known outcome (a termination tombstone
+// or a decision raced ahead of this prepare) or when the WAL refuses the
+// record — in both cases the caller must roll its protections back and
+// withhold the vote. An abort decision that lands while the fsync is in
+// flight retires the entry and releases the protections itself; the vote
+// that then goes out is harmless, its coordinator has already decided.
+func (n *Node) registerPrepare(rec wal.Record, traceID string, serveID uint64) error {
 	n.idMu.Lock()
 	if _, known := n.decidedLocked(rec.TxID); known {
 		n.idMu.Unlock()
@@ -198,7 +201,7 @@ func (n *Node) registerPrepare(rec wal.Record) error {
 		// preserves it across compaction) or in the fresh post-compaction
 		// segment — never in a segment about to be deleted behind its back.
 		n.commitMu.RLock()
-		err := n.wal.Append(rec)
+		err := n.appendForced(rec.TxID, traceID, serveID, rec)
 		n.commitMu.RUnlock()
 		if err != nil {
 			n.idMu.Lock()
@@ -208,6 +211,27 @@ func (n *Node) registerPrepare(rec wal.Record) error {
 		}
 	}
 	return nil
+}
+
+// appendForced appends records recovery cannot do without — a yes vote's
+// prepare record, a commit decision and its writes — and returns once an
+// fsync covers them. The wait is the durable path's share of the handler: it
+// feeds stages.FsyncWait and, on a traced request, a wal-fsync span nested
+// under the serve span. Callers hold n.commitMu shared and have a WAL.
+func (n *Node) appendForced(txID, traceID string, serveID uint64, recs ...wal.Record) error {
+	start := time.Now()
+	err := n.wal.Append(recs...)
+	wait := time.Since(start)
+	n.stages.FsyncWait.Record(wait)
+	if traceID != "" && n.tracer.Enabled() {
+		n.tracer.Record(trace.KindWALFsync, txID, wait.String())
+		n.tracer.RecordSpan(trace.Span{
+			Trace: traceID, ID: trace.NextSpanID(), Parent: serveID,
+			Name: "wal-fsync", Site: n.site,
+			Start: start, End: start.Add(wait),
+		})
+	}
+	return err
 }
 
 // errTxTerminated marks a prepare refused because the transaction already
@@ -230,12 +254,12 @@ const (
 
 // applyDecision is the single path every 2PC outcome goes through —
 // coordinator decisions (KindDecision), peer-forwarded resolutions
-// (KindResolve), and local TTL aborts. It makes the decision durable
-// (writes + decision record in one group-commit batch), applies the writes,
-// releases the protections, retires the in-doubt entry, and records the
-// outcome for peers that may ask later. Duplicate deliveries are answered
-// OK without re-applying; a delivery that conflicts with a recorded outcome
-// is refused.
+// (KindResolve), and local TTL aborts. A commit is made durable first
+// (writes + decision record in one forced append), then applied; an abort is
+// presumed and waits for no fsync. Either way the in-doubt entry is retired,
+// the outcome recorded for peers that may ask later, and the protections
+// released. Duplicate deliveries are answered OK without re-applying; a
+// delivery that conflicts with a recorded outcome is refused.
 func (n *Node) applyDecision(txID string, commit bool, writes []store.WriteDesc, release []store.ObjectID, src decisionSource, traceID string, serveID uint64) *wire.Response {
 	var entry *inDoubtTx
 	for {
@@ -257,9 +281,7 @@ func (n *Node) applyDecision(txID string, commit bool, writes []store.WriteDesc,
 			delete(n.inDoubt, txID)
 			n.idMu.Unlock()
 			if stale != nil {
-				for _, id := range stale.rec.Release {
-					_ = n.store.Unprotect(id, txID)
-				}
+				n.unprotect(txID, stale.rec.Release)
 			}
 			if prev != commit {
 				return &wire.Response{Status: wire.StatusError, Detail: "conflicting decision for terminated transaction"}
@@ -288,32 +310,20 @@ func (n *Node) applyDecision(txID string, commit bool, writes []store.WriteDesc,
 		}
 	}
 
-	// Durability point: the whole write-set plus the decision record is
-	// appended and group-commit fsynced before any of it is applied or the
-	// decision acked. The shared commitMu keeps the append→apply→publish
-	// window out of snapshots: a checkpoint either serializes before this
-	// decision's records (and may compact only segments that don't hold
-	// them) or after the outcome is published (and carries it across the
-	// compaction).
+	// The shared commitMu keeps the append→apply→publish window out of
+	// snapshots: a checkpoint either serializes before this decision's
+	// records (and may compact only segments that don't hold them) or after
+	// the outcome is published (and carries it across the compaction).
 	n.commitMu.RLock()
 	if commit {
-		fsyncStart := time.Now()
-		err := n.logDecision(txID, true, writes)
+		// Durability point: the whole write-set plus the decision record is
+		// appended and fsynced before any of it is applied or the decision
+		// acked.
 		if n.wal != nil {
-			wait := time.Since(fsyncStart)
-			n.stages.FsyncWait.Record(wait)
-			if traceID != "" && n.tracer.Enabled() {
-				n.tracer.Record(trace.KindWALFsync, txID, wait.String())
-				n.tracer.RecordSpan(trace.Span{
-					Trace: traceID, ID: trace.NextSpanID(), Parent: serveID,
-					Name: "wal-fsync", Site: n.site,
-					Start: fsyncStart, End: fsyncStart.Add(wait),
-				})
+			if err := n.appendForced(txID, traceID, serveID, commitRecords(txID, writes)...); err != nil {
+				n.commitMu.RUnlock()
+				return &wire.Response{Status: wire.StatusError, Detail: "wal: " + err.Error()}
 			}
-		}
-		if err != nil {
-			n.commitMu.RUnlock()
-			return &wire.Response{Status: wire.StatusError, Detail: "wal: " + err.Error()}
 		}
 		for _, w := range writes {
 			if err := n.store.Apply(w, txID); err != nil {
@@ -322,30 +332,26 @@ func (n *Node) applyDecision(txID string, commit bool, writes []store.WriteDesc,
 			}
 			n.meter.RecordWrite(w.ID)
 		}
-	} else {
-		// An abort needs no writes, but the decision record still must be
-		// durable before the ack: replay would otherwise resurface the
-		// prepare as in-doubt and re-protect released objects.
-		if err := n.logDecision(txID, false, nil); err != nil {
-			n.commitMu.RUnlock()
-			return &wire.Response{Status: wire.StatusError, Detail: "wal: " + err.Error()}
-		}
 	}
-	// Publish while still holding the commit lock, so no checkpoint can
-	// slip between the decision record landing in the log and the outcome
-	// entering the in-doubt/decided view the checkpoint carries over.
 	n.idMu.Lock()
 	delete(n.inDoubt, txID)
 	n.setDecidedLocked(txID, commit)
 	n.idMu.Unlock()
+	var logErr error
+	if !commit && n.wal != nil {
+		// Abort is presumed: the record is staged, not forced, so the rows
+		// are not held for an fsync whose only content is "abort". A crash
+		// that loses it resurfaces the prepare as in-doubt, and no peer can
+		// answer that query with anything but aborted or in-doubt — the
+		// coordinator decided abort, so no commit record exists anywhere.
+		logErr = n.wal.AppendUnforced(wal.Record{Type: wal.RecordDecision, TxID: txID})
+	}
 	n.commitMu.RUnlock()
 
-	for _, id := range release {
-		// Apply already released write objects; releasing an unprotected
-		// object is a no-op, and ErrNotOwner/ErrNotFound mean another
-		// transaction raced in after our release — nothing to do.
-		_ = n.store.Unprotect(id, txID)
-	}
+	// Release whatever the log said: a node with a failing disk must not
+	// keep rows it has been told to let go. Apply already released written
+	// objects; the rest are no-ops or the prepare's read holds.
+	n.unprotect(txID, release)
 
 	switch {
 	case src == fromCoordinator && entry != nil && entry.overdue:
@@ -357,18 +363,33 @@ func (n *Node) applyDecision(txID string, commit bool, writes []store.WriteDesc,
 	case src == fromTTL:
 		n.resCtr.ttlAborts.Add(1)
 	}
+	if logErr != nil {
+		return &wire.Response{Status: wire.StatusError, Detail: "wal: " + logErr.Error()}
+	}
 	return &wire.Response{Status: wire.StatusOK}
 }
 
-// logDecision batches a decision's writes and its decision record into one
-// Append (one group-commit wait for the whole transaction, and the torn-tail
-// ordering the recovery logic depends on: writes first, decision last, so a
-// tear can lose the decision but never produce a decision without its
-// writes).
-func (n *Node) logDecision(txID string, commit bool, writes []store.WriteDesc) error {
-	if n.wal == nil {
-		return nil
+// unprotect drops txID's protections on ids. Releasing an unprotected
+// object is a no-op, and ErrNotOwner/ErrNotFound mean another transaction
+// raced in after an earlier release — nothing to do.
+func (n *Node) unprotect(txID string, ids []store.ObjectID) {
+	for _, id := range ids {
+		_ = n.store.Unprotect(id, txID)
 	}
+}
+
+// commitRecords lays out a commit decision for one Append (one fsync wait
+// for the whole transaction, and the torn-tail ordering the recovery logic
+// depends on: writes first, decision last, so a tear can lose the decision
+// but never produce a decision without its writes).
+func commitRecords(txID string, writes []store.WriteDesc) []wal.Record {
+	recs := writeRecords(txID, writes)
+	return append(recs, wal.Record{Type: wal.RecordDecision, TxID: txID, Commit: true})
+}
+
+// writeRecords renders applied writes as log records, with room for one
+// more (the decision record that follows a commit's writes).
+func writeRecords(txID string, writes []store.WriteDesc) []wal.Record {
 	recs := make([]wal.Record, 0, len(writes)+1)
 	for _, w := range writes {
 		recs = append(recs, wal.Record{
@@ -379,8 +400,7 @@ func (n *Node) logDecision(txID string, commit bool, writes []store.WriteDesc) e
 			Value:   w.Value,
 		})
 	}
-	recs = append(recs, wal.Record{Type: wal.RecordDecision, TxID: txID, Commit: commit})
-	return n.wal.Append(recs...)
+	return recs
 }
 
 // handleTxStatus answers a peer's termination query. The answer is
@@ -549,8 +569,17 @@ func (n *Node) ResolveNow(ctx context.Context, client transport.Client) int {
 func (n *Node) resolveOne(ctx context.Context, client transport.Client, e *inDoubtTx, now time.Time) bool {
 	txID := e.rec.TxID
 	// Keep the lease alive while undecided: re-protecting refreshes this
-	// holder's protection timestamps, pausing the store's TTL release.
+	// holder's protection timestamps, pausing the store's TTL release. Only
+	// while the entry is still in the table, and under its lock: a decision
+	// retires the entry before it releases, so a pass that examined the
+	// entry earlier cannot re-install protections behind that release.
+	n.idMu.Lock()
+	if n.inDoubt[txID] != e {
+		n.idMu.Unlock()
+		return false
+	}
 	n.reprotect(&e.rec)
+	n.idMu.Unlock()
 
 	peers := make([]quorum.NodeID, 0, len(e.rec.Quorum))
 	for _, p := range e.rec.Quorum {

@@ -12,22 +12,13 @@ import (
 	"qracn/internal/wire"
 )
 
-// newDurableTestNode builds a node over a fresh WAL in its own directory.
-// Sync-per-append, no automatic snapshots: every acked record is durable and
-// only explicit Checkpoint calls compact.
+// newDurableTestNode builds a node over a fresh WAL in its own directory
+// (durableNode: no automatic snapshots, only explicit Checkpoint calls
+// compact).
 func newDurableTestNode(t *testing.T) (*Node, string) {
 	t.Helper()
 	dir := t.TempDir()
-	l, _, err := wal.Open(dir, wal.Options{FsyncInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := NewNode(0, Config{StatsWindow: time.Hour, WAL: l, SnapshotEvery: -1})
-	n.Store().SeedBatch(map[store.ObjectID]store.Value{
-		"a": store.Int64(1),
-		"b": store.Int64(2),
-	})
-	return n, dir
+	return durableNode(t, 0, dir), dir
 }
 
 // TestCheckpointCarriesLive2PCState pins the crash-window fix: a checkpoint

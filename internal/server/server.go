@@ -37,8 +37,8 @@ type StageLatencies struct {
 	CommitApply metrics.LatencyHistogram
 	// RepairApply is a read-repair push application.
 	RepairApply metrics.LatencyHistogram
-	// FsyncWait is the group-commit wait inside CommitApply: how long the
-	// decision blocked on the WAL before its writes were durable.
+	// FsyncWait is the wait of every forced WAL append: a yes vote's prepare
+	// record inside PrepareServe, a commit decision inside CommitApply.
 	FsyncWait metrics.LatencyHistogram
 }
 
@@ -49,10 +49,11 @@ type Config struct {
 	StatsWindow time.Duration
 	// Now injects a clock for tests; nil means time.Now.
 	Now func() time.Time
-	// WAL, when non-nil, makes the node durable: every applied write (2PC
-	// decisions, read-repair pushes, anti-entropy transfers) is appended to
-	// the log and group-commit fsynced BEFORE the request is acknowledged,
-	// so an acked commit survives a process crash.
+	// WAL, when non-nil, makes the node durable: a yes vote and a commit
+	// decision are appended to the log and fsynced BEFORE the request is
+	// acknowledged, so an acked commit survives a process crash. Abort
+	// decisions, read-repair pushes and anti-entropy transfers are logged
+	// unforced: recovery does without the ones a crash loses.
 	WAL *wal.Log
 	// SnapshotEvery triggers an automatic store checkpoint (snapshot +
 	// segment compaction) once that many records have been appended since
@@ -359,39 +360,16 @@ func (n *Node) FinishRecovery(rec *wal.Recovered) {
 // Recovering reports whether the node is still replaying.
 func (n *Node) Recovering() bool { return n.recovering.Load() }
 
-// logWrite makes one write durable before it is applied. Callers hold
-// n.commitMu shared. A WAL error fails the request — a node that cannot log
-// must not ack, or the commit would be silently volatile.
-func (n *Node) logWrite(txID string, w store.WriteDesc) error {
+// logRepair stages convergence writes (read-repair pushes, anti-entropy
+// transfers) unforced: the push is best effort, and a replica that loses one
+// in a crash is behind again and is repaired again. Callers hold n.commitMu
+// shared, so a checkpoint cannot snapshot the applied value and compact
+// around a record still to come.
+func (n *Node) logRepair(source string, writes ...store.WriteDesc) error {
 	if n.wal == nil {
 		return nil
 	}
-	return n.wal.Append(wal.Record{
-		TxID:    txID,
-		Block:   w.Block,
-		Key:     w.ID,
-		Version: w.NewVersion,
-		Value:   w.Value,
-	})
-}
-
-// logWrites batches a decision's writes into one Append (one group-commit
-// wait for the whole transaction).
-func (n *Node) logWrites(txID string, writes []store.WriteDesc) error {
-	if n.wal == nil || len(writes) == 0 {
-		return nil
-	}
-	recs := make([]wal.Record, len(writes))
-	for i, w := range writes {
-		recs[i] = wal.Record{
-			TxID:    txID,
-			Block:   w.Block,
-			Key:     w.ID,
-			Version: w.NewVersion,
-			Value:   w.Value,
-		}
-	}
-	return n.wal.Append(recs...)
+	return n.wal.AppendUnforced(writeRecords(source, writes)...)
 }
 
 // Checkpoint snapshots the replica into the WAL and compacts old segments.
@@ -528,7 +506,7 @@ func (n *Node) serve(ctx context.Context, req *wire.Request) *wire.Response {
 
 // dispatch routes one request. serveID is the enclosing serve span's ID
 // (0 when untraced) for handlers that record nested spans (the WAL-fsync
-// wait inside a commit decision).
+// wait of a prepare record or a commit decision).
 func (n *Node) dispatch(ctx context.Context, req *wire.Request, serveID uint64) *wire.Response {
 	switch req.Kind {
 	case wire.KindRead:
@@ -538,7 +516,7 @@ func (n *Node) dispatch(ctx context.Context, req *wire.Request, serveID uint64) 
 		return resp
 	case wire.KindPrepare:
 		t0 := time.Now()
-		resp := n.handlePrepare(req)
+		resp := n.handlePrepare(req, serveID)
 		n.stages.PrepareServe.Record(time.Since(t0))
 		return resp
 	case wire.KindDecision:
@@ -636,7 +614,7 @@ func (n *Node) handleRead(req *wire.Request) *wire.Response {
 // like any other part, or two transactions reading each other's written
 // group could both commit. Only a read-only transaction's validation round
 // (no writes, no Quorum) votes without protecting.
-func (n *Node) handlePrepare(req *wire.Request) *wire.Response {
+func (n *Node) handlePrepare(req *wire.Request, serveID uint64) *wire.Response {
 	p := req.Prepare
 	if p == nil {
 		return &wire.Response{Status: wire.StatusError, Detail: "prepare request missing payload"}
@@ -698,7 +676,7 @@ func (n *Node) handlePrepare(req *wire.Request) *wire.Response {
 		Writes:  p.Writes,
 		Release: protected,
 		Quorum:  p.Quorum,
-	}); err != nil {
+	}, req.TraceID, serveID); err != nil {
 		rollback()
 		if errors.Is(err, errTxTerminated) {
 			return &wire.Response{Status: wire.StatusOK, Prepare: resp} // vote no
@@ -709,12 +687,12 @@ func (n *Node) handlePrepare(req *wire.Request) *wire.Response {
 	return &wire.Response{Status: wire.StatusOK, Prepare: resp}
 }
 
-// handleDecision is 2PC phase two: make the outcome durable (a decision
-// record batched with the writes in one group-commit fsync), apply the
-// writes (counting each toward the object's contention level), release
-// every protection the prepare installed, and retire the in-doubt entry.
-// serveID is the enclosing serve span (0 when untraced) so the WAL-fsync
-// wait can appear as a nested span. Duplicate deliveries (a coordinator
+// handleDecision is 2PC phase two: make a commit durable (a decision
+// record batched with the writes in one forced append) and apply the writes
+// (counting each toward the object's contention level), or presume an
+// abort; either way release every protection the prepare installed and
+// retire the in-doubt entry. serveID is the enclosing serve span (0 when
+// untraced) so the WAL-fsync wait can appear as a nested span. Duplicate deliveries (a coordinator
 // retry racing a peer resolution) are idempotent; a delivery conflicting
 // with an already-recorded outcome is refused.
 func (n *Node) handleDecision(req *wire.Request, serveID uint64) *wire.Response {
@@ -842,9 +820,8 @@ func (n *Node) handleRepair(req *wire.Request) *wire.Response {
 		}
 		return &wire.Response{Status: wire.StatusError, Detail: err.Error()}
 	}
-	// Log after the version-guarded apply decided the push wins, and before
-	// the ack, so a repaired replica stays repaired across a crash.
-	if err := n.logWrite("read-repair", w); err != nil {
+	// Log after the version-guarded apply decided the push wins.
+	if err := n.logRepair("read-repair", w); err != nil {
 		return &wire.Response{Status: wire.StatusError, Detail: "wal: " + err.Error()}
 	}
 	return &wire.Response{Status: wire.StatusOK}
@@ -875,7 +852,7 @@ func (n *Node) RepairFrom(ctx context.Context, client transport.Client, peer quo
 			applied = append(applied, w)
 		}
 	}
-	err = n.logWrites("anti-entropy", applied)
+	err = n.logRepair("anti-entropy", applied...)
 	n.commitMu.RUnlock()
 	if err != nil {
 		return repaired, fmt.Errorf("server: wal: %w", err)

@@ -13,7 +13,7 @@ import (
 // after a slow run replays every acked record.
 func TestSlowFsyncInjector(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{FsyncInterval: -1}) // sync-per-append isolates the delay
+	l, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSlowFsyncInjector(t *testing.T) {
 // batch as failed even though replay may surface it.
 func TestSyncFailEveryInjector(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{FsyncInterval: -1})
+	l, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,11 @@
 // value, committed version, and the transaction/Block that produced it —
 // dependency metadata in the style of dependency logging) to the log and
 // waits for the record to be fsynced *before* acknowledging the decision
-// round. Syncs are batched: a background syncer flushes and fsyncs once per
-// FsyncInterval, so under concurrent commit load the hot path pays one
-// fsync per batch of transactions instead of one per transaction.
+// round. Syncs are batched by a leader: an appender that finds no fsync in
+// flight runs one at once, and everything staged while it runs shares the
+// fsync that starts the moment it returns — batches grow with load, and a
+// lone append costs one fsync. Records recovery can reconstruct without
+// (AppendUnforced) are staged and left to the next sync.
 //
 // Recovery loads the newest CRC-valid snapshot, replays every later
 // segment record in order (version-max semantics, matching Store.Apply's
@@ -41,9 +43,10 @@ var errInjectedSyncFailure = errors.New("wal: injected fsync failure")
 
 // Options tunes a Log.
 type Options struct {
-	// FsyncInterval is the group-commit window: appends block until the
-	// next batched fsync, at most this long (default 2ms). Negative means
-	// sync-per-append (no group commit), for A/B measurements.
+	// FsyncInterval is the linger bound of unforced records: one staged by
+	// AppendUnforced is on disk at most this long after (default 10ms),
+	// sooner if any forced append syncs first. Forced appends never wait
+	// for it.
 	FsyncInterval time.Duration
 	// SegmentSize is the roll threshold in bytes (default 4 MiB).
 	SegmentSize int64
@@ -51,7 +54,9 @@ type Options struct {
 
 func (o *Options) fillDefaults() {
 	if o.FsyncInterval == 0 {
-		o.FsyncInterval = 2 * time.Millisecond
+		// Long enough that a log taking forced appends carries its unforced
+		// records with them instead of paying an fsync of their own.
+		o.FsyncInterval = 10 * time.Millisecond
 	}
 	if o.SegmentSize == 0 {
 		o.SegmentSize = 4 << 20
@@ -60,12 +65,12 @@ func (o *Options) fillDefaults() {
 
 // Stats is a point-in-time copy of the log's counters.
 type Stats struct {
-	// Appends counts Append calls (one per commit decision batch);
-	// Records counts individual records written.
+	// Appends counts Append and AppendUnforced calls (one per commit
+	// decision batch); Records counts individual records written.
 	Appends uint64
 	Records uint64
 	// Fsyncs counts file syncs; Appends/Fsyncs is the group-commit
-	// amortization factor. MaxBatch is the largest number of Append calls
+	// amortization factor. MaxBatch is the largest number of append calls
 	// a single fsync covered.
 	Fsyncs   uint64
 	MaxBatch uint64
@@ -110,17 +115,32 @@ type Log struct {
 	dir  string
 	opts Options
 
+	// mu is the staging lock. It guards the fields below it and, whenever
+	// syncing is false, the active segment (f, size, segIdx) and spare.
 	mu      sync.Mutex
-	f       *os.File
-	buf     *bytes.Buffer // pending (unflushed) frames
+	buf     *bytes.Buffer // frames staged for the next fsync
 	scratch []byte        // reusable binary record-frame staging buffer
-	size    int64         // bytes written to the active segment
-	segIdx  uint64        // active segment index
-	pending []chan error  // Append waiters for the next fsync
+	waiters []chan error  // forced appenders whose frames are in buf
+	batch   uint64        // append calls whose frames are in buf
 	closed  bool
+	// syncing marks a leader between taking a batch and finishing its
+	// fsync. The leader works outside mu (staging continues into buf) and
+	// alone owns the active segment and spare until it clears the flag or
+	// hands it, still set, to the first appender of the next batch. idle is
+	// signalled when it clears; barriers counts the goroutines waiting for
+	// that, and a leader that sees one does not hand off.
+	syncing  bool
+	idle     sync.Cond
+	barriers int
+	// linger is the pending FsyncInterval timer of the oldest unforced
+	// record staged since the last one fired (nil: none pending).
+	linger *time.Timer
 
-	syncKick      chan struct{}
-	syncDone      chan struct{}
+	f      *os.File
+	spare  *bytes.Buffer // the buffer buf swaps with; empty unless syncing
+	size   int64         // bytes written to the active segment
+	segIdx uint64        // active segment index
+
 	recsSinceSnap atomic.Uint64
 
 	appends  atomic.Uint64
@@ -131,9 +151,9 @@ type Log struct {
 	removed  atomic.Uint64
 
 	// Slow-disk fault injection (tests only; both zero in production).
-	// syncDelay stalls every fsync by the given nanoseconds while holding
-	// l.mu — exactly the shape of a degrading disk: appends queue behind the
-	// slow flush and commit latency balloons without any call failing.
+	// syncDelay stalls every fsync by the given nanoseconds — the shape of a
+	// degrading disk: appends keep staging behind the slow flush, batches
+	// grow and commit latency balloons without any call failing.
 	// syncFailEvery makes every Nth fsync report an I/O error.
 	syncDelay     atomic.Int64
 	syncFailEvery atomic.Int64
@@ -143,6 +163,10 @@ type Log struct {
 	tornTail        bool
 }
 
+// errLead is what a leader sends the first waiter of the next batch instead
+// of a result: the sync is yours, syncing is still set.
+var errLead = errors.New("wal: lead the next sync")
+
 // Open opens (creating if necessary) the WAL in dir, runs recovery, and
 // returns the log ready for appends plus the recovered object state.
 func Open(dir string, opts Options) (*Log, *Recovered, error) {
@@ -151,12 +175,12 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 		return nil, nil, err
 	}
 	l := &Log{
-		dir:      dir,
-		opts:     opts,
-		buf:      new(bytes.Buffer),
-		syncKick: make(chan struct{}, 1),
-		syncDone: make(chan struct{}),
+		dir:   dir,
+		opts:  opts,
+		buf:   new(bytes.Buffer),
+		spare: new(bytes.Buffer),
 	}
+	l.idle.L = &l.mu
 	rec, err := l.recover()
 	if err != nil {
 		return nil, nil, err
@@ -164,7 +188,6 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	if err := l.openActiveSegment(); err != nil {
 		return nil, nil, err
 	}
-	go l.syncLoop()
 	return l, rec, nil
 }
 
@@ -330,8 +353,8 @@ func (l *Log) Stats() Stats {
 func (l *Log) RecordsSinceSnapshot() uint64 { return l.recsSinceSnap.Load() }
 
 // SetSyncDelay injects a stall of d into every subsequent fsync (0 clears
-// it). The sleep happens while holding the log mutex, so appends queue
-// behind it exactly as they would behind a degrading disk. Test-only.
+// it). Staging continues during the stall, so appends pile into the next
+// batch exactly as they would behind a degrading disk. Test-only.
 func (l *Log) SetSyncDelay(d time.Duration) { l.syncDelay.Store(int64(d)) }
 
 // SetSyncFailEvery makes every Nth fsync report an injected I/O error to all
@@ -341,140 +364,182 @@ func (l *Log) SetSyncDelay(d time.Duration) { l.syncDelay.Store(int64(d)) }
 func (l *Log) SetSyncFailEvery(n int64) { l.syncFailEvery.Store(n) }
 
 // Append durably logs one commit's records: it stages the frames, then
-// blocks until the batched fsync covering them completes. On return the
-// records survive any crash. Safe for concurrent use; concurrent appends
-// share one fsync (group commit).
+// blocks until an fsync covering them completes. On return the records
+// survive any crash. Safe for concurrent use; appends that arrive while an
+// fsync is in flight share the next one (group commit).
 func (l *Log) Append(recs ...Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	ch := make(chan error, 1)
 	l.mu.Lock()
-	if l.closed {
+	if err := l.stageLocked(recs); err != nil {
 		l.mu.Unlock()
+		return err
+	}
+	l.waiters = append(l.waiters, ch)
+	if l.syncing {
+		l.mu.Unlock()
+		err := <-ch
+		if err != errLead {
+			return err
+		}
+		l.mu.Lock()
+	}
+	l.leadLocked()
+	l.mu.Unlock()
+	return <-ch
+}
+
+// AppendUnforced stages records without waiting for them to be durable: the
+// next fsync covers them — any forced append's, Checkpoint's or Close's, or
+// the log's own within FsyncInterval. A crash before that loses them, so it
+// is only for records recovery reconstructs without (presumed-abort
+// decisions, best-effort repair writes).
+func (l *Log) AppendUnforced(recs ...Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.stageLocked(recs); err != nil {
+		return err
+	}
+	if l.linger == nil {
+		l.linger = time.AfterFunc(l.opts.FsyncInterval, l.lingerSync)
+	}
+	return nil
+}
+
+// lingerSync is the FsyncInterval timer: it syncs whatever is still only
+// staged. Usually that is nothing — a forced append came by and took the
+// unforced records with it.
+func (l *Log) lingerSync() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.linger = nil
+	if l.buf.Len() == 0 {
+		return
+	}
+	l.quiesceLocked()
+	if !l.closed {
+		l.leadLocked()
+	}
+}
+
+// stageLocked frames one append call's records into the staging buffer (all
+// or none). It reuses a scratch buffer, so steady-state staging performs no
+// per-record allocation. Callers hold l.mu.
+func (l *Log) stageLocked(recs []Record) error {
+	if l.closed {
 		return ErrClosed
 	}
 	start := l.buf.Len()
 	for i := range recs {
-		if err := l.stageRecordLocked(&recs[i]); err != nil {
+		frame, err := AppendRecordFrame(l.scratch[:0], &recs[i])
+		if err != nil {
 			l.buf.Truncate(start)
-			l.mu.Unlock()
-			return err
+			return fmt.Errorf("wal: encode record: %w", err)
 		}
+		l.scratch = frame
+		l.buf.Write(frame)
 	}
 	l.records.Add(uint64(len(recs)))
 	l.recsSinceSnap.Add(uint64(len(recs)))
 	l.appends.Add(1)
-	l.pending = append(l.pending, ch)
-	if l.opts.FsyncInterval < 0 {
-		// Degenerate mode: sync inline, no batching.
-		err := l.syncLocked()
-		l.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		return <-ch
-	}
+	l.batch++
+	return nil
+}
+
+// leadLocked runs one sync as leader: it takes everything staged, releases
+// l.mu for the write and fsync so the next batch can stage meanwhile, and
+// acks the batch's waiters. Then it hands the lead to the first appender
+// that staged during the fsync — the next sync starts the moment this one
+// returned — or, with none (or with a barrier waiting), goes idle. Callers
+// hold l.mu and either found syncing clear or were handed it set.
+func (l *Log) leadLocked() {
+	l.syncing = true
+	out, waiters, batch := l.buf, l.waiters, l.batch
+	l.buf, l.waiters, l.batch = l.spare, nil, 0
 	l.mu.Unlock()
-	// Nudge the syncer so an idle log doesn't wait a full interval.
-	select {
-	case l.syncKick <- struct{}{}:
-	default:
-	}
-	return <-ch
-}
 
-// stageRecordLocked appends one framed record to the staging buffer. It
-// reuses a scratch buffer, so steady-state staging performs no per-record
-// allocation. Callers hold l.mu.
-func (l *Log) stageRecordLocked(rec *Record) error {
-	frame, err := AppendRecordFrame(l.scratch[:0], rec)
-	if err != nil {
-		return fmt.Errorf("wal: encode record: %w", err)
-	}
-	l.scratch = frame
-	_, err = l.buf.Write(frame)
-	return err
-}
-
-// syncLocked flushes staged frames to the active segment, fsyncs, notifies
-// all waiters, and rolls the segment if it crossed the size threshold.
-// Callers hold l.mu.
-func (l *Log) syncLocked() error {
-	if len(l.pending) == 0 && l.buf.Len() == 0 {
-		return nil
-	}
-	waiters := l.pending
-	l.pending = nil
-	var err error
-	if l.buf.Len() > 0 {
-		var n int
-		n, err = l.f.Write(l.buf.Bytes())
-		l.size += int64(n)
-		l.buf.Reset()
-	}
-	if err == nil {
-		if d := l.syncDelay.Load(); d > 0 {
-			// Injected slow disk: sleep under l.mu so appends pile up behind
-			// the stalled flush, as they would behind real hardware.
-			time.Sleep(time.Duration(d))
-		}
-		err = l.f.Sync()
-		l.fsyncs.Add(1)
-		if err == nil {
-			if every := l.syncFailEvery.Load(); every > 0 && l.fsyncs.Load()%uint64(every) == 0 {
-				err = errInjectedSyncFailure
-			}
-		}
-		if b := uint64(len(waiters)); b > l.maxBatch.Load() {
-			l.maxBatch.Store(b)
-		}
-	}
+	err := l.flush(out.Bytes(), batch)
+	out.Reset()
 	for _, ch := range waiters {
 		ch <- err
 	}
+
+	l.mu.Lock()
+	l.spare = out
+	if len(l.waiters) > 0 && l.barriers == 0 {
+		l.waiters[0] <- errLead
+		return
+	}
+	l.syncing = false
+	l.idle.Broadcast()
+}
+
+// quiesceLocked waits until no leader is mid-sync, so the caller owns the
+// active segment for as long as it keeps l.mu. A leader that finishes while
+// someone waits here does not hand off, so the wait is at most one fsync;
+// appenders it leaves staged are the caller's to flush or fail. Callers hold
+// l.mu.
+func (l *Log) quiesceLocked() {
+	l.barriers++
+	for l.syncing {
+		l.idle.Wait()
+	}
+	l.barriers--
+}
+
+// syncLocked flushes everything staged and acks its waiters without
+// releasing l.mu. Callers hold l.mu and have quiesced.
+func (l *Log) syncLocked() error {
+	err := l.flush(l.buf.Bytes(), l.batch)
+	l.buf.Reset()
+	for _, ch := range l.waiters {
+		ch <- err
+	}
+	l.waiters, l.batch = nil, 0
+	return err
+}
+
+// flush writes one batch of frames to the active segment, fsyncs it, and
+// rolls the segment if it crossed the size threshold. Callers own the
+// active segment: the syncing leader, or a quiesced holder of l.mu.
+func (l *Log) flush(frames []byte, batch uint64) error {
+	if len(frames) == 0 {
+		return nil
+	}
+	n, err := l.f.Write(frames)
+	l.size += int64(n)
+	if err != nil {
+		return err
+	}
+	if d := l.syncDelay.Load(); d > 0 {
+		time.Sleep(time.Duration(d)) // injected slow disk
+	}
+	err = l.f.Sync()
+	nth := l.fsyncs.Add(1)
+	if every := l.syncFailEvery.Load(); err == nil && every > 0 && nth%uint64(every) == 0 {
+		err = errInjectedSyncFailure
+	}
+	if batch > l.maxBatch.Load() {
+		l.maxBatch.Store(batch)
+	}
 	if err == nil && l.size >= l.opts.SegmentSize {
-		err = l.rollLocked()
+		err = l.roll()
 	}
 	return err
 }
 
-// rollLocked closes the active segment and opens the next one. The active
-// segment is already flushed and synced by syncLocked.
-func (l *Log) rollLocked() error {
+// roll closes the active segment, already flushed and synced, and opens the
+// next one. Callers own the active segment (see flush).
+func (l *Log) roll() error {
 	if err := l.f.Close(); err != nil {
 		return err
 	}
 	return l.openActiveSegment()
-}
-
-// syncLoop is the group-commit daemon. It sleeps until an append kicks it,
-// then waits one accumulation window (FsyncInterval) so concurrent
-// appenders can stage their frames, then flushes and fsyncs them all at
-// once. An idle log costs nothing: no periodic wakeups.
-func (l *Log) syncLoop() {
-	for {
-		select {
-		case <-l.syncKick:
-		case <-l.syncDone:
-			return
-		}
-		timer := time.NewTimer(l.opts.FsyncInterval)
-		select {
-		case <-timer.C:
-		case <-l.syncDone:
-			timer.Stop()
-			return
-		}
-		timer.Stop()
-		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
-			return
-		}
-		_ = l.syncLocked()
-		l.mu.Unlock()
-	}
 }
 
 // Checkpoint writes a snapshot of the given object state, rolls to a fresh
@@ -491,6 +556,7 @@ func (l *Log) syncLoop() {
 func (l *Log) Checkpoint(objs []store.WriteDesc, keep ...Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.quiesceLocked()
 	if l.closed {
 		return ErrClosed
 	}
@@ -500,20 +566,15 @@ func (l *Log) Checkpoint(objs []store.WriteDesc, keep ...Record) error {
 		return err
 	}
 	if l.size > 0 {
-		if err := l.rollLocked(); err != nil {
+		if err := l.roll(); err != nil {
 			return err
 		}
 	}
 	snapIdx := l.segIdx // covers all segments < segIdx
 	if len(keep) > 0 {
-		start := l.buf.Len()
-		for i := range keep {
-			if err := l.stageRecordLocked(&keep[i]); err != nil {
-				l.buf.Truncate(start)
-				return err
-			}
+		if err := l.stageLocked(keep); err != nil {
+			return err
 		}
-		l.records.Add(uint64(len(keep)))
 		// Durability point of the carry-over: fsynced into segment snapIdx
 		// (which replay visits — only segments below the snapshot index are
 		// skipped) while every old segment still exists. A crash at any
@@ -549,40 +610,40 @@ func (l *Log) Checkpoint(objs []store.WriteDesc, keep ...Record) error {
 	return syncDir(l.dir)
 }
 
-// Close flushes, fsyncs, and closes the log. Pending appends complete.
+// Close flushes, fsyncs, and closes the log. Pending appends complete, and
+// staged unforced records reach the disk.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.quiesceLocked()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	err := l.syncLocked()
 	l.closed = true
-	close(l.syncDone)
-	cerr := l.f.Close()
-	l.mu.Unlock()
-	if err != nil {
-		return err
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
 	}
-	return cerr
+	return err
 }
 
 // Crash simulates a process crash: the log is abandoned WITHOUT flushing
 // staged frames, so records not yet covered by an fsync are lost exactly as
-// they would be on a real kill. Used by fault-injection harnesses.
+// they would be on a real kill. An fsync already in flight completes (its
+// appenders are acked: their bytes are on disk); every appender still only
+// staged fails. Used by fault-injection harnesses.
 func (l *Log) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.quiesceLocked()
 	if l.closed {
 		return
 	}
 	l.closed = true
-	close(l.syncDone)
-	// Fail pending waiters: their commits were never made durable.
-	for _, ch := range l.pending {
+	for _, ch := range l.waiters {
 		ch <- ErrClosed
 	}
-	l.pending = nil
+	l.waiters = nil
 	l.buf.Reset()
 	_ = l.f.Close()
 }

