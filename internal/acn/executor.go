@@ -32,6 +32,7 @@ type Executor struct {
 	comp        atomic.Pointer[compiled]
 	noPrefetch  atomic.Bool
 	samplers    []*contention.Sampler
+	sampled     *contention.Union
 	varDefsNote varDefs
 }
 
@@ -76,9 +77,10 @@ func NewExecutor(rt *dtm.Runtime, an *unitgraph.Analysis, initial *Composition) 
 	e := &Executor{rt: rt, an: an}
 	e.varDefsNote = collectVarDefs(an)
 	e.comp.Store(e.compile(initial))
+	e.sampled = contention.NewUnion()
 	e.samplers = make([]*contention.Sampler, an.NumAnchors)
 	for i := range e.samplers {
-		e.samplers[i] = contention.NewSampler(SamplerCapacity)
+		e.samplers[i] = contention.NewSampler(SamplerCapacity, e.sampled)
 	}
 	return e
 }
@@ -178,19 +180,11 @@ func (e *Executor) SetPrefetch(enabled bool) { e.noPrefetch.Store(!enabled) }
 func (e *Executor) AnchorSample(id int) []store.ObjectID { return e.samplers[id].Recent() }
 
 // SampledIDs returns the union of recent object IDs across all UnitBlocks —
-// the object list the dynamic module requests contention levels for.
+// the object list the dynamic module requests contention levels for. The
+// slice is shared and must not be modified.
 func (e *Executor) SampledIDs() []store.ObjectID {
-	var out []store.ObjectID
-	seen := make(map[store.ObjectID]bool)
-	for _, s := range e.samplers {
-		for _, id := range s.IDs() {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	return out
+	ids, _ := e.sampled.IDs()
+	return ids
 }
 
 // Execute runs one invocation of the program with the given parameters.

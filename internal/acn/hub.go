@@ -24,6 +24,11 @@ type Hub struct {
 	mu    sync.Mutex
 	execs []*Executor
 	algos []*Algorithm
+	// wanted is the union Wanted last built over several profiles, good while
+	// the profiles' sampled-set generations (which only grow) still sum to
+	// wantedGen.
+	wanted    []store.ObjectID
+	wantedGen uint64
 }
 
 // HubConfig tunes a Hub.
@@ -61,6 +66,7 @@ func (h *Hub) Register(exec *Executor, cfg AlgoConfig) {
 	defer h.mu.Unlock()
 	h.execs = append(h.execs, exec)
 	h.algos = append(h.algos, NewAlgorithm(exec.Analysis(), cfg))
+	h.wanted = nil // built over the profiles there were
 }
 
 // anchorHome reports the shard owning the plurality of an anchor's recently
@@ -81,22 +87,33 @@ func anchorHome(shardOf func(store.ObjectID) int, ids []store.ObjectID) int {
 // Table exposes the shared contention table.
 func (h *Hub) Table() *contention.Table { return h.table }
 
-// Wanted implements the piggyback hook over all registered profiles.
+// Wanted implements the piggyback hook over all registered profiles. The
+// slice is shared and must not be modified.
 func (h *Hub) Wanted() []store.ObjectID {
 	h.mu.Lock()
-	execs := append([]*Executor(nil), h.execs...)
-	h.mu.Unlock()
+	defer h.mu.Unlock()
+	if len(h.execs) == 1 {
+		return h.execs[0].SampledIDs()
+	}
+	var gen uint64
+	for _, e := range h.execs {
+		_, g := e.sampled.IDs()
+		gen += g
+	}
+	if h.wanted != nil && gen == h.wantedGen {
+		return h.wanted
+	}
 	seen := make(map[store.ObjectID]bool)
-	var out []store.ObjectID
-	for _, e := range execs {
+	h.wanted, h.wantedGen = nil, gen
+	for _, e := range h.execs {
 		for _, id := range e.SampledIDs() {
 			if !seen[id] {
 				seen[id] = true
-				out = append(out, id)
+				h.wanted = append(h.wanted, id)
 			}
 		}
 	}
-	return out
+	return h.wanted
 }
 
 // Sink implements the piggyback hook: reported levels feed the shared

@@ -139,6 +139,9 @@ func TestHubWantedUnion(t *testing.T) {
 	if len(ids) != 2 {
 		t.Fatalf("Wanted = %v, want union of both profiles", ids)
 	}
+	if again := hub.Wanted(); &again[0] != &ids[0] {
+		t.Fatal("Wanted rebuilt its list although no profile's sample had moved")
+	}
 	hub.Sink(map[store.ObjectID]float64{"x": 5})
 	if hub.Table().Level("x") != 5 {
 		t.Fatal("Sink did not reach the shared table")

@@ -14,6 +14,7 @@ import (
 	"qracn/internal/health"
 	"qracn/internal/metrics"
 	"qracn/internal/quorum"
+	"qracn/internal/raceflag"
 	"qracn/internal/server"
 	"qracn/internal/store"
 	"qracn/internal/transport"
@@ -153,7 +154,7 @@ func TestOverloadStormBackpressure(t *testing.T) {
 	// Quantitative degradation bounds are skipped under the race detector
 	// (it serializes goroutines and inflates tails ~10x; the correctness
 	// assertions above still run).
-	if !raceEnabled {
+	if !raceflag.Enabled {
 		// Goodput under ~8x saturation holds near the unloaded rate
 		// (graceful degradation, not collapse).
 		if float64(storm.commits) < 0.7*float64(base.commits) {

@@ -3,6 +3,9 @@ package contention
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -130,11 +133,12 @@ func TestTablePanicsOnBadAlpha(t *testing.T) {
 }
 
 func TestSamplerDistinctIDs(t *testing.T) {
-	s := NewSampler(4)
+	u := NewUnion()
+	s := NewSampler(4, u)
 	s.Record("a")
 	s.Record("b")
 	s.Record("a")
-	ids := s.IDs()
+	ids, _ := u.IDs()
 	if len(ids) != 2 {
 		t.Fatalf("IDs = %v, want 2 distinct", ids)
 	}
@@ -144,7 +148,7 @@ func TestSamplerDistinctIDs(t *testing.T) {
 }
 
 func TestSamplerEvictsOldest(t *testing.T) {
-	s := NewSampler(3)
+	s := NewSampler(3, NewUnion())
 	for i := 0; i < 5; i++ {
 		s.Record(store.ObjectID(fmt.Sprintf("o%d", i)))
 	}
@@ -165,7 +169,8 @@ func TestSamplerEvictsOldest(t *testing.T) {
 func TestSamplerFrequencyWeighting(t *testing.T) {
 	// After a phase shift the window must be dominated by the new hot
 	// objects even though old distinct IDs were seen before.
-	s := NewSampler(8)
+	u := NewUnion()
+	s := NewSampler(8, u)
 	for i := 0; i < 8; i++ {
 		s.Record(store.ObjectID(fmt.Sprintf("cold%d", i)))
 	}
@@ -177,7 +182,7 @@ func TestSamplerFrequencyWeighting(t *testing.T) {
 			t.Fatalf("stale access %s survived a full window of hot accesses", id)
 		}
 	}
-	if ids := s.IDs(); len(ids) != 1 || ids[0] != "hot" {
+	if ids, _ := u.IDs(); len(ids) != 1 || ids[0] != "hot" {
 		t.Fatalf("IDs = %v", ids)
 	}
 }
@@ -188,5 +193,86 @@ func TestSamplerPanicsOnBadCapacity(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewSampler(0)
+	NewSampler(0, NewUnion())
+}
+
+func sortedIDs(ids []store.ObjectID) string {
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = string(id)
+	}
+	sort.Strings(out)
+	return strings.Join(out, " ")
+}
+
+// TestUnionFollowsItsSamplers: the union is the distinct IDs of all its
+// samplers' windows at every moment, an ID two windows hold leaves only with
+// the second, and the list handed out is rebuilt only when the set moved —
+// and never modified afterwards, since callers hold on to it.
+func TestUnionFollowsItsSamplers(t *testing.T) {
+	u := NewUnion()
+	a, b := NewSampler(2, u), NewSampler(2, u)
+	a.Record("x")
+	b.Record("x")
+	a.Record("y")
+	first, gen := u.IDs()
+	if got := sortedIDs(first); got != "x y" {
+		t.Fatalf("IDs = %q, want x y", got)
+	}
+	a.Record("x") // a: [x y] -> [x y] with the older x replaced: same set
+	if again, g := u.IDs(); g != gen || &again[0] != &first[0] {
+		t.Fatal("the list was rebuilt although the set did not move")
+	}
+	a.Record("z") // a: y ages out, z comes in
+	a.Record("z") // a: [z z]; x lives on in b
+	second, g := u.IDs()
+	if got := sortedIDs(second); got != "x z" || g == gen {
+		t.Fatalf("IDs = %q (generation %d -> %d), want x z and a new generation", got, gen, g)
+	}
+	if got := sortedIDs(first); got != "x y" {
+		t.Fatalf("a list handed out earlier now reads %q", got)
+	}
+	b.Record("w")
+	b.Record("w") // b: [w w]: the last x is gone
+	if third, _ := u.IDs(); sortedIDs(third) != "w z" {
+		t.Fatalf("IDs = %q, want w z", sortedIDs(third))
+	}
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestKeysDoNotPinTheMessagesThatNamedThem: an ID off the wire is a view into
+// its whole frame. The meter and the table keep a copy of a key they insert —
+// and must not swap it for the caller's view when the key is named again: a Go
+// map adopts the key it is assigned under, even an equal one. Here every key
+// arrives twice, each time as the tail of a 32 KB "frame" of its own.
+func TestKeysDoNotPinTheMessagesThatNamedThem(t *testing.T) {
+	const keys, frame = 200, 32 << 10
+	view := func(i int) store.ObjectID {
+		return store.ObjectID((strings.Repeat("x", frame) + fmt.Sprintf("row/%d", i))[frame:])
+	}
+	m := NewMeter(time.Hour, nil)
+	tab := NewTable(0.5)
+	before := liveHeap()
+	for round := 0; round < 2; round++ {
+		for i := 0; i < keys; i++ {
+			m.RecordWrite(view(i))
+			tab.Observe(view(i), float64(round))
+		}
+	}
+	if grown := int64(liveHeap()) - int64(before); grown > keys*frame/10 {
+		t.Fatalf("live heap grew by %d bytes for %d keys: keys keep %d-byte frames alive", grown, keys, frame)
+	}
+	if m.Level("row/7") != 2 || tab.Level("row/7") != 0.5 {
+		t.Fatalf("row/7: meter %v, table %v; want 2 and 0.5", m.Level("row/7"), tab.Level("row/7"))
+	}
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(tab)
 }

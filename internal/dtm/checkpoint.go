@@ -43,7 +43,6 @@ func (tx *Tx) Checkpoint() *Checkpoint {
 func (tx *Tx) Restore(cp *Checkpoint) {
 	for _, id := range tx.readOrder[cp.readLen:] {
 		delete(tx.reads, id)
-		delete(tx.readVals, id)
 	}
 	tx.readOrder = tx.readOrder[:cp.readLen]
 	tx.writes = make(map[store.ObjectID]store.Value, len(cp.writes))

@@ -255,13 +255,13 @@ func (tx *Tx) mergePrefetch(need []store.ObjectID, results []callResult) error {
 			// busy/backoff protocol.
 			continue
 		}
-		var e readAhead
+		var e readEntry
 		if best != nil {
-			e = readAhead{val: best.Value, ver: best.Version}
+			e = readEntry{val: best.Value, ver: best.Version}
 		}
 		rt.maybeRepair(id, perMember, e.val, e.ver)
 		if top.ahead == nil {
-			top.ahead = make(map[store.ObjectID]readAhead, len(need))
+			top.ahead = make(map[store.ObjectID]readEntry, len(need))
 		}
 		top.ahead[id] = e
 		parked++

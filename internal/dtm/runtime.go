@@ -525,8 +525,7 @@ func (rt *Runtime) runAttempts(ctx context.Context, fn func(*Tx) error, seq uint
 			incarnation: attempt,
 			traceID:     traceID,
 			span:        attemptSpan.ID,
-			reads:       make(map[store.ObjectID]uint64),
-			readVals:    make(map[store.ObjectID]store.Value),
+			reads:       make(map[store.ObjectID]readEntry),
 			writes:      make(map[store.ObjectID]store.Value),
 			writeBlock:  make(map[store.ObjectID]int),
 		}
@@ -630,18 +629,26 @@ func budgetFrom(ctx context.Context) *backoff.Budget {
 // call's outcome feeds the failure detector: a response is a success,
 // timeouts and connection errors count against the node, and caller-side
 // cancellations count as neither.
+//
+// The caller has nothing to do but wait, so the last leg runs on its own
+// goroutine — on its already grown stack — and only the others are spawned.
 func (rt *Runtime) fanoutEach(ctx context.Context, nodes []quorum.NodeID, makeReq func(i int) *wire.Request) []callResult {
+	if len(nodes) == 0 {
+		return nil
+	}
 	cctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
 	defer cancel()
 	out := make([]callResult, len(nodes))
+	last := len(nodes) - 1
 	var wg sync.WaitGroup
-	for i, n := range nodes {
-		wg.Add(1)
+	wg.Add(last)
+	for i, n := range nodes[:last] {
 		go func(i int, n quorum.NodeID) {
 			defer wg.Done()
 			out[i] = rt.call1(cctx, n, makeReq(i))
 		}(i, n)
 	}
+	out[last] = rt.call1(cctx, nodes[last], makeReq(last))
 	wg.Wait()
 	return out
 }

@@ -65,13 +65,19 @@ type Tx struct {
 	traceID string
 	span    uint64
 
-	// reads maps first-accessed objects to the version observed at fetch
-	// time; readOrder preserves access order for commit messages.
-	reads     map[store.ObjectID]uint64
+	// reads maps first-accessed objects to the value and version observed at
+	// fetch time; readOrder preserves access order for commit messages.
+	reads     map[store.ObjectID]readEntry
 	readOrder []store.ObjectID
-	readVals  map[store.ObjectID]store.Value
 	// writes buffers this context's writes (QR-CN write-set).
 	writes map[store.ObjectID]store.Value
+
+	// child (top level only) is the one sub-transaction context the
+	// transaction's Blocks take turns in: Blocks run one at a time and merge
+	// or discard everything they hold before the next starts, so runSub
+	// empties it instead of building a context and its maps per Block and
+	// per try.
+	child *Tx
 
 	// ahead (top level only) is the read-ahead buffer: what Prefetch fetched
 	// and no context has touched yet. An entry belongs to no Block until a
@@ -79,12 +85,12 @@ type Tx struct {
 	// until then it rides in every incremental-validation list and is
 	// dropped, not aborted on, when reported stale (abortFor). Allocated by
 	// the first Prefetch.
-	ahead map[store.ObjectID]readAhead
+	ahead map[store.ObjectID]readEntry
 }
 
-// readAhead is one buffered first access: the value and version a read
-// quorum reported for the object.
-type readAhead struct {
+// readEntry is one first access, in a read set or still in the read-ahead
+// buffer: the value and version a read quorum reported for the object.
+type readEntry struct {
 	val store.Value
 	ver uint64
 }
@@ -134,8 +140,8 @@ func (tx *Tx) lookupWrite(id store.ObjectID) (store.Value, bool) {
 // lookupRead finds a cached read in this context chain.
 func (tx *Tx) lookupRead(id store.ObjectID) (store.Value, bool) {
 	for c := tx; c != nil; c = c.parent {
-		if _, ok := c.reads[id]; ok {
-			return c.readVals[id], true
+		if e, ok := c.reads[id]; ok {
+			return e.val, true
 		}
 	}
 	return nil, false
@@ -183,7 +189,7 @@ func (tx *Tx) validationListFor(g *shard.Group) []store.ReadDesc {
 	for c := tx; c != nil; c = c.parent {
 		for _, id := range c.readOrder {
 			if m == nil || g == nil || m.GroupOf(id) == g {
-				out = append(out, store.ReadDesc{ID: id, Version: c.reads[id]})
+				out = append(out, store.ReadDesc{ID: id, Version: c.reads[id].ver})
 			}
 		}
 	}
@@ -293,15 +299,14 @@ func (tx *Tx) firstAccess(id store.ObjectID) (store.Value, error) {
 		return tx.remoteRead(id)
 	}
 	delete(ahead, id)
-	tx.recordRead(id, e.val, e.ver)
+	tx.recordRead(id, e)
 	return e.val, nil
 }
 
 // recordRead enters a first access into the current context's read set.
-func (tx *Tx) recordRead(id store.ObjectID, val store.Value, ver uint64) {
-	tx.reads[id] = ver
+func (tx *Tx) recordRead(id store.ObjectID, e readEntry) {
+	tx.reads[id] = e
 	tx.readOrder = append(tx.readOrder, id)
-	tx.readVals[id] = val
 }
 
 // remoteRead performs the quorum read protocol for a first access. It wraps
@@ -361,7 +366,7 @@ func (tx *Tx) remoteReadInner(id store.ObjectID, spanID uint64) (store.Value, er
 
 		// Union the incremental-validation reports from all replicas.
 		var invalid []store.ObjectID
-		seen := make(map[store.ObjectID]bool)
+		var seen map[store.ObjectID]bool // made by the first invalidation: most reads report none
 		busy := false
 		conflictTx := "" // conflict witness piggybacked on Busy replies
 		var best *wire.ReadResponse
@@ -371,6 +376,9 @@ func (tx *Tx) remoteReadInner(id store.ObjectID, spanID uint64) (store.Value, er
 			if r.resp.Read != nil {
 				for _, inv := range r.resp.Read.Invalid {
 					if !seen[inv] {
+						if seen == nil {
+							seen = make(map[store.ObjectID]bool)
+						}
 						seen[inv] = true
 						invalid = append(invalid, inv)
 					}
@@ -461,7 +469,7 @@ func (tx *Tx) remoteReadInner(id store.ObjectID, spanID uint64) (store.Value, er
 		// are behind the quorum maximum: push the fresh state back to them
 		// asynchronously so revived replicas converge.
 		rt.maybeRepair(id, results, val, ver)
-		tx.recordRead(id, val, ver)
+		tx.recordRead(id, readEntry{val: val, ver: ver})
 		return val, nil
 	}
 }
@@ -625,22 +633,7 @@ func (tx *Tx) runSub(fn func(*Tx) error, block int, blockID uint64) error {
 				Start:  time.Now(),
 			}
 		}
-		child := &Tx{
-			rt:          rt,
-			ctx:         tx.ctx,
-			id:          tx.id,
-			seed:        tx.seed,
-			incarnation: tx.incarnation,
-			deadline:    tx.deadline,
-			budget:      tx.budget,
-			parent:      tx,
-			block:       block,
-			traceID:     tx.traceID,
-			span:        trySpan.ID,
-			reads:       make(map[store.ObjectID]uint64),
-			readVals:    make(map[store.ObjectID]store.Value),
-			writes:      make(map[store.ObjectID]store.Value),
-		}
+		child := tx.subContext(block, trySpan.ID)
 		err := fn(child)
 		if blockID != 0 {
 			trySpan.End = time.Now()
@@ -670,13 +663,41 @@ func (tx *Tx) runSub(fn func(*Tx) error, block int, blockID uint64) error {
 	return &AbortError{Level: AbortParent, Reason: "sub-transaction retry budget exhausted"}
 }
 
+// subContext hands out the transaction's sub-transaction context, emptied,
+// for one try of Block block. A Block body must not keep the context past its
+// return: the next try, or the next Block, is handed the same one.
+func (tx *Tx) subContext(block int, span uint64) *Tx {
+	c := tx.child
+	if c == nil {
+		c = &Tx{
+			rt:          tx.rt,
+			ctx:         tx.ctx,
+			id:          tx.id,
+			seed:        tx.seed,
+			incarnation: tx.incarnation,
+			deadline:    tx.deadline,
+			budget:      tx.budget,
+			parent:      tx,
+			traceID:     tx.traceID,
+			reads:       make(map[store.ObjectID]readEntry),
+			writes:      make(map[store.ObjectID]store.Value),
+		}
+		tx.child = c
+	} else {
+		clear(c.reads)
+		clear(c.writes)
+		c.readOrder = c.readOrder[:0]
+	}
+	c.block, c.span = block, span
+	return c
+}
+
 // merge folds a committed child into the parent (closed-nesting commit).
 func (tx *Tx) merge(child *Tx) {
 	for _, id := range child.readOrder {
 		if _, dup := tx.reads[id]; !dup {
 			tx.reads[id] = child.reads[id]
 			tx.readOrder = append(tx.readOrder, id)
-			tx.readVals[id] = child.readVals[id]
 		}
 	}
 	for id, v := range child.writes {
@@ -693,7 +714,7 @@ func (tx *Tx) merge(child *Tx) {
 func (rt *Runtime) commit(ctx context.Context, tx *Tx) error {
 	reads := make([]store.ReadDesc, 0, len(tx.readOrder))
 	for _, id := range tx.readOrder {
-		reads = append(reads, store.ReadDesc{ID: id, Version: tx.reads[id]})
+		reads = append(reads, store.ReadDesc{ID: id, Version: tx.reads[id].ver})
 	}
 
 	if len(tx.writes) == 0 {
@@ -706,7 +727,7 @@ func (rt *Runtime) commit(ctx context.Context, tx *Tx) error {
 			writes = append(writes, store.WriteDesc{
 				ID:         id,
 				Value:      v,
-				NewVersion: tx.reads[id] + 1,
+				NewVersion: tx.reads[id].ver + 1,
 				Block:      tx.writeBlock[id],
 			})
 		}

@@ -213,9 +213,13 @@ type Recorder struct {
 	aborts *Ring[AbortEvent]
 	recs   *Ring[RecomposeEvent]
 
-	hotMu   sync.Mutex
-	hotCur  map[string]uint64
-	hotPrev map[string]uint64
+	hotMu sync.Mutex
+	// The tallies sit behind pointers so that counting a known key is a
+	// lookup, never a map assignment (which would make the map adopt the
+	// caller's copy of the key — a view into a whole frame when it came off
+	// the wire).
+	hotCur  map[string]*uint64
+	hotPrev map[string]*uint64
 }
 
 // New builds a Recorder with the given per-ring capacity (<=0: DefaultRingSize).
@@ -226,7 +230,7 @@ func New(ringSize int) *Recorder {
 	return &Recorder{
 		aborts: NewRing[AbortEvent](ringSize),
 		recs:   NewRing[RecomposeEvent](ringSize),
-		hotCur: make(map[string]uint64),
+		hotCur: make(map[string]*uint64),
 	}
 }
 
@@ -240,6 +244,9 @@ func (r *Recorder) RecordAbort(e AbortEvent) {
 		e.At = time.Now()
 	}
 	e.CauseName = e.Cause.String()
+	// The ring outlives the message these may be views into
+	// (wire.DecodeEnvelope); only abort paths pay for the copies.
+	e.TxID, e.Key, e.ConflictingTxID = strings.Clone(e.TxID), strings.Clone(e.Key), strings.Clone(e.ConflictingTxID)
 	r.aborts.Record(e)
 	if e.Key != "" {
 		r.NoteConflict(e.Key)
@@ -268,11 +275,16 @@ func (r *Recorder) NoteConflict(key string) {
 		return
 	}
 	r.hotMu.Lock()
-	if _, ok := r.hotCur[key]; !ok && len(r.hotCur) >= hotKeysCap {
-		r.hotPrev = r.hotCur
-		r.hotCur = make(map[string]uint64)
+	if n := r.hotCur[key]; n != nil {
+		*n++
+	} else {
+		if len(r.hotCur) >= hotKeysCap {
+			r.hotPrev = r.hotCur
+			r.hotCur = make(map[string]*uint64)
+		}
+		one := uint64(1)
+		r.hotCur[strings.Clone(key)] = &one
 	}
-	r.hotCur[key]++
 	r.hotMu.Unlock()
 }
 
@@ -319,10 +331,10 @@ func (r *Recorder) HotKeys(k int) []HotKeyEvent {
 	r.hotMu.Lock()
 	merged := make(map[string]uint64, len(r.hotCur)+len(r.hotPrev))
 	for key, n := range r.hotPrev {
-		merged[key] += n
+		merged[key] += *n
 	}
 	for key, n := range r.hotCur {
-		merged[key] += n
+		merged[key] += *n
 	}
 	r.hotMu.Unlock()
 	now := time.Now()

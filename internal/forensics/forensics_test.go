@@ -3,6 +3,7 @@ package forensics
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -188,5 +189,33 @@ func TestRefusalReasonStamping(t *testing.T) {
 	recs := r.Recomposes()
 	if len(recs) != 1 || recs[0].Refusals[0].ReasonName != "shard-home" {
 		t.Fatalf("refusal reason not stamped: %+v", recs)
+	}
+}
+
+// TestHotKeyTallyDoesNotPinTheMessagesThatNamedIt: a conflict key off the
+// wire is a view into its whole frame; the tally keeps a copy of a key it
+// inserts and must not adopt the caller's view when the key conflicts again
+// (a Go map adopts the key it is assigned under, even an equal one).
+func TestHotKeyTallyDoesNotPinTheMessagesThatNamedIt(t *testing.T) {
+	const keys, frame = 200, 32 << 10
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	r := New(16)
+	before := liveHeap()
+	for round := 0; round < 2; round++ {
+		for i := 0; i < keys; i++ {
+			r.NoteConflict((strings.Repeat("x", frame) + fmt.Sprintf("row/%d", i))[frame:])
+		}
+	}
+	if grown := int64(liveHeap()) - int64(before); grown > keys*frame/10 {
+		t.Fatalf("live heap grew by %d bytes for %d keys: keys keep %d-byte frames alive", grown, keys, frame)
+	}
+	if top := r.HotKeys(1); len(top) != 1 || top[0].Conflicts != 2 {
+		t.Fatalf("HotKeys(1) = %+v, want one key with 2 conflicts", top)
 	}
 }

@@ -27,6 +27,7 @@ package server
 import (
 	"context"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -174,7 +175,15 @@ func (n *Node) setDecidedLocked(txID string, commit bool) {
 		n.decidedPrev = n.decidedCur
 		n.decidedCur = make(map[string]bool, decidedCap/4)
 	}
-	n.decidedCur[txID] = commit
+	if prev, ok := n.decidedCur[txID]; ok && prev == commit {
+		return
+	}
+	// The outcome memory holds 2×decidedCap entries for hours; txID may be a
+	// view into the decision that carried it (wire.DecodeEnvelope), and one
+	// retained ID must not retain one whole frame — so the map is only ever
+	// assigned under a copy (assigning under an existing key adopts the
+	// caller's copy of it too).
+	n.decidedCur[strings.Clone(txID)] = commit
 }
 
 // registerPrepare durably records a yes vote before it is sent: the entry
@@ -224,9 +233,10 @@ func (n *Node) appendForced(txID, traceID string, serveID uint64, recs ...wal.Re
 	wait := time.Since(start)
 	n.stages.FsyncWait.Record(wait)
 	if traceID != "" && n.tracer.Enabled() {
-		n.tracer.Record(trace.KindWALFsync, txID, wait.String())
+		// Both rings outlive the request these IDs are views into.
+		n.tracer.Record(trace.KindWALFsync, strings.Clone(txID), wait.String())
 		n.tracer.RecordSpan(trace.Span{
-			Trace: traceID, ID: trace.NextSpanID(), Parent: serveID,
+			Trace: strings.Clone(traceID), ID: trace.NextSpanID(), Parent: serveID,
 			Name: "wal-fsync", Site: n.site,
 			Start: start, End: start.Add(wait),
 		})

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -490,7 +491,7 @@ func (n *Node) serve(ctx context.Context, req *wire.Request) *wire.Response {
 		return n.dispatch(ctx, req, 0)
 	}
 	span := trace.Span{
-		Trace:  req.TraceID,
+		Trace:  strings.Clone(req.TraceID), // the span ring outlives the request the ID is a view into
 		ID:     trace.NextSpanID(),
 		Parent: req.SpanID,
 		Name:   "serve-" + req.Kind.String(),

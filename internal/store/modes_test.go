@@ -281,3 +281,51 @@ func TestObjectStaysInItsSizeClass(t *testing.T) {
 		t.Fatalf("live object is %d bytes, budget 80", got)
 	}
 }
+
+// TestReleasedHoldsLeaveNoOwnerBehind: a holder's name may be a view into the
+// request that carried it, so a row must not keep it past the hold — not in a
+// field, and not in the vacated tail of the shared-holder slice it reuses.
+// The same goes for the key a request first created a row under.
+func TestReleasedHoldsLeaveNoOwnerBehind(t *testing.T) {
+	s := New()
+	s.Seed("row", Int64(1))
+	for _, tx := range []string{"t1", "t2", "t3"} {
+		if err := s.ProtectShared("row", tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tx := range []string{"t2", "t1", "t3"} {
+		if err := s.Unprotect("row", tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.ProtectShared("row", "t4"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Protect("row", "t4", false); err != nil { // upgrade empties the slice
+		t.Fatal(err)
+	}
+	if err := s.Apply(WriteDesc{ID: "row", Value: Int64(2), NewVersion: 2}, "t4"); err != nil {
+		t.Fatal(err)
+	}
+	o := s.objs["row"]
+	if o.protectedBy != "" {
+		t.Fatalf("released row still names %q as exclusive holder", o.protectedBy)
+	}
+	for i, h := range o.shared[:cap(o.shared)] {
+		if h.owner != "" {
+			t.Fatalf("slot %d of the released row's holder slice still names %q", i, h.owner)
+		}
+	}
+
+	frame := "a long request frame naming fresh/1 somewhere in it"
+	id := ObjectID(frame[30:37])
+	if err := s.Apply(WriteDesc{ID: id, Value: Int64(1), NewVersion: 1}, "t5"); err != nil {
+		t.Fatal(err)
+	}
+	for key := range s.objs {
+		if key == id && unsafe.StringData(string(key)) == unsafe.StringData(string(id)) {
+			t.Fatal("the row created by a request is keyed by a view into that request")
+		}
+	}
+}

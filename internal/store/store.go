@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -11,6 +12,11 @@ import (
 // ObjectID names a shared object. Workloads typically derive IDs from a
 // class prefix and a key, e.g. "district/3/7".
 type ObjectID string
+
+// Clone returns a copy of id in memory of its own. An ID decoded off the wire
+// is a view into its whole frame (wire.DecodeEnvelope): a table that keeps
+// one long after the message is gone keeps a clone, or it keeps the frame.
+func (id ObjectID) Clone() ObjectID { return ObjectID(strings.Clone(string(id))) }
 
 // ID builds an ObjectID from a class label and key components.
 func ID(class string, keys ...any) ObjectID {
@@ -171,7 +177,9 @@ func (s *Store) protectionActive(o *object) bool {
 }
 
 // dropShared removes owner's shared hold and every lapsed one, in place (a
-// hot row keeps its slice). Callers hold s.mu for writing.
+// hot row keeps its slice). The vacated slots are zeroed: an owner string may
+// be a view into the request it arrived in (wire.DecodeEnvelope), and a row
+// must not keep that alive past the hold. Callers hold s.mu for writing.
 func (s *Store) dropShared(o *object, owner string) {
 	kept := o.shared[:0]
 	for _, h := range o.shared {
@@ -179,7 +187,16 @@ func (s *Store) dropShared(o *object, owner string) {
 			kept = append(kept, h)
 		}
 	}
+	clear(o.shared[len(kept):])
 	o.shared = kept
+}
+
+// insert creates the row for id, under a key of its own (ObjectID.Clone): rows
+// outlive every message. Callers hold s.mu for writing.
+func (s *Store) insert(id ObjectID) *object {
+	o := &object{}
+	s.objs[id.Clone()] = o
+	return o
 }
 
 // Seed installs an object with version 1, overwriting any previous state.
@@ -264,8 +281,7 @@ func (s *Store) Protect(id ObjectID, owner string, createIfMissing bool) error {
 		if !createIfMissing {
 			return ErrNotFound
 		}
-		o = &object{}
-		s.objs[id] = o
+		o = s.insert(id)
 	}
 	if s.protectionActive(o) && o.protectedBy != owner {
 		return &BusyError{Holder: o.protectedBy}
@@ -277,6 +293,7 @@ func (s *Store) Protect(id ObjectID, owner string, createIfMissing bool) error {
 				return &BusyError{Holder: h.owner, Shared: true}
 			}
 		}
+		clear(o.shared)
 		o.shared = o.shared[:0] // only owner's own hold can be left: upgrade it
 	}
 	o.protected = true
@@ -343,8 +360,7 @@ func (s *Store) Apply(w WriteDesc, owner string) error {
 	defer s.mu.Unlock()
 	o, ok := s.objs[w.ID]
 	if !ok {
-		o = &object{}
-		s.objs[w.ID] = o
+		o = s.insert(w.ID)
 	}
 	if o.protected && o.protectedBy != owner {
 		return ErrNotOwner
@@ -375,8 +391,7 @@ func (s *Store) Restore(objs []WriteDesc) {
 	for _, w := range objs {
 		o, ok := s.objs[w.ID]
 		if !ok {
-			o = &object{}
-			s.objs[w.ID] = o
+			o = s.insert(w.ID)
 		}
 		if w.NewVersion <= o.version {
 			continue

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -65,6 +66,66 @@ func TestHandleBatchDispatchesConcurrently(t *testing.T) {
 	for i, sub := range resp.Batch.Subs {
 		if sub.Status != wire.StatusOK {
 			t.Fatalf("sub %d: %+v (dispatch not concurrent?)", i, sub)
+		}
+	}
+}
+
+// goid reads the calling goroutine's ID off its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestHandleBatchRunsReadsInline: a read never waits, so the reads of a batch
+// run one after the other on the goroutine that called HandleBatch, in order,
+// between sub-requests of other kinds that keep their own goroutines; one
+// that has not started when the context ends is answered cancelled.
+func TestHandleBatchRunsReadsInline(t *testing.T) {
+	batch := batchOf(8) // pings
+	for _, i := range []int{0, 2, 3, 5, 6} {
+		batch.Batch.Subs[i].Kind = wire.KindRead
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	caller := goid()
+	var readOrder []string // unguarded on purpose: the reads share one goroutine
+	h := func(_ context.Context, req *wire.Request) *wire.Response {
+		if req.Kind != wire.KindRead {
+			if goid() == caller {
+				return &wire.Response{Status: wire.StatusError, Detail: "a kind that may wait ran on the caller's goroutine"}
+			}
+			return &wire.Response{Status: wire.StatusOK, Detail: req.TxID}
+		}
+		if goid() != caller {
+			return &wire.Response{Status: wire.StatusError, Detail: "read ran on a goroutine of its own"}
+		}
+		readOrder = append(readOrder, req.TxID)
+		if req.TxID == "sub-3" {
+			cancel() // sub-5 and sub-6 have not started
+		}
+		return &wire.Response{Status: wire.StatusOK, Detail: req.TxID}
+	}
+	resp := HandleBatch(ctx, h, batch)
+	if got, want := strings.Join(readOrder, " "), "sub-0 sub-2 sub-3"; got != want {
+		t.Fatalf("reads ran as %q, want %q", got, want)
+	}
+	for i, sub := range resp.Batch.Subs {
+		switch {
+		case i == 5 || i == 6:
+			if sub.Status != wire.StatusError || !strings.Contains(sub.Detail, "cancelled") {
+				t.Errorf("read %d, not started when the context ended: %+v, want cancelled", i, sub)
+			}
+		case batch.Batch.Subs[i].Kind == wire.KindRead:
+			if sub.Status != wire.StatusOK || sub.Detail != fmt.Sprintf("sub-%d", i) {
+				t.Errorf("read %d answered %+v", i, sub)
+			}
+		default:
+			// A ping races the cancellation: it ran, or it was cancelled first;
+			// either way its answer sits in its own slot.
+			if sub.Status == wire.StatusOK && sub.Detail != fmt.Sprintf("sub-%d", i) ||
+				sub.Status != wire.StatusOK && !strings.Contains(sub.Detail, "cancelled") {
+				t.Errorf("ping %d answered %+v", i, sub)
+			}
 		}
 	}
 }

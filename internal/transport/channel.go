@@ -64,6 +64,10 @@ type ChannelNetwork struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
+
+	// epoch anchors the clock delivery times are measured on.
+	epoch    time.Time
+	delivery delivery
 }
 
 // envBufs recycles the byte buffers serialize encodes into.
@@ -71,8 +75,8 @@ var envBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // serialize carries env across the node boundary as bytes: encoded into a
 // pooled buffer and decoded into a fresh envelope that shares nothing with
-// the original (the decoder copies every string and byte slice out of its
-// input).
+// the original, nor with the buffer (wire.DecodeEnvelope reads out of a
+// private copy of it).
 func serialize(env *wire.Envelope) (*wire.Envelope, error) {
 	bp := envBufs.Get().(*[]byte)
 	defer envBufs.Put(bp)
@@ -95,6 +99,8 @@ func NewChannelNetwork(cfg ChannelConfig) *ChannelNetwork {
 		handlers: make(map[quorum.NodeID]Handler),
 		down:     make(map[quorum.NodeID]bool),
 		rng:      rand.New(rand.NewSource(seed)),
+		epoch:    time.Now(),
+		delivery: delivery{sleeper: newHopSleeper()},
 	}
 }
 
@@ -130,31 +136,26 @@ func (n *ChannelNetwork) Alive(id quorum.NodeID) bool {
 	return ok && !n.down[id]
 }
 
-// Close marks the network closed; subsequent calls fail with ErrClosed.
+// Close marks the network closed: subsequent calls fail with ErrClosed, and
+// so does every call still waiting for a delivery. It returns once the
+// delivery goroutine has exited.
 func (n *ChannelNetwork) Close() {
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.closed = true
+	n.mu.Unlock()
+	n.delivery.close()
 }
 
-func (n *ChannelNetwork) hop(ctx context.Context) error {
-	if n.cfg.Latency == 0 && n.cfg.Jitter == 0 {
-		return ctx.Err()
-	}
+// hopDelay draws the delay of one one-way hop: Latency plus, from the seeded
+// sequence, a jitter in [0, Jitter).
+func (n *ChannelNetwork) hopDelay() time.Duration {
 	d := n.cfg.Latency
 	if n.cfg.Jitter > 0 {
 		n.rngMu.Lock()
 		d += time.Duration(n.rng.Int63n(int64(n.cfg.Jitter)))
 		n.rngMu.Unlock()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return d
 }
 
 // Call implements Client. The request and response are deep-copied so the
@@ -176,27 +177,18 @@ func (n *ChannelNetwork) Call(ctx context.Context, to quorum.NodeID, req *wire.R
 	if down {
 		return nil, ErrNodeDown
 	}
+	var injected time.Duration
 	if fault != nil {
 		f := fault(to, req)
 		if f.Err != nil {
 			return nil, f.Err
 		}
 		if f.Drop {
-			<-ctx.Done()
-			return nil, classify(to, ErrKindTimeout, ctx.Err())
+			return nil, n.wait(ctx, to, lost)
 		}
-		if f.Delay > 0 {
-			t := time.NewTimer(f.Delay)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return nil, ctx.Err()
-			}
-			t.Stop()
-		}
+		injected = max(f.Delay, 0)
 	}
-	if err := n.hop(ctx); err != nil {
+	if err := n.wait(ctx, to, injected+n.hopDelay()); err != nil {
 		return nil, err
 	}
 	// Isolate the two sides: either serialize (as a real connection would)
@@ -223,7 +215,7 @@ func (n *ChannelNetwork) Call(ctx context.Context, to quorum.NodeID, req *wire.R
 	if down {
 		return nil, ErrNodeDown
 	}
-	if err := n.hop(ctx); err != nil {
+	if err := n.wait(ctx, to, n.hopDelay()); err != nil {
 		return nil, err
 	}
 	if n.cfg.Codec != nil {

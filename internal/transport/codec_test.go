@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"qracn/internal/quorum"
+	"qracn/internal/raceflag"
 	"qracn/internal/store"
 	"qracn/internal/wire"
 )
@@ -247,5 +248,38 @@ func TestChannelCodecModeConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestChannelRoundTripAllocs pins what one message pair costs the allocator
+// when the channel network really serializes (ChannelConfig.Codec): the two
+// decoded graphs and the handler's reply, nothing per hop and nothing per
+// string. It was 19 with a string per decoded ID and an envelope per decode.
+func TestChannelRoundTripAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation ceilings measure the race detector under -race")
+	}
+	n := NewChannelNetwork(ChannelConfig{Seed: 1, Codec: wire.Binary})
+	defer n.Close()
+	n.Register(0, func(context.Context, *wire.Request) *wire.Response {
+		return &wire.Response{Status: wire.StatusOK, Read: &wire.ReadResponse{Value: store.Int64(1), Version: 3}}
+	})
+	validate := make([]store.ReadDesc, 8)
+	for i := range validate {
+		validate[i] = store.ReadDesc{ID: store.ID("stock", 0, i), Version: uint64(i + 1)}
+	}
+	req := &wire.Request{Kind: wire.KindRead, TxID: "c1-t42-a0",
+		Read: &wire.ReadRequest{Object: store.ID("district", 0, 1), Validate: validate}}
+	ctx := context.Background()
+	call := func() {
+		if _, err := n.Call(ctx, 0, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // warm the encode buffers
+	// Request: envelope+request, frame copy, read payload, validate list;
+	// handler: response, read payload; reply: envelope+response, read payload.
+	if allocs := testing.AllocsPerRun(200, call); allocs > 10 {
+		t.Errorf("channel round trip with wire.Binary: %.1f allocs, want <= 10", allocs)
 	}
 }

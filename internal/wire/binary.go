@@ -308,27 +308,54 @@ func AppendEnvelope(dst []byte, env *Envelope) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeEnvelope parses one binary envelope payload (no frame header).
+// DecodeEnvelope parses one binary envelope payload (no frame header). The
+// envelope shares no memory with payload, which the caller may reuse; its
+// identifier strings (transaction, trace and object IDs, details, event
+// fields) are substrings of one private copy of the payload, so a holder that
+// outlives the message by much — a table, a ring, a map key — should
+// strings.Clone what it keeps, or it keeps the whole frame. Object values
+// are copied out one by one: they are what stores and read sets retain.
 func DecodeEnvelope(payload []byte) (*Envelope, error) {
 	d := &binReader{buf: payload}
-	env := &Envelope{}
-	var flags byte
-	var err error
-	if env.Seq, err = d.uvarint(); err != nil {
+	seq, err := d.uvarint()
+	if err != nil {
 		return nil, err
 	}
-	if flags, err = d.u8(); err != nil {
+	flags, err := d.u8()
+	if err != nil {
 		return nil, err
 	}
+	// An envelope and the one message it almost always carries are one
+	// allocation.
+	var env *Envelope
+	switch flags & (envHasReq | envHasResp) {
+	case envHasReq:
+		m := &struct {
+			Envelope
+			req Request
+		}{}
+		env, m.Req = &m.Envelope, &m.req
+	case envHasResp:
+		m := &struct {
+			Envelope
+			resp Response
+		}{}
+		env, m.Resp = &m.Envelope, &m.resp
+	case envHasReq | envHasResp:
+		env = &Envelope{Req: &Request{}, Resp: &Response{}}
+	default:
+		env = &Envelope{}
+	}
+	env.Seq = seq
 	env.IsResponse = flags&envIsResponse != 0
 	env.Cancel = flags&envCancel != 0
-	if flags&envHasReq != 0 {
-		if env.Req, err = d.request(); err != nil {
+	if env.Req != nil {
+		if err = d.requestInto(env.Req, nil); err != nil {
 			return nil, err
 		}
 	}
-	if flags&envHasResp != 0 {
-		if env.Resp, err = d.response(); err != nil {
+	if env.Resp != nil {
+		if err = d.responseInto(env.Resp, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -802,7 +829,10 @@ func DecodeValue(buf []byte) (store.Value, int, error) {
 // against the remaining bytes before any slice is sized, so a hostile
 // length cannot force a huge allocation, and recursion is depth-bounded.
 type binReader struct {
-	buf   []byte
+	buf []byte
+	// frame is an immutable copy of buf that str hands out substrings of,
+	// made by the first non-empty one: many replies carry no string at all.
+	frame string
 	pos   int
 	depth int
 }
@@ -854,7 +884,24 @@ func (d *binReader) count(what string) (int, error) {
 	return int(v), nil
 }
 
+// str reads an identifier string as a substring of the frame copy: one
+// allocation per frame instead of one per string. An empty string is the
+// constant, not a zero-length view that would still pin the frame.
 func (d *binReader) str() (string, error) {
+	n, err := d.count("string")
+	if err != nil || n == 0 {
+		return "", err
+	}
+	if d.frame == "" {
+		d.frame = string(d.buf)
+	}
+	s := d.frame[d.pos : d.pos+n]
+	d.pos += n
+	return s, nil
+}
+
+// strCopy reads a string into memory of its own.
+func (d *binReader) strCopy() (string, error) {
 	n, err := d.count("string")
 	if err != nil {
 		return "", err
@@ -913,108 +960,125 @@ func (d *binReader) enter() error {
 	return nil
 }
 
-func (d *binReader) request() (*Request, error) {
+// minSubBytes is the least a present batch sub-response occupies on the wire
+// (presence byte, status, detail length, mask; a sub-request takes two more):
+// it bounds how many a frame can hold, and so the slab a batch decodes them
+// into, whatever count the frame claims.
+const minSubBytes = 4
+
+// requestInto decodes a request into r. rr, when non-nil, is zeroed memory
+// for the read payload, should there be one: a batch decodes its sub-requests
+// and their reads into two slabs instead of two allocations apiece.
+func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 	if err := d.enter(); err != nil {
-		return nil, err
+		return err
 	}
 	defer func() { d.depth-- }()
-	r := &Request{}
 	kb, err := d.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if Kind(kb) >= numKinds {
-		return nil, fmt.Errorf("%w: kind byte %d out of range [0,%d)", ErrBadFrame, kb, int(numKinds))
+		return fmt.Errorf("%w: kind byte %d out of range [0,%d)", ErrBadFrame, kb, int(numKinds))
 	}
 	r.Kind = Kind(kb)
 	if r.TxID, err = d.str(); err != nil {
-		return nil, err
+		return err
 	}
 	if r.TraceID, err = d.str(); err != nil {
-		return nil, err
+		return err
 	}
 	if r.SpanID, err = d.uvarint(); err != nil {
-		return nil, err
+		return err
 	}
 	mask, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if mask&reqHasRead != 0 {
-		rr := &ReadRequest{}
+		if rr == nil {
+			rr = &ReadRequest{}
+		}
 		var obj string
 		if obj, err = d.str(); err != nil {
-			return nil, err
+			return err
 		}
 		rr.Object = store.ObjectID(obj)
 		if rr.Validate, err = d.readDescs(); err != nil {
-			return nil, err
+			return err
 		}
 		if rr.StatsFor, err = d.ids(); err != nil {
-			return nil, err
+			return err
 		}
 		if rr.VersionOnly, err = d.boolean(); err != nil {
-			return nil, err
+			return err
 		}
 		r.Read = rr
 	}
 	if mask&reqHasPrepare != 0 {
 		pr := &PrepareRequest{}
 		if pr.Reads, err = d.readDescs(); err != nil {
-			return nil, err
+			return err
 		}
 		if pr.Writes, err = d.writeDescs(); err != nil {
-			return nil, err
+			return err
 		}
 		if pr.Quorum, err = d.nodeIDs(); err != nil {
-			return nil, err
+			return err
 		}
 		r.Prepare = pr
 	}
 	if mask&reqHasDecision != 0 {
 		dr := &DecisionRequest{}
 		if dr.Commit, err = d.boolean(); err != nil {
-			return nil, err
+			return err
 		}
 		if dr.Writes, err = d.writeDescs(); err != nil {
-			return nil, err
+			return err
 		}
 		if dr.Release, err = d.ids(); err != nil {
-			return nil, err
+			return err
 		}
 		r.Decision = dr
 	}
 	if mask&reqHasStats != 0 {
 		sr := &StatsRequest{}
 		if sr.Objects, err = d.ids(); err != nil {
-			return nil, err
+			return err
 		}
 		r.Stats = sr
 	}
 	if mask&reqHasSync != 0 {
 		sr := &SyncRequest{}
 		if sr.Known, err = d.readDescs(); err != nil {
-			return nil, err
+			return err
 		}
 		r.Sync = sr
 	}
 	if mask&reqHasBatch != 0 {
 		n, err := d.count("batch")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		br := &BatchRequest{Subs: make([]*Request, n)}
-		for i := 0; i < n; i++ {
+		subs := make([]Request, min(n, d.remaining()/minSubBytes))
+		reads := make([]ReadRequest, len(subs))
+		for i, used := 0, 0; i < n; i++ {
 			present, err := d.boolean()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !present {
 				continue
 			}
-			if br.Subs[i], err = d.request(); err != nil {
-				return nil, err
+			if used == len(subs) {
+				return d.fail("batch sub-request")
 			}
+			br.Subs[i] = &subs[used]
+			if err = d.requestInto(br.Subs[i], &reads[used]); err != nil {
+				return err
+			}
+			used++
 		}
 		r.Batch = br
 	}
@@ -1022,24 +1086,24 @@ func (d *binReader) request() (*Request, error) {
 		rp := &RepairRequest{}
 		var obj string
 		if obj, err = d.str(); err != nil {
-			return nil, err
+			return err
 		}
 		rp.Object = store.ObjectID(obj)
 		if rp.Value, err = d.value(); err != nil {
-			return nil, err
+			return err
 		}
 		if rp.Version, err = d.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		r.Repair = rp
 	}
 	if mask&reqHasTraceFetch != 0 {
 		tf := &TraceFetchRequest{}
 		if tf.TraceID, err = d.str(); err != nil {
-			return nil, err
+			return err
 		}
 		if tf.Events, err = d.boolean(); err != nil {
-			return nil, err
+			return err
 		}
 		r.TraceFetch = tf
 	}
@@ -1047,7 +1111,7 @@ func (d *binReader) request() (*Request, error) {
 		ts := &TxStatusRequest{}
 		var from int64
 		if from, err = d.varint(); err != nil {
-			return nil, err
+			return err
 		}
 		ts.From = quorum.NodeID(from)
 		r.TxStatus = ts
@@ -1055,122 +1119,132 @@ func (d *binReader) request() (*Request, error) {
 	if mask&reqHasResolve != 0 {
 		rs := &ResolveRequest{}
 		if rs.Commit, err = d.boolean(); err != nil {
-			return nil, err
+			return err
 		}
 		if rs.Writes, err = d.writeDescs(); err != nil {
-			return nil, err
+			return err
 		}
 		if rs.Release, err = d.ids(); err != nil {
-			return nil, err
+			return err
 		}
 		r.Resolve = rs
 	}
 	if mask&reqHasShardMap != 0 {
 		sm := &ShardMapRequest{}
 		if sm.HaveVersion, err = d.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		r.ShardMap = sm
 	}
 	if mask&reqHasDeadline != 0 {
 		if r.Deadline, err = d.varint(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if mask&reqHasForensics != 0 {
 		fr := &ForensicsRequest{}
 		var v int64
 		if v, err = d.varint(); err != nil {
-			return nil, err
+			return err
 		}
 		fr.TopK = int(v)
 		if v, err = d.varint(); err != nil {
-			return nil, err
+			return err
 		}
 		fr.MaxEvents = int(v)
 		r.Forensics = fr
 	}
-	return r, nil
+	return nil
 }
 
-func (d *binReader) response() (*Response, error) {
+// responseInto is requestInto for responses: rr is zeroed memory for the
+// read payload, should there be one.
+func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
 	if err := d.enter(); err != nil {
-		return nil, err
+		return err
 	}
 	defer func() { d.depth-- }()
-	r := &Response{}
 	status, err := d.varint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Status = Status(status)
 	if r.Detail, err = d.str(); err != nil {
-		return nil, err
+		return err
 	}
 	mask, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if mask&respHasRead != 0 {
-		rr := &ReadResponse{}
+		if rr == nil {
+			rr = &ReadResponse{}
+		}
 		if rr.Value, err = d.value(); err != nil {
-			return nil, err
+			return err
 		}
 		if rr.Version, err = d.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		if rr.Invalid, err = d.ids(); err != nil {
-			return nil, err
+			return err
 		}
 		if rr.Stats, err = d.levels(); err != nil {
-			return nil, err
+			return err
 		}
 		r.Read = rr
 	}
 	if mask&respHasPrepare != 0 {
 		pr := &PrepareResponse{}
 		if pr.Vote, err = d.boolean(); err != nil {
-			return nil, err
+			return err
 		}
 		if pr.Invalid, err = d.ids(); err != nil {
-			return nil, err
+			return err
 		}
 		if pr.Busy, err = d.ids(); err != nil {
-			return nil, err
+			return err
 		}
 		r.Prepare = pr
 	}
 	if mask&respHasStats != 0 {
 		sr := &StatsResponse{}
 		if sr.Levels, err = d.levels(); err != nil {
-			return nil, err
+			return err
 		}
 		r.Stats = sr
 	}
 	if mask&respHasSync != 0 {
 		sr := &SyncResponse{}
 		if sr.Objects, err = d.writeDescs(); err != nil {
-			return nil, err
+			return err
 		}
 		r.Sync = sr
 	}
 	if mask&respHasBatch != 0 {
 		n, err := d.count("batch")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		br := &BatchResponse{Subs: make([]*Response, n)}
-		for i := 0; i < n; i++ {
+		subs := make([]Response, min(n, d.remaining()/minSubBytes))
+		reads := make([]ReadResponse, len(subs))
+		for i, used := 0, 0; i < n; i++ {
 			present, err := d.boolean()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !present {
 				continue
 			}
-			if br.Subs[i], err = d.response(); err != nil {
-				return nil, err
+			if used == len(subs) {
+				return d.fail("batch sub-response")
 			}
+			br.Subs[i] = &subs[used]
+			if err = d.responseInto(br.Subs[i], &reads[used]); err != nil {
+				return err
+			}
+			used++
 		}
 		r.Batch = br
 	}
@@ -1178,24 +1252,24 @@ func (d *binReader) response() (*Response, error) {
 		tr := &TraceFetchResponse{}
 		n, err := d.count("spans")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if n > 0 {
 			tr.Spans = make([]trace.Span, n)
 			for i := 0; i < n; i++ {
 				if tr.Spans[i], err = d.span(); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
 		if n, err = d.count("events"); err != nil {
-			return nil, err
+			return err
 		}
 		if n > 0 {
 			tr.Events = make([]trace.Event, n)
 			for i := 0; i < n; i++ {
 				if tr.Events[i], err = d.event(); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
@@ -1205,7 +1279,7 @@ func (d *binReader) response() (*Response, error) {
 		ts := &TxStatusResponse{}
 		var state int64
 		if state, err = d.varint(); err != nil {
-			return nil, err
+			return err
 		}
 		ts.State = TxState(state)
 		r.TxStatus = ts
@@ -1213,22 +1287,22 @@ func (d *binReader) response() (*Response, error) {
 	if mask&respHasShardMap != 0 {
 		sm := &ShardMapResponse{}
 		if sm.Version, err = d.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		var degree int64
 		if degree, err = d.varint(); err != nil {
-			return nil, err
+			return err
 		}
 		sm.Degree = int(degree)
 		n, err := d.count("shard groups")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if n > 0 {
 			sm.Groups = make([][]quorum.NodeID, n)
 			for i := range sm.Groups {
 				if sm.Groups[i], err = d.nodeIDs(); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
@@ -1236,54 +1310,54 @@ func (d *binReader) response() (*Response, error) {
 	}
 	if mask&respHasConflict != 0 {
 		if r.ConflictTx, err = d.str(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if mask&respHasForensics != 0 {
 		fr := &ForensicsResponse{}
 		n, err := d.count("abort events")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if n > 0 {
 			fr.Aborts = make([]forensics.AbortEvent, n)
 			for i := 0; i < n; i++ {
 				if fr.Aborts[i], err = d.abortEvent(); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
 		if n, err = d.count("recompose events"); err != nil {
-			return nil, err
+			return err
 		}
 		if n > 0 {
 			fr.Recomposes = make([]forensics.RecomposeEvent, n)
 			for i := 0; i < n; i++ {
 				if fr.Recomposes[i], err = d.recomposeEvent(); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
 		if n, err = d.count("hot keys"); err != nil {
-			return nil, err
+			return err
 		}
 		if n > 0 {
 			fr.HotKeys = make([]forensics.HotKeyEvent, n)
 			for i := 0; i < n; i++ {
 				if fr.HotKeys[i], err = d.hotKeyEvent(); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
 		if fr.TotalAborts, err = d.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		if fr.TotalRecomposes, err = d.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		r.Forensics = fr
 	}
-	return r, nil
+	return nil
 }
 
 func (d *binReader) readDescs() ([]store.ReadDesc, error) {
@@ -1585,7 +1659,7 @@ func (d *binReader) value() (store.Value, error) {
 		v, err := d.f64()
 		return store.Float64(v), err
 	case valString:
-		v, err := d.str()
+		v, err := d.strCopy()
 		return store.String(v), err
 	case valBytes:
 		v, err := d.bytesCopy()

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"qracn/internal/store"
 )
@@ -226,29 +227,75 @@ func TestBinaryEncodeAllocs(t *testing.T) {
 }
 
 // TestBinaryDecodeAllocsBounded keeps decode honest: it must allocate the
-// result graph and nothing else. The bound is the fixture's object count
-// plus small parser slack — a regression to per-field boxing (gob's
-// behavior) blows well past it.
+// result graph and nothing else — and of that, every identifier string comes
+// out of one copy of the frame and a batch's sub-requests out of two slabs,
+// so neither costs an allocation apiece. A regression to a string per ID
+// doubles the first bound, one to an object per sub-request sextuples the
+// second.
 func TestBinaryDecodeAllocsBounded(t *testing.T) {
-	var buf bytes.Buffer
-	if err := NewBinaryEncoder(&buf, false).Encode(binReadEnv()); err != nil {
-		t.Fatal(err)
-	}
-	frame := buf.Bytes()
-	dec := NewBinaryDecoder(bytes.NewReader(frame))
-	if _, err := dec.Decode(); err != nil { // warm the frame buffer
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		dec.r = bytes.NewReader(frame)
-		if _, err := dec.Decode(); err != nil {
+	for _, tc := range []struct {
+		name string
+		env  *Envelope
+		max  float64
+	}{
+		// Envelope+Request, frame copy, ReadRequest, two slices.
+		{"KindRead", binReadEnv(), 6},
+		// Envelope+Request, frame copy, BatchRequest, its pointer slice, the
+		// Request slab and the ReadRequest slab, for 16 sub-requests.
+		{"KindBatch", binBatchEnv(), 7},
+	} {
+		var buf bytes.Buffer
+		if err := NewBinaryEncoder(&buf, false).Encode(tc.env); err != nil {
 			t.Fatal(err)
 		}
-	})
-	// Envelope, Request, ReadRequest, two slices, a few strings, plus the
-	// reset reader: ~12 objects. Gob burns hundreds here.
-	if allocs > 16 {
-		t.Errorf("binary decode of KindRead: %.1f allocs/op, want <= 16", allocs)
+		frame := buf.Bytes()
+		var r bytes.Reader
+		dec := NewBinaryDecoder(&r)
+		r.Reset(frame)
+		if _, err := dec.Decode(); err != nil { // warm the frame buffer
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			r.Reset(frame)
+			if _, err := dec.Decode(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("binary decode of %s: %.1f allocs/op, want <= %.0f", tc.name, allocs, tc.max)
+		}
+	}
+}
+
+// TestDecodedStringsShareOneFrameCopy pins what the holders of decoded IDs
+// rely on: the IDs of one envelope are views into one private copy of the
+// frame — not into the caller's buffer, which it may reuse — and an empty
+// string is not a view at all, so it pins nothing.
+func TestDecodedStringsShareOneFrameCopy(t *testing.T) {
+	payload, err := AppendEnvelope(nil, binReadEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := DecodeEnvelope(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := binReadEnv()
+	for i := range payload {
+		payload[i] = 0xff // the caller reuses its buffer
+	}
+	if !reflect.DeepEqual(env, want) {
+		t.Fatalf("decoded envelope changed with the caller's buffer:\n got %+v\nwant %+v", env.Req, want.Req)
+	}
+	addr := func(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(s))) }
+	// TxID is the frame's first string, so the copy lies within a frame's
+	// length either side of it.
+	lo, hi := addr(env.Req.TxID)-uintptr(len(payload)), addr(env.Req.TxID)+uintptr(len(payload))
+	if a := addr(string(env.Req.Read.Object)); a < lo || a > hi {
+		t.Fatal("TxID and Object are not views into one copy of the frame")
+	}
+	if a := addr(env.Req.TraceID); env.Req.TraceID != "" || a >= lo && a <= hi {
+		t.Fatal("an empty decoded string points into the frame copy and would pin it")
 	}
 }
 
