@@ -1,24 +1,19 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"strings"
 
-	"qracn/internal/dtm"
 	"qracn/internal/forensics"
-	"qracn/internal/quorum"
-	"qracn/internal/transport"
 )
 
 // forensicsMain implements `qracn-inspect forensics`: the abort-attribution
-// report. It reads either a qracn-bench JSON export (-in) or drains the
-// forensic rings of a running cluster over KindForensics (-nodes), then
+// report. It reads either a qracn-bench JSON export (-in) or the debug
+// documents of a running cluster (-nodes, over wire.KindInspect), then
 // renders per-cause abort counts with attribution coverage, the partial-vs-
 // full split, the abort-position histogram over Block index, the hot-key
 // conflict ranking, and the controller decision timeline (recompositions
@@ -26,12 +21,11 @@ import (
 func forensicsMain(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("qracn-inspect forensics", flag.ExitOnError)
 	in := fs.String("in", "", "read a qracn-bench -json export from this file")
-	nodesArg := fs.String("nodes", "", "comma-separated node addresses to drain forensic rings from, tree order")
+	live := addLiveFlags(fs, "forensic rings")
 	topK := fs.Int("top", 10, "hot keys to rank")
 	maxEvents := fs.Int("events", 0, "also print the newest N raw abort events (0: none)")
-	compress := fs.Bool("compress", false, "flate-compress large frames when fetching from -nodes")
 	_ = fs.Parse(args)
-	if (*in == "") == (*nodesArg == "") {
+	if (*in == "") == (*live.nodes == "") {
 		fmt.Fprintln(os.Stderr, "usage: qracn-inspect forensics (-in bench.json | -nodes host:port,...) [-top k] [-events n]")
 		return 2
 	}
@@ -45,25 +39,17 @@ func forensicsMain(args []string, out io.Writer) int {
 		return renderBenchForensics(out, data, *topK, *maxEvents)
 	}
 
-	addrs := map[quorum.NodeID]string{}
-	var nodes []quorum.NodeID
-	for i, a := range strings.Split(*nodesArg, ",") {
-		id := quorum.NodeID(i)
-		addrs[id] = strings.TrimSpace(a)
-		nodes = append(nodes, id)
-	}
-	client := transport.NewTCPClient(addrs, *compress)
-	defer client.Close()
-	snap, err := dtm.FetchForensics(context.Background(), client, nodes, *topK)
+	doc, err := live.fetch("", *topK)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "qracn-inspect: fetching forensics: %v\n", err)
 		return 1
 	}
+	snap := doc.Forensics
 	if snap.TotalAborts == 0 && snap.TotalRecomposes == 0 && len(snap.HotKeys) == 0 {
 		fmt.Fprintln(out, "no forensic events recorded (conflict-free so far, or nodes run -no-forensics)")
 		return 0
 	}
-	renderSnapshot(out, *snap, *topK, *maxEvents)
+	renderSnapshot(out, snap, *topK, *maxEvents)
 	return 0
 }
 
@@ -75,7 +61,7 @@ func renderSnapshot(out io.Writer, snap forensics.Snapshot, topK, maxEvents int)
 	blocks := [4]uint64{}
 	var partial, attributed uint64
 	for _, ev := range snap.Aborts {
-		byCause[ev.CauseName]++
+		byCause[ev.Cause.String()]++
 		if ev.Cause != forensics.CauseUnknown {
 			attributed++
 		}
@@ -186,7 +172,7 @@ func renderRecomposes(out io.Writer, recs []forensics.RecomposeEvent, total uint
 		}
 		fmt.Fprintln(out)
 		for _, ref := range re.Refusals {
-			fmt.Fprintf(out, "        refused merge %d+%d: %s\n", ref.First, ref.Second, ref.ReasonName)
+			fmt.Fprintf(out, "        refused merge %d+%d: %s\n", ref.First, ref.Second, ref.Reason)
 		}
 	}
 }
@@ -207,7 +193,7 @@ func renderEvents(out io.Writer, evs []forensics.AbortEvent, n int) {
 		}
 		fmt.Fprintf(out, "  %s %-7s tx=%s inc=%d block=%d/%d anchor=%d cause=%s",
 			ev.At.Format("15:04:05.000"), kind, ev.TxID, ev.Incarnation,
-			ev.BlockIndex, ev.BlockCount, ev.UnitAnchorID, ev.CauseName)
+			ev.BlockIndex, ev.BlockCount, ev.UnitAnchorID, ev.Cause)
 		if ev.Key != "" {
 			fmt.Fprintf(out, " key=%s", ev.Key)
 		}

@@ -14,7 +14,7 @@ import (
 // (validation conflicts) gets no split.
 func TestHotKeysCarryHolderMode(t *testing.T) {
 	lock := func(key, holder string, shared bool) forensics.AbortEvent {
-		return forensics.AbortEvent{Key: key, Cause: forensics.CauseLockConflict, CauseName: "lock-conflict",
+		return forensics.AbortEvent{Key: key, Cause: forensics.CauseLockConflict,
 			ConflictingTxID: forensics.Witness(holder, shared)}
 	}
 	snap := forensics.Snapshot{
@@ -23,7 +23,7 @@ func TestHotKeysCarryHolderMode(t *testing.T) {
 			lock("warehouse/0", "c1-t2-a0", true),
 			lock("warehouse/0", "c2-t1-a0", false),
 			lock("district/0/1", "c2-t4-a1", false),
-			{Key: "stock/0/7", Cause: forensics.CauseReadValidation, CauseName: "read-validation"},
+			{Key: "stock/0/7", Cause: forensics.CauseReadValidation},
 		},
 		HotKeys: []forensics.HotKeyEvent{
 			{Key: "warehouse/0", Conflicts: 3}, {Key: "district/0/1", Conflicts: 1}, {Key: "stock/0/7", Conflicts: 1},

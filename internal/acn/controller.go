@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"qracn/internal/contention"
+	"qracn/internal/dtm"
 	"qracn/internal/forensics"
 	"qracn/internal/store"
 	"qracn/internal/trace"
@@ -78,12 +79,6 @@ func (c *Controller) Wanted() []store.ObjectID { return c.exec.SampledIDs() }
 // the contention table.
 func (c *Controller) Sink(levels map[store.ObjectID]float64) { c.table.ObserveAll(levels) }
 
-// anchorLevel estimates a UnitBlock's contention as the mean smoothed level
-// of the concrete objects it recently accessed.
-func (c *Controller) anchorLevel(id int) float64 {
-	return c.table.Mean(c.exec.AnchorSample(id))
-}
-
 // RefreshOnce performs one dynamic-module + algorithm-module cycle
 // synchronously: query the quorum for the contention of recently touched
 // objects, fold into the table, recompose, and swap the Block sequence.
@@ -94,25 +89,48 @@ func (c *Controller) RefreshOnce(ctx context.Context) error {
 // refresh is RefreshOnce with the forensic trigger label: "interval" for the
 // periodic loop, "manual" for explicit RefreshOnce calls.
 func (c *Controller) refresh(ctx context.Context, trigger string) error {
-	ids := c.exec.SampledIDs()
-	if len(ids) > 0 {
-		levels, err := c.exec.Runtime().FetchStats(ctx, ids)
-		if err != nil {
-			return err
-		}
-		c.table.ObserveAll(levels)
+	if err := observe(ctx, c.exec.Runtime(), c.table, c.exec.SampledIDs()); err != nil {
+		return err
 	}
+	recompose(c.exec, c.algo, c.table, c.tracer, trigger)
+	c.refreshes.Add(1)
+	return nil
+}
+
+// observe is the dynamic-module half of a refresh cycle: one stats query for
+// the contention of ids, folded into table.
+func observe(ctx context.Context, rt *dtm.Runtime, table *contention.Table, ids []store.ObjectID) error {
+	if len(ids) == 0 {
+		return nil
+	}
+	levels, err := rt.FetchStats(ctx, ids)
+	if err != nil {
+		return err
+	}
+	table.ObserveAll(levels)
+	return nil
+}
+
+// recompose is the algorithm-module half, for one executor — the one copy
+// the Controller and the Hub both run, so the same decision leaves the same
+// forensic audit and the same trace event whoever took it. Each UnitBlock's
+// contention is the mean smoothed level of the concrete objects it recently
+// accessed; trigger names who asked ("interval": a periodic loop; "manual":
+// a RefreshOnce call).
+func recompose(exec *Executor, algo *Algorithm, table *contention.Table, tracer *trace.Tracer, trigger string) {
+	comp, aud := algo.RecomposeAudited(func(anchor int) float64 {
+		return table.Mean(exec.AnchorSample(anchor))
+	})
 	before := ""
-	if cur := c.exec.Composition(); cur != nil {
+	if cur := exec.Composition(); cur != nil {
 		before = cur.String()
 	}
-	comp, aud := c.algo.RecomposeAudited(c.anchorLevel)
 	// Skip the swap when the algorithm module reproduced the current Block
 	// sequence: SetComposition recompiles the whole plan, and an unchanged
 	// composition would churn it (and every in-flight Execute's view) for
 	// nothing.
 	applied := before != comp.String()
-	c.exec.Runtime().Forensics().RecordRecompose(forensics.RecomposeEvent{
+	exec.Runtime().Forensics().RecordRecompose(forensics.RecomposeEvent{
 		Trigger:  trigger,
 		Before:   before,
 		After:    comp.String(),
@@ -122,14 +140,12 @@ func (c *Controller) refresh(ctx context.Context, trigger string) error {
 		Refusals: aud.Refusals,
 		Applied:  applied,
 	})
-	c.refreshes.Add(1)
 	if !applied {
-		c.tracer.Record(trace.KindRecomposeSkip, "", comp.String())
-		return nil
+		tracer.Record(trace.KindRecomposeSkip, "", comp.String())
+		return
 	}
-	c.exec.SetComposition(comp)
-	c.tracer.Record(trace.KindRecompose, "", comp.String())
-	return nil
+	exec.SetComposition(comp)
+	tracer.Record(trace.KindRecompose, "", comp.String())
 }
 
 // Start launches the periodic refresh loop (asynchronous, per §V-C3).

@@ -6,9 +6,7 @@ import (
 
 	"qracn/internal/contention"
 	"qracn/internal/dtm"
-	"qracn/internal/forensics"
 	"qracn/internal/store"
-	"qracn/internal/trace"
 )
 
 // Hub coordinates ACN across every transaction profile of one client node:
@@ -33,8 +31,6 @@ type Hub struct {
 
 // HubConfig tunes a Hub.
 type HubConfig struct {
-	// Algo configures every profile's algorithm module.
-	Algo AlgoConfig
 	// TableAlpha is the EMA weight of the shared table (0: 0.6).
 	TableAlpha float64
 }
@@ -123,43 +119,15 @@ func (h *Hub) Sink(levels map[store.ObjectID]float64) { h.table.ObserveAll(level
 // RefreshOnce fetches contention for the union of all profiles' objects
 // with a single query and recomposes every profile's Block sequence.
 func (h *Hub) RefreshOnce(ctx context.Context) error {
-	ids := h.Wanted()
-	if len(ids) > 0 {
-		levels, err := h.rt.FetchStats(ctx, ids)
-		if err != nil {
-			return err
-		}
-		h.table.ObserveAll(levels)
+	if err := observe(ctx, h.rt, h.table, h.Wanted()); err != nil {
+		return err
 	}
 	h.mu.Lock()
 	execs := append([]*Executor(nil), h.execs...)
 	algos := append([]*Algorithm(nil), h.algos...)
 	h.mu.Unlock()
 	for i, exec := range execs {
-		e := exec
-		comp, aud := algos[i].RecomposeAudited(func(anchor int) float64 {
-			return h.table.Mean(e.AnchorSample(anchor))
-		})
-		before := ""
-		if cur := e.Composition(); cur != nil {
-			before = cur.String()
-		}
-		applied := before != comp.String()
-		h.rt.Forensics().RecordRecompose(forensics.RecomposeEvent{
-			Trigger:  "interval",
-			Before:   before,
-			After:    comp.String(),
-			Levels:   aud.Levels,
-			Merges:   aud.Merges,
-			Reorders: aud.Reorders,
-			Refusals: aud.Refusals,
-			Applied:  applied,
-		})
-		if !applied {
-			h.rt.Tracer().Record(trace.KindRecomposeSkip, "", comp.String())
-			continue
-		}
-		e.SetComposition(comp)
+		recompose(exec, algos[i], h.table, h.rt.Tracer(), "manual")
 	}
 	return nil
 }

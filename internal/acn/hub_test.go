@@ -2,6 +2,7 @@ package acn_test
 
 import (
 	"context"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,7 +10,9 @@ import (
 	"qracn/internal/acn"
 	"qracn/internal/cluster"
 	"qracn/internal/dtm"
+	"qracn/internal/forensics"
 	"qracn/internal/store"
+	"qracn/internal/trace"
 	"qracn/internal/txir"
 	"qracn/internal/unitgraph"
 	"qracn/internal/workload/bank"
@@ -156,4 +159,77 @@ func newSingleReadProgram(name, obj string) *txir.Program {
 	id := store.ObjectID(obj)
 	p.Read(obj, obj, func(*txir.Env) store.ObjectID { return id }, "v")
 	return p
+}
+
+// TestHubAndControllerAuditAlike: the Hub and the Controller run one refresh
+// cycle, so the same decisions — the first swaps the Block sequence, the
+// second reproduces it and is skipped — must leave the same forensic audit
+// (trigger included) and the same trace events whichever of them took them.
+// The Hub used to stamp "interval" on a RefreshOnce call and to record no
+// trace event for an applied swap.
+func TestHubAndControllerAuditAlike(t *testing.T) {
+	type audit struct {
+		decisions []forensics.RecomposeEvent
+		events    map[trace.Kind]int
+	}
+	run := func(t *testing.T, refresher func(*dtm.Runtime, *acn.Executor, *trace.Tracer) func(context.Context) error) audit {
+		an := analyze(t)
+		const window = 50 * time.Millisecond
+		start := time.Now()
+		var elapsed atomic.Int64
+		c := cluster.New(cluster.Config{
+			Servers:     10,
+			StatsWindow: window,
+			Now:         func() time.Time { return start.Add(time.Duration(elapsed.Load())) },
+		})
+		defer c.Close()
+		seedBank(c, 2, 100, 100000)
+		tracer := trace.New(256)
+		rt := c.Runtime(1, dtm.Config{Seed: 5, Tracer: tracer, TraceSample: -1})
+		exec := acn.NewExecutor(rt, an, acn.Static(an))
+		refresh := refresher(rt, exec, tracer)
+
+		ctx := context.Background()
+		for i := 0; i < 60; i++ {
+			if err := exec.Execute(ctx, transferParams(0, 1, i%100, (i+37)%100, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		elapsed.Add(int64(window))
+		for i := 0; i < 2; i++ {
+			if err := refresh(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a := audit{decisions: rt.Forensics().Recomposes(), events: tracer.Count()}
+		for i := range a.decisions {
+			a.decisions[i].At = time.Time{}
+		}
+		return a
+	}
+
+	byController := run(t, func(_ *dtm.Runtime, exec *acn.Executor, tr *trace.Tracer) func(context.Context) error {
+		return acn.NewController(exec, acn.ControllerConfig{Interval: time.Hour, Tracer: tr}).RefreshOnce
+	})
+	byHub := run(t, func(rt *dtm.Runtime, exec *acn.Executor, _ *trace.Tracer) func(context.Context) error {
+		hub := acn.NewHub(rt, acn.HubConfig{})
+		hub.Register(exec, acn.AlgoConfig{})
+		return hub.RefreshOnce
+	})
+
+	d := byHub.decisions
+	if len(d) != 2 || !d[0].Applied || d[1].Applied || d[0].Trigger != "manual" {
+		t.Fatalf("hub decisions = %+v, want one applied then one skipped, both by hand", d)
+	}
+	if byHub.events[trace.KindRecompose] != 1 || byHub.events[trace.KindRecomposeSkip] != 1 {
+		t.Fatalf("hub trace events = %v, want one recompose and one recompose-skip", byHub.events)
+	}
+	if !reflect.DeepEqual(byHub.decisions, byController.decisions) {
+		t.Fatalf("the same decisions were audited differently:\n hub        %+v\n controller %+v", byHub.decisions, byController.decisions)
+	}
+	for _, k := range []trace.Kind{trace.KindRecompose, trace.KindRecomposeSkip} {
+		if byHub.events[k] != byController.events[k] {
+			t.Fatalf("%s events: hub %d, controller %d", k, byHub.events[k], byController.events[k])
+		}
+	}
 }

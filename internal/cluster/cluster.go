@@ -387,11 +387,16 @@ func (d *deployment) Resolution() server.ResolutionStats {
 // conflict witnesses — into one. topK bounds each node's hot-key table. It
 // returns an empty snapshot on a NoForensics cluster.
 func (d *deployment) Forensics(topK int) *forensics.Snapshot {
-	out := &forensics.Snapshot{}
+	doc := d.inspect("", topK)
+	return &doc.Forensics
+}
+
+// inspect merges every node's debug document in process — what a
+// dtm.Inspect over the network assembles from the same Node method.
+func (d *deployment) inspect(traceID string, topK int) forensics.Document {
+	var out forensics.Document
 	for _, n := range d.Nodes {
-		if rec := n.Forensics(); rec != nil {
-			out.Merge(rec.Snapshot(topK))
-		}
+		out.Merge(n.Inspect(traceID, topK))
 	}
 	return out
 }
@@ -408,11 +413,7 @@ func (d *deployment) Admission() server.AdmissionStats {
 // Spans merges the spans recorded by every node, optionally filtered to one
 // trace ID (empty for everything). Nil on an untraced cluster.
 func (d *deployment) Spans(traceID string) []trace.Span {
-	var out []trace.Span
-	for _, n := range d.Nodes {
-		out = append(out, n.Tracer().SpansFor(traceID)...)
-	}
-	return out
+	return d.inspect(traceID, 0).Spans
 }
 
 // FsyncWait merges the per-node group-commit wait histograms into one.

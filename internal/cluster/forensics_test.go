@@ -2,6 +2,8 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,20 +13,18 @@ import (
 	"qracn/internal/quorum"
 	"qracn/internal/server"
 	"qracn/internal/store"
+	"qracn/internal/transport"
 	"qracn/internal/wire"
 )
 
 // protectEverywhere runs a raw 2PC prepare as the given transaction on every
 // node, leaving the key commit-protected (the decision never arrives until
 // releaseEverywhere).
-func protectEverywhere(t *testing.T, c *cluster.Cluster, txID string, key store.ObjectID) {
+func protectEverywhere(t *testing.T, nodes []*server.Node, txID string, key store.ObjectID) {
 	t.Helper()
 	ctx := context.Background()
-	var all []quorum.NodeID
-	for _, n := range c.Nodes {
-		all = append(all, n.ID())
-	}
-	for _, n := range c.Nodes {
+	all := nodeIDs(nodes)
+	for _, n := range nodes {
 		resp := n.Handle(ctx, &wire.Request{
 			Kind: wire.KindPrepare,
 			TxID: txID,
@@ -42,10 +42,10 @@ func protectEverywhere(t *testing.T, c *cluster.Cluster, txID string, key store.
 
 // releaseEverywhere aborts the holding transaction so the cluster shuts down
 // with no dangling protections.
-func releaseEverywhere(t *testing.T, c *cluster.Cluster, txID string, key store.ObjectID) {
+func releaseEverywhere(t *testing.T, nodes []*server.Node, txID string, key store.ObjectID) {
 	t.Helper()
 	ctx := context.Background()
-	for _, n := range c.Nodes {
+	for _, n := range nodes {
 		resp := n.Handle(ctx, &wire.Request{
 			Kind:     wire.KindDecision,
 			TxID:     txID,
@@ -55,6 +55,14 @@ func releaseEverywhere(t *testing.T, c *cluster.Cluster, txID string, key store.
 			t.Fatalf("abort %s on node %d: %+v", txID, n.ID(), resp)
 		}
 	}
+}
+
+func nodeIDs(nodes []*server.Node) []quorum.NodeID {
+	var ids []quorum.NodeID
+	for _, n := range nodes {
+		ids = append(ids, n.ID())
+	}
+	return ids
 }
 
 // TestConflictAttributionEndToEnd is the tentpole's acceptance path: a
@@ -68,8 +76,8 @@ func TestConflictAttributionEndToEnd(t *testing.T) {
 	c.Seed(map[store.ObjectID]store.Value{"k": store.Int64(1)})
 
 	const holder = "c9-t1-a1"
-	protectEverywhere(t, c, holder, "k")
-	defer releaseEverywhere(t, c, holder, "k")
+	protectEverywhere(t, c.Nodes, holder, "k")
+	defer releaseEverywhere(t, c.Nodes, holder, "k")
 
 	// One attempt, one busy re-read, microsecond backoff: the read aborts on
 	// the protection instead of outwaiting it.
@@ -94,7 +102,7 @@ func TestConflictAttributionEndToEnd(t *testing.T) {
 	}
 	ev := snap.Aborts[0]
 	if ev.Cause != forensics.CauseLockConflict {
-		t.Errorf("cause = %s, want lock-conflict", ev.CauseName)
+		t.Errorf("cause = %s, want lock-conflict", ev.Cause)
 	}
 	if ev.Key != "k" {
 		t.Errorf("key = %q, want %q", ev.Key, "k")
@@ -159,7 +167,7 @@ func TestSharedHolderWitnessEndToEnd(t *testing.T) {
 			t.Fatalf("read-only participant on node %d: %+v", n.ID(), resp)
 		}
 	}
-	defer releaseEverywhere(t, c, holder, "k")
+	defer releaseEverywhere(t, c.Nodes, holder, "k")
 
 	rt := c.Runtime(2, dtm.Config{Seed: 3, MaxAttempts: 1})
 	if err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
@@ -184,60 +192,142 @@ func TestSharedHolderWitnessEndToEnd(t *testing.T) {
 	}
 }
 
-// TestForensicsFetchRPC drives the wire path the inspect subcommand uses:
-// KindForensics against live nodes returns the merged server-side snapshot.
-func TestForensicsFetchRPC(t *testing.T) {
-	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour})
-	defer c.Close()
-	c.Seed(map[store.ObjectID]store.Value{"k": store.Int64(1)})
+// liveCluster is a running cluster as the debug fetch sees it, whichever
+// transport its messages cross.
+type liveCluster struct {
+	nodes   []*server.Node
+	client  transport.Client
+	runtime func(int, dtm.Config) *dtm.Runtime
+}
 
-	const holder = "c9-t2-a1"
-	protectEverywhere(t, c, holder, "k")
-	defer releaseEverywhere(t, c, holder, "k")
-
-	rt := c.Runtime(3, dtm.Config{
-		Seed:            5,
-		MaxAttempts:     1,
-		ReadBusyRetries: 1,
-		BackoffBase:     time.Microsecond,
-		BackoffMax:      2 * time.Microsecond,
+// overBothTransports runs the test against the same deployment on the
+// channel network with real serialization (the document crosses the codec,
+// not just Clone) and on loopback TCP.
+func overBothTransports(t *testing.T, cfg cluster.Config, test func(*testing.T, liveCluster)) {
+	t.Run("channel+binary", func(t *testing.T) {
+		cfg := cfg
+		cfg.Network.Codec = wire.Binary
+		c := cluster.New(cfg)
+		defer c.Close()
+		test(t, liveCluster{c.Nodes, c.Net, c.Runtime})
 	})
-	_ = rt.Atomic(context.Background(), func(tx *dtm.Tx) error {
-		_, err := tx.Read("k")
-		return err
-	})
-
-	var nodes []quorum.NodeID
-	for _, n := range c.Nodes {
-		nodes = append(nodes, n.ID())
-	}
-	snap, err := dtm.FetchForensics(context.Background(), c.Net, nodes, 5)
-	if err != nil {
-		t.Fatalf("FetchForensics: %v", err)
-	}
-	found := false
-	for _, h := range snap.HotKeys {
-		if h.Key == "k" && h.Conflicts > 0 {
-			found = true
+	t.Run("tcp", func(t *testing.T) {
+		c, err := cluster.NewTCP(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Fatalf("fetched snapshot misses the conflicted key: %+v", snap.HotKeys)
-	}
+		defer c.Close()
+		client := transport.NewTCPClient(c.Addrs(), cfg.Compress)
+		defer client.Close()
+		test(t, liveCluster{c.Nodes, client, c.Runtime})
+	})
+}
+
+// TestForensicsFetchRPC drives the wire path the inspect subcommand uses:
+// KindInspect against live nodes returns the merged server-side snapshot,
+// causes and witnesses included.
+func TestForensicsFetchRPC(t *testing.T) {
+	overBothTransports(t, cluster.Config{Servers: 4, StatsWindow: time.Hour}, func(t *testing.T, c liveCluster) {
+		for _, n := range c.nodes {
+			n.Store().SeedBatch(map[store.ObjectID]store.Value{"k": store.Int64(1)})
+		}
+
+		const holder = "c9-t2-a1"
+		protectEverywhere(t, c.nodes, holder, "k")
+		defer releaseEverywhere(t, c.nodes, holder, "k")
+
+		rt := c.runtime(3, dtm.Config{
+			Seed:            5,
+			MaxAttempts:     1,
+			ReadBusyRetries: 1,
+			BackoffBase:     time.Microsecond,
+			BackoffMax:      2 * time.Microsecond,
+		})
+		_ = rt.Atomic(context.Background(), func(tx *dtm.Tx) error {
+			_, err := tx.Read("k")
+			return err
+		})
+
+		doc, err := dtm.Inspect(context.Background(), c.client, nodeIDs(c.nodes), "", 5)
+		if err != nil {
+			t.Fatalf("Inspect: %v", err)
+		}
+		snap := doc.Forensics
+		found := false
+		for _, h := range snap.HotKeys {
+			if h.Key == "k" && h.Conflicts > 0 {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("fetched snapshot misses the conflicted key: %+v", snap.HotKeys)
+		}
+		if len(snap.Aborts) == 0 || snap.TotalAborts != uint64(len(snap.Aborts)) {
+			t.Fatalf("fetched snapshot has %d events for %d recorded", len(snap.Aborts), snap.TotalAborts)
+		}
+		for _, ev := range snap.Aborts {
+			if ev.Cause != forensics.CauseLockConflict || ev.Key != "k" || ev.ConflictingTxID != holder || ev.At.IsZero() {
+				t.Fatalf("event lost its attribution on the way: %+v", ev)
+			}
+		}
+	})
 
 	// A NoForensics cluster answers the same RPC with empty state rather
 	// than an error, so mixed fleets stay inspectable.
-	off := cluster.New(cluster.Config{Servers: 3, StatsWindow: time.Hour, Node: server.Config{NoForensics: true}})
-	defer off.Close()
-	var offNodes []quorum.NodeID
-	for _, n := range off.Nodes {
-		offNodes = append(offNodes, n.ID())
-	}
-	offSnap, err := dtm.FetchForensics(context.Background(), off.Net, offNodes, 5)
+	t.Run("no-forensics", func(t *testing.T) {
+		off := cluster.Config{Servers: 3, StatsWindow: time.Hour, Node: server.Config{NoForensics: true}}
+		overBothTransports(t, off, func(t *testing.T, c liveCluster) {
+			doc, err := dtm.Inspect(context.Background(), c.client, nodeIDs(c.nodes), "", 5)
+			if err != nil {
+				t.Fatalf("Inspect on -no-forensics cluster: %v", err)
+			}
+			if doc.Forensics.TotalAborts != 0 || len(doc.Forensics.Aborts) != 0 || len(doc.Spans) != 0 {
+				t.Fatalf("disabled cluster leaked events: %+v", doc)
+			}
+		})
+	})
+}
+
+// TestInspectLargeDocumentCompressedOverTCP: a node whose rings are full
+// answers with a document far past wire.CompressThreshold; it crosses TCP
+// with frame compression on and arrives whole.
+func TestInspectLargeDocumentCompressedOverTCP(t *testing.T) {
+	const events = 4096
+	c, err := cluster.NewTCP(cluster.Config{
+		Servers: 4, StatsWindow: time.Hour, Compress: true,
+		Node: server.Config{ForensicsRing: events},
+	})
 	if err != nil {
-		t.Fatalf("FetchForensics on -no-forensics cluster: %v", err)
+		t.Fatal(err)
 	}
-	if offSnap.TotalAborts != 0 || len(offSnap.Aborts) != 0 {
-		t.Fatalf("disabled cluster leaked events: %+v", offSnap)
+	defer c.Close()
+	rec := c.Nodes[2].Forensics()
+	at := time.Unix(1700000000, 0)
+	for i := 0; i < events; i++ {
+		rec.RecordAbort(forensics.AbortEvent{
+			At: at.Add(time.Duration(i)), TxID: fmt.Sprintf("c1-t%d-a0", i), BlockIndex: -1,
+			UnitAnchorID: -1, Key: fmt.Sprintf("row/%d", i%64), Shard: -1,
+			Cause: forensics.CauseReadValidation,
+		})
+	}
+	if raw, _ := json.Marshal(c.Nodes[2].Inspect("", 8)); len(raw) < 100*wire.CompressThreshold {
+		t.Fatalf("document is %d bytes: too small to exercise compression", len(raw))
+	}
+
+	client := transport.NewTCPClient(c.Addrs(), true)
+	defer client.Close()
+	doc, err := dtm.Inspect(context.Background(), client, []quorum.NodeID{2}, "", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := doc.Forensics
+	if len(got.Aborts) != events || got.TotalAborts != events || len(got.HotKeys) != 8 {
+		t.Fatalf("fetched %d events (%d recorded), %d hot keys; want %d, %d, 8",
+			len(got.Aborts), got.TotalAborts, len(got.HotKeys), events, events)
+	}
+	for i, ev := range got.Aborts {
+		if ev.TxID != fmt.Sprintf("c1-t%d-a0", i) || !ev.At.Equal(at.Add(time.Duration(i))) || ev.Cause != forensics.CauseReadValidation {
+			t.Fatalf("event %d arrived as %+v", i, ev)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package dtm_test
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -341,5 +342,48 @@ func TestFetchStatsFailover(t *testing.T) {
 	}
 	if !gotRetry {
 		t.Fatal("no client seed exercised the stats failover path")
+	}
+}
+
+// TestCommitDoesNotFailOverOnDeadContext: a commit round that fails because
+// the caller's context is dead must return the context's error after that one
+// round, as the read, prefetch, cross-shard and stats loops do — not select
+// three more quorums, spend three retries and count three failovers for a
+// caller that has already given up.
+func TestCommitDoesNotFailOverOnDeadContext(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write bool
+	}{{"read-write", true}, {"read-only", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour})
+			defer c.Close()
+			c.Seed(map[store.ObjectID]store.Value{"x": store.Int64(0)})
+			rt := c.Runtime(1, dtm.Config{Seed: 1})
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
+				v, err := tx.Read("x")
+				if err != nil {
+					return err
+				}
+				if tc.write {
+					if err := tx.Write("x", store.Int64(store.AsInt64(v)+1)); err != nil {
+						return err
+					}
+				}
+				cancel() // the caller gives up as the body returns: the commit runs under a dead context
+				return nil
+			})
+			if !errors.Is(err, context.Canceled) || errors.Is(err, dtm.ErrQuorumUnreachable) {
+				t.Fatalf("Atomic = %v, want the context's error alone", err)
+			}
+			m := rt.Metrics().Snapshot()
+			if rounds := m.Prepares + m.ReadOnlyFasts; rounds != 1 || m.Failovers != 0 {
+				t.Fatalf("commit under a dead context ran %d rounds (%d prepares, %d read-only validations) and %d failovers, want 1 and 0",
+					rounds, m.Prepares, m.ReadOnlyFasts, m.Failovers)
+			}
+		})
 	}
 }

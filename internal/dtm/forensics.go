@@ -3,12 +3,8 @@ package dtm
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"qracn/internal/forensics"
-	"qracn/internal/quorum"
-	"qracn/internal/transport"
-	"qracn/internal/wire"
 )
 
 // recordAbort attributes one abort — partial or full — to its forensic
@@ -80,41 +76,4 @@ func causeOfErr(err error) forensics.Cause {
 		return forensics.CauseDeadline
 	}
 	return forensics.CauseUnknown
-}
-
-// FetchForensics drains the forensic snapshots of the given nodes — the
-// server-side conflict witnesses — and merges them, newest-last per node.
-// topK bounds each node's hot-key table. Nodes that fail to answer are
-// skipped; the error is non-nil only when every node failed.
-func FetchForensics(ctx context.Context, client transport.Client, nodes []quorum.NodeID, topK int) (*forensics.Snapshot, error) {
-	req := &wire.Request{
-		Kind:      wire.KindForensics,
-		Forensics: &wire.ForensicsRequest{TopK: topK},
-	}
-	merged := &forensics.Snapshot{}
-	answered := 0
-	var lastErr error
-	for _, n := range nodes {
-		resp, err := client.Call(ctx, n, req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.Status != wire.StatusOK || resp.Forensics == nil {
-			lastErr = fmt.Errorf("dtm: forensics fetch from node %d: %s (%s)", n, resp.Status, resp.Detail)
-			continue
-		}
-		answered++
-		merged.Merge(forensics.Snapshot{
-			Aborts:          resp.Forensics.Aborts,
-			Recomposes:      resp.Forensics.Recomposes,
-			HotKeys:         resp.Forensics.HotKeys,
-			TotalAborts:     resp.Forensics.TotalAborts,
-			TotalRecomposes: resp.Forensics.TotalRecomposes,
-		})
-	}
-	if answered == 0 && len(nodes) > 0 {
-		return nil, lastErr
-	}
-	return merged, nil
 }

@@ -61,7 +61,7 @@ func TestPartialAbortAttribution(t *testing.T) {
 		t.Error("a sub-transaction rollback must be marked partial")
 	}
 	if ev.Cause != forensics.CauseReadValidation {
-		t.Errorf("cause = %s, want read-validation", ev.CauseName)
+		t.Errorf("cause = %s, want read-validation", ev.Cause)
 	}
 	if ev.Key != "hot" {
 		t.Errorf("key = %q, want %q", ev.Key, "hot")

@@ -203,45 +203,17 @@ func (s *Snapshot) Add(o Snapshot) {
 	}
 }
 
-// Snapshot copies the current counter values.
+// Snapshot copies the current counter values. Like Add it walks the fields —
+// each Snapshot field is loaded from the Metrics counter of the same name —
+// so a counter added to both structs is copied without a line here. It runs
+// per reporting interval, never per transaction.
 func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
-		Commits:             m.Commits.Load(),
-		ParentAborts:        m.ParentAborts.Load(),
-		SubAborts:           m.SubAborts.Load(),
-		BusyBackoffs:        m.BusyBackoffs.Load(),
-		RemoteReads:         m.RemoteReads.Load(),
-		Prepares:            m.Prepares.Load(),
-		PrepareFails:        m.PrepareFails.Load(),
-		ReadOnlyFasts:       m.ReadOnlyFasts.Load(),
-		CheckpointRollbacks: m.CheckpointRollbacks.Load(),
-		BatchReads:          m.BatchReads.Load(),
-		PrefetchedObjects:   m.PrefetchedObjects.Load(),
-		TransportRetries:    m.TransportRetries.Load(),
-		Suspicions:          m.Suspicions.Load(),
-		Probes:              m.Probes.Load(),
-		Readmissions:        m.Readmissions.Load(),
-		Failovers:           m.Failovers.Load(),
-		StatsQuorumRetries:  m.StatsQuorumRetries.Load(),
-		Repairs:             m.Repairs.Load(),
-		DecisionRetries:     m.DecisionRetries.Load(),
-		DecisionsDropped:    m.DecisionsDropped.Load(),
-		SingleShardCommits:  m.SingleShardCommits.Load(),
-		CrossShardCommits:   m.CrossShardCommits.Load(),
-		CrossShardAborts:    m.CrossShardAborts.Load(),
-		OverloadBackoffs:    m.OverloadBackoffs.Load(),
-		BudgetExhausted:     m.BudgetExhausted.Load(),
-		HedgesFired:         m.HedgesFired.Load(),
-		HedgeWins:           m.HedgeWins.Load(),
-
-		AbortsReadValidation: m.AbortsReadValidation.Load(),
-		AbortsLockConflict:   m.AbortsLockConflict.Load(),
-		AbortsCommitRound:    m.AbortsCommitRound.Load(),
-		AbortsDeadline:       m.AbortsDeadline.Load(),
-		AbortsOverload:       m.AbortsOverload.Load(),
-		AbortsBlock0:         m.AbortsBlock0.Load(),
-		AbortsBlock1:         m.AbortsBlock1.Load(),
-		AbortsBlock2:         m.AbortsBlock2.Load(),
-		AbortsBlock3Plus:     m.AbortsBlock3Plus.Load(),
+	var s Snapshot
+	sv := reflect.ValueOf(&s).Elem()
+	mv := reflect.ValueOf(m).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		c := mv.FieldByName(sv.Type().Field(i).Name).Addr().Interface().(*atomic.Uint64)
+		sv.Field(i).SetUint(c.Load())
 	}
+	return s
 }

@@ -12,16 +12,44 @@ import (
 	"qracn/internal/quorum"
 	"qracn/internal/store"
 	"qracn/internal/trace"
+	"qracn/internal/wire"
 )
+
+// tracedCluster is what the tracing acceptance test needs of a cluster,
+// whichever transport joins it.
+type tracedCluster interface {
+	Seed(map[store.ObjectID]store.Value)
+	Runtime(int, dtm.Config) *dtm.Runtime
+	Spans(traceID string) []trace.Span
+}
 
 // TestDistributedTraceOfPartialRollback is the tracing acceptance test: a
 // multi-node transaction suffers exactly one partial rollback, its spans
 // are fetched from the client runtime and from every server, and the
 // reassembled timeline shows the retry nested under its Block span with
-// server-side serve spans hanging off the client spans that issued them.
+// server-side serve spans hanging off the client spans that issued them. The
+// servers' spans come back over wire.KindInspect: on the channel network with
+// real serialization, and over TCP.
 func TestDistributedTraceOfPartialRollback(t *testing.T) {
-	c := cluster.New(cluster.Config{Servers: 10, StatsWindow: time.Hour, TraceCapacity: 4096})
-	t.Cleanup(c.Close)
+	cfg := cluster.Config{Servers: 10, StatsWindow: time.Hour, TraceCapacity: 4096}
+	t.Run("channel+binary", func(t *testing.T) {
+		cfg := cfg
+		cfg.Network.Codec = wire.Binary
+		c := cluster.New(cfg)
+		t.Cleanup(c.Close)
+		testDistributedTraceOfPartialRollback(t, c, len(c.Nodes))
+	})
+	t.Run("tcp", func(t *testing.T) {
+		c, err := cluster.NewTCP(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		testDistributedTraceOfPartialRollback(t, c, len(c.Nodes))
+	})
+}
+
+func testDistributedTraceOfPartialRollback(t *testing.T, c tracedCluster, servers int) {
 	c.Seed(map[store.ObjectID]store.Value{
 		"cold": store.Int64(1),
 		"hot":  store.Int64(1),
@@ -70,10 +98,10 @@ func TestDistributedTraceOfPartialRollback(t *testing.T) {
 	}
 	traceID := ids[0]
 
-	// Fetch: client ring + every node's ring over the trace RPC.
+	// Fetch: client ring + every node's ring over the inspect RPC.
 	var nodes []quorum.NodeID
-	for _, n := range c.Nodes {
-		nodes = append(nodes, n.ID())
+	for i := 0; i < servers; i++ {
+		nodes = append(nodes, quorum.NodeID(i))
 	}
 	spans, err := rt.FetchSpans(ctx, nodes, traceID)
 	if err != nil {

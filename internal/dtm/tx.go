@@ -853,8 +853,12 @@ func (rt *Runtime) commitIn(ctx context.Context, tx *Tx, g *shard.Group, reads [
 		}
 		if unreachable {
 			// Exclude the members that errored so the re-selected quorum
-			// cannot contain them, then retry against the alive view.
+			// cannot contain them, then retry against the alive view —
+			// unless the round failed because the caller gave up.
 			excl, _ = recordFailed(excl, results)
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			continue
 		}
 		return &AbortError{Level: AbortParent, Reason: "prepare rejected", Cause: forensics.CauseCommitRound}
@@ -929,6 +933,9 @@ func (rt *Runtime) commitReadOnly(ctx context.Context, tx *Tx, reads []store.Rea
 			return nil
 		}
 		excl, _ = recordFailed(excl, results)
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 	}
 	return errors.Join(ErrQuorumUnreachable, lastErr)
 }

@@ -1,12 +1,12 @@
-// Package forensics is the abort-attribution event subsystem: bounded,
-// lock-free rings of typed events that record WHY a transaction aborted
-// (which cause class, which key, which holder it conflicted with), WHERE in
-// its Block sequence the re-execution restarted, and WHAT the ACN controller
-// decided on every recomposition pass — including the merges it refused and
-// why. The package is a leaf: events are plain data, producers live in the
-// server's validation/lock paths, the dtm retry loop, and the acn
-// controller, and consumers range from the harness JSON exporter to the
-// qracn-inspect forensics report.
+// Package forensics is the abort-attribution event subsystem: bounded rings
+// of typed events that record WHY a transaction aborted (which cause class,
+// which key, which holder it conflicted with), WHERE in its Block sequence
+// the re-execution restarted, and WHAT the ACN controller decided on every
+// recomposition pass — including the merges it refused and why. Events are
+// plain data whose JSON tags are their one serialised form: the harness
+// export, the Document a site answers wire.KindInspect with, and what
+// qracn-inspect reads back. Producers live in the server's validation/lock
+// paths, the dtm retry loop, and the acn controller.
 //
 // Recording is always-on but strictly pay-per-conflict: the conflict-free
 // hot path never touches a Recorder, and every Recorder method is safe on a
@@ -19,6 +19,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"qracn/internal/trace"
 )
 
 // Cause classifies an abort by the mechanism that raised it.
@@ -63,6 +65,22 @@ func (c Cause) String() string {
 	}
 }
 
+// MarshalText and UnmarshalText carry a Cause as its name, so the JSON of an
+// event reads "cause": "lock-conflict" and decodes back to the enum. A name
+// this build does not know (a newer peer's) decodes as CauseUnknown.
+func (c Cause) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+func (c *Cause) UnmarshalText(text []byte) error {
+	*c = CauseUnknown
+	for k := CauseUnknown; k < NumCauses; k++ {
+		if k.String() == string(text) {
+			*c = k
+			break
+		}
+	}
+	return nil
+}
+
 // RefusalReason says why the algorithm module declined to merge two Blocks.
 type RefusalReason uint8
 
@@ -76,6 +94,8 @@ const (
 	// RefusalSimilarity: the pair's contention levels differ beyond the
 	// merge threshold.
 	RefusalSimilarity
+
+	numRefusalReasons
 )
 
 func (r RefusalReason) String() string {
@@ -87,6 +107,21 @@ func (r RefusalReason) String() string {
 	default:
 		return "dependency"
 	}
+}
+
+// MarshalText and UnmarshalText carry a RefusalReason as its name, like
+// Cause; an unknown name decodes as the enum's own fallback.
+func (r RefusalReason) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+
+func (r *RefusalReason) UnmarshalText(text []byte) error {
+	*r = RefusalDependency
+	for k := RefusalDependency; k < numRefusalReasons; k++ {
+		if k.String() == string(text) {
+			*r = k
+			break
+		}
+	}
+	return nil
 }
 
 // sharedMark suffixes a conflict witness whose holder held the key in shared
@@ -135,10 +170,8 @@ type AbortEvent struct {
 	Key string `json:"key,omitempty"`
 	// Shard is the key's owning shard (-1 unsharded/unknown).
 	Shard int `json:"shard"`
-	// Cause classifies the abort mechanism.
-	Cause Cause `json:"-"`
-	// CauseName mirrors Cause for JSON consumers.
-	CauseName string `json:"cause"`
+	// Cause classifies the abort mechanism (its name in JSON).
+	Cause Cause `json:"cause"`
 	// ConflictingTxID is the conflict witness: the transaction holding the
 	// conflicting protection and its mode (see Witness; piggybacked from the
 	// server; empty when the server predates it or the conflict was
@@ -159,11 +192,10 @@ type AnchorLevel struct {
 // Refusal records one merge the algorithm module declined.
 type Refusal struct {
 	// First/Second are the anchor IDs heading the two groups considered.
-	First  int           `json:"first"`
-	Second int           `json:"second"`
-	Reason RefusalReason `json:"-"`
-	// ReasonName mirrors Reason for JSON consumers.
-	ReasonName string `json:"reason"`
+	First  int `json:"first"`
+	Second int `json:"second"`
+	// Reason is why (its name in JSON).
+	Reason RefusalReason `json:"reason"`
 }
 
 // RecomposeEvent audits one controller decision: what the algorithm module
@@ -210,8 +242,8 @@ const hotKeysCap = 4096
 // recompose ring, and the rotating hot-key tally. All methods are safe for
 // concurrent use and safe on a nil receiver (recording becomes a no-op).
 type Recorder struct {
-	aborts *Ring[AbortEvent]
-	recs   *Ring[RecomposeEvent]
+	aborts *trace.Ring[AbortEvent]
+	recs   *trace.Ring[RecomposeEvent]
 
 	hotMu sync.Mutex
 	// The tallies sit behind pointers so that counting a known key is a
@@ -228,14 +260,14 @@ func New(ringSize int) *Recorder {
 		ringSize = DefaultRingSize
 	}
 	return &Recorder{
-		aborts: NewRing[AbortEvent](ringSize),
-		recs:   NewRing[RecomposeEvent](ringSize),
+		aborts: trace.NewRing[AbortEvent](ringSize),
+		recs:   trace.NewRing[RecomposeEvent](ringSize),
 		hotCur: make(map[string]*uint64),
 	}
 }
 
-// RecordAbort appends one abort event and tallies its key. The event's At
-// and CauseName are stamped here so producers pass plain data.
+// RecordAbort appends one abort event and tallies its key. A zero At is
+// stamped here so producers pass plain data.
 func (r *Recorder) RecordAbort(e AbortEvent) {
 	if r == nil {
 		return
@@ -243,7 +275,6 @@ func (r *Recorder) RecordAbort(e AbortEvent) {
 	if e.At.IsZero() {
 		e.At = time.Now()
 	}
-	e.CauseName = e.Cause.String()
 	// The ring outlives the message these may be views into
 	// (wire.DecodeEnvelope); only abort paths pay for the copies.
 	e.TxID, e.Key, e.ConflictingTxID = strings.Clone(e.TxID), strings.Clone(e.Key), strings.Clone(e.ConflictingTxID)
@@ -260,9 +291,6 @@ func (r *Recorder) RecordRecompose(e RecomposeEvent) {
 	}
 	if e.At.IsZero() {
 		e.At = time.Now()
-	}
-	for i := range e.Refusals {
-		e.Refusals[i].ReasonName = e.Refusals[i].Reason.String()
 	}
 	r.recs.Record(e)
 }
@@ -288,8 +316,7 @@ func (r *Recorder) NoteConflict(key string) {
 	r.hotMu.Unlock()
 }
 
-// Aborts returns the buffered abort events, oldest first (best effort under
-// concurrent recording).
+// Aborts returns the buffered abort events, oldest first.
 func (r *Recorder) Aborts() []AbortEvent {
 	if r == nil {
 		return nil
@@ -412,4 +439,23 @@ func (s *Snapshot) Merge(o Snapshot) {
 		return out[i].Key < out[j].Key
 	})
 	s.HotKeys = out
+}
+
+// Document is the debug plane's one payload: what a site answers a
+// wire.KindInspect with (as JSON, by the event types' own tags), and what the
+// answers of several sites merge into. A new kind of evidence a debugger
+// needs from every site is one more field here, not a wire kind.
+type Document struct {
+	// Spans are the site's recorded trace spans, oldest first — of one trace
+	// when the request named one. Empty on an untraced site.
+	Spans []trace.Span `json:"spans,omitempty"`
+	// Forensics is the site's forensic snapshot (zero on a site that records
+	// none).
+	Forensics Snapshot `json:"forensics"`
+}
+
+// Merge folds another site's document into d.
+func (d *Document) Merge(o Document) {
+	d.Spans = append(d.Spans, o.Spans...)
+	d.Forensics.Merge(o.Forensics)
 }

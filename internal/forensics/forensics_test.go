@@ -1,11 +1,14 @@
 package forensics
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"qracn/internal/trace"
 )
 
 // TestRingWraparound pins the overwrite semantics: a ring of capacity C fed
@@ -13,7 +16,7 @@ import (
 // true total recorded.
 func TestRingWraparound(t *testing.T) {
 	const cap, total = 8, 27
-	r := NewRing[int](cap)
+	r := trace.NewRing[int](cap)
 	for i := 0; i < total; i++ {
 		r.Record(i)
 	}
@@ -34,7 +37,7 @@ func TestRingWraparound(t *testing.T) {
 // TestRingFewerThanCapacity checks the pre-wrap path returns exactly what
 // was recorded, in order.
 func TestRingFewerThanCapacity(t *testing.T) {
-	r := NewRing[int](16)
+	r := trace.NewRing[int](16)
 	for i := 0; i < 5; i++ {
 		r.Record(i)
 	}
@@ -50,12 +53,12 @@ func TestRingFewerThanCapacity(t *testing.T) {
 }
 
 // TestRingConcurrentRecord hammers a small ring from many goroutines while a
-// reader snapshots continuously — the -race acceptance for the lock-free
-// design. Every surviving slot must hold a value some producer actually
+// reader snapshots continuously — the -race acceptance for the ring.
+// Every surviving slot must hold a value some producer actually
 // wrote, and the total must be exact.
 func TestRingConcurrentRecord(t *testing.T) {
 	const producers, perProducer = 8, 1000
-	r := NewRing[int](32)
+	r := trace.NewRing[int](32)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -115,8 +118,9 @@ func TestRecorderNilSafe(t *testing.T) {
 	}
 }
 
-// TestRecorderAttribution checks RecordAbort stamps cause names, feeds the
-// hot-key tally, and HotKeys ranks by conflict count.
+// TestRecorderAttribution checks recorded events carry their cause — under
+// its name in JSON, and back — that RecordAbort feeds the hot-key tally, and
+// that HotKeys ranks by conflict count.
 func TestRecorderAttribution(t *testing.T) {
 	r := New(64)
 	for i := 0; i < 5; i++ {
@@ -128,8 +132,23 @@ func TestRecorderAttribution(t *testing.T) {
 	if len(evs) != 7 {
 		t.Fatalf("got %d events, want 7", len(evs))
 	}
-	if evs[0].CauseName != "lock-conflict" || evs[5].CauseName != "read-validation" {
-		t.Fatalf("cause names not stamped: %+v", evs)
+	doc, err := json.Marshal(evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(doc), `"cause":"lock-conflict"`) || !strings.Contains(string(doc), `"cause":"read-validation"`) {
+		t.Fatalf("causes not named in JSON: %s", doc)
+	}
+	var back []AbortEvent
+	if err := json.Unmarshal(doc, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back[0].Cause != CauseLockConflict || back[5].Cause != CauseReadValidation || back[6].Cause != CauseCommitRound {
+		t.Fatalf("causes did not survive JSON: %+v", back)
+	}
+	var newer AbortEvent
+	if err := json.Unmarshal([]byte(`{"cause":"a-cause-of-a-newer-build"}`), &newer); err != nil || newer.Cause != CauseUnknown {
+		t.Fatalf("unknown cause name decoded as %v, err %v; want CauseUnknown", newer.Cause, err)
 	}
 	hot := r.HotKeys(1)
 	if len(hot) != 1 || hot[0].Key != "hot" || hot[0].Conflicts != 5 {
@@ -178,8 +197,8 @@ func TestSnapshotMerge(t *testing.T) {
 	}
 }
 
-// TestRefusalReasonStamping checks RecordRecompose fills refusal reason
-// names for JSON consumers.
+// TestRefusalReasonStamping checks a recorded decision's refusals carry
+// their reason under its name in JSON, and back.
 func TestRefusalReasonStamping(t *testing.T) {
 	r := New(8)
 	r.RecordRecompose(RecomposeEvent{
@@ -187,8 +206,19 @@ func TestRefusalReasonStamping(t *testing.T) {
 		Refusals: []Refusal{{First: 0, Second: 1, Reason: RefusalShardHome}},
 	})
 	recs := r.Recomposes()
-	if len(recs) != 1 || recs[0].Refusals[0].ReasonName != "shard-home" {
-		t.Fatalf("refusal reason not stamped: %+v", recs)
+	doc, err := json.Marshal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(doc), `"reason":"shard-home"`) {
+		t.Fatalf("refusal reason not named in JSON: %s", doc)
+	}
+	var back []RecomposeEvent
+	if err := json.Unmarshal(doc, &back); err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 1 || back[0].Refusals[0].Reason != RefusalShardHome {
+		t.Fatalf("refusal reason did not survive JSON: %+v", back)
 	}
 }
 

@@ -194,7 +194,7 @@ func TestAdmissionGateExemptKinds(t *testing.T) {
 			t.Errorf("kind %v is gated, want exempt", k)
 		}
 	}
-	for _, k := range []wire.Kind{wire.KindRead, wire.KindPrepare, wire.KindBatch, wire.KindStats, wire.KindSync} {
+	for _, k := range []wire.Kind{wire.KindRead, wire.KindPrepare, wire.KindBatch, wire.KindStats, wire.KindSync, wire.KindInspect} {
 		if !admissionGated(k) {
 			t.Errorf("kind %v is exempt, want gated", k)
 		}
@@ -206,7 +206,7 @@ func TestAdmissionGateExemptKinds(t *testing.T) {
 			t.Errorf("kind %v rejects expired deadlines, want exempt", k)
 		}
 	}
-	if deadlineExempt(wire.KindPrepare) || deadlineExempt(wire.KindRead) {
+	if deadlineExempt(wire.KindPrepare) || deadlineExempt(wire.KindRead) || deadlineExempt(wire.KindInspect) {
 		t.Error("client work kinds must honor expired deadlines")
 	}
 }

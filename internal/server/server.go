@@ -7,6 +7,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -80,7 +81,7 @@ type Config struct {
 	// StatusNotFound so unsharded deployments stay unchanged.
 	Shards *shard.Map
 	// MaxInflight bounds concurrently executing gated requests (reads,
-	// prepares, batches, stats, sync, repair, trace-fetch) — the admission
+	// prepares, batches, stats, sync, repair, inspect) — the admission
 	// gate. Excess requests queue up to QueueDepth and are shed with
 	// StatusOverloaded beyond it. 0 disables the gate entirely (the
 	// pre-overload-protection behaviour). 2PC decisions, termination-protocol
@@ -540,10 +541,8 @@ func (n *Node) dispatch(ctx context.Context, req *wire.Request, serveID uint64) 
 		return n.handleResolve(req)
 	case wire.KindShardMap:
 		return n.handleShardMap(req)
-	case wire.KindTraceFetch:
-		return n.handleTraceFetch(req)
-	case wire.KindForensics:
-		return n.handleForensics(req)
+	case wire.KindInspect:
+		return n.handleInspect(req)
 	case wire.KindBatch:
 		// Sub-requests bypass the admission gate — the enclosing batch
 		// already holds the slot, and re-acquiring per sub would deadlock a
@@ -708,50 +707,34 @@ func (n *Node) handleDecision(req *wire.Request, serveID uint64) *wire.Response 
 	return resp
 }
 
-// handleTraceFetch drains the node's trace rings for a client or
-// qracn-inspect. An untraced node answers with empty payloads rather than an
-// error, so a mixed fleet can still be swept.
-func (n *Node) handleTraceFetch(req *wire.Request) *wire.Response {
-	f := req.TraceFetch
-	if f == nil {
-		return &wire.Response{Status: wire.StatusError, Detail: "trace-fetch request missing payload"}
+// Inspect assembles the node's debug document: its recorded spans of one
+// trace (all of them for an empty traceID) and its forensic snapshot with the
+// topK hottest keys. An untraced node or one built with NoForensics fills
+// that part with nothing rather than failing, so a mixed fleet can still be
+// swept.
+func (n *Node) Inspect(traceID string, topK int) forensics.Document {
+	return forensics.Document{
+		Spans:     n.tracer.SpansFor(traceID),
+		Forensics: n.forensics.Snapshot(topK),
 	}
-	resp := &wire.TraceFetchResponse{Spans: n.tracer.SpansFor(f.TraceID)}
-	if f.Events {
-		resp.Events = n.tracer.Events()
-	}
-	return &wire.Response{Status: wire.StatusOK, Trace: resp}
 }
 
-// handleForensics drains the node's forensic rings for a client or
-// qracn-inspect. A node with forensics disabled answers with empty payloads
-// rather than an error, so a mixed fleet can still be swept (same contract
-// as handleTraceFetch on untraced nodes).
-func (n *Node) handleForensics(req *wire.Request) *wire.Response {
-	f := req.Forensics
+// handleInspect serves the node's debug document to a client or
+// qracn-inspect, as the JSON its types already define.
+func (n *Node) handleInspect(req *wire.Request) *wire.Response {
+	f := req.Inspect
 	if f == nil {
-		return &wire.Response{Status: wire.StatusError, Detail: "forensics request missing payload"}
+		return &wire.Response{Status: wire.StatusError, Detail: "inspect request missing payload"}
 	}
 	topK := f.TopK
 	if topK <= 0 {
 		topK = 16
 	}
-	snap := n.forensics.Snapshot(topK)
-	if f.MaxEvents > 0 {
-		if len(snap.Aborts) > f.MaxEvents {
-			snap.Aborts = snap.Aborts[len(snap.Aborts)-f.MaxEvents:]
-		}
-		if len(snap.Recomposes) > f.MaxEvents {
-			snap.Recomposes = snap.Recomposes[len(snap.Recomposes)-f.MaxEvents:]
-		}
+	doc, err := json.Marshal(n.Inspect(f.TraceID, topK))
+	if err != nil {
+		return &wire.Response{Status: wire.StatusError, Detail: "inspect: " + err.Error()}
 	}
-	return &wire.Response{Status: wire.StatusOK, Forensics: &wire.ForensicsResponse{
-		Aborts:          snap.Aborts,
-		Recomposes:      snap.Recomposes,
-		HotKeys:         snap.HotKeys,
-		TotalAborts:     snap.TotalAborts,
-		TotalRecomposes: snap.TotalRecomposes,
-	}}
+	return &wire.Response{Status: wire.StatusOK, Inspect: &wire.InspectResponse{Doc: doc}}
 }
 
 // handleShardMap serves the cluster's shard map. A client that already

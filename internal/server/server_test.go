@@ -350,6 +350,7 @@ func TestMalformedRequests(t *testing.T) {
 		{Kind: wire.KindDecision},
 		{Kind: wire.KindStats},
 		{Kind: wire.KindSync},
+		{Kind: wire.KindInspect},
 		{Kind: wire.Kind(99)},
 	} {
 		if resp := n.Handle(context.Background(), req); resp.Status != wire.StatusError {

@@ -55,20 +55,10 @@ func NextSpanID() uint64 { return spanSeq.Add(1) }
 // RecordSpan stores one completed span. Safe to call on a nil or disabled
 // tracer (no-op).
 func (t *Tracer) RecordSpan(s Span) {
-	if t == nil || !t.enabled.Load() {
+	if !t.Enabled() {
 		return
 	}
-	t.spanMu.Lock()
-	defer t.spanMu.Unlock()
-	if t.spanFull {
-		t.spans[t.spanNext] = s
-		t.spanNext = (t.spanNext + 1) % cap(t.spans)
-		return
-	}
-	t.spans = append(t.spans, s)
-	if len(t.spans) == cap(t.spans) {
-		t.spanFull = true
-	}
+	t.spans.Record(s)
 }
 
 // Spans returns the recorded spans, oldest first.
@@ -76,17 +66,7 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	t.spanMu.Lock()
-	defer t.spanMu.Unlock()
-	if !t.spanFull {
-		out := make([]Span, len(t.spans))
-		copy(out, t.spans)
-		return out
-	}
-	out := make([]Span, 0, cap(t.spans))
-	out = append(out, t.spans[t.spanNext:]...)
-	out = append(out, t.spans[:t.spanNext]...)
-	return out
+	return t.spans.Snapshot()
 }
 
 // SpansFor returns the recorded spans belonging to one trace, oldest first.

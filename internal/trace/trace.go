@@ -9,7 +9,6 @@ package trace
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -98,21 +97,13 @@ func (e Event) String() string {
 		e.At.Format("15:04:05.000000"), e.Kind, e.TxID, e.Detail)
 }
 
-// Tracer records events and spans into bounded rings. The zero value is a
-// disabled tracer: Record and RecordSpan are no-ops until Enable. All
-// methods are safe for concurrent use.
+// Tracer records events and spans into bounded rings (see Ring). Every
+// method is safe for concurrent use and on a nil Tracer, which records
+// nothing; build one with New.
 type Tracer struct {
 	enabled atomic.Bool
-
-	mu   sync.Mutex
-	ring []Event
-	next int
-	full bool
-
-	spanMu   sync.Mutex
-	spans    []Span
-	spanNext int
-	spanFull bool
+	events  *Ring[Event]
+	spans   *Ring[Span]
 }
 
 // New returns an enabled tracer holding the last capacity events and the
@@ -121,10 +112,7 @@ func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		panic("trace: capacity must be positive")
 	}
-	t := &Tracer{
-		ring:  make([]Event, 0, capacity),
-		spans: make([]Span, 0, capacity),
-	}
+	t := &Tracer{events: NewRing[Event](capacity), spans: NewRing[Span](capacity)}
 	t.enabled.Store(true)
 	return t
 }
@@ -137,21 +125,10 @@ func (t *Tracer) Enable(on bool) { t.enabled.Store(on) }
 
 // Record stores one event. Safe to call on a nil or disabled tracer.
 func (t *Tracer) Record(kind Kind, txID, detail string) {
-	if t == nil || !t.enabled.Load() {
+	if !t.Enabled() {
 		return
 	}
-	ev := Event{At: time.Now(), Kind: kind, TxID: txID, Detail: detail}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.full {
-		t.ring[t.next] = ev
-		t.next = (t.next + 1) % cap(t.ring)
-		return
-	}
-	t.ring = append(t.ring, ev)
-	if len(t.ring) == cap(t.ring) {
-		t.full = true
-	}
+	t.events.Record(Event{At: time.Now(), Kind: kind, TxID: txID, Detail: detail})
 }
 
 // Events returns the recorded events, oldest first.
@@ -159,17 +136,7 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.full {
-		out := make([]Event, len(t.ring))
-		copy(out, t.ring)
-		return out
-	}
-	out := make([]Event, 0, cap(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
+	return t.events.Snapshot()
 }
 
 // Count returns how many kinds of each event are currently in the ring.

@@ -27,8 +27,11 @@ import (
 // pre-binary (gob) era — that starts with the top byte of a 4-byte length
 // bounded by wire.MaxFrameSize, so at most 0x04 — which keeps a legacy
 // client from being mistaken for a current one, and the refusal from
-// depending on what its bytes happen to decode as.
-var preamble = [2]byte{0xC6, 0x02}
+// depending on what its bytes happen to decode as. The version moves when a
+// kind's number changes meaning: 0x02 had the two per-ring debug fetches
+// where 0x03 has KindInspect, so an old inspector and a new node refuse each
+// other here instead of mis-decoding kind 8.
+var preamble = [2]byte{0xC6, 0x03}
 
 // outBufSize is the buffered-writer size of the coalescing writer.
 const outBufSize = 32 << 10

@@ -11,12 +11,9 @@ import (
 	"io"
 	"math"
 	"sync"
-	"time"
 
-	"qracn/internal/forensics"
 	"qracn/internal/quorum"
 	"qracn/internal/store"
-	"qracn/internal/trace"
 )
 
 // The binary codec is a hand-rolled, fixed-layout wire format for Envelopes
@@ -39,14 +36,13 @@ import (
 // flags bit0 marks a flate-compressed payload; the CRC covers the payload as
 // it appears on the wire (post-compression), so integrity is checked before
 // inflation. The payload encoding per message is documented field-by-field
-// in DESIGN.md §9; primitives are:
+// in DESIGN.md §10; primitives are:
 //
 //	u8      one byte
 //	uvarint unsigned LEB128 (encoding/binary PutUvarint)
 //	varint  zigzag signed LEB128
 //	f64     8 bytes little-endian IEEE-754 bits
 //	str     uvarint byte length + raw bytes
-//	time    u8 zero-flag, then 8 bytes little-endian UnixNano when set
 //	value   u8 type tag + body (see appendValue)
 //
 // Slices and maps encode as uvarint count + elements; a zero count decodes
@@ -96,7 +92,7 @@ const (
 	reqHasSync
 	reqHasBatch
 	reqHasRepair
-	reqHasTraceFetch
+	reqHasInspect
 	reqHasTxStatus
 	reqHasResolve
 	reqHasShardMap
@@ -105,7 +101,6 @@ const (
 	// — including every frame an old peer emits — stay byte-identical to
 	// the pre-deadline layout).
 	reqHasDeadline
-	reqHasForensics
 )
 
 // Response payload presence bits, wire order; uvarint-encoded like the
@@ -116,7 +111,7 @@ const (
 	respHasStats
 	respHasSync
 	respHasBatch
-	respHasTrace
+	respHasInspect
 	respHasTxStatus
 	respHasShardMap
 	// respHasConflict marks a non-empty Response.ConflictTx (the conflict
@@ -125,7 +120,6 @@ const (
 	// emits, stay byte-identical to the pre-forensics layout even though
 	// this is the first bit that pushes the response mask past one byte).
 	respHasConflict
-	respHasForensics
 )
 
 // Value type tags.
@@ -310,8 +304,8 @@ func AppendEnvelope(dst []byte, env *Envelope) ([]byte, error) {
 
 // DecodeEnvelope parses one binary envelope payload (no frame header). The
 // envelope shares no memory with payload, which the caller may reuse; its
-// identifier strings (transaction, trace and object IDs, details, event
-// fields) are substrings of one private copy of the payload, so a holder that
+// identifier strings (transaction, trace and object IDs, details) are
+// substrings of one private copy of the payload, so a holder that
 // outlives the message by much — a table, a ring, a map key — should
 // strings.Clone what it keeps, or it keeps the whole frame. Object values
 // are copied out one by one: they are what stores and read sets retain.
@@ -398,8 +392,8 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 	if r.Repair != nil {
 		mask |= reqHasRepair
 	}
-	if r.TraceFetch != nil {
-		mask |= reqHasTraceFetch
+	if r.Inspect != nil {
+		mask |= reqHasInspect
 	}
 	if r.TxStatus != nil {
 		mask |= reqHasTxStatus
@@ -412,9 +406,6 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 	}
 	if r.Deadline != 0 {
 		mask |= reqHasDeadline
-	}
-	if r.Forensics != nil {
-		mask |= reqHasForensics
 	}
 	dst = binary.AppendUvarint(dst, mask)
 	var err error
@@ -464,9 +455,9 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 		}
 		dst = binary.AppendUvarint(dst, r.Repair.Version)
 	}
-	if r.TraceFetch != nil {
-		dst = appendString(dst, r.TraceFetch.TraceID)
-		dst = appendBool(dst, r.TraceFetch.Events)
+	if r.Inspect != nil {
+		dst = appendString(dst, r.Inspect.TraceID)
+		dst = binary.AppendVarint(dst, int64(r.Inspect.TopK))
 	}
 	if r.TxStatus != nil {
 		dst = binary.AppendVarint(dst, int64(r.TxStatus.From))
@@ -483,10 +474,6 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 	}
 	if r.Deadline != 0 {
 		dst = binary.AppendVarint(dst, r.Deadline)
-	}
-	if r.Forensics != nil {
-		dst = binary.AppendVarint(dst, int64(r.Forensics.TopK))
-		dst = binary.AppendVarint(dst, int64(r.Forensics.MaxEvents))
 	}
 	return dst, nil
 }
@@ -513,8 +500,8 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 	if r.Batch != nil {
 		mask |= respHasBatch
 	}
-	if r.Trace != nil {
-		mask |= respHasTrace
+	if r.Inspect != nil {
+		mask |= respHasInspect
 	}
 	if r.TxStatus != nil {
 		mask |= respHasTxStatus
@@ -524,9 +511,6 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 	}
 	if r.ConflictTx != "" {
 		mask |= respHasConflict
-	}
-	if r.Forensics != nil {
-		mask |= respHasForensics
 	}
 	dst = binary.AppendUvarint(dst, mask)
 	var err error
@@ -564,15 +548,9 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 			}
 		}
 	}
-	if r.Trace != nil {
-		dst = binary.AppendUvarint(dst, uint64(len(r.Trace.Spans)))
-		for i := range r.Trace.Spans {
-			dst = appendSpan(dst, &r.Trace.Spans[i])
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(r.Trace.Events)))
-		for i := range r.Trace.Events {
-			dst = appendEvent(dst, &r.Trace.Events[i])
-		}
+	if r.Inspect != nil {
+		dst = binary.AppendUvarint(dst, uint64(len(r.Inspect.Doc)))
+		dst = append(dst, r.Inspect.Doc...)
 	}
 	if r.TxStatus != nil {
 		dst = binary.AppendVarint(dst, int64(r.TxStatus.State))
@@ -587,22 +565,6 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 	}
 	if r.ConflictTx != "" {
 		dst = appendString(dst, r.ConflictTx)
-	}
-	if r.Forensics != nil {
-		dst = binary.AppendUvarint(dst, uint64(len(r.Forensics.Aborts)))
-		for i := range r.Forensics.Aborts {
-			dst = appendAbortEvent(dst, &r.Forensics.Aborts[i])
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(r.Forensics.Recomposes)))
-		for i := range r.Forensics.Recomposes {
-			dst = appendRecomposeEvent(dst, &r.Forensics.Recomposes[i])
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(r.Forensics.HotKeys)))
-		for i := range r.Forensics.HotKeys {
-			dst = appendHotKeyEvent(dst, &r.Forensics.HotKeys[i])
-		}
-		dst = binary.AppendUvarint(dst, r.Forensics.TotalAborts)
-		dst = binary.AppendUvarint(dst, r.Forensics.TotalRecomposes)
 	}
 	return dst, nil
 }
@@ -623,14 +585,6 @@ func appendBool(dst []byte, b bool) []byte {
 
 func appendFloat64(dst []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
-}
-
-func appendTime(dst []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	return binary.LittleEndian.AppendUint64(dst, uint64(t.UnixNano()))
 }
 
 func appendReadDescs(dst []byte, descs []store.ReadDesc) []byte {
@@ -680,72 +634,6 @@ func appendLevels(dst []byte, levels map[store.ObjectID]float64) []byte {
 		dst = appendFloat64(dst, lvl)
 	}
 	return dst
-}
-
-func appendSpan(dst []byte, s *trace.Span) []byte {
-	dst = appendString(dst, s.Trace)
-	dst = binary.AppendUvarint(dst, s.ID)
-	dst = binary.AppendUvarint(dst, s.Parent)
-	dst = appendString(dst, s.Name)
-	dst = appendString(dst, s.Site)
-	dst = appendTime(dst, s.Start)
-	dst = appendTime(dst, s.End)
-	return appendString(dst, s.Detail)
-}
-
-func appendEvent(dst []byte, e *trace.Event) []byte {
-	dst = appendTime(dst, e.At)
-	dst = binary.AppendVarint(dst, int64(e.Kind))
-	dst = appendString(dst, e.TxID)
-	return appendString(dst, e.Detail)
-}
-
-// Forensic event layouts. CauseName/ReasonName are derived strings, but they
-// are carried verbatim rather than re-stamped on decode so the binary codec
-// stays decode-equivalent to the gob oracle on arbitrary structs.
-
-func appendAbortEvent(dst []byte, e *forensics.AbortEvent) []byte {
-	dst = appendTime(dst, e.At)
-	dst = appendString(dst, e.TxID)
-	dst = binary.AppendVarint(dst, int64(e.Incarnation))
-	dst = binary.AppendVarint(dst, int64(e.BlockIndex))
-	dst = binary.AppendVarint(dst, int64(e.BlockCount))
-	dst = binary.AppendVarint(dst, int64(e.UnitAnchorID))
-	dst = appendString(dst, e.Key)
-	dst = binary.AppendVarint(dst, int64(e.Shard))
-	dst = append(dst, byte(e.Cause))
-	dst = appendString(dst, e.CauseName)
-	dst = appendString(dst, e.ConflictingTxID)
-	dst = appendBool(dst, e.Partial)
-	return binary.AppendVarint(dst, int64(e.RetryDepth))
-}
-
-func appendRecomposeEvent(dst []byte, e *forensics.RecomposeEvent) []byte {
-	dst = appendTime(dst, e.At)
-	dst = appendString(dst, e.Trigger)
-	dst = appendString(dst, e.Before)
-	dst = appendString(dst, e.After)
-	dst = binary.AppendUvarint(dst, uint64(len(e.Levels)))
-	for _, l := range e.Levels {
-		dst = binary.AppendVarint(dst, int64(l.Anchor))
-		dst = appendFloat64(dst, l.Level)
-	}
-	dst = binary.AppendVarint(dst, int64(e.Merges))
-	dst = binary.AppendVarint(dst, int64(e.Reorders))
-	dst = binary.AppendUvarint(dst, uint64(len(e.Refusals)))
-	for _, rf := range e.Refusals {
-		dst = binary.AppendVarint(dst, int64(rf.First))
-		dst = binary.AppendVarint(dst, int64(rf.Second))
-		dst = append(dst, byte(rf.Reason))
-		dst = appendString(dst, rf.ReasonName)
-	}
-	return appendBool(dst, e.Applied)
-}
-
-func appendHotKeyEvent(dst []byte, e *forensics.HotKeyEvent) []byte {
-	dst = appendTime(dst, e.At)
-	dst = appendString(dst, e.Key)
-	return binary.AppendUvarint(dst, e.Conflicts)
 }
 
 // valueBox wraps a Value so the gob escape hatch can encode the interface
@@ -936,22 +824,6 @@ func (d *binReader) f64() (float64, error) {
 	return math.Float64frombits(bits), nil
 }
 
-func (d *binReader) timestamp() (time.Time, error) {
-	set, err := d.u8()
-	if err != nil {
-		return time.Time{}, err
-	}
-	if set == 0 {
-		return time.Time{}, nil
-	}
-	if d.remaining() < 8 {
-		return time.Time{}, d.fail("time")
-	}
-	n := int64(binary.LittleEndian.Uint64(d.buf[d.pos:]))
-	d.pos += 8
-	return time.Unix(0, n), nil
-}
-
 func (d *binReader) enter() error {
 	d.depth++
 	if d.depth > maxBinaryDepth {
@@ -1097,15 +969,17 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 		}
 		r.Repair = rp
 	}
-	if mask&reqHasTraceFetch != 0 {
-		tf := &TraceFetchRequest{}
-		if tf.TraceID, err = d.str(); err != nil {
+	if mask&reqHasInspect != 0 {
+		ir := &InspectRequest{}
+		if ir.TraceID, err = d.str(); err != nil {
 			return err
 		}
-		if tf.Events, err = d.boolean(); err != nil {
+		var topK int64
+		if topK, err = d.varint(); err != nil {
 			return err
 		}
-		r.TraceFetch = tf
+		ir.TopK = int(topK)
+		r.Inspect = ir
 	}
 	if mask&reqHasTxStatus != 0 {
 		ts := &TxStatusRequest{}
@@ -1140,19 +1014,6 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 		if r.Deadline, err = d.varint(); err != nil {
 			return err
 		}
-	}
-	if mask&reqHasForensics != 0 {
-		fr := &ForensicsRequest{}
-		var v int64
-		if v, err = d.varint(); err != nil {
-			return err
-		}
-		fr.TopK = int(v)
-		if v, err = d.varint(); err != nil {
-			return err
-		}
-		fr.MaxEvents = int(v)
-		r.Forensics = fr
 	}
 	return nil
 }
@@ -1248,32 +1109,15 @@ func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
 		}
 		r.Batch = br
 	}
-	if mask&respHasTrace != 0 {
-		tr := &TraceFetchResponse{}
-		n, err := d.count("spans")
-		if err != nil {
+	if mask&respHasInspect != 0 {
+		ir := &InspectResponse{}
+		if ir.Doc, err = d.bytesCopy(); err != nil {
 			return err
 		}
-		if n > 0 {
-			tr.Spans = make([]trace.Span, n)
-			for i := 0; i < n; i++ {
-				if tr.Spans[i], err = d.span(); err != nil {
-					return err
-				}
-			}
+		if len(ir.Doc) == 0 {
+			ir.Doc = nil // like every empty slice the codec decodes
 		}
-		if n, err = d.count("events"); err != nil {
-			return err
-		}
-		if n > 0 {
-			tr.Events = make([]trace.Event, n)
-			for i := 0; i < n; i++ {
-				if tr.Events[i], err = d.event(); err != nil {
-					return err
-				}
-			}
-		}
-		r.Trace = tr
+		r.Inspect = ir
 	}
 	if mask&respHasTxStatus != 0 {
 		ts := &TxStatusResponse{}
@@ -1312,50 +1156,6 @@ func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
 		if r.ConflictTx, err = d.str(); err != nil {
 			return err
 		}
-	}
-	if mask&respHasForensics != 0 {
-		fr := &ForensicsResponse{}
-		n, err := d.count("abort events")
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			fr.Aborts = make([]forensics.AbortEvent, n)
-			for i := 0; i < n; i++ {
-				if fr.Aborts[i], err = d.abortEvent(); err != nil {
-					return err
-				}
-			}
-		}
-		if n, err = d.count("recompose events"); err != nil {
-			return err
-		}
-		if n > 0 {
-			fr.Recomposes = make([]forensics.RecomposeEvent, n)
-			for i := 0; i < n; i++ {
-				if fr.Recomposes[i], err = d.recomposeEvent(); err != nil {
-					return err
-				}
-			}
-		}
-		if n, err = d.count("hot keys"); err != nil {
-			return err
-		}
-		if n > 0 {
-			fr.HotKeys = make([]forensics.HotKeyEvent, n)
-			for i := 0; i < n; i++ {
-				if fr.HotKeys[i], err = d.hotKeyEvent(); err != nil {
-					return err
-				}
-			}
-		}
-		if fr.TotalAborts, err = d.uvarint(); err != nil {
-			return err
-		}
-		if fr.TotalRecomposes, err = d.uvarint(); err != nil {
-			return err
-		}
-		r.Forensics = fr
 	}
 	return nil
 }
@@ -1456,188 +1256,6 @@ func (d *binReader) levels() (map[store.ObjectID]float64, error) {
 		out[store.ObjectID(id)] = lvl
 	}
 	return out, nil
-}
-
-func (d *binReader) span() (trace.Span, error) {
-	var s trace.Span
-	var err error
-	if s.Trace, err = d.str(); err != nil {
-		return s, err
-	}
-	if s.ID, err = d.uvarint(); err != nil {
-		return s, err
-	}
-	if s.Parent, err = d.uvarint(); err != nil {
-		return s, err
-	}
-	if s.Name, err = d.str(); err != nil {
-		return s, err
-	}
-	if s.Site, err = d.str(); err != nil {
-		return s, err
-	}
-	if s.Start, err = d.timestamp(); err != nil {
-		return s, err
-	}
-	if s.End, err = d.timestamp(); err != nil {
-		return s, err
-	}
-	s.Detail, err = d.str()
-	return s, err
-}
-
-func (d *binReader) abortEvent() (forensics.AbortEvent, error) {
-	var e forensics.AbortEvent
-	var err error
-	if e.At, err = d.timestamp(); err != nil {
-		return e, err
-	}
-	if e.TxID, err = d.str(); err != nil {
-		return e, err
-	}
-	var v int64
-	if v, err = d.varint(); err != nil {
-		return e, err
-	}
-	e.Incarnation = int(v)
-	if v, err = d.varint(); err != nil {
-		return e, err
-	}
-	e.BlockIndex = int(v)
-	if v, err = d.varint(); err != nil {
-		return e, err
-	}
-	e.BlockCount = int(v)
-	if v, err = d.varint(); err != nil {
-		return e, err
-	}
-	e.UnitAnchorID = int(v)
-	if e.Key, err = d.str(); err != nil {
-		return e, err
-	}
-	if v, err = d.varint(); err != nil {
-		return e, err
-	}
-	e.Shard = int(v)
-	var cause byte
-	if cause, err = d.u8(); err != nil {
-		return e, err
-	}
-	e.Cause = forensics.Cause(cause)
-	if e.CauseName, err = d.str(); err != nil {
-		return e, err
-	}
-	if e.ConflictingTxID, err = d.str(); err != nil {
-		return e, err
-	}
-	if e.Partial, err = d.boolean(); err != nil {
-		return e, err
-	}
-	if v, err = d.varint(); err != nil {
-		return e, err
-	}
-	e.RetryDepth = int(v)
-	return e, nil
-}
-
-func (d *binReader) recomposeEvent() (forensics.RecomposeEvent, error) {
-	var e forensics.RecomposeEvent
-	var err error
-	if e.At, err = d.timestamp(); err != nil {
-		return e, err
-	}
-	if e.Trigger, err = d.str(); err != nil {
-		return e, err
-	}
-	if e.Before, err = d.str(); err != nil {
-		return e, err
-	}
-	if e.After, err = d.str(); err != nil {
-		return e, err
-	}
-	n, err := d.count("anchor levels")
-	if err != nil {
-		return e, err
-	}
-	if n > 0 {
-		e.Levels = make([]forensics.AnchorLevel, n)
-		for i := range e.Levels {
-			var a int64
-			if a, err = d.varint(); err != nil {
-				return e, err
-			}
-			e.Levels[i].Anchor = int(a)
-			if e.Levels[i].Level, err = d.f64(); err != nil {
-				return e, err
-			}
-		}
-	}
-	var v int64
-	if v, err = d.varint(); err != nil {
-		return e, err
-	}
-	e.Merges = int(v)
-	if v, err = d.varint(); err != nil {
-		return e, err
-	}
-	e.Reorders = int(v)
-	if n, err = d.count("refusals"); err != nil {
-		return e, err
-	}
-	if n > 0 {
-		e.Refusals = make([]forensics.Refusal, n)
-		for i := range e.Refusals {
-			if v, err = d.varint(); err != nil {
-				return e, err
-			}
-			e.Refusals[i].First = int(v)
-			if v, err = d.varint(); err != nil {
-				return e, err
-			}
-			e.Refusals[i].Second = int(v)
-			var reason byte
-			if reason, err = d.u8(); err != nil {
-				return e, err
-			}
-			e.Refusals[i].Reason = forensics.RefusalReason(reason)
-			if e.Refusals[i].ReasonName, err = d.str(); err != nil {
-				return e, err
-			}
-		}
-	}
-	e.Applied, err = d.boolean()
-	return e, err
-}
-
-func (d *binReader) hotKeyEvent() (forensics.HotKeyEvent, error) {
-	var e forensics.HotKeyEvent
-	var err error
-	if e.At, err = d.timestamp(); err != nil {
-		return e, err
-	}
-	if e.Key, err = d.str(); err != nil {
-		return e, err
-	}
-	e.Conflicts, err = d.uvarint()
-	return e, err
-}
-
-func (d *binReader) event() (trace.Event, error) {
-	var e trace.Event
-	var err error
-	if e.At, err = d.timestamp(); err != nil {
-		return e, err
-	}
-	var kind int64
-	if kind, err = d.varint(); err != nil {
-		return e, err
-	}
-	e.Kind = trace.Kind(kind)
-	if e.TxID, err = d.str(); err != nil {
-		return e, err
-	}
-	e.Detail, err = d.str()
-	return e, err
 }
 
 func (d *binReader) value() (store.Value, error) {

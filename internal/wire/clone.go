@@ -1,10 +1,10 @@
 package wire
 
 import (
-	"qracn/internal/forensics"
+	"bytes"
+
 	"qracn/internal/quorum"
 	"qracn/internal/store"
-	"qracn/internal/trace"
 )
 
 // The channel transport moves messages between in-process "nodes" without
@@ -110,9 +110,9 @@ func (r *Request) Clone() *Request {
 			out.Batch.Subs[i] = sub.Clone()
 		}
 	}
-	if r.TraceFetch != nil {
-		tf := *r.TraceFetch
-		out.TraceFetch = &tf
+	if r.Inspect != nil {
+		ir := *r.Inspect
+		out.Inspect = &ir
 	}
 	if r.TxStatus != nil {
 		ts := *r.TxStatus
@@ -128,10 +128,6 @@ func (r *Request) Clone() *Request {
 	if r.ShardMap != nil {
 		sm := *r.ShardMap
 		out.ShardMap = &sm
-	}
-	if r.Forensics != nil {
-		fr := *r.Forensics
-		out.Forensics = &fr
 	}
 	return out
 }
@@ -171,11 +167,8 @@ func (r *Response) Clone() *Response {
 			out.Batch.Subs[i] = sub.Clone()
 		}
 	}
-	if r.Trace != nil {
-		out.Trace = &TraceFetchResponse{
-			Spans:  append([]trace.Span(nil), r.Trace.Spans...),
-			Events: append([]trace.Event(nil), r.Trace.Events...),
-		}
+	if r.Inspect != nil {
+		out.Inspect = &InspectResponse{Doc: bytes.Clone(r.Inspect.Doc)}
 	}
 	if r.TxStatus != nil {
 		ts := *r.TxStatus
@@ -190,31 +183,6 @@ func (r *Response) Clone() *Response {
 			}
 		}
 		out.ShardMap = sm
-	}
-	if r.Forensics != nil {
-		fr := &ForensicsResponse{
-			TotalAborts:     r.Forensics.TotalAborts,
-			TotalRecomposes: r.Forensics.TotalRecomposes,
-		}
-		if r.Forensics.Aborts != nil {
-			fr.Aborts = append([]forensics.AbortEvent(nil), r.Forensics.Aborts...)
-		}
-		if r.Forensics.Recomposes != nil {
-			fr.Recomposes = make([]forensics.RecomposeEvent, len(r.Forensics.Recomposes))
-			for i, rc := range r.Forensics.Recomposes {
-				fr.Recomposes[i] = rc
-				if rc.Levels != nil {
-					fr.Recomposes[i].Levels = append([]forensics.AnchorLevel(nil), rc.Levels...)
-				}
-				if rc.Refusals != nil {
-					fr.Recomposes[i].Refusals = append([]forensics.Refusal(nil), rc.Refusals...)
-				}
-			}
-		}
-		if r.Forensics.HotKeys != nil {
-			fr.HotKeys = append([]forensics.HotKeyEvent(nil), r.Forensics.HotKeys...)
-		}
-		out.Forensics = fr
 	}
 	return out
 }

@@ -10,9 +10,24 @@ import (
 	"testing"
 	"time"
 
+	"qracn/internal/forensics"
 	"qracn/internal/store"
 	"qracn/internal/trace"
 )
+
+// inspectSeed is a response-side KindInspect envelope for the fuzz corpora:
+// the request fixtures cover every kind's request, and this is the one reply
+// whose payload no other seed resembles.
+func inspectSeed(t testing.TB) *Envelope {
+	at := time.Unix(1700000000, 42).UTC()
+	return inspectEnvelope(t, forensics.Document{
+		Spans: []trace.Span{{Trace: "c1-t2-a0", ID: 5, Name: "serve-read", Site: "node-1", Start: at, End: at}},
+		Forensics: forensics.Snapshot{
+			Aborts:      []forensics.AbortEvent{{At: at, TxID: "c1-t4-a2", Key: "acct/9", Cause: forensics.CauseLockConflict}},
+			TotalAborts: 1,
+		},
+	})
+}
 
 // rawFrame wraps payload in a CRC-valid frame header with the given flags.
 func rawFrame(flags byte, payload []byte) []byte {
@@ -67,6 +82,8 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	f.Add([]byte("not an envelope at all"))
 	cancel, _ := AppendEnvelope(nil, &Envelope{Seq: 3, Cancel: true})
 	f.Add(cancel)
+	inspect, _ := AppendEnvelope(nil, inspectSeed(f))
+	f.Add(inspect)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := DecodeEnvelope(data)
@@ -123,6 +140,9 @@ func FuzzCodecEquivalence(f *testing.F) {
 	})
 	f.Add(resp.Bytes())
 	f.Add(rawFrame(0, []byte{1, 0})) // a tiny binary frame: Seq 1, nothing else
+	var inspect bytes.Buffer
+	_ = gobEncode(&inspect, inspectSeed(f))
+	f.Add(inspect.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Mutated gob streams can claim enormous lengths or degenerate type
@@ -219,33 +239,6 @@ func normalizeResponse(r *Response, depth int) {
 			normalizeResponse(sub, depth+1)
 		}
 	}
-	if r.Trace != nil {
-		for i := range r.Trace.Spans {
-			s := &r.Trace.Spans[i]
-			s.Start = normalizeTime(s.Start)
-			s.End = normalizeTime(s.End)
-		}
-		for i := range r.Trace.Events {
-			r.Trace.Events[i].At = normalizeTime(r.Trace.Events[i].At)
-		}
-	}
-	if r.Forensics != nil {
-		for i := range r.Forensics.Aborts {
-			r.Forensics.Aborts[i].At = normalizeTime(r.Forensics.Aborts[i].At)
-		}
-		for i := range r.Forensics.Recomposes {
-			rc := &r.Forensics.Recomposes[i]
-			rc.At = normalizeTime(rc.At)
-			for j := range rc.Levels {
-				if math.IsNaN(rc.Levels[j].Level) {
-					rc.Levels[j].Level = math.MaxFloat64
-				}
-			}
-		}
-		for i := range r.Forensics.HotKeys {
-			r.Forensics.HotKeys[i].At = normalizeTime(r.Forensics.HotKeys[i].At)
-		}
-	}
 }
 
 func normalizeWrites(writes []store.WriteDesc) {
@@ -285,5 +278,3 @@ func normalizeTime(t time.Time) time.Time {
 	}
 	return time.Unix(0, t.UnixNano()).UTC()
 }
-
-var _ = trace.KindRepair // keep the trace import when fixtures change

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -66,11 +67,11 @@ var kindFixtures = map[Kind]*Request{
 		Kind:   KindRepair,
 		Repair: &RepairRequest{Object: store.ID("acct", 4), Value: store.Int64(99), Version: 13},
 	},
-	KindTraceFetch: {
-		Kind:       KindTraceFetch,
-		TraceID:    "c1-t2-a0",
-		SpanID:     17,
-		TraceFetch: &TraceFetchRequest{TraceID: "c1-t2-a0", Events: true},
+	KindInspect: {
+		Kind:    KindInspect,
+		TraceID: "c1-t2-a0",
+		SpanID:  17,
+		Inspect: &InspectRequest{TraceID: "c1-t2-a0", TopK: 8},
 	},
 	KindTxStatus: {
 		Kind:     KindTxStatus,
@@ -90,54 +91,122 @@ var kindFixtures = map[Kind]*Request{
 		Kind:     KindShardMap,
 		ShardMap: &ShardMapRequest{HaveVersion: 3},
 	},
-	KindForensics: {
-		Kind:      KindForensics,
-		Forensics: &ForensicsRequest{TopK: 8, MaxEvents: 256},
-	},
 }
 
-// TestForensicsResponseRoundTrips covers the response side of the forensics
-// RPC through the codec and Clone: every event type, including derived
-// name strings, slices inside events, and the running totals.
-func TestForensicsResponseRoundTrips(t *testing.T) {
-	at := time.Unix(1700000000, 42)
-	env := &Envelope{Seq: 11, IsResponse: true, Resp: &Response{
-		Status: StatusOK,
-		Forensics: &ForensicsResponse{
-			Aborts: []forensics.AbortEvent{{
-				At: at, TxID: "c1-t4-a2", Incarnation: 2, BlockIndex: 1,
-				BlockCount: 3, UnitAnchorID: 7, Key: "acct/9", Shard: 2,
-				Cause: forensics.CauseLockConflict, CauseName: "lock-conflict",
-				ConflictingTxID: "c2-t1-a0", Partial: true, RetryDepth: 4,
-			}, {
-				At: at, TxID: "c1-t5-a0", BlockIndex: -1, BlockCount: 2,
-				UnitAnchorID: -1, Shard: -1,
-				Cause: forensics.CauseCommitRound, CauseName: "commit-round",
-			}},
-			Recomposes: []forensics.RecomposeEvent{{
-				At: at, Trigger: "interval", Before: "[0 1][2]", After: "[0 1 2]",
-				Levels:   []forensics.AnchorLevel{{Anchor: 0, Level: 0.75}, {Anchor: 2, Level: 0.1}},
-				Merges:   1,
-				Refusals: []forensics.Refusal{{First: 1, Second: 2, Reason: forensics.RefusalShardHome, ReasonName: "shard-home"}},
-				Applied:  true,
-			}},
-			HotKeys:         []forensics.HotKeyEvent{{At: at, Key: "acct/9", Conflicts: 17}},
-			TotalAborts:     23,
-			TotalRecomposes: 2,
-		},
+// inspectEnvelope is a KindInspect reply carrying doc the way a node sends
+// it: as the JSON of the document.
+func inspectEnvelope(t testing.TB, doc forensics.Document) *Envelope {
+	t.Helper()
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Envelope{Seq: 11, IsResponse: true, Resp: &Response{
+		Status:  StatusOK,
+		Inspect: &InspectResponse{Doc: raw},
 	}}
-	mustRoundTrip(t, env, false)
+}
+
+// documentThroughFrame takes doc the whole way a debug fetch does — document
+// → JSON → frame → JSON → document — plain and compressed, and returns what
+// arrived (the two must agree with the envelope, the gob oracle and each
+// other).
+func documentThroughFrame(t *testing.T, doc forensics.Document) forensics.Document {
+	t.Helper()
+	env := inspectEnvelope(t, doc)
+	var got forensics.Document
+	for _, compress := range []bool{false, true} {
+		mustRoundTrip(t, env, compress)
+		out, err := binaryRoundTrip(env, compress)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = forensics.Document{}
+		if err := json.Unmarshal(out.Resp.Inspect.Doc, &got); err != nil {
+			t.Fatalf("compress=%v: the frame's Doc is not the document: %v", compress, err)
+		}
+	}
 	clone := env.Resp.Clone()
 	if !reflect.DeepEqual(clone, env.Resp) {
-		t.Fatalf("Clone dropped forensics fields:\n got %+v\nwant %+v", clone.Forensics, env.Resp.Forensics)
+		t.Fatalf("Clone dropped the document:\n got %+v\nwant %+v", clone.Inspect, env.Resp.Inspect)
 	}
-	// Deep copy, not aliasing: mutating the clone's nested slices must not
-	// reach the original (the channel transport depends on this isolation).
-	clone.Forensics.Aborts[0].Key = "mutated"
-	clone.Forensics.Recomposes[0].Refusals[0].ReasonName = "mutated"
-	if env.Resp.Forensics.Aborts[0].Key == "mutated" ||
-		env.Resp.Forensics.Recomposes[0].Refusals[0].ReasonName == "mutated" {
-		t.Fatal("Clone aliases the original's event slices")
+	// Deep copy, not aliasing: the channel transport depends on a reply the
+	// receiver scribbles on not reaching the sender.
+	clone.Inspect.Doc[0] = '!'
+	if env.Resp.Inspect.Doc[0] == '!' {
+		t.Fatal("Clone aliases the original's Doc")
+	}
+	return got
+}
+
+// requireEveryFieldSet fails on a zero field anywhere in v, so that a field
+// added to an event type has to join the fixtures below — and is then held
+// to surviving the document like the rest.
+func requireEveryFieldSet(t *testing.T, path string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		if _, isTime := v.Interface().(time.Time); isTime {
+			break
+		}
+		for i := 0; i < v.NumField(); i++ {
+			requireEveryFieldSet(t, path+"."+v.Type().Field(i).Name, v.Field(i))
+		}
+		return
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			requireEveryFieldSet(t, path, v.Index(i))
+		}
+	}
+	if v.IsZero() {
+		t.Errorf("fixture leaves %s zero: the round trip would not notice it being dropped", path)
+	}
+}
+
+// TestForensicsResponseRoundTrips covers the forensic half of the debug
+// document through the codec and Clone: every field of every event type —
+// nested slices, the Cause and Reason enums, the running totals, timestamps
+// to the nanosecond — survives document → frame → document.
+func TestForensicsResponseRoundTrips(t *testing.T) {
+	at := time.Unix(1700000000, 42).UTC()
+	full := forensics.AbortEvent{
+		At: at, TxID: "c1-t4-a2", Incarnation: 2, BlockIndex: 1,
+		BlockCount: 3, UnitAnchorID: 7, Key: "acct/9", Shard: 2,
+		Cause:           forensics.CauseLockConflict,
+		ConflictingTxID: "c2-t1-a0", Partial: true, RetryDepth: 4,
+	}
+	doc := forensics.Document{Forensics: forensics.Snapshot{
+		Aborts: []forensics.AbortEvent{full},
+		Recomposes: []forensics.RecomposeEvent{{
+			At: at, Trigger: "interval", Before: "[0 1][2]", After: "[0 1 2]",
+			Levels:   []forensics.AnchorLevel{{Anchor: 1, Level: 0.75}, {Anchor: 2, Level: 0.1}},
+			Merges:   1,
+			Reorders: 2,
+			Refusals: []forensics.Refusal{{First: 1, Second: 2, Reason: forensics.RefusalShardHome}},
+			Applied:  true,
+		}},
+		HotKeys:         []forensics.HotKeyEvent{{At: at, Key: "acct/9", Conflicts: 17}},
+		TotalAborts:     23,
+		TotalRecomposes: 2,
+	}}
+	requireEveryFieldSet(t, "Snapshot", reflect.ValueOf(doc.Forensics))
+	// And an event as sparse as a top-level commit-round abort records it.
+	doc.Forensics.Aborts = append(doc.Forensics.Aborts, forensics.AbortEvent{
+		At: at.Add(time.Nanosecond), TxID: "c1-t5-a0", BlockIndex: -1, BlockCount: 2,
+		UnitAnchorID: -1, Shard: -1,
+		Cause: forensics.CauseCommitRound,
+	})
+
+	got := documentThroughFrame(t, doc)
+	if !reflect.DeepEqual(got, doc) {
+		t.Fatalf("the document changed on the way:\n got %+v\nwant %+v", got, doc)
+	}
+	if ev := got.Forensics.Aborts; !ev[0].At.Equal(at) || !ev[1].At.Equal(at.Add(time.Nanosecond)) {
+		t.Fatalf("abort timestamps moved: %v, %v", ev[0].At, ev[1].At)
+	}
+	if got.Forensics.Aborts[0].Cause != forensics.CauseLockConflict ||
+		got.Forensics.Recomposes[0].Refusals[0].Reason != forensics.RefusalShardHome {
+		t.Fatalf("Cause / Reason did not survive the document: %+v", got.Forensics)
 	}
 }
 
@@ -257,42 +326,26 @@ func TestEveryKindClones(t *testing.T) {
 	}
 }
 
-// TestTraceFetchResponseRoundTrips covers the response side of the trace
-// RPC: spans carry time.Time fields — this pins that the envelope codec
-// preserves them to the nanosecond.
+// TestTraceFetchResponseRoundTrips covers the span half of the debug
+// document: spans carry time.Time fields — this pins that document → frame →
+// document preserves them to the nanosecond, with every other field.
 func TestTraceFetchResponseRoundTrips(t *testing.T) {
-	start := time.Unix(1700000000, 123456789)
-	env := &Envelope{
-		Seq:        9,
-		IsResponse: true,
-		Resp: &Response{
-			Status: StatusOK,
-			Trace: &TraceFetchResponse{
-				Spans: []trace.Span{{
-					Trace: "c1-t2-a0", ID: 5, Parent: 3,
-					Name: "serve-read", Site: "node-1",
-					Start: start, End: start.Add(42 * time.Microsecond),
-					Detail: "acct/7",
-				}},
-				Events: []trace.Event{{
-					At: start, Kind: trace.KindRepair, TxID: "c1-t2-a0", Detail: "acct/7",
-				}},
-			},
-		},
+	start := time.Unix(1700000000, 123456789).UTC()
+	doc := forensics.Document{Spans: []trace.Span{{
+		Trace: "c1-t2-a0", ID: 1<<63 + 5, Parent: 3,
+		Name: "serve-read", Site: "node-1",
+		Start: start, End: start.Add(42 * time.Microsecond),
+		Detail: "acct/7",
+	}}}
+	requireEveryFieldSet(t, "Span", reflect.ValueOf(doc.Spans))
+
+	got := documentThroughFrame(t, doc)
+	if !reflect.DeepEqual(got, doc) {
+		t.Fatalf("the document changed on the way:\n got %+v\nwant %+v", got, doc)
 	}
-	got, err := binaryRoundTrip(env, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs := got.Resp.Trace.Spans[0]
+	gs := got.Spans[0]
 	if !gs.Start.Equal(start) || !gs.End.Equal(start.Add(42*time.Microsecond)) {
 		t.Fatalf("span times mutated: %+v", gs)
-	}
-	if gs.ID != 5 || gs.Parent != 3 || gs.Trace != "c1-t2-a0" {
-		t.Fatalf("span fields mutated: %+v", gs)
-	}
-	if got.Resp.Trace.Events[0].Kind != trace.KindRepair {
-		t.Fatalf("event mutated: %+v", got.Resp.Trace.Events[0])
 	}
 }
 

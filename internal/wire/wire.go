@@ -8,10 +8,8 @@
 package wire
 
 import (
-	"qracn/internal/forensics"
 	"qracn/internal/quorum"
 	"qracn/internal/store"
-	"qracn/internal/trace"
 )
 
 // Status is the server-side outcome of a request.
@@ -85,11 +83,12 @@ const (
 	// it only if the pushed version is newer than its own and the object is
 	// not protected by an in-flight commit.
 	KindRepair
-	// KindTraceFetch drains the node's recorded trace spans (optionally for
-	// one trace ID) so a client or qracn-inspect can reassemble a
-	// transaction's cross-node timeline. Observability-only: never issued on
-	// the transaction hot path.
-	KindTraceFetch
+	// KindInspect is the one door of the debug plane: it fetches the node's
+	// debug document (its recorded trace spans and its abort-forensics
+	// snapshot, see InspectResponse) for a client or qracn-inspect. Never
+	// issued on the transaction hot path; serving it is read-only and
+	// admission-gated — a debug fetch must never starve transaction traffic.
+	KindInspect
 	// KindTxStatus asks a quorum peer what it knows about a transaction: a
 	// participant holding an in-doubt prepare past its resolve deadline
 	// queries the other members recorded in its prepare record (cooperative
@@ -108,12 +107,6 @@ const (
 	// the map by version and send HaveVersion so an up-to-date cache costs a
 	// header-only reply.
 	KindShardMap
-	// KindForensics fetches a node's abort-forensics rings: the buffered
-	// AbortEvents its validation/lock paths recorded, the hot-key conflict
-	// tally, and running totals. Serving it is read-only and admission-gated
-	// like KindTraceFetch — a debug fetch must never starve transaction
-	// traffic.
-	KindForensics
 
 	// numKinds counts the Kind values. It MUST stay last: the wire
 	// round-trip test iterates [0, numKinds) and fails compilation-adjacent
@@ -138,16 +131,14 @@ func (k Kind) String() string {
 		return "batch"
 	case KindRepair:
 		return "repair"
-	case KindTraceFetch:
-		return "trace-fetch"
+	case KindInspect:
+		return "inspect"
 	case KindTxStatus:
 		return "tx-status"
 	case KindResolve:
 		return "resolve"
 	case KindShardMap:
 		return "shard-map"
-	case KindForensics:
-		return "forensics"
 	default:
 		return "ping"
 	}
@@ -176,19 +167,18 @@ type Request struct {
 	// Coordinators never stamp it on KindDecision/KindResolve — a decided
 	// transaction must reach participants regardless of who is still
 	// waiting — and servers never deadline-check those kinds.
-	Deadline   int64
-	Read       *ReadRequest
-	Prepare    *PrepareRequest
-	Decision   *DecisionRequest
-	Stats      *StatsRequest
-	Sync       *SyncRequest
-	Batch      *BatchRequest
-	Repair     *RepairRequest
-	TraceFetch *TraceFetchRequest
-	TxStatus   *TxStatusRequest
-	Resolve    *ResolveRequest
-	ShardMap   *ShardMapRequest
-	Forensics  *ForensicsRequest
+	Deadline int64
+	Read     *ReadRequest
+	Prepare  *PrepareRequest
+	Decision *DecisionRequest
+	Stats    *StatsRequest
+	Sync     *SyncRequest
+	Batch    *BatchRequest
+	Repair   *RepairRequest
+	Inspect  *InspectRequest
+	TxStatus *TxStatusRequest
+	Resolve  *ResolveRequest
+	ShardMap *ShardMapRequest
 }
 
 // BatchRequest bundles independent sub-requests into one frame. Sub-requests
@@ -314,26 +304,6 @@ type ShardMapResponse struct {
 	Groups  [][]quorum.NodeID
 }
 
-// ForensicsRequest fetches a node's abort-forensics rings. TopK bounds the
-// hot-key table (0: server default); MaxEvents bounds the returned abort and
-// recompose event slices (0: everything still buffered).
-type ForensicsRequest struct {
-	TopK      int
-	MaxEvents int
-}
-
-// ForensicsResponse carries the node's buffered forensic state: the abort
-// events its validation/lock paths recorded, any recompose audits relayed to
-// it, the hot-key conflict ranking, and the running totals (which keep
-// counting past ring capacity, so consumers can report drops).
-type ForensicsResponse struct {
-	Aborts          []forensics.AbortEvent
-	Recomposes      []forensics.RecomposeEvent
-	HotKeys         []forensics.HotKeyEvent
-	TotalAborts     uint64
-	TotalRecomposes uint64
-}
-
 // StatsRequest asks for the contention level of specific objects.
 type StatsRequest struct {
 	Objects []store.ObjectID
@@ -349,19 +319,22 @@ type RepairRequest struct {
 	Version uint64
 }
 
-// TraceFetchRequest drains a node's trace rings. TraceID limits the reply
-// to one trace's spans; empty fetches everything currently buffered.
-type TraceFetchRequest struct {
+// InspectRequest fetches a node's debug document. TraceID limits the
+// document's spans to one trace (empty: everything buffered); TopK bounds its
+// hot-key table (0: server default).
+type InspectRequest struct {
 	TraceID string
-	// Events additionally returns the node's protocol-event ring.
-	Events bool
+	TopK    int
 }
 
-// TraceFetchResponse carries the node's recorded spans (and, when asked,
-// protocol events), oldest first.
-type TraceFetchResponse struct {
-	Spans  []trace.Span
-	Events []trace.Event
+// InspectResponse carries the node's debug document. Doc is opaque to the
+// codec: the JSON of a forensics.Document, marshalled by the event types'
+// own tags — the shape the bench export, -spans-out and qracn-inspect -in
+// already read. Debug payloads are fetched by hand a few times an hour, so
+// they get the format that costs no code per field; transaction payloads
+// cross the wire thousands of times a second and keep the fixed layout.
+type InspectResponse struct {
+	Doc []byte
 }
 
 // SyncRequest asks a peer for every object whose version exceeds the
@@ -393,10 +366,9 @@ type Response struct {
 	Stats      *StatsResponse
 	Sync       *SyncResponse
 	Batch      *BatchResponse
-	Trace      *TraceFetchResponse
+	Inspect    *InspectResponse
 	TxStatus   *TxStatusResponse
 	ShardMap   *ShardMapResponse
-	Forensics  *ForensicsResponse
 }
 
 // ReadResponse carries the object, the incremental-validation outcome, and
