@@ -1,7 +1,6 @@
 package dtm
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -96,67 +95,46 @@ func (tx *Tx) prefetchInner(ids []store.ObjectID, spanID uint64) error {
 	// stats query; one member's answer is enough, as on a plain read.
 	statsFor := rt.statsQuery()
 
-	var lastErr error
-	var excl quorum.ExcludeSet
-	for attempt := 0; attempt < rt.cfg.QuorumAttempts; attempt++ {
-		if attempt > 0 {
-			if !tx.takeRetry() {
-				return errBudget("prefetch quorum failover")
-			}
-			rt.metrics.Failovers.Add(1)
-			rt.cfg.Tracer.Record(trace.KindFailover, tx.id, "prefetch quorum re-selection")
-		}
-		// Part i's quorum members are nodes[bounds[i]:bounds[i+1]].
+	fo := rt.failover(tx.ctx, tx, tx.seed, wire.KindBatch, "prefetch quorum")
+	for fo.next() {
+		// Part i's quorum members are nodes[bounds[i-1].end:bounds[i].end].
 		var nodes []quorum.NodeID
-		var reqs []*wire.Request
-		bounds := []int{0}
-		for _, p := range pending {
-			q, err := rt.selectReadQuorumIn(p.Group, tx.seed+attempt, excl)
+		legs := make([]leg, len(pending))
+		for i, p := range pending {
+			q, err := fo.readQuorum(p.Group)
 			if err != nil {
-				return errors.Join(ErrQuorumUnreachable, err)
+				return err
 			}
-			batch := tx.batchRead(p, spanID, nil)
 			nodes = append(nodes, q...)
-			for range q {
-				reqs = append(reqs, batch)
-			}
-			bounds = append(bounds, len(nodes))
+			legs[i] = leg{tx.batchRead(p, spanID, nil), len(nodes)}
 		}
+		bounds := legs
 		if len(statsFor) > 0 {
-			reqs[0] = tx.batchRead(pending[0], spanID, statsFor)
+			legs = append([]leg{{tx.batchRead(pending[0], spanID, statsFor), 1}}, legs...)
 			statsFor = nil
 		}
 		rt.metrics.RemoteReads.Add(1)
 		rt.metrics.BatchReads.Add(1)
 		rt.cfg.Tracer.Record(trace.KindRead, tx.id, "prefetch")
 
-		results := rt.fanoutEach(tx.ctx, nodes, func(i int) *wire.Request { return reqs[i] })
+		results := rt.fanoutLegs(tx.ctx, nodes, legs)
 		var failed []shard.Part
+		start := 0
 		for i, p := range pending {
-			part := results[bounds[i]:bounds[i+1]]
-			var unreachable bool
-			if excl, unreachable = recordFailed(excl, part); unreachable {
+			part := results[start:bounds[i].end]
+			start = bounds[i].end
+			if fo.failed(part) {
 				failed = append(failed, p)
-				for _, r := range part {
-					if r.err != nil {
-						lastErr = r.err
-					}
-				}
-				continue
-			}
-			if err := tx.mergePrefetch(p.IDs, part); err != nil {
+			} else if err := tx.mergePrefetch(p.IDs, part); err != nil {
 				return err
 			}
 		}
 		if len(failed) == 0 {
 			return nil
 		}
-		if err := tx.ctx.Err(); err != nil {
-			return err
-		}
 		pending = failed // re-select those groups' quorums without the failed members
 	}
-	return errors.Join(ErrQuorumUnreachable, lastErr)
+	return fo.err()
 }
 
 // batchRead builds the batched first-access request for one quorum group's
@@ -167,103 +145,50 @@ func (tx *Tx) prefetchInner(ids []store.ObjectID, spanID uint64) error {
 func (tx *Tx) batchRead(p shard.Part, spanID uint64, statsFor []store.ObjectID) *wire.Request {
 	subs := make([]*wire.Request, len(p.IDs))
 	for i, id := range p.IDs {
-		rr := &wire.ReadRequest{Object: id}
+		subs[i] = tx.request(wire.KindRead, tx.id, spanID)
+		subs[i].Read = &wire.ReadRequest{Object: id}
 		if i == 0 {
-			rr.Validate = tx.validationListFor(p.Group)
-			rr.StatsFor = statsFor
-		}
-		subs[i] = &wire.Request{Kind: wire.KindRead, TxID: tx.id, Deadline: tx.deadline, Read: rr}
-		if spanID != 0 {
-			subs[i].TraceID = tx.traceID
-			subs[i].SpanID = spanID
+			subs[i].Read.Validate = tx.validationListFor(p.Group)
+			subs[i].Read.StatsFor = statsFor
 		}
 	}
-	batch := &wire.Request{Kind: wire.KindBatch, TxID: tx.id, Deadline: tx.deadline, Batch: &wire.BatchRequest{Subs: subs}}
-	if spanID != 0 {
-		batch.TraceID = tx.traceID
-		batch.SpanID = spanID
-	}
+	batch := tx.request(wire.KindBatch, tx.id, spanID)
+	batch.Batch = &wire.BatchRequest{Subs: subs}
 	return batch
 }
 
 // mergePrefetch folds one quorum group's batch responses into the read-ahead
-// buffer.
+// buffer, object by object exactly as a plain read of each would be folded.
+// Only the first sub-request carried a validation list, so whatever the round
+// invalidated is acted on before the first object is parked.
 func (tx *Tx) mergePrefetch(need []store.ObjectID, results []callResult) error {
 	rt := tx.rt
-
-	// Union the incremental-validation reports across all replicas and subs.
-	var invalid []store.ObjectID
-	var seenInv map[store.ObjectID]bool
-	for _, r := range results {
-		if r.resp.Status != wire.StatusOK || r.resp.Batch == nil {
-			continue
-		}
-		for _, sub := range r.resp.Batch.Subs {
-			if sub == nil || sub.Read == nil {
-				continue
-			}
-			for _, inv := range sub.Read.Invalid {
-				if !seenInv[inv] {
-					if seenInv == nil {
-						seenInv = make(map[store.ObjectID]bool)
-					}
-					seenInv[inv] = true
-					invalid = append(invalid, inv)
-				}
-			}
-			if sub.Read.Stats != nil && rt.cfg.StatsSink != nil {
-				rt.cfg.StatsSink(sub.Read.Stats)
-			}
-		}
-	}
-	if len(invalid) > 0 {
-		if ae := tx.abortFor(invalid, "incremental validation on prefetch"); ae != nil {
-			return ae
-		}
-	}
-
 	top := tx.top()
 	parked := 0
+	// replies reshapes one object's sub-responses into one callResult per
+	// member, the shape a plain read's replies have.
+	replies := make([]callResult, 0, len(results))
 	for i, id := range need {
-		var best *wire.ReadResponse
-		okCount := 0
-		// perMember reshapes this object's sub-responses into one callResult
-		// per member, so the read-repair stale scan applies unchanged.
-		perMember := make([]callResult, 0, len(results))
+		replies = replies[:0]
 		for _, r := range results {
-			if r.resp.Status != wire.StatusOK || r.resp.Batch == nil || i >= len(r.resp.Batch.Subs) {
-				continue
-			}
-			sub := r.resp.Batch.Subs[i]
-			if sub == nil {
-				continue
-			}
-			perMember = append(perMember, callResult{node: r.node, resp: sub})
-			switch sub.Status {
-			case wire.StatusOK:
-				okCount++
-				if sub.Read != nil && (best == nil || sub.Read.Version > best.Version) {
-					best = sub.Read
-				}
-			case wire.StatusNotFound:
-				okCount++ // absence is an answer: version 0
+			if i < len(r.resp.Batch.Subs) && r.resp.Batch.Subs[i] != nil {
+				replies = append(replies, callResult{node: r.node, resp: r.resp.Batch.Subs[i]})
 			}
 		}
-		if okCount == 0 {
+		t := rt.tallyRead(replies, -1)
+		if ae := tx.abortFor(t.invalid, "incremental validation on prefetch"); ae != nil {
+			return ae
+		}
+		if t.answers == 0 {
 			// Busy everywhere (a commit is in flight) or malformed replies:
 			// leave the object to the Block body's own Read, which owns the
 			// busy/backoff protocol.
 			continue
 		}
-		var e readEntry
-		if best != nil {
-			e = readEntry{val: best.Value, ver: best.Version}
-		}
-		rt.maybeRepair(id, perMember, e.val, e.ver)
 		if top.ahead == nil {
 			top.ahead = make(map[store.ObjectID]readEntry, len(need))
 		}
-		top.ahead[id] = e
+		top.ahead[id] = rt.settle(id, replies, t.best)
 		parked++
 	}
 	rt.metrics.PrefetchedObjects.Add(uint64(parked))

@@ -360,26 +360,21 @@ func (rt *Runtime) groupFor(id store.ObjectID) *shard.Group {
 	return rt.cfg.Shards.GroupOf(id)
 }
 
-// selectReadQuorumIn picks a read quorum within group g (the whole-cluster
-// tree when g is nil).
-func (rt *Runtime) selectReadQuorumIn(g *shard.Group, seed int, excl quorum.ExcludeSet) ([]quorum.NodeID, error) {
+// readQuorumOf returns the read-quorum selector of group g (of the
+// whole-cluster tree when g is nil).
+func (rt *Runtime) readQuorumOf(g *shard.Group) quorumFn {
 	if g != nil {
-		return rt.selectQuorum(g.ReadQuorum, seed, excl)
+		return g.ReadQuorum
 	}
-	return rt.selectQuorum(rt.cfg.Tree.ReadQuorumExcluding, seed, excl)
+	return rt.cfg.Tree.ReadQuorumExcluding
 }
 
-// selectWriteQuorumIn is selectReadQuorumIn for write quorums.
-func (rt *Runtime) selectWriteQuorumIn(g *shard.Group, seed int, excl quorum.ExcludeSet) ([]quorum.NodeID, error) {
+// writeQuorumOf is readQuorumOf for write quorums.
+func (rt *Runtime) writeQuorumOf(g *shard.Group) quorumFn {
 	if g != nil {
-		return rt.selectQuorum(g.WriteQuorum, seed, excl)
+		return g.WriteQuorum
 	}
-	return rt.selectQuorum(rt.cfg.Tree.WriteQuorumExcluding, seed, excl)
-}
-
-// selectReadQuorum is the unsharded (tree-wide) read-quorum selection.
-func (rt *Runtime) selectReadQuorum(seed int, excl quorum.ExcludeSet) ([]quorum.NodeID, error) {
-	return rt.selectReadQuorumIn(nil, seed, excl)
+	return rt.cfg.Tree.WriteQuorumExcluding
 }
 
 // observe feeds one RPC outcome to the failure detector.
@@ -392,22 +387,6 @@ func (rt *Runtime) observe(node quorum.NodeID, err error) {
 	} else if health.CountsAsFailure(err) {
 		rt.health.ReportFailure(node)
 	}
-}
-
-// recordFailed adds the members that errored in results to the operation's
-// exclude set (allocating it on first use) and reports whether any did.
-func recordFailed(excl quorum.ExcludeSet, results []callResult) (quorum.ExcludeSet, bool) {
-	failed := false
-	for _, r := range results {
-		if r.err != nil {
-			if excl == nil {
-				excl = make(quorum.ExcludeSet)
-			}
-			excl[r.node] = true
-			failed = true
-		}
-	}
-	return excl, failed
 }
 
 func (rt *Runtime) nextTxSeq() uint64 {
@@ -609,9 +588,16 @@ type callResult struct {
 	err  error
 }
 
+// leg is a run of consecutive fan-out targets that are sent the same request:
+// the targets from the previous leg's end up to, not including, end.
+type leg struct {
+	req *wire.Request
+	end int
+}
+
 // fanout issues req to every node in parallel and collects all results.
 func (rt *Runtime) fanout(ctx context.Context, nodes []quorum.NodeID, req *wire.Request) []callResult {
-	return rt.fanoutEach(ctx, nodes, func(int) *wire.Request { return req })
+	return rt.fanoutLegs(ctx, nodes, []leg{{req, len(nodes)}})
 }
 
 // txBudgetKey carries the transaction attempt's shared retry budget through
@@ -625,14 +611,14 @@ func budgetFrom(ctx context.Context) *backoff.Budget {
 	return b // nil (unlimited) outside a transaction
 }
 
-// fanoutEach issues a per-node request to every node in parallel. Every
-// call's outcome feeds the failure detector: a response is a success,
-// timeouts and connection errors count against the node, and caller-side
-// cancellations count as neither.
+// fanoutLegs issues each leg's request to that leg's nodes, all in parallel
+// (the legs cover nodes in order). Every call's outcome feeds the failure
+// detector: a response is a success, timeouts and connection errors count
+// against the node, and caller-side cancellations count as neither.
 //
-// The caller has nothing to do but wait, so the last leg runs on its own
+// The caller has nothing to do but wait, so the last call runs on its own
 // goroutine — on its already grown stack — and only the others are spawned.
-func (rt *Runtime) fanoutEach(ctx context.Context, nodes []quorum.NodeID, makeReq func(i int) *wire.Request) []callResult {
+func (rt *Runtime) fanoutLegs(ctx context.Context, nodes []quorum.NodeID, legs []leg) []callResult {
 	if len(nodes) == 0 {
 		return nil
 	}
@@ -642,13 +628,20 @@ func (rt *Runtime) fanoutEach(ctx context.Context, nodes []quorum.NodeID, makeRe
 	last := len(nodes) - 1
 	var wg sync.WaitGroup
 	wg.Add(last)
-	for i, n := range nodes[:last] {
-		go func(i int, n quorum.NodeID) {
+	l := 0
+	for i, n := range nodes {
+		for i >= legs[l].end {
+			l++
+		}
+		if i == last {
+			out[i] = rt.call1(cctx, n, legs[l].req)
+			break
+		}
+		go func(i int, n quorum.NodeID, req *wire.Request) {
 			defer wg.Done()
-			out[i] = rt.call1(cctx, n, makeReq(i))
-		}(i, n)
+			out[i] = rt.call1(cctx, n, req)
+		}(i, n, legs[l].req)
 	}
-	out[last] = rt.call1(cctx, nodes[last], makeReq(last))
 	wg.Wait()
 	return out
 }
@@ -748,13 +741,7 @@ func (rt *Runtime) fanoutHedged(ctx context.Context, g *shard.Group, q []quorum.
 	// quorumIn reports whether the successful answers already contain a
 	// valid read quorum (the same selector the read used, alive = answered).
 	quorumIn := func() bool {
-		sel := func(f quorum.AliveFunc, e quorum.ExcludeSet) ([]quorum.NodeID, error) {
-			if g != nil {
-				return g.ReadQuorum(seed, f, e)
-			}
-			return rt.cfg.Tree.ReadQuorumExcluding(seed, f, e)
-		}
-		_, err := sel(func(id quorum.NodeID) bool { return ok[id] }, nil)
+		_, err := rt.readQuorumOf(g)(seed, func(id quorum.NodeID) bool { return ok[id] }, nil)
 		return err == nil
 	}
 
@@ -802,13 +789,7 @@ func (rt *Runtime) fanoutHedged(ctx context.Context, g *shard.Group, q []quorum.
 			// Deliberately NOT selectQuorum: its relaxation steps drop the
 			// exclude set, which here would re-pick a member of q. No spare
 			// replica simply means no hedge.
-			var alt []quorum.NodeID
-			var err error
-			if g != nil {
-				alt, err = g.ReadQuorum(seed+1, rt.aliveView, exq)
-			} else {
-				alt, err = rt.cfg.Tree.ReadQuorumExcluding(seed+1, rt.aliveView, exq)
-			}
+			alt, err := rt.readQuorumOf(g)(seed+1, rt.aliveView, exq)
 			if err != nil || len(alt) == 0 {
 				continue
 			}
@@ -840,66 +821,48 @@ func (rt *Runtime) FetchStats(ctx context.Context, ids []store.ObjectID) (map[st
 	if len(ids) == 0 {
 		return map[store.ObjectID]float64{}, nil
 	}
+	// A group's meters only see the write quorums its members hosted, so each
+	// shard's IDs are asked of that shard's own read quorum.
+	parts := []shard.Part{{IDs: ids}}
 	if rt.cfg.Shards != nil {
-		// A group's meters only see the write quorums its members hosted, so
-		// each shard's IDs are asked of that shard's own read quorum.
-		merged := make(map[store.ObjectID]float64, len(ids))
-		for _, p := range rt.cfg.Shards.Partition(ids) {
-			levels, err := rt.fetchStatsIn(ctx, p.Group, p.IDs)
-			if err != nil {
-				return nil, err
-			}
-			for id, lv := range levels {
-				if lv > merged[id] {
-					merged[id] = lv
-				}
-			}
-		}
-		return merged, nil
+		parts = rt.cfg.Shards.Partition(ids)
 	}
-	return rt.fetchStatsIn(ctx, nil, ids)
+	levels := make(map[store.ObjectID]float64, len(ids))
+	for _, p := range parts {
+		if err := rt.fetchStatsIn(ctx, p, levels); err != nil {
+			return nil, err
+		}
+	}
+	return levels, nil
 }
 
-// fetchStatsIn is FetchStats scoped to one quorum group (the whole cluster
-// when g is nil).
-func (rt *Runtime) fetchStatsIn(ctx context.Context, g *shard.Group, ids []store.ObjectID) (map[store.ObjectID]float64, error) {
-	req := &wire.Request{Kind: wire.KindStats, Stats: &wire.StatsRequest{Objects: ids}}
-	var excl quorum.ExcludeSet
-	for attempt := 0; attempt < rt.cfg.QuorumAttempts; attempt++ {
-		if attempt > 0 {
+// fetchStatsIn is FetchStats for one quorum group's share of the IDs (the
+// whole cluster when the part has no group), merged into levels.
+func (rt *Runtime) fetchStatsIn(ctx context.Context, p shard.Part, levels map[store.ObjectID]float64) error {
+	req := &wire.Request{Kind: wire.KindStats, Stats: &wire.StatsRequest{Objects: p.IDs}}
+	fo := rt.failover(ctx, nil, rt.cfg.ClientSeed, wire.KindStats, "stats quorum")
+	for fo.next() {
+		if fo.attempt > 0 {
 			rt.metrics.StatsQuorumRetries.Add(1)
-			rt.metrics.Failovers.Add(1)
-			rt.cfg.Tracer.Record(trace.KindFailover, "stats", "quorum re-selection")
 		}
-		q, err := rt.selectReadQuorumIn(g, rt.cfg.ClientSeed+attempt, excl)
+		q, err := fo.readQuorum(p.Group)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrQuorumUnreachable, err)
+			return err
 		}
-		levels := make(map[store.ObjectID]float64, len(ids))
-		answered := 0
 		results := rt.fanout(ctx, q, req)
+		if fo.failed(results) {
+			continue
+		}
 		for _, r := range results {
-			if r.err != nil || r.resp.Status != wire.StatusOK || r.resp.Stats == nil {
-				continue
-			}
-			answered++
 			for id, lv := range r.resp.Stats.Levels {
 				if lv > levels[id] {
 					levels[id] = lv
 				}
 			}
 		}
-		if answered == len(q) {
-			return levels, nil
-		}
-		// Exclude the members that errored so the next attempt cannot
-		// re-pick them, even before the failure detector trips.
-		excl, _ = recordFailed(excl, results)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+		return nil
 	}
-	return nil, ErrQuorumUnreachable
+	return fo.err()
 }
 
 // Result runs fn as a top-level transaction via rt.Atomic and returns the

@@ -4,15 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"qracn/internal/forensics"
 	"qracn/internal/quorum"
 	"qracn/internal/shard"
 	"qracn/internal/store"
-	"qracn/internal/trace"
 	"qracn/internal/transport"
 	"qracn/internal/wire"
 )
@@ -157,10 +154,12 @@ func FetchShardMap(ctx context.Context, client transport.Client, nodes []quorum.
 // commitPart is one quorum group's slice of a commit: the reads it must
 // validate, the writes it will apply, and the protections it releases.
 type commitPart struct {
-	group   *shard.Group
+	group   *shard.Group // nil: the whole-cluster tree (unsharded)
 	reads   []store.ReadDesc
 	writes  []store.WriteDesc
 	release []store.ObjectID
+	// quorum is the group's write quorum in the 2PC round under way.
+	quorum []quorum.NodeID
 }
 
 // partitionCommit splits a commit's reads/writes/release by owning shard,
@@ -170,186 +169,27 @@ type commitPart struct {
 // server this write-free part is a 2PC participant, not a read-only
 // transaction's validation round.
 func partitionCommit(m *shard.Map, reads []store.ReadDesc, writes []store.WriteDesc, release []store.ObjectID) []commitPart {
-	byShard := make(map[int]*commitPart)
-	part := func(s int) *commitPart {
-		p, ok := byShard[s]
-		if !ok {
-			p = &commitPart{group: m.Group(s)}
-			byShard[s] = p
-		}
-		return p
-	}
+	byShard := make([]commitPart, m.NumShards())
 	for _, r := range reads {
-		p := part(m.ShardFor(r.ID))
+		p := &byShard[m.ShardFor(r.ID)]
 		p.reads = append(p.reads, r)
 	}
 	for _, w := range writes {
-		p := part(m.ShardFor(w.ID))
+		p := &byShard[m.ShardFor(w.ID)]
 		p.writes = append(p.writes, w)
 	}
 	for _, id := range release {
-		p := part(m.ShardFor(id))
+		p := &byShard[m.ShardFor(id)]
 		p.release = append(p.release, id)
 	}
-	out := make([]commitPart, 0, len(byShard))
-	for s := 0; s < m.NumShards(); s++ {
-		if p, ok := byShard[s]; ok {
-			out = append(out, *p)
+	// Every written and every released object was read first, so the touched
+	// shards are the ones with reads.
+	out := byShard[:0]
+	for s, p := range byShard {
+		if len(p.reads) > 0 {
+			p.group = m.Group(s)
+			out = append(out, p)
 		}
 	}
 	return out
-}
-
-// commitCrossShard drives 2PC across every touched quorum group. Each group
-// receives a prepare naming only its own shard's reads and writes, but the
-// durable Quorum membership on every prepare is the UNION of all groups'
-// write-quorum members: after a coordinator crash, cooperative termination
-// then interrogates cross-group participants too, so a commit delivered to
-// any one group proves the outcome to the others — no group can TTL-abort a
-// transaction a sibling group already committed. The transaction commits
-// iff every member of every group votes yes; decisions then go out per
-// group carrying only that group's writes and release set.
-func (rt *Runtime) commitCrossShard(ctx context.Context, tx *Tx, parts []commitPart) error {
-	var lastErr error
-	var excl quorum.ExcludeSet
-	for attempt := 0; attempt < rt.cfg.QuorumAttempts; attempt++ {
-		if attempt > 0 {
-			if !tx.takeRetry() {
-				return errBudget("cross-shard quorum failover")
-			}
-			rt.metrics.Failovers.Add(1)
-			rt.cfg.Tracer.Record(trace.KindFailover, tx.id, "cross-shard quorum re-selection")
-		}
-		// One write quorum per touched group; any group short of a quorum
-		// fails the whole commit (the exclude set is global — each group's
-		// selector ignores exclusions naming foreign nodes).
-		quorums := make([][]quorum.NodeID, len(parts))
-		var union []quorum.NodeID
-		for i, p := range parts {
-			wq, err := rt.selectWriteQuorumIn(p.group, tx.seed+attempt, excl)
-			if err != nil {
-				return errors.Join(ErrQuorumUnreachable, err)
-			}
-			quorums[i] = wq
-			union = append(union, wq...)
-		}
-		txid := tx.id
-		if attempt > 0 {
-			txid = fmt.Sprintf("%s-q%d", tx.id, attempt)
-		}
-		var nodes []quorum.NodeID
-		var reqs []*wire.Request
-		var partIdx []int
-		for i, p := range parts {
-			preq := &wire.Request{
-				Kind:     wire.KindPrepare,
-				TxID:     txid,
-				Deadline: tx.deadline,
-				Prepare:  &wire.PrepareRequest{Reads: p.reads, Writes: p.writes, Quorum: union},
-			}
-			if tx.traceID != "" {
-				preq.TraceID = tx.traceID
-				preq.SpanID = tx.span
-			}
-			for _, n := range quorums[i] {
-				nodes = append(nodes, n)
-				reqs = append(reqs, preq)
-				partIdx = append(partIdx, i)
-			}
-		}
-		rt.metrics.Prepares.Add(1)
-		prepStart := time.Now()
-		results := rt.fanoutEach(ctx, nodes, func(i int) *wire.Request { return reqs[i] })
-		rt.stages.Prepare.Record(time.Since(prepStart))
-
-		var invalid []store.ObjectID
-		var busyIDs []store.ObjectID
-		conflictTx := ""
-		yes := 0
-		unreachable := false
-		preparedOn := make([][]quorum.NodeID, len(parts))
-		for i, r := range results {
-			if r.err != nil {
-				unreachable = true
-				lastErr = r.err
-				continue
-			}
-			if r.resp.Status != wire.StatusOK || r.resp.Prepare == nil {
-				unreachable = true
-				continue
-			}
-			if r.resp.Prepare.Vote {
-				yes++
-				preparedOn[partIdx[i]] = append(preparedOn[partIdx[i]], r.node)
-				continue
-			}
-			invalid = append(invalid, r.resp.Prepare.Invalid...)
-			busyIDs = append(busyIDs, r.resp.Prepare.Busy...)
-			if conflictTx == "" {
-				conflictTx = r.resp.ConflictTx
-			}
-		}
-
-		if yes == len(nodes) {
-			// Unanimous across every group: deliver per-group commit
-			// decisions concurrently (decide retries its own stragglers
-			// within the decide budget; cooperative termination covers the
-			// rest).
-			var wg sync.WaitGroup
-			for i := range parts {
-				wg.Add(1)
-				go func(q []quorum.NodeID, p commitPart) {
-					defer wg.Done()
-					rt.decide(ctx, q, tx, txid, true, p.writes, p.release)
-				}(quorums[i], parts[i])
-			}
-			wg.Wait()
-			rt.metrics.CrossShardCommits.Add(1)
-			return nil
-		}
-
-		// Some participant said no or vanished: abort-release every group
-		// where protections may be held.
-		rt.metrics.PrepareFails.Add(1)
-		var wg sync.WaitGroup
-		for i := range parts {
-			if len(preparedOn[i]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(q []quorum.NodeID, p commitPart) {
-				defer wg.Done()
-				rt.decide(ctx, q, tx, txid, false, nil, p.release)
-			}(preparedOn[i], parts[i])
-		}
-		wg.Wait()
-
-		if len(invalid) > 0 || len(busyIDs) > 0 {
-			rt.metrics.CrossShardAborts.Add(1)
-			busyOnly := len(busyIDs) > 0 && len(invalid) == 0
-			ae := &AbortError{
-				Level:   AbortParent,
-				Invalid: append(invalid, busyIDs...),
-				Busy:    busyOnly,
-				Reason:  "cross-shard commit validation failed",
-				Cause:   forensics.CauseReadValidation,
-				Key:     firstID(invalid, busyIDs),
-			}
-			if busyOnly {
-				ae.Cause = forensics.CauseLockConflict
-				ae.ConflictTx = conflictTx
-			}
-			return ae
-		}
-		if unreachable {
-			excl, _ = recordFailed(excl, results)
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			continue
-		}
-		rt.metrics.CrossShardAborts.Add(1)
-		return &AbortError{Level: AbortParent, Reason: "cross-shard prepare rejected", Cause: forensics.CauseCommitRound}
-	}
-	return errors.Join(ErrQuorumUnreachable, lastErr)
 }

@@ -2,8 +2,9 @@ package dtm
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"qracn/internal/backoff"
@@ -109,18 +110,14 @@ func (tx *Tx) SetBlockMeta(count int, anchors []int) {
 }
 
 // takeRetry charges one retry — a quorum failover, a busy re-read, or any
-// other second try — against the attempt's shared budget. A false return
-// means the budget is gone; callers fail the transaction with errBudget
-// instead of retrying further.
-func (tx *Tx) takeRetry() bool {
+// other second try — against the attempt's shared budget. Once the budget is
+// gone it returns the error that fails the transaction instead of retrying
+// further, naming the operation that wanted the retry.
+func (tx *Tx) takeRetry(op string) error {
 	if tx.budget.Take() {
-		return true
+		return nil
 	}
 	tx.rt.metrics.BudgetExhausted.Add(1)
-	return false
-}
-
-func errBudget(op string) error {
 	return fmt.Errorf("%w: retry budget spent during %s", ErrRetriesExhausted, op)
 }
 
@@ -340,22 +337,24 @@ func (tx *Tx) remoteRead(id store.ObjectID) (store.Value, error) {
 	return v, err
 }
 
+// request starts a wire request of this transaction: the given 2PC round's ID,
+// the transaction's deadline and, when it is traced, the trace context with
+// span as the parent of the server's spans.
+func (tx *Tx) request(kind wire.Kind, txid string, span uint64) *wire.Request {
+	req := &wire.Request{Kind: kind, TxID: txid, Deadline: tx.deadline}
+	if tx.traceID != "" {
+		req.TraceID = tx.traceID
+		req.SpanID = span
+	}
+	return req
+}
+
 // remoteReadInner is the quorum read protocol body. spanID, when non-zero,
 // is stamped on the wire requests as the parent for server spans.
 func (tx *Tx) remoteReadInner(id store.ObjectID, spanID uint64) (store.Value, error) {
 	rt := tx.rt
-	validate := tx.validationListFor(rt.groupFor(id))
-
-	req := &wire.Request{
-		Kind:     wire.KindRead,
-		TxID:     tx.id,
-		Deadline: tx.deadline,
-		Read:     &wire.ReadRequest{Object: id, Validate: validate},
-	}
-	if spanID != 0 {
-		req.TraceID = tx.traceID
-		req.SpanID = spanID
-	}
+	req := tx.request(wire.KindRead, tx.id, spanID)
+	req.Read = &wire.ReadRequest{Object: id, Validate: tx.validationListFor(rt.groupFor(id))}
 	req.Read.StatsFor = rt.statsQuery()
 
 	for busyTry := 0; ; busyTry++ {
@@ -363,67 +362,26 @@ func (tx *Tx) remoteReadInner(id store.ObjectID, spanID uint64) (store.Value, er
 		if err != nil {
 			return nil, err
 		}
-
-		// Union the incremental-validation reports from all replicas.
-		var invalid []store.ObjectID
-		var seen map[store.ObjectID]bool // made by the first invalidation: most reads report none
-		busy := false
-		conflictTx := "" // conflict witness piggybacked on Busy replies
-		var best *wire.ReadResponse
-		bestNode := quorum.NodeID(-1)
-		okCount := 0
-		for i, r := range results {
-			if r.resp.Read != nil {
-				for _, inv := range r.resp.Read.Invalid {
-					if !seen[inv] {
-						if seen == nil {
-							seen = make(map[store.ObjectID]bool)
-						}
-						seen[inv] = true
-						invalid = append(invalid, inv)
-					}
-				}
-				if r.resp.Read.Stats != nil && rt.cfg.StatsSink != nil {
-					rt.cfg.StatsSink(r.resp.Read.Stats)
-				}
-			}
-			switch r.resp.Status {
-			case wire.StatusOK:
-				okCount++
-				if best == nil || r.resp.Read.Version > best.Version ||
-					(r.resp.Read.Version == best.Version && i == fullIdx) {
-					best = r.resp.Read
-					bestNode = r.node
-				}
-			case wire.StatusNotFound:
-				okCount++ // absence is an answer: version 0
-			case wire.StatusBusy:
-				busy = true
-				if conflictTx == "" {
-					conflictTx = r.resp.ConflictTx
-				}
-			}
-		}
-
-		if len(invalid) > 0 {
-			if ae := tx.abortFor(invalid, "incremental validation on read of "+string(id)); ae != nil {
+		t := rt.tallyRead(results, fullIdx)
+		if len(t.invalid) > 0 {
+			if ae := tx.abortFor(t.invalid, "incremental validation on read of "+string(id)); ae != nil {
 				return nil, ae
 			}
 		}
 
 		// Under the lean strategy the newest version may have been reported
 		// by a versions-only member: fetch the value from it.
-		if best != nil && fullIdx >= 0 && best.Value == nil && best.Version > 0 {
-			follow, err := tx.followUpRead(id, bestNode)
+		if t.best != nil && fullIdx >= 0 && t.best.Value == nil && t.best.Version > 0 {
+			follow, err := tx.followUpRead(id, t.bestNode)
 			if err != nil {
 				// The member vanished or is busy mid-commit; retry the
 				// whole quorum read after a pause.
 				rt.metrics.BusyBackoffs.Add(1)
 				if busyTry >= rt.cfg.ReadBusyRetries {
-					return nil, tx.busyAbort(id, conflictTx, "lean follow-up failed past retry budget")
+					return nil, tx.busyAbort(id, t.conflictTx, "lean follow-up failed past retry budget")
 				}
-				if !tx.takeRetry() {
-					return nil, errBudget("lean follow-up re-read")
+				if err := tx.takeRetry("lean follow-up re-read"); err != nil {
+					return nil, err
 				}
 				if err := rt.backoff(tx.ctx, busyTry); err != nil {
 					return nil, err
@@ -435,140 +393,152 @@ func (tx *Tx) remoteReadInner(id store.ObjectID, spanID uint64) (store.Value, er
 					return nil, ae
 				}
 			}
-			best = follow
+			t.best = follow
 		}
 
-		if best == nil && busy {
+		if t.best == nil && t.busy {
 			// The object is exclusively protected everywhere we asked: a
 			// commit that writes it is in flight. Back off and retry the
 			// read in place a few times before aborting this context.
 			if busyTry < rt.cfg.ReadBusyRetries {
 				rt.metrics.BusyBackoffs.Add(1)
 				rt.cfg.Tracer.Record(trace.KindBusy, tx.id, string(id))
-				if !tx.takeRetry() {
-					return nil, errBudget("busy re-read")
+				if err := tx.takeRetry("busy re-read"); err != nil {
+					return nil, err
 				}
 				if err := rt.backoff(tx.ctx, busyTry); err != nil {
 					return nil, err
 				}
 				continue
 			}
-			return nil, tx.busyAbort(id, conflictTx, "object busy past retry budget")
-		}
-		if okCount == 0 {
-			return nil, ErrQuorumUnreachable
+			return nil, tx.busyAbort(id, t.conflictTx, "object busy past retry budget")
 		}
 
-		var val store.Value
-		var ver uint64
-		if best != nil {
-			val = best.Value
-			ver = best.Version
-		}
-		// Members that answered with an older version (or no object at all)
-		// are behind the quorum maximum: push the fresh state back to them
-		// asynchronously so revived replicas converge.
-		rt.maybeRepair(id, results, val, ver)
-		tx.recordRead(id, readEntry{val: val, ver: ver})
-		return val, nil
+		e := rt.settle(id, results, t.best)
+		tx.recordRead(id, e)
+		return e.val, nil
 	}
+}
+
+// readTally is what the members of a read quorum said about one object.
+type readTally struct {
+	invalid    []store.ObjectID   // union of the incremental-validation reports
+	best       *wire.ReadResponse // highest version reported (nil: absent wherever it was looked for)
+	bestNode   quorum.NodeID      // the member that reported best
+	answers    int                // members that reported a version or the object's absence
+	busy       bool               // a member holds the object exclusively protected
+	conflictTx string             // the first such member's conflict witness
+}
+
+// tallyRead folds one object's replies — those of a plain read, or the
+// object's sub-replies of a batched round — into a tally, and hands any
+// piggybacked contention levels to the stats sink. prefer is the index of the
+// member asked for the full value under the lean strategy (-1: all were): on
+// equal versions its reply wins, being the one that carries the value.
+func (rt *Runtime) tallyRead(replies []callResult, prefer int) readTally {
+	var t readTally
+	for i, r := range replies {
+		read := r.resp.Read
+		if read != nil {
+			for _, inv := range read.Invalid { // most reads report none, the rest a handful
+				if !slices.Contains(t.invalid, inv) {
+					t.invalid = append(t.invalid, inv)
+				}
+			}
+			if read.Stats != nil && rt.cfg.StatsSink != nil {
+				rt.cfg.StatsSink(read.Stats)
+			}
+		}
+		switch r.resp.Status {
+		case wire.StatusOK:
+			if read == nil {
+				break // a batch's sub-reply without its payload is no answer
+			}
+			t.answers++
+			if t.best == nil || read.Version > t.best.Version ||
+				(read.Version == t.best.Version && i == prefer) {
+				t.best = read
+				t.bestNode = r.node
+			}
+		case wire.StatusNotFound:
+			t.answers++ // absence is an answer: version 0
+		case wire.StatusBusy:
+			t.busy = true
+			if t.conflictTx == "" {
+				t.conflictTx = r.resp.ConflictTx
+			}
+		}
+	}
+	return t
+}
+
+// settle turns the winning reply into the object's first-access entry.
+// Members that answered with an older version (or no object at all) are
+// behind the quorum maximum: the fresh state is pushed back to them
+// asynchronously so revived replicas converge.
+func (rt *Runtime) settle(id store.ObjectID, replies []callResult, best *wire.ReadResponse) readEntry {
+	var e readEntry
+	if best != nil {
+		e = readEntry{val: best.Value, ver: best.Version}
+	}
+	rt.maybeRepair(id, replies, e.val, e.ver)
+	return e
 }
 
 // quorumRead selects a read quorum and fans the request out. If a member
 // died mid-call the level majority we picked is no longer intact and the
-// versions we saw may miss the latest commit, so the read is retried against
-// a freshly selected quorum that excludes the members that just errored
-// (and, through the failure detector, any node under suspicion). The
-// returned index marks the member asked for the full value under the lean
-// strategy (-1: every member was asked for the value).
+// versions we saw may miss the latest commit, so the read fails over (see
+// failover) to a freshly selected quorum. The returned index marks the member
+// asked for the full value under the lean strategy (-1: every member was
+// asked for the value).
 func (tx *Tx) quorumRead(req *wire.Request) ([]callResult, int, error) {
 	rt := tx.rt
-	var lastErr error
-	var excl quorum.ExcludeSet
 	g := rt.groupFor(req.Read.Object)
-	for attempt := 0; attempt < rt.cfg.QuorumAttempts; attempt++ {
-		if attempt > 0 {
-			if !tx.takeRetry() {
-				return nil, -1, errBudget("read quorum failover")
-			}
-			rt.metrics.Failovers.Add(1)
-			rt.cfg.Tracer.Record(trace.KindFailover, tx.id, "read quorum re-selection")
-		}
-		q, err := rt.selectReadQuorumIn(g, tx.seed+attempt, excl)
+	fo := rt.failover(tx.ctx, tx, tx.seed, wire.KindRead, "read quorum")
+	for fo.next() {
+		q, err := fo.readQuorum(g)
 		if err != nil {
-			return nil, -1, errors.Join(ErrQuorumUnreachable, err)
+			return nil, -1, err
 		}
 		rt.metrics.RemoteReads.Add(1)
 		rt.cfg.Tracer.Record(trace.KindRead, tx.id, string(req.Read.Object))
 
 		fullIdx := -1
 		var results []callResult
-		switch {
-		case rt.cfg.ReadStrategy == ReadLean && len(q) > 1:
-			fullIdx = 0
-			versionOnly := req.Clone()
-			versionOnly.Read.VersionOnly = true
-			versionOnly.Read.StatsFor = nil // one stats copy is enough
-			results = rt.fanoutEach(tx.ctx, q, func(i int) *wire.Request {
-				if i == fullIdx {
-					return req
-				}
-				return versionOnly
-			})
-		case len(req.Read.StatsFor) > 0 && len(q) > 1:
-			// The piggybacked stats query needs only one member's answer;
-			// don't pay for the ID list and the reply map on every link.
-			plain := req.Clone()
-			plain.Read.StatsFor = nil
-			results = rt.fanoutEach(tx.ctx, q, func(i int) *wire.Request {
-				if i == 0 {
-					return req
-				}
-				return plain
-			})
-		default:
-			// Only the plain full-value read hedges: the lean and
-			// piggybacked-stats variants send per-member requests whose roles
-			// (full value, stats carrier) a late extra replica can't assume.
-			if d := rt.hedgeDelay(); d > 0 {
-				results = rt.fanoutHedged(tx.ctx, g, q, req, tx.seed+attempt, excl, d)
-			} else {
-				results = rt.fanout(tx.ctx, q, req)
+		lean := rt.cfg.ReadStrategy == ReadLean
+		if len(q) > 1 && (lean || len(req.Read.StatsFor) > 0) {
+			// The first member gets the request as it is. The others get a
+			// copy without the piggybacked stats query — one member's answer
+			// is enough; don't pay for the ID list and the reply map on every
+			// link — and, under the lean strategy, without the value.
+			rest := req.Clone()
+			rest.Read.StatsFor = nil
+			if lean {
+				fullIdx = 0
+				rest.Read.VersionOnly = true
 			}
+			results = rt.fanoutLegs(tx.ctx, q, []leg{{req, 1}, {rest, len(q)}})
+		} else if d := rt.hedgeDelay(); d > 0 {
+			// Only the plain full-value read hedges: the variants above send
+			// per-member requests whose roles (full value, stats carrier) a
+			// late extra replica can't assume.
+			results = rt.fanoutHedged(tx.ctx, g, q, req, fo.seed+fo.attempt, fo.excl, d)
+		} else {
+			results = rt.fanout(tx.ctx, q, req)
 		}
-
-		allReachable := true
-		for _, r := range results {
-			if r.err != nil {
-				allReachable = false
-				lastErr = r.err
-			}
-		}
-		if allReachable {
+		if !fo.failed(results) {
 			return results, fullIdx, nil
 		}
-		excl, _ = recordFailed(excl, results)
-		if err := tx.ctx.Err(); err != nil {
-			return nil, -1, err
-		}
 	}
-	return nil, -1, errors.Join(ErrQuorumUnreachable, lastErr)
+	return nil, -1, fo.err()
 }
 
 // followUpRead fetches the full value of an object from a specific member
 // that reported the newest version under the lean strategy.
 func (tx *Tx) followUpRead(id store.ObjectID, node quorum.NodeID) (*wire.ReadResponse, error) {
 	rt := tx.rt
-	req := &wire.Request{
-		Kind:     wire.KindRead,
-		TxID:     tx.id,
-		Deadline: tx.deadline,
-		Read:     &wire.ReadRequest{Object: id, Validate: tx.validationListFor(rt.groupFor(id))},
-	}
-	if tx.traceID != "" {
-		req.TraceID = tx.traceID
-		req.SpanID = tx.span
-	}
+	req := tx.request(wire.KindRead, tx.id, tx.span)
+	req.Read = &wire.ReadRequest{Object: id, Validate: tx.validationListFor(rt.groupFor(id))}
 	cctx, cancel := context.WithTimeout(tx.ctx, rt.cfg.RequestTimeout)
 	defer cancel()
 	resp, err := rt.cfg.Client.Call(cctx, node, req)
@@ -706,238 +676,246 @@ func (tx *Tx) merge(child *Tx) {
 	}
 }
 
-// commit finalizes a top-level transaction with two-phase commit against a
-// write quorum (read-only transactions validate against a read quorum and
-// skip 2PC). Under a shard map the touched quorum groups decide the path:
-// one group runs the ordinary single-quorum 2PC against that group alone,
-// several groups run the cross-shard 2PC (commitCrossShard).
+// commit finalizes a top-level transaction: two-phase commit against a write
+// quorum of every quorum group it touched, or — for a read-only transaction —
+// one validation round against read quorums and no 2PC. There is one part per
+// touched group, each naming only what that group owns; an unsharded cluster
+// is one part over the whole-cluster tree.
 func (rt *Runtime) commit(ctx context.Context, tx *Tx) error {
+	if len(tx.readOrder) == 0 {
+		return nil // every write follows a first-access read: nothing was touched
+	}
 	reads := make([]store.ReadDesc, 0, len(tx.readOrder))
 	for _, id := range tx.readOrder {
 		reads = append(reads, store.ReadDesc{ID: id, Version: tx.reads[id].ver})
 	}
-
-	if len(tx.writes) == 0 {
-		return rt.commitReadOnly(ctx, tx, reads)
-	}
-
-	writes := make([]store.WriteDesc, 0, len(tx.writes))
-	for _, id := range tx.readOrder { // deterministic order
-		if v, ok := tx.writes[id]; ok {
-			writes = append(writes, store.WriteDesc{
-				ID:         id,
-				Value:      v,
-				NewVersion: tx.reads[id].ver + 1,
-				Block:      tx.writeBlock[id],
-			})
+	var writes []store.WriteDesc
+	var release []store.ObjectID // protections are taken on the whole read set
+	if len(tx.writes) > 0 {
+		release = tx.readOrder
+		writes = make([]store.WriteDesc, 0, len(tx.writes))
+		for _, id := range tx.readOrder { // deterministic order
+			if v, ok := tx.writes[id]; ok {
+				writes = append(writes, store.WriteDesc{
+					ID:         id,
+					Value:      v,
+					NewVersion: tx.reads[id].ver + 1,
+					Block:      tx.writeBlock[id],
+				})
+			}
 		}
 	}
-	release := make([]store.ObjectID, 0, len(reads))
-	for _, r := range reads {
-		release = append(release, r.ID)
+	parts := []commitPart{{reads: reads, writes: writes, release: release}}
+	if rt.cfg.Shards != nil {
+		parts = partitionCommit(rt.cfg.Shards, reads, writes, release)
 	}
-
-	if rt.cfg.Shards == nil {
-		return rt.commitIn(ctx, tx, nil, reads, writes, release)
+	if len(writes) == 0 {
+		return rt.commitReadOnly(ctx, tx, parts)
 	}
-	parts := partitionCommit(rt.cfg.Shards, reads, writes, release)
-	if len(parts) == 1 {
-		err := rt.commitIn(ctx, tx, parts[0].group, reads, writes, release)
-		if err == nil {
-			rt.metrics.SingleShardCommits.Add(1)
-		}
-		return err
+	err := rt.commitParts(ctx, tx, parts)
+	switch _, aborted := AsAbort(err); {
+	case len(parts) > 1 && err == nil:
+		rt.metrics.CrossShardCommits.Add(1)
+	case len(parts) > 1 && aborted:
+		rt.metrics.CrossShardAborts.Add(1)
+	case rt.cfg.Shards != nil && err == nil:
+		rt.metrics.SingleShardCommits.Add(1)
 	}
-	return rt.commitCrossShard(ctx, tx, parts)
+	return err
 }
 
-// commitIn is the single-quorum 2PC: prepare and decide against one write
-// quorum picked from group g (the whole-cluster tree when g is nil).
-func (rt *Runtime) commitIn(ctx context.Context, tx *Tx, g *shard.Group, reads []store.ReadDesc, writes []store.WriteDesc, release []store.ObjectID) error {
-	var lastErr error
-	var excl quorum.ExcludeSet
-	for attempt := 0; attempt < rt.cfg.QuorumAttempts; attempt++ {
-		if attempt > 0 {
-			if !tx.takeRetry() {
-				return errBudget("write quorum failover")
+// commitParts is the 2PC. Each part's prepare names only its own group's
+// reads and writes and goes to a write quorum of that group, but the durable
+// Quorum membership on every prepare is the UNION of all parts' write-quorum
+// members: after a coordinator crash, cooperative termination then
+// interrogates cross-group participants too, so a commit delivered to any one
+// group proves the outcome to the others — no group can TTL-abort a
+// transaction a sibling group already committed. The transaction commits iff
+// every member of every part votes yes; decisions then go out per part,
+// carrying only that part's writes and release set. A single part — an
+// unsharded cluster, or one shard — is the same protocol at its smallest:
+// the selected quorum is the recorded membership, one request serves every
+// member, and the decision is delivered on the caller's goroutine.
+func (rt *Runtime) commitParts(ctx context.Context, tx *Tx, parts []commitPart) error {
+	fo := rt.failover(ctx, tx, tx.seed, wire.KindPrepare, "write quorum")
+	for fo.next() {
+		// One write quorum per part; any group short of a quorum fails the
+		// whole commit (the exclude set spans the groups — each group's
+		// selector ignores exclusions naming foreign nodes).
+		var nodes []quorum.NodeID
+		legs := make([]leg, len(parts))
+		for i := range parts {
+			wq, err := fo.writeQuorum(parts[i].group)
+			if err != nil {
+				return err
 			}
-			rt.metrics.Failovers.Add(1)
-			rt.cfg.Tracer.Record(trace.KindFailover, tx.id, "write quorum re-selection")
-		}
-		wq, err := rt.selectWriteQuorumIn(g, tx.seed+attempt, excl)
-		if err != nil {
-			return errors.Join(ErrQuorumUnreachable, err)
+			parts[i].quorum = wq
+			if len(parts) == 1 {
+				nodes = wq
+			} else {
+				nodes = append(nodes, wq...)
+			}
+			legs[i].end = len(nodes)
 		}
 		// Each prepare/decide round is its own 2PC incarnation with a
 		// unique transaction ID: participants durably promise or terminate
 		// per ID, so a round the coordinator abort-released must not share
 		// an ID with the failover round that follows it.
 		txid := tx.id
-		if attempt > 0 {
-			txid = fmt.Sprintf("%s-q%d", tx.id, attempt)
+		if fo.attempt > 0 {
+			txid = fmt.Sprintf("%s-q%d", tx.id, fo.attempt)
 		}
-		// A fresh request per attempt (never mutated after fanout): a
+		// Fresh requests per round (never mutated after the fan-out): a
 		// timed-out call from the previous round may still be serializing
 		// the old one on an async transport. Each participant durably
-		// records the full quorum membership with its yes vote, so after a
+		// records the full membership with its yes vote, so after a
 		// coordinator crash it knows which peers to ask for the decision
 		// (cooperative termination).
-		prepare := &wire.Request{
-			Kind:     wire.KindPrepare,
-			TxID:     txid,
-			Deadline: tx.deadline,
-			Prepare:  &wire.PrepareRequest{Reads: reads, Writes: writes, Quorum: wq},
-		}
-		if tx.traceID != "" {
-			prepare.TraceID = tx.traceID
-			prepare.SpanID = tx.span
+		for i, p := range parts {
+			legs[i].req = tx.request(wire.KindPrepare, txid, tx.span)
+			legs[i].req.Prepare = &wire.PrepareRequest{Reads: p.reads, Writes: p.writes, Quorum: nodes}
 		}
 		rt.metrics.Prepares.Add(1)
 		prepStart := time.Now()
-		results := rt.fanout(ctx, wq, prepare)
+		results := rt.fanoutLegs(ctx, nodes, legs)
 		rt.stages.Prepare.Record(time.Since(prepStart))
 
-		var invalid []store.ObjectID
-		var busyIDs []store.ObjectID
-		conflictTx := ""
-		yes := 0
-		unreachable := false
-		var preparedOn []quorum.NodeID
-		for _, r := range results {
-			if r.err != nil {
-				unreachable = true
-				lastErr = r.err
-				continue
-			}
-			if r.resp.Status != wire.StatusOK || r.resp.Prepare == nil {
-				unreachable = true
-				continue
-			}
-			if r.resp.Prepare.Vote {
-				yes++
-				preparedOn = append(preparedOn, r.node)
-				continue
-			}
-			invalid = append(invalid, r.resp.Prepare.Invalid...)
-			busyIDs = append(busyIDs, r.resp.Prepare.Busy...)
-			if conflictTx == "" {
-				conflictTx = r.resp.ConflictTx
-			}
-		}
-
-		if yes == len(wq) {
-			rt.decide(ctx, wq, tx, txid, true, writes, release)
+		failed := fo.failed(results)
+		yes, no := tallyVotes(results)
+		if yes == len(nodes) {
+			rt.decideParts(ctx, tx, txid, true, parts, results)
 			return nil
 		}
-
-		// Some participant said no or vanished: abort-release everywhere we
-		// might have left protections.
+		// Some participant said no or vanished: abort-release wherever a yes
+		// vote left protections behind.
 		rt.metrics.PrepareFails.Add(1)
-		rt.decide(ctx, preparedOn, tx, txid, false, nil, release)
-
-		if len(invalid) > 0 || len(busyIDs) > 0 {
-			busyOnly := len(busyIDs) > 0 && len(invalid) == 0
-			ae := &AbortError{
-				Level:   AbortParent,
-				Invalid: append(invalid, busyIDs...),
-				Busy:    busyOnly,
-				Reason:  "commit validation failed",
-				Cause:   forensics.CauseReadValidation,
-				Key:     firstID(invalid, busyIDs),
-			}
-			if busyOnly {
-				ae.Cause = forensics.CauseLockConflict
-				ae.ConflictTx = conflictTx
-			}
+		rt.decideParts(ctx, tx, txid, false, parts, results)
+		if ae := no.abort("commit", failed); ae != nil {
 			return ae
 		}
-		if unreachable {
-			// Exclude the members that errored so the re-selected quorum
-			// cannot contain them, then retry against the alive view —
-			// unless the round failed because the caller gave up.
-			excl, _ = recordFailed(excl, results)
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			continue
-		}
-		return &AbortError{Level: AbortParent, Reason: "prepare rejected", Cause: forensics.CauseCommitRound}
 	}
-	return errors.Join(ErrQuorumUnreachable, lastErr)
+	return fo.err()
 }
 
-func (rt *Runtime) commitReadOnly(ctx context.Context, tx *Tx, reads []store.ReadDesc) error {
-	if len(reads) == 0 {
-		return nil
-	}
-	// One validation part per touched quorum group: each group's read quorum
-	// validates only the reads it owns. Unsharded runs are one part over the
-	// whole-cluster tree.
-	parts := []commitPart{{reads: reads}}
-	if rt.cfg.Shards != nil {
-		parts = partitionCommit(rt.cfg.Shards, reads, nil, nil)
-	}
-	var lastErr error
-	var excl quorum.ExcludeSet
-	for attempt := 0; attempt < rt.cfg.QuorumAttempts; attempt++ {
-		if attempt > 0 {
-			if !tx.takeRetry() {
-				return errBudget("read-only validation failover")
-			}
-			rt.metrics.Failovers.Add(1)
-			rt.cfg.Tracer.Record(trace.KindFailover, tx.id, "read quorum re-selection")
-		}
+// commitReadOnly validates a transaction that wrote nothing: each part's
+// reads against a read quorum of its group, in one round. The prepares carry
+// no Quorum, which is what tells a server this is a validation-only vote —
+// nothing is protected, so there is no decision to deliver.
+func (rt *Runtime) commitReadOnly(ctx context.Context, tx *Tx, parts []commitPart) error {
+	fo := rt.failover(ctx, tx, tx.seed, wire.KindPrepare, "read-only validation")
+	for fo.next() {
 		var nodes []quorum.NodeID
-		var reqs []*wire.Request
-		for _, p := range parts {
-			q, err := rt.selectReadQuorumIn(p.group, tx.seed+attempt, excl)
+		legs := make([]leg, len(parts))
+		for i, p := range parts {
+			q, err := fo.readQuorum(p.group)
 			if err != nil {
-				return errors.Join(ErrQuorumUnreachable, err)
+				return err
 			}
-			req := &wire.Request{
-				Kind:     wire.KindPrepare,
-				TxID:     tx.id,
-				Deadline: tx.deadline,
-				Prepare:  &wire.PrepareRequest{Reads: p.reads},
-			}
-			if tx.traceID != "" {
-				req.TraceID = tx.traceID
-				req.SpanID = tx.span
-			}
-			for _, n := range q {
-				nodes = append(nodes, n)
-				reqs = append(reqs, req)
-			}
+			nodes = append(nodes, q...)
+			legs[i].end = len(nodes)
+			legs[i].req = tx.request(wire.KindPrepare, tx.id, tx.span)
+			legs[i].req.Prepare = &wire.PrepareRequest{Reads: p.reads}
 		}
 		rt.metrics.ReadOnlyFasts.Add(1)
 		prepStart := time.Now()
-		results := rt.fanoutEach(ctx, nodes, func(i int) *wire.Request { return reqs[i] })
+		results := rt.fanoutLegs(ctx, nodes, legs)
 		rt.stages.Prepare.Record(time.Since(prepStart))
-		var invalid []store.ObjectID
-		ok := true
-		for _, r := range results {
-			if r.err != nil || r.resp.Status != wire.StatusOK || r.resp.Prepare == nil {
-				ok = false
-				lastErr = r.err
-				continue
-			}
-			if !r.resp.Prepare.Vote {
-				invalid = append(invalid, r.resp.Prepare.Invalid...)
-			}
-		}
-		if len(invalid) > 0 {
-			return &AbortError{Level: AbortParent, Invalid: invalid, Reason: "read-only validation failed",
-				Cause: forensics.CauseReadValidation, Key: invalid[0]}
-		}
-		if ok {
+
+		failed := fo.failed(results)
+		yes, no := tallyVotes(results)
+		if yes == len(nodes) {
 			return nil
 		}
-		excl, _ = recordFailed(excl, results)
-		if err := ctx.Err(); err != nil {
-			return err
+		if ae := no.abort("read-only", failed); ae != nil {
+			return ae
 		}
 	}
-	return errors.Join(ErrQuorumUnreachable, lastErr)
+	return fo.err()
+}
+
+// refusal is what the no votes of one prepare round named.
+type refusal struct {
+	invalid, busy []store.ObjectID
+	conflictTx    string // the first refusing member's conflict witness
+}
+
+// tallyVotes counts a prepare round's yes votes and collects its refusals;
+// members that failed the round (failover.failed) are neither.
+func tallyVotes(results []callResult) (yes int, no refusal) {
+	for _, r := range results {
+		switch {
+		case r.err != nil:
+		case r.resp.Prepare.Vote:
+			yes++
+		default:
+			no.invalid = append(no.invalid, r.resp.Prepare.Invalid...)
+			no.busy = append(no.busy, r.resp.Prepare.Busy...)
+			if no.conflictTx == "" {
+				no.conflictTx = r.resp.ConflictTx
+			}
+		}
+	}
+	return yes, no
+}
+
+// abort turns a prepare round that was not unanimous into the transaction's
+// AbortError, or nil when the round is to be run again: nobody refused, but
+// members failed. Stale reads outrank protected objects — a round refused by
+// protections alone is a lock conflict, one that met a newer version is a
+// validation failure whatever else was busy — and a no that names no object
+// (the participant had already terminated this round's ID) is a rejection.
+func (no refusal) abort(what string, failed bool) *AbortError {
+	named := append(no.invalid, no.busy...)
+	switch {
+	case len(named) > 0:
+		ae := &AbortError{Level: AbortParent, Invalid: named, Key: named[0],
+			Reason: what + " validation failed", Cause: forensics.CauseReadValidation}
+		if len(no.invalid) == 0 {
+			ae.Busy = true
+			ae.Cause = forensics.CauseLockConflict
+			ae.ConflictTx = no.conflictTx
+		}
+		return ae
+	case failed:
+		return nil
+	}
+	return &AbortError{Level: AbortParent, Reason: what + " prepare rejected", Cause: forensics.CauseCommitRound}
+}
+
+// decideParts delivers a prepare round's decision part by part (results holds
+// the parts' votes in part order), concurrently when there are several: decide
+// retries its own stragglers within the decide budget, and cooperative
+// termination covers the rest. A commit goes to each part's whole quorum, an
+// abort only to the members that voted yes — the ones holding protections.
+func (rt *Runtime) decideParts(ctx context.Context, tx *Tx, txid string, commit bool, parts []commitPart, results []callResult) {
+	targets := func(p commitPart) (to []quorum.NodeID, writes []store.WriteDesc) {
+		votes := results[:len(p.quorum)]
+		results = results[len(p.quorum):]
+		if commit {
+			return p.quorum, p.writes
+		}
+		for _, r := range votes {
+			if r.err == nil && r.resp.Prepare.Vote {
+				to = append(to, r.node)
+			}
+		}
+		return to, nil
+	}
+	if len(parts) == 1 {
+		to, writes := targets(parts[0])
+		rt.decide(ctx, to, tx, txid, commit, writes, parts[0].release)
+		return
+	}
+	var wg sync.WaitGroup
+	for _, p := range parts {
+		to, writes := targets(p)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt.decide(ctx, to, tx, txid, commit, writes, p.release)
+		}()
+	}
+	wg.Wait()
 }
 
 // decide delivers the 2PC outcome to the participants. Once a yes-vote
@@ -951,19 +929,9 @@ func (rt *Runtime) decide(ctx context.Context, nodes []quorum.NodeID, tx *Tx, tx
 	if len(nodes) == 0 {
 		return
 	}
-	req := &wire.Request{
-		Kind: wire.KindDecision,
-		TxID: txid,
-		Decision: &wire.DecisionRequest{
-			Commit:  commit,
-			Writes:  writes,
-			Release: release,
-		},
-	}
-	if tx.traceID != "" {
-		req.TraceID = tx.traceID
-		req.SpanID = tx.span
-	}
+	req := tx.request(wire.KindDecision, txid, tx.span)
+	req.Deadline = 0 // exempt: a decided outcome must arrive however late it is
+	req.Decision = &wire.DecisionRequest{Commit: commit, Writes: writes, Release: release}
 	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), rt.cfg.DecideTimeout)
 	defer cancel()
 	pending := nodes
@@ -986,18 +954,6 @@ func (rt *Runtime) decide(ctx context.Context, nodes []quorum.NodeID, tx *Tx, tx
 	}
 	rt.metrics.DecisionsDropped.Add(uint64(len(pending)))
 	rt.cfg.Tracer.Record(trace.KindFailover, tx.id, "decision delivery abandoned")
-}
-
-// firstID picks the first implicated object out of the invalid/busy reports,
-// the single-key witness an abort event carries.
-func firstID(invalid, busy []store.ObjectID) store.ObjectID {
-	if len(invalid) > 0 {
-		return invalid[0]
-	}
-	if len(busy) > 0 {
-		return busy[0]
-	}
-	return ""
 }
 
 // abortDetail renders an abort's trace detail: the reason plus, when known,

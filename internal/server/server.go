@@ -609,7 +609,7 @@ func (n *Node) handleRead(req *wire.Request) *wire.Response {
 // protections are in place so no commit can slip between the two.
 //
 // A prepare that names its Quorum is a 2PC participant even when it writes
-// nothing here — commitCrossShard sends that shape to a group the
+// nothing here — a cross-shard commit sends that shape to a group the
 // transaction only reads from — and must hold its reads until the decision
 // like any other part, or two transactions reading each other's written
 // group could both commit. Only a read-only transaction's validation round

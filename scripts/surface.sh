@@ -2,8 +2,18 @@
 # surface.sh prints the four numbers a simplicity change is judged by, so a
 # PR quotes them instead of recounting by hand. Run from anywhere; compare
 # the output of the parent checkout with the change's.
+#
+#   surface.sh --check FILE   also compares with the numbers committed in FILE
+#                             (this script's output at some earlier commit,
+#                             path relative to the repo root) and exits 1 when
+#                             any has grown: a change that adds lines, flags,
+#                             fields or kinds edits FILE and says why.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+check=
+if [ "${1:-}" = --check ]; then
+	check=${2:?surface.sh --check needs the file holding the committed numbers}
+fi
 
 # Non-test Go lines of the root module (benchmark/ is its own module).
 lines=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l)
@@ -29,7 +39,19 @@ fields=$(find internal/server internal/dtm internal/cluster internal/harness int
 # Wire kinds: the constants of wire.Kind (numKinds is the unexported sentinel).
 kinds=$(awk '/^\tKind[A-Z][A-Za-z]*( Kind = iota)?$/ { n++ } END { print n + 0 }' internal/wire/wire.go)
 
-printf 'go_lines_non_test   %d\n' "$lines"
-printf 'cmd_flag_defs       %d\n' "$flags"
-printf 'config_fields       %d\n' "$fields"
-printf 'wire_kinds          %d\n' "$kinds"
+now=$(printf '%-19s %d\n' go_lines_non_test "$lines" cmd_flag_defs "$flags" config_fields "$fields" wire_kinds "$kinds")
+echo "$now"
+[ -n "$check" ] || exit 0
+
+grown=0
+while read -r name value; do
+	committed=$(awk -v n="$name" '$1 == n { print $2 }' "$check")
+	if [ -z "$committed" ]; then
+		echo "surface: $check has no line for $name" >&2
+		grown=1
+	elif [ "$value" -gt "$committed" ]; then
+		echo "surface: $name grew from $committed to $value; if that is meant, update $check and say why" >&2
+		grown=1
+	fi
+done <<<"$now"
+exit "$grown"
