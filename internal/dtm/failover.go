@@ -110,18 +110,21 @@ func (f *failover) selected(q []quorum.NodeID, err error) ([]quorum.NodeID, erro
 // failed applies the rule to one round's results (or one group's share of
 // them) and reports whether any member failed. A reply that is no answer is
 // turned into that member's error in place, so the caller's tally sees two
-// kinds of result only: err != nil, or an answer with its payload present.
+// kinds of result only: an answer with its payload present, or no reply
+// (resp == nil) — with the member's error, or with none for a member the
+// round never asked (a root-first prepare round that its root refused sends
+// nothing to the others): such a member did not fail and is not excluded.
 func (f *failover) failed(results []callResult) bool {
 	any := false
 	for i := range results {
 		r := &results[i]
 		if r.err == nil {
-			if answered(f.kind, r.resp) {
+			if r.resp == nil || answered(f.kind, r.resp) {
 				continue
 			}
 			r.err = fmt.Errorf("dtm: node %d refused %s: %s %s", r.node, f.kind, r.resp.Status, r.resp.Detail)
-			r.resp = nil
 		}
+		r.resp = nil
 		f.lastErr = r.err
 		if f.excl == nil {
 			f.excl = make(quorum.ExcludeSet)

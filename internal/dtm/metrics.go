@@ -33,6 +33,13 @@ type Metrics struct {
 	Prepares      atomic.Uint64 // 2PC prepare rounds
 	PrepareFails  atomic.Uint64 // prepare rounds that voted no
 	ReadOnlyFasts atomic.Uint64 // read-only validations (no 2PC)
+	// RootFirstRounds counts the prepare rounds (of Prepares) sent in two
+	// stages, each part's root before the rest of its write quorum, because
+	// the runtime's recent rounds were being refused (prepareorder.go).
+	RootFirstRounds atomic.Uint64
+	// RootRefusals counts the root-first rounds that ended at stage one: a
+	// root voted no (or failed), so the other members were never asked.
+	RootRefusals atomic.Uint64
 	// CheckpointRollbacks counts partial rollbacks performed by the
 	// checkpointing executor (the QR-CP comparison system).
 	CheckpointRollbacks atomic.Uint64
@@ -159,6 +166,8 @@ type Snapshot struct {
 	Prepares            uint64
 	PrepareFails        uint64
 	ReadOnlyFasts       uint64
+	RootFirstRounds     uint64
+	RootRefusals        uint64
 	CheckpointRollbacks uint64
 	BatchReads          uint64
 	PrefetchedObjects   uint64

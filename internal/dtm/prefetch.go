@@ -188,7 +188,7 @@ func (tx *Tx) mergePrefetch(need []store.ObjectID, results []callResult) error {
 		if top.ahead == nil {
 			top.ahead = make(map[store.ObjectID]readEntry, len(need))
 		}
-		top.ahead[id] = rt.settle(id, replies, t.best)
+		top.ahead[id] = rt.settle(replies, t.best)
 		parked++
 	}
 	rt.metrics.PrefetchedObjects.Add(uint64(parked))

@@ -11,14 +11,21 @@ import (
 )
 
 // Read-repair: a quorum read that observes members behind the quorum
-// maximum pushes the fresh value+version back to the stale members. The
-// tree-quorum protocol stays correct without it (every read quorum
-// intersects every write quorum, so the maximum version always surfaces),
-// but a replica that restarted from a crash would otherwise serve stale or
-// empty state until a write quorum happens to include it — each such member
-// silently erodes the availability margin of its level. Repair pushes are
-// asynchronous, deduplicated per object, version-guarded server-side, and
-// never block or fail the read that triggered them.
+// maximum notes them on the object's read entry (settle), and the transaction
+// that read it pushes the fresh value+version back to them once it has
+// committed or, read-only, validated — for the rows it read and did not
+// write. A row it wrote needs no push: the commit's own decision carries a
+// newer version to a whole write quorum, and a push of the version that
+// decision supersedes is a message that cannot change anything. An attempt
+// that aborts pushes nothing (its re-execution reads the rows again), nor
+// does a read-ahead entry no Block consumed. The tree-quorum protocol stays
+// correct without repair (every read quorum intersects every write quorum, so
+// the maximum version always surfaces), but a replica that restarted from a
+// crash would otherwise serve stale or empty state until a write quorum
+// happens to include it — each such member silently erodes the availability
+// margin of its level. Repair pushes are asynchronous, deduplicated per
+// object, version-guarded server-side, and never block or fail the
+// transaction that triggered them.
 
 // staleMembers returns the quorum members whose answer for the object lags
 // behind version ver.
@@ -41,25 +48,23 @@ func staleMembers(results []callResult, ver uint64) []quorum.NodeID {
 	return out
 }
 
-// maybeRepair inspects one quorum read's per-member answers and schedules
-// an asynchronous repair push to every member behind the winning version.
-func (rt *Runtime) maybeRepair(id store.ObjectID, results []callResult, val store.Value, ver uint64) {
-	if rt.cfg.NoRepair || ver == 0 {
-		return
-	}
-	stale := staleMembers(results, ver)
-	if len(stale) == 0 {
-		return
-	}
-	rt.repairMu.Lock()
-	if rt.repairing[id] {
+// repairReads schedules, for a transaction that committed (or validated
+// read-only), an asynchronous repair push per row it read from a quorum with
+// stale members and did not go on to write.
+func (rt *Runtime) repairReads(tx *Tx) {
+	for _, id := range tx.readOrder {
+		e := tx.reads[id]
+		if _, written := tx.writes[id]; written || len(e.stale) == 0 {
+			continue
+		}
+		rt.repairMu.Lock()
+		busy := rt.repairing[id]
+		rt.repairing[id] = true
 		rt.repairMu.Unlock()
-		return
+		if !busy {
+			go rt.repairAsync(id, e.stale, e.val, e.ver)
+		}
 	}
-	rt.repairing[id] = true
-	rt.repairMu.Unlock()
-
-	go rt.repairAsync(id, stale, val, ver)
 }
 
 // repairAsync pushes value+version to the stale members. It runs detached

@@ -231,6 +231,10 @@ type Runtime struct {
 	repairMu  sync.Mutex
 	repairing map[store.ObjectID]bool
 
+	// order decides whether a prepare round asks the whole write quorum at
+	// once or its root first (prepareorder.go).
+	order prepareOrder
+
 	// shardStats holds per-shard commit/abort attribution counters (nil
 	// when unsharded); see ShardSnapshot.
 	shardStats []shardCounters

@@ -90,10 +90,14 @@ type Tx struct {
 }
 
 // readEntry is one first access, in a read set or still in the read-ahead
-// buffer: the value and version a read quorum reported for the object.
+// buffer: the value and version a read quorum reported for the object, and
+// the members of that quorum that answered with less (nil when none did) —
+// noted here, repaired by repairReads once the transaction's outcome says the
+// push is worth sending.
 type readEntry struct {
-	val store.Value
-	ver uint64
+	val   store.Value
+	ver   uint64
+	stale []quorum.NodeID
 }
 
 // ID returns the transaction identifier (unique per top-level attempt).
@@ -414,7 +418,7 @@ func (tx *Tx) remoteReadInner(id store.ObjectID, spanID uint64) (store.Value, er
 			return nil, tx.busyAbort(id, t.conflictTx, "object busy past retry budget")
 		}
 
-		e := rt.settle(id, results, t.best)
+		e := rt.settle(results, t.best)
 		tx.recordRead(id, e)
 		return e.val, nil
 	}
@@ -474,14 +478,15 @@ func (rt *Runtime) tallyRead(replies []callResult, prefer int) readTally {
 
 // settle turns the winning reply into the object's first-access entry.
 // Members that answered with an older version (or no object at all) are
-// behind the quorum maximum: the fresh state is pushed back to them
-// asynchronously so revived replicas converge.
-func (rt *Runtime) settle(id store.ObjectID, replies []callResult, best *wire.ReadResponse) readEntry {
-	var e readEntry
-	if best != nil {
-		e = readEntry{val: best.Value, ver: best.Version}
+// behind the quorum maximum; the entry names them for repairReads.
+func (rt *Runtime) settle(replies []callResult, best *wire.ReadResponse) readEntry {
+	if best == nil {
+		return readEntry{}
 	}
-	rt.maybeRepair(id, replies, e.val, e.ver)
+	e := readEntry{val: best.Value, ver: best.Version}
+	if !rt.cfg.NoRepair && e.ver > 0 {
+		e.stale = staleMembers(replies, e.ver)
+	}
 	return e
 }
 
@@ -686,8 +691,11 @@ func (rt *Runtime) commit(ctx context.Context, tx *Tx) error {
 		return nil // every write follows a first-access read: nothing was touched
 	}
 	reads := make([]store.ReadDesc, 0, len(tx.readOrder))
+	stale := false // some read met a member behind the quorum maximum
 	for _, id := range tx.readOrder {
-		reads = append(reads, store.ReadDesc{ID: id, Version: tx.reads[id].ver})
+		e := tx.reads[id]
+		reads = append(reads, store.ReadDesc{ID: id, Version: e.ver})
+		stale = stale || e.stale != nil
 	}
 	var writes []store.WriteDesc
 	var release []store.ObjectID // protections are taken on the whole read set
@@ -709,17 +717,22 @@ func (rt *Runtime) commit(ctx context.Context, tx *Tx) error {
 	if rt.cfg.Shards != nil {
 		parts = partitionCommit(rt.cfg.Shards, reads, writes, release)
 	}
+	var err error
 	if len(writes) == 0 {
-		return rt.commitReadOnly(ctx, tx, parts)
+		err = rt.commitReadOnly(ctx, tx, parts)
+	} else {
+		err = rt.commitParts(ctx, tx, parts)
+		switch _, aborted := AsAbort(err); {
+		case len(parts) > 1 && err == nil:
+			rt.metrics.CrossShardCommits.Add(1)
+		case len(parts) > 1 && aborted:
+			rt.metrics.CrossShardAborts.Add(1)
+		case rt.cfg.Shards != nil && err == nil:
+			rt.metrics.SingleShardCommits.Add(1)
+		}
 	}
-	err := rt.commitParts(ctx, tx, parts)
-	switch _, aborted := AsAbort(err); {
-	case len(parts) > 1 && err == nil:
-		rt.metrics.CrossShardCommits.Add(1)
-	case len(parts) > 1 && aborted:
-		rt.metrics.CrossShardAborts.Add(1)
-	case rt.cfg.Shards != nil && err == nil:
-		rt.metrics.SingleShardCommits.Add(1)
+	if err == nil && stale {
+		rt.repairReads(tx)
 	}
 	return err
 }
@@ -735,7 +748,10 @@ func (rt *Runtime) commit(ctx context.Context, tx *Tx) error {
 // carrying only that part's writes and release set. A single part — an
 // unsharded cluster, or one shard — is the same protocol at its smallest:
 // the selected quorum is the recorded membership, one request serves every
-// member, and the decision is delivered on the caller's goroutine.
+// member, and the decision is delivered on the caller's goroutine. The
+// prepares of a round leave all at once or, while this runtime's rounds are
+// being refused, each part's root first (prepareorder.go); the votes, the
+// records and the decision are the same either way.
 func (rt *Runtime) commitParts(ctx context.Context, tx *Tx, parts []commitPart) error {
 	fo := rt.failover(ctx, tx, tx.seed, wire.KindPrepare, "write quorum")
 	for fo.next() {
@@ -777,11 +793,17 @@ func (rt *Runtime) commitParts(ctx context.Context, tx *Tx, parts []commitPart) 
 		}
 		rt.metrics.Prepares.Add(1)
 		prepStart := time.Now()
-		results := rt.fanoutLegs(ctx, nodes, legs)
+		var results []callResult
+		if rt.order.rootFirst() {
+			results = rt.prepareRootFirst(ctx, nodes, legs)
+		} else {
+			results = rt.fanoutLegs(ctx, nodes, legs)
+		}
 		rt.stages.Prepare.Record(time.Since(prepStart))
 
 		failed := fo.failed(results)
 		yes, no := tallyVotes(results)
+		rt.notePrepareRound(tx, len(no.invalid)+len(no.busy) > 0)
 		if yes == len(nodes) {
 			rt.decideParts(ctx, tx, txid, true, parts, results)
 			return nil
@@ -840,11 +862,12 @@ type refusal struct {
 }
 
 // tallyVotes counts a prepare round's yes votes and collects its refusals;
-// members that failed the round (failover.failed) are neither.
+// members that failed the round (failover.failed) or were not asked are
+// neither.
 func tallyVotes(results []callResult) (yes int, no refusal) {
 	for _, r := range results {
 		switch {
-		case r.err != nil:
+		case r.resp == nil:
 		case r.resp.Prepare.Vote:
 			yes++
 		default:
@@ -895,7 +918,7 @@ func (rt *Runtime) decideParts(ctx context.Context, tx *Tx, txid string, commit 
 			return p.quorum, p.writes
 		}
 		for _, r := range votes {
-			if r.err == nil && r.resp.Prepare.Vote {
+			if r.resp != nil && r.resp.Prepare.Vote {
 				to = append(to, r.node)
 			}
 		}

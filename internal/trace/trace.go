@@ -45,6 +45,10 @@ const (
 	// KindRecomposeSkip is an algorithm-module run whose output matched the
 	// executor's current Block sequence, so the swap was skipped.
 	KindRecomposeSkip
+	// KindPrepareOrder is a client runtime switching between the parallel and
+	// the root-first prepare fan-out (Detail carries the new mode and how many
+	// of its last 64 prepare rounds were refused).
+	KindPrepareOrder
 
 	// numKinds counts the Kind values; it must stay last so the String
 	// coverage test can iterate the enum.
@@ -77,6 +81,8 @@ func (k Kind) String() string {
 		return "wal-fsync"
 	case KindRecomposeSkip:
 		return "recompose-skip"
+	case KindPrepareOrder:
+		return "prepare-order"
 	default:
 		return "unknown"
 	}
