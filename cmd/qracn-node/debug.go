@@ -50,6 +50,7 @@ func nodeExposition(node *server.Node) *metrics.Exposition {
 	e.Histogram("qracn_node_commit_apply_seconds", "Time applying one commit decision (including WAL append).", &st.CommitApply)
 	e.Histogram("qracn_node_repair_apply_seconds", "Time applying one read-repair or anti-entropy push.", &st.RepairApply)
 	e.Histogram("qracn_node_fsync_wait_seconds", "Time a forced log append (yes vote, commit decision) waited for its fsync.", &st.FsyncWait)
+	e.Histogram("qracn_node_checkpoint_hold_seconds", "Time a checkpoint's cut held the commit lock exclusively (prepares and decisions wait for it).", &st.CheckpointHold)
 	e.Gauge("qracn_node_store_objects", "Objects currently resident in the replica store.", float64(node.Store().Len()))
 	recovering := 0.0
 	if node.Recovering() {
@@ -93,6 +94,7 @@ func nodeExposition(node *server.Node) *metrics.Exposition {
 		e.Gauge("qracn_wal_max_batch", "Largest number of appends retired by one fsync.", float64(ws.MaxBatch))
 		e.Counter("qracn_wal_snapshots_total", "Store checkpoints taken.", ws.Snapshots)
 		e.Counter("qracn_wal_segments_removed_total", "Log segments compacted away by checkpoints.", ws.SegmentsRemoved)
+		e.Counter("qracn_wal_checkpoint_failures_total", "Checkpoints that failed; the next attempt waits for another trigger's worth of records.", ws.CheckpointFailures)
 	}
 	return e
 }

@@ -61,7 +61,7 @@ func main() {
 		shardDegree = flag.Int("shard-degree", 0, "tree-quorum degree within each shard group (0: default 3)")
 	)
 	flag.DurationVar(&scfg.StatsWindow, "stats-window", 10*time.Second, "contention observation window (paper: 10s)")
-	flag.IntVar(&scfg.SnapshotEvery, "snapshot-every", 0, "checkpoint the store every N logged records (0: default 4096; negative: never)")
+	flag.IntVar(&scfg.SnapshotEvery, "snapshot-every", 0, "checkpoint the store in the background once N records, or the last snapshot's size if larger, are logged since the last one (0: default 4096; negative: never)")
 	flag.DurationVar(&scfg.ResolveAfter, "resolve-after", 0, "how long a yes vote may sit undecided before this node queries its quorum peers for the outcome (0: 5s default)")
 	flag.DurationVar(&scfg.TTLAbortAfter, "ttl-abort-after", 0, "last-resort abort deadline when a complete peer round finds every participant equally in doubt (0: 60s default; must exceed the clients' -decide-timeout)")
 	flag.IntVar(&scfg.MaxInflight, "max-inflight", 0, "admission control: max concurrently executing gated requests (0 disables the gate)")

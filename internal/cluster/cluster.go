@@ -356,14 +356,15 @@ func (d *deployment) WALStats() dtm.WALStats {
 		}
 		s := w.Stats()
 		ns := dtm.WALStats{
-			Appends:           s.Appends,
-			Records:           s.Records,
-			Fsyncs:            s.Fsyncs,
-			MaxBatch:          s.MaxBatch,
-			Snapshots:         s.Snapshots,
-			SegmentsRemoved:   s.SegmentsRemoved,
-			ReplayedRecords:   s.ReplayedRecords,
-			ReplayedSnapshots: s.ReplayedSnapshot,
+			Appends:            s.Appends,
+			Records:            s.Records,
+			Fsyncs:             s.Fsyncs,
+			MaxBatch:           s.MaxBatch,
+			Snapshots:          s.Snapshots,
+			SegmentsRemoved:    s.SegmentsRemoved,
+			CheckpointFailures: s.CheckpointFailures,
+			ReplayedRecords:    s.ReplayedRecords,
+			ReplayedSnapshots:  s.ReplayedSnapshot,
 		}
 		if s.TornTailTruncated {
 			ns.TornTails = 1
@@ -418,9 +419,19 @@ func (d *deployment) Spans(traceID string) []trace.Span {
 
 // FsyncWait merges the per-node group-commit wait histograms into one.
 func (d *deployment) FsyncWait() *metrics.LatencyHistogram {
+	return d.mergeStage(func(s *server.StageLatencies) *metrics.LatencyHistogram { return &s.FsyncWait })
+}
+
+// CheckpointHold merges the per-node checkpoint exclusive-section histograms
+// into one.
+func (d *deployment) CheckpointHold() *metrics.LatencyHistogram {
+	return d.mergeStage(func(s *server.StageLatencies) *metrics.LatencyHistogram { return &s.CheckpointHold })
+}
+
+func (d *deployment) mergeStage(pick func(*server.StageLatencies) *metrics.LatencyHistogram) *metrics.LatencyHistogram {
 	out := &metrics.LatencyHistogram{}
 	for _, n := range d.Nodes {
-		out.Merge(&n.Stages().FsyncWait)
+		out.Merge(pick(n.Stages()))
 	}
 	return out
 }

@@ -114,8 +114,12 @@ func TestNodeTemplateReachesEveryNode(t *testing.T) {
 				if got := n.AdmissionStats().Admitted; got != 3 {
 					t.Errorf("node %d: admission gate admitted %d, want 3 (Node.MaxInflight not applied)", n.ID(), got)
 				}
-				if got := n.WAL().Stats().Snapshots - before; got == 0 {
-					t.Errorf("node %d: no checkpoint after 4 records (Node.SnapshotEvery = 2 not applied)", n.ID())
+				// The checkpoint runs in the background: wait for it.
+				for deadline := time.Now().Add(10 * time.Second); n.WAL().Stats().Snapshots == before; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Errorf("node %d: no checkpoint after 5 records (Node.SnapshotEvery = 2 not applied)", n.ID())
+						break
+					}
 				}
 			}
 			if len(tracers) != len(c.Nodes) {

@@ -132,6 +132,8 @@ type WALStats struct {
 	Snapshots uint64
 	// SegmentsRemoved counts log segments compacted away by checkpoints.
 	SegmentsRemoved uint64
+	// CheckpointFailures counts checkpoints that failed.
+	CheckpointFailures uint64
 	// ReplayedRecords counts log records re-applied during recovery.
 	ReplayedRecords uint64
 	// ReplayedSnapshots counts objects restored from snapshots during
@@ -151,6 +153,7 @@ func (w *WALStats) Add(o WALStats) {
 	}
 	w.Snapshots += o.Snapshots
 	w.SegmentsRemoved += o.SegmentsRemoved
+	w.CheckpointFailures += o.CheckpointFailures
 	w.ReplayedRecords += o.ReplayedRecords
 	w.ReplayedSnapshots += o.ReplayedSnapshots
 	w.TornTails += o.TornTails

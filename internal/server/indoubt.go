@@ -146,44 +146,76 @@ func (n *Node) InDoubt() []string {
 	return ids
 }
 
-// sortRecordsByTxID orders re-appended prepare records deterministically.
-func sortRecordsByTxID(recs []wal.Record) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].TxID < recs[j].TxID })
+// decidedGen is one generation of the decided-outcome memory. The map
+// answers lookups. On a durable node the log lists the same outcomes in the
+// order their records were logged, append-only, so a checkpoint's cut takes
+// a generation by its slice header instead of copying a map of up to
+// decidedCap entries under the commit lock (Node.cut).
+type decidedGen struct {
+	outcome map[string]bool
+	log     []decidedOutcome
+}
+
+type decidedOutcome struct {
+	txID   string
+	commit bool
 }
 
 // decidedLocked looks up a transaction's known outcome. Caller holds idMu.
 func (n *Node) decidedLocked(txID string) (commit, known bool) {
-	if c, ok := n.decidedCur[txID]; ok {
+	if c, ok := n.decidedCur.outcome[txID]; ok {
 		return c, true
 	}
-	if c, ok := n.decidedPrev[txID]; ok {
+	if c, ok := n.decidedPrev.outcome[txID]; ok {
 		return c, true
 	}
 	return false, false
 }
 
-// setDecidedLocked records a transaction's outcome, rotating the bounded
-// generations when the current one fills. Caller holds idMu.
+// setDecidedLocked records a transaction's outcome whose record is logged
+// (or, for a presumed abort, is staged within the same commitMu hold).
+// Caller holds idMu.
 func (n *Node) setDecidedLocked(txID string, commit bool) {
-	if len(n.decidedCur) >= decidedCap {
-		if len(n.decidedPrev) > 0 {
+	if key, fresh := n.rememberLocked(txID, commit); fresh {
+		n.logDecidedLocked(key, commit)
+	}
+}
+
+// rememberLocked puts an outcome in the lookup maps only, rotating the
+// bounded generations when the current one fills. It returns the key it
+// retained and whether the outcome is new. Caller holds idMu.
+func (n *Node) rememberLocked(txID string, commit bool) (string, bool) {
+	if len(n.decidedCur.outcome) >= decidedCap {
+		if len(n.decidedPrev.outcome) > 0 {
 			// Outcomes are being dropped: unknown-tx status answers degrade
 			// from an abort promise to Unknown for the rest of this process's
 			// life (see decidedCap).
 			n.evictedDecided = true
 		}
 		n.decidedPrev = n.decidedCur
-		n.decidedCur = make(map[string]bool, decidedCap/4)
+		n.decidedCur = decidedGen{outcome: make(map[string]bool, decidedCap/4)}
 	}
-	if prev, ok := n.decidedCur[txID]; ok && prev == commit {
-		return
+	if prev, ok := n.decidedCur.outcome[txID]; ok && prev == commit {
+		return "", false
 	}
 	// The outcome memory holds 2×decidedCap entries for hours; txID may be a
 	// view into the decision that carried it (wire.DecodeEnvelope), and one
 	// retained ID must not retain one whole frame — so the map is only ever
 	// assigned under a copy (assigning under an existing key adopts the
 	// caller's copy of it too).
-	n.decidedCur[strings.Clone(txID)] = commit
+	key := strings.Clone(txID)
+	n.decidedCur.outcome[key] = commit
+	return key, true
+}
+
+// logDecidedLocked lists a remembered outcome in the current generation's
+// log once its record is logged; volatile nodes keep no log. Caller holds
+// idMu, and commitMu shared if the record was appended after the outcome
+// was remembered, so that no cut falls between the record and this entry.
+func (n *Node) logDecidedLocked(key string, commit bool) {
+	if n.wal != nil {
+		n.decidedCur.log = append(n.decidedCur.log, decidedOutcome{key, commit})
+	}
 }
 
 // registerPrepare durably records a yes vote before it is sent: the entry
@@ -204,11 +236,11 @@ func (n *Node) registerPrepare(rec wal.Record, traceID string, serveID uint64) e
 	n.inDoubt[rec.TxID] = &inDoubtTx{rec: rec, prepared: n.now()}
 	n.idMu.Unlock()
 	if n.wal != nil {
-		// The shared commitMu orders this append against checkpoints: the
-		// record lands either before the checkpoint gathers its in-doubt
-		// view (the entry above is already in the table, so the carry-over
-		// preserves it across compaction) or in the fresh post-compaction
-		// segment — never in a segment about to be deleted behind its back.
+		// The shared commitMu orders this append against checkpoint cuts:
+		// the record lands either below a cut, whose copy of the in-doubt
+		// table already holds the entry above (the carry-over preserves it
+		// across compaction), or at or above it, in a segment replay visits
+		// — never in a segment about to be deleted behind its back.
 		n.commitMu.RLock()
 		err := n.appendForced(rec.TxID, traceID, serveID, rec)
 		n.commitMu.RUnlock()
@@ -320,10 +352,10 @@ func (n *Node) applyDecision(txID string, commit bool, writes []store.WriteDesc,
 		}
 	}
 
-	// The shared commitMu keeps the append→apply→publish window out of
-	// snapshots: a checkpoint either serializes before this decision's
-	// records (and may compact only segments that don't hold them) or after
-	// the outcome is published (and carries it across the compaction).
+	// The shared commitMu keeps the append→apply→publish window away from a
+	// checkpoint's cut: the cut comes either before this decision's records
+	// (which then sit at or above it, where replay looks) or after the
+	// outcome is applied and published (and the carry-over holds it).
 	n.commitMu.RLock()
 	if commit {
 		// Durability point: the whole write-set plus the decision record is
@@ -450,7 +482,7 @@ func (n *Node) handleTxStatus(req *wire.Request) *wire.Response {
 			n.idMu.Unlock()
 			return &wire.Response{Status: wire.StatusOK, TxStatus: &wire.TxStatusResponse{State: wire.TxStateUnknown}}
 		}
-		n.setDecidedLocked(req.TxID, false)
+		key, _ := n.rememberLocked(req.TxID, false)
 		if n.wal == nil {
 			n.idMu.Unlock()
 			return txStateResponse(false)
@@ -461,19 +493,23 @@ func (n *Node) handleTxStatus(req *wire.Request) *wire.Response {
 
 		// The abort promise must survive a crash: without it a restarted
 		// node could vote yes on a late prepare the asker already aborted
-		// against. commitMu orders the record against checkpoints exactly
-		// like a prepare's (see registerPrepare).
+		// against. commitMu orders the record against checkpoint cuts like a
+		// prepare's (see registerPrepare), and is held until the outcome is
+		// in the decided log too: a cut then either finds it there or finds
+		// the record at or above the cut. A promise whose record failed never
+		// reaches the log, so no checkpoint carries it.
 		n.commitMu.RLock()
 		err := n.wal.Append(wal.Record{Type: wal.RecordDecision, TxID: req.TxID})
-		n.commitMu.RUnlock()
-
 		n.idMu.Lock()
 		delete(n.tombstoning, req.TxID)
 		if err != nil {
-			delete(n.decidedCur, req.TxID)
-			delete(n.decidedPrev, req.TxID)
+			delete(n.decidedCur.outcome, req.TxID)
+			delete(n.decidedPrev.outcome, req.TxID)
+		} else {
+			n.logDecidedLocked(key, false)
 		}
 		n.idMu.Unlock()
+		n.commitMu.RUnlock()
 		close(ch)
 		if err != nil {
 			return &wire.Response{Status: wire.StatusError, Detail: "wal: " + err.Error()}

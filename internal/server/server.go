@@ -42,6 +42,10 @@ type StageLatencies struct {
 	// FsyncWait is the wait of every forced WAL append: a yes vote's prepare
 	// record inside PrepareServe, a commit decision inside CommitApply.
 	FsyncWait metrics.LatencyHistogram
+	// CheckpointHold is how long each checkpoint's cut held commitMu
+	// exclusively: the only part of a checkpoint prepares and decisions on
+	// the node wait for.
+	CheckpointHold metrics.LatencyHistogram
 }
 
 // Config tunes a node.
@@ -57,9 +61,11 @@ type Config struct {
 	// decisions, read-repair pushes and anti-entropy transfers are logged
 	// unforced: recovery does without the ones a crash loses.
 	WAL *wal.Log
-	// SnapshotEvery triggers an automatic store checkpoint (snapshot +
-	// segment compaction) once that many records have been appended since
-	// the last one (0: default 4096; negative: never automatically).
+	// SnapshotEvery is the floor of the automatic checkpoint trigger: a
+	// checkpoint (snapshot + segment compaction, in the background) is due
+	// once the records logged since the last one's cut reach the larger of
+	// SnapshotEvery and the size of the last snapshot, objects plus carried
+	// records (0: default 4096; negative: never automatically).
 	SnapshotEvery int
 	// Tracer, when non-nil and enabled, records a serve span for every
 	// request that carries a trace ID (plus protocol events like WAL-fsync
@@ -124,12 +130,15 @@ type Node struct {
 
 	wal      *wal.Log
 	snapEvry uint64
-	// commitMu serializes checkpoints against the append→apply window of
+	// commitMu orders a checkpoint's cut against the append→apply window of
 	// in-flight writes: writers hold it shared across (WAL append, store
-	// apply), Checkpoint takes it exclusively, so a snapshot can never cover
-	// a log record whose store apply had not happened yet.
+	// apply), the cut takes it exclusively, so every record in a segment
+	// below the cut has its store apply behind it.
 	commitMu sync.RWMutex
-	snapping atomic.Bool
+	// ckMu runs one checkpoint per node at a time; ckAuto is set while an
+	// automatic one is scheduled or running.
+	ckMu   sync.Mutex
+	ckAuto atomic.Bool
 
 	// recovering gates the recovery handshake: while set, every request but
 	// KindPing is refused with StatusUnavailable so clients fail over
@@ -148,8 +157,8 @@ type Node struct {
 	// answer Unknown instead of promising abort.
 	idMu           sync.Mutex
 	inDoubt        map[string]*inDoubtTx
-	decidedCur     map[string]bool
-	decidedPrev    map[string]bool
+	decidedCur     decidedGen
+	decidedPrev    decidedGen
 	tombstoning    map[string]chan struct{}
 	evictedDecided bool
 	resCtr         resolutionCounters
@@ -209,8 +218,8 @@ func NewNode(id quorum.NodeID, cfg Config) *Node {
 		snapEvry:      snapEvery,
 		tracer:        cfg.Tracer,
 		inDoubt:       make(map[string]*inDoubtTx),
-		decidedCur:    make(map[string]bool),
-		decidedPrev:   make(map[string]bool),
+		decidedCur:    decidedGen{outcome: make(map[string]bool)},
+		decidedPrev:   decidedGen{outcome: make(map[string]bool)},
 		tombstoning:   make(map[string]chan struct{}),
 		now:           now,
 		resolveAfter:  cfg.ResolveAfter,
@@ -365,8 +374,8 @@ func (n *Node) Recovering() bool { return n.recovering.Load() }
 // logRepair stages convergence writes (read-repair pushes, anti-entropy
 // transfers) unforced: the push is best effort, and a replica that loses one
 // in a crash is behind again and is repaired again. Callers hold n.commitMu
-// shared, so a checkpoint cannot snapshot the applied value and compact
-// around a record still to come.
+// shared across apply and log, so a record below a checkpoint's cut always
+// has its value in the snapshot taken after it.
 func (n *Node) logRepair(source string, writes ...store.WriteDesc) error {
 	if n.wal == nil {
 		return nil
@@ -374,60 +383,83 @@ func (n *Node) logRepair(source string, writes ...store.WriteDesc) error {
 	return n.wal.AppendUnforced(writeRecords(source, writes)...)
 }
 
-// Checkpoint snapshots the replica into the WAL and compacts old segments.
-// No-op on volatile nodes.
+// Checkpoint snapshots the replica into the WAL and compacts old segments,
+// returning once that is done; one already running (an automatic one) is
+// waited for first. No-op on volatile nodes.
 //
-// The snapshot captures object state only, so the node's live 2PC memory —
-// in-doubt prepares (undecided yes votes whose protections must survive) and
-// the decided-outcome window (promises already made to resolving peers) —
-// rides along as carry-over records that wal.Checkpoint makes durable in the
-// fresh segment BEFORE compaction removes the old ones. Compaction therefore
-// never drops a promise, with no crash window in between. The exclusive
-// commitMu (every protocol-record append holds it shared) guarantees the
-// in-doubt/decided view gathered here covers every record a compacted
-// segment could hold.
+// Only the cut holds commitMu, exclusively: the log rolls to segment N, the
+// in-doubt table is copied and the decided-outcome logs are taken as they
+// stand. Every record
+// below N then has its store apply behind it, and the snapshot, taken after
+// the lock is released, reflects them: a value applied later is durable too
+// (a commit is forced before it is applied; a repair pushes a committed
+// version), and one whose record lies at or above N replays version-max over
+// it. The snapshot captures object state only, so the node's live 2PC memory
+// — in-doubt prepares (undecided yes votes whose protections must survive)
+// and the decided-outcome window (promises already made to resolving peers)
+// — rides along as carry-over records, durable at or above N before
+// compaction removes anything (wal.Log.FinishCheckpoint). Compaction
+// therefore never drops a promise, with no crash window in between.
 func (n *Node) Checkpoint() error {
 	if n.wal == nil {
 		return nil
 	}
-	n.commitMu.Lock()
-	defer n.commitMu.Unlock()
-	snap := n.store.Snapshot()
-	objs := make([]store.WriteDesc, 0, len(snap))
-	for id, o := range snap {
-		objs = append(objs, store.WriteDesc{ID: id, Value: o.Value, NewVersion: o.Version})
+	n.ckMu.Lock()
+	defer n.ckMu.Unlock()
+	idx, live, decided, err := n.cut()
+	if err != nil {
+		return err
 	}
-	n.idMu.Lock()
-	keep := make([]wal.Record, 0, len(n.inDoubt)+len(n.decidedCur)+len(n.decidedPrev))
-	for _, e := range n.inDoubt {
-		keep = append(keep, e.rec)
-	}
-	for tx, commit := range n.decidedPrev {
-		if _, ok := n.decidedCur[tx]; !ok {
-			keep = append(keep, wal.Record{Type: wal.RecordDecision, TxID: tx, Commit: commit})
+	keep := append(make([]wal.Record, 0, len(live)+len(decided[0])+len(decided[1])), live...)
+	// Oldest generation first: replay keeps the last outcome it reads.
+	for _, gen := range decided {
+		for _, d := range gen {
+			keep = append(keep, wal.Record{Type: wal.RecordDecision, TxID: d.txID, Commit: d.commit})
 		}
 	}
-	for tx, commit := range n.decidedCur {
-		keep = append(keep, wal.Record{Type: wal.RecordDecision, TxID: tx, Commit: commit})
-	}
-	n.idMu.Unlock()
-	sortRecordsByTxID(keep)
-	return n.wal.Checkpoint(objs, keep...)
+	return n.wal.FinishCheckpoint(idx, n.store.Committed(), keep...)
 }
 
-// maybeCheckpoint runs an automatic checkpoint when enough records have
-// accumulated since the last one. It runs at most one at a time and in the
-// caller's goroutine (the commit that trips the threshold pays for it, a
-// deliberate choice: backpressure instead of an unbounded snapshot queue).
+// cut is a checkpoint's exclusive section (see Checkpoint): the log's cut
+// index, the in-doubt prepares, and the two decided generations' logs as
+// they stand (slice headers: entries are only ever appended past them).
+func (n *Node) cut() (idx uint64, live []wal.Record, decided [2][]decidedOutcome, err error) {
+	n.commitMu.Lock()
+	start := time.Now()
+	defer func() {
+		n.stages.CheckpointHold.Record(time.Since(start))
+		n.commitMu.Unlock()
+	}()
+	if idx, err = n.wal.Cut(); err != nil {
+		return 0, nil, decided, err
+	}
+	n.idMu.Lock()
+	defer n.idMu.Unlock()
+	decided = [2][]decidedOutcome{n.decidedPrev.log, n.decidedCur.log}
+	live = make([]wal.Record, 0, len(n.inDoubt))
+	for _, e := range n.inDoubt {
+		live = append(live, e.rec)
+	}
+	return idx, live, decided, nil
+}
+
+// maybeCheckpoint starts an automatic checkpoint in the background once one
+// is due (wal.Log.CheckpointDue), unless one is already scheduled or
+// running; the commit decision that found it due does not wait for it.
 func (n *Node) maybeCheckpoint() {
-	if n.wal == nil || n.snapEvry == 0 || n.wal.RecordsSinceSnapshot() < n.snapEvry {
+	if n.wal == nil || n.snapEvry == 0 || !n.wal.CheckpointDue(n.snapEvry) {
 		return
 	}
-	if !n.snapping.CompareAndSwap(false, true) {
+	if !n.ckAuto.CompareAndSwap(false, true) {
 		return
 	}
-	defer n.snapping.Store(false)
-	_ = n.Checkpoint()
+	go func() {
+		defer n.ckAuto.Store(false)
+		// A failure is counted by the log (Stats.CheckpointFailures), and the
+		// cut restarted the trigger count: the next attempt comes a whole
+		// threshold later, not on the next decision.
+		_ = n.Checkpoint()
+	}()
 }
 
 // Handle implements transport.Handler. Batch requests fan their

@@ -200,7 +200,9 @@ func (s *Store) insert(id ObjectID) *object {
 }
 
 // Seed installs an object with version 1, overwriting any previous state.
-// It is meant for initial data loading before transactions run.
+// It is meant for initial data loading before transactions run. Like
+// SeedBatch, it installs v itself: the caller hands it over and must not
+// mutate it afterwards (see Committed).
 func (s *Store) Seed(id ObjectID, v Value) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -426,9 +428,8 @@ func (s *Store) IDs() []ObjectID {
 
 // Snapshot returns a deep copy of value+version for every object, together
 // with the protections in force on it (exclusive holder, shared holders;
-// lapsed leases are left out). Checkpoints use the values; invariant-checking
-// tests audit the holds — a stranded shared hold refuses no read, so this is
-// the only place it shows.
+// lapsed leases are left out). Invariant-checking tests audit the holds — a
+// stranded shared hold refuses no read, so this is the only place it shows.
 func (s *Store) Snapshot() map[ObjectID]Object {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -447,6 +448,21 @@ func (s *Store) Snapshot() map[ObjectID]Object {
 			c.Value = o.value.CloneValue()
 		}
 		out[id] = c
+	}
+	return out
+}
+
+// Committed returns every object's committed value and version, for a
+// checkpoint's snapshot. The values are the installed ones, not copies:
+// Apply and Restore install clones and Get hands out clones, so an installed
+// value is never mutated, and the caller must not mutate it either. The read
+// lock is held for one pointer-copying pass.
+func (s *Store) Committed() []WriteDesc {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]WriteDesc, 0, len(s.objs))
+	for id, o := range s.objs {
+		out = append(out, WriteDesc{ID: id, Value: o.value, NewVersion: o.version})
 	}
 	return out
 }

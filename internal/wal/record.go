@@ -295,33 +295,30 @@ func ReadSnapshot(path string) ([]store.WriteDesc, error) {
 	return objs, nil
 }
 
-// writeSnapshotFile atomically writes a CRC-framed snapshot: temp file,
-// fsync, rename, directory fsync.
-func writeSnapshotFile(dir string, idx uint64, objs []store.WriteDesc) error {
+// writeSnapshotTemp writes a CRC-framed snapshot to a synced temporary file
+// in dir, which recovery ignores, and returns its path; the caller renames it
+// into place (FinishCheckpoint) or removes it.
+func writeSnapshotTemp(dir string, objs []store.WriteDesc) (string, error) {
 	payload, err := appendSnapshotBody(nil, objs)
 	if err != nil {
-		return fmt.Errorf("wal: encode snapshot: %w", err)
+		return "", fmt.Errorf("wal: encode snapshot: %w", err)
 	}
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
-		return err
+		return "", err
 	}
-	defer os.Remove(tmp.Name())
-	if err := writeFrame(tmp, payload); err != nil {
-		tmp.Close()
-		return err
+	err = writeFrame(tmp, payload)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err != nil {
+		os.Remove(tmp.Name())
+		return "", err
 	}
-	if err := os.Rename(tmp.Name(), snapshotPath(dir, idx)); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return tmp.Name(), nil
 }
 
 // syncDir fsyncs a directory so renames and removals are durable.

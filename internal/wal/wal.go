@@ -74,10 +74,13 @@ type Stats struct {
 	// a single fsync covered.
 	Fsyncs   uint64
 	MaxBatch uint64
-	// Snapshots counts checkpoints taken; SegmentsRemoved counts segment
-	// files deleted by compaction.
-	Snapshots       uint64
-	SegmentsRemoved uint64
+	// Snapshots counts checkpoints whose snapshot is in place;
+	// SegmentsRemoved counts segment files deleted by compaction;
+	// CheckpointFailures counts checkpoints that failed (one stopped by Close
+	// or Crash is not a failure).
+	Snapshots          uint64
+	SegmentsRemoved    uint64
+	CheckpointFailures uint64
 	// ReplayedRecords and ReplayedSnapshot describe the last recovery:
 	// log records replayed and objects loaded from the snapshot.
 	ReplayedRecords  uint64
@@ -141,14 +144,27 @@ type Log struct {
 	size   int64         // bytes written to the active segment
 	segIdx uint64        // active segment index
 
-	recsSinceSnap atomic.Uint64
+	// dirMu is held across each of a checkpoint's directory mutations (the
+	// snapshot's temporary file, its rename, the compaction). Close and Crash
+	// take it once after closing: one in progress finishes, and none starts
+	// after they return.
+	dirMu sync.Mutex
+	// recsSinceCut counts records logged since the last checkpoint's cut, not
+	// counting its carry-over; lastSnap is the size of the newest snapshot
+	// (objects + carried records; at Open, the objects recovery loaded). The
+	// two make the automatic trigger (CheckpointDue).
+	recsSinceCut atomic.Uint64
+	lastSnap     atomic.Uint64
+	// ckHook is the test seam of SetCheckpointHook (nil in production).
+	ckHook atomic.Pointer[func(CheckpointStep)]
 
-	appends  atomic.Uint64
-	records  atomic.Uint64
-	fsyncs   atomic.Uint64
-	maxBatch atomic.Uint64
-	snaps    atomic.Uint64
-	removed  atomic.Uint64
+	appends    atomic.Uint64
+	records    atomic.Uint64
+	fsyncs     atomic.Uint64
+	maxBatch   atomic.Uint64
+	snaps      atomic.Uint64
+	removed    atomic.Uint64
+	ckFailures atomic.Uint64
 
 	// Slow-disk fault injection (tests only; both zero in production).
 	// syncDelay stalls every fsync by the given nanoseconds — the shape of a
@@ -313,6 +329,7 @@ func (l *Log) recover() (*Recovered, error) {
 	}
 	l.replayedRecords = uint64(rec.LogRecords)
 	l.replayedSnap = uint64(rec.SnapshotObjects)
+	l.lastSnap.Store(l.replayedSnap)
 	l.tornTail = rec.TornTail
 	return rec, nil
 }
@@ -336,21 +353,27 @@ func (l *Log) Dir() string { return l.dir }
 // Stats returns a snapshot of the log's counters.
 func (l *Log) Stats() Stats {
 	return Stats{
-		Appends:           l.appends.Load(),
-		Records:           l.records.Load(),
-		Fsyncs:            l.fsyncs.Load(),
-		MaxBatch:          l.maxBatch.Load(),
-		Snapshots:         l.snaps.Load(),
-		SegmentsRemoved:   l.removed.Load(),
-		ReplayedRecords:   l.replayedRecords,
-		ReplayedSnapshot:  l.replayedSnap,
-		TornTailTruncated: l.tornTail,
+		Appends:            l.appends.Load(),
+		Records:            l.records.Load(),
+		Fsyncs:             l.fsyncs.Load(),
+		MaxBatch:           l.maxBatch.Load(),
+		Snapshots:          l.snaps.Load(),
+		SegmentsRemoved:    l.removed.Load(),
+		CheckpointFailures: l.ckFailures.Load(),
+		ReplayedRecords:    l.replayedRecords,
+		ReplayedSnapshot:   l.replayedSnap,
+		TornTailTruncated:  l.tornTail,
 	}
 }
 
-// RecordsSinceSnapshot reports appends since the last checkpoint, the
-// trigger input for automatic snapshots.
-func (l *Log) RecordsSinceSnapshot() uint64 { return l.recsSinceSnap.Load() }
+// CheckpointDue reports whether an automatic checkpoint is due: the records
+// logged since the last cut are at least the larger of floor and the size of
+// the last snapshot. Checkpoint work per logged record is then bounded by a
+// constant however large the store grows, and replay reads the carry-over
+// plus less than one such threshold of records.
+func (l *Log) CheckpointDue(floor uint64) bool {
+	return l.recsSinceCut.Load() >= max(floor, l.lastSnap.Load())
+}
 
 // SetSyncDelay injects a stall of d into every subsequent fsync (0 clears
 // it). Staging continues during the stall, so appends pile into the next
@@ -362,6 +385,35 @@ func (l *Log) SetSyncDelay(d time.Duration) { l.syncDelay.Store(int64(d)) }
 // synced, modelling a disk that flushes but answers with errors — appenders
 // must treat the batch as failed. Test-only.
 func (l *Log) SetSyncFailEvery(n int64) { l.syncFailEvery.Store(n) }
+
+// CheckpointStep names a point of FinishCheckpoint at which the hook of
+// SetCheckpointHook runs.
+type CheckpointStep int
+
+const (
+	// StepCut: the cut is taken, nothing of the checkpoint is written yet.
+	StepCut CheckpointStep = iota
+	// StepCarried: the carry-over is durable; no snapshot file exists yet.
+	StepCarried
+	// StepSnapshotWritten: the snapshot is written and synced under its
+	// temporary name, not yet renamed into place.
+	StepSnapshotWritten
+	// StepRenamed: the snapshot is in place, the segments it covers are not
+	// yet removed.
+	StepRenamed
+)
+
+// SetCheckpointHook makes every later checkpoint call fn at each of its
+// steps, in the checkpoint's goroutine (nil clears it). A hook that blocks
+// holds the checkpoint there, with no lock of the log held, so a test can
+// crash the log at that step. Test-only.
+func (l *Log) SetCheckpointHook(fn func(CheckpointStep)) { l.ckHook.Store(&fn) }
+
+func (l *Log) step(s CheckpointStep) {
+	if fn := l.ckHook.Load(); fn != nil && *fn != nil {
+		(*fn)(s)
+	}
+}
 
 // Append durably logs one commit's records: it stages the frames, then
 // blocks until an fsync covering them completes. On return the records
@@ -377,6 +429,39 @@ func (l *Log) Append(recs ...Record) error {
 		l.mu.Unlock()
 		return err
 	}
+	return l.awaitSync(ch)
+}
+
+// appendCarry is Append for a checkpoint's carry-over. The records are
+// framed before the staging lock is taken — they can be a whole
+// decided-outcome memory, and no appender should wait while they are
+// encoded — and they do not count toward the checkpoint trigger.
+func (l *Log) appendCarry(recs []Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	var frames []byte
+	for i := range recs {
+		var err error
+		if frames, err = AppendRecordFrame(frames, &recs[i]); err != nil {
+			return fmt.Errorf("wal: encode record: %w", err)
+		}
+	}
+	ch := make(chan error, 1)
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return ErrClosed
+	}
+	l.buf.Write(frames)
+	l.countStagedLocked(len(recs))
+	return l.awaitSync(ch)
+}
+
+// awaitSync queues ch for the fsync that covers what the caller has just
+// staged, leads that fsync if none is in flight, and returns its result.
+// Callers hold l.mu; awaitSync releases it.
+func (l *Log) awaitSync(ch chan error) error {
 	l.waiters = append(l.waiters, ch)
 	if l.syncing {
 		l.mu.Unlock()
@@ -392,10 +477,10 @@ func (l *Log) Append(recs ...Record) error {
 }
 
 // AppendUnforced stages records without waiting for them to be durable: the
-// next fsync covers them — any forced append's, Checkpoint's or Close's, or
-// the log's own within FsyncInterval. A crash before that loses them, so it
-// is only for records recovery reconstructs without (presumed-abort
-// decisions, best-effort repair writes).
+// next fsync covers them — any forced append's or Close's, or the log's own
+// within FsyncInterval. A crash before that loses them, so it is only for
+// records recovery reconstructs without (presumed-abort decisions,
+// best-effort repair writes).
 func (l *Log) AppendUnforced(recs ...Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -428,8 +513,9 @@ func (l *Log) lingerSync() {
 }
 
 // stageLocked frames one append call's records into the staging buffer (all
-// or none). It reuses a scratch buffer, so steady-state staging performs no
-// per-record allocation. Callers hold l.mu.
+// or none) and counts them toward the checkpoint trigger. It reuses a
+// scratch buffer, so steady-state staging performs no per-record allocation.
+// Callers hold l.mu.
 func (l *Log) stageLocked(recs []Record) error {
 	if l.closed {
 		return ErrClosed
@@ -444,11 +530,17 @@ func (l *Log) stageLocked(recs []Record) error {
 		l.scratch = frame
 		l.buf.Write(frame)
 	}
-	l.records.Add(uint64(len(recs)))
-	l.recsSinceSnap.Add(uint64(len(recs)))
+	l.recsSinceCut.Add(uint64(len(recs)))
+	l.countStagedLocked(len(recs))
+	return nil
+}
+
+// countStagedLocked counts one append call of n records just staged.
+// Callers hold l.mu.
+func (l *Log) countStagedLocked(n int) {
+	l.records.Add(uint64(n))
 	l.appends.Add(1)
 	l.batch++
-	return nil
 }
 
 // leadLocked runs one sync as leader: it takes everything staged, releases
@@ -542,81 +634,148 @@ func (l *Log) roll() error {
 	return l.openActiveSegment()
 }
 
-// Checkpoint writes a snapshot of the given object state, rolls to a fresh
-// segment, and compacts: segments and snapshots fully covered by the new
-// snapshot are deleted. The caller must guarantee objs reflects at least
-// every record appended and synced before the call (the server guards the
-// append→apply window with a commit lock).
-//
-// keep records (live in-doubt prepares and decided outcomes, which the
-// snapshot's object state does not capture) are carried across the
-// compaction atomically: they are appended to the fresh active segment and
-// fsynced BEFORE any old segment is removed, so there is no crash window in
-// which a durable promise exists only in segments that are already gone.
-func (l *Log) Checkpoint(objs []store.WriteDesc, keep ...Record) error {
+// Cut opens a checkpoint: it rolls to a fresh segment and returns its index
+// N, so every record in a segment below N was logged before the call. The
+// caller snapshots state reflecting at least those records (the server holds
+// its commit lock exclusively across Cut) and passes it to FinishCheckpoint
+// with N; checkpoints of one log must not overlap. Cut syncs only what forced
+// appenders left staged (none under the server's lock): unforced records
+// staged before it reach segment N with the next sync, which replay visits.
+// The trigger count (CheckpointDue) restarts here, whatever the outcome.
+func (l *Log) Cut() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.recsSinceCut.Store(0)
 	l.quiesceLocked()
 	if l.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	// Make everything staged durable, then roll so the snapshot covers
-	// every segment before the new active one.
-	if err := l.syncLocked(); err != nil {
-		return err
+	if len(l.waiters) > 0 {
+		if err := l.syncLocked(); err != nil {
+			l.ckFailures.Add(1)
+			return 0, err
+		}
 	}
 	if l.size > 0 {
 		if err := l.roll(); err != nil {
-			return err
+			l.ckFailures.Add(1)
+			return 0, err
 		}
 	}
-	snapIdx := l.segIdx // covers all segments < segIdx
-	if len(keep) > 0 {
-		if err := l.stageLocked(keep); err != nil {
-			return err
-		}
-		// Durability point of the carry-over: fsynced into segment snapIdx
-		// (which replay visits — only segments below the snapshot index are
-		// skipped) while every old segment still exists. A crash at any
-		// point from here on recovers the kept records from one side or the
-		// other; duplicates replay idempotently.
-		if err := l.syncLocked(); err != nil {
-			return err
-		}
+	return l.segIdx, nil
+}
+
+// FinishCheckpoint completes the checkpoint Cut opened at idx, with no lock
+// of the log held and concurrently with appends: objs is the object state
+// (every record below idx reflected in it), keep the records the snapshot
+// does not capture (live in-doubt prepares, decided outcomes).
+//
+// Order is what makes it crash-safe. keep is appended first, through the
+// ordinary group commit, into a segment at or above idx — replay visits
+// those — while every old segment still exists; it does not count toward
+// the next trigger. Then the snapshot is written (temp file, fsync, rename,
+// directory fsync) as snap-idx, then the segments and snapshots it covers are
+// removed. A crash at any point recovers from the old snapshot and segments
+// or from the new ones; a carried prepare that lands after its own decision
+// is ignored by recovery, and duplicates replay idempotently.
+//
+// Once Close or Crash has returned, the checkpoint creates, renames and
+// removes nothing more in the directory (but its own temporary file) and
+// returns ErrClosed.
+func (l *Log) FinishCheckpoint(idx uint64, objs []store.WriteDesc, keep ...Record) error {
+	err := l.finish(idx, objs, keep)
+	if err != nil && !errors.Is(err, ErrClosed) {
+		l.ckFailures.Add(1)
 	}
-	if err := writeSnapshotFile(l.dir, snapIdx, objs); err != nil {
+	return err
+}
+
+func (l *Log) finish(idx uint64, objs []store.WriteDesc, keep []Record) error {
+	l.step(StepCut)
+	if err := l.appendCarry(keep); err != nil {
+		return err
+	}
+	l.step(StepCarried)
+	var tmp string
+	if err := l.inDir(func() (err error) {
+		tmp, err = writeSnapshotTemp(l.dir, objs)
+		return err
+	}); err != nil {
+		return err
+	}
+	defer os.Remove(tmp) // gone already once renamed
+	l.step(StepSnapshotWritten)
+	if err := l.inDir(func() error {
+		if err := os.Rename(tmp, snapshotPath(l.dir, idx)); err != nil {
+			return err
+		}
+		return syncDir(l.dir)
+	}); err != nil {
 		return err
 	}
 	l.snaps.Add(1)
-	l.recsSinceSnap.Store(0)
-
-	// Compaction: older segments and snapshots are now redundant.
-	if segIdxs, err := listIndexed(l.dir, segmentPrefix, segmentSuffix); err == nil {
-		for _, idx := range segIdxs {
-			if idx < snapIdx {
-				if os.Remove(segmentPath(l.dir, idx)) == nil {
+	l.lastSnap.Store(uint64(len(objs) + len(keep)))
+	l.step(StepRenamed)
+	return l.inDir(func() error {
+		if segIdxs, err := listIndexed(l.dir, segmentPrefix, segmentSuffix); err == nil {
+			for _, i := range segIdxs {
+				if i < idx && os.Remove(segmentPath(l.dir, i)) == nil {
 					l.removed.Add(1)
 				}
 			}
 		}
-	}
-	if snapIdxs, err := listIndexed(l.dir, snapshotPrefix, snapshotSuffix); err == nil {
-		for _, idx := range snapIdxs {
-			if idx < snapIdx {
-				_ = os.Remove(snapshotPath(l.dir, idx))
+		if snapIdxs, err := listIndexed(l.dir, snapshotPrefix, snapshotSuffix); err == nil {
+			for _, i := range snapIdxs {
+				if i < idx {
+					_ = os.Remove(snapshotPath(l.dir, i))
+				}
 			}
 		}
+		return syncDir(l.dir)
+	})
+}
+
+// inDir runs one directory mutation of a checkpoint unless the log is
+// closed (see dirMu).
+func (l *Log) inDir(mutate func() error) error {
+	l.dirMu.Lock()
+	defer l.dirMu.Unlock()
+	l.mu.Lock()
+	closed := l.closed
+	l.mu.Unlock()
+	if closed {
+		return ErrClosed
 	}
-	return syncDir(l.dir)
+	return mutate()
+}
+
+// awaitDir waits out a checkpoint's directory mutation in progress. Callers
+// have just closed the log, so none starts after.
+func (l *Log) awaitDir() {
+	l.dirMu.Lock()
+	defer l.dirMu.Unlock()
+}
+
+// Checkpoint is Cut and FinishCheckpoint in one call, for a caller that
+// appends nothing in between: objs must reflect every record logged before
+// the call.
+func (l *Log) Checkpoint(objs []store.WriteDesc, keep ...Record) error {
+	idx, err := l.Cut()
+	if err != nil {
+		return err
+	}
+	return l.FinishCheckpoint(idx, objs, keep...)
 }
 
 // Close flushes, fsyncs, and closes the log. Pending appends complete, and
-// staged unforced records reach the disk.
+// staged unforced records reach the disk. A checkpoint in flight finishes the
+// directory mutation it is in, if any (at most one snapshot write), and
+// makes no other.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.quiesceLocked()
 	if l.closed {
+		l.mu.Unlock()
 		return nil
 	}
 	err := l.syncLocked()
@@ -624,6 +783,8 @@ func (l *Log) Close() error {
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
+	l.mu.Unlock()
+	l.awaitDir()
 	return err
 }
 
@@ -631,12 +792,14 @@ func (l *Log) Close() error {
 // staged frames, so records not yet covered by an fsync are lost exactly as
 // they would be on a real kill. An fsync already in flight completes (its
 // appenders are acked: their bytes are on disk); every appender still only
-// staged fails. Used by fault-injection harnesses.
+// staged fails. A checkpoint in flight stops as under Close, so a log opened
+// on the directory afterwards replays it undisturbed. Used by fault-injection
+// harnesses.
 func (l *Log) Crash() {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.quiesceLocked()
 	if l.closed {
+		l.mu.Unlock()
 		return
 	}
 	l.closed = true
@@ -646,4 +809,6 @@ func (l *Log) Crash() {
 	l.waiters = nil
 	l.buf.Reset()
 	_ = l.f.Close()
+	l.mu.Unlock()
+	l.awaitDir()
 }
