@@ -369,11 +369,7 @@ func TestChaosLateCommitAfterAbortPromiseRefused(t *testing.T) {
 
 	// A resolving peer asks about a transaction this node never saw: the
 	// node promises abort.
-	resp := c.Nodes[0].Handle(ctx, &wire.Request{
-		Kind:     wire.KindTxStatus,
-		TxID:     "ghost-tx",
-		TxStatus: &wire.TxStatusRequest{From: 1},
-	})
+	resp := c.Nodes[0].Handle(ctx, &wire.Request{Kind: wire.KindTxStatus, TxID: "ghost-tx"})
 	if resp.Status != wire.StatusOK || resp.TxStatus.State != wire.TxStateAborted {
 		t.Fatalf("status for unknown tx: %+v", resp)
 	}

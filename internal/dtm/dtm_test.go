@@ -12,6 +12,7 @@ import (
 	"qracn/internal/dtm"
 	"qracn/internal/quorum"
 	"qracn/internal/store"
+	"qracn/internal/wire"
 )
 
 func newCluster(t *testing.T, servers int) *cluster.Cluster {
@@ -609,6 +610,40 @@ func TestFetchStats(t *testing.T) {
 	// accept >= 1).
 	if levels["hot"] < 1 {
 		t.Fatalf("levels = %v, want hot >= 1", levels)
+	}
+}
+
+// TestFetchStatsAsksEachGroupItsOwnIDs: under a shard map the stats query is
+// one stats-only read per group, sent to that group's members and naming that
+// group's IDs alone, and the merged levels come from the group that counted
+// the writes.
+func TestFetchStatsAsksEachGroupItsOwnIDs(t *testing.T) {
+	c := cluster.New(cluster.Config{Servers: 20, Shards: 2, StatsWindow: time.Hour})
+	defer c.Close()
+	a, b := twoGroupKeys(t, c)
+	c.Seed(map[store.ObjectID]store.Value{a: store.Int64(0), b: store.Int64(0)})
+	rt, sc := scriptedRuntime(c, dtm.Config{})
+	ctx := context.Background()
+	if err := rt.Atomic(ctx, func(tx *dtm.Tx) error { return tx.Write(a, store.Int64(1)) }); err != nil {
+		t.Fatal(err)
+	}
+	levels, err := rt.FetchStats(ctx, []store.ObjectID{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if levels[a] != 1 || levels[b] != 0 {
+		t.Fatalf("levels = %v, want %s: 1 and %s: 0", levels, a, b)
+	}
+	asked := map[int]bool{}
+	for _, s := range sc.sent(func(r *wire.Request) bool { return r.Kind == wire.KindRead && r.Read.Object == "" }) {
+		ids := s.req.Read.StatsFor
+		if len(ids) != 1 || !c.Shards.GroupOf(ids[0]).Contains(s.to) {
+			t.Fatalf("node %d was asked for %v: want one ID of its own group", s.to, ids)
+		}
+		asked[c.Shards.ShardFor(ids[0])] = true
+	}
+	if !asked[0] || !asked[1] {
+		t.Fatalf("groups asked: %v, want both", asked)
 	}
 }
 

@@ -153,8 +153,6 @@ func answered(kind wire.Kind, resp *wire.Response) bool {
 			return resp.Batch != nil
 		case wire.KindPrepare:
 			return resp.Prepare != nil
-		case wire.KindStats:
-			return resp.Stats != nil
 		}
 	case wire.StatusNotFound, wire.StatusBusy:
 		return kind == wire.KindRead

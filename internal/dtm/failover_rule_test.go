@@ -118,6 +118,7 @@ func TestQuorumFailoverRuleAcrossOperations(t *testing.T) {
 		return func(r *wire.Request) bool { return r.Kind == k }
 	}
 	prepare := func(r *wire.Request) bool { return r.Kind == wire.KindPrepare }
+	statsRead := func(r *wire.Request) bool { return r.Kind == wire.KindRead && r.Read.Object == "" }
 	bump := func(tx *dtm.Tx, id store.ObjectID) error {
 		v, err := tx.Read(id)
 		if err != nil {
@@ -157,7 +158,7 @@ func TestQuorumFailoverRuleAcrossOperations(t *testing.T) {
 			func(ctx context.Context, rt *dtm.Runtime, a, _ store.ObjectID) error {
 				return rt.Atomic(ctx, func(tx *dtm.Tx) error { _, err := tx.Read(a); return err })
 			}},
-		{"FetchStats", 0, isKind(wire.KindStats), "", // no transaction, so no budget to spend
+		{"FetchStats", 0, statsRead, "", // no transaction, so no budget to spend
 			func(ctx context.Context, rt *dtm.Runtime, a, _ store.ObjectID) error {
 				_, err := rt.FetchStats(ctx, []store.ObjectID{a})
 				return err

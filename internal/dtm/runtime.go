@@ -816,8 +816,9 @@ func (rt *Runtime) fanoutHedged(ctx context.Context, g *shard.Group, q []quorum.
 }
 
 // FetchStats asks a read quorum for the contention level of the given
-// objects (the explicit form of the dynamic module's query; the piggybacked
-// form rides on reads) and merges per object by maximum. The merge matters:
+// objects and merges per object by maximum. The query is the explicit form of
+// what transactions' reads piggyback: a read that names no object, only
+// StatsFor. The merge matters:
 // a single member's meter only counts the write quorums it belonged to,
 // but a full read quorum intersects every write quorum — the same argument
 // that makes max-version quorum reads see the latest commit.
@@ -843,8 +844,8 @@ func (rt *Runtime) FetchStats(ctx context.Context, ids []store.ObjectID) (map[st
 // fetchStatsIn is FetchStats for one quorum group's share of the IDs (the
 // whole cluster when the part has no group), merged into levels.
 func (rt *Runtime) fetchStatsIn(ctx context.Context, p shard.Part, levels map[store.ObjectID]float64) error {
-	req := &wire.Request{Kind: wire.KindStats, Stats: &wire.StatsRequest{Objects: p.IDs}}
-	fo := rt.failover(ctx, nil, rt.cfg.ClientSeed, wire.KindStats, "stats quorum")
+	req := &wire.Request{Kind: wire.KindRead, Read: &wire.ReadRequest{StatsFor: p.IDs}}
+	fo := rt.failover(ctx, nil, rt.cfg.ClientSeed, wire.KindRead, "stats quorum")
 	for fo.next() {
 		if fo.attempt > 0 {
 			rt.metrics.StatsQuorumRetries.Add(1)
@@ -858,7 +859,10 @@ func (rt *Runtime) fetchStatsIn(ctx context.Context, p shard.Part, levels map[st
 			continue
 		}
 		for _, r := range results {
-			for id, lv := range r.resp.Stats.Levels {
+			if r.resp.Read == nil {
+				continue // a not-found or busy reply is an answer that may carry no payload
+			}
+			for id, lv := range r.resp.Read.Stats {
 				if lv > levels[id] {
 					levels[id] = lv
 				}

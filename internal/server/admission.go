@@ -12,10 +12,10 @@ import (
 // admissionGated reports whether a request kind passes through the admission
 // gate. The exemptions are correctness-driven, not politeness:
 //
-//   - KindDecision/KindResolve deliver 2PC outcomes. A decided transaction
-//     holds protections on every participant; shedding its decision would
-//     convert overload into stuck locks and in-doubt state — the opposite of
-//     shedding load.
+//   - KindDecision delivers 2PC outcomes, a coordinator's or a forwarded
+//     one. A decided transaction holds protections on every participant;
+//     shedding its decision would convert overload into stuck locks and
+//     in-doubt state — the opposite of shedding load.
 //   - KindTxStatus serves the cooperative termination protocol. Peers query
 //     it to END in-doubt transactions; refusing it under load would keep
 //     protections pinned exactly when the node wants capacity back.
@@ -24,21 +24,21 @@ import (
 //   - KindShardMap is a tiny bootstrap read answered from static state.
 func admissionGated(k wire.Kind) bool {
 	switch k {
-	case wire.KindDecision, wire.KindResolve, wire.KindTxStatus, wire.KindPing, wire.KindShardMap:
+	case wire.KindDecision, wire.KindTxStatus, wire.KindPing, wire.KindShardMap:
 		return false
 	}
 	return true
 }
 
 // deadlineExempt reports kinds that must never be rejected for an expired
-// request deadline. Decision/Resolve would otherwise let a caller's deadline
+// request deadline. A decision would otherwise let a caller's deadline
 // end an in-doubt transaction early — the decision exists once a yes-vote
 // quorum does, and must reach participants no matter how stale the delivery
 // is (the PR 7 termination-protocol invariant). TxStatus answers are peers'
 // machinery, not client work, and Ping carries no work at all.
 func deadlineExempt(k wire.Kind) bool {
 	switch k {
-	case wire.KindDecision, wire.KindResolve, wire.KindTxStatus, wire.KindPing:
+	case wire.KindDecision, wire.KindTxStatus, wire.KindPing:
 		return true
 	}
 	return false

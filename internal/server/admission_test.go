@@ -189,19 +189,19 @@ func TestGateCancelledWaiterIsShedAndSlotSurvives(t *testing.T) {
 }
 
 func TestAdmissionGateExemptKinds(t *testing.T) {
-	for _, k := range []wire.Kind{wire.KindDecision, wire.KindResolve, wire.KindTxStatus, wire.KindPing, wire.KindShardMap} {
+	for _, k := range []wire.Kind{wire.KindDecision, wire.KindTxStatus, wire.KindPing, wire.KindShardMap} {
 		if admissionGated(k) {
 			t.Errorf("kind %v is gated, want exempt", k)
 		}
 	}
-	for _, k := range []wire.Kind{wire.KindRead, wire.KindPrepare, wire.KindBatch, wire.KindStats, wire.KindSync, wire.KindInspect} {
+	for _, k := range []wire.Kind{wire.KindRead, wire.KindPrepare, wire.KindBatch, wire.KindSync, wire.KindInspect} {
 		if !admissionGated(k) {
 			t.Errorf("kind %v is exempt, want gated", k)
 		}
 	}
 	// Decisions and termination traffic must additionally survive stale
 	// deadlines (an in-doubt transaction is never ended early by one).
-	for _, k := range []wire.Kind{wire.KindDecision, wire.KindResolve, wire.KindTxStatus, wire.KindPing} {
+	for _, k := range []wire.Kind{wire.KindDecision, wire.KindTxStatus, wire.KindPing} {
 		if !deadlineExempt(k) {
 			t.Errorf("kind %v rejects expired deadlines, want exempt", k)
 		}

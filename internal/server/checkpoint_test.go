@@ -175,7 +175,7 @@ func TestCrashDuringBackgroundCheckpoint(t *testing.T) {
 				"tx-done": wire.TxStateCommitted, "tx-aborted": wire.TxStateAborted,
 				"tx-trigger": wire.TxStateCommitted, "tx-after": wire.TxStateCommitted,
 			} {
-				st := r.Handle(context.Background(), &wire.Request{Kind: wire.KindTxStatus, TxID: tx, TxStatus: &wire.TxStatusRequest{From: 1}})
+				st := r.Handle(context.Background(), &wire.Request{Kind: wire.KindTxStatus, TxID: tx})
 				if st.Status != wire.StatusOK || st.TxStatus.State != want {
 					t.Errorf("status of %s after recovery: %+v, want %v", tx, st, want)
 				}

@@ -99,8 +99,8 @@ type ResolutionStats struct {
 	// StatusQueries counts KindTxStatus queries this node sent while
 	// resolving its own in-doubt transactions.
 	StatusQueries uint64
-	// ResolveForwards counts KindResolve decisions forwarded to still
-	// in-doubt peers after a resolution.
+	// ResolveForwards counts decisions forwarded (KindDecision, Forwarded)
+	// to still in-doubt peers after a resolution.
 	ResolveForwards uint64
 }
 
@@ -295,13 +295,21 @@ const (
 )
 
 // applyDecision is the single path every 2PC outcome goes through —
-// coordinator decisions (KindDecision), peer-forwarded resolutions
-// (KindResolve), and local TTL aborts. A commit is made durable first
-// (writes + decision record in one forced append), then applied; an abort is
-// presumed and waits for no fsync. Either way the in-doubt entry is retired,
-// the outcome recorded for peers that may ask later, and the protections
-// released. Duplicate deliveries are answered OK without re-applying; a
-// delivery that conflicts with a recorded outcome is refused.
+// coordinator decisions, peer-forwarded resolutions (both KindDecision), the
+// outcomes this node's own resolver learns, and local TTL aborts. A commit is
+// made durable first (writes + decision record in one forced append), then
+// applied; an abort is presumed and waits for no fsync. Either way the
+// in-doubt entry is retired, the outcome recorded for peers that may ask
+// later, and the protections released. Duplicate deliveries are answered OK
+// without re-applying; a delivery that conflicts with a recorded outcome is
+// refused.
+//
+// A node that holds the prepare record applies the writes it promised there,
+// whatever the sender's copy says. The coordinator sends each part the writes
+// it prepared, so for its decisions the two agree; a resolving peer can live
+// in another quorum group (cross-shard prepares stamp the union of all
+// touched groups' write quorums), so its copy can name another group's
+// keyspace. The sender's writes matter only to a node that lost its entry.
 func (n *Node) applyDecision(txID string, commit bool, writes []store.WriteDesc, release []store.ObjectID, src decisionSource, traceID string, serveID uint64) *wire.Response {
 	var entry *inDoubtTx
 	for {
@@ -340,16 +348,7 @@ func (n *Node) applyDecision(txID string, commit bool, writes []store.WriteDesc,
 		// differ on ErrNotFound reads). Unprotect is idempotent, so release
 		// the union.
 		release = append(append([]store.ObjectID(nil), release...), entry.rec.Release...)
-		if src == fromPeer {
-			// A peer forwards the writes from ITS durable prepare record. In a
-			// sharded deployment the resolving peer can live in another quorum
-			// group (cross-shard prepares stamp the union of all touched
-			// groups' write quorums), so its writes name another group's
-			// keyspace. This node's own prepare record holds exactly the
-			// writes it promised to apply — use those whenever they exist;
-			// the sender's copy only matters for a node that lost its entry.
-			writes = entry.rec.Writes
-		}
+		writes = entry.rec.Writes
 	}
 
 	// The shared commitMu keeps the append→apply→publish window away from a
@@ -460,9 +459,6 @@ func writeRecords(txID string, writes []store.WriteDesc) []wal.Record {
 // instead: absence no longer proves this node didn't commit it, so no
 // promise that could contradict an evicted commit is made.
 func (n *Node) handleTxStatus(req *wire.Request) *wire.Response {
-	if req.TxStatus == nil {
-		return &wire.Response{Status: wire.StatusError, Detail: "tx-status request missing payload"}
-	}
 	for {
 		n.idMu.Lock()
 		if ch, inflight := n.tombstoning[req.TxID]; inflight {
@@ -526,17 +522,6 @@ func txStateResponse(commit bool) *wire.Response {
 	return &wire.Response{Status: wire.StatusOK, TxStatus: &wire.TxStatusResponse{State: st}}
 }
 
-// handleResolve applies a decision forwarded by a quorum peer that resolved
-// the transaction (or learned the outcome directly). Idempotent with the
-// coordinator's own delivery.
-func (n *Node) handleResolve(req *wire.Request) *wire.Response {
-	r := req.Resolve
-	if r == nil {
-		return &wire.Response{Status: wire.StatusError, Detail: "resolve request missing payload"}
-	}
-	return n.applyDecision(req.TxID, r.Commit, r.Writes, r.Release, fromPeer, "", 0)
-}
-
 // StartResolver launches the background termination loop: every pollEvery
 // (default ResolveAfter/2) it runs one ResolveNow pass over the in-doubt
 // table using client to reach quorum peers. Stop it with StopResolver.
@@ -584,8 +569,9 @@ func (n *Node) StopResolver() {
 // older than ResolveAfter refreshes its protections (so the store's lease
 // expiry cannot release objects out from under an undecided transaction)
 // and queries the quorum peers recorded in its prepare. It returns the
-// number of entries resolved this pass. Exported so tests can drive the
-// protocol deterministically without the background loop.
+// number of entries resolved this pass, once the outcomes it forwarded have
+// been delivered or given up on. Exported so tests can drive the protocol
+// deterministically without the background loop.
 func (n *Node) ResolveNow(ctx context.Context, client transport.Client) int {
 	now := n.now()
 	n.idMu.Lock()
@@ -600,19 +586,23 @@ func (n *Node) ResolveNow(ctx context.Context, client transport.Client) int {
 	sort.Slice(due, func(i, j int) bool { return due[i].rec.TxID < due[j].rec.TxID })
 
 	resolved := 0
+	var forwards sync.WaitGroup
+	defer forwards.Wait()
 	for _, e := range due {
 		if ctx.Err() != nil {
 			break
 		}
-		if n.resolveOne(ctx, client, e, now) {
+		if n.resolveOne(ctx, client, e, now, &forwards) {
 			resolved++
 		}
 	}
 	return resolved
 }
 
-// resolveOne runs the termination protocol for a single in-doubt entry.
-func (n *Node) resolveOne(ctx context.Context, client transport.Client, e *inDoubtTx, now time.Time) bool {
+// resolveOne runs the termination protocol for a single in-doubt entry. The
+// outcome forwards it starts are counted in forwards, which the pass waits
+// for once every due entry has had its turn.
+func (n *Node) resolveOne(ctx context.Context, client transport.Client, e *inDoubtTx, now time.Time, forwards *sync.WaitGroup) bool {
 	txID := e.rec.TxID
 	// Keep the lease alive while undecided: re-protecting refreshes this
 	// holder's protection timestamps, pausing the store's TTL release. Only
@@ -650,11 +640,7 @@ func (n *Node) resolveOne(ctx context.Context, client transport.Client, e *inDou
 		go func(i int, p quorum.NodeID) {
 			defer wg.Done()
 			n.resCtr.statusQueries.Add(1)
-			resp, err := client.Call(ctx, p, &wire.Request{
-				Kind:     wire.KindTxStatus,
-				TxID:     txID,
-				TxStatus: &wire.TxStatusRequest{From: n.id},
-			})
+			resp, err := client.Call(ctx, p, &wire.Request{Kind: wire.KindTxStatus, TxID: txID})
 			if err != nil || resp == nil || resp.Status != wire.StatusOK || resp.TxStatus == nil {
 				answers[i] = answer{peer: p}
 				return
@@ -714,18 +700,26 @@ func (n *Node) resolveOne(ctx context.Context, client transport.Client, e *inDou
 
 	// Forward the outcome to peers still in-doubt so they release without
 	// having to run their own round (idempotent if they already learned it).
+	// The forwards go out together and the pass moves on without them: a peer
+	// that never answers holds its own call until the pass's context ends,
+	// not the forwards to the other peers or the entries after this one.
 	fwd := &wire.Request{
-		Kind: wire.KindResolve,
+		Kind: wire.KindDecision,
 		TxID: txID,
-		Resolve: &wire.ResolveRequest{
-			Commit:  commit,
-			Writes:  e.rec.Writes,
-			Release: e.rec.Release,
+		Decision: &wire.DecisionRequest{
+			Commit:    commit,
+			Forwarded: true,
+			Writes:    e.rec.Writes,
+			Release:   e.rec.Release,
 		},
 	}
 	for _, p := range stillInDoubt {
 		n.resCtr.resolveForwards.Add(1)
-		_, _ = client.Call(ctx, p, fwd)
+		forwards.Add(1)
+		go func() {
+			defer forwards.Done()
+			_, _ = client.Call(ctx, p, fwd)
+		}()
 	}
 	return true
 }

@@ -76,7 +76,7 @@ func TestCheckpointCarriesLive2PCState(t *testing.T) {
 	// and still holds the recovered vote in-doubt.
 	n2 := NewNode(0, Config{StatsWindow: time.Hour, WAL: l2, SnapshotEvery: -1})
 	n2.FinishRecovery(rec)
-	st := n2.Handle(ctx, &wire.Request{Kind: wire.KindTxStatus, TxID: "tx-done", TxStatus: &wire.TxStatusRequest{From: 1}})
+	st := n2.Handle(ctx, &wire.Request{Kind: wire.KindTxStatus, TxID: "tx-done"})
 	if st.Status != wire.StatusOK || st.TxStatus.State != wire.TxStateCommitted {
 		t.Fatalf("status for carried decision: %+v", st)
 	}
@@ -96,7 +96,7 @@ func TestTxStatusTombstoneRollsBackOnWALFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp := n.Handle(ctx, &wire.Request{Kind: wire.KindTxStatus, TxID: "ghost-tx", TxStatus: &wire.TxStatusRequest{From: 1}})
+	resp := n.Handle(ctx, &wire.Request{Kind: wire.KindTxStatus, TxID: "ghost-tx"})
 	if resp.Status != wire.StatusError {
 		t.Fatalf("status with a dead WAL answered %+v, want error: the promise was never durable", resp)
 	}
@@ -116,7 +116,7 @@ func TestTxStatusTombstoneRollsBackOnWALFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.wal = l2
-	resp = n.Handle(ctx, &wire.Request{Kind: wire.KindTxStatus, TxID: "ghost-tx", TxStatus: &wire.TxStatusRequest{From: 1}})
+	resp = n.Handle(ctx, &wire.Request{Kind: wire.KindTxStatus, TxID: "ghost-tx"})
 	if resp.Status != wire.StatusOK || resp.TxStatus.State != wire.TxStateAborted {
 		t.Fatalf("retry after WAL recovery: %+v", resp)
 	}
@@ -152,7 +152,7 @@ func TestTxStatusUnknownAfterEviction(t *testing.T) {
 		t.Fatal("two full generation rotations did not mark the decided memory as lossy")
 	}
 
-	resp := n.Handle(ctx, &wire.Request{Kind: wire.KindTxStatus, TxID: "never-seen", TxStatus: &wire.TxStatusRequest{From: 1}})
+	resp := n.Handle(ctx, &wire.Request{Kind: wire.KindTxStatus, TxID: "never-seen"})
 	if resp.Status != wire.StatusOK || resp.TxStatus.State != wire.TxStateUnknown {
 		t.Fatalf("unknown tx after eviction answered %+v, want Unknown (an abort promise could contradict an evicted commit)", resp)
 	}
@@ -171,7 +171,7 @@ func TestTxStatusUnknownAfterEviction(t *testing.T) {
 	}
 	// Outcomes still in the retained window keep their authoritative answer.
 	last := fmt.Sprintf("old-%d", 2*decidedCap)
-	resp = n.Handle(ctx, &wire.Request{Kind: wire.KindTxStatus, TxID: last, TxStatus: &wire.TxStatusRequest{From: 1}})
+	resp = n.Handle(ctx, &wire.Request{Kind: wire.KindTxStatus, TxID: last})
 	if resp.Status != wire.StatusOK || resp.TxStatus.State != wire.TxStateCommitted {
 		t.Fatalf("retained outcome answered %+v, want Committed", resp)
 	}

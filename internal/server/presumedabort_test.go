@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -207,7 +208,7 @@ func TestPresumedAbortCheckpointCarriesOutcome(t *testing.T) {
 	}
 	n = crashRestart(t, n)
 	assertNoHolds(t, n)
-	st := n.Handle(context.Background(), &wire.Request{Kind: wire.KindTxStatus, TxID: "tx", TxStatus: &wire.TxStatusRequest{From: 1}})
+	st := n.Handle(context.Background(), &wire.Request{Kind: wire.KindTxStatus, TxID: "tx"})
 	if st.Status != wire.StatusOK || st.TxStatus.State != wire.TxStateAborted {
 		t.Fatalf("status after checkpoint + crash: %+v, want aborted", st)
 	}
@@ -244,7 +245,7 @@ func TestStaleResolverPassDoesNotReprotect(t *testing.T) {
 	if d := decide(n, "tx", false); d.Status != wire.StatusOK {
 		t.Fatalf("abort decision: %+v", d)
 	}
-	if n.resolveOne(context.Background(), directClient{}, stale, time.Now()) {
+	if n.resolveOne(context.Background(), directClient{}, stale, time.Now(), new(sync.WaitGroup)) {
 		t.Fatal("a retired entry was resolved again")
 	}
 	assertNoHolds(t, n)

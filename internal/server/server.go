@@ -558,8 +558,6 @@ func (n *Node) dispatch(ctx context.Context, req *wire.Request, serveID uint64) 
 		resp := n.handleDecision(req, serveID)
 		n.stages.CommitApply.Record(time.Since(t0))
 		return resp
-	case wire.KindStats:
-		return n.handleStats(req)
 	case wire.KindSync:
 		return n.handleSync(req)
 	case wire.KindRepair:
@@ -569,8 +567,6 @@ func (n *Node) dispatch(ctx context.Context, req *wire.Request, serveID uint64) 
 		return resp
 	case wire.KindTxStatus:
 		return n.handleTxStatus(req)
-	case wire.KindResolve:
-		return n.handleResolve(req)
 	case wire.KindShardMap:
 		return n.handleShardMap(req)
 	case wire.KindInspect:
@@ -613,6 +609,10 @@ func (n *Node) handleRead(req *wire.Request) *wire.Response {
 	resp.Invalid = n.store.Validate(r.Validate)
 	if len(r.StatsFor) > 0 {
 		resp.Stats = n.meter.Levels(r.StatsFor)
+	}
+	if r.Object == "" {
+		// The explicit contention-stats query: the levels are the answer.
+		return &wire.Response{Status: wire.StatusOK, Read: resp}
 	}
 	v, ver, err := n.store.Get(r.Object)
 	switch {
@@ -724,15 +724,21 @@ func (n *Node) handlePrepare(req *wire.Request, serveID uint64) *wire.Response {
 // (counting each toward the object's contention level), or presume an
 // abort; either way release every protection the prepare installed and
 // retire the in-doubt entry. serveID is the enclosing serve span (0 when
-// untraced) so the WAL-fsync wait can appear as a nested span. Duplicate deliveries (a coordinator
-// retry racing a peer resolution) are idempotent; a delivery conflicting
-// with an already-recorded outcome is refused.
+// untraced) so the WAL-fsync wait can appear as a nested span. The outcome
+// comes from the coordinator or, Forwarded, from a peer that resolved the
+// transaction through the termination protocol. Duplicate deliveries (a
+// coordinator retry racing a peer resolution) are idempotent; a delivery
+// conflicting with an already-recorded outcome is refused.
 func (n *Node) handleDecision(req *wire.Request, serveID uint64) *wire.Response {
 	d := req.Decision
 	if d == nil {
 		return &wire.Response{Status: wire.StatusError, Detail: "decision request missing payload"}
 	}
-	resp := n.applyDecision(req.TxID, d.Commit, d.Writes, d.Release, fromCoordinator, req.TraceID, serveID)
+	src := fromCoordinator
+	if d.Forwarded {
+		src = fromPeer
+	}
+	resp := n.applyDecision(req.TxID, d.Commit, d.Writes, d.Release, src, req.TraceID, serveID)
 	if d.Commit && resp.Status == wire.StatusOK {
 		n.maybeCheckpoint()
 	}
@@ -785,17 +791,6 @@ func (n *Node) handleShardMap(req *wire.Request) *wire.Response {
 		resp.Groups = n.shards.Memberships()
 	}
 	return &wire.Response{Status: wire.StatusOK, ShardMap: resp}
-}
-
-func (n *Node) handleStats(req *wire.Request) *wire.Response {
-	s := req.Stats
-	if s == nil {
-		return &wire.Response{Status: wire.StatusError, Detail: "stats request missing payload"}
-	}
-	return &wire.Response{
-		Status: wire.StatusOK,
-		Stats:  &wire.StatsResponse{Levels: n.meter.Levels(s.Objects)},
-	}
 }
 
 // handleSync serves an anti-entropy request: everything this replica knows

@@ -79,6 +79,36 @@ func TestHandleReadStatsPiggyback(t *testing.T) {
 	}
 }
 
+// TestStatsOnlyReadReturnsLevels: a read that names no object is the explicit
+// contention query. It is answered OK with the levels and nothing else, even
+// while the objects it asks about are exclusively protected, and records no
+// conflict.
+func TestStatsOnlyReadReturnsLevels(t *testing.T) {
+	n := newTestNode()
+	commit(t, n, "w1", []store.ReadDesc{{ID: "a", Version: 1}},
+		[]store.WriteDesc{{ID: "a", Value: store.Int64(5), NewVersion: 2}})
+	if p := prepare(n, "holder", &wire.PrepareRequest{
+		Reads:  []store.ReadDesc{{ID: "a", Version: 2}},
+		Writes: []store.WriteDesc{{ID: "a", Value: store.Int64(6), NewVersion: 3}},
+		Quorum: []quorum.NodeID{0},
+	}); !p.Prepare.Vote {
+		t.Fatalf("holder prepare: %+v", p)
+	}
+	resp := n.Handle(context.Background(), &wire.Request{
+		Kind: wire.KindRead,
+		Read: &wire.ReadRequest{StatsFor: []store.ObjectID{"a", "b"}},
+	})
+	if resp.Status != wire.StatusOK || resp.ConflictTx != "" || resp.Read == nil {
+		t.Fatalf("stats read: %+v", resp)
+	}
+	if r := resp.Read; r.Value != nil || r.Version != 0 || r.Invalid != nil || r.Stats["a"] != 1 || r.Stats["b"] != 0 {
+		t.Fatalf("stats read answered %+v, want levels a=1 b=0 and no value", r)
+	}
+	if s := n.Forensics().Snapshot(4); s.TotalAborts != 0 {
+		t.Fatalf("a stats read noted a conflict: %+v", s.Aborts)
+	}
+}
+
 // commit drives a full successful 2PC against a single node.
 func commit(t *testing.T, n *Node, tx string, reads []store.ReadDesc, writes []store.WriteDesc) {
 	t.Helper()
@@ -224,14 +254,14 @@ func TestDecisionRecordsContention(t *testing.T) {
 			[]store.WriteDesc{{ID: "a", Value: store.Int64(int64(i)), NewVersion: uint64(i + 2)}})
 	}
 	resp := n.Handle(context.Background(), &wire.Request{
-		Kind:  wire.KindStats,
-		Stats: &wire.StatsRequest{Objects: []store.ObjectID{"a", "b"}},
+		Kind: wire.KindRead,
+		Read: &wire.ReadRequest{StatsFor: []store.ObjectID{"a", "b"}},
 	})
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("stats: %+v", resp)
 	}
-	if resp.Stats.Levels["a"] != 3 || resp.Stats.Levels["b"] != 0 {
-		t.Fatalf("levels = %v", resp.Stats.Levels)
+	if resp.Read.Stats["a"] != 3 || resp.Read.Stats["b"] != 0 {
+		t.Fatalf("levels = %v", resp.Read.Stats)
 	}
 }
 
@@ -348,7 +378,7 @@ func TestMalformedRequests(t *testing.T) {
 		{Kind: wire.KindRead},
 		{Kind: wire.KindPrepare},
 		{Kind: wire.KindDecision},
-		{Kind: wire.KindStats},
+		{Kind: wire.KindShardMap},
 		{Kind: wire.KindSync},
 		{Kind: wire.KindInspect},
 		{Kind: wire.Kind(99)},

@@ -26,10 +26,10 @@ import (
 // Call(0, {Kind: KindPing, TxID: "pin-1"}): the two preamble bytes, then one
 // binary frame (length 12, no flags, CRC-32C, payload). The frame was
 // captured from the commit before gob left production (PR 12) and no change
-// since may move a byte of it; the preamble's version byte is 0x03 since
-// KindInspect took over kind 8.
+// since may move a byte of it; the preamble's version byte is 0x04 since
+// KindShardMap took over kind 3.
 var pingFrame = []byte{
-	0xc6, 0x03,
+	0xc6, 0x04,
 	0x00, 0x00, 0x00, 0x0c, 0x00, 0xe1, 0x47, 0xb6, 0x1d,
 	0x00, 0x04, 0x04, 0x05, 'p', 'i', 'n', '-', '1', 0x00, 0x00, 0x00,
 }
@@ -79,9 +79,9 @@ func gobEraRequest(t *testing.T) []byte {
 // TestTCPServerRefusesOtherPreambles: a connection that does not open with
 // the version preamble is closed before any handler runs — a gob-era client
 // (whose first byte is the top of a length, so <= 0x04), a client announcing
-// a version this build does not know, and one announcing the previous
-// version, whose kind 8 was a different message — and the server goes on
-// serving connections that do.
+// a version this build does not know, and ones announcing the two previous
+// versions, whose kind 8 (0x02) and kind 3 (0x03) were different messages —
+// and the server goes on serving connections that do.
 func TestTCPServerRefusesOtherPreambles(t *testing.T) {
 	var handled atomic.Int64
 	srv := NewTCPServer(func(ctx context.Context, req *wire.Request) *wire.Response {
@@ -99,9 +99,10 @@ func TestTCPServerRefusesOtherPreambles(t *testing.T) {
 		t.Fatalf("gob-era stream starts with %#x", legacy[0])
 	}
 	for name, opening := range map[string][]byte{
-		"gob-era stream":   legacy,
-		"unknown version":  append([]byte{0xC6, 0x7F}, pingFrame[2:]...),
-		"previous version": append([]byte{0xC6, 0x02}, pingFrame[2:]...),
+		"gob-era stream":  legacy,
+		"unknown version": append([]byte{0xC6, 0x7F}, pingFrame[2:]...),
+		"version 0x02":    append([]byte{0xC6, 0x02}, pingFrame[2:]...),
+		"version 0x03":    append([]byte{0xC6, 0x03}, pingFrame[2:]...),
 	} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {

@@ -30,8 +30,9 @@ import (
 // depending on what its bytes happen to decode as. The version moves when a
 // kind's number changes meaning: 0x02 had the two per-ring debug fetches
 // where 0x03 has KindInspect, so an old inspector and a new node refuse each
-// other here instead of mis-decoding kind 8.
-var preamble = [2]byte{0xC6, 0x03}
+// other here instead of mis-decoding kind 8; 0x03 had the stats query at
+// kind 3 where 0x04 has KindShardMap (and no kinds 10 and 11).
+var preamble = [2]byte{0xC6, 0x04}
 
 // outBufSize is the buffered-writer size of the coalescing writer.
 const outBufSize = 32 << 10

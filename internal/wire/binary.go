@@ -83,18 +83,20 @@ const (
 // Request payload presence bits, wire order. The mask is encoded as a
 // uvarint (not a fixed byte) so the bit space is open-ended; values below
 // 128 — every mask that existed before the ninth bit was added — encode
-// byte-identically to the old single-byte layout.
+// byte-identically to the old single-byte layout. The blanks are the bits of
+// payloads since deleted (the stats query, the tx-status asker, the resolve
+// forward); they stay unused so no surviving bit moves.
 const (
 	reqHasRead uint64 = 1 << iota
 	reqHasPrepare
 	reqHasDecision
-	reqHasStats
+	_
 	reqHasSync
 	reqHasBatch
 	reqHasRepair
 	reqHasInspect
-	reqHasTxStatus
-	reqHasResolve
+	_
+	_
 	reqHasShardMap
 	// reqHasDeadline marks a non-zero Request.Deadline (a header field, not
 	// a payload, but presence-masked the same way so deadline-free requests
@@ -104,11 +106,11 @@ const (
 )
 
 // Response payload presence bits, wire order; uvarint-encoded like the
-// request mask.
+// request mask. The blank is the deleted stats reply's.
 const (
 	respHasRead uint64 = 1 << iota
 	respHasPrepare
-	respHasStats
+	_
 	respHasSync
 	respHasBatch
 	respHasInspect
@@ -120,6 +122,13 @@ const (
 	// emits, stay byte-identical to the pre-forensics layout even though
 	// this is the first bit that pushes the response mask past one byte).
 	respHasConflict
+)
+
+// The byte that leads a decision payload: bit0 is Commit, so a coordinator's
+// decision is the 0 or 1 a plain bool was, and bit1 marks a forwarded one.
+const (
+	decCommit    byte = 1 << 0
+	decForwarded byte = 1 << 1
 )
 
 // Value type tags.
@@ -380,9 +389,6 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 	if r.Decision != nil {
 		mask |= reqHasDecision
 	}
-	if r.Stats != nil {
-		mask |= reqHasStats
-	}
 	if r.Sync != nil {
 		mask |= reqHasSync
 	}
@@ -394,12 +400,6 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 	}
 	if r.Inspect != nil {
 		mask |= reqHasInspect
-	}
-	if r.TxStatus != nil {
-		mask |= reqHasTxStatus
-	}
-	if r.Resolve != nil {
-		mask |= reqHasResolve
 	}
 	if r.ShardMap != nil {
 		mask |= reqHasShardMap
@@ -423,14 +423,18 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 		dst = appendNodeIDs(dst, r.Prepare.Quorum)
 	}
 	if r.Decision != nil {
-		dst = appendBool(dst, r.Decision.Commit)
+		var how byte
+		if r.Decision.Commit {
+			how |= decCommit
+		}
+		if r.Decision.Forwarded {
+			how |= decForwarded
+		}
+		dst = append(dst, how)
 		if dst, err = appendWriteDescs(dst, r.Decision.Writes, depth); err != nil {
 			return nil, err
 		}
 		dst = appendIDs(dst, r.Decision.Release)
-	}
-	if r.Stats != nil {
-		dst = appendIDs(dst, r.Stats.Objects)
 	}
 	if r.Sync != nil {
 		dst = appendReadDescs(dst, r.Sync.Known)
@@ -459,16 +463,6 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 		dst = appendString(dst, r.Inspect.TraceID)
 		dst = binary.AppendVarint(dst, int64(r.Inspect.TopK))
 	}
-	if r.TxStatus != nil {
-		dst = binary.AppendVarint(dst, int64(r.TxStatus.From))
-	}
-	if r.Resolve != nil {
-		dst = appendBool(dst, r.Resolve.Commit)
-		if dst, err = appendWriteDescs(dst, r.Resolve.Writes, depth); err != nil {
-			return nil, err
-		}
-		dst = appendIDs(dst, r.Resolve.Release)
-	}
 	if r.ShardMap != nil {
 		dst = binary.AppendUvarint(dst, r.ShardMap.HaveVersion)
 	}
@@ -490,9 +484,6 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 	}
 	if r.Prepare != nil {
 		mask |= respHasPrepare
-	}
-	if r.Stats != nil {
-		mask |= respHasStats
 	}
 	if r.Sync != nil {
 		mask |= respHasSync
@@ -526,9 +517,6 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 		dst = appendBool(dst, r.Prepare.Vote)
 		dst = appendIDs(dst, r.Prepare.Invalid)
 		dst = appendIDs(dst, r.Prepare.Busy)
-	}
-	if r.Stats != nil {
-		dst = appendLevels(dst, r.Stats.Levels)
 	}
 	if r.Sync != nil {
 		if dst, err = appendWriteDescs(dst, r.Sync.Objects, depth); err != nil {
@@ -902,9 +890,11 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 	}
 	if mask&reqHasDecision != 0 {
 		dr := &DecisionRequest{}
-		if dr.Commit, err = d.boolean(); err != nil {
+		var how byte
+		if how, err = d.u8(); err != nil {
 			return err
 		}
+		dr.Commit, dr.Forwarded = how&decCommit != 0, how&decForwarded != 0
 		if dr.Writes, err = d.writeDescs(); err != nil {
 			return err
 		}
@@ -912,13 +902,6 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 			return err
 		}
 		r.Decision = dr
-	}
-	if mask&reqHasStats != 0 {
-		sr := &StatsRequest{}
-		if sr.Objects, err = d.ids(); err != nil {
-			return err
-		}
-		r.Stats = sr
 	}
 	if mask&reqHasSync != 0 {
 		sr := &SyncRequest{}
@@ -980,28 +963,6 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 		}
 		ir.TopK = int(topK)
 		r.Inspect = ir
-	}
-	if mask&reqHasTxStatus != 0 {
-		ts := &TxStatusRequest{}
-		var from int64
-		if from, err = d.varint(); err != nil {
-			return err
-		}
-		ts.From = quorum.NodeID(from)
-		r.TxStatus = ts
-	}
-	if mask&reqHasResolve != 0 {
-		rs := &ResolveRequest{}
-		if rs.Commit, err = d.boolean(); err != nil {
-			return err
-		}
-		if rs.Writes, err = d.writeDescs(); err != nil {
-			return err
-		}
-		if rs.Release, err = d.ids(); err != nil {
-			return err
-		}
-		r.Resolve = rs
 	}
 	if mask&reqHasShardMap != 0 {
 		sm := &ShardMapRequest{}
@@ -1067,13 +1028,6 @@ func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
 			return err
 		}
 		r.Prepare = pr
-	}
-	if mask&respHasStats != 0 {
-		sr := &StatsResponse{}
-		if sr.Levels, err = d.levels(); err != nil {
-			return err
-		}
-		r.Stats = sr
 	}
 	if mask&respHasSync != 0 {
 		sr := &SyncResponse{}

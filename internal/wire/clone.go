@@ -87,13 +87,11 @@ func (r *Request) Clone() *Request {
 	}
 	if r.Decision != nil {
 		out.Decision = &DecisionRequest{
-			Commit:  r.Decision.Commit,
-			Writes:  cloneWriteDescs(r.Decision.Writes),
-			Release: cloneIDs(r.Decision.Release),
+			Commit:    r.Decision.Commit,
+			Forwarded: r.Decision.Forwarded,
+			Writes:    cloneWriteDescs(r.Decision.Writes),
+			Release:   cloneIDs(r.Decision.Release),
 		}
-	}
-	if r.Stats != nil {
-		out.Stats = &StatsRequest{Objects: cloneIDs(r.Stats.Objects)}
 	}
 	if r.Sync != nil {
 		out.Sync = &SyncRequest{Known: cloneReadDescs(r.Sync.Known)}
@@ -113,17 +111,6 @@ func (r *Request) Clone() *Request {
 	if r.Inspect != nil {
 		ir := *r.Inspect
 		out.Inspect = &ir
-	}
-	if r.TxStatus != nil {
-		ts := *r.TxStatus
-		out.TxStatus = &ts
-	}
-	if r.Resolve != nil {
-		out.Resolve = &ResolveRequest{
-			Commit:  r.Resolve.Commit,
-			Writes:  cloneWriteDescs(r.Resolve.Writes),
-			Release: cloneIDs(r.Resolve.Release),
-		}
 	}
 	if r.ShardMap != nil {
 		sm := *r.ShardMap
@@ -154,9 +141,6 @@ func (r *Response) Clone() *Response {
 			Invalid: cloneIDs(r.Prepare.Invalid),
 			Busy:    cloneIDs(r.Prepare.Busy),
 		}
-	}
-	if r.Stats != nil {
-		out.Stats = &StatsResponse{Levels: cloneLevels(r.Stats.Levels)}
 	}
 	if r.Sync != nil {
 		out.Sync = &SyncResponse{Objects: cloneWriteDescs(r.Sync.Objects)}

@@ -29,6 +29,19 @@ func inspectSeed(t testing.TB) *Envelope {
 	})
 }
 
+// seedRequests is every kind's fixture plus the two request shapes that
+// share a kind with one: the forwarded decision and the stats-only read.
+func seedRequests() []*Request {
+	out := make([]*Request, 0, len(kindFixtures)+2)
+	for _, req := range kindFixtures {
+		out = append(out, req)
+	}
+	fwd := kindFixtures[KindDecision].Clone()
+	fwd.Decision.Forwarded = true
+	stats := &Request{Kind: KindRead, Read: &ReadRequest{StatsFor: []store.ObjectID{store.ID("acct", 5)}}}
+	return append(out, fwd, stats)
+}
+
 // rawFrame wraps payload in a CRC-valid frame header with the given flags.
 func rawFrame(flags byte, payload []byte) []byte {
 	hdr := make([]byte, binHeaderSize, binHeaderSize+len(payload))
@@ -75,7 +88,7 @@ func FuzzReadFrame(f *testing.F) {
 // accepts is re-encoded and parsed back identically, and that arbitrary
 // bytes never panic it.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
-	for _, req := range kindFixtures {
+	for _, req := range seedRequests() {
 		payload, _ := AppendEnvelope(nil, &Envelope{Seq: 1, Req: req})
 		f.Add(payload)
 	}
@@ -125,7 +138,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 // binary encoder REJECTS kinds outside [0, numKinds), where gob would
 // happily carry garbage.
 func FuzzCodecEquivalence(f *testing.F) {
-	for _, req := range kindFixtures {
+	for _, req := range seedRequests() {
 		var buf bytes.Buffer
 		_ = gobEncode(&buf, &Envelope{Seq: 3, Req: req})
 		f.Add(buf.Bytes())
@@ -227,9 +240,6 @@ func normalizeResponse(r *Response, depth int) {
 	if r.Read != nil {
 		r.Read.Value = normalizeValue(r.Read.Value, depth)
 		normalizeLevels(r.Read.Stats)
-	}
-	if r.Stats != nil {
-		normalizeLevels(r.Stats.Levels)
 	}
 	if r.Sync != nil {
 		normalizeWrites(r.Sync.Objects)

@@ -47,9 +47,9 @@ var kindFixtures = map[Kind]*Request{
 			Release: []store.ObjectID{store.ID("acct", 9)},
 		},
 	},
-	KindStats: {
-		Kind:  KindStats,
-		Stats: &StatsRequest{Objects: []store.ObjectID{store.ID("acct", 5)}},
+	KindShardMap: {
+		Kind:     KindShardMap,
+		ShardMap: &ShardMapRequest{HaveVersion: 3},
 	},
 	KindPing: {Kind: KindPing},
 	KindSync: {
@@ -73,24 +73,7 @@ var kindFixtures = map[Kind]*Request{
 		SpanID:  17,
 		Inspect: &InspectRequest{TraceID: "c1-t2-a0", TopK: 8},
 	},
-	KindTxStatus: {
-		Kind:     KindTxStatus,
-		TxID:     "c1-t9-a0",
-		TxStatus: &TxStatusRequest{From: 4},
-	},
-	KindResolve: {
-		Kind: KindResolve,
-		TxID: "c1-t9-a0",
-		Resolve: &ResolveRequest{
-			Commit:  true,
-			Writes:  []store.WriteDesc{{ID: store.ID("acct", 3), Value: store.Int64(7), NewVersion: 2, Block: 0}},
-			Release: []store.ObjectID{store.ID("acct", 3), store.ID("acct", 4)},
-		},
-	},
-	KindShardMap: {
-		Kind:     KindShardMap,
-		ShardMap: &ShardMapRequest{HaveVersion: 3},
-	},
+	KindTxStatus: {Kind: KindTxStatus, TxID: "c1-t9-a0"},
 }
 
 // inspectEnvelope is a KindInspect reply carrying doc the way a node sends
@@ -376,6 +359,47 @@ func TestStatusOverloadedRoundTrips(t *testing.T) {
 		Resp:       &Response{Status: StatusOverloaded, Detail: "admission queue full"},
 	}
 	mustRoundTrip(t, env, false)
+}
+
+// TestForwardedDecisionSharesTheCommitByte: a forwarded outcome is a
+// KindDecision whose leading byte also has bit1 set. A coordinator's decision,
+// which never sets it, keeps the byte a plain Commit bool was, and the flag
+// survives the codec and Clone for both outcomes.
+func TestForwardedDecisionSharesTheCommitByte(t *testing.T) {
+	for _, commit := range []bool{false, true} {
+		coord := kindFixtures[KindDecision].Clone()
+		coord.Decision.Commit = commit
+		fwd := coord.Clone()
+		fwd.Decision.Forwarded = true
+
+		a, err := AppendEnvelope(nil, &Envelope{Seq: 1, Req: coord})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := AppendEnvelope(nil, &Envelope{Seq: 1, Req: fwd})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var diff []int
+		for i := range a {
+			if a[i] != b[i] {
+				diff = append(diff, i)
+			}
+		}
+		want := byte(0)
+		if commit {
+			want = 1
+		}
+		if len(a) != len(b) || len(diff) != 1 || a[diff[0]] != want || b[diff[0]] != want|2 {
+			t.Fatalf("commit=%v: coordinator % x vs forwarded % x: want one byte apart, %#x vs %#x", commit, a, b, want, want|2)
+		}
+		for _, req := range []*Request{coord, fwd} {
+			mustRoundTrip(t, &Envelope{Seq: 2, Req: req}, false)
+			if got := req.Clone(); !reflect.DeepEqual(got, req) {
+				t.Fatalf("Clone changed %+v into %+v", req.Decision, got.Decision)
+			}
+		}
+	}
 }
 
 // TestDeadlineMixedVersionInterop pins the compatibility story for the

@@ -4,7 +4,8 @@
 // frames with optional flate compression (binary.go). The paper notes that
 // contention meta-data is piggybacked on existing messages and that messages
 // are compressed to minimize that cost; ReadRequest's StatsFor field and the
-// frame compression flag implement both.
+// frame compression flag implement both. The explicit contention query is a
+// read too: a ReadRequest that names no Object and asks StatsFor only.
 package wire
 
 import (
@@ -66,8 +67,15 @@ type Kind int
 const (
 	KindRead Kind = iota
 	KindPrepare
+	// KindDecision delivers a 2PC outcome: from the coordinator, or forwarded
+	// by a participant that resolved the transaction through the termination
+	// protocol (DecisionRequest.Forwarded).
 	KindDecision
-	KindStats
+	// KindShardMap fetches the cluster's shard map: the versioned assignment
+	// of hash partitions to quorum groups. Any node serves it; clients cache
+	// the map by version and send HaveVersion so an up-to-date cache costs a
+	// header-only reply.
+	KindShardMap
 	KindPing
 	// KindSync transfers replica state for anti-entropy: a node that was
 	// partitioned away asks a peer for every object newer than its local
@@ -89,24 +97,13 @@ const (
 	// issued on the transaction hot path; serving it is read-only and
 	// admission-gated — a debug fetch must never starve transaction traffic.
 	KindInspect
-	// KindTxStatus asks a quorum peer what it knows about a transaction: a
-	// participant holding an in-doubt prepare past its resolve deadline
-	// queries the other members recorded in its prepare record (cooperative
-	// termination). A peer that saw the decision answers authoritatively; a
-	// peer that never voted yes implies the unanimous-yes quorum was never
-	// reached, so abort is safe.
+	// KindTxStatus asks a quorum peer what it knows about the transaction
+	// named by TxID; it carries no payload. A participant holding an in-doubt
+	// prepare past its resolve deadline queries the other members recorded in
+	// its prepare record (cooperative termination). A peer that saw the
+	// decision answers authoritatively; a peer that never voted yes implies
+	// the unanimous-yes quorum was never reached, so abort is safe.
 	KindTxStatus
-	// KindResolve forwards a transaction decision peer-to-peer: a participant
-	// that resolved an in-doubt transaction (from a peer's status, or by
-	// deadline abort) pushes the outcome to the other quorum members so they
-	// converge without waiting out their own deadlines. Idempotent — a
-	// receiver that already decided simply acknowledges.
-	KindResolve
-	// KindShardMap fetches the cluster's shard map: the versioned assignment
-	// of hash partitions to quorum groups. Any node serves it; clients cache
-	// the map by version and send HaveVersion so an up-to-date cache costs a
-	// header-only reply.
-	KindShardMap
 
 	// numKinds counts the Kind values. It MUST stay last: the wire
 	// round-trip test iterates [0, numKinds) and fails compilation-adjacent
@@ -123,8 +120,8 @@ func (k Kind) String() string {
 		return "prepare"
 	case KindDecision:
 		return "decision"
-	case KindStats:
-		return "stats"
+	case KindShardMap:
+		return "shard-map"
 	case KindSync:
 		return "sync"
 	case KindBatch:
@@ -135,17 +132,14 @@ func (k Kind) String() string {
 		return "inspect"
 	case KindTxStatus:
 		return "tx-status"
-	case KindResolve:
-		return "resolve"
-	case KindShardMap:
-		return "shard-map"
 	default:
 		return "ping"
 	}
 }
 
 // Request is a client-to-server message. Exactly one payload pointer,
-// matching Kind, is non-nil (except KindPing, which carries none).
+// matching Kind, is non-nil (except KindPing and KindTxStatus, which carry
+// none).
 type Request struct {
 	Kind Kind
 	TxID string
@@ -164,20 +158,17 @@ type Request struct {
 	// inflates on every store-and-forward hop; an absolute deadline is
 	// exact under the bounded skew a quorum deployment already assumes for
 	// lease TTLs, and only ever errs by that skew once, not per hop.
-	// Coordinators never stamp it on KindDecision/KindResolve — a decided
-	// transaction must reach participants regardless of who is still
-	// waiting — and servers never deadline-check those kinds.
+	// Coordinators never stamp it on KindDecision — a decided transaction
+	// must reach participants regardless of who is still waiting — and
+	// servers never deadline-check that kind.
 	Deadline int64
 	Read     *ReadRequest
 	Prepare  *PrepareRequest
 	Decision *DecisionRequest
-	Stats    *StatsRequest
 	Sync     *SyncRequest
 	Batch    *BatchRequest
 	Repair   *RepairRequest
 	Inspect  *InspectRequest
-	TxStatus *TxStatusRequest
-	Resolve  *ResolveRequest
 	ShardMap *ShardMapRequest
 }
 
@@ -193,10 +184,14 @@ type BatchResponse struct {
 }
 
 // ReadRequest fetches one object and incrementally validates the caller's
-// read-set, optionally piggybacking a contention-stats query.
+// read-set, optionally piggybacking a contention-stats query. A read that
+// names no Object is the stats query alone: it is answered StatusOK with the
+// levels of StatsFor and no value.
 type ReadRequest struct {
 	Object   store.ObjectID
 	Validate []store.ReadDesc
+	// StatsFor asks for these objects' contention levels (writes in the
+	// node's last stats window), answered in ReadResponse.Stats.
 	StatsFor []store.ObjectID
 	// VersionOnly asks for the object's version without its value — the
 	// bandwidth-saving read strategy fetches the value from a single quorum
@@ -219,7 +214,15 @@ type PrepareRequest struct {
 // DecisionRequest is phase two of two-phase commit.
 type DecisionRequest struct {
 	Commit bool
-	// Writes are applied when Commit is true.
+	// Forwarded marks an outcome a participant resolved through the
+	// termination protocol and pushes to the peers it found still in doubt,
+	// so they converge without waiting out their own deadlines; the
+	// coordinator never sets it. It shares the byte that carries Commit, so
+	// a coordinator's decision encodes as it did before the flag existed.
+	Forwarded bool
+	// Writes are applied when Commit is true by a node that holds no prepare
+	// record of the transaction; one that does applies the writes it
+	// promised in its own record.
 	Writes []store.WriteDesc
 	// Release lists every object the prepare protected (the transaction's
 	// read-set); the decision clears those protections whether it commits
@@ -261,30 +264,9 @@ func (s TxState) String() string {
 	}
 }
 
-// TxStatusRequest asks the receiver what it knows about the transaction named
-// by the envelope's TxID (cooperative termination protocol).
-type TxStatusRequest struct {
-	// From is the in-doubt participant asking; used for tracing and to let
-	// the responder skip forwarding the decision back to the asker.
-	From quorum.NodeID
-}
-
 // TxStatusResponse reports the replica's knowledge of the transaction.
 type TxStatusResponse struct {
 	State TxState
-}
-
-// ResolveRequest pushes a resolved decision to a quorum peer. It mirrors
-// DecisionRequest but arrives from a fellow participant instead of the
-// coordinator; receivers treat it idempotently.
-type ResolveRequest struct {
-	Commit bool
-	// Writes are applied when Commit is true (the sender's durable prepare
-	// record supplies them, so a peer that lost its own state still
-	// converges).
-	Writes []store.WriteDesc
-	// Release lists the protections to clear.
-	Release []store.ObjectID
 }
 
 // ShardMapRequest fetches the node's shard map. HaveVersion is the version
@@ -302,11 +284,6 @@ type ShardMapResponse struct {
 	Version uint64
 	Degree  int
 	Groups  [][]quorum.NodeID
-}
-
-// StatsRequest asks for the contention level of specific objects.
-type StatsRequest struct {
-	Objects []store.ObjectID
 }
 
 // RepairRequest carries one object's fresh value+version to a stale
@@ -363,7 +340,6 @@ type Response struct {
 	ConflictTx string
 	Read       *ReadResponse
 	Prepare    *PrepareResponse
-	Stats      *StatsResponse
 	Sync       *SyncResponse
 	Batch      *BatchResponse
 	Inspect    *InspectResponse
@@ -387,11 +363,6 @@ type PrepareResponse struct {
 	Vote    bool
 	Invalid []store.ObjectID
 	Busy    []store.ObjectID
-}
-
-// StatsResponse carries contention levels (write counts in the last window).
-type StatsResponse struct {
-	Levels map[store.ObjectID]float64
 }
 
 // Envelope frames a request or response with a sequence number so multiple

@@ -176,7 +176,7 @@ func TestStatusAndKindStrings(t *testing.T) {
 		t.Fatal("Status.String mismatch")
 	}
 	if KindRead.String() != "read" || KindPrepare.String() != "prepare" ||
-		KindDecision.String() != "decision" || KindStats.String() != "stats" || KindPing.String() != "ping" {
+		KindDecision.String() != "decision" || KindShardMap.String() != "shard-map" || KindPing.String() != "ping" {
 		t.Fatal("Kind.String mismatch")
 	}
 }
