@@ -134,7 +134,7 @@ func main() {
 		fmt.Printf("seeded %d objects\n", len(w.SeedObjects()))
 	}
 
-	execs, ctrls, err := buildExecutors(rt, w, *modeArg)
+	execs, hub, err := buildExecutors(rt, w, *modeArg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -163,8 +163,8 @@ func main() {
 
 	for i := 0; i < *intervals; i++ {
 		time.Sleep(*interval)
-		for _, ctrl := range ctrls {
-			if err := ctrl.RefreshOnce(runCtx); err != nil {
+		if hub != nil {
+			if err := hub.RefreshOnce(runCtx); err != nil {
 				fmt.Fprintf(os.Stderr, "refresh: %v\n", err)
 			}
 		}
@@ -238,9 +238,15 @@ func main() {
 	}
 }
 
-func buildExecutors(rt *dtm.Runtime, w workload.Workload, mode string) ([]*acn.Executor, []*acn.Controller, error) {
+// buildExecutors makes one executor per profile. In acn mode it also
+// registers them all on one Hub, the client's one adaptation path: one
+// stats query per refresh covers every profile's objects.
+func buildExecutors(rt *dtm.Runtime, w workload.Workload, mode string) ([]*acn.Executor, *acn.Hub, error) {
 	var execs []*acn.Executor
-	var ctrls []*acn.Controller
+	var hub *acn.Hub
+	if mode == "acn" {
+		hub = acn.NewHub(rt, acn.HubConfig{})
+	}
 	for _, prof := range w.Profiles() {
 		an, err := unitgraph.Analyze(prof.Program)
 		if err != nil {
@@ -263,11 +269,11 @@ func buildExecutors(rt *dtm.Runtime, w workload.Workload, mode string) ([]*acn.E
 		}
 		exec := acn.NewExecutor(rt, an, comp)
 		execs = append(execs, exec)
-		if mode == "acn" {
-			ctrls = append(ctrls, acn.NewController(exec, acn.ControllerConfig{}))
+		if hub != nil {
+			hub.Register(exec, acn.AlgoConfig{})
 		}
 	}
-	return execs, ctrls, nil
+	return execs, hub, nil
 }
 
 // seedObjects installs initial data in batches of small transactions.

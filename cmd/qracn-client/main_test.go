@@ -19,18 +19,28 @@ func TestBuildExecutorsModes(t *testing.T) {
 	rt := c.Runtime(1, dtm.Config{Seed: 1})
 
 	for _, mode := range []string{"dtm", "cn", "acn"} {
-		execs, ctrls, err := buildExecutors(rt, w, mode)
+		execs, hub, err := buildExecutors(rt, w, mode)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		if len(execs) != len(w.Profiles()) {
 			t.Fatalf("%s: %d executors", mode, len(execs))
 		}
-		if mode == "acn" && len(ctrls) == 0 {
-			t.Fatal("acn mode without controllers")
+		if mode != "acn" {
+			if hub != nil {
+				t.Fatalf("%s mode built a hub", mode)
+			}
+			continue
 		}
-		if mode != "acn" && len(ctrls) != 0 {
-			t.Fatalf("%s mode built controllers", mode)
+		// One hub drives every profile: one refresh recomposes each of them.
+		if hub == nil {
+			t.Fatal("acn mode without a hub")
+		}
+		if err := hub.RefreshOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(rt.Forensics().Recomposes()); got != len(execs) {
+			t.Fatalf("one refresh made %d recompose decisions, want one per profile (%d)", got, len(execs))
 		}
 	}
 	if _, _, err := buildExecutors(rt, w, "bogus"); err == nil {

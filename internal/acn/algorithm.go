@@ -21,13 +21,6 @@ type AlgoConfig struct {
 	DisableReattach bool
 	DisableMerge    bool
 	DisableSort     bool
-	// ShardHome, when non-nil, reports the keyspace shard hosting a
-	// UnitBlock's recent accesses (-1: unknown). The merge step then skips
-	// merges across different known homes, so a partial rollback that
-	// re-executes the Block re-reads from one quorum group. (How reads are
-	// batched no longer depends on Block shape: the executor's read-ahead
-	// spans Blocks and groups.)
-	ShardHome func(anchorID int) int
 }
 
 func (c *AlgoConfig) fillDefaults() {
@@ -208,29 +201,6 @@ func (alg *Algorithm) merge(hosts []int, groups [][]int, probs []float64, aud *A
 		}
 		return d <= alg.cfg.MergeThreshold*hi
 	}
-	home := func(g []int) int {
-		if alg.cfg.ShardHome == nil {
-			return -1
-		}
-		h := -1
-		for _, a := range g {
-			s := alg.cfg.ShardHome(a)
-			if s < 0 {
-				continue
-			}
-			if h < 0 {
-				h = s
-			} else if h != s {
-				return -1 // mixed accesses: no single home
-			}
-		}
-		return h
-	}
-	colocated := func(ga, gb []int) bool {
-		ha, hb := home(ga), home(gb)
-		return ha < 0 || hb < 0 || ha == hb
-	}
-
 	refuse := func(ga, gb []int, reason forensics.RefusalReason) {
 		if aud != nil {
 			aud.Refusals = append(aud.Refusals, forensics.Refusal{
@@ -242,7 +212,7 @@ func (alg *Algorithm) merge(hosts []int, groups [][]int, probs []float64, aud *A
 	for i := 1; i < len(groups); i++ {
 		last := out[len(out)-1]
 		dep := dependent(last, groups[i])
-		if dep && similar(last, groups[i]) && colocated(last, groups[i]) {
+		if dep && similar(last, groups[i]) {
 			candidate := append(append([]int(nil), last...), groups[i]...)
 			sort.Ints(candidate)
 			rest := append(append([][]int(nil), out[:len(out)-1]...), candidate)
@@ -257,15 +227,10 @@ func (alg *Algorithm) merge(hosts []int, groups [][]int, probs []float64, aud *A
 			// Merging would cycle the Block order through a group between
 			// the pair: a dependency refusal.
 			refuse(last, groups[i], forensics.RefusalDependency)
+		} else if !dep {
+			refuse(last, groups[i], forensics.RefusalDependency)
 		} else {
-			switch {
-			case !dep:
-				refuse(last, groups[i], forensics.RefusalDependency)
-			case !similar(last, groups[i]):
-				refuse(last, groups[i], forensics.RefusalSimilarity)
-			default:
-				refuse(last, groups[i], forensics.RefusalShardHome)
-			}
+			refuse(last, groups[i], forensics.RefusalSimilarity)
 		}
 		out = append(out, groups[i])
 	}

@@ -278,44 +278,6 @@ func TestRecomposeMergesSimilarDependentBlocks(t *testing.T) {
 	}
 }
 
-func TestRecomposeShardHomeBlocksCrossShardMerge(t *testing.T) {
-	// Same chain as above: dependent, similar heat, so it merges by default.
-	// A ShardHome that places the two anchors in different quorum groups
-	// must veto the merge, while co-located or unknown homes permit it.
-	p := txir.NewProgram("chain")
-	p.Read("X", "X", sref("X"), "x")
-	p.Read("Y", "Y", func(e *txir.Env) store.ObjectID {
-		return store.ID("Y", e.GetInt64("x"))
-	}, "y", "x")
-	an, err := unitgraph.Analyze(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv := levels(map[int]float64{0: 10, 1: 10})
-
-	split := NewAlgorithm(an, AlgoConfig{ShardHome: func(a int) int { return a }})
-	comp := split.Recompose(lv)
-	assertCoverage(t, an, comp)
-	if len(comp.Blocks) != 1+1 {
-		t.Fatalf("cross-shard anchors merged: %s", comp)
-	}
-
-	together := NewAlgorithm(an, AlgoConfig{ShardHome: func(int) int { return 0 }})
-	if comp := together.Recompose(lv); len(comp.Blocks) != 1 {
-		t.Fatalf("co-located anchors not merged: %s", comp)
-	}
-
-	unknown := NewAlgorithm(an, AlgoConfig{ShardHome: func(a int) int {
-		if a == 0 {
-			return -1
-		}
-		return 1
-	}})
-	if comp := unknown.Recompose(lv); len(comp.Blocks) != 1 {
-		t.Fatalf("unknown home must not veto the merge: %s", comp)
-	}
-}
-
 func TestRecomposeDoesNotMergeIndependentBlocks(t *testing.T) {
 	p := txir.NewProgram("indep")
 	p.Read("X", "X", sref("X"), "x")

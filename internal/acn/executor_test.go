@@ -341,6 +341,37 @@ func TestControllerStartStop(t *testing.T) {
 	}
 }
 
+// TestControllerRestartsAfterItsContextEnds: a loop whose context ended has
+// exited, so a later Start runs a new one without a Stop in between. It used
+// to stay marked as started, and every later Start did nothing.
+func TestControllerRestartsAfterItsContextEnds(t *testing.T) {
+	an := analyze(t)
+	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: 20 * time.Millisecond})
+	defer c.Close()
+	seedBank(c, 2, 2, 1000)
+	rt := c.Runtime(1, dtm.Config{Seed: 3})
+	exec := acn.NewExecutor(rt, an, acn.Static(an))
+	ctrl := acn.NewController(exec, acn.ControllerConfig{Interval: 5 * time.Millisecond})
+	defer ctrl.Stop()
+	if err := exec.Execute(context.Background(), transferParams(0, 1, 0, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctrl.Start(ended)
+	// The first loop exits on its own; until it has, Start is a no-op, so keep
+	// asking until a live loop refreshes.
+	deadline := time.Now().Add(2 * time.Second)
+	for ctrl.Refreshes() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("Start never ran a new loop after the first one's context ended")
+		}
+		ctrl.Start(context.Background())
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestControllerPiggybackHooks(t *testing.T) {
 	an := analyze(t)
 	c := cluster.New(cluster.Config{Servers: 10, StatsWindow: time.Hour})

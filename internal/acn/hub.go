@@ -3,21 +3,28 @@ package acn
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"qracn/internal/contention"
 	"qracn/internal/dtm"
+	"qracn/internal/forensics"
 	"qracn/internal/store"
+	"qracn/internal/trace"
 )
 
-// Hub coordinates ACN across every transaction profile of one client node:
-// the controllers share a single contention table and one stats query per
-// refresh covers the union of all profiles' recently-touched objects —
-// which is how the paper's client works (one list of accessed objects per
-// request, §V-C2), and which lets contention observed through one profile
-// inform another profile touching the same objects.
+// Hub is the one adaptation path of a client node: it observes, recomposes
+// and swaps for every transaction profile registered on it. The profiles
+// share a single contention table, and one stats query per refresh covers the
+// union of all their recently-touched objects — which is how the paper's
+// client works (one list of accessed objects per request, §V-C2), and which
+// lets contention observed through one profile inform another profile
+// touching the same objects. A Controller is a Hub of one executor with a
+// timer.
 type Hub struct {
-	rt    *dtm.Runtime
-	table *contention.Table
+	rt        *dtm.Runtime
+	table     *contention.Table
+	tracer    *trace.Tracer
+	refreshes atomic.Uint64
 
 	mu    sync.Mutex
 	execs []*Executor
@@ -35,29 +42,19 @@ type HubConfig struct {
 	TableAlpha float64
 }
 
-// NewHub creates an empty hub over a runtime.
+// NewHub creates an empty hub over a runtime; it records its decisions to the
+// runtime's tracer.
 func NewHub(rt *dtm.Runtime, cfg HubConfig) *Hub {
 	alpha := cfg.TableAlpha
 	if alpha == 0 {
 		alpha = 0.6
 	}
-	return &Hub{rt: rt, table: contention.NewTable(alpha)}
+	return &Hub{rt: rt, table: contention.NewTable(alpha), tracer: rt.Tracer()}
 }
 
 // Register adds a profile's executor; its Block sequence will be recomposed
-// on every refresh with the given algorithm configuration. On a sharded
-// runtime an unset ShardHome defaults to the plurality shard of the
-// anchor's recently sampled objects, so recomposition prefers Blocks that
-// stay within one quorum group.
+// on every refresh with the given algorithm configuration.
 func (h *Hub) Register(exec *Executor, cfg AlgoConfig) {
-	if cfg.ShardHome == nil {
-		if m := h.rt.ShardMap(); m != nil && m.NumShards() > 1 {
-			e := exec
-			cfg.ShardHome = func(anchor int) int {
-				return anchorHome(m.ShardFor, e.AnchorSample(anchor))
-			}
-		}
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.execs = append(h.execs, exec)
@@ -65,23 +62,11 @@ func (h *Hub) Register(exec *Executor, cfg AlgoConfig) {
 	h.wanted = nil // built over the profiles there were
 }
 
-// anchorHome reports the shard owning the plurality of an anchor's recently
-// sampled objects (-1 when the anchor has no samples yet).
-func anchorHome(shardOf func(store.ObjectID) int, ids []store.ObjectID) int {
-	best, bestN := -1, 0
-	counts := make(map[int]int)
-	for _, id := range ids {
-		s := shardOf(id)
-		counts[s]++
-		if counts[s] > bestN || (counts[s] == bestN && s < best) {
-			best, bestN = s, counts[s]
-		}
-	}
-	return best
-}
-
 // Table exposes the shared contention table.
 func (h *Hub) Table() *contention.Table { return h.table }
+
+// Refreshes reports how many refresh cycles have completed.
+func (h *Hub) Refreshes() uint64 { return h.refreshes.Load() }
 
 // Wanted implements the piggyback hook over all registered profiles. The
 // slice is shared and must not be modified.
@@ -116,10 +101,18 @@ func (h *Hub) Wanted() []store.ObjectID {
 // table.
 func (h *Hub) Sink(levels map[store.ObjectID]float64) { h.table.ObserveAll(levels) }
 
-// RefreshOnce fetches contention for the union of all profiles' objects
-// with a single query and recomposes every profile's Block sequence.
+// RefreshOnce performs one dynamic-module + algorithm-module cycle
+// synchronously: one stats query for the union of all profiles' objects,
+// folded into the table, then every profile's Block sequence recomposed and
+// swapped.
 func (h *Hub) RefreshOnce(ctx context.Context) error {
-	if err := observe(ctx, h.rt, h.table, h.Wanted()); err != nil {
+	return h.refresh(ctx, "manual")
+}
+
+// refresh is RefreshOnce with the forensic trigger label: "interval" for a
+// Controller's periodic loop, "manual" for explicit RefreshOnce calls.
+func (h *Hub) refresh(ctx context.Context, trigger string) error {
+	if err := h.observe(ctx); err != nil {
 		return err
 	}
 	h.mu.Lock()
@@ -127,7 +120,58 @@ func (h *Hub) RefreshOnce(ctx context.Context) error {
 	algos := append([]*Algorithm(nil), h.algos...)
 	h.mu.Unlock()
 	for i, exec := range execs {
-		recompose(exec, algos[i], h.table, h.rt.Tracer(), "manual")
+		h.recompose(exec, algos[i], trigger)
 	}
+	h.refreshes.Add(1)
 	return nil
+}
+
+// observe is the dynamic-module half of a refresh cycle: one stats query for
+// the contention of the wanted objects, folded into the table.
+func (h *Hub) observe(ctx context.Context) error {
+	ids := h.Wanted()
+	if len(ids) == 0 {
+		return nil
+	}
+	levels, err := h.rt.FetchStats(ctx, ids)
+	if err != nil {
+		return err
+	}
+	h.table.ObserveAll(levels)
+	return nil
+}
+
+// recompose is the algorithm-module half, for one executor. Each UnitBlock's
+// contention is the mean smoothed level of the concrete objects it recently
+// accessed. Every decision leaves a forensic audit and a trace event, whether
+// it swaps the Block sequence or reproduces it.
+func (h *Hub) recompose(exec *Executor, algo *Algorithm, trigger string) {
+	comp, aud := algo.RecomposeAudited(func(anchor int) float64 {
+		return h.table.Mean(exec.AnchorSample(anchor))
+	})
+	before := ""
+	if cur := exec.Composition(); cur != nil {
+		before = cur.String()
+	}
+	// Skip the swap when the algorithm module reproduced the current Block
+	// sequence: SetComposition recompiles the whole plan, and an unchanged
+	// composition would churn it (and every in-flight Execute's view) for
+	// nothing.
+	applied := before != comp.String()
+	exec.Runtime().Forensics().RecordRecompose(forensics.RecomposeEvent{
+		Trigger:  trigger,
+		Before:   before,
+		After:    comp.String(),
+		Levels:   aud.Levels,
+		Merges:   aud.Merges,
+		Reorders: aud.Reorders,
+		Refusals: aud.Refusals,
+		Applied:  applied,
+	})
+	if !applied {
+		h.tracer.Record(trace.KindRecomposeSkip, "", comp.String())
+		return
+	}
+	exec.SetComposition(comp)
+	h.tracer.Record(trace.KindRecompose, "", comp.String())
 }

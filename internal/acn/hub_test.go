@@ -2,7 +2,9 @@ package acn_test
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"qracn/internal/txir"
 	"qracn/internal/unitgraph"
 	"qracn/internal/workload/bank"
+	"qracn/internal/workload/tpcc"
 )
 
 func TestHubSharedAdaptation(t *testing.T) {
@@ -231,5 +234,141 @@ func TestHubAndControllerAuditAlike(t *testing.T) {
 		if byHub.events[k] != byController.events[k] {
 			t.Fatalf("%s events: hub %d, controller %d", k, byHub.events[k], byController.events[k])
 		}
+	}
+}
+
+// TestHubDeliveryShardedComposition pins what the algorithm module makes of
+// the delivery-sharded benchmark's inputs (TPC-C Delivery over four quorum
+// groups): the dependency chain dlv → order → customer stays three Blocks, and
+// every merge it declines is declined for dissimilar contention — the written
+// cursor and customer rows against the order row nothing writes.
+func TestHubDeliveryShardedComposition(t *testing.T) {
+	w := tpcc.New(tpcc.Config{Warehouses: 4, Districts: 10, CustomersPerDistrict: 20, Items: 100, MixDelivery: 100})
+	const window = 50 * time.Millisecond
+	start := time.Now()
+	var elapsed atomic.Int64
+	c := cluster.New(cluster.Config{
+		Servers:     10,
+		Shards:      4,
+		StatsWindow: window,
+		Now:         func() time.Time { return start.Add(time.Duration(elapsed.Load())) },
+	})
+	defer c.Close()
+	c.Seed(w.SeedObjects())
+
+	rt := c.Runtime(1, dtm.Config{Seed: 5})
+	if m := rt.ShardMap(); m == nil || m.NumShards() != 4 {
+		t.Fatalf("shard map %v, want four groups", m)
+	}
+	an, err := unitgraph.Analyze(w.Profiles()[tpcc.ProfileDelivery].Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := acn.NewExecutor(rt, an, acn.Static(an))
+	hub := acn.NewHub(rt, acn.HubConfig{})
+	hub.Register(exec, acn.AlgoConfig{})
+
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1))
+	for refresh := 0; refresh < 2; refresh++ {
+		for i := 0; i < 100; i++ {
+			prof, params := w.Generate(rng, 0)
+			if prof != tpcc.ProfileDelivery {
+				t.Fatalf("generated profile %d, want Delivery only", prof)
+			}
+			if err := exec.Execute(ctx, params); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The window just driven becomes the last completed one, the one
+		// whose counts the nodes report.
+		elapsed.Add(int64(window))
+		if err := hub.RefreshOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if got := exec.Composition().String(); got != "[0][1][2]" {
+		t.Fatalf("composition %s, want [0][1][2]", got)
+	}
+	decisions := rt.Forensics().Recomposes()
+	if len(decisions) != 2 {
+		t.Fatalf("%d recompose decisions, want 2", len(decisions))
+	}
+	for _, d := range decisions {
+		if d.Levels[0].Level == 0 || d.Levels[2].Level == 0 {
+			t.Fatalf("levels %+v: the written dlv and customer rows show no contention", d.Levels)
+		}
+		if len(d.Refusals) != 2 {
+			t.Fatalf("refusals %+v, want the two adjacent pairs", d.Refusals)
+		}
+		for _, r := range d.Refusals {
+			if r.Reason != forensics.RefusalSimilarity {
+				t.Fatalf("refusal %+v (%s), want similarity-threshold only", r, r.Reason)
+			}
+		}
+	}
+}
+
+// TestHubConcurrentRegisterRefreshAndLoop drives the one adaptation path
+// from every side at once — a Controller's timer loop and its RefreshOnce, a
+// Hub gaining profiles while it refreshes, and transactions running through
+// Block sequences being swapped under them — for the race detector, and
+// checks that no transfer was lost.
+func TestHubConcurrentRegisterRefreshAndLoop(t *testing.T) {
+	an := analyze(t)
+	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: 5 * time.Millisecond})
+	defer c.Close()
+	seedBank(c, 2, 8, 1000)
+	rt := c.Runtime(1, dtm.Config{Seed: 3})
+	ctx := context.Background()
+
+	first := acn.NewExecutor(rt, an, acn.Static(an))
+	ctrl := acn.NewController(first, acn.ControllerConfig{Interval: time.Millisecond})
+	ctrl.Start(ctx)
+	defer ctrl.Stop()
+	hub := acn.NewHub(rt, acn.HubConfig{})
+
+	const workers, rounds = 3, 10
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			exec := acn.NewExecutor(rt, an, acn.Static(an))
+			hub.Register(exec, acn.AlgoConfig{})
+			for i := 0; i < rounds; i++ {
+				for _, e := range []*acn.Executor{exec, first} {
+					if err := e.Execute(ctx, transferParams(i%2, (i+1)%2, (g+i)%8, (g+i+3)%8, 1)); err != nil {
+						errs <- err
+						return
+					}
+				}
+				_ = hub.Wanted()
+				if err := hub.RefreshOnce(ctx); err != nil {
+					errs <- err
+					return
+				}
+				if err := ctrl.RefreshOnce(ctx); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := hub.Refreshes(); got != workers*rounds {
+		t.Fatalf("hub refreshes = %d, want %d", got, workers*rounds)
+	}
+	if got := ctrl.Refreshes(); got < workers*rounds {
+		t.Fatalf("controller refreshes = %d, want at least the %d by hand", got, workers*rounds)
+	}
+	if b, a := totalMoney(t, rt, 2, 8); b != 2000 || a != 8000 {
+		t.Fatalf("money not conserved under concurrent refreshes: %d/%d", b, a)
 	}
 }

@@ -83,9 +83,9 @@ type Config struct {
 	// caller's context governs). The deadline is installed on the context
 	// and propagated as an absolute timestamp on every wire request the
 	// transaction issues, so servers can reject already-expired work before
-	// touching locks or the WAL. Decision/Resolve delivery is exempt on
-	// both sides: a decided transaction's outcome must reach participants
-	// no matter how stale the delivery is.
+	// touching locks or the WAL. Decision delivery, a coordinator's or a
+	// forwarded one, is exempt on both sides: a decided transaction's
+	// outcome must reach participants no matter how stale the delivery is.
 	TxDeadline time.Duration
 	// RetryBudget caps retries per transaction attempt, shared across every
 	// retry class — quorum failover, busy re-reads, and overload

@@ -88,9 +88,6 @@ const (
 	// RefusalDependency: the pair is not dependency-compatible (no edge, or
 	// the merged group would create a cycle).
 	RefusalDependency RefusalReason = iota
-	// RefusalShardHome: the pair's anchors live on different quorum groups,
-	// and merging would force a cross-shard Block.
-	RefusalShardHome
 	// RefusalSimilarity: the pair's contention levels differ beyond the
 	// merge threshold.
 	RefusalSimilarity
@@ -100,8 +97,6 @@ const (
 
 func (r RefusalReason) String() string {
 	switch r {
-	case RefusalShardHome:
-		return "shard-home"
 	case RefusalSimilarity:
 		return "similarity-threshold"
 	default:

@@ -203,22 +203,28 @@ func TestRefusalReasonStamping(t *testing.T) {
 	r := New(8)
 	r.RecordRecompose(RecomposeEvent{
 		Trigger:  "interval",
-		Refusals: []Refusal{{First: 0, Second: 1, Reason: RefusalShardHome}},
+		Refusals: []Refusal{{First: 0, Second: 1, Reason: RefusalSimilarity}},
 	})
 	recs := r.Recomposes()
 	doc, err := json.Marshal(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(doc), `"reason":"shard-home"`) {
+	if !strings.Contains(string(doc), `"reason":"similarity-threshold"`) {
 		t.Fatalf("refusal reason not named in JSON: %s", doc)
 	}
 	var back []RecomposeEvent
 	if err := json.Unmarshal(doc, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 1 || back[0].Refusals[0].Reason != RefusalShardHome {
+	if len(back) != 1 || back[0].Refusals[0].Reason != RefusalSimilarity {
 		t.Fatalf("refusal reason did not survive JSON: %+v", back)
+	}
+	// A reason this build no longer has (an older peer's "shard-home")
+	// decodes as the fallback.
+	var old Refusal
+	if err := json.Unmarshal([]byte(`{"reason":"shard-home"}`), &old); err != nil || old.Reason != RefusalDependency {
+		t.Fatalf("retired reason decoded as %v (err %v), want %v", old.Reason, err, RefusalDependency)
 	}
 }
 

@@ -52,36 +52,3 @@ func (m ExpModel) Combine(probs []float64) float64 {
 	}
 	return 1 - keep
 }
-
-// LinearModel is an alternative model: p = min(1, alpha*level); blocks
-// combine by maximum. It demonstrates the custom-model hook and is used in
-// ablation benchmarks.
-type LinearModel struct {
-	Alpha float64
-}
-
-// AbortProb implements ContentionModel.
-func (m LinearModel) AbortProb(level float64) float64 {
-	p := m.Alpha * level
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
-// Combine implements ContentionModel.
-func (m LinearModel) Combine(probs []float64) float64 {
-	max := 0.0
-	for _, p := range probs {
-		if p > max {
-			max = p
-		}
-	}
-	if max > 1 {
-		return 1
-	}
-	return max
-}

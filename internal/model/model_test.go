@@ -68,29 +68,6 @@ func TestCombineAtLeastMaxProperty(t *testing.T) {
 	}
 }
 
-func TestLinearModel(t *testing.T) {
-	m := LinearModel{Alpha: 0.1}
-	if m.AbortProb(5) != 0.5 {
-		t.Fatalf("AbortProb(5) = %v", m.AbortProb(5))
-	}
-	if m.AbortProb(100) != 1 {
-		t.Fatal("linear model must clamp at 1")
-	}
-	if m.AbortProb(-1) != 0 {
-		t.Fatal("linear model must clamp at 0")
-	}
-	if got := m.Combine([]float64{0.2, 0.7, 0.4}); got != 0.7 {
-		t.Fatalf("Combine = %v, want max 0.7", got)
-	}
-	if got := m.Combine([]float64{1.5}); got != 1 {
-		t.Fatalf("Combine clamps: %v", got)
-	}
-	if got := m.Combine(nil); got != 0 {
-		t.Fatalf("Combine(nil) = %v", got)
-	}
-}
-
 func TestModelsAreContentionModels(t *testing.T) {
 	var _ ContentionModel = ExpModel{}
-	var _ ContentionModel = LinearModel{}
 }

@@ -87,8 +87,8 @@ type Config struct {
 	// StatusNotFound so unsharded deployments stay unchanged.
 	Shards *shard.Map
 	// MaxInflight bounds concurrently executing gated requests (reads,
-	// prepares, batches, stats, sync, repair, inspect) — the admission
-	// gate. Excess requests queue up to QueueDepth and are shed with
+	// contention-stats queries among them, prepares, batches, sync, repair,
+	// inspect) — the admission gate. Excess requests queue up to QueueDepth and are shed with
 	// StatusOverloaded beyond it. 0 disables the gate entirely (the
 	// pre-overload-protection behaviour). 2PC decisions, termination-protocol
 	// traffic, pings, and shard-map fetches are never gated; see

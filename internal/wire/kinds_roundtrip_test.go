@@ -165,7 +165,7 @@ func TestForensicsResponseRoundTrips(t *testing.T) {
 			Levels:   []forensics.AnchorLevel{{Anchor: 1, Level: 0.75}, {Anchor: 2, Level: 0.1}},
 			Merges:   1,
 			Reorders: 2,
-			Refusals: []forensics.Refusal{{First: 1, Second: 2, Reason: forensics.RefusalShardHome}},
+			Refusals: []forensics.Refusal{{First: 1, Second: 2, Reason: forensics.RefusalSimilarity}},
 			Applied:  true,
 		}},
 		HotKeys:         []forensics.HotKeyEvent{{At: at, Key: "acct/9", Conflicts: 17}},
@@ -188,7 +188,7 @@ func TestForensicsResponseRoundTrips(t *testing.T) {
 		t.Fatalf("abort timestamps moved: %v, %v", ev[0].At, ev[1].At)
 	}
 	if got.Forensics.Aborts[0].Cause != forensics.CauseLockConflict ||
-		got.Forensics.Recomposes[0].Refusals[0].Reason != forensics.RefusalShardHome {
+		got.Forensics.Recomposes[0].Refusals[0].Reason != forensics.RefusalSimilarity {
 		t.Fatalf("Cause / Reason did not survive the document: %+v", got.Forensics)
 	}
 }

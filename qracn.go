@@ -130,8 +130,8 @@ type (
 	Composition = acn.Composition
 	// Executor runs a program through its current Block sequence.
 	Executor = acn.Executor
-	// Controller periodically recomposes the Block sequence from measured
-	// contention (the dynamic + algorithm modules).
+	// Controller periodically recomposes one executor's Block sequence from
+	// measured contention: a Hub of that one executor with a timer.
 	Controller = acn.Controller
 	// ControllerConfig tunes the controller.
 	ControllerConfig = acn.ControllerConfig
