@@ -527,7 +527,7 @@ func (rt *Runtime) runAttempts(ctx context.Context, fn func(*Tx) error, seq uint
 		}
 		if err == nil {
 			rt.metrics.Commits.Add(1)
-			rt.noteShards(tx, shardCommit, forensics.CauseUnknown)
+			rt.noteShards(tx, shardCommit)
 			rt.cfg.Tracer.Record(trace.KindCommit, tx.id, "")
 			return nil
 		}
@@ -543,7 +543,7 @@ func (rt *Runtime) runAttempts(ctx context.Context, fn func(*Tx) error, seq uint
 			return err
 		}
 		rt.metrics.ParentAborts.Add(1)
-		rt.noteShards(tx, shardParentAbort, ae.Cause)
+		rt.noteShards(tx, shardParentAbort)
 		rt.recordAbort(tx, ae, false, attempt)
 		rt.cfg.Tracer.Record(trace.KindFullAbort, tx.id, abortDetail(ae))
 		if ae.Busy {

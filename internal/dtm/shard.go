@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"qracn/internal/forensics"
 	"qracn/internal/quorum"
 	"qracn/internal/shard"
 	"qracn/internal/store"
@@ -21,24 +20,13 @@ type shardCounters struct {
 	commits      atomic.Uint64
 	parentAborts atomic.Uint64
 	subAborts    atomic.Uint64
-	// causes attributes aborts (full and partial together) by forensic
-	// cause, indexed by forensics.Cause. CauseUnknown aborts stay in slot 0.
-	causes [forensics.NumCauses]atomic.Uint64
 }
 
 // ShardCounts is a point-in-time copy of one shard's attribution counters.
-// The commits/full_aborts/partial_aborts keys predate per-cause attribution
-// and are kept stable for existing report consumers.
 type ShardCounts struct {
 	Commits      uint64 `json:"commits"`
 	ParentAborts uint64 `json:"full_aborts"`
 	SubAborts    uint64 `json:"partial_aborts"`
-
-	AbortsReadValidation uint64 `json:"aborts_read_validation"`
-	AbortsLockConflict   uint64 `json:"aborts_lock_conflict"`
-	AbortsCommitRound    uint64 `json:"aborts_commit_round"`
-	AbortsDeadline       uint64 `json:"aborts_deadline"`
-	AbortsOverload       uint64 `json:"aborts_overload"`
 }
 
 // Add accumulates another snapshot of the same shard.
@@ -46,11 +34,6 @@ func (c *ShardCounts) Add(o ShardCounts) {
 	c.Commits += o.Commits
 	c.ParentAborts += o.ParentAborts
 	c.SubAborts += o.SubAborts
-	c.AbortsReadValidation += o.AbortsReadValidation
-	c.AbortsLockConflict += o.AbortsLockConflict
-	c.AbortsCommitRound += o.AbortsCommitRound
-	c.AbortsDeadline += o.AbortsDeadline
-	c.AbortsOverload += o.AbortsOverload
 }
 
 // ShardSnapshot copies the per-shard attribution counters, indexed by shard.
@@ -65,12 +48,6 @@ func (rt *Runtime) ShardSnapshot() []ShardCounts {
 			Commits:      rt.shardStats[i].commits.Load(),
 			ParentAborts: rt.shardStats[i].parentAborts.Load(),
 			SubAborts:    rt.shardStats[i].subAborts.Load(),
-
-			AbortsReadValidation: rt.shardStats[i].causes[forensics.CauseReadValidation].Load(),
-			AbortsLockConflict:   rt.shardStats[i].causes[forensics.CauseLockConflict].Load(),
-			AbortsCommitRound:    rt.shardStats[i].causes[forensics.CauseCommitRound].Load(),
-			AbortsDeadline:       rt.shardStats[i].causes[forensics.CauseDeadline].Load(),
-			AbortsOverload:       rt.shardStats[i].causes[forensics.CauseOverload].Load(),
 		}
 	}
 	return out
@@ -87,9 +64,8 @@ const (
 // noteShards attributes one top-level outcome to every shard the context's
 // read set touches (writes always follow a first-access read, so the read
 // set covers both). Aborts raised before the first merged read go
-// unattributed — the breakdown is a profile, not an invariant. cause splits
-// abort outcomes by forensic cause (pass forensics.CauseUnknown for commits).
-func (rt *Runtime) noteShards(tx *Tx, outcome shardOutcome, cause forensics.Cause) {
+// unattributed — the breakdown is a profile, not an invariant.
+func (rt *Runtime) noteShards(tx *Tx, outcome shardOutcome) {
 	if rt.shardStats == nil {
 		return
 	}
@@ -107,9 +83,6 @@ func (rt *Runtime) noteShards(tx *Tx, outcome shardOutcome, cause forensics.Caus
 			rt.shardStats[s].parentAborts.Add(1)
 		case shardSubAbort:
 			rt.shardStats[s].subAborts.Add(1)
-		}
-		if outcome != shardCommit && int(cause) < len(rt.shardStats[s].causes) {
-			rt.shardStats[s].causes[cause].Add(1)
 		}
 	}
 }

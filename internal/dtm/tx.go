@@ -515,14 +515,16 @@ func (tx *Tx) quorumRead(req *wire.Request) ([]callResult, int, error) {
 			// The first member gets the request as it is. The others get a
 			// copy without the piggybacked stats query — one member's answer
 			// is enough; don't pay for the ID list and the reply map on every
-			// link — and, under the lean strategy, without the value.
-			rest := req.Clone()
-			rest.Read.StatsFor = nil
+			// link — and, under the lean strategy, without the value. A
+			// shallow copy is enough: nothing mutates a request once sent.
+			rest, restRead := *req, *req.Read
+			restRead.StatsFor = nil
 			if lean {
 				fullIdx = 0
-				rest.Read.VersionOnly = true
+				restRead.VersionOnly = true
 			}
-			results = rt.fanoutLegs(tx.ctx, q, []leg{{req, 1}, {rest, len(q)}})
+			rest.Read = &restRead
+			results = rt.fanoutLegs(tx.ctx, q, []leg{{req, 1}, {&rest, len(q)}})
 		} else if d := rt.hedgeDelay(); d > 0 {
 			// Only the plain full-value read hedges: the variants above send
 			// per-member requests whose roles (full value, stats carrier) a
@@ -628,7 +630,7 @@ func (tx *Tx) runSub(fn func(*Tx) error, block int, blockID uint64) error {
 			return err
 		}
 		rt.metrics.SubAborts.Add(1)
-		rt.noteShards(child, shardSubAbort, ae.Cause)
+		rt.noteShards(child, shardSubAbort)
 		rt.recordAbort(tx, ae, true, attempt)
 		rt.cfg.Tracer.Record(trace.KindPartialAbort, tx.id, abortDetail(ae))
 		if err := rt.backoff(tx.ctx, attempt); err != nil {

@@ -27,7 +27,6 @@ import (
 	"qracn/internal/trace"
 	"qracn/internal/transport"
 	"qracn/internal/unitgraph"
-	"qracn/internal/wire"
 	"qracn/internal/workload"
 )
 
@@ -307,9 +306,6 @@ func runMode(ctx context.Context, opts Options, mode Mode) (*Series, error) {
 			Latency: max(opts.NetLatency, 0),
 			Jitter:  max(opts.NetJitter, 0),
 			Seed:    opts.Seed,
-			// Real encode/decode instead of a deep copy, so runs measure
-			// true marshaling cost.
-			Codec: wire.Binary,
 		},
 		StatsWindow:   opts.IntervalLength,
 		ProtectTTL:    opts.ProtectTTL,

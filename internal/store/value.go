@@ -6,9 +6,9 @@ package store
 import "fmt"
 
 // Value is the type of data held by a shared object. Implementations must
-// return a deep copy from CloneValue: the in-process transport hands values
-// across "node" boundaries by cloning instead of serializing, so any shared
-// mutable state would break replica isolation.
+// return a deep copy from CloneValue: stores, seeds and transactions keep
+// and hand out copies (Get, Apply, Tx.Read, checkpoints), so any shared
+// mutable state would let one holder reach a replica's or another's state.
 type Value interface {
 	CloneValue() Value
 }

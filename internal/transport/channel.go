@@ -21,10 +21,8 @@ type ChannelConfig struct {
 	// Seed makes the jitter sequence reproducible; 0 derives a seed from
 	// the clock.
 	Seed int64
-	// Codec, when set to wire.Binary, crosses the node boundary through a
-	// real encode and decode of every request and response instead of the
-	// Clone deep copy — the marshaling a TCP connection performs, so
-	// in-process benchmarks pay true serialization cost. nil keeps Clone.
+	// Deprecated: ignored; every message is serialized. It stays only while
+	// benchmark/ still sets it (ROADMAP item 10(c)).
 	Codec wire.Codec
 }
 
@@ -50,9 +48,9 @@ type FaultFunc func(to quorum.NodeID, req *wire.Request) Fault
 
 // ChannelNetwork is an in-process "cluster": server handlers registered per
 // node ID, calls delivered synchronously after a simulated network delay,
-// and messages deep-copied at both boundaries so replicas cannot share
-// memory. Nodes can be taken down and brought back to exercise the
-// fault-tolerance paths.
+// and every request and response encoded and decoded at the node boundary,
+// as a TCP connection does, so replicas cannot share memory. Nodes can be
+// taken down and brought back to exercise the fault-tolerance paths.
 type ChannelNetwork struct {
 	cfg ChannelConfig
 
@@ -158,9 +156,9 @@ func (n *ChannelNetwork) hopDelay() time.Duration {
 	return d
 }
 
-// Call implements Client. The request and response are deep-copied so the
-// caller and the server never share mutable state, mirroring serialization
-// over a real network.
+// Call implements Client. The request and response cross as bytes, so the
+// caller and the server never share mutable state and each side sees what
+// a TCP connection would deliver.
 func (n *ChannelNetwork) Call(ctx context.Context, to quorum.NodeID, req *wire.Request) (*wire.Response, error) {
 	n.mu.RLock()
 	h, ok := n.handlers[to]
@@ -191,22 +189,14 @@ func (n *ChannelNetwork) Call(ctx context.Context, to quorum.NodeID, req *wire.R
 	if err := n.wait(ctx, to, injected+n.hopDelay()); err != nil {
 		return nil, err
 	}
-	// Isolate the two sides: either serialize (as a real connection would)
-	// or deep-copy via Clone.
-	reqIn := req
-	if n.cfg.Codec != nil {
-		env, err := serialize(&wire.Envelope{Req: req})
-		if err != nil {
-			return nil, &Error{Kind: ErrKindDecode, Node: to, Err: err}
-		}
-		reqIn = env.Req
-	} else {
-		reqIn = req.Clone()
+	in, err := serialize(&wire.Envelope{Req: req})
+	if err != nil {
+		return nil, &Error{Kind: ErrKindDecode, Node: to, Err: err}
 	}
 	// The caller's context crosses the "network" directly: handlers observe
 	// the client's deadline and cancellation, as the TCP transport's cancel
 	// frames arrange for real deployments.
-	resp := h(ctx, reqIn)
+	resp := h(ctx, in.Req)
 
 	// The node may have gone down while "processing"; model the lost reply.
 	n.mu.RLock()
@@ -218,14 +208,11 @@ func (n *ChannelNetwork) Call(ctx context.Context, to quorum.NodeID, req *wire.R
 	if err := n.wait(ctx, to, n.hopDelay()); err != nil {
 		return nil, err
 	}
-	if n.cfg.Codec != nil {
-		env, err := serialize(&wire.Envelope{IsResponse: true, Resp: resp})
-		if err != nil {
-			return nil, &Error{Kind: ErrKindDecode, Node: to, Err: err}
-		}
-		return env.Resp, nil
+	out, err := serialize(&wire.Envelope{IsResponse: true, Resp: resp})
+	if err != nil {
+		return nil, &Error{Kind: ErrKindDecode, Node: to, Err: err}
 	}
-	return resp.Clone(), nil
+	return out.Resp, nil
 }
 
 var _ Client = (*ChannelNetwork)(nil)

@@ -39,28 +39,6 @@ func TestBatchResponseRoundTrip(t *testing.T) {
 	}}, true)
 }
 
-func TestBatchCloneIsDeep(t *testing.T) {
-	req := sampleBatch(2)
-	cp := req.Clone()
-	cp.Batch.Subs[0].Read.Validate[0].Version = 999
-	cp.Batch.Subs[1].TxID = "mutated"
-	if req.Batch.Subs[0].Read.Validate[0].Version == 999 {
-		t.Fatal("clone shares sub-request validate slice")
-	}
-	if req.Batch.Subs[1].TxID == "mutated" {
-		t.Fatal("clone shares sub-request structs")
-	}
-
-	resp := &Response{Status: StatusOK, Batch: &BatchResponse{Subs: []*Response{
-		{Status: StatusOK, Read: &ReadResponse{Invalid: []store.ObjectID{"x"}}},
-	}}}
-	rcp := resp.Clone()
-	rcp.Batch.Subs[0].Read.Invalid[0] = "y"
-	if resp.Batch.Subs[0].Read.Invalid[0] == "y" {
-		t.Fatal("response clone shares sub-response slices")
-	}
-}
-
 // TestStreamCodecManyEnvelopes pushes a mixed stream (plain, batch, cancel
 // frames) through one persistent encoder/decoder pair — what each direction
 // of a TCP connection runs — and checks order and content survive, with and

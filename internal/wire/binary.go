@@ -159,12 +159,13 @@ const maxBinaryDepth = 64
 // maxBinaryDepth (the decoder reports the same condition via ErrBadFrame).
 var errTooDeep = fmt.Errorf("wire: envelope nested deeper than %d", maxBinaryDepth)
 
-// Codec is what transport.ChannelConfig.Codec holds: nil crosses the
-// simulated node boundary by deep copy, Binary by a real encode and decode.
-// There is no second codec to choose, so the type carries nothing else.
+// Codec is what the deprecated transport.ChannelConfig.Codec holds. The
+// channel network serializes every message whatever it is set to; the type
+// and its one value stay only while benchmark/ still names them (ROADMAP
+// item 10(c)).
 type Codec *struct{}
 
-// Binary selects real serialization on the channel network.
+// Binary is Codec's one value.
 var Binary Codec = new(struct{})
 
 // BinaryEncoder writes binary-codec frames to one stream. Not safe for

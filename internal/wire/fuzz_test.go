@@ -31,12 +31,12 @@ func inspectSeed(t testing.TB) *Envelope {
 
 // seedRequests is every kind's fixture plus the two request shapes that
 // share a kind with one: the forwarded decision and the stats-only read.
-func seedRequests() []*Request {
+func seedRequests(tb testing.TB) []*Request {
 	out := make([]*Request, 0, len(kindFixtures)+2)
 	for _, req := range kindFixtures {
 		out = append(out, req)
 	}
-	fwd := kindFixtures[KindDecision].Clone()
+	fwd := mustRoundTrip(tb, &Envelope{Req: kindFixtures[KindDecision]}, false).Req
 	fwd.Decision.Forwarded = true
 	stats := &Request{Kind: KindRead, Read: &ReadRequest{StatsFor: []store.ObjectID{store.ID("acct", 5)}}}
 	return append(out, fwd, stats)
@@ -88,7 +88,7 @@ func FuzzReadFrame(f *testing.F) {
 // accepts is re-encoded and parsed back identically, and that arbitrary
 // bytes never panic it.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
-	for _, req := range seedRequests() {
+	for _, req := range seedRequests(f) {
 		payload, _ := AppendEnvelope(nil, &Envelope{Seq: 1, Req: req})
 		f.Add(payload)
 	}
@@ -138,7 +138,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 // binary encoder REJECTS kinds outside [0, numKinds), where gob would
 // happily carry garbage.
 func FuzzCodecEquivalence(f *testing.F) {
-	for _, req := range seedRequests() {
+	for _, req := range seedRequests(f) {
 		var buf bytes.Buffer
 		_ = gobEncode(&buf, &Envelope{Seq: 3, Req: req})
 		f.Add(buf.Bytes())

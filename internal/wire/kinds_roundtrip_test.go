@@ -109,16 +109,6 @@ func documentThroughFrame(t *testing.T, doc forensics.Document) forensics.Docume
 			t.Fatalf("compress=%v: the frame's Doc is not the document: %v", compress, err)
 		}
 	}
-	clone := env.Resp.Clone()
-	if !reflect.DeepEqual(clone, env.Resp) {
-		t.Fatalf("Clone dropped the document:\n got %+v\nwant %+v", clone.Inspect, env.Resp.Inspect)
-	}
-	// Deep copy, not aliasing: the channel transport depends on a reply the
-	// receiver scribbles on not reaching the sender.
-	clone.Inspect.Doc[0] = '!'
-	if env.Resp.Inspect.Doc[0] == '!' {
-		t.Fatal("Clone aliases the original's Doc")
-	}
 	return got
 }
 
@@ -147,7 +137,7 @@ func requireEveryFieldSet(t *testing.T, path string, v reflect.Value) {
 }
 
 // TestForensicsResponseRoundTrips covers the forensic half of the debug
-// document through the codec and Clone: every field of every event type —
+// document through the codec: every field of every event type —
 // nested slices, the Cause and Reason enums, the running totals, timestamps
 // to the nanosecond — survives document → frame → document.
 func TestForensicsResponseRoundTrips(t *testing.T) {
@@ -209,7 +199,7 @@ func TestConflictTxMixedVersionInterop(t *testing.T) {
 		ConflictTx: "c7-t3-a1",
 		Prepare:    &PrepareResponse{Busy: []store.ObjectID{store.ID("acct", 9)}},
 	}
-	noCT := withCT.Clone()
+	noCT := mustRoundTrip(t, &Envelope{IsResponse: true, Resp: withCT}, false).Resp
 	noCT.ConflictTx = ""
 
 	enc := func(r *Response) []byte {
@@ -264,9 +254,6 @@ func TestShardMapResponseRoundTrips(t *testing.T) {
 	}
 	for _, env := range envs {
 		mustRoundTrip(t, env, false)
-		if got := env.Resp.Clone(); !reflect.DeepEqual(got, env.Resp) {
-			t.Fatalf("Clone dropped shard-map fields:\n got %+v\nwant %+v", got.ShardMap, env.Resp.ShardMap)
-		}
 	}
 }
 
@@ -288,23 +275,6 @@ func TestEveryKindRoundTrips(t *testing.T) {
 		}
 		for _, compress := range []bool{false, true} {
 			mustRoundTrip(t, &Envelope{Seq: uint64(k) + 1, Req: req}, compress)
-		}
-	}
-}
-
-// TestEveryKindClones drives each fixture through Request.Clone and checks
-// structural equality. The in-process channel transport deep-copies every
-// message at the node boundary, so a field added to a request but not to
-// Clone is silently stripped on that transport while surviving TCP — the
-// exact asymmetry that would make a trace-context or payload bug invisible
-// in unit tests. Combined with the fixture-completeness check above, a new
-// kind (or new envelope field exercised by a fixture) is forced through
-// both codec and clone.
-func TestEveryKindClones(t *testing.T) {
-	for k := Kind(0); k < numKinds; k++ {
-		req := kindFixtures[k]
-		if got := req.Clone(); !reflect.DeepEqual(got, req) {
-			t.Fatalf("%s: Clone dropped or mutated fields:\n got %+v\nwant %+v", k, got, req)
 		}
 	}
 }
@@ -364,12 +334,12 @@ func TestStatusOverloadedRoundTrips(t *testing.T) {
 // TestForwardedDecisionSharesTheCommitByte: a forwarded outcome is a
 // KindDecision whose leading byte also has bit1 set. A coordinator's decision,
 // which never sets it, keeps the byte a plain Commit bool was, and the flag
-// survives the codec and Clone for both outcomes.
+// survives the codec for both outcomes.
 func TestForwardedDecisionSharesTheCommitByte(t *testing.T) {
 	for _, commit := range []bool{false, true} {
-		coord := kindFixtures[KindDecision].Clone()
+		coord := mustRoundTrip(t, &Envelope{Req: kindFixtures[KindDecision]}, false).Req
 		coord.Decision.Commit = commit
-		fwd := coord.Clone()
+		fwd := mustRoundTrip(t, &Envelope{Req: coord}, false).Req
 		fwd.Decision.Forwarded = true
 
 		a, err := AppendEnvelope(nil, &Envelope{Seq: 1, Req: coord})
@@ -395,9 +365,6 @@ func TestForwardedDecisionSharesTheCommitByte(t *testing.T) {
 		}
 		for _, req := range []*Request{coord, fwd} {
 			mustRoundTrip(t, &Envelope{Seq: 2, Req: req}, false)
-			if got := req.Clone(); !reflect.DeepEqual(got, req) {
-				t.Fatalf("Clone changed %+v into %+v", req.Decision, got.Decision)
-			}
 		}
 	}
 }
@@ -417,7 +384,7 @@ func TestDeadlineMixedVersionInterop(t *testing.T) {
 	if withDL.Deadline == 0 {
 		t.Fatal("fixture must carry a deadline for this test")
 	}
-	noDL := withDL.Clone()
+	noDL := mustRoundTrip(t, &Envelope{Req: withDL}, false).Req
 	noDL.Deadline = 0
 
 	enc := func(r *Request) []byte {

@@ -32,8 +32,9 @@ func binaryRoundTrip(env *Envelope, compress bool) (*Envelope, error) {
 }
 
 // mustRoundTrip requires the binary codec, and the gob oracle beside it, to
-// reproduce env exactly.
-func mustRoundTrip(t *testing.T, env *Envelope, compress bool) {
+// reproduce env exactly. It returns the decoded envelope, which shares
+// nothing with env: a test derives a variant of a fixture from it.
+func mustRoundTrip(t testing.TB, env *Envelope, compress bool) *Envelope {
 	t.Helper()
 	got, err := binaryRoundTrip(env, compress)
 	if err != nil {
@@ -53,4 +54,5 @@ func mustRoundTrip(t *testing.T, env *Envelope, compress bool) {
 	if !reflect.DeepEqual(ref, got) {
 		t.Fatalf("binary disagrees with the gob oracle:\n binary %+v\n gob    %+v", got, ref)
 	}
+	return got
 }

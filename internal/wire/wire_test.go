@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,49 +112,6 @@ func TestDecodeRejectsOversizedFrame(t *testing.T) {
 	_, err := NewBinaryDecoder(bytes.NewReader(hdr)).Decode()
 	if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("err = %v, want frame-size error", err)
-	}
-}
-
-func TestRequestCloneIsDeep(t *testing.T) {
-	in := sampleRequest()
-	c := in.Clone()
-	if !reflect.DeepEqual(in, c) {
-		t.Fatal("clone differs from original")
-	}
-	c.Read.Validate[0].Version = 999
-	c.Read.StatsFor[0] = "mutated"
-	if in.Read.Validate[0].Version == 999 || in.Read.StatsFor[0] == "mutated" {
-		t.Fatal("clone shares backing arrays with original")
-	}
-}
-
-func TestResponseCloneIsDeep(t *testing.T) {
-	in := &Response{
-		Status: StatusOK,
-		Read: &ReadResponse{
-			Value:   store.Bytes{1, 2, 3},
-			Version: 2,
-			Stats:   map[store.ObjectID]float64{"a": 1},
-		},
-		Prepare: &PrepareResponse{Vote: true, Busy: []store.ObjectID{"b"}},
-	}
-	c := in.Clone()
-	if !reflect.DeepEqual(in, c) {
-		t.Fatal("clone differs from original")
-	}
-	c.Read.Value.(store.Bytes)[0] = 9
-	c.Read.Stats["a"] = 7
-	c.Prepare.Busy[0] = "z"
-	if in.Read.Value.(store.Bytes)[0] == 9 || in.Read.Stats["a"] == 7 || in.Prepare.Busy[0] == "z" {
-		t.Fatal("clone shares state with original")
-	}
-}
-
-func TestCloneNil(t *testing.T) {
-	var req *Request
-	var resp *Response
-	if req.Clone() != nil || resp.Clone() != nil {
-		t.Fatal("nil clones should be nil")
 	}
 }
 
