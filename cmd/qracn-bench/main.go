@@ -48,8 +48,8 @@ func main() {
 	flag.StringVar(&base.WALDir, "wal-dir", "", "base directory for per-run commit logs (default: system temp)")
 	flag.DurationVar(&base.FsyncInterval, "fsync-interval", 0, "linger bound of unforced log records (0: 10ms default)")
 	flag.IntVar(&base.Node.SnapshotEvery, "snapshot-every", 0, "checkpoint the store once N records, or the last snapshot's size if larger, are logged since the last one (0: default; negative: never)")
-	flag.IntVar(&base.TraceCapacity, "trace-capacity", 0, "span/event ring size per node and client; >0 turns tracing on")
-	flag.IntVar(&base.Client.TraceSample, "trace-sample", 1, "with tracing on, record spans for 1-in-N transactions (0/1: all, negative: events only)")
+	flag.IntVar(&base.TraceCapacity, "trace-capacity", 0, "span ring size per node and client; >0 turns tracing on")
+	flag.IntVar(&base.Client.TraceSample, "trace-sample", 1, "with tracing on, record spans for 1-in-N transactions (0/1: all, negative: none)")
 	flag.IntVar(&base.Shards, "shards", 0, "partition the keyspace across this many independent quorum groups (0/1: one cluster-wide tree)")
 
 	flag.IntVar(&base.Node.MaxInflight, "max-inflight", 0, "admission control on every node: max concurrently executing gated requests (0: gate off)")

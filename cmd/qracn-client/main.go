@@ -51,7 +51,7 @@ func main() {
 		seedData   = flag.Bool("seed-data", false, "install the workload's initial objects before running")
 		compress   = flag.Bool("compress", false, "flate-compress large frames")
 		noPrefetch = flag.Bool("no-prefetch", false, "disable the batched first-access read prefetch")
-		traceCap   = flag.Int("trace", 0, "span/event ring size for distributed tracing; >0 turns tracing on")
+		traceCap   = flag.Int("trace", 0, "span ring size for distributed tracing; >0 turns tracing on")
 		spansOut   = flag.String("spans-out", "", "after the run, fetch this client's spans plus every node's and write them as JSON (implies tracing)")
 	)
 	flag.Int64Var(&dcfg.Seed, "seed", 1, "random seed")
@@ -64,7 +64,7 @@ func main() {
 	flag.DurationVar(&dcfg.TxDeadline, "tx-deadline", 0, "end-to-end deadline per transaction, propagated on every request so servers refuse expired work (0: none)")
 	flag.IntVar(&dcfg.RetryBudget, "retry-budget", 0, "retries per transaction attempt shared across failover, busy, and overload backoff (0: 1000; negative: unlimited)")
 	flag.DurationVar(&dcfg.HedgeAfter, "hedge-after", 0, "hedge quorum reads to one extra replica after this delay (0: off; negative: auto from observed p99 read latency)")
-	flag.IntVar(&dcfg.TraceSample, "trace-sample", 1, "with tracing on, record spans for 1-in-N transactions (0/1: all, negative: events only)")
+	flag.IntVar(&dcfg.TraceSample, "trace-sample", 1, "with tracing on, record spans for 1-in-N transactions (0/1: all, negative: none)")
 	flag.IntVar(&dcfg.ForensicsRing, "forensics-ring", 0, "abort-forensics event ring capacity (0: 4096 default)")
 	flag.BoolVar(&dcfg.NoForensics, "no-forensics", false, "disable abort forensics on this client")
 	flag.Parse()

@@ -52,7 +52,7 @@ func main() {
 		walDir      = flag.String("wal-dir", "", "write-ahead log directory; empty runs the node volatile")
 		noWAL       = flag.Bool("no-wal", false, "force a volatile node even when -wal-dir is set")
 		fsyncEvery  = flag.Duration("fsync-interval", 0, "linger bound of unforced log records (0: 10ms default)")
-		traceCap    = flag.Int("trace", 0, "span/event ring size for distributed tracing; >0 turns tracing on (spans fetchable via qracn-inspect trace)")
+		traceCap    = flag.Int("trace", 0, "span ring size for distributed tracing; >0 turns tracing on (spans fetchable via qracn-inspect trace)")
 		debugAddr   = flag.String("debug-addr", "", "HTTP listen address for /metrics, /debug/vars and /debug/pprof (empty disables)")
 		unsafeTTL   = flag.Bool("unsafe-ttl-abort", false, "allow -ttl-abort-after at or below the default client -decide-timeout (only safe when every client runs with a smaller -decide-timeout)")
 		peersArg    = flag.String("peers", "", "comma-separated addresses of ALL nodes in tree order (node 0 first, this node included); enables the background cooperative-termination resolver")

@@ -1,6 +1,7 @@
-// Observability: trace the protocol events behind an adaptive run, follow
-// one transaction's distributed spans across client and servers, persist
-// the learned Block sequence, and warm-start a "restarted" client from it.
+// Observability: read the abort causes and controller decisions behind an
+// adaptive run, follow one transaction's distributed spans across client and
+// servers, persist the learned Block sequence, and warm-start a "restarted"
+// client from it.
 package main
 
 import (
@@ -39,13 +40,13 @@ func run(w io.Writer) error {
 		return err
 	}
 
-	// A tracer on the runtime records protocol events and — because
-	// TraceSample is 1 — one span tree per transaction; the controller
-	// records every recomposition.
+	// A tracer on the runtime records one span tree per transaction
+	// (TraceSample 1); the runtime's forensics recorder attributes every
+	// abort and audits every recomposition the controller decides.
 	tracer := qracn.NewTracer(4096)
 	rt := c.Runtime(1, qracn.RuntimeConfig{Seed: 7, Tracer: tracer, TraceSample: 1})
 	exec := qracn.NewExecutor(rt, an, qracn.Static(an))
-	ctrl := qracn.NewController(exec, qracn.ControllerConfig{Interval: time.Hour, Tracer: tracer})
+	ctrl := qracn.NewController(exec, qracn.ControllerConfig{Interval: time.Hour})
 
 	ctx := context.Background()
 	params := func(i int) map[string]any {
@@ -67,14 +68,22 @@ func run(w io.Writer) error {
 		return err
 	}
 
-	counts := tracer.Count()
-	fmt.Fprintf(w, "ran %d transfers; trace ring holds %d event kinds:\n", n, len(counts))
-	for _, k := range []string{"read", "commit", "full-abort", "partial-abort", "busy", "recompose"} {
-		for kind, cnt := range counts {
-			if kind.String() == k {
-				fmt.Fprintf(w, "  %-14s %d\n", k, cnt)
-			}
-		}
+	m := rt.Metrics().Snapshot()
+	fmt.Fprintf(w, "ran %d transfers; %d full and %d partial aborts by cause:\n", n, m.ParentAborts, m.SubAborts)
+	for _, c := range []struct {
+		cause string
+		n     uint64
+	}{
+		{"read-validation", m.AbortsReadValidation},
+		{"lock-conflict", m.AbortsLockConflict},
+		{"commit-round", m.AbortsCommitRound},
+		{"deadline", m.AbortsDeadline},
+		{"overload", m.AbortsOverload},
+	} {
+		fmt.Fprintf(w, "  %-15s %d\n", c.cause, c.n)
+	}
+	for _, r := range rt.Forensics().Recomposes() {
+		fmt.Fprintf(w, "recomposition (%s, applied %v): %s -> %s\n", r.Trigger, r.Applied, r.Before, r.After)
 	}
 
 	// Distributed tracing: pick one transaction, merge the client's spans

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestRun executes the whole example — adaptive run, distributed-trace
-// fetch and Chrome export, composition persistence, warm start — and
+// TestRun executes the whole example — adaptive run and its abort and
+// recomposition audit, distributed-trace fetch and Chrome export, composition persistence, warm start — and
 // checks its milestones appear in the output.
 func TestRun(t *testing.T) {
 	var b strings.Builder
@@ -15,7 +15,8 @@ func TestRun(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"trace ring holds",
+		"aborts by cause:",
+		"recomposition (manual",
 		"from servers",
 		"chrome trace export:",
 		"persisted as",

@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"time"
-
-	"qracn/internal/trace"
 )
 
 // ControllerConfig tunes the periodic recomposition.
@@ -17,9 +15,6 @@ type ControllerConfig struct {
 	Algo AlgoConfig
 	// TableAlpha is the EMA weight of the client contention table (0: 0.6).
 	TableAlpha float64
-	// Tracer, when non-nil, records every recomposition in place of the
-	// runtime's tracer.
-	Tracer *trace.Tracer
 }
 
 // Controller is a Hub of one executor plus a timer: the embedded Hub
@@ -40,9 +35,6 @@ func NewController(exec *Executor, cfg ControllerConfig) *Controller {
 		cfg.Interval = 10 * time.Second
 	}
 	hub := NewHub(exec.Runtime(), HubConfig{TableAlpha: cfg.TableAlpha})
-	if cfg.Tracer != nil {
-		hub.tracer = cfg.Tracer
-	}
 	hub.Register(exec, cfg.Algo)
 	return &Controller{Hub: hub, interval: cfg.Interval}
 }

@@ -9,7 +9,6 @@ import (
 	"qracn/internal/dtm"
 	"qracn/internal/forensics"
 	"qracn/internal/store"
-	"qracn/internal/trace"
 )
 
 // Hub is the one adaptation path of a client node: it observes, recomposes
@@ -23,7 +22,6 @@ import (
 type Hub struct {
 	rt        *dtm.Runtime
 	table     *contention.Table
-	tracer    *trace.Tracer
 	refreshes atomic.Uint64
 
 	mu    sync.Mutex
@@ -42,14 +40,14 @@ type HubConfig struct {
 	TableAlpha float64
 }
 
-// NewHub creates an empty hub over a runtime; it records its decisions to the
-// runtime's tracer.
+// NewHub creates an empty hub over a runtime; it audits its decisions to the
+// runtime's forensics recorder.
 func NewHub(rt *dtm.Runtime, cfg HubConfig) *Hub {
 	alpha := cfg.TableAlpha
 	if alpha == 0 {
 		alpha = 0.6
 	}
-	return &Hub{rt: rt, table: contention.NewTable(alpha), tracer: rt.Tracer()}
+	return &Hub{rt: rt, table: contention.NewTable(alpha)}
 }
 
 // Register adds a profile's executor; its Block sequence will be recomposed
@@ -143,8 +141,8 @@ func (h *Hub) observe(ctx context.Context) error {
 
 // recompose is the algorithm-module half, for one executor. Each UnitBlock's
 // contention is the mean smoothed level of the concrete objects it recently
-// accessed. Every decision leaves a forensic audit and a trace event, whether
-// it swaps the Block sequence or reproduces it.
+// accessed. Every decision leaves a forensic audit, whether it swaps the Block
+// sequence or reproduces it.
 func (h *Hub) recompose(exec *Executor, algo *Algorithm, trigger string) {
 	comp, aud := algo.RecomposeAudited(func(anchor int) float64 {
 		return h.table.Mean(exec.AnchorSample(anchor))
@@ -168,10 +166,7 @@ func (h *Hub) recompose(exec *Executor, algo *Algorithm, trigger string) {
 		Refusals: aud.Refusals,
 		Applied:  applied,
 	})
-	if !applied {
-		h.tracer.Record(trace.KindRecomposeSkip, "", comp.String())
-		return
+	if applied {
+		exec.SetComposition(comp)
 	}
-	exec.SetComposition(comp)
-	h.tracer.Record(trace.KindRecompose, "", comp.String())
 }

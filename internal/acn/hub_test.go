@@ -14,7 +14,6 @@ import (
 	"qracn/internal/dtm"
 	"qracn/internal/forensics"
 	"qracn/internal/store"
-	"qracn/internal/trace"
 	"qracn/internal/txir"
 	"qracn/internal/unitgraph"
 	"qracn/internal/workload/bank"
@@ -167,15 +166,10 @@ func newSingleReadProgram(name, obj string) *txir.Program {
 // TestHubAndControllerAuditAlike: the Hub and the Controller run one refresh
 // cycle, so the same decisions — the first swaps the Block sequence, the
 // second reproduces it and is skipped — must leave the same forensic audit
-// (trigger included) and the same trace events whichever of them took them.
-// The Hub used to stamp "interval" on a RefreshOnce call and to record no
-// trace event for an applied swap.
+// (trigger included) whichever of them took them. The Hub used to stamp
+// "interval" on a RefreshOnce call.
 func TestHubAndControllerAuditAlike(t *testing.T) {
-	type audit struct {
-		decisions []forensics.RecomposeEvent
-		events    map[trace.Kind]int
-	}
-	run := func(t *testing.T, refresher func(*dtm.Runtime, *acn.Executor, *trace.Tracer) func(context.Context) error) audit {
+	run := func(t *testing.T, refresher func(*dtm.Runtime, *acn.Executor) func(context.Context) error) []forensics.RecomposeEvent {
 		an := analyze(t)
 		const window = 50 * time.Millisecond
 		start := time.Now()
@@ -187,10 +181,9 @@ func TestHubAndControllerAuditAlike(t *testing.T) {
 		})
 		defer c.Close()
 		seedBank(c, 2, 100, 100000)
-		tracer := trace.New(256)
-		rt := c.Runtime(1, dtm.Config{Seed: 5, Tracer: tracer, TraceSample: -1})
+		rt := c.Runtime(1, dtm.Config{Seed: 5})
 		exec := acn.NewExecutor(rt, an, acn.Static(an))
-		refresh := refresher(rt, exec, tracer)
+		refresh := refresher(rt, exec)
 
 		ctx := context.Background()
 		for i := 0; i < 60; i++ {
@@ -204,36 +197,27 @@ func TestHubAndControllerAuditAlike(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		a := audit{decisions: rt.Forensics().Recomposes(), events: tracer.Count()}
-		for i := range a.decisions {
-			a.decisions[i].At = time.Time{}
+		decisions := rt.Forensics().Recomposes()
+		for i := range decisions {
+			decisions[i].At = time.Time{}
 		}
-		return a
+		return decisions
 	}
 
-	byController := run(t, func(_ *dtm.Runtime, exec *acn.Executor, tr *trace.Tracer) func(context.Context) error {
-		return acn.NewController(exec, acn.ControllerConfig{Interval: time.Hour, Tracer: tr}).RefreshOnce
+	byController := run(t, func(_ *dtm.Runtime, exec *acn.Executor) func(context.Context) error {
+		return acn.NewController(exec, acn.ControllerConfig{Interval: time.Hour}).RefreshOnce
 	})
-	byHub := run(t, func(rt *dtm.Runtime, exec *acn.Executor, _ *trace.Tracer) func(context.Context) error {
+	byHub := run(t, func(rt *dtm.Runtime, exec *acn.Executor) func(context.Context) error {
 		hub := acn.NewHub(rt, acn.HubConfig{})
 		hub.Register(exec, acn.AlgoConfig{})
 		return hub.RefreshOnce
 	})
 
-	d := byHub.decisions
-	if len(d) != 2 || !d[0].Applied || d[1].Applied || d[0].Trigger != "manual" {
-		t.Fatalf("hub decisions = %+v, want one applied then one skipped, both by hand", d)
+	if len(byHub) != 2 || !byHub[0].Applied || byHub[1].Applied || byHub[0].Trigger != "manual" {
+		t.Fatalf("hub decisions = %+v, want one applied then one skipped, both by hand", byHub)
 	}
-	if byHub.events[trace.KindRecompose] != 1 || byHub.events[trace.KindRecomposeSkip] != 1 {
-		t.Fatalf("hub trace events = %v, want one recompose and one recompose-skip", byHub.events)
-	}
-	if !reflect.DeepEqual(byHub.decisions, byController.decisions) {
-		t.Fatalf("the same decisions were audited differently:\n hub        %+v\n controller %+v", byHub.decisions, byController.decisions)
-	}
-	for _, k := range []trace.Kind{trace.KindRecompose, trace.KindRecomposeSkip} {
-		if byHub.events[k] != byController.events[k] {
-			t.Fatalf("%s events: hub %d, controller %d", k, byHub.events[k], byController.events[k])
-		}
+	if !reflect.DeepEqual(byHub, byController) {
+		t.Fatalf("the same decisions were audited differently:\n hub        %+v\n controller %+v", byHub, byController)
 	}
 }
 

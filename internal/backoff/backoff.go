@@ -102,16 +102,3 @@ func (b *Budget) Take() bool {
 	}
 	return b.left.Add(-1) >= 0
 }
-
-// Remaining reports the retries left (negative values clamp to 0). Nil
-// receivers report a large sentinel via ok=false semantics-free: they return
-// -1 meaning "unlimited".
-func (b *Budget) Remaining() int {
-	if b == nil {
-		return -1
-	}
-	if n := b.left.Load(); n > 0 {
-		return int(n)
-	}
-	return 0
-}

@@ -82,7 +82,7 @@ func TestNodeTemplateReachesEveryNode(t *testing.T) {
 				if got := ringLen(n.Forensics()); got != ring {
 					t.Errorf("node %d: forensics ring holds %d events, want Node.ForensicsRing = %d", n.ID(), got, ring)
 				}
-				if !n.Tracer().Enabled() {
+				if n.Tracer() == nil {
 					t.Errorf("node %d: no tracer despite TraceCapacity", n.ID())
 				}
 				tracers[n.Tracer()] = true
@@ -151,7 +151,7 @@ func TestNodeTemplateReachesEveryNode(t *testing.T) {
 				if n.Forensics() != nil {
 					t.Errorf("node %d records forensics despite Node.NoForensics", n.ID())
 				}
-				if n.Tracer().Enabled() {
+				if n.Tracer() != nil {
 					t.Errorf("node %d traces without TraceCapacity", n.ID())
 				}
 			}

@@ -201,8 +201,8 @@ type liveCluster struct {
 }
 
 // overBothTransports runs the test against the same deployment on the
-// channel network with real serialization (the document crosses the codec,
-// not just Clone) and on loopback TCP.
+// channel network, where the document crosses the codec in process, and on
+// loopback TCP.
 func overBothTransports(t *testing.T, cfg cluster.Config, test func(*testing.T, liveCluster)) {
 	t.Run("channel+binary", func(t *testing.T) {
 		cfg := cfg

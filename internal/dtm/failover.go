@@ -7,7 +7,6 @@ import (
 
 	"qracn/internal/quorum"
 	"qracn/internal/shard"
-	"qracn/internal/trace"
 	"qracn/internal/wire"
 )
 
@@ -22,8 +21,7 @@ import (
 // so the next selection avoids them before the failure detector has seen
 // enough to suspect them. Every round after the first is a failover: it takes
 // one retry from the transaction attempt's budget (an operation outside a
-// transaction has none to charge), counts one Failovers and records one
-// KindFailover event. The loop stops after QuorumAttempts rounds, when the
+// transaction has none to charge) and counts one Failovers. The loop stops after QuorumAttempts rounds, when the
 // budget is spent (ErrRetriesExhausted naming the operation), when no quorum
 // can be selected, and — with the context's error alone — when a round failed
 // under a context that is already dead: that round says nothing about the
@@ -39,7 +37,7 @@ type failover struct {
 	tx   *Tx       // nil outside a transaction: no retry budget to charge
 	seed int       // round k selects with seed+k, rotating level and member choice
 	kind wire.Kind // what the members are asked, hence what counts as an answer
-	op   string    // names the operation in the budget error and the trace event
+	op   string    // names the operation in the budget error
 
 	attempt int               // index of the current round (-1 before the first)
 	excl    quorum.ExcludeSet // members that failed an earlier round
@@ -72,15 +70,12 @@ func (f *failover) next() bool {
 // charge accounts for one failover — a round after the first — and reports
 // whether the budget allowed it.
 func (f *failover) charge() bool {
-	who := f.op
 	if f.tx != nil {
 		if f.stop = f.tx.takeRetry(f.op + " failover"); f.stop != nil {
 			return false
 		}
-		who = f.tx.id
 	}
 	f.rt.metrics.Failovers.Add(1)
-	f.rt.cfg.Tracer.Record(trace.KindFailover, who, f.op+" re-selection")
 	return true
 }
 

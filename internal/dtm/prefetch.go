@@ -2,12 +2,10 @@ package dtm
 
 import (
 	"fmt"
-	"time"
 
 	"qracn/internal/quorum"
 	"qracn/internal/shard"
 	"qracn/internal/store"
-	"qracn/internal/trace"
 	"qracn/internal/wire"
 )
 
@@ -41,41 +39,24 @@ import (
 //
 // Prefetch always fetches full values (the lean read strategy does not apply
 // to batched rounds).
-func (tx *Tx) Prefetch(ids ...store.ObjectID) error {
-	if tx.traceID == "" {
-		t0 := time.Now()
-		err := tx.prefetchInner(ids, 0)
-		tx.rt.stages.PrefetchBatch.Record(time.Since(t0))
-		return err
-	}
-	span := trace.Span{
-		Trace:  tx.traceID,
-		ID:     trace.NextSpanID(),
-		Parent: tx.span,
-		Name:   "prefetch",
-		Site:   tx.rt.site,
-		Detail: fmt.Sprintf("%d objects", len(ids)),
-		Start:  time.Now(),
-	}
-	err := tx.prefetchInner(ids, span.ID)
-	span.End = time.Now()
-	tx.rt.stages.PrefetchBatch.Record(span.End.Sub(span.Start))
-	if err != nil {
-		span.Detail = err.Error()
-	}
-	tx.rt.cfg.Tracer.RecordSpan(span)
-	return err
-}
-
-// prefetchInner dedupes and filters the requested IDs, then runs one batched
-// quorum round: one concurrent fan-out over a read quorum of every owning
-// quorum group (a single group when unsharded). A group whose quorum answered
-// in full is merged at once; a group that lost a member is asked again, alone,
-// against a re-selected quorum. spanID (when non-zero) is stamped on the batch
-// requests and their sub-reads so server spans nest under the client's
-// prefetch span.
-func (tx *Tx) prefetchInner(ids []store.ObjectID, spanID uint64) error {
+//
+// It dedupes and filters the requested IDs, then runs one batched quorum
+// round: one concurrent fan-out over a read quorum of every owning quorum
+// group (a single group when unsharded). A group whose quorum answered in full
+// is merged at once; a group that lost a member is asked again, alone, against
+// a re-selected quorum. The call is timed into the PrefetchBatch stage and,
+// when the transaction is sampled, is a "prefetch" span whose ID rides on the
+// batch requests and their sub-reads so server spans nest under it.
+func (tx *Tx) Prefetch(ids ...store.ObjectID) (err error) {
 	rt := tx.rt
+	sp := rt.beginSpan(tx.traceID, tx.span, &rt.stages.PrefetchBatch, "prefetch", -1)
+	defer func() {
+		var ok string
+		if sp.sampled() {
+			ok = fmt.Sprintf("%d objects", len(ids))
+		}
+		sp.end(err, ok)
+	}()
 	need := make([]store.ObjectID, 0, len(ids))
 	seen := make(map[store.ObjectID]bool, len(ids))
 	for _, id := range ids {
@@ -106,16 +87,15 @@ func (tx *Tx) prefetchInner(ids []store.ObjectID, spanID uint64) error {
 				return err
 			}
 			nodes = append(nodes, q...)
-			legs[i] = leg{tx.batchRead(p, spanID, nil), len(nodes)}
+			legs[i] = leg{tx.batchRead(p, sp.ID, nil), len(nodes)}
 		}
 		bounds := legs
 		if len(statsFor) > 0 {
-			legs = append([]leg{{tx.batchRead(pending[0], spanID, statsFor), 1}}, legs...)
+			legs = append([]leg{{tx.batchRead(pending[0], sp.ID, statsFor), 1}}, legs...)
 			statsFor = nil
 		}
 		rt.metrics.RemoteReads.Add(1)
 		rt.metrics.BatchReads.Add(1)
-		rt.cfg.Tracer.Record(trace.KindRead, tx.id, "prefetch")
 
 		results := rt.fanoutLegs(tx.ctx, nodes, legs)
 		var failed []shard.Part

@@ -2,12 +2,10 @@ package dtm
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"sync"
 
 	"qracn/internal/quorum"
-	"qracn/internal/trace"
 	"qracn/internal/wire"
 )
 
@@ -57,40 +55,21 @@ func (o *prepareOrder) rootFirst() bool {
 	return o.on
 }
 
-// note shifts one round's outcome into the register. It returns how many of
-// the last 64 rounds were refused, the mode that implies, and whether this
-// round switched it.
-func (o *prepareOrder) note(refused bool) (count int, on, switched bool) {
+// note shifts one read-write prepare round's outcome into the register and
+// sets the mode it implies.
+func (o *prepareOrder) note(refused bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.refused <<= 1
 	if refused {
 		o.refused |= 1
 	}
-	count = bits.OnesCount64(o.refused)
-	was := o.on
-	switch {
+	switch count := bits.OnesCount64(o.refused); {
 	case count >= rootFirstOn:
 		o.on = true
 	case count <= rootFirstOff:
 		o.on = false
 	}
-	return count, o.on, o.on != was
-}
-
-// notePrepareRound enters one read-write prepare round into the runtime's
-// refusal register and records a mode switch as a trace event carrying the
-// register's count.
-func (rt *Runtime) notePrepareRound(tx *Tx, refused bool) {
-	count, on, switched := rt.order.note(refused)
-	if !switched || !rt.cfg.Tracer.Enabled() {
-		return
-	}
-	mode := "parallel"
-	if on {
-		mode = "root-first"
-	}
-	rt.cfg.Tracer.Record(trace.KindPrepareOrder, tx.id, fmt.Sprintf("%s: %d of the last 64 prepare rounds refused", mode, count))
 }
 
 // prepareRootFirst is a prepare round in two stages. nodes and legs are those

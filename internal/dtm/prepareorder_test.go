@@ -15,7 +15,6 @@ import (
 	"qracn/internal/quorum"
 	"qracn/internal/server"
 	"qracn/internal/store"
-	"qracn/internal/trace"
 	"qracn/internal/wire"
 )
 
@@ -78,16 +77,13 @@ var fastBackoff = dtm.Config{BackoffBase: time.Microsecond, BackoffMax: 10 * tim
 // to the root, and a refusal there sends nothing else — no further prepare, no
 // decision — and is reported from the root's reply alone; a yes sends the six
 // other prepares and then seven decisions; and the runtime goes back to the
-// parallel fan-out when the register has fallen to eight, not before. Each
-// switch is one trace event carrying the register's count.
+// parallel fan-out when the register has fallen to eight, not before.
 func TestChaosRootFirstPrepareOrder(t *testing.T) {
 	c := cluster.New(cluster.Config{Servers: 10, StatsWindow: time.Hour})
 	defer c.Close()
 	c.Seed(map[store.ObjectID]store.Value{"x": store.Int64(0)})
 	root := c.Tree.Level(0)[0]
-	cfg := fastBackoff
-	cfg.Tracer = trace.New(1 << 12)
-	rt, sc := scriptedRuntime(c, cfg)
+	rt, sc := scriptedRuntime(c, fastBackoff)
 
 	if err := bumpKeys(rt, "x"); err != nil {
 		t.Fatal(err)
@@ -161,16 +157,6 @@ func TestChaosRootFirstPrepareOrder(t *testing.T) {
 		if want := round <= 74; rootFirst != want {
 			t.Fatalf("round %d sent root-first: %v, want %v (the register reaches 8 of 64 with round 74)", round, rootFirst, want)
 		}
-	}
-
-	var switches []string
-	for _, e := range cfg.Tracer.Events() {
-		if e.Kind == trace.KindPrepareOrder {
-			switches = append(switches, e.Detail)
-		}
-	}
-	if len(switches) != 2 || !strings.HasPrefix(switches[0], "root-first: 16 of") || !strings.HasPrefix(switches[1], "parallel: 8 of") {
-		t.Fatalf("mode-switch events %q, want root-first at 16 and parallel at 8", switches)
 	}
 }
 

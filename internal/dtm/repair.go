@@ -2,11 +2,9 @@ package dtm
 
 import (
 	"context"
-	"fmt"
 
 	"qracn/internal/quorum"
 	"qracn/internal/store"
-	"qracn/internal/trace"
 	"qracn/internal/wire"
 )
 
@@ -85,10 +83,6 @@ func (rt *Runtime) repairAsync(id store.ObjectID, nodes []quorum.NodeID, val sto
 	for _, r := range rt.fanout(ctx, nodes, req) {
 		if r.err == nil && r.resp.Status == wire.StatusOK {
 			rt.metrics.Repairs.Add(1)
-			if rt.cfg.Tracer.Enabled() {
-				rt.cfg.Tracer.Record(trace.KindRepair, "read-repair",
-					fmt.Sprintf("%s v%d -> node-%d", id, ver, r.node))
-			}
 		}
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
 	"qracn/internal/backoff"
 	"qracn/internal/forensics"
 	"qracn/internal/health"
+	"qracn/internal/metrics"
 	"qracn/internal/quorum"
 	"qracn/internal/shard"
 	"qracn/internal/store"
@@ -124,14 +126,13 @@ type Config struct {
 	// overhead experiments; production runs leave it on).
 	NoForensics bool
 
-	// Tracer, when non-nil, records protocol events (reads, aborts,
-	// commits) for debugging; nil disables tracing at zero cost.
+	// Tracer, when non-nil, records the spans of sampled transactions; nil
+	// disables tracing at zero cost.
 	Tracer *trace.Tracer
 	// TraceSample controls which top-level transactions get a distributed
 	// trace (span context on every wire request, client + server spans).
-	// 0 or 1 traces every transaction, N>1 traces one in N, negative
-	// disables span tracing while keeping protocol-event tracing. Ignored
-	// without a Tracer.
+	// 0 or 1 traces every transaction, N>1 traces one in N, negative traces
+	// none. Ignored without a Tracer.
 	TraceSample int
 }
 
@@ -278,9 +279,6 @@ func New(cfg Config) *Runtime {
 			Probes:       &rt.metrics.Probes,
 			Readmissions: &rt.metrics.Readmissions,
 		})
-		if cfg.Tracer != nil {
-			rt.health.SetTracer(cfg.Tracer)
-		}
 	}
 	return rt
 }
@@ -297,13 +295,70 @@ func (rt *Runtime) Tracer() *trace.Tracer { return rt.cfg.Tracer }
 // sampleTrace decides whether the top-level transaction with this sequence
 // number gets a distributed trace.
 func (rt *Runtime) sampleTrace(seq uint64) bool {
-	if rt.cfg.TraceSample < 0 || !rt.cfg.Tracer.Enabled() {
+	if rt.cfg.TraceSample < 0 || rt.cfg.Tracer == nil {
 		return false
 	}
 	if rt.cfg.TraceSample <= 1 {
 		return true
 	}
 	return seq%uint64(rt.cfg.TraceSample) == 0
+}
+
+// clientSpan is one client span site in flight, begun by beginSpan and closed
+// by end on its caller's stack. It times the operation into its stage
+// histogram, if it has one, whether or not the transaction is sampled; only a
+// sampled one mints an ID, formats its name and detail and records the span,
+// so an unsampled one allocates nothing.
+type clientSpan struct {
+	trace.Span
+	tracer *trace.Tracer
+	stage  *metrics.LatencyHistogram
+}
+
+// beginSpan starts a span named name (name-n when n >= 0) under parent, in
+// trace traceID ("" when the transaction is not sampled); stage (nil: none)
+// receives the operation's duration.
+func (rt *Runtime) beginSpan(traceID string, parent uint64, stage *metrics.LatencyHistogram, name string, n int) clientSpan {
+	s := clientSpan{tracer: rt.cfg.Tracer, stage: stage}
+	if traceID != "" {
+		s.Trace, s.ID, s.Parent, s.Site, s.Name = traceID, trace.NextSpanID(), parent, rt.site, name
+		if n >= 0 {
+			s.Name += "-" + strconv.Itoa(n)
+		}
+	}
+	if traceID != "" || stage != nil {
+		s.Start = time.Now()
+	}
+	return s
+}
+
+// sampled reports whether the span will be recorded.
+func (s *clientSpan) sampled() bool { return s.Trace != "" }
+
+// end closes the span. A sampled span's detail is ok on success (the detail
+// it already holds when ok is empty) and the error on failure, after the
+// detail it already holds.
+func (s *clientSpan) end(err error, ok string) {
+	if s.Start.IsZero() {
+		return
+	}
+	now := time.Now()
+	s.stage.Record(now.Sub(s.Start))
+	if !s.sampled() {
+		return
+	}
+	s.End = now
+	switch {
+	case err == nil:
+		if ok != "" {
+			s.Detail = ok
+		}
+	case s.Detail != "":
+		s.Detail += ": " + err.Error()
+	default:
+		s.Detail = err.Error()
+	}
+	s.tracer.RecordSpan(s.Span)
 }
 
 // Health exposes the runtime's failure detector (nil when disabled).
@@ -441,24 +496,13 @@ func (rt *Runtime) Backoff(ctx context.Context, attempt int) error {
 // transactions skip all span work — no IDs, no time stamps, no allocations.
 func (rt *Runtime) Atomic(ctx context.Context, fn func(*Tx) error) error {
 	seq := rt.nextTxSeq()
-	if !rt.sampleTrace(seq) {
-		return rt.runAttempts(ctx, fn, seq, "", 0)
+	var traceID string
+	if rt.sampleTrace(seq) {
+		traceID = fmt.Sprintf("c%d-t%d", rt.cfg.ClientSeed, seq)
 	}
-	root := trace.Span{
-		Trace: fmt.Sprintf("c%d-t%d", rt.cfg.ClientSeed, seq),
-		ID:    trace.NextSpanID(),
-		Name:  "tx",
-		Site:  rt.site,
-		Start: time.Now(),
-	}
-	err := rt.runAttempts(ctx, fn, seq, root.Trace, root.ID)
-	root.End = time.Now()
-	if err != nil {
-		root.Detail = err.Error()
-	} else {
-		root.Detail = "committed"
-	}
-	rt.cfg.Tracer.RecordSpan(root)
+	sp := rt.beginSpan(traceID, 0, nil, "tx", -1)
+	err := rt.runAttempts(ctx, fn, seq, traceID, sp.ID)
+	sp.end(err, "committed")
 	return err
 }
 
@@ -481,17 +525,7 @@ func (rt *Runtime) runAttempts(ctx context.Context, fn func(*Tx) error, seq uint
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var attemptSpan trace.Span
-		if traceID != "" {
-			attemptSpan = trace.Span{
-				Trace:  traceID,
-				ID:     trace.NextSpanID(),
-				Parent: rootID,
-				Name:   fmt.Sprintf("attempt-%d", attempt),
-				Site:   rt.site,
-				Start:  time.Now(),
-			}
-		}
+		sp := rt.beginSpan(traceID, rootID, nil, "attempt", attempt)
 		// A fresh retry budget per attempt: the budget bounds the fan-in of
 		// retries (failover, busy, overload) within one execution, while
 		// MaxAttempts separately bounds whole re-executions. It rides the
@@ -507,28 +541,19 @@ func (rt *Runtime) runAttempts(ctx context.Context, fn func(*Tx) error, seq uint
 			seed:        rt.cfg.ClientSeed + int(seq),
 			incarnation: attempt,
 			traceID:     traceID,
-			span:        attemptSpan.ID,
+			span:        sp.ID,
 			reads:       make(map[store.ObjectID]readEntry),
 			writes:      make(map[store.ObjectID]store.Value),
 			writeBlock:  make(map[store.ObjectID]int),
 		}
 		err := fn(tx)
 		if err == nil {
-			err = rt.commitStaged(tctx, tx, attemptSpan.ID)
+			err = rt.commit(tctx, tx)
 		}
-		if traceID != "" {
-			attemptSpan.End = time.Now()
-			if err != nil {
-				attemptSpan.Detail = err.Error()
-			} else {
-				attemptSpan.Detail = "committed"
-			}
-			rt.cfg.Tracer.RecordSpan(attemptSpan)
-		}
+		sp.end(err, "committed")
 		if err == nil {
 			rt.metrics.Commits.Add(1)
 			rt.noteShards(tx, shardCommit)
-			rt.cfg.Tracer.Record(trace.KindCommit, tx.id, "")
 			return nil
 		}
 		ae, ok := AsAbort(err)
@@ -545,7 +570,6 @@ func (rt *Runtime) runAttempts(ctx context.Context, fn func(*Tx) error, seq uint
 		rt.metrics.ParentAborts.Add(1)
 		rt.noteShards(tx, shardParentAbort)
 		rt.recordAbort(tx, ae, false, attempt)
-		rt.cfg.Tracer.Record(trace.KindFullAbort, tx.id, abortDetail(ae))
 		if ae.Busy {
 			rt.metrics.BusyBackoffs.Add(1)
 		}
@@ -554,36 +578,6 @@ func (rt *Runtime) runAttempts(ctx context.Context, fn func(*Tx) error, seq uint
 		}
 	}
 	return fmt.Errorf("%w after %d attempts", ErrRetriesExhausted, rt.cfg.MaxAttempts)
-}
-
-// commitStaged wraps commit with the Commit stage histogram and, when the
-// transaction is traced, a "commit" span the 2PC requests parent to.
-func (rt *Runtime) commitStaged(ctx context.Context, tx *Tx, attemptID uint64) error {
-	if tx.traceID == "" {
-		t0 := time.Now()
-		err := rt.commit(ctx, tx)
-		rt.stages.Commit.Record(time.Since(t0))
-		return err
-	}
-	span := trace.Span{
-		Trace:  tx.traceID,
-		ID:     trace.NextSpanID(),
-		Parent: attemptID,
-		Name:   "commit",
-		Site:   rt.site,
-		Start:  time.Now(),
-	}
-	tx.span = span.ID // prepare/decision requests nest under the commit span
-	err := rt.commit(ctx, tx)
-	span.End = time.Now()
-	rt.stages.Commit.Record(span.End.Sub(span.Start))
-	if err != nil {
-		span.Detail = err.Error()
-	} else {
-		span.Detail = "committed"
-	}
-	rt.cfg.Tracer.RecordSpan(span)
-	return err
 }
 
 type callResult struct {

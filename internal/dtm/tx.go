@@ -12,7 +12,6 @@ import (
 	"qracn/internal/quorum"
 	"qracn/internal/shard"
 	"qracn/internal/store"
-	"qracn/internal/trace"
 	"qracn/internal/wire"
 )
 
@@ -60,7 +59,7 @@ type Tx struct {
 
 	// traceID is the distributed-trace ID of the sampled top-level
 	// transaction this context belongs to (empty: unsampled — every span
-	// branch below is skipped, keeping the hot path allocation-free). span is
+	// site only times its stage, keeping the hot path allocation-free). span is
 	// the enclosing client span (attempt, try, or commit) that wire requests
 	// issued by this context parent to.
 	traceID string
@@ -310,37 +309,6 @@ func (tx *Tx) recordRead(id store.ObjectID, e readEntry) {
 	tx.readOrder = append(tx.readOrder, id)
 }
 
-// remoteRead performs the quorum read protocol for a first access. It wraps
-// remoteReadInner with the Read stage histogram and, when the transaction is
-// traced, a "read" span whose ID rides on the request so server serve spans
-// nest under it.
-func (tx *Tx) remoteRead(id store.ObjectID) (store.Value, error) {
-	rt := tx.rt
-	if tx.traceID == "" {
-		t0 := time.Now()
-		v, err := tx.remoteReadInner(id, 0)
-		rt.stages.Read.Record(time.Since(t0))
-		return v, err
-	}
-	span := trace.Span{
-		Trace:  tx.traceID,
-		ID:     trace.NextSpanID(),
-		Parent: tx.span,
-		Name:   "read",
-		Site:   rt.site,
-		Detail: string(id),
-		Start:  time.Now(),
-	}
-	v, err := tx.remoteReadInner(id, span.ID)
-	span.End = time.Now()
-	rt.stages.Read.Record(span.End.Sub(span.Start))
-	if err != nil {
-		span.Detail = string(id) + ": " + err.Error()
-	}
-	rt.cfg.Tracer.RecordSpan(span)
-	return v, err
-}
-
 // request starts a wire request of this transaction: the given 2PC round's ID,
 // the transaction's deadline and, when it is traced, the trace context with
 // span as the parent of the server's spans.
@@ -353,11 +321,15 @@ func (tx *Tx) request(kind wire.Kind, txid string, span uint64) *wire.Request {
 	return req
 }
 
-// remoteReadInner is the quorum read protocol body. spanID, when non-zero,
-// is stamped on the wire requests as the parent for server spans.
-func (tx *Tx) remoteReadInner(id store.ObjectID, spanID uint64) (store.Value, error) {
+// remoteRead performs the quorum read protocol for a first access. It is
+// timed into the Read stage and, when the transaction is sampled, is a "read"
+// span whose ID rides on the request so server serve spans nest under it.
+func (tx *Tx) remoteRead(id store.ObjectID) (_ store.Value, err error) {
 	rt := tx.rt
-	req := tx.request(wire.KindRead, tx.id, spanID)
+	sp := rt.beginSpan(tx.traceID, tx.span, &rt.stages.Read, "read", -1)
+	sp.Detail = string(id)
+	defer func() { sp.end(err, "") }()
+	req := tx.request(wire.KindRead, tx.id, sp.ID)
 	req.Read = &wire.ReadRequest{Object: id, Validate: tx.validationListFor(rt.groupFor(id))}
 	req.Read.StatsFor = rt.statsQuery()
 
@@ -406,7 +378,6 @@ func (tx *Tx) remoteReadInner(id store.ObjectID, spanID uint64) (store.Value, er
 			// read in place a few times before aborting this context.
 			if busyTry < rt.cfg.ReadBusyRetries {
 				rt.metrics.BusyBackoffs.Add(1)
-				rt.cfg.Tracer.Record(trace.KindBusy, tx.id, string(id))
 				if err := tx.takeRetry("busy re-read"); err != nil {
 					return nil, err
 				}
@@ -506,7 +477,6 @@ func (tx *Tx) quorumRead(req *wire.Request) ([]callResult, int, error) {
 			return nil, -1, err
 		}
 		rt.metrics.RemoteReads.Add(1)
-		rt.cfg.Tracer.Record(trace.KindRead, tx.id, string(req.Read.Object))
 
 		fullIdx := -1
 		var results []callResult
@@ -568,59 +538,27 @@ func (tx *Tx) Sub(fn func(*Tx) error) error {
 		return ErrNestingDepth
 	}
 	tx.subSeq++
-	block := tx.subSeq
-	if tx.traceID == "" {
-		return tx.runSub(fn, block, 0)
-	}
-	// Traced: one "block-K" span per Sub call with a nested "try-J" span per
+	// One "block-K" span per Sub call with a nested "try-J" span per
 	// execution, so a partial rollback shows up as extra tries under the same
 	// block while the block's own duration captures the total retry cost.
-	span := trace.Span{
-		Trace:  tx.traceID,
-		ID:     trace.NextSpanID(),
-		Parent: tx.span,
-		Name:   fmt.Sprintf("block-%d", block),
-		Site:   tx.rt.site,
-		Start:  time.Now(),
-	}
-	err := tx.runSub(fn, block, span.ID)
-	span.End = time.Now()
-	if err != nil {
-		span.Detail = err.Error()
-	} else {
-		span.Detail = "merged"
-	}
-	tx.rt.cfg.Tracer.RecordSpan(span)
+	sp := tx.rt.beginSpan(tx.traceID, tx.span, nil, "block", tx.subSeq)
+	err := tx.runSub(fn, tx.subSeq, sp.ID)
+	sp.end(err, "merged")
 	return err
 }
 
 // runSub is Sub's partial-rollback retry loop. blockID is the enclosing
-// block span (0 when untraced).
+// block span (0 when unsampled). A Block that keeps rolling back past
+// MaxSubAttempts escalates to a parent abort attributed like its last partial
+// one: same cause, key, witness and Block.
 func (tx *Tx) runSub(fn func(*Tx) error, block int, blockID uint64) error {
 	rt := tx.rt
+	last := &AbortError{Block: block}
 	for attempt := 0; attempt < rt.cfg.MaxSubAttempts; attempt++ {
-		var trySpan trace.Span
-		if blockID != 0 {
-			trySpan = trace.Span{
-				Trace:  tx.traceID,
-				ID:     trace.NextSpanID(),
-				Parent: blockID,
-				Name:   fmt.Sprintf("try-%d", attempt),
-				Site:   rt.site,
-				Start:  time.Now(),
-			}
-		}
-		child := tx.subContext(block, trySpan.ID)
+		sp := rt.beginSpan(tx.traceID, blockID, nil, "try", attempt)
+		child := tx.subContext(block, sp.ID)
 		err := fn(child)
-		if blockID != 0 {
-			trySpan.End = time.Now()
-			if err != nil {
-				trySpan.Detail = err.Error()
-			} else {
-				trySpan.Detail = "merged"
-			}
-			rt.cfg.Tracer.RecordSpan(trySpan)
-		}
+		sp.end(err, "merged")
 		if err == nil {
 			tx.merge(child)
 			return nil
@@ -632,12 +570,14 @@ func (tx *Tx) runSub(fn func(*Tx) error, block int, blockID uint64) error {
 		rt.metrics.SubAborts.Add(1)
 		rt.noteShards(child, shardSubAbort)
 		rt.recordAbort(tx, ae, true, attempt)
-		rt.cfg.Tracer.Record(trace.KindPartialAbort, tx.id, abortDetail(ae))
+		last = ae
 		if err := rt.backoff(tx.ctx, attempt); err != nil {
 			return err
 		}
 	}
-	return &AbortError{Level: AbortParent, Reason: "sub-transaction retry budget exhausted"}
+	escalated := *last
+	escalated.Level, escalated.Reason = AbortParent, "sub-transaction retry budget exhausted"
+	return &escalated
 }
 
 // subContext hands out the transaction's sub-transaction context, emptied,
@@ -687,8 +627,13 @@ func (tx *Tx) merge(child *Tx) {
 // quorum of every quorum group it touched, or — for a read-only transaction —
 // one validation round against read quorums and no 2PC. There is one part per
 // touched group, each naming only what that group owns; an unsharded cluster
-// is one part over the whole-cluster tree.
-func (rt *Runtime) commit(ctx context.Context, tx *Tx) error {
+// is one part over the whole-cluster tree. It is timed into the Commit stage
+// and, when the transaction is sampled, is a "commit" span the 2PC requests
+// parent to.
+func (rt *Runtime) commit(ctx context.Context, tx *Tx) (err error) {
+	sp := rt.beginSpan(tx.traceID, tx.span, &rt.stages.Commit, "commit", -1)
+	tx.span = sp.ID
+	defer func() { sp.end(err, "committed") }()
 	if len(tx.readOrder) == 0 {
 		return nil // every write follows a first-access read: nothing was touched
 	}
@@ -719,7 +664,6 @@ func (rt *Runtime) commit(ctx context.Context, tx *Tx) error {
 	if rt.cfg.Shards != nil {
 		parts = partitionCommit(rt.cfg.Shards, reads, writes, release)
 	}
-	var err error
 	if len(writes) == 0 {
 		err = rt.commitReadOnly(ctx, tx, parts)
 	} else {
@@ -805,7 +749,7 @@ func (rt *Runtime) commitParts(ctx context.Context, tx *Tx, parts []commitPart) 
 
 		failed := fo.failed(results)
 		yes, no := tallyVotes(results)
-		rt.notePrepareRound(tx, len(no.invalid)+len(no.busy) > 0)
+		rt.order.note(len(no.invalid)+len(no.busy) > 0)
 		if yes == len(nodes) {
 			rt.decideParts(ctx, tx, txid, true, parts, results)
 			return nil
@@ -978,19 +922,4 @@ func (rt *Runtime) decide(ctx context.Context, nodes []quorum.NodeID, tx *Tx, tx
 		}
 	}
 	rt.metrics.DecisionsDropped.Add(uint64(len(pending)))
-	rt.cfg.Tracer.Record(trace.KindFailover, tx.id, "decision delivery abandoned")
-}
-
-// abortDetail renders an abort's trace detail: the reason plus, when known,
-// the implicated key and conflicting transaction. Only abort paths pay for
-// the string building.
-func abortDetail(ae *AbortError) string {
-	d := ae.Reason
-	if ae.Key != "" {
-		d += " key=" + string(ae.Key)
-	}
-	if ae.ConflictTx != "" {
-		d += " conflict=" + ae.ConflictTx
-	}
-	return d
 }

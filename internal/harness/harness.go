@@ -125,7 +125,7 @@ type Options struct {
 	// default).
 	FsyncInterval time.Duration
 	// TraceCapacity, when positive, turns tracing on: every node and every
-	// client runtime gets a span/event ring of this size (0: tracing off).
+	// client runtime gets a span ring of this size (0: tracing off).
 	TraceCapacity int
 	// Node is the template every quorum node is built from (admission
 	// control, termination deadlines, checkpoint threshold, forensics); it

@@ -21,14 +21,12 @@ package health
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"qracn/internal/quorum"
-	"qracn/internal/trace"
 	"qracn/internal/transport"
 )
 
@@ -106,8 +104,7 @@ type Detector struct {
 	readmissions atomic.Uint64
 	failures     atomic.Uint64
 
-	sink   atomic.Pointer[Counters]
-	tracer atomic.Pointer[trace.Tracer]
+	sink atomic.Pointer[Counters]
 }
 
 // New creates a Detector with every node presumed alive.
@@ -118,17 +115,6 @@ func New(cfg Config) *Detector {
 
 // SetCounters mirrors future detector events into c (nil clears the sink).
 func (d *Detector) SetCounters(c *Counters) { d.sink.Store(c) }
-
-// SetTracer records future suspicion/readmission transitions as trace
-// events (nil clears it).
-func (d *Detector) SetTracer(t *trace.Tracer) { d.tracer.Store(t) }
-
-// traceEvent records a detector transition; no-op without a tracer.
-func (d *Detector) traceEvent(kind trace.Kind, id quorum.NodeID, detail string) {
-	if t := d.tracer.Load(); t != nil {
-		t.Record(kind, fmt.Sprintf("node-%d", id), detail)
-	}
-}
 
 func (d *Detector) bump(own *atomic.Uint64, ext func(*Counters) *atomic.Uint64) {
 	own.Add(1)
@@ -202,7 +188,6 @@ func (d *Detector) ReportSuccess(id quorum.NodeID) {
 		st.suspected = false
 		st.score = 0
 		d.bump(&d.readmissions, func(c *Counters) *atomic.Uint64 { return c.Readmissions })
-		d.traceEvent(trace.KindReadmit, id, "probe answered")
 		return
 	}
 	// A success halves the residual score on top of the time decay, so a
@@ -235,7 +220,6 @@ func (d *Detector) ReportFailure(id quorum.NodeID) {
 		// delayed a full interval beyond the suspicion itself.
 		st.lastProbe = now
 		d.bump(&d.suspicions, func(c *Counters) *atomic.Uint64 { return c.Suspicions })
-		d.traceEvent(trace.KindSuspect, id, fmt.Sprintf("score %.1f", st.score))
 	}
 }
 

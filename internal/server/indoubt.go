@@ -242,7 +242,7 @@ func (n *Node) registerPrepare(rec wal.Record, traceID string, serveID uint64) e
 		// across compaction), or at or above it, in a segment replay visits
 		// — never in a segment about to be deleted behind its back.
 		n.commitMu.RLock()
-		err := n.appendForced(rec.TxID, traceID, serveID, rec)
+		err := n.appendForced(traceID, serveID, rec)
 		n.commitMu.RUnlock()
 		if err != nil {
 			n.idMu.Lock()
@@ -259,18 +259,16 @@ func (n *Node) registerPrepare(rec wal.Record, traceID string, serveID uint64) e
 // fsync covers them. The wait is the durable path's share of the handler: it
 // feeds stages.FsyncWait and, on a traced request, a wal-fsync span nested
 // under the serve span. Callers hold n.commitMu shared and have a WAL.
-func (n *Node) appendForced(txID, traceID string, serveID uint64, recs ...wal.Record) error {
+func (n *Node) appendForced(traceID string, serveID uint64, recs ...wal.Record) error {
 	start := time.Now()
 	err := n.wal.Append(recs...)
-	wait := time.Since(start)
-	n.stages.FsyncWait.Record(wait)
-	if traceID != "" && n.tracer.Enabled() {
-		// Both rings outlive the request these IDs are views into.
-		n.tracer.Record(trace.KindWALFsync, strings.Clone(txID), wait.String())
+	end := time.Now()
+	n.stages.FsyncWait.Record(end.Sub(start))
+	if traceID != "" && n.tracer != nil {
 		n.tracer.RecordSpan(trace.Span{
-			Trace: strings.Clone(traceID), ID: trace.NextSpanID(), Parent: serveID,
-			Name: "wal-fsync", Site: n.site,
-			Start: start, End: start.Add(wait),
+			Trace: strings.Clone(traceID), // the span ring outlives the request the ID is a view into
+			ID:    trace.NextSpanID(), Parent: serveID, Name: "wal-fsync", Site: n.site,
+			Start: start, End: end,
 		})
 	}
 	return err
@@ -361,7 +359,7 @@ func (n *Node) applyDecision(txID string, commit bool, writes []store.WriteDesc,
 		// appended and fsynced before any of it is applied or the decision
 		// acked.
 		if n.wal != nil {
-			if err := n.appendForced(txID, traceID, serveID, commitRecords(txID, writes)...); err != nil {
+			if err := n.appendForced(traceID, serveID, commitRecords(txID, writes)...); err != nil {
 				n.commitMu.RUnlock()
 				return &wire.Response{Status: wire.StatusError, Detail: "wal: " + err.Error()}
 			}

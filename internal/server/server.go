@@ -67,9 +67,9 @@ type Config struct {
 	// SnapshotEvery and the size of the last snapshot, objects plus carried
 	// records (0: default 4096; negative: never automatically).
 	SnapshotEvery int
-	// Tracer, when non-nil and enabled, records a serve span for every
-	// request that carries a trace ID (plus protocol events like WAL-fsync
-	// waits). Untraced requests skip all span work.
+	// Tracer, when non-nil, records a serve span for every request that
+	// carries a trace ID, with a wal-fsync child for each forced append it
+	// waits on. Untraced requests skip all span work.
 	Tracer *trace.Tracer
 	// ResolveAfter is how long a yes vote may sit undecided before the
 	// node starts the cooperative termination protocol — querying the
@@ -520,7 +520,7 @@ func (n *Node) AdmissionStats() AdmissionStats {
 
 // serve runs an admitted request: trace wrapping + dispatch.
 func (n *Node) serve(ctx context.Context, req *wire.Request) *wire.Response {
-	if req.TraceID == "" || !n.tracer.Enabled() {
+	if req.TraceID == "" || n.tracer == nil {
 		return n.dispatch(ctx, req, 0)
 	}
 	span := trace.Span{

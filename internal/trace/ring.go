@@ -7,7 +7,7 @@ import "sync"
 // costs nothing, which is what lets every runtime and node carry forensic
 // rings by default — and every later Record takes the lock, overwrites the
 // oldest slot and allocates nothing. It is the one ring behind the Tracer's
-// events and spans and the forensics recorder's abort and recompose events.
+// spans and the forensics recorder's abort and recompose events.
 type Ring[T any] struct {
 	mu   sync.Mutex
 	size int

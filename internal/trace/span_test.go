@@ -40,12 +40,6 @@ func TestRecordSpanNilAndDisabled(t *testing.T) {
 	if got := nilTr.Spans(); got != nil {
 		t.Fatalf("nil tracer spans = %v", got)
 	}
-	tr := New(4)
-	tr.Enable(false)
-	tr.RecordSpan(mkSpan("t", 1, 0, "s", "site", 0, 1))
-	if got := tr.Spans(); len(got) != 0 {
-		t.Fatalf("disabled tracer recorded %d spans", len(got))
-	}
 }
 
 func TestAssembleTrace(t *testing.T) {
@@ -170,20 +164,6 @@ func TestSpanJSONRoundTrip(t *testing.T) {
 		if !out[i].Start.Equal(in[i].Start) || out[i].ID != in[i].ID || out[i].Trace != in[i].Trace {
 			t.Fatalf("span %d mismatch: %+v != %+v", i, out[i], in[i])
 		}
-	}
-}
-
-func TestKindStringCoverage(t *testing.T) {
-	seen := map[string]Kind{}
-	for k := Kind(0); k < numKinds; k++ {
-		s := k.String()
-		if s == "unknown" {
-			t.Fatalf("Kind %d has no String case", k)
-		}
-		if prev, dup := seen[s]; dup {
-			t.Fatalf("Kinds %d and %d share the name %q", prev, k, s)
-		}
-		seen[s] = k
 	}
 }
 

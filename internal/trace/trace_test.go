@@ -2,7 +2,7 @@ package trace_test
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,88 +13,38 @@ import (
 	"qracn/internal/trace"
 )
 
-func TestRecordAndEvents(t *testing.T) {
-	tr := trace.New(8)
-	tr.Record(trace.KindRead, "t1", "obj/a")
-	tr.Record(trace.KindCommit, "t1", "")
-	evs := tr.Events()
-	if len(evs) != 2 {
-		t.Fatalf("events = %d", len(evs))
-	}
-	if evs[0].Kind != trace.KindRead || evs[1].Kind != trace.KindCommit {
-		t.Fatalf("order wrong: %v", evs)
-	}
-	if evs[0].TxID != "t1" || evs[0].Detail != "obj/a" {
-		t.Fatalf("fields wrong: %+v", evs[0])
-	}
-}
-
 func TestRingWrapsKeepingNewest(t *testing.T) {
-	tr := trace.New(3)
+	r := trace.NewRing[string](3)
 	for i := 0; i < 7; i++ {
-		tr.Record(trace.KindRead, fmt.Sprintf("t%d", i), "")
+		r.Record(fmt.Sprintf("t%d", i))
 	}
-	evs := tr.Events()
-	if len(evs) != 3 {
-		t.Fatalf("events = %d, want capacity 3", len(evs))
+	if got := r.Snapshot(); !slices.Equal(got, []string{"t4", "t5", "t6"}) {
+		t.Fatalf("ring holds %v, want the newest 3 oldest first", got)
 	}
-	for i, want := range []string{"t4", "t5", "t6"} {
-		if evs[i].TxID != want {
-			t.Fatalf("ring order = %v", evs)
-		}
+	if r.Recorded() != 7 {
+		t.Fatalf("Recorded = %d, want 7", r.Recorded())
 	}
 }
 
+// TestNilAndDisabledTracer: a nil Tracer is inert, and a runtime carrying a
+// tracer with sampling off (TraceSample < 0) records no span.
 func TestNilAndDisabledTracer(t *testing.T) {
 	var nilTr *trace.Tracer
-	nilTr.Record(trace.KindCommit, "x", "") // must not panic
-	if nilTr.Enabled() || nilTr.Events() != nil {
+	nilTr.RecordSpan(trace.Span{Trace: "x"}) // must not panic
+	if nilTr.Spans() != nil || nilTr.SpansFor("x") != nil {
 		t.Fatal("nil tracer should be inert")
 	}
 	tr := trace.New(4)
-	tr.Enable(false)
-	tr.Record(trace.KindCommit, "x", "")
-	if len(tr.Events()) != 0 {
-		t.Fatal("disabled tracer recorded")
+	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour})
+	defer c.Close()
+	rt := c.Runtime(1, dtm.Config{Seed: 1, Tracer: tr, TraceSample: -1})
+	if err := rt.Atomic(t.Context(), func(tx *dtm.Tx) error {
+		return tx.Write("a", store.Int64(1))
+	}); err != nil {
+		t.Fatal(err)
 	}
-	tr.Enable(true)
-	tr.Record(trace.KindCommit, "x", "")
-	if len(tr.Events()) != 1 {
-		t.Fatal("re-enabled tracer did not record")
-	}
-}
-
-func TestCountAndDump(t *testing.T) {
-	tr := trace.New(16)
-	tr.Record(trace.KindRead, "t1", "a")
-	tr.Record(trace.KindRead, "t1", "b")
-	tr.Record(trace.KindFullAbort, "t1", "stale")
-	counts := tr.Count()
-	if counts[trace.KindRead] != 2 || counts[trace.KindFullAbort] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-	dump := tr.Dump()
-	for _, want := range []string{"read", "full-abort", "stale", "t1"} {
-		if !strings.Contains(dump, want) {
-			t.Fatalf("dump missing %q:\n%s", want, dump)
-		}
-	}
-}
-
-func TestKindStrings(t *testing.T) {
-	kinds := map[trace.Kind]string{
-		trace.KindRead:         "read",
-		trace.KindCommit:       "commit",
-		trace.KindFullAbort:    "full-abort",
-		trace.KindPartialAbort: "partial-abort",
-		trace.KindBusy:         "busy",
-		trace.KindRecompose:    "recompose",
-		trace.Kind(99):         "unknown",
-	}
-	for k, want := range kinds {
-		if k.String() != want {
-			t.Fatalf("%v != %s", k, want)
-		}
+	if got := tr.Spans(); len(got) != 0 {
+		t.Fatalf("unsampled runtime recorded %d spans: %v", len(got), got)
 	}
 }
 
@@ -106,12 +56,12 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				tr.Record(trace.KindRead, fmt.Sprintf("t%d", i), "")
+				tr.RecordSpan(trace.Span{Trace: fmt.Sprintf("t%d", i), ID: trace.NextSpanID()})
 			}
 		}(i)
 	}
 	wg.Wait()
-	if got := len(tr.Events()); got != 64 {
+	if got := len(tr.Spans()); got != 64 {
 		t.Fatalf("ring holds %d, want 64", got)
 	}
 }
@@ -125,8 +75,9 @@ func TestPanicsOnBadCapacity(t *testing.T) {
 	trace.New(0)
 }
 
-// TestRuntimeIntegration verifies the DTM runtime emits the expected event
-// stream for a simple commit.
+// TestRuntimeIntegration verifies the DTM runtime records the expected span
+// tree for a simple read-modify-write commit: read and commit under
+// attempt-0, under tx, in the order they ended.
 func TestRuntimeIntegration(t *testing.T) {
 	tr := trace.New(32)
 	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour})
@@ -143,8 +94,17 @@ func TestRuntimeIntegration(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	counts := tr.Count()
-	if counts[trace.KindRead] != 1 || counts[trace.KindCommit] != 1 {
-		t.Fatalf("counts = %v, want 1 read + 1 commit\n%s", counts, tr.Dump())
+	spans := tr.Spans()
+	var got []string
+	for _, s := range spans {
+		got = append(got, s.Name+"("+s.Detail+")")
+	}
+	want := []string{"read(a)", "commit(committed)", "attempt-0(committed)", "tx(committed)"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("spans = %v, want %v", got, want)
+	}
+	read, commit, attempt, tx := spans[0], spans[1], spans[2], spans[3]
+	if read.Parent != attempt.ID || commit.Parent != attempt.ID || attempt.Parent != tx.ID || tx.Parent != 0 {
+		t.Fatalf("parentage wrong: %+v", spans)
 	}
 }

@@ -195,9 +195,10 @@ func TestTCPBinaryCompressedPayload(t *testing.T) {
 	}
 }
 
-// TestChannelCodecMode checks the channel network's serializing mode: with a
-// Codec configured, messages cross the boundary via encode/decode instead of
-// Clone — mutation isolation still holds and payloads are preserved.
+// TestChannelCodecMode checks that a message crosses the channel network by
+// encode and decode, as every message does (the deprecated Codec field is
+// ignored): a handler's mutation never reaches the caller, nothing crosses by
+// reference, and payloads are preserved.
 func TestChannelCodecMode(t *testing.T) {
 	var got *wire.Request
 	n := NewChannelNetwork(ChannelConfig{Codec: wire.Binary})

@@ -171,10 +171,11 @@ func LoadComposition(an *Analysis, data []byte) (*Composition, error) {
 	return acn.LoadComposition(an, data)
 }
 
-// Tracer records protocol events for debugging (see RuntimeConfig.Tracer).
+// Tracer records the spans of sampled transactions (see
+// RuntimeConfig.Tracer and TraceSample).
 type Tracer = trace.Tracer
 
-// NewTracer creates an enabled tracer holding the last capacity events.
+// NewTracer creates a tracer holding the last capacity spans.
 func NewTracer(capacity int) *Tracer { return trace.New(capacity) }
 
 // Distributed tracing: spans, cross-node assembly, and export.
