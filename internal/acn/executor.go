@@ -32,7 +32,6 @@ type Executor struct {
 	comp        atomic.Pointer[compiled]
 	noPrefetch  atomic.Bool
 	samplers    []*contention.Sampler
-	sampled     *contention.Union
 	varDefsNote varDefs
 }
 
@@ -77,10 +76,9 @@ func NewExecutor(rt *dtm.Runtime, an *unitgraph.Analysis, initial *Composition) 
 	e := &Executor{rt: rt, an: an}
 	e.varDefsNote = collectVarDefs(an)
 	e.comp.Store(e.compile(initial))
-	e.sampled = contention.NewUnion()
 	e.samplers = make([]*contention.Sampler, an.NumAnchors)
 	for i := range e.samplers {
-		e.samplers[i] = contention.NewSampler(SamplerCapacity, e.sampled)
+		e.samplers[i] = contention.NewSampler(SamplerCapacity)
 	}
 	return e
 }
@@ -180,11 +178,25 @@ func (e *Executor) SetPrefetch(enabled bool) { e.noPrefetch.Store(!enabled) }
 func (e *Executor) AnchorSample(id int) []store.ObjectID { return e.samplers[id].Recent() }
 
 // SampledIDs returns the union of recent object IDs across all UnitBlocks —
-// the object list the dynamic module requests contention levels for. The
-// slice is shared and must not be modified.
-func (e *Executor) SampledIDs() []store.ObjectID {
-	ids, _ := e.sampled.IDs()
-	return ids
+// the object list the dynamic module requests contention levels for.
+func (e *Executor) SampledIDs() []store.ObjectID { return sampledIDs(e) }
+
+// sampledIDs returns the distinct recent object IDs of the executors'
+// UnitBlocks.
+func sampledIDs(execs ...*Executor) []store.ObjectID {
+	var out []store.ObjectID
+	seen := make(map[store.ObjectID]bool)
+	for _, e := range execs {
+		for _, s := range e.samplers {
+			for _, id := range s.Recent() {
+				if !seen[id] {
+					seen[id] = true
+					out = append(out, id)
+				}
+			}
+		}
+	}
+	return out
 }
 
 // Execute runs one invocation of the program with the given parameters.

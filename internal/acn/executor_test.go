@@ -372,60 +372,6 @@ func TestControllerRestartsAfterItsContextEnds(t *testing.T) {
 	}
 }
 
-func TestControllerPiggybackHooks(t *testing.T) {
-	an := analyze(t)
-	c := cluster.New(cluster.Config{Servers: 10, StatsWindow: time.Hour})
-	defer c.Close()
-	seedBank(c, 2, 2, 1000)
-
-	var ctrl *acn.Controller
-	rt := c.Runtime(1, dtm.Config{
-		Seed:             3,
-		StatsEveryNReads: 1,
-		StatsWanted: func() []store.ObjectID {
-			if ctrl == nil {
-				return nil
-			}
-			return ctrl.Wanted()
-		},
-		StatsSink: func(levels map[store.ObjectID]float64) {
-			if ctrl != nil {
-				ctrl.Sink(levels)
-			}
-		},
-	})
-	exec := acn.NewExecutor(rt, an, acn.Static(an))
-	ctrl = acn.NewController(exec, acn.ControllerConfig{Interval: time.Hour, TableAlpha: 1})
-
-	ctx := context.Background()
-	// First execution populates samplers; the second piggybacks stats.
-	for i := 0; i < 2; i++ {
-		if err := exec.Execute(ctx, transferParams(0, 1, 0, 1, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Every first access was a read-ahead hit, so the batched rounds are the
-	// only reads there were to carry the query.
-	if m := rt.Metrics().Snapshot(); m.RemoteReads != 2 || m.BatchReads != 2 {
-		t.Fatalf("rounds = %d, batched = %d; want 2 and 2 (no plain read)", m.RemoteReads, m.BatchReads)
-	}
-	// Four write-commits happened (branch/account writes), so the table
-	// should have observed non-zero contention for at least one object.
-	ids := ctrl.Wanted()
-	if len(ids) == 0 {
-		t.Fatal("controller wants no stats despite sampled objects")
-	}
-	some := false
-	for _, id := range ids {
-		if ctrl.Table().Level(id) > 0 {
-			some = true
-		}
-	}
-	if !some {
-		t.Fatal("piggybacked stats never reached the controller table")
-	}
-}
-
 func TestControllerRefreshFailsWhenClusterDown(t *testing.T) {
 	an := analyze(t)
 	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour})

@@ -27,11 +27,6 @@ type Hub struct {
 	mu    sync.Mutex
 	execs []*Executor
 	algos []*Algorithm
-	// wanted is the union Wanted last built over several profiles, good while
-	// the profiles' sampled-set generations (which only grow) still sum to
-	// wantedGen.
-	wanted    []store.ObjectID
-	wantedGen uint64
 }
 
 // HubConfig tunes a Hub.
@@ -57,7 +52,6 @@ func (h *Hub) Register(exec *Executor, cfg AlgoConfig) {
 	defer h.mu.Unlock()
 	h.execs = append(h.execs, exec)
 	h.algos = append(h.algos, NewAlgorithm(exec.Analysis(), cfg))
-	h.wanted = nil // built over the profiles there were
 }
 
 // Table exposes the shared contention table.
@@ -66,37 +60,19 @@ func (h *Hub) Table() *contention.Table { return h.table }
 // Refreshes reports how many refresh cycles have completed.
 func (h *Hub) Refreshes() uint64 { return h.refreshes.Load() }
 
-// Wanted implements the piggyback hook over all registered profiles. The
-// slice is shared and must not be modified.
+// Wanted returns the distinct objects all registered profiles recently
+// touched: the object list of the stats query each refresh sends.
 func (h *Hub) Wanted() []store.ObjectID {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.execs) == 1 {
-		return h.execs[0].SampledIDs()
-	}
-	var gen uint64
-	for _, e := range h.execs {
-		_, g := e.sampled.IDs()
-		gen += g
-	}
-	if h.wanted != nil && gen == h.wantedGen {
-		return h.wanted
-	}
-	seen := make(map[store.ObjectID]bool)
-	h.wanted, h.wantedGen = nil, gen
-	for _, e := range h.execs {
-		for _, id := range e.SampledIDs() {
-			if !seen[id] {
-				seen[id] = true
-				h.wanted = append(h.wanted, id)
-			}
-		}
-	}
-	return h.wanted
+	execs := append([]*Executor(nil), h.execs...)
+	h.mu.Unlock()
+	return sampledIDs(execs...)
 }
 
-// Sink implements the piggyback hook: reported levels feed the shared
-// table.
+// Sink folds reported levels into the shared table. No runtime calls it: a
+// transaction read carries no stats query, so it reports no levels to sink.
+//
+// Deprecated: contention levels come from the Hub's query at each refresh.
 func (h *Hub) Sink(levels map[store.ObjectID]float64) { h.table.ObserveAll(levels) }
 
 // RefreshOnce performs one dynamic-module + algorithm-module cycle

@@ -144,15 +144,89 @@ func TestHubWantedUnion(t *testing.T) {
 	if len(ids) != 2 {
 		t.Fatalf("Wanted = %v, want union of both profiles", ids)
 	}
-	if again := hub.Wanted(); &again[0] != &ids[0] {
-		t.Fatal("Wanted rebuilt its list although no profile's sample had moved")
-	}
 	hub.Sink(map[store.ObjectID]float64{"x": 5})
 	if hub.Table().Level("x") != 5 {
 		t.Fatal("Sink did not reach the shared table")
 	}
 	if err := hub.RefreshOnce(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHubLevelsComeFromTheOwningGroup: under a shard map a node's meter counts
+// only the writes its own group applied, so the level of an object must come
+// from that object's group. A Hub wired with the deprecated piggyback settings,
+// as the harness once wired it, keeps what its refresh learnt about a row of
+// group 0 while transactions read only a row of group 1; when every such read
+// carried the stats query, a group-1 member answered 0 for the group-0 row and
+// each answer pulled the table toward it.
+func TestHubLevelsComeFromTheOwningGroup(t *testing.T) {
+	c := cluster.New(cluster.Config{Servers: 20, Shards: 2, StatsWindow: time.Hour})
+	defer c.Close()
+	var a, b store.ObjectID
+	for i := 0; a == "" || b == ""; i++ {
+		switch id := store.ID("k", i); c.Shards.ShardFor(id) {
+		case 0:
+			a = id
+		case 1:
+			b = id
+		}
+	}
+	c.Seed(map[store.ObjectID]store.Value{a: store.Int64(0), b: store.Int64(0)})
+
+	var hub *acn.Hub
+	rt := c.Runtime(1, dtm.Config{
+		Seed:             4,
+		StatsEveryNReads: 1,
+		StatsWanted:      func() []store.ObjectID { return hub.Wanted() },
+		StatsSink:        func(levels map[store.ObjectID]float64) { hub.Sink(levels) },
+	})
+	hub = acn.NewHub(rt, acn.HubConfig{})
+	register := func(p *txir.Program) *acn.Executor {
+		an, err := unitgraph.Analyze(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := acn.NewExecutor(rt, an, acn.Static(an))
+		hub.Register(e, acn.AlgoConfig{})
+		return e
+	}
+	ref := func(id store.ObjectID) txir.RefFunc { return func(*txir.Env) store.ObjectID { return id } }
+	bump := txir.NewProgram("bump")
+	bump.Read("a", "a", ref(a), "va")
+	bump.Read("b", "b", ref(b), "vb")
+	bump.Local(func(e *txir.Env) error {
+		e.SetInt64("next", e.GetInt64("va")+1)
+		return nil
+	}, []txir.Var{"va"}, []txir.Var{"next"})
+	bump.Write("a", "a", ref(a), "next")
+	writer, reader := register(bump), register(newSingleReadProgram("readB", string(b)))
+
+	ctx := context.Background()
+	const writes, reads = 5, 5
+	for i := 0; i < writes; i++ {
+		if err := writer.Execute(ctx, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := hub.RefreshOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	level := hub.Table().Level(a)
+	fetched, err := rt.FetchStats(ctx, []store.ObjectID{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if level <= 0 || level != fetched[a] {
+		t.Fatalf("level of %s after the refresh = %v, want the owning group's count %v > 0", a, level, fetched[a])
+	}
+	for i := 0; i < reads; i++ {
+		if err := reader.Execute(ctx, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hub.Table().Level(a); got != level {
+		t.Fatalf("level of %s = %v after %d reads of %s in the other group, want %v unchanged", a, got, reads, b, level)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package contention implements the paper's dynamic module: quorum nodes
 // count write operations per object in rotating time windows (the
 // "contention level" of an object is its write count in the last window,
-// §V-C2), and clients maintain a smoothed contention table fed by levels
-// piggybacked on read replies or fetched with explicit stats requests.
+// §V-C2), and clients maintain a smoothed contention table fed once per
+// refresh by a stats query to each quorum group's read quorum.
 package contention
 
 import (
@@ -193,92 +193,28 @@ func (t *Table) Mean(ids []store.ObjectID) float64 {
 	return sum / float64(len(ids))
 }
 
-// Union is the set of distinct object IDs a group of Samplers currently
-// remembers — the object list of a stats query. It is reference-counted and
-// kept up to date by every Sampler.Record, so asking for it (every few read
-// rounds) costs nothing while the set stands still and one slice when it
-// moved, instead of a map per sampler and one over all of them.
-type Union struct {
-	mu   sync.Mutex
-	refs map[store.ObjectID]int
-	// ids is the list IDs hands out, nil once the set has changed since. It
-	// is replaced, never modified, so callers may hold on to it.
-	ids []store.ObjectID
-	gen uint64
-}
-
-// NewUnion creates an empty union for samplers to report to.
-func NewUnion() *Union { return &Union{refs: make(map[store.ObjectID]int)} }
-
-// replace counts one remembered access of in and forgets one of out (either
-// may be "" for none).
-func (u *Union) replace(out, in store.ObjectID) {
-	if out == in {
-		return
-	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	changed := false
-	if in != "" {
-		n := u.refs[in] + 1
-		u.refs[in] = n
-		changed = n == 1
-	}
-	if out != "" {
-		if n := u.refs[out] - 1; n > 0 {
-			u.refs[out] = n
-		} else {
-			delete(u.refs, out)
-			changed = true
-		}
-	}
-	if changed {
-		u.ids = nil
-		u.gen++
-	}
-}
-
-// IDs returns the distinct IDs, in no particular order, and a generation
-// number that moves whenever the set does. The slice is shared: callers must
-// not modify it.
-func (u *Union) IDs() ([]store.ObjectID, uint64) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.ids == nil && len(u.refs) > 0 {
-		u.ids = make([]store.ObjectID, 0, len(u.refs))
-		for id := range u.refs {
-			u.ids = append(u.ids, id)
-		}
-	}
-	return u.ids, u.gen
-}
-
 // Sampler remembers the last K object accesses a statement made (with
 // duplicates). The executor feeds it on every remote access; the algorithm
 // module asks it which concrete objects a statement currently stands for
 // when estimating the statement's contention. Keeping duplicates makes the
 // estimate frequency-weighted: when a phase shift concentrates the
 // statement's draws on a few hot objects, those objects quickly dominate
-// the window and stale cold IDs age out. The distinct IDs it holds are
-// counted in its Union.
+// the window and stale cold IDs age out.
 type Sampler struct {
 	capacity int
-	union    *Union
 
 	mu   sync.Mutex
 	ring []store.ObjectID
 	next int
 }
 
-// NewSampler creates a sampler holding the last capacity accesses and
-// reporting the distinct ones to union.
-func NewSampler(capacity int, union *Union) *Sampler {
+// NewSampler creates a sampler holding the last capacity accesses.
+func NewSampler(capacity int) *Sampler {
 	if capacity <= 0 {
 		panic("contention: sampler capacity must be positive")
 	}
 	return &Sampler{
 		capacity: capacity,
-		union:    union,
 		ring:     make([]store.ObjectID, 0, capacity),
 	}
 }
@@ -289,10 +225,8 @@ func (s *Sampler) Record(id store.ObjectID) {
 	defer s.mu.Unlock()
 	if len(s.ring) < s.capacity {
 		s.ring = append(s.ring, id)
-		s.union.replace("", id)
 		return
 	}
-	s.union.replace(s.ring[s.next], id)
 	s.ring[s.next] = id
 	s.next = (s.next + 1) % s.capacity
 }

@@ -133,22 +133,17 @@ func TestTablePanicsOnBadAlpha(t *testing.T) {
 }
 
 func TestSamplerDistinctIDs(t *testing.T) {
-	u := NewUnion()
-	s := NewSampler(4, u)
+	s := NewSampler(4)
 	s.Record("a")
 	s.Record("b")
 	s.Record("a")
-	ids, _ := u.IDs()
-	if len(ids) != 2 {
-		t.Fatalf("IDs = %v, want 2 distinct", ids)
-	}
-	if got := s.Recent(); len(got) != 3 {
-		t.Fatalf("Recent = %v, want 3 accesses with duplicates", got)
+	if got := sortedIDs(s.Recent()); got != "a a b" {
+		t.Fatalf("Recent = %q, want 3 accesses with duplicates over 2 distinct IDs", got)
 	}
 }
 
 func TestSamplerEvictsOldest(t *testing.T) {
-	s := NewSampler(3, NewUnion())
+	s := NewSampler(3)
 	for i := 0; i < 5; i++ {
 		s.Record(store.ObjectID(fmt.Sprintf("o%d", i)))
 	}
@@ -169,8 +164,7 @@ func TestSamplerEvictsOldest(t *testing.T) {
 func TestSamplerFrequencyWeighting(t *testing.T) {
 	// After a phase shift the window must be dominated by the new hot
 	// objects even though old distinct IDs were seen before.
-	u := NewUnion()
-	s := NewSampler(8, u)
+	s := NewSampler(8)
 	for i := 0; i < 8; i++ {
 		s.Record(store.ObjectID(fmt.Sprintf("cold%d", i)))
 	}
@@ -182,8 +176,8 @@ func TestSamplerFrequencyWeighting(t *testing.T) {
 			t.Fatalf("stale access %s survived a full window of hot accesses", id)
 		}
 	}
-	if ids, _ := u.IDs(); len(ids) != 1 || ids[0] != "hot" {
-		t.Fatalf("IDs = %v", ids)
+	if got := s.Recent(); len(got) != 8 {
+		t.Fatalf("Recent = %v, want a full window of hot", got)
 	}
 }
 
@@ -193,7 +187,7 @@ func TestSamplerPanicsOnBadCapacity(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewSampler(0, NewUnion())
+	NewSampler(0)
 }
 
 func sortedIDs(ids []store.ObjectID) string {
@@ -203,40 +197,6 @@ func sortedIDs(ids []store.ObjectID) string {
 	}
 	sort.Strings(out)
 	return strings.Join(out, " ")
-}
-
-// TestUnionFollowsItsSamplers: the union is the distinct IDs of all its
-// samplers' windows at every moment, an ID two windows hold leaves only with
-// the second, and the list handed out is rebuilt only when the set moved —
-// and never modified afterwards, since callers hold on to it.
-func TestUnionFollowsItsSamplers(t *testing.T) {
-	u := NewUnion()
-	a, b := NewSampler(2, u), NewSampler(2, u)
-	a.Record("x")
-	b.Record("x")
-	a.Record("y")
-	first, gen := u.IDs()
-	if got := sortedIDs(first); got != "x y" {
-		t.Fatalf("IDs = %q, want x y", got)
-	}
-	a.Record("x") // a: [x y] -> [x y] with the older x replaced: same set
-	if again, g := u.IDs(); g != gen || &again[0] != &first[0] {
-		t.Fatal("the list was rebuilt although the set did not move")
-	}
-	a.Record("z") // a: y ages out, z comes in
-	a.Record("z") // a: [z z]; x lives on in b
-	second, g := u.IDs()
-	if got := sortedIDs(second); got != "x z" || g == gen {
-		t.Fatalf("IDs = %q (generation %d -> %d), want x z and a new generation", got, gen, g)
-	}
-	if got := sortedIDs(first); got != "x y" {
-		t.Fatalf("a list handed out earlier now reads %q", got)
-	}
-	b.Record("w")
-	b.Record("w") // b: [w w]: the last x is gone
-	if third, _ := u.IDs(); sortedIDs(third) != "w z" {
-		t.Fatalf("IDs = %q, want w z", sortedIDs(third))
-	}
 }
 
 // liveHeap is the heap in use after a full collection.

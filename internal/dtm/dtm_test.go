@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -542,52 +543,71 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-func TestStatsPiggyback(t *testing.T) {
-	c := newCluster(t, 10)
-	c.Seed(map[store.ObjectID]store.Value{"hot": store.Int64(1), "other": store.Int64(1)})
-	ctx := context.Background()
-
-	// Generate write traffic on "hot".
-	w := rtFor(c, 3)
-	for i := 0; i < 5; i++ {
-		if err := w.Atomic(ctx, func(tx *dtm.Tx) error {
-			return tx.Write("hot", store.Int64(int64(i)))
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var mu sync.Mutex
-	got := map[store.ObjectID]float64{}
-	rt := c.Runtime(1, dtm.Config{
-		Seed:             1,
-		StatsEveryNReads: 1,
-		StatsWanted:      func() []store.ObjectID { return []store.ObjectID{"hot"} },
-		StatsSink: func(levels map[store.ObjectID]float64) {
-			mu.Lock()
-			defer mu.Unlock()
-			for k, v := range levels {
-				got[k] = v
+// TestTransactionReadsCarryNoStatsQuery: contention levels come from the
+// Hub's explicit query alone, so no transaction read — a plain one or a
+// read-ahead batch, on one quorum tree or over two groups — asks for stats,
+// and the deprecated piggyback settings do nothing.
+func TestTransactionReadsCarryNoStatsQuery(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := cluster.Config{Servers: 10, StatsWindow: time.Hour}
+			if shards > 1 {
+				cfg.Servers, cfg.Shards = 10*shards, shards
 			}
-		},
-	})
-	if err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
-		_, err := tx.Read("other")
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	// Each commit's write quorum is a per-level majority, so any single
-	// replica may have missed some of the five commits — but a level
-	// majority must have seen at least one, and the piggyback asks a whole
-	// read quorum.
-	if got["hot"] < 1 || got["hot"] > 5 {
-		t.Fatalf("piggybacked level for hot = %v, want within [1,5]", got["hot"])
+			c := cluster.New(cfg)
+			defer c.Close()
+			a, b := store.ObjectID("x"), store.ObjectID("y")
+			if shards > 1 {
+				a, b = twoGroupKeys(t, c)
+			}
+			c.Seed(map[store.ObjectID]store.Value{a: store.Int64(0), b: store.Int64(0)})
+			var sunk atomic.Int64
+			rt, sc := scriptedRuntime(c, dtm.Config{
+				StatsEveryNReads: 1,
+				StatsWanted:      func() []store.ObjectID { return []store.ObjectID{a, b} },
+				StatsSink:        func(map[store.ObjectID]float64) { sunk.Add(1) },
+			})
+			ctx := context.Background()
+			for i := 0; i < 3; i++ {
+				if err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
+					if _, err := tx.Read(a); err != nil {
+						return err
+					}
+					_, err := tx.Read(b)
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if err := rt.Atomic(ctx, func(tx *dtm.Tx) error { return tx.Prefetch(a, b) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reads := sc.sent(func(r *wire.Request) bool { return r.Kind == wire.KindRead && r.Read.Object != "" })
+			batches := sc.sent(func(r *wire.Request) bool { return r.Kind == wire.KindBatch })
+			if len(reads) == 0 || len(batches) == 0 {
+				t.Fatalf("%d plain reads and %d batches sent, want both", len(reads), len(batches))
+			}
+			for _, s := range reads {
+				if len(s.req.Read.StatsFor) > 0 {
+					t.Fatalf("read of %s to node %d asks for stats of %v", s.req.Read.Object, s.to, s.req.Read.StatsFor)
+				}
+			}
+			for _, s := range batches {
+				for _, sub := range s.req.Batch.Subs {
+					if len(sub.Read.StatsFor) > 0 {
+						t.Fatalf("batched read of %s to node %d asks for stats of %v", sub.Read.Object, s.to, sub.Read.StatsFor)
+					}
+				}
+			}
+			if n := sunk.Load(); n != 0 {
+				t.Fatalf("stats sink called %d times, want 0", n)
+			}
+		})
 	}
 }
 
+// TestFetchStats: the level FetchStats returns is the maximum of the levels
+// the members of the read quorum it asked each count for themselves.
 func TestFetchStats(t *testing.T) {
 	c := newCluster(t, 10)
 	c.Seed(map[store.ObjectID]store.Value{"hot": store.Int64(1)})
@@ -600,16 +620,28 @@ func TestFetchStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	levels, err := rtFor(c, 1).FetchStats(ctx, []store.ObjectID{"hot"})
+	rt, sc := scriptedRuntime(c, dtm.Config{})
+	levels, err := rt.FetchStats(ctx, []store.ObjectID{"hot"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The answering replica must have seen all four commits (full
-	// replication: every write quorum covers a level majority, but stats
-	// come from one node — levels 1+ nodes may have missed some commits, so
-	// accept >= 1).
-	if levels["hot"] < 1 {
-		t.Fatalf("levels = %v, want hot >= 1", levels)
+	asked := sc.sent(func(r *wire.Request) bool { return r.Kind == wire.KindRead && r.Read.Object == "" })
+	if len(asked) < 2 {
+		t.Fatalf("stats query went to %d members, want a read quorum", len(asked))
+	}
+	// Each member's own count, read from it directly with the same query.
+	var most float64
+	for _, s := range asked {
+		resp := c.Nodes[s.to].Handle(ctx, &wire.Request{Kind: wire.KindRead, Read: &wire.ReadRequest{StatsFor: []store.ObjectID{"hot"}}})
+		if resp.Read == nil {
+			t.Fatalf("node %d answered the stats query with %s and no levels", s.to, resp.Status)
+		}
+		if lv := resp.Read.Stats["hot"]; lv > most {
+			most = lv
+		}
+	}
+	if most < 1 || levels["hot"] != most {
+		t.Fatalf("FetchStats level %v, asked members' maximum %v: want equal and at least 1", levels["hot"], most)
 	}
 }
 

@@ -72,9 +72,6 @@ func (tx *Tx) Prefetch(ids ...store.ObjectID) (err error) {
 	if rt.cfg.Shards != nil {
 		pending = rt.cfg.Shards.Partition(need)
 	}
-	// A batched round is one read for the dynamic module's every-Nth-read
-	// stats query; one member's answer is enough, as on a plain read.
-	statsFor := rt.statsQuery()
 
 	fo := rt.failover(tx.ctx, tx, tx.seed, wire.KindBatch, "prefetch quorum")
 	for fo.next() {
@@ -87,12 +84,7 @@ func (tx *Tx) Prefetch(ids ...store.ObjectID) (err error) {
 				return err
 			}
 			nodes = append(nodes, q...)
-			legs[i] = leg{tx.batchRead(p, sp.ID, nil), len(nodes)}
-		}
-		bounds := legs
-		if len(statsFor) > 0 {
-			legs = append([]leg{{tx.batchRead(pending[0], sp.ID, statsFor), 1}}, legs...)
-			statsFor = nil
+			legs[i] = leg{tx.batchRead(p, sp.ID), len(nodes)}
 		}
 		rt.metrics.RemoteReads.Add(1)
 		rt.metrics.BatchReads.Add(1)
@@ -101,8 +93,8 @@ func (tx *Tx) Prefetch(ids ...store.ObjectID) (err error) {
 		var failed []shard.Part
 		start := 0
 		for i, p := range pending {
-			part := results[start:bounds[i].end]
-			start = bounds[i].end
+			part := results[start:legs[i].end]
+			start = legs[i].end
 			if fo.failed(part) {
 				failed = append(failed, p)
 			} else if err := tx.mergePrefetch(p.IDs, part); err != nil {
@@ -120,16 +112,14 @@ func (tx *Tx) Prefetch(ids ...store.ObjectID) (err error) {
 // batchRead builds the batched first-access request for one quorum group's
 // share of a read-ahead. The first sub-request carries the group's
 // incremental-validation list (replica-side validation is per-store, so once
-// per node is enough) and, when statsFor is set, the piggybacked
-// contention-stats query.
-func (tx *Tx) batchRead(p shard.Part, spanID uint64, statsFor []store.ObjectID) *wire.Request {
+// per node is enough).
+func (tx *Tx) batchRead(p shard.Part, spanID uint64) *wire.Request {
 	subs := make([]*wire.Request, len(p.IDs))
 	for i, id := range p.IDs {
 		subs[i] = tx.request(wire.KindRead, tx.id, spanID)
 		subs[i].Read = &wire.ReadRequest{Object: id}
 		if i == 0 {
 			subs[i].Read.Validate = tx.validationListFor(p.Group)
-			subs[i].Read.StatsFor = statsFor
 		}
 	}
 	batch := tx.request(wire.KindBatch, tx.id, spanID)

@@ -103,12 +103,18 @@ type Config struct {
 	// tail-tolerant setting that hedges only the slowest ~1% of reads.
 	HedgeAfter time.Duration
 
-	// StatsEveryNReads piggybacks a contention-stats query on every Nth
-	// remote read (0: never). StatsWanted supplies the object IDs to ask
-	// about and StatsSink receives the levels servers report.
+	// StatsEveryNReads, StatsWanted and StatsSink once piggybacked a
+	// contention-stats query on every Nth transaction read.
+	//
+	// Deprecated: ignored; contention levels come from the Hub's query at
+	// each refresh.
 	StatsEveryNReads int
-	StatsWanted      func() []store.ObjectID
-	StatsSink        func(map[store.ObjectID]float64)
+	// Deprecated: ignored; contention levels come from the Hub's query at
+	// each refresh.
+	StatsWanted func() []store.ObjectID
+	// Deprecated: ignored; contention levels come from the Hub's query at
+	// each refresh.
+	StatsSink func(map[store.ObjectID]float64)
 
 	// ReadStrategy selects how quorum reads move object values (default
 	// ReadFull).
@@ -220,9 +226,8 @@ type Runtime struct {
 	// site names this client in distributed-trace spans.
 	site string
 
-	txSeq   uint64
-	readSeq uint64
-	seqMu   sync.Mutex
+	txSeq uint64
+	seqMu sync.Mutex
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -453,24 +458,6 @@ func (rt *Runtime) nextTxSeq() uint64 {
 	defer rt.seqMu.Unlock()
 	rt.txSeq++
 	return rt.txSeq
-}
-
-func (rt *Runtime) nextReadSeq() uint64 {
-	rt.seqMu.Lock()
-	defer rt.seqMu.Unlock()
-	rt.readSeq++
-	return rt.readSeq
-}
-
-// statsQuery returns the object IDs this read round should piggyback a
-// contention-stats query for (dynamic module): the controller's wanted list
-// on every StatsEveryNReads-th quorum read round, plain or batched, else nil.
-func (rt *Runtime) statsQuery() []store.ObjectID {
-	n := rt.cfg.StatsEveryNReads
-	if n <= 0 || rt.cfg.StatsWanted == nil || rt.nextReadSeq()%uint64(n) != 0 {
-		return nil
-	}
-	return rt.cfg.StatsWanted()
 }
 
 func (rt *Runtime) backoff(ctx context.Context, attempt int) error {
@@ -810,12 +797,13 @@ func (rt *Runtime) fanoutHedged(ctx context.Context, g *shard.Group, q []quorum.
 }
 
 // FetchStats asks a read quorum for the contention level of the given
-// objects and merges per object by maximum. The query is the explicit form of
-// what transactions' reads piggyback: a read that names no object, only
-// StatsFor. The merge matters:
-// a single member's meter only counts the write quorums it belonged to,
-// but a full read quorum intersects every write quorum — the same argument
-// that makes max-version quorum reads see the latest commit.
+// objects and merges per object by maximum. It is the client's one source of
+// contention levels (the acn Hub calls it once per refresh); the query is a
+// read that names no object, only StatsFor. The merge matters: a single
+// member's meter only counts the write quorums it belonged to, and a full read
+// quorum intersects every write quorum, so every write was counted by some
+// member asked (the argument that makes max-version quorum reads see the
+// latest commit). The maximum is the largest of those counts, not their sum.
 func (rt *Runtime) FetchStats(ctx context.Context, ids []store.ObjectID) (map[store.ObjectID]float64, error) {
 	if len(ids) == 0 {
 		return map[store.ObjectID]float64{}, nil

@@ -331,7 +331,6 @@ func (tx *Tx) remoteRead(id store.ObjectID) (_ store.Value, err error) {
 	defer func() { sp.end(err, "") }()
 	req := tx.request(wire.KindRead, tx.id, sp.ID)
 	req.Read = &wire.ReadRequest{Object: id, Validate: tx.validationListFor(rt.groupFor(id))}
-	req.Read.StatsFor = rt.statsQuery()
 
 	for busyTry := 0; ; busyTry++ {
 		results, fullIdx, err := tx.quorumRead(req)
@@ -406,10 +405,10 @@ type readTally struct {
 }
 
 // tallyRead folds one object's replies — those of a plain read, or the
-// object's sub-replies of a batched round — into a tally, and hands any
-// piggybacked contention levels to the stats sink. prefer is the index of the
-// member asked for the full value under the lean strategy (-1: all were): on
-// equal versions its reply wins, being the one that carries the value.
+// object's sub-replies of a batched round — into a tally. prefer is the index
+// of the member asked for the full value under the lean strategy (-1: all
+// were): on equal versions its reply wins, being the one that carries the
+// value.
 func (rt *Runtime) tallyRead(replies []callResult, prefer int) readTally {
 	var t readTally
 	for i, r := range replies {
@@ -419,9 +418,6 @@ func (rt *Runtime) tallyRead(replies []callResult, prefer int) readTally {
 				if !slices.Contains(t.invalid, inv) {
 					t.invalid = append(t.invalid, inv)
 				}
-			}
-			if read.Stats != nil && rt.cfg.StatsSink != nil {
-				rt.cfg.StatsSink(read.Stats)
 			}
 		}
 		switch r.resp.Status {
@@ -480,25 +476,19 @@ func (tx *Tx) quorumRead(req *wire.Request) ([]callResult, int, error) {
 
 		fullIdx := -1
 		var results []callResult
-		lean := rt.cfg.ReadStrategy == ReadLean
-		if len(q) > 1 && (lean || len(req.Read.StatsFor) > 0) {
-			// The first member gets the request as it is. The others get a
-			// copy without the piggybacked stats query — one member's answer
-			// is enough; don't pay for the ID list and the reply map on every
-			// link — and, under the lean strategy, without the value. A
-			// shallow copy is enough: nothing mutates a request once sent.
+		if len(q) > 1 && rt.cfg.ReadStrategy == ReadLean {
+			// The first member gets the request as it is, the others a
+			// versions-only copy. A shallow copy is enough: nothing mutates a
+			// request once sent.
 			rest, restRead := *req, *req.Read
-			restRead.StatsFor = nil
-			if lean {
-				fullIdx = 0
-				restRead.VersionOnly = true
-			}
+			fullIdx = 0
+			restRead.VersionOnly = true
 			rest.Read = &restRead
 			results = rt.fanoutLegs(tx.ctx, q, []leg{{req, 1}, {&rest, len(q)}})
 		} else if d := rt.hedgeDelay(); d > 0 {
-			// Only the plain full-value read hedges: the variants above send
-			// per-member requests whose roles (full value, stats carrier) a
-			// late extra replica can't assume.
+			// Only the plain full-value read hedges: the lean split sends
+			// per-member requests whose role (full value) a late extra
+			// replica can't assume.
 			results = rt.fanoutHedged(tx.ctx, g, q, req, fo.seed+fo.attempt, fo.excl, d)
 		} else {
 			results = rt.fanout(tx.ctx, q, req)

@@ -23,7 +23,6 @@ import (
 	"qracn/internal/metrics"
 	"qracn/internal/quorum"
 	"qracn/internal/server"
-	"qracn/internal/store"
 	"qracn/internal/trace"
 	"qracn/internal/transport"
 	"qracn/internal/unitgraph"
@@ -139,10 +138,8 @@ type Options struct {
 	// Client is the template every client runtime is built from (read
 	// repair, span sampling, decide budget, transaction deadline, retry
 	// budget, hedging). The cluster fills the deployment identity; the
-	// harness fills Seed (per client), Tracer (from TraceCapacity), the
-	// backoff (50µs–1ms, fixed so figures stay comparable) and the stats
-	// hooks — installed in QR-ACN mode only, so Client.StatsEveryNReads
-	// (default 16) piggybacks contention stats there and nowhere else.
+	// harness fills Seed (per client), Tracer (from TraceCapacity) and the
+	// backoff (50µs–1ms, fixed so figures stay comparable).
 	Client dtm.Config
 }
 
@@ -178,9 +175,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Client.StatsEveryNReads == 0 {
-		o.Client.StatsEveryNReads = 16
 	}
 }
 
@@ -364,21 +358,6 @@ func runMode(ctx context.Context, opts Options, mode Mode) (*Series, error) {
 		dcfg.BackoffMax = time.Millisecond
 		if opts.TraceCapacity > 0 {
 			dcfg.Tracer = trace.New(opts.TraceCapacity)
-		}
-		if mode == ModeQRACN {
-			// Wire the piggyback hooks; the hub exists only after the
-			// runtime, so route through the clientState.
-			dcfg.StatsWanted = func() []store.ObjectID {
-				if cs.hub == nil {
-					return nil
-				}
-				return cs.hub.Wanted()
-			}
-			dcfg.StatsSink = func(levels map[store.ObjectID]float64) {
-				if cs.hub != nil {
-					cs.hub.Sink(levels)
-				}
-			}
 		}
 		cs.rt = c.Runtime(ci+1, dcfg)
 		if mode == ModeQRACN {

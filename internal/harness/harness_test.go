@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"qracn/internal/dtm"
 	"qracn/internal/workload/bank"
 )
 
@@ -184,7 +183,6 @@ func TestFigureParity(t *testing.T) {
 			NetLatency:       60 * time.Microsecond,
 			NetJitter:        30 * time.Microsecond,
 			Seed:             1,
-			Client:           dtm.Config{StatsEveryNReads: 16},
 		}
 		if !reflect.DeepEqual(got, wantOpts) {
 			t.Errorf("figure %s options drifted from the parent:\n got %+v\nwant %+v", f.ID, got, wantOpts)

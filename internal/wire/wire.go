@@ -1,11 +1,11 @@
 // Package wire defines the request/response messages exchanged between DTM
 // clients and quorum nodes, and the one codec that carries them over a byte
 // stream: a fixed-layout binary encoding in CRC-checked, length-prefixed
-// frames with optional flate compression (binary.go). The paper notes that
-// contention meta-data is piggybacked on existing messages and that messages
-// are compressed to minimize that cost; ReadRequest's StatsFor field and the
-// frame compression flag implement both. The explicit contention query is a
-// read too: a ReadRequest that names no Object and asks StatsFor only.
+// frames with optional flate compression (binary.go). The paper piggybacks
+// contention meta-data on existing messages and compresses messages to bound
+// that cost. Here the contention query is a read of its own: a ReadRequest
+// that names no Object and asks StatsFor only, sent to each quorum group once
+// per refresh. A server answers StatsFor on an object read too.
 package wire
 
 import (
@@ -184,9 +184,8 @@ type BatchResponse struct {
 }
 
 // ReadRequest fetches one object and incrementally validates the caller's
-// read-set, optionally piggybacking a contention-stats query. A read that
-// names no Object is the stats query alone: it is answered StatusOK with the
-// levels of StatsFor and no value.
+// read-set. A read that names no Object is the contention-stats query: it is
+// answered StatusOK with the levels of StatsFor and no value.
 type ReadRequest struct {
 	Object   store.ObjectID
 	Validate []store.ReadDesc
@@ -348,7 +347,7 @@ type Response struct {
 }
 
 // ReadResponse carries the object, the incremental-validation outcome, and
-// any piggybacked contention levels.
+// the contention levels StatsFor asked for.
 type ReadResponse struct {
 	Value   store.Value
 	Version uint64
