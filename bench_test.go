@@ -509,37 +509,26 @@ func BenchmarkPrefetchTransferTCP(b *testing.B) {
 	}
 }
 
-// BenchmarkReadStrategy compares the full and lean quorum-read strategies
-// on read-only transactions over large values, where lean's
-// versions-only side requests save most of the value bandwidth.
-func BenchmarkReadStrategy(b *testing.B) {
-	for _, tc := range []struct {
-		name     string
-		strategy dtm.ReadStrategy
-	}{
-		{"full", dtm.ReadFull},
-		{"lean", dtm.ReadLean},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			c := cluster.New(cluster.Config{Servers: 10, StatsWindow: time.Hour})
-			defer c.Close()
-			big := make(store.Bytes, 16<<10)
-			objs := map[store.ObjectID]store.Value{}
-			for i := 0; i < 64; i++ {
-				objs[store.ID("blob", i)] = big
-			}
-			c.Seed(objs)
-			rt := c.Runtime(1, dtm.Config{Seed: 1, ReadStrategy: tc.strategy})
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
-					_, err := tx.Read(store.ID("blob", i%64))
-					return err
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// BenchmarkLargeValueRead measures read-only transactions over 16 KiB
+// values, where every read-quorum member ships the value back.
+func BenchmarkLargeValueRead(b *testing.B) {
+	c := cluster.New(cluster.Config{Servers: 10, StatsWindow: time.Hour})
+	defer c.Close()
+	big := make(store.Bytes, 16<<10)
+	objs := map[store.ObjectID]store.Value{}
+	for i := 0; i < 64; i++ {
+		objs[store.ID("blob", i)] = big
+	}
+	c.Seed(objs)
+	rt := c.Runtime(1, dtm.Config{Seed: 1})
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
+			_, err := tx.Read(store.ID("blob", i%64))
+			return err
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

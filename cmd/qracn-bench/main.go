@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"qracn/internal/harness"
@@ -228,14 +229,8 @@ func parseModes(arg string) ([]harness.Mode, error) {
 func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, tok := range splitComma(s) {
-		n := 0
-		for _, r := range tok {
-			if r < '0' || r > '9' {
-				return nil, fmt.Errorf("invalid count %q", tok)
-			}
-			n = n*10 + int(r-'0')
-		}
-		if n == 0 {
+		n, err := strconv.Atoi(tok)
+		if err != nil || n <= 0 {
 			return nil, fmt.Errorf("invalid count %q", tok)
 		}
 		out = append(out, n)

@@ -30,7 +30,7 @@ func TestParseInts(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, []int{2, 4, 16}) {
 		t.Fatalf("got %v %v", got, err)
 	}
-	for _, bad := range []string{"0", "a", "2,-1"} {
+	for _, bad := range []string{"0", "a", "2,-1", "99999999999999999999"} {
 		if _, err := parseInts(bad); err == nil {
 			t.Fatalf("%q accepted", bad)
 		}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -69,14 +68,10 @@ func main() {
 	flag.BoolVar(&dcfg.NoForensics, "no-forensics", false, "disable abort forensics on this client")
 	flag.Parse()
 
-	addrs := map[quorum.NodeID]string{}
-	parts := strings.Split(*nodesArg, ",")
-	if *nodesArg == "" || len(parts) == 0 {
-		fmt.Fprintln(os.Stderr, "-nodes is required")
+	addrs, err := transport.ParseAddrs(*nodesArg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-nodes: %v\n", err)
 		os.Exit(2)
-	}
-	for i, a := range parts {
-		addrs[quorum.NodeID(i)] = strings.TrimSpace(a)
 	}
 
 	var w workload.Workload
@@ -102,9 +97,9 @@ func main() {
 	// answering node so every access routes to its owning quorum group. An
 	// unsharded cluster answers not-found and the client runs over the
 	// single tree — the fetch failing is not an error.
-	var allNodes []quorum.NodeID
-	for i := range parts {
-		allNodes = append(allNodes, quorum.NodeID(i))
+	allNodes := make([]quorum.NodeID, len(addrs))
+	for i := range allNodes {
+		allNodes[i] = quorum.NodeID(i)
 	}
 	mapCtx, cancelMap := context.WithTimeout(context.Background(), 5*time.Second)
 	shards, shardErr := dtm.FetchShardMap(mapCtx, client, allNodes, nil)
@@ -210,11 +205,7 @@ func main() {
 		st.Prepare.Summarize(), st.Commit.Summarize())
 
 	if *spansOut != "" {
-		var nodes []quorum.NodeID
-		for id := range addrs {
-			nodes = append(nodes, id)
-		}
-		spans, err := rt.FetchSpans(ctx, nodes, "")
+		spans, err := rt.FetchSpans(ctx, allNodes, "")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fetching spans: %v\n", err)
 			os.Exit(1)

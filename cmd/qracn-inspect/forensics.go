@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"qracn/internal/forensics"
+	"qracn/internal/transport"
 )
 
 // forensicsMain implements `qracn-inspect forensics`: the abort-attribution
@@ -39,7 +40,12 @@ func forensicsMain(args []string, out io.Writer) int {
 		return renderBenchForensics(out, data, *topK, *maxEvents)
 	}
 
-	doc, err := live.fetch("", *topK)
+	addrs, err := transport.ParseAddrs(*live.nodes)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "qracn-inspect: -nodes: %v\n", err)
+		return 2
+	}
+	doc, err := live.fetch(addrs, "", *topK)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "qracn-inspect: fetching forensics: %v\n", err)
 		return 1

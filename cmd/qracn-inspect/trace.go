@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"qracn/internal/dtm"
 	"qracn/internal/forensics"
@@ -32,16 +31,13 @@ func addLiveFlags(fs *flag.FlagSet, what string) liveFlags {
 	}
 }
 
-// fetch merges the debug documents of the -nodes cluster. Nodes that could
-// not be read are named on stderr and left out; it fails only when none
-// answered.
-func (l liveFlags) fetch(traceID string, topK int) (*forensics.Document, error) {
-	addrs := map[quorum.NodeID]string{}
-	var nodes []quorum.NodeID
-	for i, a := range strings.Split(*l.nodes, ",") {
-		id := quorum.NodeID(i)
-		addrs[id] = strings.TrimSpace(a)
-		nodes = append(nodes, id)
+// fetch merges the debug documents of the nodes at addrs (the parsed -nodes
+// list). Nodes that could not be read are named on stderr and left out; it
+// fails only when none answered.
+func (l liveFlags) fetch(addrs map[quorum.NodeID]string, traceID string, topK int) (*forensics.Document, error) {
+	nodes := make([]quorum.NodeID, len(addrs))
+	for i := range nodes {
+		nodes[i] = quorum.NodeID(i)
 	}
 	client := transport.NewTCPClient(addrs, *l.compress)
 	defer client.Close()
@@ -99,7 +95,12 @@ func traceMain(args []string, out io.Writer) int {
 			spans = kept
 		}
 	default:
-		doc, err := live.fetch(*traceID, 0)
+		addrs, err := transport.ParseAddrs(*live.nodes)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "qracn-inspect: -nodes: %v\n", err)
+			return 2
+		}
+		doc, err := live.fetch(addrs, *traceID, 0)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qracn-inspect: fetching spans: %v\n", err)
 			return 1

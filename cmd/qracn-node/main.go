@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -70,6 +69,12 @@ func main() {
 	flag.IntVar(&scfg.ForensicsRing, "forensics-ring", 0, "abort-forensics event ring capacity (0: 4096 default); rings are fetchable via qracn-inspect forensics")
 	flag.BoolVar(&scfg.NoForensics, "no-forensics", false, "disable abort forensics: no conflict rings, no conflict-witness piggyback on busy replies")
 	flag.Parse()
+
+	peers, err := transport.ParseAddrs(*peersArg)
+	if *peersArg != "" && err != nil { // -peers is optional
+		fmt.Fprintf(os.Stderr, "-peers: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *shardMap != "" {
 		m, err := shard.Parse(*shardMap, 1, *shardDegree)
@@ -165,17 +170,13 @@ func main() {
 	}
 
 	var peerClient *transport.TCPClient
-	if *peersArg != "" {
+	if peers != nil {
 		// The resolver queries quorum peers over its own TCP client, so
 		// votes stranded by a crashed coordinator terminate without waiting
 		// for protection leases to lapse.
-		addrs := map[quorum.NodeID]string{}
-		for i, a := range strings.Split(*peersArg, ",") {
-			addrs[quorum.NodeID(i)] = strings.TrimSpace(a)
-		}
-		peerClient = transport.NewTCPClient(addrs, *compress)
+		peerClient = transport.NewTCPClient(peers, *compress)
 		node.StartResolver(peerClient, 0)
-		fmt.Printf("cooperative termination resolver on (%d peers)\n", len(addrs))
+		fmt.Printf("cooperative termination resolver on (%d peers)\n", len(peers))
 	}
 
 	sig := make(chan os.Signal, 1)

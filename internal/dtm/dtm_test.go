@@ -202,6 +202,47 @@ func TestIncrementalValidationAborts(t *testing.T) {
 	}
 }
 
+// TestReadReturnsNewestValueInQuorum makes three of ten replicas stale: every
+// read quorum holds at least one fresh member, whatever level a client's seed
+// picks, and each read must return that member's value, not a stale one.
+// Read-repair is off so every seed meets the same stale replicas.
+func TestReadReturnsNewestValueInQuorum(t *testing.T) {
+	c := newCluster(t, 10)
+	c.Seed(map[store.ObjectID]store.Value{"a": store.Int64(1)})
+
+	// Level 0 is {0}, level 1 {1,2,3}, level 2 {4..9}: with replicas 0..6 at
+	// version 5 and 7..9 still at version 1, a majority of any level includes
+	// a fresh replica.
+	for i := 0; i <= 6; i++ {
+		if err := c.Nodes[i].Store().Apply(store.WriteDesc{ID: "a", Value: store.Int64(99), NewVersion: 5}, "tx-ext"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for seed := 1; seed <= 12; seed++ {
+		rt := c.Runtime(seed, dtm.Config{Seed: int64(seed), NoRepair: true})
+		var got int64
+		if err := rt.Atomic(context.Background(), func(tx *dtm.Tx) error {
+			v, err := tx.Read("a")
+			if err != nil {
+				return err
+			}
+			got = store.AsInt64(v)
+			return nil
+		}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got != 99 {
+			t.Fatalf("seed %d read stale value %d", seed, got)
+		}
+	}
+	for i := 7; i <= 9; i++ {
+		if _, ver, err := c.Nodes[i].Store().Get("a"); err != nil || ver != 1 {
+			t.Fatalf("replica %d at version %d (%v), want the stale 1", i, ver, err)
+		}
+	}
+}
+
 func TestSubTransactionPartialRollback(t *testing.T) {
 	c := newCluster(t, 10)
 	c.Seed(map[store.ObjectID]store.Value{

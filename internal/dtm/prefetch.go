@@ -37,8 +37,7 @@ import (
 // Read will retry them through the usual busy/backoff path, and a busy abort
 // there rolls back that Block only.
 //
-// Prefetch always fetches full values (the lean read strategy does not apply
-// to batched rounds).
+// Like a plain read, every quorum member is asked for the value.
 //
 // It dedupes and filters the requested IDs, then runs one batched quorum
 // round: one concurrent fan-out over a read quorum of every owning quorum
@@ -145,7 +144,7 @@ func (tx *Tx) mergePrefetch(need []store.ObjectID, results []callResult) error {
 				replies = append(replies, callResult{node: r.node, resp: r.resp.Batch.Subs[i]})
 			}
 		}
-		t := rt.tallyRead(replies, -1)
+		t := rt.tallyRead(replies)
 		if ae := tx.abortFor(t.invalid, "incremental validation on prefetch"); ae != nil {
 			return ae
 		}

@@ -116,10 +116,6 @@ type Config struct {
 	// each refresh.
 	StatsSink func(map[store.ObjectID]float64)
 
-	// ReadStrategy selects how quorum reads move object values (default
-	// ReadFull).
-	ReadStrategy ReadStrategy
-
 	// Seed makes backoff jitter reproducible (0: from the clock).
 	Seed int64
 
@@ -141,21 +137,6 @@ type Config struct {
 	// none. Ignored without a Tracer.
 	TraceSample int
 }
-
-// ReadStrategy selects the quorum-read variant.
-type ReadStrategy int
-
-const (
-	// ReadFull requests the object's value from every read-quorum member
-	// (QR-DTM's behaviour): one round trip, value bytes on every link.
-	ReadFull ReadStrategy = iota
-	// ReadLean requests the value from a single member and versions-only
-	// from the rest; if another member reports a newer version, a follow-up
-	// fetch retrieves the fresh value from it. Saves value bandwidth on
-	// large objects at the cost of an extra round trip when the designated
-	// member is stale.
-	ReadLean
-)
 
 func (c *Config) fillDefaults() {
 	if c.MaxAttempts == 0 {

@@ -333,42 +333,15 @@ func (tx *Tx) remoteRead(id store.ObjectID) (_ store.Value, err error) {
 	req.Read = &wire.ReadRequest{Object: id, Validate: tx.validationListFor(rt.groupFor(id))}
 
 	for busyTry := 0; ; busyTry++ {
-		results, fullIdx, err := tx.quorumRead(req)
+		results, err := tx.quorumRead(req)
 		if err != nil {
 			return nil, err
 		}
-		t := rt.tallyRead(results, fullIdx)
+		t := rt.tallyRead(results)
 		if len(t.invalid) > 0 {
 			if ae := tx.abortFor(t.invalid, "incremental validation on read of "+string(id)); ae != nil {
 				return nil, ae
 			}
-		}
-
-		// Under the lean strategy the newest version may have been reported
-		// by a versions-only member: fetch the value from it.
-		if t.best != nil && fullIdx >= 0 && t.best.Value == nil && t.best.Version > 0 {
-			follow, err := tx.followUpRead(id, t.bestNode)
-			if err != nil {
-				// The member vanished or is busy mid-commit; retry the
-				// whole quorum read after a pause.
-				rt.metrics.BusyBackoffs.Add(1)
-				if busyTry >= rt.cfg.ReadBusyRetries {
-					return nil, tx.busyAbort(id, t.conflictTx, "lean follow-up failed past retry budget")
-				}
-				if err := tx.takeRetry("lean follow-up re-read"); err != nil {
-					return nil, err
-				}
-				if err := rt.backoff(tx.ctx, busyTry); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if len(follow.Invalid) > 0 {
-				if ae := tx.abortFor(follow.Invalid, "incremental validation on read of "+string(id)); ae != nil {
-					return nil, ae
-				}
-			}
-			t.best = follow
 		}
 
 		if t.best == nil && t.busy {
@@ -398,20 +371,17 @@ func (tx *Tx) remoteRead(id store.ObjectID) (_ store.Value, err error) {
 type readTally struct {
 	invalid    []store.ObjectID   // union of the incremental-validation reports
 	best       *wire.ReadResponse // highest version reported (nil: absent wherever it was looked for)
-	bestNode   quorum.NodeID      // the member that reported best
 	answers    int                // members that reported a version or the object's absence
 	busy       bool               // a member holds the object exclusively protected
 	conflictTx string             // the first such member's conflict witness
 }
 
 // tallyRead folds one object's replies — those of a plain read, or the
-// object's sub-replies of a batched round — into a tally. prefer is the index
-// of the member asked for the full value under the lean strategy (-1: all
-// were): on equal versions its reply wins, being the one that carries the
-// value.
-func (rt *Runtime) tallyRead(replies []callResult, prefer int) readTally {
+// object's sub-replies of a batched round — into a tally. Every member was
+// asked for the value, so the reply with the highest version carries it.
+func (rt *Runtime) tallyRead(replies []callResult) readTally {
 	var t readTally
-	for i, r := range replies {
+	for _, r := range replies {
 		read := r.resp.Read
 		if read != nil {
 			for _, inv := range read.Invalid { // most reads report none, the rest a handful
@@ -426,10 +396,8 @@ func (rt *Runtime) tallyRead(replies []callResult, prefer int) readTally {
 				break // a batch's sub-reply without its payload is no answer
 			}
 			t.answers++
-			if t.best == nil || read.Version > t.best.Version ||
-				(read.Version == t.best.Version && i == prefer) {
+			if t.best == nil || read.Version > t.best.Version {
 				t.best = read
-				t.bestNode = r.node
 			}
 		case wire.StatusNotFound:
 			t.answers++ // absence is an answer: version 0
@@ -457,65 +425,32 @@ func (rt *Runtime) settle(replies []callResult, best *wire.ReadResponse) readEnt
 	return e
 }
 
-// quorumRead selects a read quorum and fans the request out. If a member
-// died mid-call the level majority we picked is no longer intact and the
-// versions we saw may miss the latest commit, so the read fails over (see
-// failover) to a freshly selected quorum. The returned index marks the member
-// asked for the full value under the lean strategy (-1: every member was
-// asked for the value).
-func (tx *Tx) quorumRead(req *wire.Request) ([]callResult, int, error) {
+// quorumRead selects a read quorum and asks every member for the value,
+// hedged when HedgeAfter is set. If a member died mid-call the level majority
+// we picked is no longer intact and the versions we saw may miss the latest
+// commit, so the read fails over (see failover) to a freshly selected quorum.
+func (tx *Tx) quorumRead(req *wire.Request) ([]callResult, error) {
 	rt := tx.rt
 	g := rt.groupFor(req.Read.Object)
 	fo := rt.failover(tx.ctx, tx, tx.seed, wire.KindRead, "read quorum")
 	for fo.next() {
 		q, err := fo.readQuorum(g)
 		if err != nil {
-			return nil, -1, err
+			return nil, err
 		}
 		rt.metrics.RemoteReads.Add(1)
 
-		fullIdx := -1
 		var results []callResult
-		if len(q) > 1 && rt.cfg.ReadStrategy == ReadLean {
-			// The first member gets the request as it is, the others a
-			// versions-only copy. A shallow copy is enough: nothing mutates a
-			// request once sent.
-			rest, restRead := *req, *req.Read
-			fullIdx = 0
-			restRead.VersionOnly = true
-			rest.Read = &restRead
-			results = rt.fanoutLegs(tx.ctx, q, []leg{{req, 1}, {&rest, len(q)}})
-		} else if d := rt.hedgeDelay(); d > 0 {
-			// Only the plain full-value read hedges: the lean split sends
-			// per-member requests whose role (full value) a late extra
-			// replica can't assume.
+		if d := rt.hedgeDelay(); d > 0 {
 			results = rt.fanoutHedged(tx.ctx, g, q, req, fo.seed+fo.attempt, fo.excl, d)
 		} else {
 			results = rt.fanout(tx.ctx, q, req)
 		}
 		if !fo.failed(results) {
-			return results, fullIdx, nil
+			return results, nil
 		}
 	}
-	return nil, -1, fo.err()
-}
-
-// followUpRead fetches the full value of an object from a specific member
-// that reported the newest version under the lean strategy.
-func (tx *Tx) followUpRead(id store.ObjectID, node quorum.NodeID) (*wire.ReadResponse, error) {
-	rt := tx.rt
-	req := tx.request(wire.KindRead, tx.id, tx.span)
-	req.Read = &wire.ReadRequest{Object: id, Validate: tx.validationListFor(rt.groupFor(id))}
-	cctx, cancel := context.WithTimeout(tx.ctx, rt.cfg.RequestTimeout)
-	defer cancel()
-	resp, err := rt.cfg.Client.Call(cctx, node, req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != wire.StatusOK || resp.Read == nil {
-		return nil, fmt.Errorf("dtm: follow-up read: %s", resp.Status)
-	}
-	return resp.Read, nil
+	return nil, fo.err()
 }
 
 // Sub runs fn as a closed-nested sub-transaction. Conflicts on objects first

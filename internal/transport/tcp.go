@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -289,6 +290,22 @@ type tcpConn struct {
 	// failKind records why the connection died (conn-lost vs. decode) so
 	// waiters surface a classified error.
 	failKind ErrKind
+}
+
+// ParseAddrs turns a comma-separated address list in tree order into the
+// address map NewTCPClient takes: entry i is node i. Spaces around an entry
+// are trimmed; an empty entry (an empty list, or a stray comma) is an error
+// rather than a node with no address.
+func ParseAddrs(list string) (map[quorum.NodeID]string, error) {
+	parts := strings.Split(list, ",")
+	addrs := make(map[quorum.NodeID]string, len(parts))
+	for i, a := range parts {
+		if a = strings.TrimSpace(a); a == "" {
+			return nil, fmt.Errorf("empty address for node %d in %q", i, list)
+		}
+		addrs[quorum.NodeID(i)] = a
+	}
+	return addrs, nil
 }
 
 // NewTCPClient creates a client for the given node address map.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -138,6 +139,30 @@ func TestChannelConcurrentCalls(t *testing.T) {
 	wg.Wait()
 	if count.Load() != 50 {
 		t.Fatalf("handled %d calls, want 50", count.Load())
+	}
+}
+
+func TestParseAddrs(t *testing.T) {
+	for _, tc := range []struct {
+		list string
+		want map[quorum.NodeID]string // nil: rejected
+	}{
+		{"a,b", map[quorum.NodeID]string{0: "a", 1: "b"}},
+		{" a , b ", map[quorum.NodeID]string{0: "a", 1: "b"}},
+		{"", nil},
+		{"a,,b", nil},
+		{"a,b,", nil},
+	} {
+		got, err := ParseAddrs(tc.list)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("ParseAddrs(%q) = %v, want an error", tc.list, got)
+			}
+			continue
+		}
+		if err != nil || !maps.Equal(got, tc.want) {
+			t.Errorf("ParseAddrs(%q) = %v, %v; want %v", tc.list, got, err, tc.want)
+		}
 	}
 }
 

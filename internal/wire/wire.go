@@ -192,9 +192,9 @@ type ReadRequest struct {
 	// StatsFor asks for these objects' contention levels (writes in the
 	// node's last stats window), answered in ReadResponse.Stats.
 	StatsFor []store.ObjectID
-	// VersionOnly asks for the object's version without its value — the
-	// bandwidth-saving read strategy fetches the value from a single quorum
-	// member and version-checks the rest.
+	// VersionOnly asks for the object's version without its value. Servers
+	// answer it, but no client in this module sends it: every quorum read
+	// asks each member for the value.
 	VersionOnly bool
 }
 

@@ -289,15 +289,3 @@ type HubConfig = acn.HubConfig
 // NewHub creates a hub over a runtime; register each profile's executor
 // with Hub.Register and call Hub.RefreshOnce periodically.
 func NewHub(rt *Runtime, cfg HubConfig) *Hub { return acn.NewHub(rt, cfg) }
-
-// ReadStrategy selects the quorum-read variant (see RuntimeConfig).
-type ReadStrategy = dtm.ReadStrategy
-
-// Quorum-read strategies.
-const (
-	// ReadFull fetches the value from every read-quorum member.
-	ReadFull = dtm.ReadFull
-	// ReadLean fetches the value from one member and versions from the
-	// rest, following up when a newer version surfaces elsewhere.
-	ReadLean = dtm.ReadLean
-)
