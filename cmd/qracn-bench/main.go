@@ -271,28 +271,7 @@ func runAveraged(ctx context.Context, f harness.Figure, base harness.Options, mo
 			continue
 		}
 		for m, series := range res.Series {
-			a := acc.Series[m]
-			for i := range a.Throughput {
-				a.Throughput[i] += series.Throughput[i]
-			}
-			a.Commits += series.Commits
-			// Reflection-based: every counter aggregates, including ones
-			// added after this loop was written.
-			a.Metrics.Add(series.Metrics)
-			a.DroppedCommits += series.DroppedCommits
-			a.WAL.Add(series.WAL)
-			a.Admission.Add(series.Admission)
-			a.Forensics.Merge(series.Forensics)
-			for i := range a.Shards {
-				if i < len(series.Shards) {
-					a.Shards[i].Add(series.Shards[i])
-				}
-			}
-			if a.Metrics.Commits > 0 {
-				a.CrossShardRatio = float64(a.Metrics.CrossShardCommits) / float64(a.Metrics.Commits)
-			}
-			// Stage percentiles are digests and cannot be averaged across
-			// runs; the first repetition's digest stands for the figure.
+			addSeries(acc.Series[m], series)
 		}
 	}
 	for _, series := range acc.Series {
@@ -301,4 +280,31 @@ func runAveraged(ctx context.Context, f harness.Figure, base harness.Options, mo
 		}
 	}
 	return acc, nil
+}
+
+// addSeries folds one repetition's series into the running total a: the
+// per-interval throughput (runAveraged divides it afterwards) and every
+// counter group sum. Stage percentiles are digests and cannot be summed; the
+// first repetition's digest stands for the figure.
+func addSeries(a, s *harness.Series) {
+	for i := range a.Throughput {
+		a.Throughput[i] += s.Throughput[i]
+	}
+	a.Commits += s.Commits
+	a.DroppedCommits += s.DroppedCommits
+	// Reflection-based: every runtime counter aggregates, including ones
+	// added after this was written.
+	a.Metrics.Add(s.Metrics)
+	a.WAL.Add(s.WAL)
+	a.Resolution.Add(s.Resolution)
+	a.Admission.Add(s.Admission)
+	a.Forensics.Merge(s.Forensics)
+	for i := range a.Shards {
+		if i < len(s.Shards) {
+			a.Shards[i].Add(s.Shards[i])
+		}
+	}
+	if a.Metrics.Commits > 0 {
+		a.CrossShardRatio = float64(a.Metrics.CrossShardCommits) / float64(a.Metrics.Commits)
+	}
 }

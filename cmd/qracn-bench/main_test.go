@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"qracn/internal/dtm"
+	"qracn/internal/forensics"
 	"qracn/internal/harness"
+	"qracn/internal/server"
 )
 
 func TestParseModes(t *testing.T) {
@@ -43,5 +46,49 @@ func TestSplitComma(t *testing.T) {
 	}
 	if got := splitComma(""); got != nil {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// TestAddSeriesSumsEveryCounterGroup: -repeat N folds each repetition's
+// series into the first, so every counter group must sum — the termination
+// counters (Resolution) included.
+func TestAddSeriesSumsEveryCounterGroup(t *testing.T) {
+	mk := func(n uint64) *harness.Series {
+		return &harness.Series{
+			Throughput:     []float64{float64(n), 2 * float64(n)},
+			Commits:        n,
+			DroppedCommits: n,
+			Metrics:        dtm.Snapshot{Commits: n, CrossShardCommits: n, Repairs: n},
+			WAL:            dtm.WALStats{Appends: n, Fsyncs: n},
+			Resolution: server.ResolutionStats{
+				InDoubt: n, RecoveredInDoubt: n, CoordinatorDecided: n, PeerCommits: n,
+				PeerAborts: n, TTLAborts: n, StatusQueries: n, ResolveForwards: n,
+			},
+			Admission: server.AdmissionStats{Admitted: n, Shed: n, Expired: n},
+			Forensics: forensics.Snapshot{TotalAborts: n, TotalRecomposes: n},
+			Shards:    []dtm.ShardCounts{{Commits: n, ParentAborts: n, SubAborts: n}},
+		}
+	}
+	got, want := mk(1), mk(3)
+	addSeries(got, mk(2))
+	want.CrossShardRatio = 1
+	for _, g := range []struct {
+		name      string
+		got, want any
+	}{
+		{"Throughput", got.Throughput, want.Throughput},
+		{"Commits", got.Commits, want.Commits},
+		{"DroppedCommits", got.DroppedCommits, want.DroppedCommits},
+		{"Metrics", got.Metrics, want.Metrics},
+		{"WAL", got.WAL, want.WAL},
+		{"Resolution", got.Resolution, want.Resolution},
+		{"Admission", got.Admission, want.Admission},
+		{"Forensics", got.Forensics, want.Forensics},
+		{"Shards", got.Shards, want.Shards},
+		{"CrossShardRatio", got.CrossShardRatio, want.CrossShardRatio},
+	} {
+		if !reflect.DeepEqual(g.got, g.want) {
+			t.Errorf("%s: got %+v, want %+v", g.name, g.got, g.want)
+		}
 	}
 }

@@ -48,7 +48,7 @@ func nodeExposition(node *server.Node) *metrics.Exposition {
 	e.Histogram("qracn_node_read_serve_seconds", "Time serving one read or batched-read request.", &st.ReadServe)
 	e.Histogram("qracn_node_prepare_serve_seconds", "Time serving one 2PC prepare request.", &st.PrepareServe)
 	e.Histogram("qracn_node_commit_apply_seconds", "Time applying one commit decision (including WAL append).", &st.CommitApply)
-	e.Histogram("qracn_node_repair_apply_seconds", "Time applying one read-repair or anti-entropy push.", &st.RepairApply)
+	e.Histogram("qracn_node_repair_apply_seconds", "Time applying one read-repair push.", &st.RepairApply)
 	e.Histogram("qracn_node_fsync_wait_seconds", "Time a forced log append (yes vote, commit decision) waited for its fsync.", &st.FsyncWait)
 	e.Histogram("qracn_node_checkpoint_hold_seconds", "Time a checkpoint's cut held the commit lock exclusively (prepares and decisions wait for it).", &st.CheckpointHold)
 	e.Gauge("qracn_node_store_objects", "Objects currently resident in the replica store.", float64(node.Store().Len()))

@@ -1,6 +1,6 @@
 // Faults: watch the quorum protocol ride out node failures. Two leaf nodes
-// die mid-run and come back (one via anti-entropy repair); throughput dips
-// and recovers, and the final audit shows no money was lost.
+// die mid-run and come back; throughput dips and recovers, and the final
+// audit shows no money was lost.
 package main
 
 import (

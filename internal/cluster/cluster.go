@@ -435,12 +435,3 @@ func (d *deployment) mergeStage(pick func(*server.StageLatencies) *metrics.Laten
 	}
 	return out
 }
-
-// ReviveAndRepair brings a node back and runs anti-entropy against a live
-// peer so the healed replica serves fresh state immediately instead of
-// waiting for future commits to overwrite it. It returns the number of
-// objects repaired.
-func (c *Cluster) ReviveAndRepair(ctx context.Context, id, peer quorum.NodeID) (int, error) {
-	c.Revive(id)
-	return c.Nodes[id].RepairFrom(ctx, c.Net, peer)
-}

@@ -9,8 +9,11 @@ import (
 	"qracn/internal/acn"
 	"qracn/internal/cluster"
 	"qracn/internal/dtm"
+	"qracn/internal/quorum"
 	"qracn/internal/store"
+	"qracn/internal/transport"
 	"qracn/internal/unitgraph"
+	"qracn/internal/wire"
 	"qracn/internal/workload/bank"
 )
 
@@ -189,71 +192,60 @@ func TestTCPClusterACNWorkload(t *testing.T) {
 	}
 }
 
-func TestReviveAndRepairCatchesUp(t *testing.T) {
-	c := cluster.New(cluster.Config{Servers: 10, StatsWindow: time.Hour})
-	defer c.Close()
-	c.Seed(map[store.ObjectID]store.Value{"a": store.Int64(1)})
-	ctx := context.Background()
-
-	c.Kill(9)
-	rt := c.Runtime(1, dtm.Config{Seed: 1})
-	for i := 0; i < 5; i++ {
-		if err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
-			v, err := tx.Read("a")
-			if err != nil {
-				return err
-			}
-			return tx.Write("a", store.Int64(store.AsInt64(v)+1))
-		}); err != nil {
-			t.Fatal(err)
-		}
-		// New objects too, so the sync covers creations.
-		if err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
-			return tx.Write(store.ID("new", i), store.Int64(int64(i)))
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Node 9 is stale: it missed every commit.
-	if ver, _ := c.Nodes[9].Store().Version("a"); ver != 1 {
-		t.Fatalf("node 9 should be stale, version %d", ver)
-	}
-
-	repaired, err := c.ReviveAndRepair(ctx, 9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repaired < 6 { // "a" plus five created objects
-		t.Fatalf("repaired only %d objects", repaired)
-	}
-	if ver, _ := c.Nodes[9].Store().Version("a"); ver != 6 {
-		t.Fatalf("node 9 version after repair = %d, want 6", ver)
-	}
-	v, _, err := c.Nodes[9].Store().Get(store.ID("new", 3))
-	if err != nil || store.AsInt64(v) != 3 {
-		t.Fatalf("created object missing after repair: %v %v", v, err)
-	}
-}
-
+// TestRepairSkipsUpToDateObjects: a quorum read over replicas that agree on
+// an object pushes no read-repair of it. "b" is current everywhere
+// throughout; a commit leaves one leaf behind on "a", and the reader's sweeps
+// push "a" to it — so the pushes had time to land, and none was of "b".
 func TestRepairSkipsUpToDateObjects(t *testing.T) {
 	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour})
 	defer c.Close()
 	c.Seed(map[store.ObjectID]store.Value{"a": store.Int64(1), "b": store.Int64(1)})
-	repaired, err := c.Nodes[1].RepairFrom(context.Background(), c.Net, 0)
-	if err != nil {
+	var mu sync.Mutex
+	pushed := map[store.ObjectID]int{}
+	c.Net.SetFault(func(_ quorum.NodeID, req *wire.Request) transport.Fault {
+		if req.Kind == wire.KindRepair {
+			mu.Lock()
+			pushed[req.Repair.Object]++
+			mu.Unlock()
+		}
+		return transport.Fault{}
+	})
+	pushes := func(id store.ObjectID) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return pushed[id]
+	}
+	ctx := context.Background()
+	reader := c.Runtime(1, dtm.Config{Seed: 1})
+	sweep := func() {
+		t.Helper()
+		if err := reader.Atomic(ctx, func(tx *dtm.Tx) error {
+			for _, id := range []store.ObjectID{"a", "b"} {
+				if _, err := tx.Read(id); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ { // successive seeds: every member is read
+		sweep()
+	}
+	writer := c.Runtime(2, dtm.Config{Seed: 2, NoRepair: true})
+	if err := writer.Atomic(ctx, func(tx *dtm.Tx) error { return tx.Write("a", store.Int64(2)) }); err != nil {
 		t.Fatal(err)
 	}
-	if repaired != 0 {
-		t.Fatalf("repaired %d objects between identical replicas", repaired)
+	deadline := time.Now().Add(5 * time.Second)
+	for pushes("a") == 0 && time.Now().Before(deadline) {
+		sweep()
+		time.Sleep(time.Millisecond)
 	}
-}
-
-func TestRepairFromDeadPeerFails(t *testing.T) {
-	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour})
-	defer c.Close()
-	c.Kill(0)
-	if _, err := c.Nodes[1].RepairFrom(context.Background(), c.Net, 0); err == nil {
-		t.Fatal("repair from a dead peer succeeded")
+	if pushes("a") == 0 {
+		t.Fatal("a replica left behind by the commit was never pushed: the zero below would prove nothing")
+	}
+	if n := pushes("b"); n != 0 {
+		t.Fatalf("%d repairs pushed an object every replica holds current", n)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"qracn/internal/health"
 	"qracn/internal/quorum"
 	"qracn/internal/store"
-	"qracn/internal/transport"
 	"qracn/internal/wal"
 )
 
@@ -39,23 +38,33 @@ func subTransfer(ctx context.Context, rt *dtm.Runtime, accounts, from, to int) e
 	})
 }
 
-// converge runs one all-pairs anti-entropy round so every replica holds the
-// cluster-max version of every object. Anti-entropy transfers are logged
-// unforced, so it ends with a forced append on every log: its fsync covers
-// everything staged before it, and the crash that follows finds the
-// converged state on disk.
+// converge brings every replica to the cluster-max version of every object:
+// it applies the newest copy to each replica behind it and logs the write
+// there, unforced as a read-repair push is. It ends with a forced append on
+// every log: its fsync covers everything staged before it, and the crash that
+// follows finds the converged state on disk.
 func converge(t *testing.T, c *cluster.TCPCluster) {
 	t.Helper()
-	client := transport.NewTCPClient(c.Addrs(), false)
-	defer client.Close()
-	ctx := context.Background()
+	newest := map[store.ObjectID]store.WriteDesc{}
 	for _, n := range c.Nodes {
-		for _, peer := range c.Nodes {
-			if peer.ID() == n.ID() {
+		for _, w := range n.Store().Committed() {
+			if cur, ok := newest[w.ID]; !ok || w.NewVersion > cur.NewVersion {
+				newest[w.ID] = w
+			}
+		}
+	}
+	for _, n := range c.Nodes {
+		for id, w := range newest {
+			if ver, _ := n.Store().Version(id); ver >= w.NewVersion {
 				continue
 			}
-			if _, err := n.RepairFrom(ctx, client, peer.ID()); err != nil {
-				t.Fatalf("anti-entropy node %d <- %d: %v", n.ID(), peer.ID(), err)
+			w.Value = w.Value.CloneValue()
+			if err := n.Store().Apply(w, "converge"); err != nil {
+				t.Fatalf("converge node %d on %s: %v", n.ID(), id, err)
+			}
+			rec := wal.Record{TxID: "converge", Key: id, Version: w.NewVersion, Value: w.Value}
+			if err := n.WAL().AppendUnforced(rec); err != nil {
+				t.Fatalf("log node %d's copy of %s: %v", n.ID(), id, err)
 			}
 		}
 	}

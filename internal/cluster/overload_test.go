@@ -18,6 +18,7 @@ import (
 	"qracn/internal/server"
 	"qracn/internal/store"
 	"qracn/internal/transport"
+	"qracn/internal/wire"
 )
 
 // auditTotal sums every account with one transaction and fails the test if
@@ -254,7 +255,7 @@ func TestDeadlineExpiredWorkRejected(t *testing.T) {
 }
 
 // TestSlowNodeHedgedReads is the gray-failure acceptance scenario: one
-// replica's latency ramps to ~50x normal while staying up. A control client
+// replica answers ~50x slower than normal while staying up. A control client
 // (no hedging) sees its read tail collapse to the slow node's latency; a
 // hedged client escapes it — after the hedge delay the read goes to one
 // extra replica and the first valid quorum wins — while the abandoned slow
@@ -280,15 +281,18 @@ func TestSlowNodeHedgedReads(t *testing.T) {
 	}
 	c.Seed(objs)
 
-	chaos := transport.NewChaosClient(c.Net, 4242)
 	const slow = quorum.NodeID(3)
-	chaos.SetRamp(slow, slowBy, 80*time.Millisecond)
-	time.Sleep(120 * time.Millisecond) // past the ramp window: held at target
+	c.Net.SetFault(func(to quorum.NodeID, _ *wire.Request) transport.Fault {
+		if to == slow {
+			return transport.Fault{Delay: slowBy}
+		}
+		return transport.Fault{}
+	})
 
 	mk := func(seed int64, hedge time.Duration) *dtm.Runtime {
 		return dtm.New(dtm.Config{
 			Tree:       c.Tree,
-			Client:     chaos,
+			Client:     c.Net,
 			Alive:      c.Net.Alive,
 			ClientSeed: int(seed),
 			Seed:       seed,

@@ -135,7 +135,7 @@ func (c *TCPCluster) StartResolvers(pollEvery time.Duration) {
 // already version-current. The cold flag is ignored; the WAL is the state.
 //
 // On a volatile cluster, cold true restarts with an empty replica (a crash
-// that lost its state — the path read-repair and anti-entropy exist for);
+// that lost its state — the path read-repair exists for);
 // otherwise the node rejoins with the state it had when killed (a process
 // pause or partition).
 func (c *TCPCluster) Restart(id quorum.NodeID, cold bool) error {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"qracn/internal/cluster"
 	"qracn/internal/dtm"
+	"qracn/internal/health"
 	"qracn/internal/quorum"
 	"qracn/internal/store"
 	"qracn/internal/transport"
@@ -76,14 +78,15 @@ func targets(calls []sentCall, round int) []quorum.NodeID {
 }
 
 // scriptedRuntime builds a runtime on c whose every call passes through a
-// scriptedClient. The failure detector is off and the oracle says everyone is
-// alive, so which members a round names is decided by the seed and the
-// failover rule alone.
+// scriptedClient. The failure detector never suspects and the oracle says
+// everyone is alive, so which members a round names is decided by the seed
+// and the failover rule alone.
 func scriptedRuntime(c *cluster.Cluster, cfg dtm.Config) (*dtm.Runtime, *scriptedClient) {
 	sc := &scriptedClient{net: c.Net}
 	cfg.Tree, cfg.Shards, cfg.Client = c.Tree, c.Shards, sc
 	cfg.ClientSeed, cfg.Seed = 1, 1
-	cfg.NoRepair, cfg.DisableDetector = true, true
+	cfg.NoRepair = true
+	cfg.Health = health.New(health.Config{SuspectAfter: math.MaxInt})
 	sc.rt = dtm.New(cfg)
 	return sc.rt, sc
 }

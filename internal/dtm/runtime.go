@@ -40,16 +40,13 @@ type Config struct {
 	// be selected.
 	Alive quorum.AliveFunc
 	// Health is the client-side failure detector fed by every RPC outcome.
-	// Nil installs a default detector (unless DisableDetector is set); pass
-	// a preconfigured detector to tune suspicion thresholds or share one
-	// across runtimes. Note the runtime points the detector's counter sink
-	// at its own Metrics, so sharing a detector mirrors events into the
-	// last runtime created with it.
+	// Nil installs a default detector; pass a preconfigured detector to tune
+	// suspicion thresholds or share one across runtimes. A caller that wants
+	// selection left to Alive alone passes one that never suspects
+	// (health.Config{SuspectAfter: math.MaxInt}). Note the runtime points
+	// the detector's counter sink at its own Metrics, so sharing a detector
+	// mirrors events into the last runtime created with it.
 	Health *health.Detector
-	// DisableDetector turns the failure detector off entirely, restoring
-	// the pre-detector behaviour where only Alive filters selection (used
-	// for A/B fault experiments).
-	DisableDetector bool
 	// NoRepair disables asynchronous read-repair of quorum members that
 	// report versions behind the quorum maximum.
 	NoRepair bool
@@ -255,17 +252,15 @@ func New(cfg Config) *Runtime {
 	if !cfg.NoForensics {
 		rt.forensics = forensics.New(cfg.ForensicsRing)
 	}
-	if !cfg.DisableDetector {
-		rt.health = cfg.Health
-		if rt.health == nil {
-			rt.health = health.New(health.Config{})
-		}
-		rt.health.SetCounters(&health.Counters{
-			Suspicions:   &rt.metrics.Suspicions,
-			Probes:       &rt.metrics.Probes,
-			Readmissions: &rt.metrics.Readmissions,
-		})
+	rt.health = cfg.Health
+	if rt.health == nil {
+		rt.health = health.New(health.Config{})
 	}
+	rt.health.SetCounters(&health.Counters{
+		Suspicions:   &rt.metrics.Suspicions,
+		Probes:       &rt.metrics.Probes,
+		Readmissions: &rt.metrics.Readmissions,
+	})
 	return rt
 }
 
@@ -347,7 +342,7 @@ func (s *clientSpan) end(err error, ok string) {
 	s.tracer.RecordSpan(s.Span)
 }
 
-// Health exposes the runtime's failure detector (nil when disabled).
+// Health exposes the runtime's failure detector.
 func (rt *Runtime) Health() *health.Detector { return rt.health }
 
 // Forensics exposes the runtime's abort-forensics recorder (nil when
@@ -363,10 +358,7 @@ func (rt *Runtime) aliveView(id quorum.NodeID) bool {
 	if rt.cfg.Alive != nil && !rt.cfg.Alive(id) {
 		return false
 	}
-	if rt.health != nil && !rt.health.Alive(id) {
-		return false
-	}
-	return true
+	return rt.health.Alive(id)
 }
 
 // quorumFn is the shape shared by the tree-wide and group-scoped quorum
@@ -389,10 +381,8 @@ func (rt *Runtime) selectQuorum(sel quorumFn, seed int, excl quorum.ExcludeSet) 
 			return q, nil
 		}
 	}
-	if rt.health != nil {
-		if q, err2 := sel(seed, rt.cfg.Alive, nil); err2 == nil {
-			return q, nil
-		}
+	if q, err2 := sel(seed, rt.cfg.Alive, nil); err2 == nil {
+		return q, nil
 	}
 	return nil, err
 }
@@ -424,9 +414,6 @@ func (rt *Runtime) writeQuorumOf(g *shard.Group) quorumFn {
 
 // observe feeds one RPC outcome to the failure detector.
 func (rt *Runtime) observe(node quorum.NodeID, err error) {
-	if rt.health == nil {
-		return
-	}
 	if err == nil {
 		rt.health.ReportSuccess(node)
 	} else if health.CountsAsFailure(err) {

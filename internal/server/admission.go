@@ -22,6 +22,10 @@ import (
 //   - KindPing is the liveness/recovery probe; shedding it would make an
 //     overloaded node look dead and invite failover churn.
 //   - KindShardMap is a tiny bootstrap read answered from static state.
+//
+// Every other kind is gated: reads, prepares and batches (transaction work),
+// read-repair pushes (best-effort convergence that may wait) and the debug
+// fetch (KindInspect).
 func admissionGated(k wire.Kind) bool {
 	switch k {
 	case wire.KindDecision, wire.KindTxStatus, wire.KindPing, wire.KindShardMap:

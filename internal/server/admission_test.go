@@ -194,7 +194,7 @@ func TestAdmissionGateExemptKinds(t *testing.T) {
 			t.Errorf("kind %v is gated, want exempt", k)
 		}
 	}
-	for _, k := range []wire.Kind{wire.KindRead, wire.KindPrepare, wire.KindBatch, wire.KindSync, wire.KindInspect} {
+	for _, k := range []wire.Kind{wire.KindRead, wire.KindPrepare, wire.KindBatch, wire.KindRepair, wire.KindInspect} {
 		if !admissionGated(k) {
 			t.Errorf("kind %v is exempt, want gated", k)
 		}

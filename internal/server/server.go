@@ -58,8 +58,8 @@ type Config struct {
 	// WAL, when non-nil, makes the node durable: a yes vote and a commit
 	// decision are appended to the log and fsynced BEFORE the request is
 	// acknowledged, so an acked commit survives a process crash. Abort
-	// decisions, read-repair pushes and anti-entropy transfers are logged
-	// unforced: recovery does without the ones a crash loses.
+	// decisions and read-repair pushes are logged unforced: recovery does
+	// without the ones a crash loses.
 	WAL *wal.Log
 	// SnapshotEvery is the floor of the automatic checkpoint trigger: a
 	// checkpoint (snapshot + segment compaction, in the background) is due
@@ -371,16 +371,15 @@ func (n *Node) FinishRecovery(rec *wal.Recovered) {
 // Recovering reports whether the node is still replaying.
 func (n *Node) Recovering() bool { return n.recovering.Load() }
 
-// logRepair stages convergence writes (read-repair pushes, anti-entropy
-// transfers) unforced: the push is best effort, and a replica that loses one
-// in a crash is behind again and is repaired again. Callers hold n.commitMu
-// shared across apply and log, so a record below a checkpoint's cut always
-// has its value in the snapshot taken after it.
-func (n *Node) logRepair(source string, writes ...store.WriteDesc) error {
+// logRepair stages a read-repair push unforced: the push is best effort, and
+// a replica that loses one in a crash is behind again and is repaired again.
+// The caller holds n.commitMu shared across apply and log, so a record below
+// a checkpoint's cut always has its value in the snapshot taken after it.
+func (n *Node) logRepair(w store.WriteDesc) error {
 	if n.wal == nil {
 		return nil
 	}
-	return n.wal.AppendUnforced(writeRecords(source, writes)...)
+	return n.wal.AppendUnforced(writeRecords("read-repair", []store.WriteDesc{w})...)
 }
 
 // Checkpoint snapshots the replica into the WAL and compacts old segments,
@@ -558,8 +557,6 @@ func (n *Node) dispatch(ctx context.Context, req *wire.Request, serveID uint64) 
 		resp := n.handleDecision(req, serveID)
 		n.stages.CommitApply.Record(time.Since(t0))
 		return resp
-	case wire.KindSync:
-		return n.handleSync(req)
 	case wire.KindRepair:
 		t0 := time.Now()
 		resp := n.handleRepair(req)
@@ -793,19 +790,6 @@ func (n *Node) handleShardMap(req *wire.Request) *wire.Response {
 	return &wire.Response{Status: wire.StatusOK, ShardMap: resp}
 }
 
-// handleSync serves an anti-entropy request: everything this replica knows
-// that the caller is behind on.
-func (n *Node) handleSync(req *wire.Request) *wire.Response {
-	s := req.Sync
-	if s == nil {
-		return &wire.Response{Status: wire.StatusError, Detail: "sync request missing payload"}
-	}
-	return &wire.Response{
-		Status: wire.StatusOK,
-		Sync:   &wire.SyncResponse{Objects: n.store.Newer(s.Known)},
-	}
-}
-
 // handleRepair applies a read-repair push: the client observed this replica
 // behind the quorum maximum and is forwarding the fresh value. The write is
 // version-guarded (Apply only moves versions forward) and refused while the
@@ -832,41 +816,8 @@ func (n *Node) handleRepair(req *wire.Request) *wire.Response {
 		return &wire.Response{Status: wire.StatusError, Detail: err.Error()}
 	}
 	// Log after the version-guarded apply decided the push wins.
-	if err := n.logRepair("read-repair", w); err != nil {
+	if err := n.logRepair(w); err != nil {
 		return &wire.Response{Status: wire.StatusError, Detail: "wal: " + err.Error()}
 	}
 	return &wire.Response{Status: wire.StatusOK}
-}
-
-// RepairFrom pulls missing state from a peer replica through the transport
-// (anti-entropy after this node returns from a partition): it sends its
-// full version view and applies whatever newer state the peer returns.
-// It returns the number of objects repaired.
-func (n *Node) RepairFrom(ctx context.Context, client transport.Client, peer quorum.NodeID) (int, error) {
-	req := &wire.Request{
-		Kind: wire.KindSync,
-		Sync: &wire.SyncRequest{Known: n.store.Versions()},
-	}
-	resp, err := client.Call(ctx, peer, req)
-	if err != nil {
-		return 0, err
-	}
-	if resp.Status != wire.StatusOK || resp.Sync == nil {
-		return 0, fmt.Errorf("server: sync with node %d: %s (%s)", peer, resp.Status, resp.Detail)
-	}
-	repaired := 0
-	var applied []store.WriteDesc
-	n.commitMu.RLock()
-	for _, w := range resp.Sync.Objects {
-		if err := n.store.Apply(w, "anti-entropy"); err == nil {
-			repaired++
-			applied = append(applied, w)
-		}
-	}
-	err = n.logRepair("anti-entropy", applied...)
-	n.commitMu.RUnlock()
-	if err != nil {
-		return repaired, fmt.Errorf("server: wal: %w", err)
-	}
-	return repaired, nil
 }

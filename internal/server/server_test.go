@@ -403,7 +403,6 @@ func TestMalformedRequests(t *testing.T) {
 		{Kind: wire.KindPrepare},
 		{Kind: wire.KindDecision},
 		{Kind: wire.KindShardMap},
-		{Kind: wire.KindSync},
 		{Kind: wire.KindInspect},
 		{Kind: wire.Kind(99)},
 	} {
@@ -413,52 +412,6 @@ func TestMalformedRequests(t *testing.T) {
 	}
 	if resp := n.Handle(context.Background(), &wire.Request{Kind: wire.KindPing}); resp.Status != wire.StatusOK {
 		t.Fatalf("ping = %v", resp.Status)
-	}
-}
-
-func TestSyncHandlerReturnsNewer(t *testing.T) {
-	n := newTestNode()
-	commit(t, n, "w1", []store.ReadDesc{{ID: "a", Version: 1}},
-		[]store.WriteDesc{{ID: "a", Value: store.Int64(9), NewVersion: 2}})
-	resp := n.Handle(context.Background(), &wire.Request{
-		Kind: wire.KindSync,
-		Sync: &wire.SyncRequest{Known: []store.ReadDesc{
-			{ID: "a", Version: 1}, // stale
-			{ID: "b", Version: 1}, // current
-		}},
-	})
-	if resp.Status != wire.StatusOK {
-		t.Fatalf("status = %v", resp.Status)
-	}
-	if len(resp.Sync.Objects) != 1 || resp.Sync.Objects[0].ID != "a" || resp.Sync.Objects[0].NewVersion != 2 {
-		t.Fatalf("sync objects = %+v", resp.Sync.Objects)
-	}
-	if store.AsInt64(resp.Sync.Objects[0].Value) != 9 {
-		t.Fatal("sync carried wrong value")
-	}
-}
-
-func TestSyncSkipsProtectedObjects(t *testing.T) {
-	n := newTestNode()
-	if err := n.Store().Protect("a", "tx-in-flight", false); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Store().ProtectShared("b", "tx-in-flight"); err != nil {
-		t.Fatal(err)
-	}
-	resp := n.Handle(context.Background(), &wire.Request{
-		Kind: wire.KindSync,
-		Sync: &wire.SyncRequest{Known: nil},
-	})
-	shipped := map[store.ObjectID]bool{}
-	for _, w := range resp.Sync.Objects {
-		shipped[w.ID] = true
-	}
-	if shipped["a"] {
-		t.Fatal("sync shipped an exclusively protected (mid-commit) object")
-	}
-	if !shipped["b"] {
-		t.Fatal("sync held back an object that is only shared-protected")
 	}
 }
 

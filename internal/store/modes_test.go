@@ -204,24 +204,6 @@ func TestSharedTTLExpiryIsPerHolder(t *testing.T) {
 	}
 }
 
-// TestNewerSkipsOnlyExclusiveHolds: anti-entropy may ship a row readers hold
-// (it is not about to change) but not one a writer holds.
-func TestNewerSkipsOnlyExclusiveHolds(t *testing.T) {
-	s := New()
-	s.Seed("r", Int64(1))
-	s.Seed("w", Int64(1))
-	if err := s.ProtectShared("r", "tx1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Protect("w", "tx1", false); err != nil {
-		t.Fatal(err)
-	}
-	out := s.Newer(nil)
-	if len(out) != 1 || out[0].ID != "r" {
-		t.Fatalf("Newer = %+v, want the shared-held row only", out)
-	}
-}
-
 // TestMixedHoldersStress hammers one row with readers and writers under
 // -race and checks the invariant the modes exist for: a writer never holds
 // the row at the same time as anyone else.

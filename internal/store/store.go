@@ -466,45 +466,3 @@ func (s *Store) Committed() []WriteDesc {
 	}
 	return out
 }
-
-// Newer returns a write descriptor for every object whose replica-local
-// version exceeds the version in the given view (objects absent from the
-// view are included wholesale). Objects exclusively protected by an
-// in-flight commit are skipped — their next decision will republish them;
-// shared-protected ones are sent, since their holders do not change them.
-// Anti-entropy uses this to compute the state transfer for a healing replica.
-func (s *Store) Newer(known []ReadDesc) []WriteDesc {
-	view := make(map[ObjectID]uint64, len(known))
-	for _, k := range known {
-		view[k.ID] = k.Version
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []WriteDesc
-	for id, o := range s.objs {
-		if s.protectionActive(o) {
-			continue
-		}
-		if ver, ok := view[id]; ok && o.version <= ver {
-			continue
-		}
-		w := WriteDesc{ID: id, NewVersion: o.version}
-		if o.value != nil {
-			w.Value = o.value.CloneValue()
-		}
-		out = append(out, w)
-	}
-	return out
-}
-
-// Versions returns the replica's full (id, version) view, the "known" input
-// of an anti-entropy exchange.
-func (s *Store) Versions() []ReadDesc {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]ReadDesc, 0, len(s.objs))
-	for id, o := range s.objs {
-		out = append(out, ReadDesc{ID: id, Version: o.version})
-	}
-	return out
-}

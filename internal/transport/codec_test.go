@@ -168,7 +168,8 @@ func TestTCPClientClassifiesNonBinaryPeer(t *testing.T) {
 }
 
 // TestTCPBinaryCompressedPayload pushes a payload past CompressThreshold
-// through the binary codec so the compressed-frame path (flags bit +
+// through the binary codec in both directions — a large prepare out, a large
+// debug document back — so the compressed-frame path (flags bit +
 // post-compression CRC) is exercised end to end.
 func TestTCPBinaryCompressedPayload(t *testing.T) {
 	writes := make([]store.WriteDesc, 256)
@@ -179,8 +180,12 @@ func TestTCPBinaryCompressedPayload(t *testing.T) {
 			NewVersion: uint64(i),
 		}
 	}
+	doc := bytes.Repeat([]byte(`{"name":"serve-prepare","site":"node-0"},`), 256)
 	cli, stop := startTCPPair(t, func(_ context.Context, req *wire.Request) *wire.Response {
-		return &wire.Response{Status: wire.StatusOK, Sync: &wire.SyncResponse{Objects: req.Prepare.Writes}}
+		if !reflect.DeepEqual(req.Prepare.Writes, writes) {
+			return &wire.Response{Status: wire.StatusError, Detail: fmt.Sprintf("%d writes arrived wrong", len(req.Prepare.Writes))}
+		}
+		return &wire.Response{Status: wire.StatusOK, Inspect: &wire.InspectResponse{Doc: doc}}
 	})
 	defer stop()
 	resp, err := cli.Call(context.Background(), 0, &wire.Request{
@@ -190,8 +195,11 @@ func TestTCPBinaryCompressedPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(resp.Sync.Objects, writes) {
-		t.Fatalf("%d writes round-tripped wrong", len(resp.Sync.Objects))
+	if resp.Status != wire.StatusOK {
+		t.Fatalf("request direction: %s (%s)", resp.Status, resp.Detail)
+	}
+	if resp.Inspect == nil || !bytes.Equal(resp.Inspect.Doc, doc) {
+		t.Fatal("the large reply round-tripped wrong")
 	}
 }
 

@@ -66,14 +66,6 @@ var parityExchanges = map[wire.Kind]exchange{
 		req:  &wire.Request{Kind: wire.KindPing, TxID: "ping"},
 		resp: &wire.Response{Status: wire.StatusOK, Detail: "pong"},
 	},
-	wire.KindSync: {
-		req: &wire.Request{Kind: wire.KindSync, Sync: &wire.SyncRequest{
-			Known: []store.ReadDesc{{ID: store.ID("acct", 0), Version: 1}},
-		}},
-		resp: &wire.Response{Status: wire.StatusOK, Sync: &wire.SyncResponse{
-			Objects: []store.WriteDesc{{ID: store.ID("acct", 0), Value: store.Float64(0.5), NewVersion: 2}},
-		}},
-	},
 	wire.KindBatch: {
 		req: &wire.Request{Kind: wire.KindBatch, TxID: "c1-t3-a0", Batch: &wire.BatchRequest{Subs: []*wire.Request{
 			{Kind: wire.KindRead, TxID: "c1-t3-a0", Read: &wire.ReadRequest{Object: store.ID("acct", 7)}},
@@ -125,6 +117,9 @@ func TestChannelDeliversWhatTCPDelivers(t *testing.T) {
 
 	ctx := context.Background()
 	for k := wire.KindRead; k <= wire.KindTxStatus; k++ {
+		if _, err := wire.AppendEnvelope(nil, &wire.Envelope{Req: &wire.Request{Kind: k}}); err != nil {
+			continue // a retired kind: the codec carries it nowhere
+		}
 		ex, ok := parityExchanges[k]
 		if !ok {
 			t.Fatalf("%s has no exchange: a kind was added without transport parity coverage", k)

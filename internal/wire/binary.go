@@ -84,14 +84,15 @@ const (
 // uvarint (not a fixed byte) so the bit space is open-ended; values below
 // 128 — every mask that existed before the ninth bit was added — encode
 // byte-identically to the old single-byte layout. The blanks are the bits of
-// payloads since deleted (the stats query, the tx-status asker, the resolve
-// forward); they stay unused so no surviving bit moves.
+// payloads since deleted (the stats query, the anti-entropy pull, the
+// tx-status asker, the resolve forward); they stay unused so no surviving bit
+// moves, and a frame that sets one is rejected.
 const (
 	reqHasRead uint64 = 1 << iota
 	reqHasPrepare
 	reqHasDecision
 	_
-	reqHasSync
+	_
 	reqHasBatch
 	reqHasRepair
 	reqHasInspect
@@ -103,15 +104,19 @@ const (
 	// — including every frame an old peer emits — stay byte-identical to
 	// the pre-deadline layout).
 	reqHasDeadline
+
+	reqKnown = reqHasRead | reqHasPrepare | reqHasDecision | reqHasBatch |
+		reqHasRepair | reqHasInspect | reqHasShardMap | reqHasDeadline
 )
 
 // Response payload presence bits, wire order; uvarint-encoded like the
-// request mask. The blank is the deleted stats reply's.
+// request mask. The blanks are the deleted stats reply's and anti-entropy
+// reply's.
 const (
 	respHasRead uint64 = 1 << iota
 	respHasPrepare
 	_
-	respHasSync
+	_
 	respHasBatch
 	respHasInspect
 	respHasTxStatus
@@ -122,7 +127,14 @@ const (
 	// emits, stay byte-identical to the pre-forensics layout even though
 	// this is the first bit that pushes the response mask past one byte).
 	respHasConflict
+
+	respKnown = respHasRead | respHasPrepare | respHasBatch | respHasInspect |
+		respHasTxStatus | respHasShardMap | respHasConflict
 )
+
+// kindRetired is the blank in the Kind enum, the deleted anti-entropy pull's
+// value: the codec neither encodes nor decodes it.
+const kindRetired = KindPing + 1
 
 // The byte that leads a decision payload: bit0 is Commit, so a coordinator's
 // decision is the 0 or 1 a plain bool was, and bit1 marks a forwarded one.
@@ -373,7 +385,7 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 	if depth > maxBinaryDepth {
 		return nil, errTooDeep
 	}
-	if r.Kind < 0 || r.Kind >= numKinds {
+	if r.Kind < 0 || r.Kind >= numKinds || r.Kind == kindRetired {
 		return nil, fmt.Errorf("wire: cannot encode out-of-range kind %d", r.Kind)
 	}
 	dst = append(dst, byte(r.Kind))
@@ -389,9 +401,6 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 	}
 	if r.Decision != nil {
 		mask |= reqHasDecision
-	}
-	if r.Sync != nil {
-		mask |= reqHasSync
 	}
 	if r.Batch != nil {
 		mask |= reqHasBatch
@@ -436,9 +445,6 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 			return nil, err
 		}
 		dst = appendIDs(dst, r.Decision.Release)
-	}
-	if r.Sync != nil {
-		dst = appendReadDescs(dst, r.Sync.Known)
 	}
 	if r.Batch != nil {
 		dst = binary.AppendUvarint(dst, uint64(len(r.Batch.Subs)))
@@ -486,9 +492,6 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 	if r.Prepare != nil {
 		mask |= respHasPrepare
 	}
-	if r.Sync != nil {
-		mask |= respHasSync
-	}
 	if r.Batch != nil {
 		mask |= respHasBatch
 	}
@@ -518,11 +521,6 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 		dst = appendBool(dst, r.Prepare.Vote)
 		dst = appendIDs(dst, r.Prepare.Invalid)
 		dst = appendIDs(dst, r.Prepare.Busy)
-	}
-	if r.Sync != nil {
-		if dst, err = appendWriteDescs(dst, r.Sync.Objects, depth); err != nil {
-			return nil, err
-		}
 	}
 	if r.Batch != nil {
 		dst = binary.AppendUvarint(dst, uint64(len(r.Batch.Subs)))
@@ -842,6 +840,9 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 	if Kind(kb) >= numKinds {
 		return fmt.Errorf("%w: kind byte %d out of range [0,%d)", ErrBadFrame, kb, int(numKinds))
 	}
+	if Kind(kb) == kindRetired {
+		return fmt.Errorf("%w: kind byte %d is retired", ErrBadFrame, kb)
+	}
 	r.Kind = Kind(kb)
 	if r.TxID, err = d.str(); err != nil {
 		return err
@@ -855,6 +856,9 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 	mask, err := d.uvarint()
 	if err != nil {
 		return err
+	}
+	if mask&^reqKnown != 0 {
+		return fmt.Errorf("%w: request mask %#x sets unknown bits %#x", ErrBadFrame, mask, mask&^reqKnown)
 	}
 	if mask&reqHasRead != 0 {
 		if rr == nil {
@@ -903,13 +907,6 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 			return err
 		}
 		r.Decision = dr
-	}
-	if mask&reqHasSync != 0 {
-		sr := &SyncRequest{}
-		if sr.Known, err = d.readDescs(); err != nil {
-			return err
-		}
-		r.Sync = sr
 	}
 	if mask&reqHasBatch != 0 {
 		n, err := d.count("batch")
@@ -999,6 +996,9 @@ func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
 	if err != nil {
 		return err
 	}
+	if mask&^respKnown != 0 {
+		return fmt.Errorf("%w: response mask %#x sets unknown bits %#x", ErrBadFrame, mask, mask&^respKnown)
+	}
 	if mask&respHasRead != 0 {
 		if rr == nil {
 			rr = &ReadResponse{}
@@ -1029,13 +1029,6 @@ func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
 			return err
 		}
 		r.Prepare = pr
-	}
-	if mask&respHasSync != 0 {
-		sr := &SyncResponse{}
-		if sr.Objects, err = d.writeDescs(); err != nil {
-			return err
-		}
-		r.Sync = sr
 	}
 	if mask&respHasBatch != 0 {
 		n, err := d.count("batch")

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -75,6 +76,47 @@ func TestBinaryRejectsOutOfRangeKind(t *testing.T) {
 	}
 }
 
+// TestBinaryRejectsUnknownMaskBits: a presence bit the codec does not know —
+// a retired payload's or one past the last — fails the frame instead of
+// being skipped, so an old peer's retired payload is never misread as the
+// bytes that follow it. Each retired payload's bit carries the bytes its
+// empty payload used to take, so only the mask check can refuse it.
+func TestBinaryRejectsUnknownMaskBits(t *testing.T) {
+	request := func(mask uint64, payload ...byte) []byte {
+		b := []byte{1, envHasReq, byte(KindPing), 0, 0, 0} // seq, flags, kind, TxID, TraceID, SpanID
+		b = binary.AppendUvarint(b, mask)
+		return append(b, payload...)
+	}
+	response := func(mask uint64, payload ...byte) []byte {
+		b := []byte{1, envIsResponse | envHasResp, 0, 0} // seq, flags, Status, Detail
+		b = binary.AppendUvarint(b, mask)
+		return append(b, payload...)
+	}
+	cases := map[string][]byte{
+		"request bit 3 (stats query)":       request(1 << 3),
+		"request bit 4 (anti-entropy pull)": request(1<<4, 0),
+		"request bit 8":                     request(1 << 8),
+		"request bit 9":                     request(1 << 9),
+		"request bit 12 (past the last)":    request(1 << 12),
+		"response bit 2 (stats reply)":      response(1 << 2),
+		"response bit 3 (anti-entropy)":     response(1<<3, 0),
+		"response bit 9 (past the last)":    response(1 << 9),
+		"retired kind 5":                    {1, envHasReq, 5, 0, 0, 0, 0},
+	}
+	for name, payload := range cases {
+		if _, err := DecodeEnvelope(payload); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: got %v, want ErrBadFrame", name, err)
+		}
+	}
+	// The same frames with the mask cleared decode: nothing else is wrong
+	// with them.
+	for _, payload := range [][]byte{request(0), response(0)} {
+		if _, err := DecodeEnvelope(payload); err != nil {
+			t.Fatalf("a plain ping/reply does not decode: %v", err)
+		}
+	}
+}
+
 // TestBinaryTruncationAndTrailingBytes hardens the payload parser: every
 // prefix of a valid payload must error (not panic), and trailing garbage
 // after a complete envelope is an error, not silently ignored.
@@ -117,10 +159,6 @@ func TestBinaryResponseRoundTrips(t *testing.T) {
 				{Status: StatusOK, Read: &ReadResponse{Value: store.Float64(math.Inf(1)), Version: 9}},
 				{Status: StatusNotFound, Detail: "gone"},
 			}},
-		}},
-		{Seq: 4, IsResponse: true, Resp: &Response{
-			Status: StatusOK,
-			Sync:   &SyncResponse{Objects: []store.WriteDesc{{ID: store.ID("a", 0), Value: store.Int64(5), NewVersion: 2, Block: -1}}},
 		}},
 		{Seq: 5, Cancel: true},
 	}

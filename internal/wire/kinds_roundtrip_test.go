@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -52,10 +53,6 @@ var kindFixtures = map[Kind]*Request{
 		ShardMap: &ShardMapRequest{HaveVersion: 3},
 	},
 	KindPing: {Kind: KindPing},
-	KindSync: {
-		Kind: KindSync,
-		Sync: &SyncRequest{Known: []store.ReadDesc{{ID: store.ID("acct", 0), Version: 1}}},
-	},
 	KindBatch: {
 		Kind: KindBatch,
 		Batch: &BatchRequest{Subs: []*Request{
@@ -262,9 +259,19 @@ func TestShardMapResponseRoundTrips(t *testing.T) {
 // identical and agrees with the gob oracle. Because it iterates
 // [0, numKinds), adding a new wire.Kind without a fixture — or without
 // binary marshaling support (the encoder rejects kinds it does not know) —
-// fails here.
+// fails here. The retired value is skipped by name and must be refused in
+// both directions.
 func TestEveryKindRoundTrips(t *testing.T) {
 	for k := Kind(0); k < numKinds; k++ {
+		if k == kindRetired {
+			if _, err := AppendEnvelope(nil, &Envelope{Req: &Request{Kind: k}}); err == nil {
+				t.Fatalf("the encoder accepts the retired kind %d", k)
+			}
+			if _, err := DecodeEnvelope([]byte{1, envHasReq, byte(k), 0, 0, 0, 0}); !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("decode of the retired kind %d: got %v, want ErrBadFrame", k, err)
+			}
+			continue
+		}
 		req, ok := kindFixtures[k]
 		if !ok {
 			t.Fatalf("Kind %d (%s) has no round-trip fixture: a new request kind "+

@@ -9,6 +9,8 @@
 package wire
 
 import (
+	"fmt"
+
 	"qracn/internal/quorum"
 	"qracn/internal/store"
 )
@@ -77,10 +79,9 @@ const (
 	// header-only reply.
 	KindShardMap
 	KindPing
-	// KindSync transfers replica state for anti-entropy: a node that was
-	// partitioned away asks a peer for every object newer than its local
-	// version.
-	KindSync
+	// 5 is retired (the deleted anti-entropy pull's): it stays unused so no
+	// later kind's byte moves, and the codec rejects it.
+	_
 	// KindBatch carries N independent sub-requests in one frame; the server
 	// dispatches them concurrently and returns N sub-responses in matching
 	// order. One batched quorum round replaces N serial fan-outs — the wire
@@ -122,8 +123,6 @@ func (k Kind) String() string {
 		return "decision"
 	case KindShardMap:
 		return "shard-map"
-	case KindSync:
-		return "sync"
 	case KindBatch:
 		return "batch"
 	case KindRepair:
@@ -132,8 +131,10 @@ func (k Kind) String() string {
 		return "inspect"
 	case KindTxStatus:
 		return "tx-status"
-	default:
+	case KindPing:
 		return "ping"
+	default:
+		return fmt.Sprintf("kind(%d)", int(k))
 	}
 }
 
@@ -165,7 +166,6 @@ type Request struct {
 	Read     *ReadRequest
 	Prepare  *PrepareRequest
 	Decision *DecisionRequest
-	Sync     *SyncRequest
 	Batch    *BatchRequest
 	Repair   *RepairRequest
 	Inspect  *InspectRequest
@@ -286,9 +286,10 @@ type ShardMapResponse struct {
 }
 
 // RepairRequest carries one object's fresh value+version to a stale
-// replica. Unlike SyncRequest (pull, full-state diff) it is a push of a
-// single object, issued asynchronously by clients whose quorum read showed
-// the replica behind the quorum maximum.
+// replica: a push of a single object, issued asynchronously by clients whose
+// quorum read showed the replica behind the quorum maximum. It is the one
+// way a stale replica is healed; quorum intersection makes one harmless in
+// the meantime.
 type RepairRequest struct {
 	Object  store.ObjectID
 	Value   store.Value
@@ -313,19 +314,6 @@ type InspectResponse struct {
 	Doc []byte
 }
 
-// SyncRequest asks a peer for every object whose version exceeds the
-// caller's (anti-entropy after a partition heals). Known carries the
-// caller's current versions; objects the peer has that are absent from
-// Known are also returned.
-type SyncRequest struct {
-	Known []store.ReadDesc
-}
-
-// SyncResponse carries the objects the caller is missing or behind on.
-type SyncResponse struct {
-	Objects []store.WriteDesc
-}
-
 // Response is a server-to-client message.
 type Response struct {
 	Status Status
@@ -339,7 +327,6 @@ type Response struct {
 	ConflictTx string
 	Read       *ReadResponse
 	Prepare    *PrepareResponse
-	Sync       *SyncResponse
 	Batch      *BatchResponse
 	Inspect    *InspectResponse
 	TxStatus   *TxStatusResponse

@@ -135,6 +135,13 @@ func TestStatusAndKindStrings(t *testing.T) {
 		KindDecision.String() != "decision" || KindShardMap.String() != "shard-map" || KindPing.String() != "ping" {
 		t.Fatal("Kind.String mismatch")
 	}
+	// A kind outside the named set is named by its number, not as a ping:
+	// the string names serve-<kind> spans.
+	for k, want := range map[Kind]string{kindRetired: "kind(5)", Kind(42): "kind(42)", Kind(-1): "kind(-1)"} {
+		if got := k.String(); got != want {
+			t.Fatalf("Kind(%d).String() = %q, want %q", int(k), got, want)
+		}
+	}
 }
 
 // Property: frames round-trip for arbitrary payloads under both compression
