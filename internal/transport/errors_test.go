@@ -127,16 +127,32 @@ func TestChannelFaultInjection(t *testing.T) {
 		t.Fatalf("dropped call err = %v, want timeout-classified", err)
 	}
 
-	// Delay fault cut short by the caller: a context DEADLINE mid-delay is a
-	// per-node timeout (a slow link looks like a timeout and counts against
-	// the node), while a context CANCEL passes through raw (the caller gave
-	// up — e.g. an abandoned hedge — and the node must not be blamed).
+	// Removing the hook restores normal delivery.
+	net.SetFault(nil)
+	resp, err := net.Call(context.Background(), 0, &wire.Request{Kind: wire.KindPing})
+	if err != nil || resp.Status != wire.StatusOK {
+		t.Fatalf("after clearing fault: %v, %v", resp, err)
+	}
+}
+
+// TestChaosClientSleepClassification checks how a call cut short during an
+// injected delay (Fault.Delay) is classified: a context DEADLINE mid-delay is
+// a per-node timeout (a slow link looks like a timeout and counts against the
+// node), while a context CANCEL passes through raw (the caller gave up — e.g.
+// an abandoned hedge — and the node must not be blamed).
+func TestChaosClientSleepClassification(t *testing.T) {
+	net := NewChannelNetwork(ChannelConfig{})
+	defer net.Close()
+	net.Register(0, func(ctx context.Context, req *wire.Request) *wire.Response {
+		return &wire.Response{Status: wire.StatusOK}
+	})
 	net.SetFault(func(to quorum.NodeID, req *wire.Request) Fault {
 		return Fault{Delay: time.Second}
 	})
 	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer dcancel()
-	_, err = net.Call(dctx, 0, &wire.Request{Kind: wire.KindPing})
+	_, err := net.Call(dctx, 0, &wire.Request{Kind: wire.KindPing})
+	var te *Error
 	if !errors.As(err, &te) || te.Kind != ErrKindTimeout || te.Node != 0 {
 		t.Fatalf("deadline mid-delay = %v, want node-0 timeout", err)
 	}
@@ -151,12 +167,5 @@ func TestChannelFaultInjection(t *testing.T) {
 	}
 	if wrapped := new(Error); errors.As(err, &wrapped) {
 		t.Fatalf("cancel mid-delay was node-classified (%+v); abandoned calls must stay detector-neutral", wrapped)
-	}
-
-	// Removing the hook restores normal delivery.
-	net.SetFault(nil)
-	resp, err := net.Call(context.Background(), 0, &wire.Request{Kind: wire.KindPing})
-	if err != nil || resp.Status != wire.StatusOK {
-		t.Fatalf("after clearing fault: %v, %v", resp, err)
 	}
 }
