@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"qracn/internal/acn"
@@ -68,6 +69,10 @@ func main() {
 	flag.BoolVar(&dcfg.NoForensics, "no-forensics", false, "disable abort forensics on this client")
 	flag.Parse()
 
+	if err := checkRunShape(*threads, *intervals, *interval); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	addrs, err := transport.ParseAddrs(*nodesArg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "-nodes: %v\n", err)
@@ -141,19 +146,16 @@ func main() {
 	meter := metrics.NewThroughputMeter(*intervals)
 	runCtx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
+	var failed atomic.Uint64
 	for th := 0; th < *threads; th++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(rng *rand.Rand) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for runCtx.Err() == nil {
+			runThread(runCtx, func(ctx context.Context) error {
 				prof, params := w.Generate(rng, 0)
-				if err := execs[prof].Execute(runCtx, params); err != nil {
-					return
-				}
-				meter.Record()
-			}
-		}(dcfg.Seed + int64(th))
+				return execs[prof].Execute(ctx, params)
+			}, meter, &failed, *interval/20)
+		}(rand.New(rand.NewSource(dcfg.Seed + int64(th))))
 	}
 
 	for i := 0; i < *intervals; i++ {
@@ -170,8 +172,8 @@ func main() {
 	cancel()
 	wg.Wait()
 	m := rt.Metrics().Snapshot()
-	fmt.Printf("total commits=%d full-aborts=%d partial-aborts=%d\n",
-		m.Commits, m.ParentAborts, m.SubAborts)
+	fmt.Printf("total commits=%d full-aborts=%d partial-aborts=%d failed=%d\n",
+		m.Commits, m.ParentAborts, m.SubAborts, failed.Load())
 	if shards != nil {
 		fmt.Printf("sharding: single-shard-commits=%d cross-shard-commits=%d cross-shard-aborts=%d\n",
 			m.SingleShardCommits, m.CrossShardCommits, m.CrossShardAborts)
@@ -226,6 +228,30 @@ func main() {
 		}
 		fmt.Printf("%d spans (%d traces) written to %s\n",
 			len(spans), len(trace.TraceIDs(spans)), *spansOut)
+	}
+}
+
+// checkRunShape rejects the thread and interval counts the client cannot
+// measure a run with.
+func checkRunShape(threads, intervals int, interval time.Duration) error {
+	if threads < 1 || intervals < 1 || interval <= 0 {
+		return fmt.Errorf("-threads %d -intervals %d -interval %v: want at least one thread, at least one interval and a positive interval", threads, intervals, interval)
+	}
+	return nil
+}
+
+// runThread is one client thread: it runs execute until ctx ends and records
+// each commit on meter. A transaction that fails while ctx is live (a node
+// down, a quorum out of reach) is counted in failed, and the thread pauses
+// before the next one instead of giving up, as the harness's threads do.
+func runThread(ctx context.Context, execute func(context.Context) error, meter *metrics.ThroughputMeter, failed *atomic.Uint64, pause time.Duration) {
+	for ctx.Err() == nil {
+		if err := execute(ctx); err == nil {
+			meter.Record()
+		} else if ctx.Err() == nil {
+			failed.Add(1)
+			time.Sleep(pause)
+		}
 	}
 }
 

@@ -2,11 +2,14 @@ package main
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"qracn/internal/cluster"
 	"qracn/internal/dtm"
+	"qracn/internal/metrics"
 	"qracn/internal/store"
 	"qracn/internal/workload/bank"
 )
@@ -73,5 +76,61 @@ func TestSeedObjectsBatches(t *testing.T) {
 	}
 	if got != 149 {
 		t.Fatalf("seeded value = %d", got)
+	}
+}
+
+// TestRunThreadKeepsDrivingAfterFailures: a thread whose first transactions
+// fail (a node down) pauses, counts them and goes on committing once the
+// cluster answers again. It used to return on the first error, and the
+// thread committed nothing for the rest of the run. A failure after the run
+// ended is not counted.
+func TestRunThreadKeepsDrivingAfterFailures(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const failures, commits = 3, 5
+	calls := 0
+	execute := func(ctx context.Context) error {
+		calls++
+		switch {
+		case calls <= failures:
+			return errors.New("node down")
+		case calls <= failures+commits:
+			return nil
+		default:
+			cancel()
+			return ctx.Err()
+		}
+	}
+	meter := metrics.NewThroughputMeter(1)
+	var failed atomic.Uint64
+	runThread(ctx, execute, meter, &failed, time.Millisecond)
+
+	if got := meter.Total(); got != commits {
+		t.Fatalf("thread committed %d transactions, want %d after its %d failures", got, commits, failures)
+	}
+	if got := failed.Load(); got != failures {
+		t.Fatalf("failed = %d, want %d", got, failures)
+	}
+}
+
+func TestCheckRunShape(t *testing.T) {
+	for _, tc := range []struct {
+		threads, intervals int
+		interval           time.Duration
+		ok                 bool
+	}{
+		{4, 6, 2 * time.Second, true},
+		{1, 1, time.Nanosecond, true},
+		{0, 6, 2 * time.Second, false},
+		{-1, 6, 2 * time.Second, false},
+		{4, 0, 2 * time.Second, false},
+		{4, -3, 2 * time.Second, false},
+		{4, 6, 0, false},
+		{4, 6, -time.Second, false},
+	} {
+		err := checkRunShape(tc.threads, tc.intervals, tc.interval)
+		if (err == nil) != tc.ok {
+			t.Errorf("checkRunShape(%d, %d, %v) = %v, want ok=%v", tc.threads, tc.intervals, tc.interval, err, tc.ok)
+		}
 	}
 }

@@ -1,5 +1,5 @@
 // Adaptive: watch ACN follow a moving hot spot. The Vacation workload's hot
-// table cycles car → flight → room; after every shift the controller
+// table cycles car → flight → room; after every shift the hub
 // re-derives the Block sequence and the hot table's UnitBlock migrates
 // toward the commit point.
 package main
@@ -36,7 +36,8 @@ func main() {
 
 	rt := c.Runtime(1, qracn.RuntimeConfig{Seed: 7})
 	exec := qracn.NewExecutor(rt, an, qracn.Static(an))
-	ctrl := qracn.NewController(exec, qracn.ControllerConfig{Interval: time.Hour})
+	hub := qracn.NewHub(rt, qracn.HubConfig{})
+	hub.Register(exec, qracn.AlgoConfig{})
 
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
@@ -54,7 +55,7 @@ func main() {
 			}
 			n++
 		}
-		if err := ctrl.RefreshOnce(ctx); err != nil {
+		if err := hub.RefreshOnce(ctx); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("phase %d (hot table %-6s): %3d tx -> composition %s\n",

@@ -1,4 +1,4 @@
-// Observability: read the abort causes and controller decisions behind an
+// Observability: read the abort causes and recomposition decisions behind an
 // adaptive run, follow one transaction's distributed spans across client and
 // servers, persist the learned Block sequence, and warm-start a "restarted"
 // client from it.
@@ -42,11 +42,12 @@ func run(w io.Writer) error {
 
 	// A tracer on the runtime records one span tree per transaction
 	// (TraceSample 1); the runtime's forensics recorder attributes every
-	// abort and audits every recomposition the controller decides.
+	// abort and audits every recomposition the hub decides.
 	tracer := qracn.NewTracer(4096)
 	rt := c.Runtime(1, qracn.RuntimeConfig{Seed: 7, Tracer: tracer, TraceSample: 1})
 	exec := qracn.NewExecutor(rt, an, qracn.Static(an))
-	ctrl := qracn.NewController(exec, qracn.ControllerConfig{Interval: time.Hour})
+	hub := qracn.NewHub(rt, qracn.HubConfig{})
+	hub.Register(exec, qracn.AlgoConfig{})
 
 	ctx := context.Background()
 	params := func(i int) map[string]any {
@@ -64,7 +65,7 @@ func run(w io.Writer) error {
 		}
 		n++
 	}
-	if err := ctrl.RefreshOnce(ctx); err != nil {
+	if err := hub.RefreshOnce(ctx); err != nil {
 		return err
 	}
 

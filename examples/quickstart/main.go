@@ -50,7 +50,8 @@ func main() {
 	// 5. Execute under automatic closed nesting.
 	rt := c.Runtime(1, qracn.RuntimeConfig{Seed: 42})
 	exec := qracn.NewExecutor(rt, an, qracn.Static(an))
-	ctrl := qracn.NewController(exec, qracn.ControllerConfig{Interval: 200 * time.Millisecond})
+	hub := qracn.NewHub(rt, qracn.HubConfig{})
+	hub.Register(exec, qracn.AlgoConfig{})
 
 	ctx := context.Background()
 	params := map[string]any{"hot": "hot", "cold": "cold"}
@@ -68,7 +69,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if err := ctrl.RefreshOnce(ctx); err != nil {
+	if err := hub.RefreshOnce(ctx); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("adapted composition: %s\n", exec.Composition())

@@ -249,6 +249,8 @@ func TestExecutorConcurrentWithSwap(t *testing.T) {
 	}
 }
 
+// TestControllerAdaptsToHotBranches: a Hub of one executor, refreshed once,
+// moves the hot branch Blocks toward the commit point.
 func TestControllerAdaptsToHotBranches(t *testing.T) {
 	an := analyze(t)
 	// Drive the contention meters with a manual clock so window rotation is
@@ -266,7 +268,8 @@ func TestControllerAdaptsToHotBranches(t *testing.T) {
 
 	rt := c.Runtime(1, dtm.Config{Seed: 5})
 	exec := acn.NewExecutor(rt, an, acn.Static(an))
-	ctrl := acn.NewController(exec, acn.ControllerConfig{Interval: time.Hour})
+	hub := acn.NewHub(rt, acn.HubConfig{})
+	hub.Register(exec, acn.AlgoConfig{})
 
 	// Drive transfers: branches are always 0/1 (hot); accounts spread over
 	// 100 (cold).
@@ -283,11 +286,11 @@ func TestControllerAdaptsToHotBranches(t *testing.T) {
 	}
 	advance(window) // complete the window holding the second batch
 
-	if err := ctrl.RefreshOnce(ctx); err != nil {
+	if err := hub.RefreshOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if ctrl.Refreshes() != 1 {
-		t.Fatalf("refreshes = %d", ctrl.Refreshes())
+	if hub.Refreshes() != 1 {
+		t.Fatalf("refreshes = %d", hub.Refreshes())
 	}
 	comp := exec.Composition()
 
@@ -300,8 +303,8 @@ func TestControllerAdaptsToHotBranches(t *testing.T) {
 		}
 	}
 	if !(pos[0] > pos[2] && pos[0] > pos[3] && pos[1] > pos[2] && pos[1] > pos[3]) {
-		t.Fatalf("controller did not move hot branches toward commit: %s (levels: b0=%.1f b1=%.1f a=%.1f)",
-			comp, ctrl.Table().Level("branch/0"), ctrl.Table().Level("branch/1"), ctrl.Table().Level("account/0"))
+		t.Fatalf("hub did not move hot branches toward commit: %s (levels: b0=%.1f b1=%.1f a=%.1f)",
+			comp, hub.Table().Level("branch/0"), hub.Table().Level("branch/1"), hub.Table().Level("account/0"))
 	}
 
 	// And the adapted composition still runs correctly.
@@ -310,68 +313,8 @@ func TestControllerAdaptsToHotBranches(t *testing.T) {
 	}
 }
 
-func TestControllerStartStop(t *testing.T) {
-	an := analyze(t)
-	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: 20 * time.Millisecond})
-	defer c.Close()
-	seedBank(c, 2, 2, 1000)
-	rt := c.Runtime(1, dtm.Config{Seed: 3})
-	exec := acn.NewExecutor(rt, an, acn.Static(an))
-	ctrl := acn.NewController(exec, acn.ControllerConfig{Interval: 5 * time.Millisecond})
-
-	ctx := context.Background()
-	if err := exec.Execute(ctx, transferParams(0, 1, 0, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	ctrl.Start(ctx)
-	ctrl.Start(ctx) // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for ctrl.Refreshes() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("controller never refreshed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	ctrl.Stop()
-	ctrl.Stop() // idempotent
-	n := ctrl.Refreshes()
-	time.Sleep(30 * time.Millisecond)
-	if ctrl.Refreshes() != n {
-		t.Fatal("controller kept refreshing after Stop")
-	}
-}
-
-// TestControllerRestartsAfterItsContextEnds: a loop whose context ended has
-// exited, so a later Start runs a new one without a Stop in between. It used
-// to stay marked as started, and every later Start did nothing.
-func TestControllerRestartsAfterItsContextEnds(t *testing.T) {
-	an := analyze(t)
-	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: 20 * time.Millisecond})
-	defer c.Close()
-	seedBank(c, 2, 2, 1000)
-	rt := c.Runtime(1, dtm.Config{Seed: 3})
-	exec := acn.NewExecutor(rt, an, acn.Static(an))
-	ctrl := acn.NewController(exec, acn.ControllerConfig{Interval: 5 * time.Millisecond})
-	defer ctrl.Stop()
-	if err := exec.Execute(context.Background(), transferParams(0, 1, 0, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-
-	ended, cancel := context.WithCancel(context.Background())
-	cancel()
-	ctrl.Start(ended)
-	// The first loop exits on its own; until it has, Start is a no-op, so keep
-	// asking until a live loop refreshes.
-	deadline := time.Now().Add(2 * time.Second)
-	for ctrl.Refreshes() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("Start never ran a new loop after the first one's context ended")
-		}
-		ctrl.Start(context.Background())
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
+// TestControllerRefreshFailsWhenClusterDown: a Hub of one executor reports a
+// refresh whose stats query fails, and keeps the running composition.
 func TestControllerRefreshFailsWhenClusterDown(t *testing.T) {
 	an := analyze(t)
 	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour})
@@ -379,7 +322,8 @@ func TestControllerRefreshFailsWhenClusterDown(t *testing.T) {
 	seedBank(c, 2, 2, 100)
 	rt := c.Runtime(1, dtm.Config{Seed: 1, QuorumAttempts: 1, RequestTimeout: 50 * time.Millisecond})
 	exec := acn.NewExecutor(rt, an, acn.Static(an))
-	ctrl := acn.NewController(exec, acn.ControllerConfig{Interval: time.Hour})
+	hub := acn.NewHub(rt, acn.HubConfig{})
+	hub.Register(exec, acn.AlgoConfig{})
 
 	if err := exec.Execute(context.Background(), transferParams(0, 1, 0, 1, 1)); err != nil {
 		t.Fatal(err)
@@ -388,7 +332,7 @@ func TestControllerRefreshFailsWhenClusterDown(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Kill(quorum.NodeID(i))
 	}
-	if err := ctrl.RefreshOnce(context.Background()); err == nil {
+	if err := hub.RefreshOnce(context.Background()); err == nil {
 		t.Fatal("refresh succeeded against a dead cluster")
 	}
 	// A failed refresh must leave the running composition untouched.

@@ -17,8 +17,8 @@ import (
 // union of all their recently-touched objects — which is how the paper's
 // client works (one list of accessed objects per request, §V-C2), and which
 // lets contention observed through one profile inform another profile
-// touching the same objects. A Controller is a Hub of one executor with a
-// timer.
+// touching the same objects. The caller drives it: one RefreshOnce per
+// measurement interval (the paper runs the algorithm module every 10 s).
 type Hub struct {
 	rt        *dtm.Runtime
 	table     *contention.Table
@@ -80,12 +80,6 @@ func (h *Hub) Sink(levels map[store.ObjectID]float64) { h.table.ObserveAll(level
 // folded into the table, then every profile's Block sequence recomposed and
 // swapped.
 func (h *Hub) RefreshOnce(ctx context.Context) error {
-	return h.refresh(ctx, "manual")
-}
-
-// refresh is RefreshOnce with the forensic trigger label: "interval" for a
-// Controller's periodic loop, "manual" for explicit RefreshOnce calls.
-func (h *Hub) refresh(ctx context.Context, trigger string) error {
 	if err := h.observe(ctx); err != nil {
 		return err
 	}
@@ -94,7 +88,7 @@ func (h *Hub) refresh(ctx context.Context, trigger string) error {
 	algos := append([]*Algorithm(nil), h.algos...)
 	h.mu.Unlock()
 	for i, exec := range execs {
-		h.recompose(exec, algos[i], trigger)
+		h.recompose(exec, algos[i])
 	}
 	h.refreshes.Add(1)
 	return nil
@@ -119,7 +113,7 @@ func (h *Hub) observe(ctx context.Context) error {
 // contention is the mean smoothed level of the concrete objects it recently
 // accessed. Every decision leaves a forensic audit, whether it swaps the Block
 // sequence or reproduces it.
-func (h *Hub) recompose(exec *Executor, algo *Algorithm, trigger string) {
+func (h *Hub) recompose(exec *Executor, algo *Algorithm) {
 	comp, aud := algo.RecomposeAudited(func(anchor int) float64 {
 		return h.table.Mean(exec.AnchorSample(anchor))
 	})
@@ -133,7 +127,7 @@ func (h *Hub) recompose(exec *Executor, algo *Algorithm, trigger string) {
 	// nothing.
 	applied := before != comp.String()
 	exec.Runtime().Forensics().RecordRecompose(forensics.RecomposeEvent{
-		Trigger:  trigger,
+		Trigger:  "manual",
 		Before:   before,
 		After:    comp.String(),
 		Levels:   aud.Levels,

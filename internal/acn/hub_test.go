@@ -3,7 +3,6 @@ package acn_test
 import (
 	"context"
 	"math/rand"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -237,61 +236,44 @@ func newSingleReadProgram(name, obj string) *txir.Program {
 	return p
 }
 
-// TestHubAndControllerAuditAlike: the Hub and the Controller run one refresh
-// cycle, so the same decisions — the first swaps the Block sequence, the
-// second reproduces it and is skipped — must leave the same forensic audit
-// (trigger included) whichever of them took them. The Hub used to stamp
-// "interval" on a RefreshOnce call.
+// TestHubAndControllerAuditAlike: two refresh cycles — the first swaps the
+// Block sequence, the second reproduces it and is skipped — leave one audit
+// each, stamped "manual" (the Hub used to stamp "interval" on a RefreshOnce
+// call). The Controller this test once compared the audit with is gone:
+// RefreshOnce is the only refresh, so there is no second audit to match.
 func TestHubAndControllerAuditAlike(t *testing.T) {
-	run := func(t *testing.T, refresher func(*dtm.Runtime, *acn.Executor) func(context.Context) error) []forensics.RecomposeEvent {
-		an := analyze(t)
-		const window = 50 * time.Millisecond
-		start := time.Now()
-		var elapsed atomic.Int64
-		c := cluster.New(cluster.Config{
-			Servers:     10,
-			StatsWindow: window,
-			Now:         func() time.Time { return start.Add(time.Duration(elapsed.Load())) },
-		})
-		defer c.Close()
-		seedBank(c, 2, 100, 100000)
-		rt := c.Runtime(1, dtm.Config{Seed: 5})
-		exec := acn.NewExecutor(rt, an, acn.Static(an))
-		refresh := refresher(rt, exec)
+	an := analyze(t)
+	const window = 50 * time.Millisecond
+	start := time.Now()
+	var elapsed atomic.Int64
+	c := cluster.New(cluster.Config{
+		Servers:     10,
+		StatsWindow: window,
+		Now:         func() time.Time { return start.Add(time.Duration(elapsed.Load())) },
+	})
+	defer c.Close()
+	seedBank(c, 2, 100, 100000)
+	rt := c.Runtime(1, dtm.Config{Seed: 5})
+	exec := acn.NewExecutor(rt, an, acn.Static(an))
+	hub := acn.NewHub(rt, acn.HubConfig{})
+	hub.Register(exec, acn.AlgoConfig{})
 
-		ctx := context.Background()
-		for i := 0; i < 60; i++ {
-			if err := exec.Execute(ctx, transferParams(0, 1, i%100, (i+37)%100, 1)); err != nil {
-				t.Fatal(err)
-			}
+	ctx := context.Background()
+	for i := 0; i < 60; i++ {
+		if err := exec.Execute(ctx, transferParams(0, 1, i%100, (i+37)%100, 1)); err != nil {
+			t.Fatal(err)
 		}
-		elapsed.Add(int64(window))
-		for i := 0; i < 2; i++ {
-			if err := refresh(ctx); err != nil {
-				t.Fatal(err)
-			}
+	}
+	elapsed.Add(int64(window))
+	for i := 0; i < 2; i++ {
+		if err := hub.RefreshOnce(ctx); err != nil {
+			t.Fatal(err)
 		}
-		decisions := rt.Forensics().Recomposes()
-		for i := range decisions {
-			decisions[i].At = time.Time{}
-		}
-		return decisions
 	}
 
-	byController := run(t, func(_ *dtm.Runtime, exec *acn.Executor) func(context.Context) error {
-		return acn.NewController(exec, acn.ControllerConfig{Interval: time.Hour}).RefreshOnce
-	})
-	byHub := run(t, func(rt *dtm.Runtime, exec *acn.Executor) func(context.Context) error {
-		hub := acn.NewHub(rt, acn.HubConfig{})
-		hub.Register(exec, acn.AlgoConfig{})
-		return hub.RefreshOnce
-	})
-
+	byHub := rt.Forensics().Recomposes()
 	if len(byHub) != 2 || !byHub[0].Applied || byHub[1].Applied || byHub[0].Trigger != "manual" {
 		t.Fatalf("hub decisions = %+v, want one applied then one skipped, both by hand", byHub)
-	}
-	if !reflect.DeepEqual(byHub, byController) {
-		t.Fatalf("the same decisions were audited differently:\n hub        %+v\n controller %+v", byHub, byController)
 	}
 }
 
@@ -369,10 +351,10 @@ func TestHubDeliveryShardedComposition(t *testing.T) {
 }
 
 // TestHubConcurrentRegisterRefreshAndLoop drives the one adaptation path
-// from every side at once — a Controller's timer loop and its RefreshOnce, a
-// Hub gaining profiles while it refreshes, and transactions running through
-// Block sequences being swapped under them — for the race detector, and
-// checks that no transfer was lost.
+// from every side at once — a goroutine refreshing one Hub in a tight loop
+// while workers refresh it too, a second Hub gaining profiles while it
+// refreshes, and transactions running through Block sequences being swapped
+// under them — for the race detector, and checks that no transfer was lost.
 func TestHubConcurrentRegisterRefreshAndLoop(t *testing.T) {
 	an := analyze(t)
 	c := cluster.New(cluster.Config{Servers: 4, StatsWindow: 5 * time.Millisecond})
@@ -382,9 +364,16 @@ func TestHubConcurrentRegisterRefreshAndLoop(t *testing.T) {
 	ctx := context.Background()
 
 	first := acn.NewExecutor(rt, an, acn.Static(an))
-	ctrl := acn.NewController(first, acn.ControllerConfig{Interval: time.Millisecond})
-	ctrl.Start(ctx)
-	defer ctrl.Stop()
+	looping := acn.NewHub(rt, acn.HubConfig{})
+	looping.Register(first, acn.AlgoConfig{})
+	loopCtx, stopLoop := context.WithCancel(ctx)
+	loopDone := make(chan struct{})
+	go func() {
+		defer close(loopDone)
+		for loopCtx.Err() == nil {
+			_ = looping.RefreshOnce(loopCtx) // a cancelled refresh ends the loop
+		}
+	}()
 	hub := acn.NewHub(rt, acn.HubConfig{})
 
 	const workers, rounds = 3, 10
@@ -408,7 +397,7 @@ func TestHubConcurrentRegisterRefreshAndLoop(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := ctrl.RefreshOnce(ctx); err != nil {
+				if err := looping.RefreshOnce(ctx); err != nil {
 					errs <- err
 					return
 				}
@@ -416,6 +405,8 @@ func TestHubConcurrentRegisterRefreshAndLoop(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	stopLoop()
+	<-loopDone
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
@@ -423,8 +414,8 @@ func TestHubConcurrentRegisterRefreshAndLoop(t *testing.T) {
 	if got := hub.Refreshes(); got != workers*rounds {
 		t.Fatalf("hub refreshes = %d, want %d", got, workers*rounds)
 	}
-	if got := ctrl.Refreshes(); got < workers*rounds {
-		t.Fatalf("controller refreshes = %d, want at least the %d by hand", got, workers*rounds)
+	if got := looping.Refreshes(); got < workers*rounds {
+		t.Fatalf("looping hub refreshes = %d, want at least the %d by hand", got, workers*rounds)
 	}
 	if b, a := totalMoney(t, rt, 2, 8); b != 2000 || a != 8000 {
 		t.Fatalf("money not conserved under concurrent refreshes: %d/%d", b, a)

@@ -171,7 +171,8 @@ func TestTCPClusterACNWorkload(t *testing.T) {
 	}
 	rt := c.Runtime(1, dtm.Config{Seed: 4})
 	exec := acn.NewExecutor(rt, an, acn.Static(an))
-	ctrl := acn.NewController(exec, acn.ControllerConfig{Interval: time.Hour})
+	hub := acn.NewHub(rt, acn.HubConfig{})
+	hub.Register(exec, acn.AlgoConfig{})
 
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
@@ -184,11 +185,11 @@ func TestTCPClusterACNWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ctrl.RefreshOnce(ctx); err != nil {
+	if err := hub.RefreshOnce(ctx); err != nil {
 		t.Fatalf("stats fetch over TCP: %v", err)
 	}
 	if exec.Composition() == nil || exec.Composition().NumBlocks() == 0 {
-		t.Fatal("controller produced no composition")
+		t.Fatal("hub produced no composition")
 	}
 }
 

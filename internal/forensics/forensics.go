@@ -197,7 +197,8 @@ type Refusal struct {
 // saw, what it changed, and what it refused to change.
 type RecomposeEvent struct {
 	At time.Time `json:"at"`
-	// Trigger names the refresh source ("interval", "manual").
+	// Trigger names the refresh source: "manual", from the acn Hub's
+	// RefreshOnce, the only refresh there is (older documents say "interval").
 	Trigger string `json:"trigger"`
 	// Before/After are the composition signatures around the decision.
 	Before string `json:"before"`

@@ -13,7 +13,7 @@
 //   - deploy an in-process cluster (NewCluster) or connect to a TCP one,
 //   - execute transactions flat (QR-DTM), with a manual decomposition
 //     (QR-CN), or under automatic adaptive decomposition (QR-ACN) via
-//     NewExecutor + NewController, and
+//     NewExecutor + NewHub, and
 //   - reproduce the paper's evaluation through the harness (RunExperiment,
 //     Figures).
 //
@@ -124,17 +124,12 @@ type (
 // NewCluster deploys an in-process cluster.
 func NewCluster(cfg ClusterConfig) *Cluster { return cluster.New(cfg) }
 
-// ACN: compositions, executor engine, algorithm module, controller.
+// ACN: compositions, executor engine, algorithm module (the Hub is below).
 type (
 	// Composition is an executable Block sequence.
 	Composition = acn.Composition
 	// Executor runs a program through its current Block sequence.
 	Executor = acn.Executor
-	// Controller periodically recomposes one executor's Block sequence from
-	// measured contention: a Hub of that one executor with a timer.
-	Controller = acn.Controller
-	// ControllerConfig tunes the controller.
-	ControllerConfig = acn.ControllerConfig
 	// AlgoConfig tunes the three-step recomposition algorithm.
 	AlgoConfig = acn.AlgoConfig
 	// ContentionModel converts contention levels to abort probabilities.
@@ -153,11 +148,6 @@ func Manual(an *Analysis, groups [][]int) (*Composition, error) { return acn.Man
 // NewExecutor creates an executor engine over a runtime.
 func NewExecutor(rt *Runtime, an *Analysis, initial *Composition) *Executor {
 	return acn.NewExecutor(rt, an, initial)
-}
-
-// NewController creates the periodic recomposition controller.
-func NewController(exec *Executor, cfg ControllerConfig) *Controller {
-	return acn.NewController(exec, cfg)
 }
 
 // ValidateComposition checks a composition against a dependency model.
@@ -287,5 +277,6 @@ type Hub = acn.Hub
 type HubConfig = acn.HubConfig
 
 // NewHub creates a hub over a runtime; register each profile's executor
-// with Hub.Register and call Hub.RefreshOnce periodically.
+// with Hub.Register and call Hub.RefreshOnce once per measurement interval
+// (the paper: every 10 s).
 func NewHub(rt *Runtime, cfg HubConfig) *Hub { return acn.NewHub(rt, cfg) }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestFacadeEndToEnd exercises the public API the way the README's
-// quickstart does: cluster, program, analysis, executor, controller,
-// plain transactions.
+// quickstart does: cluster, program, analysis, executor, hub, plain
+// transactions.
 func TestFacadeEndToEnd(t *testing.T) {
 	c := qracn.NewCluster(qracn.ClusterConfig{
 		Servers:     10,
@@ -44,7 +44,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 	rt := c.Runtime(1, qracn.RuntimeConfig{Seed: 1})
 	exec := qracn.NewExecutor(rt, an, qracn.Static(an))
-	ctrl := qracn.NewController(exec, qracn.ControllerConfig{Interval: time.Hour})
+	hub := qracn.NewHub(rt, qracn.HubConfig{})
+	hub.Register(exec, qracn.AlgoConfig{})
 
 	ctx := context.Background()
 	params := map[string]any{"first": "a", "second": "b"}
@@ -53,7 +54,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ctrl.RefreshOnce(ctx); err != nil {
+	if err := hub.RefreshOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if err := exec.Execute(ctx, params); err != nil {
