@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 
+	"qracn/internal/quorum"
+	"qracn/internal/store"
 	"qracn/internal/wire"
 )
 
@@ -27,5 +29,26 @@ func TestFailoverRuleSkipsMembersNotAsked(t *testing.T) {
 	}
 	if yesVotes, no := tallyVotes(results); yesVotes != 1 || len(no.busy)+len(no.invalid) != 0 {
 		t.Fatalf("tally of one yes, one not asked, one failed: %d yes, refusal %+v", yesVotes, no)
+	}
+}
+
+// TestTallyVotesNamesEachRefusedKeyOnce: a parallel prepare round that every
+// member refuses on the same key names that key once, stale or protected, so
+// whatever acts on the refusal acts on each object once.
+func TestTallyVotesNamesEachRefusedKeyOnce(t *testing.T) {
+	for _, busy := range []bool{false, true} {
+		var results []callResult
+		for n := 0; n < 7; n++ {
+			p := &wire.PrepareResponse{Invalid: []store.ObjectID{"k"}}
+			if busy {
+				p = &wire.PrepareResponse{Busy: []store.ObjectID{"k"}}
+			}
+			results = append(results, callResult{node: quorum.NodeID(n), resp: &wire.Response{Status: wire.StatusOK, Prepare: p}})
+		}
+		yes, no := tallyVotes(results)
+		ae := no.abort("commit", false)
+		if yes != 0 || ae == nil || len(ae.Invalid) != 1 || ae.Busy != busy {
+			t.Fatalf("busy=%v: %d yes, abort %+v; want none, and one key named", busy, yes, ae)
+		}
 	}
 }

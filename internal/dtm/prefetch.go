@@ -40,12 +40,10 @@ import (
 // Like a plain read, every quorum member is asked for the value.
 //
 // It dedupes and filters the requested IDs, then runs one batched quorum
-// round: one concurrent fan-out over a read quorum of every owning quorum
-// group (a single group when unsharded). A group whose quorum answered in full
-// is merged at once; a group that lost a member is asked again, alone, against
-// a re-selected quorum. The call is timed into the PrefetchBatch stage and,
-// when the transaction is sampled, is a "prefetch" span whose ID rides on the
-// batch requests and their sub-reads so server spans nest under it.
+// round (readRound) into the buffer. The call is timed into the PrefetchBatch
+// stage and, when the transaction is sampled, is a "prefetch" span whose ID
+// rides on the batch requests and their sub-reads so server spans nest under
+// it.
 func (tx *Tx) Prefetch(ids ...store.ObjectID) (err error) {
 	rt := tx.rt
 	sp := rt.beginSpan(tx.traceID, tx.span, &rt.stages.PrefetchBatch, "prefetch", -1)
@@ -67,12 +65,47 @@ func (tx *Tx) Prefetch(ids ...store.ObjectID) (err error) {
 	if len(need) == 0 {
 		return nil
 	}
+	top := tx.top()
+	if top.ahead == nil {
+		top.ahead = make(map[store.ObjectID]readEntry, len(need))
+	}
+	parked, err := tx.readRound(need, sp.ID, "prefetch quorum", top.ahead)
+	rt.metrics.PrefetchedObjects.Add(uint64(parked))
+	return err
+}
+
+// refetch reads, in one batched round, the versions of objects the
+// transaction wrote blind and a prepare found present: their entries stop
+// being blind and carry what the round saw. An object busy on every member
+// asked aborts the transaction as a lock conflict. Its requests parent to the
+// commit span, as the prepares around it do.
+func (tx *Tx) refetch(ids []store.ObjectID) error {
+	if _, err := tx.readRound(ids, tx.span, "blind refetch quorum", tx.reads); err != nil {
+		return err
+	}
+	for _, id := range ids {
+		if tx.reads[id].blind {
+			return tx.busyAbort(id, "", "blind write's object busy on its re-read")
+		}
+	}
+	return nil
+}
+
+// readRound performs the first-access quorum read of need in one batched
+// round and enters each object a member answered for into dst; an object
+// busy everywhere is left out. The round is one concurrent fan-out over a
+// read quorum of every owning quorum group (a single group when unsharded). A
+// group whose quorum answered in full is merged at once; a group that lost a
+// member is asked again, alone, against a re-selected quorum. op names the
+// operation in a budget error. It reports how many objects it entered.
+func (tx *Tx) readRound(need []store.ObjectID, spanID uint64, op string, dst map[store.ObjectID]readEntry) (int, error) {
+	rt := tx.rt
 	pending := []shard.Part{{IDs: need}}
 	if rt.cfg.Shards != nil {
 		pending = rt.cfg.Shards.Partition(need)
 	}
-
-	fo := rt.failover(tx.ctx, tx, tx.seed, wire.KindBatch, "prefetch quorum")
+	entered := 0
+	fo := rt.failover(tx.ctx, tx, tx.seed, wire.KindBatch, op)
 	for fo.next() {
 		// Part i's quorum members are nodes[bounds[i-1].end:bounds[i].end].
 		var nodes []quorum.NodeID
@@ -80,10 +113,10 @@ func (tx *Tx) Prefetch(ids ...store.ObjectID) (err error) {
 		for i, p := range pending {
 			q, err := fo.readQuorum(p.Group)
 			if err != nil {
-				return err
+				return entered, err
 			}
 			nodes = append(nodes, q...)
-			legs[i] = leg{tx.batchRead(p, sp.ID), len(nodes)}
+			legs[i] = leg{tx.batchRead(p, spanID), len(nodes)}
 		}
 		rt.metrics.RemoteReads.Add(1)
 		rt.metrics.BatchReads.Add(1)
@@ -96,16 +129,20 @@ func (tx *Tx) Prefetch(ids ...store.ObjectID) (err error) {
 			start = legs[i].end
 			if fo.failed(part) {
 				failed = append(failed, p)
-			} else if err := tx.mergePrefetch(p.IDs, part); err != nil {
-				return err
+				continue
+			}
+			n, err := tx.mergeRound(p.IDs, part, dst)
+			entered += n
+			if err != nil {
+				return entered, err
 			}
 		}
 		if len(failed) == 0 {
-			return nil
+			return entered, nil
 		}
 		pending = failed // re-select those groups' quorums without the failed members
 	}
-	return fo.err()
+	return entered, fo.err()
 }
 
 // batchRead builds the batched first-access request for one quorum group's
@@ -126,14 +163,14 @@ func (tx *Tx) batchRead(p shard.Part, spanID uint64) *wire.Request {
 	return batch
 }
 
-// mergePrefetch folds one quorum group's batch responses into the read-ahead
-// buffer, object by object exactly as a plain read of each would be folded.
-// Only the first sub-request carried a validation list, so whatever the round
-// invalidated is acted on before the first object is parked.
-func (tx *Tx) mergePrefetch(need []store.ObjectID, results []callResult) error {
+// mergeRound folds one quorum group's batch responses into dst, object by
+// object exactly as a plain read of each would be folded, and reports how many
+// objects it entered. Only the first sub-request carried a validation list,
+// so whatever the round invalidated is acted on before the first object is
+// entered.
+func (tx *Tx) mergeRound(need []store.ObjectID, results []callResult, dst map[store.ObjectID]readEntry) (int, error) {
 	rt := tx.rt
-	top := tx.top()
-	parked := 0
+	entered := 0
 	// replies reshapes one object's sub-responses into one callResult per
 	// member, the shape a plain read's replies have.
 	replies := make([]callResult, 0, len(results))
@@ -145,21 +182,17 @@ func (tx *Tx) mergePrefetch(need []store.ObjectID, results []callResult) error {
 			}
 		}
 		t := rt.tallyRead(replies)
-		if ae := tx.abortFor(t.invalid, "incremental validation on prefetch"); ae != nil {
-			return ae
+		if ae := tx.abortFor(t.invalid, "incremental validation on batched read"); ae != nil {
+			return entered, ae
 		}
 		if t.answers == 0 {
 			// Busy everywhere (a commit is in flight) or malformed replies:
-			// leave the object to the Block body's own Read, which owns the
-			// busy/backoff protocol.
+			// leave the object to whoever owns the busy/backoff protocol —
+			// a read-ahead's Block body's own Read.
 			continue
 		}
-		if top.ahead == nil {
-			top.ahead = make(map[store.ObjectID]readEntry, len(need))
-		}
-		top.ahead[id] = rt.settle(replies, t.best)
-		parked++
+		dst[id] = rt.settle(replies, t.best)
+		entered++
 	}
-	rt.metrics.PrefetchedObjects.Add(uint64(parked))
-	return nil
+	return entered, nil
 }

@@ -62,8 +62,8 @@ const (
 )
 
 // noteShards attributes one top-level outcome to every shard the context's
-// read set touches (writes always follow a first-access read, so the read
-// set covers both). Aborts raised before the first merged read go
+// read set touches (every write has a first-access entry there, a blind one
+// when nothing read the object, so the read set covers both). Aborts raised before the first merged read go
 // unattributed — the breakdown is a profile, not an invariant.
 func (rt *Runtime) noteShards(tx *Tx, outcome shardOutcome) {
 	if rt.shardStats == nil {
@@ -155,8 +155,9 @@ func partitionCommit(m *shard.Map, reads []store.ReadDesc, writes []store.WriteD
 		p := &byShard[m.ShardFor(id)]
 		p.release = append(p.release, id)
 	}
-	// Every written and every released object was read first, so the touched
-	// shards are the ones with reads.
+	// Every written and every released object has a first-access entry
+	// (blind when nothing read it), so the touched shards are the ones with
+	// reads.
 	out := byShard[:0]
 	for s, p := range byShard {
 		if len(p.reads) > 0 {

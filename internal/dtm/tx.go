@@ -81,7 +81,7 @@ type Tx struct {
 
 	// ahead (top level only) is the read-ahead buffer: what Prefetch fetched
 	// and no context has touched yet. An entry belongs to no Block until a
-	// Read or Write moves it into that context's read set (firstAccess);
+	// Read or Write moves it into that context's read set (takeAhead);
 	// until then it rides in every incremental-validation list and is
 	// dropped, not aborted on, when reported stale (abortFor). Allocated by
 	// the first Prefetch.
@@ -92,11 +92,14 @@ type Tx struct {
 // buffer: the value and version a read quorum reported for the object, and
 // the members of that quorum that answered with less (nil when none did) —
 // noted here, repaired by repairReads once the transaction's outcome says the
-// push is worth sending.
+// push is worth sending. A blind entry is a write's first access that read
+// nothing (Write): ver is the assumed 0, "absent", and only the prepare
+// checks it.
 type readEntry struct {
 	val   store.Value
 	ver   uint64
 	stale []quorum.NodeID
+	blind bool
 }
 
 // ID returns the transaction identifier (unique per top-level attempt).
@@ -182,14 +185,15 @@ func (tx *Tx) Holds(id store.ObjectID) bool {
 // restricted to the objects g owns (everything when unsharded). A group's
 // members store only their own shard's objects, so foreign entries can
 // neither validate nor invalidate there — sending them only wastes bytes.
-// Commit-time prepares still validate every read in its owning group.
+// Blind entries are left out: nothing observed them. Commit-time prepares
+// still validate every read, blind ones included, in its owning group.
 func (tx *Tx) validationListFor(g *shard.Group) []store.ReadDesc {
 	m := tx.rt.cfg.Shards
 	var out []store.ReadDesc
 	for c := tx; c != nil; c = c.parent {
 		for _, id := range c.readOrder {
-			if m == nil || g == nil || m.GroupOf(id) == g {
-				out = append(out, store.ReadDesc{ID: id, Version: c.reads[id].ver})
+			if e := c.reads[id]; !e.blind && (m == nil || g == nil || m.GroupOf(id) == g) {
+				out = append(out, store.ReadDesc{ID: id, Version: e.ver})
 			}
 		}
 	}
@@ -270,14 +274,17 @@ func (tx *Tx) Read(id store.ObjectID) (store.Value, error) {
 	return v.CloneValue(), nil
 }
 
-// Write buffers a new value for the object in the current context. Per
-// QR-CN, the first access of an object — even a write — fetches it remotely
-// so the transaction learns its current version.
+// Write buffers a new value for the object in the current context. A write
+// that is the object's first access observes nothing, so nothing is fetched:
+// a read-ahead entry moves into this context's read set as on a Read, and
+// any other object gets a blind entry at version 0 ("assumed absent"). The
+// prepare checks what the write assumed, and commitWrites reads it and
+// prepares once more when that was all the prepare refused.
 func (tx *Tx) Write(id store.ObjectID, v store.Value) error {
 	if _, ok := tx.lookupWrite(id); !ok {
 		if _, ok := tx.lookupRead(id); !ok {
-			if _, err := tx.firstAccess(id); err != nil {
-				return err
+			if _, ok := tx.takeAhead(id); !ok {
+				tx.recordRead(id, readEntry{blind: true})
 			}
 		}
 	}
@@ -290,17 +297,26 @@ func (tx *Tx) Write(id store.ObjectID, v store.Value) error {
 
 // firstAccess makes the current context the object's first accessor and
 // returns the value now in its read set (not a copy): a read-ahead entry
-// moves from the buffer into this context's read set, exactly as if this
-// context had just read it remotely; anything else is read remotely.
+// moves there (takeAhead); anything else is read remotely.
 func (tx *Tx) firstAccess(id store.ObjectID) (store.Value, error) {
+	if v, ok := tx.takeAhead(id); ok {
+		return v, nil
+	}
+	return tx.remoteRead(id)
+}
+
+// takeAhead moves the object's read-ahead entry, if there is one, from the
+// buffer into the current context's read set, exactly as if this context had
+// just read it remotely, and returns its value.
+func (tx *Tx) takeAhead(id store.ObjectID) (store.Value, bool) {
 	ahead := tx.top().ahead
 	e, ok := ahead[id]
 	if !ok {
-		return tx.remoteRead(id)
+		return nil, false
 	}
 	delete(ahead, id)
 	tx.recordRead(id, e)
-	return e.val, nil
+	return e.val, true
 }
 
 // recordRead enters a first access into the current context's read set.
@@ -384,11 +400,7 @@ func (rt *Runtime) tallyRead(replies []callResult) readTally {
 	for _, r := range replies {
 		read := r.resp.Read
 		if read != nil {
-			for _, inv := range read.Invalid { // most reads report none, the rest a handful
-				if !slices.Contains(t.invalid, inv) {
-					t.invalid = append(t.invalid, inv)
-				}
-			}
+			t.invalid = appendNew(t.invalid, read.Invalid)
 		}
 		switch r.resp.Status {
 		case wire.StatusOK:
@@ -409,6 +421,17 @@ func (rt *Runtime) tallyRead(replies []callResult) readTally {
 		}
 	}
 	return t
+}
+
+// appendNew appends the ids dst does not name yet. Replies name none or a
+// handful, so a scan beats a set.
+func appendNew(dst, ids []store.ObjectID) []store.ObjectID {
+	for _, id := range ids {
+		if !slices.Contains(dst, id) {
+			dst = append(dst, id)
+		}
+	}
+	return dst
 }
 
 // settle turns the winning reply into the object's first-access entry.
@@ -549,28 +572,52 @@ func (tx *Tx) merge(child *Tx) {
 }
 
 // commit finalizes a top-level transaction: two-phase commit against a write
-// quorum of every quorum group it touched, or — for a read-only transaction —
-// one validation round against read quorums and no 2PC. There is one part per
-// touched group, each naming only what that group owns; an unsharded cluster
-// is one part over the whole-cluster tree. It is timed into the Commit stage
-// and, when the transaction is sampled, is a "commit" span the 2PC requests
-// parent to.
+// quorum of every quorum group it touched (commitWrites), or — for a
+// read-only transaction — one validation round against read quorums and no
+// 2PC. It is timed into the Commit stage and, when the transaction is
+// sampled, is a "commit" span the 2PC requests parent to.
 func (rt *Runtime) commit(ctx context.Context, tx *Tx) (err error) {
 	sp := rt.beginSpan(tx.traceID, tx.span, &rt.stages.Commit, "commit", -1)
 	tx.span = sp.ID
 	defer func() { sp.end(err, "committed") }()
 	if len(tx.readOrder) == 0 {
-		return nil // every write follows a first-access read: nothing was touched
+		return nil // every write has a first-access entry: nothing was touched
 	}
+	var one [1]commitPart
+	parts := tx.commitParts(&one)
+	if len(tx.writes) == 0 {
+		err = rt.commitReadOnly(ctx, tx, parts)
+	} else {
+		err = rt.commitWrites(ctx, tx, parts)
+		switch _, aborted := AsAbort(err); {
+		case len(parts) > 1 && err == nil:
+			rt.metrics.CrossShardCommits.Add(1)
+		case len(parts) > 1 && aborted:
+			rt.metrics.CrossShardAborts.Add(1)
+		case rt.cfg.Shards != nil && err == nil:
+			rt.metrics.SingleShardCommits.Add(1)
+		}
+	}
+	if err == nil {
+		rt.repairReads(tx)
+	}
+	return err
+}
+
+// commitParts lays out the top-level transaction's commit: every first access
+// is validated at the version it saw or assumed, every write installs that
+// version + 1, and — when it wrote anything — protections are taken on the
+// whole read set. There is one part per touched quorum group, each naming
+// only what that group owns; an unsharded cluster is one part over the
+// whole-cluster tree, laid out in one so that it can live on the caller's
+// stack.
+func (tx *Tx) commitParts(one *[1]commitPart) []commitPart {
 	reads := make([]store.ReadDesc, 0, len(tx.readOrder))
-	stale := false // some read met a member behind the quorum maximum
 	for _, id := range tx.readOrder {
-		e := tx.reads[id]
-		reads = append(reads, store.ReadDesc{ID: id, Version: e.ver})
-		stale = stale || e.stale != nil
+		reads = append(reads, store.ReadDesc{ID: id, Version: tx.reads[id].ver})
 	}
 	var writes []store.WriteDesc
-	var release []store.ObjectID // protections are taken on the whole read set
+	var release []store.ObjectID
 	if len(tx.writes) > 0 {
 		release = tx.readOrder
 		writes = make([]store.WriteDesc, 0, len(tx.writes))
@@ -585,45 +632,65 @@ func (rt *Runtime) commit(ctx context.Context, tx *Tx) (err error) {
 			}
 		}
 	}
-	parts := []commitPart{{reads: reads, writes: writes, release: release}}
-	if rt.cfg.Shards != nil {
-		parts = partitionCommit(rt.cfg.Shards, reads, writes, release)
+	if m := tx.rt.cfg.Shards; m != nil {
+		return partitionCommit(m, reads, writes, release)
 	}
-	if len(writes) == 0 {
-		err = rt.commitReadOnly(ctx, tx, parts)
-	} else {
-		err = rt.commitParts(ctx, tx, parts)
-		switch _, aborted := AsAbort(err); {
-		case len(parts) > 1 && err == nil:
-			rt.metrics.CrossShardCommits.Add(1)
-		case len(parts) > 1 && aborted:
-			rt.metrics.CrossShardAborts.Add(1)
-		case rt.cfg.Shards != nil && err == nil:
-			rt.metrics.SingleShardCommits.Add(1)
-		}
+	one[0] = commitPart{reads: reads, writes: writes, release: release}
+	return one[:]
+}
+
+// commitWrites is a read-write transaction's commit: one 2PC and, when its
+// prepare was refused only because objects written blind (Write) are not
+// absent after all, one more. Those objects' versions are read in one round
+// and the commit is laid out again on them, so each write installs its
+// object's version + 1, and prepared under a fresh round ID (a refused
+// round's ID is spent, DESIGN §11). Anything else the first prepare refused,
+// and any refusal of the second, aborts the transaction as usual; the first
+// refusal itself is no abort.
+func (rt *Runtime) commitWrites(ctx context.Context, tx *Tx, parts []commitPart) error {
+	no, err := rt.prepareParts(ctx, tx, tx.id, parts)
+	if err == nil || !tx.onlyBlind(no) {
+		return err
 	}
-	if err == nil && stale {
-		rt.repairReads(tx)
+	if err := tx.refetch(no.invalid); err != nil {
+		return err
 	}
+	var one [1]commitPart
+	_, err = rt.prepareParts(ctx, tx, tx.id+"-b", tx.commitParts(&one))
 	return err
 }
 
-// commitParts is the 2PC. Each part's prepare names only its own group's
-// reads and writes and goes to a write quorum of that group, but the durable
-// Quorum membership on every prepare is the UNION of all parts' write-quorum
-// members: after a coordinator crash, cooperative termination then
-// interrogates cross-group participants too, so a commit delivered to any one
-// group proves the outcome to the others — no group can TTL-abort a
-// transaction a sibling group already committed. The transaction commits iff
-// every member of every part votes yes; decisions then go out per part,
-// carrying only that part's writes and release set. A single part — an
-// unsharded cluster, or one shard — is the same protocol at its smallest:
-// the selected quorum is the recorded membership, one request serves every
-// member, and the decision is delivered on the caller's goroutine. The
-// prepares of a round leave all at once or, while this runtime's rounds are
-// being refused, each part's root first (prepareorder.go); the votes, the
-// records and the decision are the same either way.
-func (rt *Runtime) commitParts(ctx context.Context, tx *Tx, parts []commitPart) error {
+// onlyBlind reports whether a refused prepare named stale objects and nothing
+// else, every one of them written blind.
+func (tx *Tx) onlyBlind(no refusal) bool {
+	if len(no.invalid) == 0 || len(no.busy) > 0 {
+		return false
+	}
+	for _, id := range no.invalid {
+		if !tx.reads[id].blind {
+			return false
+		}
+	}
+	return true
+}
+
+// prepareParts is the 2PC of one commit layout, under round ID base. Each
+// part's prepare names only its own group's reads and writes and goes to a
+// write quorum of that group, but the durable Quorum membership on every
+// prepare is the UNION of all parts' write-quorum members: after a coordinator
+// crash, cooperative termination then interrogates cross-group participants
+// too, so a commit delivered to any one group proves the outcome to the others
+// — no group can TTL-abort a transaction a sibling group already committed.
+// The transaction commits iff every member of every part votes yes; decisions
+// then go out per part, carrying only that part's writes and release set. A
+// single part — an unsharded cluster, or one shard — is the same protocol at
+// its smallest: the selected quorum is the recorded membership, one request
+// serves every member, and the decision is delivered on the caller's
+// goroutine. The prepares of a round leave all at once or, while this
+// runtime's rounds are being refused, each part's root first
+// (prepareorder.go); the votes, the records and the decision are the same
+// either way. A refused round's refusal is returned with its abort.
+func (rt *Runtime) prepareParts(ctx context.Context, tx *Tx, base string, parts []commitPart) (refusal, error) {
 	fo := rt.failover(ctx, tx, tx.seed, wire.KindPrepare, "write quorum")
 	for fo.next() {
 		// One write quorum per part; any group short of a quorum fails the
@@ -634,7 +701,7 @@ func (rt *Runtime) commitParts(ctx context.Context, tx *Tx, parts []commitPart) 
 		for i := range parts {
 			wq, err := fo.writeQuorum(parts[i].group)
 			if err != nil {
-				return err
+				return refusal{}, err
 			}
 			parts[i].quorum = wq
 			if len(parts) == 1 {
@@ -648,9 +715,9 @@ func (rt *Runtime) commitParts(ctx context.Context, tx *Tx, parts []commitPart) 
 		// unique transaction ID: participants durably promise or terminate
 		// per ID, so a round the coordinator abort-released must not share
 		// an ID with the failover round that follows it.
-		txid := tx.id
+		txid := base
 		if fo.attempt > 0 {
-			txid = fmt.Sprintf("%s-q%d", tx.id, fo.attempt)
+			txid = fmt.Sprintf("%s-q%d", base, fo.attempt)
 		}
 		// Fresh requests per round (never mutated after the fan-out): a
 		// timed-out call from the previous round may still be serializing
@@ -677,17 +744,17 @@ func (rt *Runtime) commitParts(ctx context.Context, tx *Tx, parts []commitPart) 
 		rt.order.note(len(no.invalid)+len(no.busy) > 0)
 		if yes == len(nodes) {
 			rt.decideParts(ctx, tx, txid, true, parts, results)
-			return nil
+			return refusal{}, nil
 		}
 		// Some participant said no or vanished: abort-release wherever a yes
 		// vote left protections behind.
 		rt.metrics.PrepareFails.Add(1)
 		rt.decideParts(ctx, tx, txid, false, parts, results)
 		if ae := no.abort("commit", failed); ae != nil {
-			return ae
+			return no, ae
 		}
 	}
-	return fo.err()
+	return refusal{}, fo.err()
 }
 
 // commitReadOnly validates a transaction that wrote nothing: each part's
@@ -732,9 +799,9 @@ type refusal struct {
 	conflictTx    string // the first refusing member's conflict witness
 }
 
-// tallyVotes counts a prepare round's yes votes and collects its refusals;
-// members that failed the round (failover.failed) or were not asked are
-// neither.
+// tallyVotes counts a prepare round's yes votes and collects its refusals,
+// naming each refused object once however many members refused it; members
+// that failed the round (failover.failed) or were not asked are neither.
 func tallyVotes(results []callResult) (yes int, no refusal) {
 	for _, r := range results {
 		switch {
@@ -742,8 +809,8 @@ func tallyVotes(results []callResult) (yes int, no refusal) {
 		case r.resp.Prepare.Vote:
 			yes++
 		default:
-			no.invalid = append(no.invalid, r.resp.Prepare.Invalid...)
-			no.busy = append(no.busy, r.resp.Prepare.Busy...)
+			no.invalid = appendNew(no.invalid, r.resp.Prepare.Invalid)
+			no.busy = appendNew(no.busy, r.resp.Prepare.Busy)
 			if no.conflictTx == "" {
 				no.conflictTx = r.resp.ConflictTx
 			}
