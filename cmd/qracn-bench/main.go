@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"time"
 
+	"qracn/cmd/internal/flags"
 	"qracn/internal/harness"
 )
 
@@ -43,24 +44,15 @@ func main() {
 	flag.IntVar(&base.Servers, "servers", 10, "quorum nodes (paper: 10)")
 	flag.Int64Var(&base.Seed, "seed", 1, "base random seed")
 	flag.BoolVar(&base.DisablePrefetch, "no-prefetch", false, "disable the batched first-access read prefetch (A/B the RPC pipeline)")
-	flag.BoolVar(&base.Client.NoRepair, "no-repair", false, "disable asynchronous read-repair of stale quorum members (A/B fault recovery)")
-	flag.DurationVar(&base.Client.DecideTimeout, "decide-timeout", 0, "per-client budget for delivering a 2PC decision after a yes-vote quorum (0: 10s default)")
 	flag.DurationVar(&base.Node.ResolveAfter, "resolve-after", 0, "run the nodes' cooperative termination loop with this in-doubt deadline (0: off)")
 	flag.StringVar(&base.WALDir, "wal-dir", "", "base directory for per-run commit logs (default: system temp)")
 	flag.DurationVar(&base.FsyncInterval, "fsync-interval", 0, "linger bound of unforced log records (0: 10ms default)")
-	flag.IntVar(&base.Node.SnapshotEvery, "snapshot-every", 0, "checkpoint the store once N records, or the last snapshot's size if larger, are logged since the last one (0: default; negative: never)")
 	flag.IntVar(&base.TraceCapacity, "trace-capacity", 0, "span ring size per node and client; >0 turns tracing on")
-	flag.IntVar(&base.Client.TraceSample, "trace-sample", 1, "with tracing on, record spans for 1-in-N transactions (0/1: all, negative: none)")
 	flag.IntVar(&base.Shards, "shards", 0, "partition the keyspace across this many independent quorum groups (0/1: one cluster-wide tree)")
-
-	flag.IntVar(&base.Node.MaxInflight, "max-inflight", 0, "admission control on every node: max concurrently executing gated requests (0: gate off)")
-	flag.IntVar(&base.Node.QueueDepth, "queue-depth", 0, "admission wait-queue depth before requests are shed with StatusOverloaded (0: 4x -max-inflight)")
-	flag.DurationVar(&base.Client.TxDeadline, "tx-deadline", 0, "end-to-end deadline per transaction, propagated so servers refuse expired work (0: none)")
-	flag.IntVar(&base.Client.RetryBudget, "retry-budget", 0, "retries per transaction attempt shared across failover, busy, and overload backoff (0: dtm default; negative: unlimited)")
-	flag.DurationVar(&base.Client.HedgeAfter, "hedge-after", 0, "hedge quorum reads to one spare replica after this delay (0: off; negative: auto from observed p99)")
-
-	flag.IntVar(&base.Node.ForensicsRing, "forensics-ring", 0, "abort-forensics event ring capacity per node and client (0: 4096 default)")
-	flag.BoolVar(&base.Node.NoForensics, "no-forensics", false, "disable abort forensics entirely (conflict attribution rings and witnesses)")
+	flags.Client(flag.CommandLine, &base.Client)
+	flags.Node(flag.CommandLine, &base.Node)
+	// Clients inherit the nodes' forensics settings (cluster.Config.Node).
+	flags.Forensics(flag.CommandLine, &base.Node.ForensicsRing, &base.Node.NoForensics)
 	flag.Parse()
 	if *jsonFile != "" {
 		*jsonOut = true
@@ -68,6 +60,10 @@ func main() {
 	base.Durable = !*noWAL
 
 	modes, err := parseModes(*modesArg)
+	var counts []int
+	if err == nil {
+		counts, err = checkArgs(*repeat, *sweep, *jsonFile, *ablation)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -98,12 +94,7 @@ func main() {
 			fmt.Println()
 			continue
 		}
-		if *sweep != "" {
-			counts, err := parseInts(*sweep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
+		if counts != nil {
 			sr, err := harness.SweepClients(ctx, f.Options(base), modes, counts)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "figure %s sweep: %v\n", f.ID, err)
@@ -144,22 +135,15 @@ func main() {
 		fmt.Println()
 	}
 	if *jsonFile != "" {
-		var blob []byte
-		switch len(jsonDocs) {
-		case 0:
-			fmt.Fprintln(os.Stderr, "no JSON results produced; nothing written")
-			os.Exit(1)
-		case 1:
-			blob = append([]byte(nil), jsonDocs[0]...)
-		default:
-			var err error
-			if blob, err = json.MarshalIndent(jsonDocs, "", "  "); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		var doc any = jsonDocs
+		if len(jsonDocs) == 1 {
+			doc = jsonDocs[0]
 		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(*jsonFile, blob, 0o644); err != nil {
+		blob, err := json.MarshalIndent(doc, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*jsonFile, append(blob, '\n'), 0o644)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -204,24 +188,34 @@ func runAblation(ctx context.Context, f harness.Figure, base harness.Options) er
 	return nil
 }
 
+// checkArgs refuses, before the first run, the arguments no run can honour:
+// a -repeat below 1, a -sweep without positive integer counts, and -json-out
+// with -sweep or -ablation, which print no JSON. It returns the sweep's
+// client counts (nil: no sweep).
+func checkArgs(repeat int, sweep, jsonFile string, ablation bool) ([]int, error) {
+	if repeat < 1 {
+		return nil, fmt.Errorf("-repeat %d: want at least one run", repeat)
+	}
+	if jsonFile != "" && (sweep != "" || ablation) {
+		return nil, fmt.Errorf("-json-out %s: -sweep and -ablation print tables, not JSON", jsonFile)
+	}
+	if sweep == "" {
+		return nil, nil
+	}
+	return parseInts(sweep)
+}
+
 func parseModes(arg string) ([]harness.Mode, error) {
 	if arg == "all" {
 		return harness.AllModes, nil
 	}
 	var modes []harness.Mode
 	for _, tok := range splitComma(arg) {
-		switch tok {
-		case "dtm":
-			modes = append(modes, harness.ModeQRDTM)
-		case "cn":
-			modes = append(modes, harness.ModeQRCN)
-		case "acn":
-			modes = append(modes, harness.ModeQRACN)
-		case "cp":
-			modes = append(modes, harness.ModeQRCP)
-		default:
-			return nil, fmt.Errorf("unknown mode %q (use dtm, cn, acn, cp)", tok)
+		m, err := harness.ParseMode(tok)
+		if err != nil {
+			return nil, err
 		}
+		modes = append(modes, m)
 	}
 	return modes, nil
 }
@@ -234,6 +228,9 @@ func parseInts(s string) ([]int, error) {
 			return nil, fmt.Errorf("invalid count %q", tok)
 		}
 		out = append(out, n)
+	}
+	if out == nil {
+		return nil, fmt.Errorf("no count in %q", s)
 	}
 	return out, nil
 }
@@ -255,9 +252,6 @@ func splitComma(s string) []string {
 // runAveraged repeats the experiment with shifted seeds and averages the
 // per-interval throughput, as the paper does over four runs.
 func runAveraged(ctx context.Context, f harness.Figure, base harness.Options, modes []harness.Mode, repeat int) (*harness.Result, error) {
-	if repeat < 1 {
-		repeat = 1
-	}
 	var acc *harness.Result
 	for r := 0; r < repeat; r++ {
 		opts := f.Options(base)

@@ -40,6 +40,35 @@ func TestParseInts(t *testing.T) {
 	}
 }
 
+// TestCheckArgs: the arguments that used to fail or be ignored only after
+// the runs are refused before the first one.
+func TestCheckArgs(t *testing.T) {
+	for _, tc := range []struct {
+		repeat          int
+		sweep, jsonFile string
+		ablation        bool
+		counts          []int
+		ok              bool
+	}{
+		{1, "", "", false, nil, true},
+		{4, "2,4", "", false, []int{2, 4}, true},
+		{1, "", "out.json", false, nil, true},
+		{1, "", "", true, nil, true},
+		{0, "", "", false, nil, false},
+		{-3, "", "", false, nil, false},
+		{1, "2,x", "", false, nil, false},
+		{1, ",", "", false, nil, false},
+		{1, "2", "out.json", false, nil, false},
+		{1, "", "out.json", true, nil, false},
+	} {
+		counts, err := checkArgs(tc.repeat, tc.sweep, tc.jsonFile, tc.ablation)
+		if (err == nil) != tc.ok || !reflect.DeepEqual(counts, tc.counts) {
+			t.Errorf("checkArgs(%d, %q, %q, %v) = %v, %v; want %v, ok=%v",
+				tc.repeat, tc.sweep, tc.jsonFile, tc.ablation, counts, err, tc.counts, tc.ok)
+		}
+	}
+}
+
 func TestSplitComma(t *testing.T) {
 	if got := splitComma("a,b,,c"); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
 		t.Fatalf("got %v", got)

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -19,8 +20,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qracn/cmd/internal/flags"
 	"qracn/internal/acn"
 	"qracn/internal/dtm"
+	"qracn/internal/harness"
 	"qracn/internal/health"
 	"qracn/internal/metrics"
 	"qracn/internal/quorum"
@@ -59,14 +62,8 @@ func main() {
 
 	flag.IntVar(&hcfg.SuspectAfter, "suspect-after", 3, "rapid RPC failures before a node is suspected and excluded from quorums")
 	flag.DurationVar(&hcfg.ProbeInterval, "probe-interval", 250*time.Millisecond, "how often one trial request probes a suspected node")
-	flag.BoolVar(&dcfg.NoRepair, "no-repair", false, "disable asynchronous read-repair of stale quorum members")
-	flag.DurationVar(&dcfg.DecideTimeout, "decide-timeout", 0, "per-transaction budget for delivering the 2PC decision after a yes-vote quorum (0: 10s; keep below the nodes' -ttl-abort-after)")
-	flag.DurationVar(&dcfg.TxDeadline, "tx-deadline", 0, "end-to-end deadline per transaction, propagated on every request so servers refuse expired work (0: none)")
-	flag.IntVar(&dcfg.RetryBudget, "retry-budget", 0, "retries per transaction attempt shared across failover, busy, and overload backoff (0: 1000; negative: unlimited)")
-	flag.DurationVar(&dcfg.HedgeAfter, "hedge-after", 0, "hedge quorum reads to one extra replica after this delay (0: off; negative: auto from observed p99 read latency)")
-	flag.IntVar(&dcfg.TraceSample, "trace-sample", 1, "with tracing on, record spans for 1-in-N transactions (0/1: all, negative: none)")
-	flag.IntVar(&dcfg.ForensicsRing, "forensics-ring", 0, "abort-forensics event ring capacity (0: 4096 default)")
-	flag.BoolVar(&dcfg.NoForensics, "no-forensics", false, "disable abort forensics on this client")
+	flags.Client(flag.CommandLine, &dcfg)
+	flags.Forensics(flag.CommandLine, &dcfg.ForensicsRing, &dcfg.NoForensics)
 	flag.Parse()
 
 	if err := checkRunShape(*threads, *intervals, *interval); err != nil {
@@ -212,17 +209,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fetching spans: %v\n", err)
 			os.Exit(1)
 		}
-		f, err := os.Create(*spansOut)
+		var buf bytes.Buffer
+		if err = trace.WriteSpans(&buf, spans); err == nil {
+			err = os.WriteFile(*spansOut, buf.Bytes(), 0o666)
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := trace.WriteSpans(f, spans); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			f.Close()
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -255,13 +246,21 @@ func runThread(ctx context.Context, execute func(context.Context) error, meter *
 	}
 }
 
-// buildExecutors makes one executor per profile. In acn mode it also
-// registers them all on one Hub, the client's one adaptation path: one
-// stats query per refresh covers every profile's objects.
-func buildExecutors(rt *dtm.Runtime, w workload.Workload, mode string) ([]*acn.Executor, *acn.Hub, error) {
+// buildExecutors makes one executor per profile from its mode's starting
+// composition, and refuses cp: the client runs no checkpointed executor. In
+// acn mode it registers them all on one Hub, the client's one adaptation
+// path: one stats query per refresh covers every profile's objects.
+func buildExecutors(rt *dtm.Runtime, w workload.Workload, name string) ([]*acn.Executor, *acn.Hub, error) {
+	mode, err := harness.ParseMode(name)
+	if err == nil && mode == harness.ModeQRCP {
+		err = fmt.Errorf("mode %q is not run by qracn-client (use dtm, cn, acn)", name)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
 	var execs []*acn.Executor
 	var hub *acn.Hub
-	if mode == "acn" {
+	if mode == harness.ModeQRACN {
 		hub = acn.NewHub(rt, acn.HubConfig{})
 	}
 	for _, prof := range w.Profiles() {
@@ -269,20 +268,9 @@ func buildExecutors(rt *dtm.Runtime, w workload.Workload, mode string) ([]*acn.E
 		if err != nil {
 			return nil, nil, fmt.Errorf("analyze %s: %w", prof.Name, err)
 		}
-		var comp *acn.Composition
-		switch mode {
-		case "dtm":
-			comp = acn.Flat(an)
-		case "cn":
-			if prof.Manual == nil {
-				comp = acn.Flat(an)
-			} else if comp, err = acn.Manual(an, prof.Manual); err != nil {
-				return nil, nil, err
-			}
-		case "acn":
-			comp = acn.Static(an)
-		default:
-			return nil, nil, fmt.Errorf("unknown mode %q (use dtm, cn, acn)", mode)
+		comp, err := mode.Composition(an, prof)
+		if err != nil {
+			return nil, nil, err
 		}
 		exec := acn.NewExecutor(rt, an, comp)
 		execs = append(execs, exec)
@@ -301,11 +289,7 @@ func seedObjects(ctx context.Context, rt *dtm.Runtime, objs map[store.ObjectID]s
 		ids = append(ids, id)
 	}
 	for from := 0; from < len(ids); from += batch {
-		to := from + batch
-		if to > len(ids) {
-			to = len(ids)
-		}
-		chunk := ids[from:to]
+		chunk := ids[from:min(from+batch, len(ids))]
 		if err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
 			for _, id := range chunk {
 				if err := tx.Write(id, objs[id]); err != nil {

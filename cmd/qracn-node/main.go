@@ -31,6 +31,7 @@ import (
 	"syscall"
 	"time"
 
+	"qracn/cmd/internal/flags"
 	"qracn/internal/dtm"
 	"qracn/internal/quorum"
 	"qracn/internal/server"
@@ -60,14 +61,11 @@ func main() {
 		shardDegree = flag.Int("shard-degree", 0, "tree-quorum degree within each shard group (0: default 3)")
 	)
 	flag.DurationVar(&scfg.StatsWindow, "stats-window", 10*time.Second, "contention observation window (paper: 10s)")
-	flag.IntVar(&scfg.SnapshotEvery, "snapshot-every", 0, "checkpoint the store in the background once N records, or the last snapshot's size if larger, are logged since the last one (0: default 4096; negative: never)")
 	flag.DurationVar(&scfg.ResolveAfter, "resolve-after", 0, "how long a yes vote may sit undecided before this node queries its quorum peers for the outcome (0: 5s default)")
 	flag.DurationVar(&scfg.TTLAbortAfter, "ttl-abort-after", 0, "last-resort abort deadline when a complete peer round finds every participant equally in doubt (0: 60s default; must exceed the clients' -decide-timeout)")
-	flag.IntVar(&scfg.MaxInflight, "max-inflight", 0, "admission control: max concurrently executing gated requests (0 disables the gate)")
-	flag.IntVar(&scfg.QueueDepth, "queue-depth", 0, "admission wait-queue depth; beyond it requests are shed with StatusOverloaded (0: 4x -max-inflight)")
 	flag.DurationVar(&scfg.MaxQueueAge, "max-queue-age", 0, "admission queue age past which the gate flips to adaptive LIFO and sheds aged waiters (0: 100ms)")
-	flag.IntVar(&scfg.ForensicsRing, "forensics-ring", 0, "abort-forensics event ring capacity (0: 4096 default); rings are fetchable via qracn-inspect forensics")
-	flag.BoolVar(&scfg.NoForensics, "no-forensics", false, "disable abort forensics: no conflict rings, no conflict-witness piggyback on busy replies")
+	flags.Node(flag.CommandLine, &scfg)
+	flags.Forensics(flag.CommandLine, &scfg.ForensicsRing, &scfg.NoForensics)
 	flag.Parse()
 
 	peers, err := transport.ParseAddrs(*peersArg)
@@ -76,24 +74,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *shardMap != "" {
-		m, err := shard.Parse(*shardMap, 1, *shardDegree)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		home := m.HomeOf(quorum.NodeID(*id))
-		if home < 0 {
-			fmt.Fprintf(os.Stderr, "-shard-map %q does not place node %d in any group\n", *shardMap, *id)
-			os.Exit(2)
-		}
-		if *shardID >= 0 && *shardID != home {
-			fmt.Fprintf(os.Stderr, "-shard-id %d contradicts -shard-map %q, which homes node %d in shard %d\n", *shardID, *shardMap, *id, home)
-			os.Exit(2)
-		}
-		scfg.Shards = m
-	} else if *shardID >= 0 {
-		fmt.Fprintln(os.Stderr, "-shard-id requires -shard-map")
+	if scfg.Shards, err = parseShards(*id, *shardMap, *shardID, *shardDegree); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -196,4 +178,28 @@ func main() {
 			fmt.Fprintf(os.Stderr, "wal close: %v\n", err)
 		}
 	}
+}
+
+// parseShards parses -shard-map for node id and checks -shard-id and
+// -shard-degree against it. An empty spec leaves the node unsharded (a nil
+// map) and refuses the two flags that only apply to a map.
+func parseShards(id int, spec string, shardID, degree int) (*shard.Map, error) {
+	if spec == "" {
+		if shardID >= 0 || degree != 0 {
+			return nil, fmt.Errorf("-shard-id and -shard-degree require -shard-map")
+		}
+		return nil, nil
+	}
+	m, err := shard.Parse(spec, 1, degree)
+	if err != nil {
+		return nil, err
+	}
+	home := m.HomeOf(quorum.NodeID(id))
+	if home < 0 {
+		return nil, fmt.Errorf("-shard-map %q does not place node %d in any group", spec, id)
+	}
+	if shardID >= 0 && shardID != home {
+		return nil, fmt.Errorf("-shard-id %d contradicts -shard-map %q, which homes node %d in shard %d", shardID, spec, id, home)
+	}
+	return m, nil
 }

@@ -418,7 +418,7 @@ func TestAlgoConfigDefaults(t *testing.T) {
 	if cfg.MergeThreshold != 0.3 || cfg.Model == nil {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	if _, ok := cfg.Model.(model.ExpModel); !ok {
+	if _, ok := cfg.Model.(model.CTLModel); !ok {
 		t.Fatalf("default model = %T", cfg.Model)
 	}
 }

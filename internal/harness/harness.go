@@ -49,17 +49,43 @@ const (
 	ModeQRCP
 )
 
+// systems is the one table of the compared systems: each Mode's short name
+// on the command line and its label in reports.
+var systems = [...]struct{ name, label string }{
+	ModeQRDTM: {"dtm", "QR-DTM"},
+	ModeQRCN:  {"cn", "QR-CN"},
+	ModeQRACN: {"acn", "QR-ACN"},
+	ModeQRCP:  {"cp", "QR-CP"},
+}
+
 func (m Mode) String() string {
-	switch m {
-	case ModeQRDTM:
-		return "QR-DTM"
-	case ModeQRCN:
-		return "QR-CN"
-	case ModeQRCP:
-		return "QR-CP"
-	default:
-		return "QR-ACN"
+	if m < 0 || int(m) >= len(systems) {
+		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+	return systems[m].label
+}
+
+// ParseMode maps a system's short name (dtm, cn, acn, cp) to its Mode.
+func ParseMode(name string) (Mode, error) {
+	for m, s := range systems {
+		if s.name == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (use dtm, cn, acn, cp)", name)
+}
+
+// Composition is the decomposition prof's executors start with under m:
+// QR-DTM and QR-CP run flat, QR-CN the programmer's Manual groups (flat when
+// there are none), and QR-ACN Static, one Block per UnitBlock.
+func (m Mode) Composition(an *unitgraph.Analysis, prof workload.Profile) (*acn.Composition, error) {
+	switch {
+	case m == ModeQRACN:
+		return acn.Static(an), nil
+	case m == ModeQRCN && prof.Manual != nil:
+		return acn.Manual(an, prof.Manual)
+	}
+	return acn.Flat(an), nil
 }
 
 // AllModes lists the paper's three systems in presentation order.
@@ -365,22 +391,9 @@ func runMode(ctx context.Context, opts Options, mode Mode) (*Series, error) {
 		}
 
 		for pi, prof := range profiles {
-			var comp *acn.Composition
-			switch mode {
-			case ModeQRDTM, ModeQRCP:
-				comp = acn.Flat(analyses[pi])
-			case ModeQRCN:
-				if prof.Manual == nil {
-					comp = acn.Flat(analyses[pi])
-				} else {
-					var err error
-					comp, err = acn.Manual(analyses[pi], prof.Manual)
-					if err != nil {
-						return nil, fmt.Errorf("manual composition for %s: %w", prof.Name, err)
-					}
-				}
-			case ModeQRACN:
-				comp = acn.Static(analyses[pi])
+			comp, err := mode.Composition(analyses[pi], prof)
+			if err != nil {
+				return nil, fmt.Errorf("%s composition for %s: %w", mode, prof.Name, err)
 			}
 			exec := acn.NewExecutor(cs.rt, analyses[pi], comp)
 			exec.SetPrefetch(!opts.DisablePrefetch)

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"qracn/internal/unitgraph"
+	"qracn/internal/workload"
 	"qracn/internal/workload/bank"
 )
 
@@ -213,6 +215,51 @@ func TestPhaseFor(t *testing.T) {
 func TestModeStrings(t *testing.T) {
 	if ModeQRDTM.String() != "QR-DTM" || ModeQRCN.String() != "QR-CN" || ModeQRACN.String() != "QR-ACN" {
 		t.Fatal("mode strings wrong")
+	}
+}
+
+// TestSystemTable: each system's name parses to its mode, and the mode
+// picks the composition its executors start from: QR-DTM and QR-CP flat,
+// QR-CN the programmer's groups (flat without them), QR-ACN one Block per
+// UnitBlock.
+func TestSystemTable(t *testing.T) {
+	prof := bank.New(bank.Config{}).Profiles()[0] // transfer: Manual {2}{3}{0 1}
+	an, err := unitgraph.Analyze(prof.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unplanned := prof
+	unplanned.Manual = nil
+	for _, tc := range []struct {
+		name      string
+		mode      Mode
+		comp      string
+		unplanned string
+	}{
+		{"dtm", ModeQRDTM, "[0 1 2 3]", "[0 1 2 3]"},
+		{"cn", ModeQRCN, "[2][3][0 1]", "[0 1 2 3]"},
+		{"acn", ModeQRACN, "[0][1][2][3]", "[0][1][2][3]"},
+		{"cp", ModeQRCP, "[0 1 2 3]", "[0 1 2 3]"},
+	} {
+		m, err := ParseMode(tc.name)
+		if err != nil || m != tc.mode {
+			t.Fatalf("ParseMode(%q) = %v, %v; want %v", tc.name, m, err, tc.mode)
+		}
+		for _, p := range []struct {
+			prof workload.Profile
+			want string
+		}{{prof, tc.comp}, {unplanned, tc.unplanned}} {
+			comp, err := m.Composition(an, p.prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := comp.String(); got != p.want {
+				t.Errorf("%s, Manual %v: composition %s, want %s", m, p.prof.Manual, got, p.want)
+			}
+		}
+	}
+	if _, err := ParseMode("bogus"); err == nil {
+		t.Fatal("bogus mode accepted")
 	}
 }
 

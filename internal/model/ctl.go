@@ -16,9 +16,6 @@ type CTLModel struct {
 	Alpha float64
 }
 
-// DefaultCTL returns the model with the evaluation's scaling.
-func DefaultCTL() CTLModel { return CTLModel{Alpha: 0.05} }
-
 // AbortProb implements ContentionModel for a one-Block window.
 func (m CTLModel) AbortProb(level float64) float64 {
 	return m.WindowAbortProb(level, 1)
@@ -34,9 +31,14 @@ func (m CTLModel) WindowAbortProb(level, window float64) float64 {
 	return 1 - math.Exp(-m.Alpha*level*window)
 }
 
-// Combine implements ContentionModel (independent objects).
+// Combine implements ContentionModel: objects are invalidated
+// independently, so P(block) = 1 - prod(1 - p_i), each p_i clamped to [0, 1].
 func (m CTLModel) Combine(probs []float64) float64 {
-	return ExpModel{Alpha: m.Alpha}.Combine(probs)
+	keep := 1.0
+	for _, p := range probs {
+		keep *= 1 - min(max(p, 0), 1)
+	}
+	return 1 - keep
 }
 
 // ExpectedRestartWeight scores a Block ordering: levels[k] is the

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCTLWindowMonotonic(t *testing.T) {
-	m := DefaultCTL()
+	m := DefaultModel()
 	if m.WindowAbortProb(5, 0) != 0 || m.WindowAbortProb(0, 5) != 0 {
 		t.Fatal("zero window or level must give 0")
 	}
@@ -61,7 +61,7 @@ func ascending(levels []float64) []float64 {
 // Block orderings, sorting by increasing contention exactly minimizes the
 // expected-full-restart score (rearrangement inequality).
 func TestAscendingOrderMinimizesLinearWeight(t *testing.T) {
-	m := DefaultCTL()
+	m := DefaultModel()
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 50; trial++ {
 		levels := make([]float64, 5)
@@ -92,7 +92,7 @@ func TestAscendingOrderMinimizesLinearWeight(t *testing.T) {
 // ACN inherits this: its gains concentrate where partial rollback can pay
 // at all, exactly as the paper's Fig. 4(d) discussion says.
 func TestOrderingRegimes(t *testing.T) {
-	m := DefaultCTL()
+	m := DefaultModel()
 	reverse := func(xs []float64) []float64 {
 		out := make([]float64, len(xs))
 		for i, v := range xs {
@@ -126,16 +126,15 @@ func TestOrderingRegimes(t *testing.T) {
 }
 
 func TestCTLCombineMatchesExp(t *testing.T) {
-	m := DefaultCTL()
-	e := ExpModel{Alpha: m.Alpha}
+	m := DefaultModel()
 	probs := []float64{0.1, 0.4, 0.7}
-	if math.Abs(m.Combine(probs)-e.Combine(probs)) > 1e-12 {
+	if want := 1 - (1-0.1)*(1-0.4)*(1-0.7); math.Abs(m.Combine(probs)-want) > 1e-12 {
 		t.Fatal("CTL Combine should match the independent-objects rule")
 	}
 }
 
 func TestCTLRestartWeightShape(t *testing.T) {
-	m := DefaultCTL()
+	m := DefaultModel()
 	// A hot block early costs more than the same block late.
 	early := m.ExpectedRestartWeight([]float64{50, 1, 1, 1})
 	late := m.ExpectedRestartWeight([]float64{1, 1, 1, 50})

@@ -69,5 +69,5 @@ func TestCombineAtLeastMaxProperty(t *testing.T) {
 }
 
 func TestModelsAreContentionModels(t *testing.T) {
-	var _ ContentionModel = ExpModel{}
+	var _ ContentionModel = CTLModel{}
 }
