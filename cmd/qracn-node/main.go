@@ -2,10 +2,11 @@
 // multi-process (or multi-machine) deployments of the DTM. Clients connect
 // with cmd/qracn-client or a TCPClient built from the library.
 //
-// The server speaks the batched RPC pipeline: KindBatch requests fan their
-// sub-requests out to concurrent goroutines, each request runs under a
-// context that a client cancel frame (or a dropped connection) cancels,
-// and both stream directions use persistent encoders with coalesced writes.
+// The server multiplexes requests on each connection: a read may name many
+// objects (a client's read-ahead asks for a dozen rows in one request), each
+// request runs under a context that a client cancel frame (or a dropped
+// connection) cancels, and both stream directions use persistent encoders
+// with coalesced writes.
 // A connection must open with the two-byte protocol-version preamble; one
 // that does not (a pre-binary gob client, say) is closed unanswered.
 //

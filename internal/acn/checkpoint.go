@@ -48,7 +48,7 @@ func (e *Executor) ExecuteCheckpointed(ctx context.Context, params map[string]an
 					vars: env.SnapshotVars(),
 				})
 			}
-			err := e.runStmt(tx, env, i)
+			err := e.runStmt(tx, env, nil, nil, i)
 			if err == nil {
 				i++
 				continue

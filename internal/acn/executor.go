@@ -44,6 +44,9 @@ type compiled struct {
 	// Block b and every later one.
 	ahead      []aheadAnchor
 	blockStart []int
+	// planPos maps a statement index to its anchor's position in ahead (-1:
+	// not an anchor), so a statement finds the ID its read-ahead evaluated.
+	planPos []int
 	// anchors maps the DTM block index (0: top-level context, k: k-th Sub)
 	// to the representative UnitBlock (first anchor ID) the block executes;
 	// -1 for a top-level context that only drives Subs. Stamped on every
@@ -108,10 +111,15 @@ func (e *Executor) compile(c *Composition) *compiled {
 	}
 	var plan []aheadAnchor
 	blockStart := make([]int, len(c.Blocks))
+	planPos := make([]int, len(e.an.Stmts))
+	for i := range planPos {
+		planPos[i] = -1
+	}
 	for bi := range c.Blocks {
 		blockStart[bi] = len(plan)
 		for _, si := range c.Blocks[bi].StmtIdx {
 			if e.an.Stmts[si].IsAnchor {
+				planPos[si] = len(plan)
 				plan = append(plan, aheadAnchor{stmt: si, evalAt: e.evaluableAt(si, blockOf)})
 			}
 		}
@@ -133,7 +141,7 @@ func (e *Executor) compile(c *Composition) *compiled {
 			anchors = append(anchors, repr(&c.Blocks[bi]))
 		}
 	}
-	return &compiled{comp: c, ahead: plan, blockStart: blockStart, anchors: anchors}
+	return &compiled{comp: c, ahead: plan, blockStart: blockStart, planPos: planPos, anchors: anchors}
 }
 
 // evaluableAt returns the earliest Block whose entry sees the same variable
@@ -218,7 +226,7 @@ func (e *Executor) Execute(ctx context.Context, params map[string]any) error {
 			if err := e.readAhead(tx, env, comp, ids, 0); err != nil {
 				return err
 			}
-			return e.runStmts(tx, env, comp.comp.Blocks[0].StmtIdx)
+			return e.runStmts(tx, env, comp, ids, comp.comp.Blocks[0].StmtIdx)
 		}
 		for i := range comp.comp.Blocks {
 			blk := &comp.comp.Blocks[i]
@@ -226,7 +234,7 @@ func (e *Executor) Execute(ctx context.Context, params map[string]any) error {
 				if err := e.readAhead(sub, env, comp, ids, i); err != nil {
 					return err
 				}
-				return e.runStmts(sub, env, blk.StmtIdx)
+				return e.runStmts(sub, env, comp, ids, blk.StmtIdx)
 			}); err != nil {
 				return err
 			}
@@ -264,21 +272,34 @@ func (e *Executor) readAhead(tx *dtm.Tx, env *txir.Env, comp *compiled, ids []st
 	return tx.Prefetch(need...)
 }
 
-func (e *Executor) runStmts(tx *dtm.Tx, env *txir.Env, stmtIdx []int) error {
+func (e *Executor) runStmts(tx *dtm.Tx, env *txir.Env, comp *compiled, ids []store.ObjectID, stmtIdx []int) error {
 	for _, idx := range stmtIdx {
-		if err := e.runStmt(tx, env, idx); err != nil {
+		if err := e.runStmt(tx, env, comp, ids, idx); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (e *Executor) runStmt(tx *dtm.Tx, env *txir.Env, idx int) error {
+// ref is statement idx's object ID: the one the read-ahead already evaluated
+// for its anchor, when it did (by compile's argument the Ref cannot say
+// anything else now), or the Ref's own answer. ids is nil, and comp unused,
+// where no read-ahead runs.
+func (e *Executor) ref(env *txir.Env, comp *compiled, ids []store.ObjectID, idx int) store.ObjectID {
+	if ids != nil {
+		if p := comp.planPos[idx]; p >= 0 && ids[p] != "" {
+			return ids[p]
+		}
+	}
+	return e.an.Stmts[idx].Stmt.Ref(env)
+}
+
+func (e *Executor) runStmt(tx *dtm.Tx, env *txir.Env, comp *compiled, ids []store.ObjectID, idx int) error {
 	info := &e.an.Stmts[idx]
 	s := info.Stmt
 	switch s.Kind {
 	case txir.KindRead:
-		id := s.Ref(env)
+		id := e.ref(env, comp, ids, idx)
 		if info.IsAnchor {
 			e.samplers[info.AnchorID].Record(id)
 		}
@@ -288,7 +309,7 @@ func (e *Executor) runStmt(tx *dtm.Tx, env *txir.Env, idx int) error {
 		}
 		env.Set(s.Dst, v)
 	case txir.KindWrite:
-		id := s.Ref(env)
+		id := e.ref(env, comp, ids, idx)
 		if info.IsAnchor {
 			e.samplers[info.AnchorID].Record(id)
 		}

@@ -235,11 +235,7 @@ func (d *deployment) Seed(objs map[store.ObjectID]store.Value) {
 			if d.Shards != nil && !d.Shards.GroupOf(id).Contains(n.ID()) {
 				continue
 			}
-			if v != nil {
-				cp[id] = v.CloneValue()
-			} else {
-				cp[id] = nil
-			}
+			cp[id] = store.Clone(v)
 		}
 		n.Store().SeedBatch(cp)
 	}

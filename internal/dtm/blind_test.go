@@ -2,6 +2,7 @@ package dtm_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -153,7 +154,7 @@ func TestBlindWritersOfAnAbsentKeyBothCommit(t *testing.T) {
 
 // TestBlindEntryRidesInNoValidationList: a blind entry observed nothing, so no
 // incremental validation carries it — not a plain read's, not a read-ahead's,
-// not the batched re-read of a refused blind write — while the commit's
+// not the re-read of a refused blind write — while the commit's
 // prepare names it at the assumed version 0.
 func TestBlindEntryRidesInNoValidationList(t *testing.T) {
 	c := newCluster(t, 10)
@@ -194,23 +195,16 @@ func TestBlindEntryRidesInNoValidationList(t *testing.T) {
 		}
 		lists++
 	}
-	for _, s := range sc.sent(func(r *wire.Request) bool { return r.Kind == wire.KindRead || r.Kind == wire.KindBatch }) {
-		if s.req.Kind == wire.KindRead {
-			check("read of "+string(s.req.Read.Object), s.req.Read.Validate)
-			continue
-		}
-		for _, sub := range s.req.Batch.Subs {
-			check("batched read of "+string(sub.Read.Object), sub.Read.Validate)
-		}
+	reads := sc.sent(func(r *wire.Request) bool { return r.Kind == wire.KindRead })
+	for _, s := range reads {
+		check(fmt.Sprintf("read of %s and %v", s.req.Read.Object, s.req.Read.More), s.req.Read.Validate)
 	}
 	if lists == 0 || !carriesR1 {
 		t.Fatalf("%d validation lists seen, r1 in one of them: %v; the check saw nothing to check", lists, carriesR1)
 	}
-	// The refetch was the last batch: it asked for "taken" alone.
-	batches := sc.sent(func(r *wire.Request) bool { return r.Kind == wire.KindBatch })
-	last := batches[len(batches)-1].req.Batch.Subs
-	if len(last) != 1 || last[0].Read.Object != "taken" {
-		t.Fatalf("last batched read asked for %d objects, want \"taken\" alone", len(last))
+	// The refetch was the last read: it asked for "taken" alone.
+	if last := reads[len(reads)-1].req.Read; last.Object != "taken" || len(last.More) != 0 {
+		t.Fatalf("last read asked for %s and %v, want \"taken\" alone", last.Object, last.More)
 	}
 	named := 0
 	for _, d := range sc.sent(isPrepare)[0].req.Prepare.Reads {
@@ -264,10 +258,10 @@ func TestBlindRePrepareRefusedOnAReadAbortsOnce(t *testing.T) {
 	if len(first) != 2 || !strings.HasSuffix(first[0], "-a0") || !strings.HasSuffix(first[1], "-a0-b") {
 		t.Fatalf("first attempt's prepare rounds %v, want the refused round and one re-prepare", first)
 	}
-	// The program prefetches nothing, so every batched round is a re-read;
-	// a round sends its members one request.
+	// The program reads r and writes x blind, so every read of x is a
+	// re-read; a round sends its members one request.
 	refetches := map[*wire.Request]bool{}
-	for _, s := range sc.sent(func(r *wire.Request) bool { return r.Kind == wire.KindBatch }) {
+	for _, s := range sc.sent(func(r *wire.Request) bool { return r.Kind == wire.KindRead && r.Read.Object == "x" }) {
 		if strings.HasSuffix(s.req.TxID, "-a0") {
 			refetches[s.req] = true
 		}

@@ -586,7 +586,8 @@ func TestContextCancellation(t *testing.T) {
 
 // TestTransactionReadsCarryNoStatsQuery: contention levels come from the
 // Hub's explicit query alone, so no transaction read — a plain one or a
-// read-ahead batch, on one quorum tree or over two groups — asks for stats,
+// read-ahead's multi-object read, on one quorum tree or over two groups —
+// asks for stats,
 // and the deprecated piggyback settings do nothing.
 func TestTransactionReadsCarryNoStatsQuery(t *testing.T) {
 	for _, shards := range []int{0, 2} {
@@ -624,21 +625,19 @@ func TestTransactionReadsCarryNoStatsQuery(t *testing.T) {
 				}
 			}
 			reads := sc.sent(func(r *wire.Request) bool { return r.Kind == wire.KindRead && r.Read.Object != "" })
-			batches := sc.sent(func(r *wire.Request) bool { return r.Kind == wire.KindBatch })
-			if len(reads) == 0 || len(batches) == 0 {
-				t.Fatalf("%d plain reads and %d batches sent, want both", len(reads), len(batches))
-			}
+			// Unsharded, the read-ahead of a and b is one read naming both;
+			// on two groups it is one read per group, naming one each.
+			multi := 0
 			for _, s := range reads {
+				if len(s.req.Read.More) > 0 {
+					multi++
+				}
 				if len(s.req.Read.StatsFor) > 0 {
-					t.Fatalf("read of %s to node %d asks for stats of %v", s.req.Read.Object, s.to, s.req.Read.StatsFor)
+					t.Fatalf("read of %s (and %v) to node %d asks for stats of %v", s.req.Read.Object, s.req.Read.More, s.to, s.req.Read.StatsFor)
 				}
 			}
-			for _, s := range batches {
-				for _, sub := range s.req.Batch.Subs {
-					if len(sub.Read.StatsFor) > 0 {
-						t.Fatalf("batched read of %s to node %d asks for stats of %v", sub.Read.Object, s.to, sub.Read.StatsFor)
-					}
-				}
+			if len(reads) == 0 || (shards <= 1) != (multi > 0) {
+				t.Fatalf("%d reads sent, %d of them naming several objects", len(reads), multi)
 			}
 			if n := sunk.Load(); n != 0 {
 				t.Fatalf("stats sink called %d times, want 0", n)

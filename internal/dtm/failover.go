@@ -144,8 +144,6 @@ func answered(kind wire.Kind, resp *wire.Response) bool {
 		switch kind {
 		case wire.KindRead:
 			return resp.Read != nil
-		case wire.KindBatch:
-			return resp.Batch != nil
 		case wire.KindPrepare:
 			return resp.Prepare != nil
 		}

@@ -140,7 +140,7 @@ func TestQuorumFailoverRuleAcrossOperations(t *testing.T) {
 			func(ctx context.Context, rt *dtm.Runtime, a, _ store.ObjectID) error {
 				return rt.Atomic(ctx, func(tx *dtm.Tx) error { _, err := tx.Read(a); return err })
 			}},
-		{"read-ahead round on two groups", 2, isKind(wire.KindBatch), "prefetch quorum failover",
+		{"read-ahead round on two groups", 2, isKind(wire.KindRead), "prefetch quorum failover",
 			func(ctx context.Context, rt *dtm.Runtime, a, b store.ObjectID) error {
 				return rt.Atomic(ctx, func(tx *dtm.Tx) error { return tx.Prefetch(a, b) })
 			}},

@@ -10,10 +10,11 @@ import (
 )
 
 // Prefetch is the transaction's read-ahead: it performs the first-access
-// quorum read for several objects in one batched round — a single KindBatch
-// request per quorum member carries one KindRead sub-request per object, so k
-// first accesses cost one round-trip instead of k, and objects owned by
-// several quorum groups are asked for in the same concurrent fan-out.
+// quorum read for several objects in one batched round — a single read per
+// quorum member names every object its group owns (wire.ReadRequest.More), so
+// k first accesses cost one round-trip and one request instead of k, and
+// objects owned by several quorum groups are asked for in the same concurrent
+// fan-out.
 //
 // What it fetches is parked in a read-ahead buffer on the top-level
 // transaction, not in any read set. The first Read or Write of a buffered
@@ -42,8 +43,7 @@ import (
 // It dedupes and filters the requested IDs, then runs one batched quorum
 // round (readRound) into the buffer. The call is timed into the PrefetchBatch
 // stage and, when the transaction is sampled, is a "prefetch" span whose ID
-// rides on the batch requests and their sub-reads so server spans nest under
-// it.
+// rides on the read requests so server spans nest under it.
 func (tx *Tx) Prefetch(ids ...store.ObjectID) (err error) {
 	rt := tx.rt
 	sp := rt.beginSpan(tx.traceID, tx.span, &rt.stages.PrefetchBatch, "prefetch", -1)
@@ -105,7 +105,7 @@ func (tx *Tx) readRound(need []store.ObjectID, spanID uint64, op string, dst map
 		pending = rt.cfg.Shards.Partition(need)
 	}
 	entered := 0
-	fo := rt.failover(tx.ctx, tx, tx.seed, wire.KindBatch, op)
+	fo := rt.failover(tx.ctx, tx, tx.seed, wire.KindRead, op)
 	for fo.next() {
 		// Part i's quorum members are nodes[bounds[i-1].end:bounds[i].end].
 		var nodes []quorum.NodeID
@@ -116,7 +116,7 @@ func (tx *Tx) readRound(need []store.ObjectID, spanID uint64, op string, dst map
 				return entered, err
 			}
 			nodes = append(nodes, q...)
-			legs[i] = leg{tx.batchRead(p, spanID), len(nodes)}
+			legs[i] = leg{tx.groupRead(p, spanID), len(nodes)}
 		}
 		rt.metrics.RemoteReads.Add(1)
 		rt.metrics.BatchReads.Add(1)
@@ -145,41 +145,46 @@ func (tx *Tx) readRound(need []store.ObjectID, spanID uint64, op string, dst map
 	return entered, fo.err()
 }
 
-// batchRead builds the batched first-access request for one quorum group's
-// share of a read-ahead. The first sub-request carries the group's
+// groupRead builds the first-access read of one quorum group's share of a
+// round: one request naming every object, with the group's
 // incremental-validation list (replica-side validation is per-store, so once
-// per node is enough).
-func (tx *Tx) batchRead(p shard.Part, spanID uint64) *wire.Request {
-	subs := make([]*wire.Request, len(p.IDs))
-	for i, id := range p.IDs {
-		subs[i] = tx.request(wire.KindRead, tx.id, spanID)
-		subs[i].Read = &wire.ReadRequest{Object: id}
-		if i == 0 {
-			subs[i].Read.Validate = tx.validationListFor(p.Group)
-		}
+// per node is enough). A share of one object is a plain read.
+func (tx *Tx) groupRead(p shard.Part, spanID uint64) *wire.Request {
+	req := tx.request(wire.KindRead, tx.id, spanID)
+	req.Read = &wire.ReadRequest{Object: p.IDs[0], Validate: tx.validationListFor(p.Group)}
+	if len(p.IDs) > 1 {
+		req.Read.More = p.IDs[1:]
 	}
-	batch := tx.request(wire.KindBatch, tx.id, spanID)
-	batch.Batch = &wire.BatchRequest{Subs: subs}
-	return batch
+	return req
 }
 
-// mergeRound folds one quorum group's batch responses into dst, object by
-// object exactly as a plain read of each would be folded, and reports how many
-// objects it entered. Only the first sub-request carried a validation list,
-// so whatever the round invalidated is acted on before the first object is
-// entered.
+// mergeRound folds one quorum group's replies into dst, object by object
+// exactly as a plain read of each would be folded, and reports how many
+// objects it entered. The first object's replies are the members' responses
+// themselves, and carry the one validation report, so whatever the round
+// invalidated is acted on before any object is entered. Each further
+// object's result is viewed as the response a plain read of it would have
+// had, in one slab of views reused object after object: tallyRead and settle
+// keep nothing of a reply.
 func (tx *Tx) mergeRound(need []store.ObjectID, results []callResult, dst map[store.ObjectID]readEntry) (int, error) {
 	rt := tx.rt
 	entered := 0
-	// replies reshapes one object's sub-responses into one callResult per
-	// member, the shape a plain read's replies have.
-	replies := make([]callResult, 0, len(results))
+	var views []objectReply
+	var more []callResult
+	if len(need) > 1 {
+		views = make([]objectReply, len(results))
+		more = make([]callResult, 0, len(results))
+	}
 	for i, id := range need {
-		replies = replies[:0]
-		for _, r := range results {
-			if i < len(r.resp.Batch.Subs) && r.resp.Batch.Subs[i] != nil {
-				replies = append(replies, callResult{node: r.node, resp: r.resp.Batch.Subs[i]})
+		replies := results
+		if i > 0 {
+			more = more[:0]
+			for j, r := range results {
+				if read := r.resp.Read; read != nil && i <= len(read.More) {
+					more = append(more, callResult{node: r.node, resp: views[j].of(&read.More[i-1])})
+				}
 			}
+			replies = more
 		}
 		t := rt.tallyRead(replies)
 		if ae := tx.abortFor(t.invalid, "incremental validation on batched read"); ae != nil {
@@ -195,4 +200,17 @@ func (tx *Tx) mergeRound(need []store.ObjectID, results []callResult, dst map[st
 		entered++
 	}
 	return entered, nil
+}
+
+// objectReply is the response a one-object read would have had, rebuilt from
+// one result of a multi-object read.
+type objectReply struct {
+	resp wire.Response
+	read wire.ReadResponse
+}
+
+func (v *objectReply) of(m *wire.ReadResult) *wire.Response {
+	v.read = wire.ReadResponse{Value: m.Value, Version: m.Version}
+	v.resp = wire.Response{Status: m.Status, ConflictTx: m.ConflictTx, Read: &v.read}
+	return &v.resp
 }

@@ -333,9 +333,9 @@ func TestReadAheadMultiGroupRoundAndFailover(t *testing.T) {
 		t.Fatalf("rounds = %d, batched = %d, objects = %d; want 1, 1, 12", m.RemoteReads, m.BatchReads, m.PrefetchedObjects)
 	}
 
-	// One member of one group drops its first batch: that group alone is
+	// One member of one group drops its first read: that group alone is
 	// asked again, against a quorum without the member.
-	drop := &dropFirstBatch{Client: c.Net, in: c.Shards.GroupOf(ids[0])}
+	drop := &dropFirstRead{Client: c.Net, in: c.Shards.GroupOf(ids[0])}
 	m := readAll(dtm.New(dtm.Config{Shards: c.Shards, Client: drop, Alive: c.Net.Alive, ClientSeed: 2, Seed: 3}))
 	if m.Failovers != 1 || m.RemoteReads != 2 || m.BatchReads != 2 {
 		t.Fatalf("failovers = %d, rounds = %d, batched = %d; want 1, 2, 2", m.Failovers, m.RemoteReads, m.BatchReads)
@@ -343,34 +343,58 @@ func TestReadAheadMultiGroupRoundAndFailover(t *testing.T) {
 	if m.PrefetchedObjects != 12 {
 		t.Fatalf("objects = %d, want 12: each buffered once, the answered groups not re-fetched", m.PrefetchedObjects)
 	}
-	if drop.batches[drop.dropped] != 1 {
-		t.Fatalf("the member that failed was asked %d times, want once", drop.batches[drop.dropped])
+	if drop.reads[drop.dropped] != 1 {
+		t.Fatalf("the member that failed was asked %d times, want once", drop.reads[drop.dropped])
 	}
-	for n, k := range drop.batches {
+	for n, k := range drop.reads {
 		if !drop.in.Contains(n) && k != 1 {
-			t.Fatalf("node %d of a group that answered got %d batches, want 1", n, k)
+			t.Fatalf("node %d of a group that answered got %d reads, want 1", n, k)
+		}
+	}
+	// Each group was sent one read naming every object it owns (its members
+	// share the request), and the group that failed over one more.
+	if len(drop.sent) != len(groups)+1 {
+		t.Fatalf("%d distinct reads for %d groups and one failover", len(drop.sent), len(groups))
+	}
+	for req := range drop.sent {
+		g, named := c.Shards.GroupOf(req.Read.Object), 1+len(req.Read.More)
+		for _, id := range req.Read.More {
+			if c.Shards.GroupOf(id) != g {
+				t.Fatalf("one read names %s and %s of two groups", req.Read.Object, id)
+			}
+		}
+		want := 0
+		for _, id := range ids {
+			if c.Shards.GroupOf(id) == g {
+				want++
+			}
+		}
+		if named != want {
+			t.Fatalf("a read names %d objects of a group owning %d of them", named, want)
 		}
 	}
 }
 
-// dropFirstBatch fails the first batch sent to any member of one group and
-// counts the batches every node is sent.
-type dropFirstBatch struct {
+// dropFirstRead fails the first read sent to any member of one group and
+// counts the reads every node is sent.
+type dropFirstRead struct {
 	transport.Client
 	in      *shard.Group
 	mu      sync.Mutex
 	dropped quorum.NodeID
-	batches map[quorum.NodeID]int
+	reads   map[quorum.NodeID]int
+	sent    map[*wire.Request]bool
 }
 
-func (d *dropFirstBatch) Call(ctx context.Context, to quorum.NodeID, req *wire.Request) (*wire.Response, error) {
-	if req.Kind == wire.KindBatch {
+func (d *dropFirstRead) Call(ctx context.Context, to quorum.NodeID, req *wire.Request) (*wire.Response, error) {
+	if req.Kind == wire.KindRead {
 		d.mu.Lock()
-		if d.batches == nil {
-			d.batches = map[quorum.NodeID]int{}
+		if d.reads == nil {
+			d.reads, d.sent = map[quorum.NodeID]int{}, map[*wire.Request]bool{}
 			d.dropped = -1
 		}
-		d.batches[to]++
+		d.reads[to]++
+		d.sent[req] = true
 		drop := d.dropped < 0 && d.in.Contains(to)
 		if drop {
 			d.dropped = to

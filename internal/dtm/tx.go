@@ -268,10 +268,7 @@ func (tx *Tx) Read(id store.ObjectID) (store.Value, error) {
 			return nil, err
 		}
 	}
-	if v == nil {
-		return nil, nil
-	}
-	return v.CloneValue(), nil
+	return store.Clone(v), nil
 }
 
 // Write buffers a new value for the object in the current context. A write
@@ -393,8 +390,9 @@ type readTally struct {
 }
 
 // tallyRead folds one object's replies — those of a plain read, or the
-// object's sub-replies of a batched round — into a tally. Every member was
-// asked for the value, so the reply with the highest version carries it.
+// object's results of a multi-object round (mergeRound) — into a tally.
+// Every member was asked for the value, so the reply with the highest version
+// carries it.
 func (rt *Runtime) tallyRead(replies []callResult) readTally {
 	var t readTally
 	for _, r := range replies {
@@ -405,7 +403,7 @@ func (rt *Runtime) tallyRead(replies []callResult) readTally {
 		switch r.resp.Status {
 		case wire.StatusOK:
 			if read == nil {
-				break // a batch's sub-reply without its payload is no answer
+				break // an OK reply without its payload is no answer
 			}
 			t.answers++
 			if t.best == nil || read.Version > t.best.Version {

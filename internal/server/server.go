@@ -461,11 +461,9 @@ func (n *Node) maybeCheckpoint() {
 	}()
 }
 
-// Handle implements transport.Handler. Batch requests fan their
-// sub-requests out to concurrent goroutines; everything else dispatches
-// inline. The context carries the caller's deadline/cancellation (the
-// transport cancels it when the client gives up), which batch dispatch
-// honours between and during sub-requests.
+// Handle implements transport.Handler; every request dispatches inline. The
+// context carries the caller's deadline/cancellation (the transport cancels it
+// when the client gives up).
 //
 // A request carrying span context (TraceID set) gets a "serve-<kind>" span
 // parented to the client span that issued it; untraced requests skip every
@@ -489,7 +487,7 @@ func (n *Node) Handle(ctx context.Context, req *wire.Request) *wire.Response {
 		}
 		defer release()
 	}
-	return n.serve(ctx, req)
+	return n.serve(req)
 }
 
 // checkDeadline answers StatusOverloaded for a request whose propagated
@@ -518,9 +516,9 @@ func (n *Node) AdmissionStats() AdmissionStats {
 }
 
 // serve runs an admitted request: trace wrapping + dispatch.
-func (n *Node) serve(ctx context.Context, req *wire.Request) *wire.Response {
+func (n *Node) serve(req *wire.Request) *wire.Response {
 	if req.TraceID == "" || n.tracer == nil {
-		return n.dispatch(ctx, req, 0)
+		return n.dispatch(req, 0)
 	}
 	span := trace.Span{
 		Trace:  strings.Clone(req.TraceID), // the span ring outlives the request the ID is a view into
@@ -530,7 +528,7 @@ func (n *Node) serve(ctx context.Context, req *wire.Request) *wire.Response {
 		Site:   n.site,
 		Start:  time.Now(),
 	}
-	resp := n.dispatch(ctx, req, span.ID)
+	resp := n.dispatch(req, span.ID)
 	span.End = time.Now()
 	span.Detail = resp.Status.String()
 	n.tracer.RecordSpan(span)
@@ -540,7 +538,7 @@ func (n *Node) serve(ctx context.Context, req *wire.Request) *wire.Response {
 // dispatch routes one request. serveID is the enclosing serve span's ID
 // (0 when untraced) for handlers that record nested spans (the WAL-fsync
 // wait of a prepare record or a commit decision).
-func (n *Node) dispatch(ctx context.Context, req *wire.Request, serveID uint64) *wire.Response {
+func (n *Node) dispatch(req *wire.Request, serveID uint64) *wire.Response {
 	switch req.Kind {
 	case wire.KindRead:
 		t0 := time.Now()
@@ -568,13 +566,6 @@ func (n *Node) dispatch(ctx context.Context, req *wire.Request, serveID uint64) 
 		return n.handleShardMap(req)
 	case wire.KindInspect:
 		return n.handleInspect(req)
-	case wire.KindBatch:
-		// Sub-requests bypass the admission gate — the enclosing batch
-		// already holds the slot, and re-acquiring per sub would deadlock a
-		// small gate against its own children — but each sub still gets its
-		// own deadline check (a batch can outlive the budget of the
-		// transaction that sent one of its subs).
-		return transport.HandleBatch(ctx, n.handleBatchSub, req)
 	case wire.KindPing:
 		return &wire.Response{Status: wire.StatusOK}
 	default:
@@ -582,17 +573,12 @@ func (n *Node) dispatch(ctx context.Context, req *wire.Request, serveID uint64) 
 	}
 }
 
-// handleBatchSub serves one batch sub-request: deadline-checked and traced,
-// but not re-admitted (see the KindBatch dispatch case).
-func (n *Node) handleBatchSub(ctx context.Context, req *wire.Request) *wire.Response {
-	if resp := n.checkDeadline(req); resp != nil {
-		return resp
-	}
-	return n.serve(ctx, req)
-}
-
 var _ transport.Handler = (*Node)(nil).Handle
 
+// handleRead answers a read of one object or several (ReadRequest.More)
+// under the one admission slot, deadline check, serve span and ReadServe
+// record the request took: the validation list and the stats query are
+// answered once, and each object gets its own status and conflict witness.
 func (n *Node) handleRead(req *wire.Request) *wire.Response {
 	r := req.Read
 	if r == nil {
@@ -611,24 +597,38 @@ func (n *Node) handleRead(req *wire.Request) *wire.Response {
 		// The explicit contention-stats query: the levels are the answer.
 		return &wire.Response{Status: wire.StatusOK, Read: resp}
 	}
-	v, ver, err := n.store.Get(r.Object)
+	first, detail := n.readObject(req, r.Object)
+	resp.Value, resp.Version = first.Value, first.Version
+	if len(r.More) > 0 {
+		resp.More = make([]wire.ReadResult, len(r.More))
+		for i, id := range r.More {
+			resp.More[i], _ = n.readObject(req, id)
+		}
+	}
+	return &wire.Response{Status: first.Status, Detail: detail, ConflictTx: first.ConflictTx, Read: resp}
+}
+
+// readObject reads one object of a read request. A busy object is noted as a
+// conflict and carries the witness of the holder whose (exclusive) protection
+// refused it; detail is the error of a failed read.
+func (n *Node) readObject(req *wire.Request, id store.ObjectID) (res wire.ReadResult, detail string) {
+	v, ver, err := n.store.Get(id)
 	switch {
 	case errors.Is(err, store.ErrBusy):
-		// Piggyback the conflict witness: the holder whose (exclusive)
-		// protection made this read Busy.
-		witness := busyWitness(err)
-		n.noteConflict(req, r.Object, witness)
-		return &wire.Response{Status: wire.StatusBusy, Read: resp, ConflictTx: witness}
+		res.ConflictTx = busyWitness(err)
+		n.noteConflict(req, id, res.ConflictTx)
+		res.Status = wire.StatusBusy
 	case errors.Is(err, store.ErrNotFound):
-		return &wire.Response{Status: wire.StatusNotFound, Read: resp}
+		res.Status = wire.StatusNotFound
 	case err != nil:
-		return &wire.Response{Status: wire.StatusError, Detail: err.Error(), Read: resp}
+		res.Status, detail = wire.StatusError, err.Error()
+	default:
+		if !req.Read.VersionOnly {
+			res.Value = v
+		}
+		res.Version = ver
 	}
-	if !r.VersionOnly {
-		resp.Value = v
-	}
-	resp.Version = ver
-	return &wire.Response{Status: wire.StatusOK, Read: resp}
+	return res, detail
 }
 
 // handlePrepare is 2PC phase one. Per the QR-CN commit rule, protections are

@@ -415,37 +415,44 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
-func TestHandleBatchReads(t *testing.T) {
+// TestHandleMultiObjectRead: one read naming three objects answers each on
+// its own — present, protected (with the holder's witness, noted as a
+// conflict), absent — validates once, and is one ReadServe record.
+func TestHandleMultiObjectRead(t *testing.T) {
 	n := newTestNode()
+	if p := prepare(n, "t1", &wire.PrepareRequest{
+		Reads:  []store.ReadDesc{{ID: "b", Version: 1}},
+		Writes: []store.WriteDesc{{ID: "b", Value: store.Int64(20), NewVersion: 2}},
+	}); !p.Prepare.Vote {
+		t.Fatalf("prepare: %+v", p)
+	}
+	served := n.Stages().ReadServe.Count()
 	resp := n.Handle(context.Background(), &wire.Request{
-		Kind: wire.KindBatch,
-		TxID: "t1",
-		Batch: &wire.BatchRequest{Subs: []*wire.Request{
-			{Kind: wire.KindRead, TxID: "t1", Read: &wire.ReadRequest{Object: "a"}},
-			{Kind: wire.KindRead, TxID: "t1", Read: &wire.ReadRequest{Object: "b"}},
-			{Kind: wire.KindRead, TxID: "t1", Read: &wire.ReadRequest{Object: "zzz"}},
-		}},
+		Kind: wire.KindRead,
+		TxID: "t2",
+		Read: &wire.ReadRequest{Object: "a", More: []store.ObjectID{"b", "zzz"},
+			Validate: []store.ReadDesc{{ID: "a", Version: 0}}},
 	})
-	if resp.Status != wire.StatusOK || resp.Batch == nil || len(resp.Batch.Subs) != 3 {
+	if resp.Status != wire.StatusOK || resp.ConflictTx != "" || resp.Read == nil || len(resp.Read.More) != 2 {
 		t.Fatalf("resp = %+v", resp)
 	}
-	if store.AsInt64(resp.Batch.Subs[0].Read.Value) != 1 || store.AsInt64(resp.Batch.Subs[1].Read.Value) != 2 {
-		t.Fatalf("batch values = %+v %+v", resp.Batch.Subs[0].Read, resp.Batch.Subs[1].Read)
+	if store.AsInt64(resp.Read.Value) != 1 || resp.Read.Version != 1 {
+		t.Fatalf("first object = %+v, want a at version 1", resp.Read)
 	}
-	if resp.Batch.Subs[2].Status != wire.StatusNotFound {
-		t.Fatalf("missing object status = %v", resp.Batch.Subs[2].Status)
+	if len(resp.Read.Invalid) != 1 || resp.Read.Invalid[0] != "a" {
+		t.Fatalf("invalid = %v, want a once", resp.Read.Invalid)
 	}
-}
-
-func TestHandleBatchRejectsNesting(t *testing.T) {
-	n := newTestNode()
-	resp := n.Handle(context.Background(), &wire.Request{
-		Kind: wire.KindBatch,
-		Batch: &wire.BatchRequest{Subs: []*wire.Request{
-			{Kind: wire.KindBatch, Batch: &wire.BatchRequest{}},
-		}},
-	})
-	if resp.Status != wire.StatusOK || resp.Batch.Subs[0].Status != wire.StatusError {
-		t.Fatalf("nested batch = %+v", resp)
+	if b := resp.Read.More[0]; b.Status != wire.StatusBusy || b.ConflictTx != "t1" || b.Value != nil {
+		t.Fatalf("protected object = %+v, want busy, held exclusively by t1", b)
+	}
+	if z := resp.Read.More[1]; z.Status != wire.StatusNotFound || z.ConflictTx != "" {
+		t.Fatalf("missing object = %+v, want not-found", z)
+	}
+	evs := n.Forensics().Aborts()
+	if len(evs) == 0 || evs[len(evs)-1].Key != "b" || evs[len(evs)-1].ConflictingTxID != "t1" || evs[len(evs)-1].TxID != "t2" {
+		t.Fatalf("forensic events = %+v, want t2's conflict on b with witness t1", evs)
+	}
+	if got := n.Stages().ReadServe.Count() - served; got != 1 {
+		t.Fatalf("%d ReadServe records for one request, want 1", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -18,13 +19,31 @@ type ObjectID string
 // one long after the message is gone keeps a clone, or it keeps the frame.
 func (id ObjectID) Clone() ObjectID { return ObjectID(strings.Clone(string(id))) }
 
-// ID builds an ObjectID from a class label and key components.
+// ID builds an ObjectID from a class label and key components: the class,
+// then "/" and each key as %v prints it.
 func ID(class string, keys ...any) ObjectID {
-	id := class
+	var buf [64]byte
+	b := append(buf[:0], class...)
 	for _, k := range keys {
-		id += fmt.Sprintf("/%v", k)
+		b = AppendKey(append(b, '/'), k)
 	}
-	return ObjectID(id)
+	return ObjectID(b)
+}
+
+// AppendKey appends one ID key component to b exactly as %v prints it.
+// An int, an int64 or a string, the keys workloads use, takes strconv or a
+// copy; anything else takes fmt.
+func AppendKey(b []byte, k any) []byte {
+	switch k := k.(type) {
+	case int:
+		return strconv.AppendInt(b, int64(k), 10)
+	case int64:
+		return strconv.AppendInt(b, k, 10)
+	case string:
+		return append(b, k...)
+	default:
+		return fmt.Appendf(b, "%v", k)
+	}
 }
 
 // ReadDesc describes one entry of a transaction's read-set: the object and
@@ -233,11 +252,7 @@ func (s *Store) Get(id ObjectID) (Value, uint64, error) {
 	if s.protectionActive(o) {
 		return nil, 0, &BusyError{Holder: o.protectedBy}
 	}
-	var v Value
-	if o.value != nil {
-		v = o.value.CloneValue()
-	}
-	return v, o.version, nil
+	return Clone(o.value), o.version, nil
 }
 
 // Version returns the replica-local version of an object, and false if the
@@ -372,11 +387,7 @@ func (s *Store) Apply(w WriteDesc, owner string) error {
 	}
 	if w.NewVersion > o.version {
 		o.version = w.NewVersion
-		if w.Value != nil {
-			o.value = w.Value.CloneValue()
-		} else {
-			o.value = nil
-		}
+		o.value = Clone(w.Value)
 	}
 	o.protected = false
 	o.protectedBy = ""
@@ -399,11 +410,7 @@ func (s *Store) Restore(objs []WriteDesc) {
 			continue
 		}
 		o.version = w.NewVersion
-		if w.Value != nil {
-			o.value = w.Value.CloneValue()
-		} else {
-			o.value = nil
-		}
+		o.value = Clone(w.Value)
 	}
 }
 
@@ -444,9 +451,7 @@ func (s *Store) Snapshot() map[ObjectID]Object {
 				c.SharedBy = append(c.SharedBy, h.owner)
 			}
 		}
-		if o.value != nil {
-			c.Value = o.value.CloneValue()
-		}
+		c.Value = Clone(o.value)
 		out[id] = c
 	}
 	return out

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -169,6 +170,57 @@ func TestIDAndIDs(t *testing.T) {
 	}
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d", s.Len())
+	}
+}
+
+// TestIDMatchesPercentV: an ID is its class and "/%v" of each key, whatever
+// path a key takes — strconv for integers, a copy for strings, fmt for the
+// rest (store.Int64 prints through its String method) — however long the
+// result.
+func TestIDMatchesPercentV(t *testing.T) {
+	long := strings.Repeat("x", 100)
+	cases := [][]any{
+		{},
+		{0},
+		{7, 300000, -12},
+		{int64(1) << 40, int64(-5)},
+		{int32(-3), uint(4), uint32(5), uint64(1) << 63},
+		{"w", "", "a/b"},
+		{Int64(5), Int64(-300)},
+		{Float64(2.5), 3.25, true, nil},
+		{long, 123456789, long},
+	}
+	for _, keys := range cases {
+		want := "district"
+		for _, k := range keys {
+			want += fmt.Sprintf("/%v", k)
+		}
+		if got := ID("district", keys...); string(got) != want {
+			t.Errorf("ID(district, %v) = %q, want %q", keys, got, want)
+		}
+	}
+}
+
+// TestCloneKeepsImmutableScalars: Clone hands an Int64, Float64 or String
+// back as it is, nil as nil, and deep-copies everything else.
+func TestCloneKeepsImmutableScalars(t *testing.T) {
+	for _, v := range []Value{Int64(1 << 40), Float64(2.5), String("s"), nil} {
+		if got := Clone(v); got != v {
+			t.Fatalf("Clone(%v) = %v", v, got)
+		}
+	}
+	b := Bytes{1}
+	c := Clone(b).(Bytes)
+	c[0] = 9
+	tu := Tuple{Int64(1000), b}
+	ct := Clone(tu).(Tuple)
+	ct[1].(Bytes)[0] = 9
+	if b[0] != 1 {
+		t.Fatal("Clone of Bytes or of a Tuple holding them is shallow")
+	}
+	big := Value(Int64(1 << 40))
+	if n := testing.AllocsPerRun(100, func() { big = Clone(big) }); n != 0 {
+		t.Fatalf("Clone of an Int64 allocates %.0f times", n)
 	}
 }
 

@@ -13,6 +13,18 @@ type Value interface {
 	CloneValue() Value
 }
 
+// Clone returns a deep copy of v, like v.CloneValue, except that an Int64,
+// Float64 or String is returned as it is: immutable, it is its own copy, and
+// handing back the same interface skips the re-boxing CloneValue's result
+// costs (every Int64 above 255 is a new allocation). Clone(nil) is nil.
+func Clone(v Value) Value {
+	switch v.(type) {
+	case nil, Int64, Float64, String:
+		return v
+	}
+	return v.CloneValue()
+}
+
 // Int64 is a scalar value, the workhorse for counters and balances.
 type Int64 int64
 
@@ -50,9 +62,7 @@ type Tuple []Value
 func (v Tuple) CloneValue() Value {
 	out := make(Tuple, len(v))
 	for i, e := range v {
-		if e != nil {
-			out[i] = e.CloneValue()
-		}
+		out[i] = Clone(e)
 	}
 	return out
 }

@@ -16,12 +16,13 @@ import (
 )
 
 // hotPathFrames are the frames a TCPClient writes after its preamble for the
-// four messages every transaction sends: a read (validating two earlier reads
-// and piggybacking a stats query), a traced prepare, a coordinator's commit
-// decision and a two-read batch. They were captured before the stats query
-// and the forwarded decision lost kinds of their own, and must not move: a
-// change that only renumbers or deletes other kinds keeps the hot path
-// byte-identical.
+// messages transactions send: a read (validating two earlier reads and
+// piggybacking a stats query), a traced prepare, a coordinator's commit
+// decision, a two-read batch (the deprecated envelope the read-ahead used to
+// send) and the multi-object read that replaced it. The first four were
+// captured before the stats query and the forwarded decision lost kinds of
+// their own, and must not move: a change that only renumbers or deletes other
+// kinds keeps the hot path byte-identical.
 var hotPathFrames = []struct {
 	name string
 	req  *wire.Request
@@ -57,6 +58,15 @@ var hotPathFrames = []struct {
 		}},
 	}, "0000005700d63cf998" +
 		"0304060963312d7434332d61300000200201000963312d7434332d613000008110066974656d2f37000000aab4aed8c7bfce972f01000963312d7434332d613000008110066974656d2f39000001aab4aed8c7bfce972f"},
+	{"multi-object read", &wire.Request{
+		Kind: wire.KindRead, TxID: "c1-t44-a0", Deadline: hotPathDeadline,
+		Read: &wire.ReadRequest{
+			Object:   store.ID("stock", 0, 0),
+			More:     []store.ObjectID{store.ID("stock", 0, 1), store.ID("item", 7)},
+			Validate: hotPathReads[:1],
+		},
+	}, "00000044009908e32a" +
+		"0404000963312d7434342d6130000081300973746f636b2f302f30010973746f636b2f302f30010000aab4aed8c7bfce972f020973746f636b2f302f31066974656d2f37"},
 }
 
 const hotPathDeadline = 1_700_000_000_123_456_789

@@ -73,11 +73,7 @@ func (e *Env) SetInt64(v Var, val int64) { e.vars[v] = store.Int64(val) }
 func (e *Env) SnapshotVars() map[Var]store.Value {
 	out := make(map[Var]store.Value, len(e.vars))
 	for k, v := range e.vars {
-		if v != nil {
-			out[k] = v.CloneValue()
-		} else {
-			out[k] = nil
-		}
+		out[k] = store.Clone(v)
 	}
 	return out
 }
@@ -88,10 +84,6 @@ func (e *Env) SnapshotVars() map[Var]store.Value {
 func (e *Env) RestoreVars(snap map[Var]store.Value) {
 	e.vars = make(map[Var]store.Value, len(snap))
 	for k, v := range snap {
-		if v != nil {
-			e.vars[k] = v.CloneValue()
-		} else {
-			e.vars[k] = nil
-		}
+		e.vars[k] = store.Clone(v)
 	}
 }

@@ -180,11 +180,12 @@ func (p *Program) Local(fn LocalFunc, uses []Var, defs []Var) *Stmt {
 
 func refFromParams(class string, params []string) RefFunc {
 	return func(e *Env) store.ObjectID {
-		keys := make([]any, len(params))
-		for i, p := range params {
-			keys[i] = e.Param(p)
+		var buf [64]byte
+		b := append(buf[:0], class...)
+		for _, p := range params {
+			b = store.AppendKey(append(b, '/'), e.Param(p))
 		}
-		return store.ID(class, keys...)
+		return store.ObjectID(b)
 	}
 }
 

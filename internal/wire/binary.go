@@ -104,9 +104,13 @@ const (
 	// — including every frame an old peer emits — stay byte-identical to
 	// the pre-deadline layout).
 	reqHasDeadline
+	// reqHasMoreReads marks a read that names further objects
+	// (ReadRequest.More); a one-object read leaves it clear and keeps its old
+	// frame. It is only valid next to reqHasRead.
+	reqHasMoreReads
 
 	reqKnown = reqHasRead | reqHasPrepare | reqHasDecision | reqHasBatch |
-		reqHasRepair | reqHasInspect | reqHasShardMap | reqHasDeadline
+		reqHasRepair | reqHasInspect | reqHasShardMap | reqHasDeadline | reqHasMoreReads
 )
 
 // Response payload presence bits, wire order; uvarint-encoded like the
@@ -127,9 +131,12 @@ const (
 	// emits, stay byte-identical to the pre-forensics layout even though
 	// this is the first bit that pushes the response mask past one byte).
 	respHasConflict
+	// respHasMoreReads marks a read reply that carries further objects'
+	// results (ReadResponse.More); only valid next to respHasRead.
+	respHasMoreReads
 
 	respKnown = respHasRead | respHasPrepare | respHasBatch | respHasInspect |
-		respHasTxStatus | respHasShardMap | respHasConflict
+		respHasTxStatus | respHasShardMap | respHasConflict | respHasMoreReads
 )
 
 // kindRetired is the blank in the Kind enum, the deleted anti-entropy pull's
@@ -417,6 +424,9 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 	if r.Deadline != 0 {
 		mask |= reqHasDeadline
 	}
+	if r.Read != nil && len(r.Read.More) > 0 {
+		mask |= reqHasMoreReads
+	}
 	dst = binary.AppendUvarint(dst, mask)
 	var err error
 	if r.Read != nil {
@@ -476,6 +486,9 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 	if r.Deadline != 0 {
 		dst = binary.AppendVarint(dst, r.Deadline)
 	}
+	if mask&reqHasMoreReads != 0 {
+		dst = appendIDs(dst, r.Read.More)
+	}
 	return dst, nil
 }
 
@@ -506,6 +519,9 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 	}
 	if r.ConflictTx != "" {
 		mask |= respHasConflict
+	}
+	if r.Read != nil && len(r.Read.More) > 0 {
+		mask |= respHasMoreReads
 	}
 	dst = binary.AppendUvarint(dst, mask)
 	var err error
@@ -552,6 +568,18 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 	}
 	if r.ConflictTx != "" {
 		dst = appendString(dst, r.ConflictTx)
+	}
+	if mask&respHasMoreReads != 0 {
+		dst = binary.AppendUvarint(dst, uint64(len(r.Read.More)))
+		for i := range r.Read.More {
+			m := &r.Read.More[i]
+			dst = binary.AppendVarint(dst, int64(m.Status))
+			dst = binary.AppendUvarint(dst, m.Version)
+			if dst, err = appendValue(dst, m.Value, depth); err != nil {
+				return nil, err
+			}
+			dst = appendString(dst, m.ConflictTx)
+		}
 	}
 	return dst, nil
 }
@@ -974,6 +1002,17 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 			return err
 		}
 	}
+	if mask&reqHasMoreReads != 0 {
+		if r.Read == nil {
+			return fmt.Errorf("%w: further read objects without a read", ErrBadFrame)
+		}
+		if r.Read.More, err = d.ids(); err != nil {
+			return err
+		}
+		if r.Read.More == nil {
+			return fmt.Errorf("%w: further read objects flagged but none named", ErrBadFrame)
+		}
+	}
 	return nil
 }
 
@@ -1105,7 +1144,46 @@ func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
 			return err
 		}
 	}
+	if mask&respHasMoreReads != 0 {
+		if r.Read == nil {
+			return fmt.Errorf("%w: further read results without a read", ErrBadFrame)
+		}
+		if r.Read.More, err = d.readResults(); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// readResults reads a multi-object read's further results: at least one, or
+// the bit that announced them is a lie.
+func (d *binReader) readResults() ([]ReadResult, error) {
+	n, err := d.count("read results")
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("%w: further read results flagged but none sent", ErrBadFrame)
+	}
+	out := make([]ReadResult, n)
+	for i := range out {
+		m := &out[i]
+		var status int64
+		if status, err = d.varint(); err != nil {
+			return nil, err
+		}
+		m.Status = Status(status)
+		if m.Version, err = d.uvarint(); err != nil {
+			return nil, err
+		}
+		if m.Value, err = d.value(); err != nil {
+			return nil, err
+		}
+		if m.ConflictTx, err = d.str(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func (d *binReader) readDescs() ([]store.ReadDesc, error) {

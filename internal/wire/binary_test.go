@@ -97,10 +97,10 @@ func TestBinaryRejectsUnknownMaskBits(t *testing.T) {
 		"request bit 4 (anti-entropy pull)": request(1<<4, 0),
 		"request bit 8":                     request(1 << 8),
 		"request bit 9":                     request(1 << 9),
-		"request bit 12 (past the last)":    request(1 << 12),
+		"request bit 13 (past the last)":    request(1 << 13),
 		"response bit 2 (stats reply)":      response(1 << 2),
 		"response bit 3 (anti-entropy)":     response(1<<3, 0),
-		"response bit 9 (past the last)":    response(1 << 9),
+		"response bit 10 (past the last)":   response(1 << 10),
 		"retired kind 5":                    {1, envHasReq, 5, 0, 0, 0, 0},
 	}
 	for name, payload := range cases {

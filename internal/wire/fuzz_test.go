@@ -29,17 +29,18 @@ func inspectSeed(t testing.TB) *Envelope {
 	})
 }
 
-// seedRequests is every kind's fixture plus the two request shapes that
-// share a kind with one: the forwarded decision and the stats-only read.
+// seedRequests is every kind's fixture plus the three request shapes that
+// share a kind with one: the forwarded decision, the stats-only read and the
+// multi-object read.
 func seedRequests(tb testing.TB) []*Request {
-	out := make([]*Request, 0, len(kindFixtures)+2)
+	out := make([]*Request, 0, len(kindFixtures)+3)
 	for _, req := range kindFixtures {
 		out = append(out, req)
 	}
 	fwd := mustRoundTrip(tb, &Envelope{Req: kindFixtures[KindDecision]}, false).Req
 	fwd.Decision.Forwarded = true
 	stats := &Request{Kind: KindRead, Read: &ReadRequest{StatsFor: []store.ObjectID{store.ID("acct", 5)}}}
-	return append(out, fwd, stats)
+	return append(out, fwd, stats, multiReadEnv().Req)
 }
 
 // rawFrame wraps payload in a CRC-valid frame header with the given flags.
@@ -97,6 +98,8 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	f.Add(cancel)
 	inspect, _ := AppendEnvelope(nil, inspectSeed(f))
 	f.Add(inspect)
+	multi, _ := AppendEnvelope(nil, multiReadReplyEnv())
+	f.Add(multi)
 	// A request of the retired kind: the decoder must refuse it, and the
 	// fuzzer starts next to that boundary.
 	f.Add([]byte{1, envHasReq, byte(kindRetired), 0, 0, 0, 0})
@@ -159,6 +162,9 @@ func FuzzCodecEquivalence(f *testing.F) {
 	var inspect bytes.Buffer
 	_ = gobEncode(&inspect, inspectSeed(f))
 	f.Add(inspect.Bytes())
+	var multi bytes.Buffer
+	_ = gobEncode(&multi, multiReadReplyEnv())
+	f.Add(multi.Bytes())
 	// gob carries the retired kind; the binary encoder must refuse it.
 	var retired bytes.Buffer
 	_ = gobEncode(&retired, &Envelope{Seq: 5, Req: &Request{Kind: kindRetired}})
@@ -247,6 +253,9 @@ func normalizeResponse(r *Response, depth int) {
 	if r.Read != nil {
 		r.Read.Value = normalizeValue(r.Read.Value, depth)
 		normalizeLevels(r.Read.Stats)
+		for i := range r.Read.More {
+			r.Read.More[i].Value = normalizeValue(r.Read.More[i].Value, depth)
+		}
 	}
 	if r.Batch != nil {
 		for _, sub := range r.Batch.Subs {

@@ -82,10 +82,11 @@ const (
 	// 5 is retired (the deleted anti-entropy pull's): it stays unused so no
 	// later kind's byte moves, and the codec rejects it.
 	_
-	// KindBatch carries N independent sub-requests in one frame; the server
-	// dispatches them concurrently and returns N sub-responses in matching
-	// order. One batched quorum round replaces N serial fan-outs — the wire
-	// half of the UnitGraph-driven read prefetch.
+	// KindBatch carries N independent sub-requests in one frame.
+	//
+	// Deprecated: no node serves it and no client sends it; a read-ahead is
+	// one multi-object read (ReadRequest.More). The kind and its codec stay
+	// only while benchmark/ still names them.
 	KindBatch
 	// KindRepair pushes a fresh value+version to a replica that reported a
 	// stale version during a quorum read (read-repair). The server applies
@@ -174,20 +175,30 @@ type Request struct {
 
 // BatchRequest bundles independent sub-requests into one frame. Sub-requests
 // must not themselves be batches (no nesting).
+//
+// Deprecated: see KindBatch.
 type BatchRequest struct {
 	Subs []*Request
 }
 
 // BatchResponse carries one sub-response per sub-request, in order.
+//
+// Deprecated: see KindBatch.
 type BatchResponse struct {
 	Subs []*Response
 }
 
-// ReadRequest fetches one object and incrementally validates the caller's
-// read-set. A read that names no Object is the contention-stats query: it is
-// answered StatusOK with the levels of StatsFor and no value.
+// ReadRequest fetches one object, or several, and incrementally validates the
+// caller's read-set once for all of them. A read that names no Object is the
+// contention-stats query: it is answered StatusOK with the levels of StatsFor
+// and no value.
 type ReadRequest struct {
-	Object   store.ObjectID
+	Object store.ObjectID
+	// More names further objects to read after Object, answered one result
+	// each, in order, in ReadResponse.More: the read-ahead asks a quorum
+	// member for a dozen rows in one request. Empty on a one-object read,
+	// whose frame it leaves as it was before the field existed.
+	More     []store.ObjectID
 	Validate []store.ReadDesc
 	// StatsFor asks for these objects' contention levels (writes in the
 	// node's last stats window), answered in ReadResponse.Stats.
@@ -334,7 +345,9 @@ type Response struct {
 }
 
 // ReadResponse carries the object, the incremental-validation outcome, and
-// the contention levels StatsFor asked for.
+// the contention levels StatsFor asked for. The first object's outcome is the
+// Response's own Status and ConflictTx; each further object's is its entry
+// of More.
 type ReadResponse struct {
 	Value   store.Value
 	Version uint64
@@ -342,6 +355,17 @@ type ReadResponse struct {
 	// version of; a non-empty list triggers a (partial) abort at the client.
 	Invalid []store.ObjectID
 	Stats   map[store.ObjectID]float64
+	// More holds one result per ReadRequest.More entry, in the same order.
+	More []ReadResult
+}
+
+// ReadResult is the outcome of reading one further object of a multi-object
+// read: what Status, ConflictTx, Value and Version say of the first.
+type ReadResult struct {
+	Status     Status
+	Version    uint64
+	Value      store.Value
+	ConflictTx string
 }
 
 // PrepareResponse is the participant's vote.
