@@ -13,7 +13,8 @@ import (
 const maxCheckpointRollbacks = 1000
 
 // checkpointState is one saved execution point: the statement to resume
-// from, the transaction's private state, and a deep copy of the variables.
+// from, the transaction's savepoint, and a deep copy of the variables (they
+// live in the Env, not in the transaction, so no savepoint covers them).
 type checkpointState struct {
 	stmt int
 	tx   *dtm.Checkpoint
@@ -23,14 +24,14 @@ type checkpointState struct {
 // ExecuteCheckpointed runs one invocation under checkpoint-based partial
 // rollback — the alternative rollback mechanism the paper contrasts closed
 // nesting with (§I, §III). Before every remote first access the executor
-// saves the transaction's private state and the variable bindings; when an
-// invalidation is detected, execution restores the latest checkpoint taken
+// takes a savepoint of the transaction and copies the variable bindings; when
+// an invalidation is detected, execution restores the latest checkpoint taken
 // *before* the invalidated object's first read and resumes from there,
 // instead of restarting the transaction.
 //
-// Finer-grained than closed nesting (any rollback point, not just
-// sub-transaction boundaries), but every checkpoint pays a state-copy cost
-// on the critical path — the overhead ACN's closed nesting avoids.
+// A savepoint is the same one a Block's Sub takes, and copies nothing, so
+// checkpointing differs from closed nesting only in how fine its rollback
+// is (any anchor, not just Block boundaries) and in the variable copy.
 // Conflicts discovered at commit time still restart the transaction.
 func (e *Executor) ExecuteCheckpointed(ctx context.Context, params map[string]any) error {
 	rt := e.rt

@@ -2,57 +2,44 @@ package dtm
 
 import "qracn/internal/store"
 
-// Checkpoint captures a flat transaction's private state (read-set length
-// and a deep copy of the write-set) so execution can later be rolled back
-// to this point instead of restarting from the beginning. This implements
-// the checkpointing alternative to closed nesting the paper contrasts ACN
-// against (§I, §III): finer-grained rollback, but every checkpoint pays for
-// copying the intermediate state — the overhead the paper's closed-nesting
-// approach avoids.
+// Checkpoint is a savepoint of a transaction: the lengths of its read log
+// and its undo log when it was taken. Restoring it forgets the first accesses
+// made since and undoes the writes made since, newest first; nothing is
+// copied when it is taken or restored. Sub takes one at the start of every
+// Block, and QR-CP, the checkpointing alternative to closed nesting the paper
+// contrasts ACN against (§I, §III), takes one before every anchor, so the two
+// differ only in where they may roll back to.
 //
-// Checkpoints are only meaningful on a top-level transaction that does not
-// use Sub; mixing the two rollback mechanisms is not supported.
+// Savepoints nest as a stack: restoring one voids every savepoint taken
+// after it, and it can be restored again as long as it is not voided.
 type Checkpoint struct {
-	readLen int
-	writes  map[store.ObjectID]store.Value
+	reads, undo int
 }
 
 // ReadLen reports how many first accesses predate the checkpoint.
-func (cp *Checkpoint) ReadLen() int { return cp.readLen }
+func (cp *Checkpoint) ReadLen() int { return cp.reads }
 
-// Checkpoint saves the transaction's current private state.
+// Checkpoint takes a savepoint of the transaction's current private state.
 func (tx *Tx) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{
-		readLen: len(tx.readOrder),
-		writes:  make(map[store.ObjectID]store.Value, len(tx.writes)),
-	}
-	for id, v := range tx.writes {
-		if v != nil {
-			cp.writes[id] = v.CloneValue()
-		} else {
-			cp.writes[id] = nil
-		}
-	}
-	return cp
+	return &Checkpoint{reads: len(tx.readOrder), undo: len(tx.undo)}
 }
 
 // Restore rolls the transaction's private state back to the checkpoint:
 // reads performed after it are forgotten (so they will be re-fetched, and
-// re-validated, on re-execution) and the write buffer reverts to the saved
-// copy.
+// re-validated, on re-execution) and every write made after it is undone.
 func (tx *Tx) Restore(cp *Checkpoint) {
-	for _, id := range tx.readOrder[cp.readLen:] {
-		delete(tx.reads, id)
-	}
-	tx.readOrder = tx.readOrder[:cp.readLen]
-	tx.writes = make(map[store.ObjectID]store.Value, len(cp.writes))
-	for id, v := range cp.writes {
-		if v != nil {
-			tx.writes[id] = v.CloneValue()
+	for i := len(tx.undo) - 1; i >= cp.undo; i-- {
+		if u := tx.undo[i]; u.had {
+			tx.writes[u.id] = u.prev
 		} else {
-			tx.writes[id] = nil
+			delete(tx.writes, u.id)
 		}
 	}
+	tx.undo = tx.undo[:cp.undo]
+	for _, id := range tx.readOrder[cp.reads:] {
+		delete(tx.reads, id)
+	}
+	tx.readOrder = tx.readOrder[:cp.reads]
 }
 
 // ReadPosition reports the position of the object in the transaction's

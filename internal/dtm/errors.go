@@ -22,8 +22,9 @@ const (
 	// currently executing sub-transaction; only it re-executes (partial
 	// rollback).
 	AbortSub AbortLevel = iota
-	// AbortParent: an object already merged into the parent's history was
-	// invalidated (or the commit failed); the whole transaction re-executes.
+	// AbortParent: an object first accessed before the executing
+	// sub-transaction began was invalidated (or the commit failed); the whole
+	// transaction re-executes.
 	AbortParent
 )
 

@@ -9,10 +9,10 @@ import (
 
 // recordAbort attributes one abort — partial or full — to its forensic
 // cause: per-cause and per-block counters always, plus a structured ring
-// event when the recorder is enabled. tx is the TOP-LEVEL context (runSub
-// passes the parent), so block metadata and the transaction ID are the
-// merged transaction's. Only abort paths reach here; the conflict-free hot
-// path never allocates an event.
+// event when the recorder is enabled. tx carries the block metadata and the
+// transaction ID of the whole transaction, whichever Block aborted. Only
+// abort paths reach here; the conflict-free hot path never allocates an
+// event.
 func (rt *Runtime) recordAbort(tx *Tx, ae *AbortError, partial bool, retryDepth int) {
 	switch ae.Cause {
 	case forensics.CauseReadValidation:

@@ -16,24 +16,24 @@ import (
 // objects owned by several quorum groups are asked for in the same concurrent
 // fan-out.
 //
-// What it fetches is parked in a read-ahead buffer on the top-level
-// transaction, not in any read set. The first Read or Write of a buffered
-// object — in whichever context (Block) that happens — moves it into that
-// context's read set, so first-access ownership, the partial/full abort
-// classification, commit-time validation and shard attribution are what they
-// would be had that context read the object remotely, and an object nobody
-// touches never enters a read set or a prepare.
+// What it fetches is parked in a read-ahead buffer on the transaction, not
+// in its read set. The first Read or Write of a buffered object — in
+// whichever Block that happens — moves it into the read set tagged with that
+// Block, so first-access ownership, the partial/full abort classification,
+// commit-time validation and shard attribution are what they would be had
+// that Block read the object remotely, and an object nobody touches never
+// enters the read set or a prepare.
 //
 // Buffered entries ride in the incremental-validation list of every later
 // remote interaction. One reported stale is dropped from the buffer (the
 // Block that wants it reads it afresh) instead of aborting anything, since no
-// Block body has observed it; a stale object that some context did observe
+// Block body has observed it; a stale object that some Block did observe
 // aborts with the same partial/full classification as on a plain read. Hence
 // every value a body observes was valid at the transaction's latest remote
 // interaction, which is what the per-read protocol guarantees.
 //
-// Objects the chain already holds (read set, write set or buffer) are
-// skipped. Objects that are busy (protected by a committing transaction) or
+// Objects the transaction already holds (read set or buffer) are skipped.
+// Objects that are busy (protected by a committing transaction) or
 // unreadable on every quorum member are skipped too — the Block body's own
 // Read will retry them through the usual busy/backoff path, and a busy abort
 // there rolls back that Block only.
@@ -65,11 +65,10 @@ func (tx *Tx) Prefetch(ids ...store.ObjectID) (err error) {
 	if len(need) == 0 {
 		return nil
 	}
-	top := tx.top()
-	if top.ahead == nil {
-		top.ahead = make(map[store.ObjectID]readEntry, len(need))
+	if tx.ahead == nil {
+		tx.ahead = make(map[store.ObjectID]readEntry, len(need))
 	}
-	parked, err := tx.readRound(need, sp.ID, "prefetch quorum", top.ahead)
+	parked, err := tx.readRound(need, sp.ID, "prefetch quorum", tx.ahead)
 	rt.metrics.PrefetchedObjects.Add(uint64(parked))
 	return err
 }

@@ -498,8 +498,7 @@ func (rt *Runtime) runAttempts(ctx context.Context, fn func(*Tx) error, seq uint
 			traceID:     traceID,
 			span:        sp.ID,
 			reads:       make(map[store.ObjectID]readEntry),
-			writes:      make(map[store.ObjectID]store.Value),
-			writeBlock:  make(map[store.ObjectID]int),
+			writes:      make(map[store.ObjectID]writeEntry),
 		}
 		err := fn(tx)
 		if err == nil {
@@ -508,7 +507,7 @@ func (rt *Runtime) runAttempts(ctx context.Context, fn func(*Tx) error, seq uint
 		sp.end(err, "committed")
 		if err == nil {
 			rt.metrics.Commits.Add(1)
-			rt.noteShards(tx, shardCommit)
+			rt.noteShards(tx.readOrder, shardCommit)
 			return nil
 		}
 		ae, ok := AsAbort(err)
@@ -523,7 +522,7 @@ func (rt *Runtime) runAttempts(ctx context.Context, fn func(*Tx) error, seq uint
 			return err
 		}
 		rt.metrics.ParentAborts.Add(1)
-		rt.noteShards(tx, shardParentAbort)
+		rt.noteShards(tx.readOrder, shardParentAbort)
 		rt.recordAbort(tx, ae, false, attempt)
 		if ae.Busy {
 			rt.metrics.BusyBackoffs.Add(1)

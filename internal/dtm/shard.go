@@ -61,16 +61,18 @@ const (
 	shardSubAbort
 )
 
-// noteShards attributes one top-level outcome to every shard the context's
-// read set touches (every write has a first-access entry there, a blind one
-// when nothing read the object, so the read set covers both). Aborts raised before the first merged read go
-// unattributed — the breakdown is a profile, not an invariant.
-func (rt *Runtime) noteShards(tx *Tx, outcome shardOutcome) {
+// noteShards attributes one outcome to every shard the given first accesses
+// touch: the whole read log for a top-level outcome, the rolled-back try's
+// tail of it for a partial abort (every write has a first-access entry there,
+// a blind one when nothing read the object, so the read log covers both).
+// Aborts raised before the first read go unattributed — the breakdown is a
+// profile, not an invariant.
+func (rt *Runtime) noteShards(ids []store.ObjectID, outcome shardOutcome) {
 	if rt.shardStats == nil {
 		return
 	}
 	seen := make(map[int]bool, 2)
-	for id := range tx.reads {
+	for _, id := range ids {
 		s := rt.cfg.Shards.ShardFor(id)
 		if seen[s] {
 			continue

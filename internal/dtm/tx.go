@@ -15,17 +15,20 @@ import (
 	"qracn/internal/wire"
 )
 
-// Tx is a transaction context. A top-level context (parent == nil) holds the
-// merged history of every committed sub-transaction; a child context holds
-// only the accesses made since the sub-transaction began, so aborting it
-// discards exactly the work the closed-nesting model allows to be redone.
+// Tx is one attempt of a top-level transaction and of every Block (ACN
+// closed-nested sub-transaction) it runs: one read log and one write set for
+// the whole attempt, each entry tagged with the Block that made it, and an
+// undo log of what every write replaced. A savepoint (Checkpoint) is the
+// lengths of the read and undo logs, so a Block's partial abort and QR-CP's
+// Restore are the same rollback: forget the reads after the savepoint and
+// undo the writes after it, newest first.
 type Tx struct {
 	rt   *Runtime
 	ctx  context.Context
 	id   string
 	seed int
-	// incarnation is the top-level attempt index this context executes
-	// under (the -aN suffix of id), carried for forensic abort events.
+	// incarnation is the top-level attempt index this transaction executes
+	// as (the -aN suffix of id), carried for forensic abort events.
 	incarnation int
 
 	// deadline is the transaction's absolute deadline (UnixNano, 0: none),
@@ -36,70 +39,77 @@ type Tx struct {
 	// failovers, busy re-reads, and overload backpressure waits.
 	budget *backoff.Budget
 
-	parent *Tx
+	// block identifies which ACN Block is executing: 0 outside any Sub, k
+	// inside the k-th Sub of the transaction. subSeq counts Sub calls.
+	block  int
+	subSeq int
 
-	// block identifies which ACN Block (closed-nested sub-transaction) this
-	// context executes: 0 for the top-level context, k for the k-th Sub of
-	// the transaction. subSeq counts Sub calls on a top-level context, and
-	// writeBlock (top level only) remembers, per written object, the block
-	// whose write survives in the merged write-set — the dependency metadata
-	// the commit log records for parallel replay.
-	block      int
-	subSeq     int
-	writeBlock map[store.ObjectID]int
-
-	// blockCount/blockAnchors (top level only) describe the compiled ACN
-	// composition this transaction executes: how many Blocks it has and which
-	// source unit (anchor atomic-block ID) each Block maps to. The ACN
-	// executor stamps them via SetBlockMeta so forensic abort events can name
-	// the decomposition unit a conflict hit; hand-written transactions leave
+	// blockCount/blockAnchors describe the compiled ACN composition this
+	// transaction executes: how many Blocks it has and which source unit
+	// (anchor atomic-block ID) each Block maps to. The ACN executor stamps
+	// them via SetBlockMeta so forensic abort events can name the
+	// decomposition unit a conflict hit; hand-written transactions leave
 	// them unset.
 	blockCount   int
 	blockAnchors []int
 
 	// traceID is the distributed-trace ID of the sampled top-level
-	// transaction this context belongs to (empty: unsampled — every span
-	// site only times its stage, keeping the hot path allocation-free). span is
-	// the enclosing client span (attempt, try, or commit) that wire requests
-	// issued by this context parent to.
+	// transaction (empty: unsampled — every span site only times its stage,
+	// keeping the hot path allocation-free). span is the enclosing client
+	// span (attempt, try, or commit) that wire requests issued now parent to.
 	traceID string
 	span    uint64
 
 	// reads maps first-accessed objects to the value and version observed at
-	// fetch time; readOrder preserves access order for commit messages.
+	// fetch time; readOrder is the read log, first accesses in order, for
+	// commit messages and savepoints.
 	reads     map[store.ObjectID]readEntry
 	readOrder []store.ObjectID
-	// writes buffers this context's writes (QR-CN write-set).
-	writes map[store.ObjectID]store.Value
+	// writes is the write set (QR-CN write-set).
+	writes map[store.ObjectID]writeEntry
+	// undo is the undo log: one record per Write, kept for the whole
+	// attempt so every savepoint taken in it stays valid. It undoes by
+	// reference, never by copy, which is safe because no transaction code can
+	// change a buffered value in place: Write stores the caller's value
+	// uncopied, and Read hands out store.Clone of it.
+	undo []undoRecord
 
-	// child (top level only) is the one sub-transaction context the
-	// transaction's Blocks take turns in: Blocks run one at a time and merge
-	// or discard everything they hold before the next starts, so runSub
-	// empties it instead of building a context and its maps per Block and
-	// per try.
-	child *Tx
-
-	// ahead (top level only) is the read-ahead buffer: what Prefetch fetched
-	// and no context has touched yet. An entry belongs to no Block until a
-	// Read or Write moves it into that context's read set (takeAhead);
-	// until then it rides in every incremental-validation list and is
-	// dropped, not aborted on, when reported stale (abortFor). Allocated by
-	// the first Prefetch.
+	// ahead is the read-ahead buffer: what Prefetch fetched and no Read or
+	// Write has touched yet. An entry belongs to no Block until a Read or
+	// Write moves it into the read set (takeAhead); until then it rides in
+	// every incremental-validation list and is dropped, not aborted on, when
+	// reported stale (abortFor). Allocated by the first Prefetch.
 	ahead map[store.ObjectID]readEntry
 }
 
-// readEntry is one first access, in a read set or still in the read-ahead
+// readEntry is one first access, in the read set or still in the read-ahead
 // buffer: the value and version a read quorum reported for the object, and
 // the members of that quorum that answered with less (nil when none did) —
 // noted here, repaired by repairReads once the transaction's outcome says the
 // push is worth sending. A blind entry is a write's first access that read
 // nothing (Write): ver is the assumed 0, "absent", and only the prepare
-// checks it.
+// checks it. block is the Block that first accessed the object.
 type readEntry struct {
 	val   store.Value
 	ver   uint64
 	stale []quorum.NodeID
 	blind bool
+	block int32
+}
+
+// writeEntry is one buffered write: the value and the Block that wrote it
+// last — the dependency metadata the commit log records for parallel replay.
+type writeEntry struct {
+	val   store.Value
+	block int32
+}
+
+// undoRecord is what one Write replaced: the object's previous write-set
+// entry, or none (had false).
+type undoRecord struct {
+	id   store.ObjectID
+	prev writeEntry
+	had  bool
 }
 
 // ID returns the transaction identifier (unique per top-level attempt).
@@ -127,61 +137,17 @@ func (tx *Tx) takeRetry(op string) error {
 	return fmt.Errorf("%w: retry budget spent during %s", ErrRetriesExhausted, op)
 }
 
-// InSub reports whether tx is a sub-transaction context.
-func (tx *Tx) InSub() bool { return tx.parent != nil }
-
-// lookupWrite finds a buffered write in this context chain.
-func (tx *Tx) lookupWrite(id store.ObjectID) (store.Value, bool) {
-	for c := tx; c != nil; c = c.parent {
-		if v, ok := c.writes[id]; ok {
-			return v, true
-		}
-	}
-	return nil, false
-}
-
-// lookupRead finds a cached read in this context chain.
-func (tx *Tx) lookupRead(id store.ObjectID) (store.Value, bool) {
-	for c := tx; c != nil; c = c.parent {
-		if e, ok := c.reads[id]; ok {
-			return e.val, true
-		}
-	}
-	return nil, false
-}
-
-// firstAccessedHere reports whether the *current* context (not an ancestor)
-// first accessed the object.
-func (tx *Tx) firstAccessedHere(id store.ObjectID) bool {
-	_, ok := tx.reads[id]
-	return ok
-}
-
-// top returns the chain's top-level context, which owns the read-ahead
-// buffer.
-func (tx *Tx) top() *Tx {
-	if tx.parent != nil {
-		return tx.parent
-	}
-	return tx
-}
-
 // Holds reports whether the object's first access is already paid for: it
-// sits in a read or write set of the context chain, or in the read-ahead
+// sits in the read set (as every written object does) or in the read-ahead
 // buffer.
 func (tx *Tx) Holds(id store.ObjectID) bool {
-	if _, ok := tx.top().ahead[id]; ok {
-		return true
-	}
-	if _, ok := tx.lookupRead(id); ok {
-		return true
-	}
-	_, ok := tx.lookupWrite(id)
-	return ok
+	_, read := tx.reads[id]
+	_, ahead := tx.ahead[id]
+	return read || ahead
 }
 
 // validationListFor gathers what a remote interaction with quorum group g
-// validates incrementally: the chain's read-set plus the read-ahead buffer,
+// validates incrementally: the read set plus the read-ahead buffer,
 // restricted to the objects g owns (everything when unsharded). A group's
 // members store only their own shard's objects, so foreign entries can
 // neither validate nor invalidate there — sending them only wastes bytes.
@@ -190,14 +156,12 @@ func (tx *Tx) Holds(id store.ObjectID) bool {
 func (tx *Tx) validationListFor(g *shard.Group) []store.ReadDesc {
 	m := tx.rt.cfg.Shards
 	var out []store.ReadDesc
-	for c := tx; c != nil; c = c.parent {
-		for _, id := range c.readOrder {
-			if e := c.reads[id]; !e.blind && (m == nil || g == nil || m.GroupOf(id) == g) {
-				out = append(out, store.ReadDesc{ID: id, Version: e.ver})
-			}
+	for _, id := range tx.readOrder {
+		if e := tx.reads[id]; !e.blind && (m == nil || g == nil || m.GroupOf(id) == g) {
+			out = append(out, store.ReadDesc{ID: id, Version: e.ver})
 		}
 	}
-	for id, e := range tx.top().ahead {
+	for id, e := range tx.ahead {
 		if m == nil || g == nil || m.GroupOf(id) == g {
 			out = append(out, store.ReadDesc{ID: id, Version: e.ver})
 		}
@@ -209,15 +173,14 @@ func (tx *Tx) validationListFor(g *shard.Group) []store.ReadDesc {
 // read-ahead buffer are dropped from it: no Block body has seen them, and the
 // Block that wants one will fetch it fresh. If nothing else was named there
 // is no abort (nil). Otherwise the rollback is partial (AbortSub) when every
-// remaining object was first accessed by the currently executing
-// sub-transaction; any object owned by the parent's history forces a full
-// re-execution. At top level every invalidation is a full abort.
+// remaining object was first accessed by the executing Block; any object
+// first accessed before it forces a full re-execution. Outside a Block every
+// invalidation is a full abort.
 func (tx *Tx) abortFor(invalid []store.ObjectID, reason string) *AbortError {
-	ahead := tx.top().ahead
 	observed := invalid[:0]
 	for _, id := range invalid {
-		if _, buffered := ahead[id]; buffered {
-			delete(ahead, id)
+		if _, buffered := tx.ahead[id]; buffered {
+			delete(tx.ahead, id)
 		} else {
 			observed = append(observed, id)
 		}
@@ -226,10 +189,10 @@ func (tx *Tx) abortFor(invalid []store.ObjectID, reason string) *AbortError {
 		return nil
 	}
 	level := AbortParent
-	if tx.parent != nil {
+	if tx.block != 0 {
 		level = AbortSub
 		for _, id := range observed {
-			if !tx.firstAccessedHere(id) {
+			if int(tx.reads[id].block) != tx.block {
 				level = AbortParent
 				break
 			}
@@ -240,12 +203,12 @@ func (tx *Tx) abortFor(invalid []store.ObjectID, reason string) *AbortError {
 }
 
 // busyAbort classifies a busy object the same way: a busy object being read
-// for the first time belongs to the current context, so in a sub-transaction
-// the retry scope is the sub-transaction. holder is the conflict witness the
-// server piggybacked on its Busy reply ("" when no witness survived).
+// for the first time belongs to the executing Block, so inside one the retry
+// scope is the Block. holder is the conflict witness the server piggybacked
+// on its Busy reply ("" when no witness survived).
 func (tx *Tx) busyAbort(id store.ObjectID, holder, reason string) *AbortError {
 	level := AbortParent
-	if tx.parent != nil {
+	if tx.block != 0 {
 		level = AbortSub
 	}
 	return &AbortError{Level: level, Invalid: []store.ObjectID{id}, Busy: true, Reason: reason,
@@ -258,42 +221,40 @@ func (tx *Tx) busyAbort(id store.ObjectID, holder, reason string) *AbortError {
 // Prefetch already paid that round trip; later accesses are served from the
 // private read/write sets.
 func (tx *Tx) Read(id store.ObjectID) (store.Value, error) {
-	v, ok := tx.lookupWrite(id)
-	if !ok {
-		v, ok = tx.lookupRead(id)
+	if w, ok := tx.writes[id]; ok {
+		return store.Clone(w.val), nil
 	}
-	if !ok {
-		var err error
-		if v, err = tx.firstAccess(id); err != nil {
-			return nil, err
-		}
+	if e, ok := tx.reads[id]; ok {
+		return store.Clone(e.val), nil
+	}
+	v, err := tx.firstAccess(id)
+	if err != nil {
+		return nil, err
 	}
 	return store.Clone(v), nil
 }
 
-// Write buffers a new value for the object in the current context. A write
-// that is the object's first access observes nothing, so nothing is fetched:
-// a read-ahead entry moves into this context's read set as on a Read, and
-// any other object gets a blind entry at version 0 ("assumed absent"). The
-// prepare checks what the write assumed, and commitWrites reads it and
-// prepares once more when that was all the prepare refused.
+// Write buffers a new value for the object, tagged with the executing Block,
+// and logs the entry it replaces. A write that is the object's first access
+// observes nothing, so nothing is fetched: a read-ahead entry moves into the
+// read set as on a Read, and any other object gets a blind entry at version 0
+// ("assumed absent"). The prepare checks what the write assumed, and
+// commitWrites reads it and prepares once more when that was all the prepare
+// refused.
 func (tx *Tx) Write(id store.ObjectID, v store.Value) error {
-	if _, ok := tx.lookupWrite(id); !ok {
-		if _, ok := tx.lookupRead(id); !ok {
-			if _, ok := tx.takeAhead(id); !ok {
-				tx.recordRead(id, readEntry{blind: true})
-			}
+	prev, had := tx.writes[id]
+	if _, ok := tx.reads[id]; !ok {
+		if _, ok := tx.takeAhead(id); !ok {
+			tx.recordRead(id, readEntry{blind: true})
 		}
 	}
-	tx.writes[id] = v
-	if tx.parent == nil {
-		tx.writeBlock[id] = tx.block
-	}
+	tx.undo = append(tx.undo, undoRecord{id: id, prev: prev, had: had})
+	tx.writes[id] = writeEntry{val: v, block: int32(tx.block)}
 	return nil
 }
 
-// firstAccess makes the current context the object's first accessor and
-// returns the value now in its read set (not a copy): a read-ahead entry
+// firstAccess makes the executing Block the object's first accessor and
+// returns the value now in the read set (not a copy): a read-ahead entry
 // moves there (takeAhead); anything else is read remotely.
 func (tx *Tx) firstAccess(id store.ObjectID) (store.Value, error) {
 	if v, ok := tx.takeAhead(id); ok {
@@ -303,21 +264,21 @@ func (tx *Tx) firstAccess(id store.ObjectID) (store.Value, error) {
 }
 
 // takeAhead moves the object's read-ahead entry, if there is one, from the
-// buffer into the current context's read set, exactly as if this context had
-// just read it remotely, and returns its value.
+// buffer into the read set, exactly as if the executing Block had just read
+// it remotely, and returns its value.
 func (tx *Tx) takeAhead(id store.ObjectID) (store.Value, bool) {
-	ahead := tx.top().ahead
-	e, ok := ahead[id]
+	e, ok := tx.ahead[id]
 	if !ok {
 		return nil, false
 	}
-	delete(ahead, id)
+	delete(tx.ahead, id)
 	tx.recordRead(id, e)
 	return e.val, true
 }
 
-// recordRead enters a first access into the current context's read set.
+// recordRead enters a first access of the executing Block into the read log.
 func (tx *Tx) recordRead(id store.ObjectID, e readEntry) {
+	e.block = int32(tx.block)
 	tx.reads[id] = e
 	tx.readOrder = append(tx.readOrder, id)
 }
@@ -360,7 +321,7 @@ func (tx *Tx) remoteRead(id store.ObjectID) (_ store.Value, err error) {
 		if t.best == nil && t.busy {
 			// The object is exclusively protected everywhere we asked: a
 			// commit that writes it is in flight. Back off and retry the
-			// read in place a few times before aborting this context.
+			// read in place a few times before aborting the executing Block.
 			if busyTry < rt.cfg.ReadBusyRetries {
 				rt.metrics.BusyBackoffs.Add(1)
 				if err := tx.takeRetry("busy re-read"); err != nil {
@@ -474,21 +435,25 @@ func (tx *Tx) quorumRead(req *wire.Request) ([]callResult, error) {
 	return nil, fo.err()
 }
 
-// Sub runs fn as a closed-nested sub-transaction. Conflicts on objects first
-// accessed inside fn abort and re-run only fn (partial rollback); conflicts
-// on the parent's history propagate as parent-level aborts. On success the
-// child's read/write sets merge into the parent (closed-nesting commit);
-// nothing becomes globally visible until the parent commits.
+// Sub runs fn as a closed-nested sub-transaction (Block) on tx itself, from
+// a savepoint taken at its start. Conflicts on objects first accessed inside
+// fn roll back to the savepoint and re-run only fn (partial rollback);
+// conflicts on earlier history propagate as parent-level aborts. On success
+// fn's reads and writes simply stay in tx, tagged with the Block (the
+// closed-nesting commit); on any other error they are rolled back. Nothing
+// becomes globally visible until the top-level transaction commits.
 func (tx *Tx) Sub(fn func(*Tx) error) error {
-	if tx.parent != nil {
+	if tx.block != 0 {
 		return ErrNestingDepth
 	}
 	tx.subSeq++
 	// One "block-K" span per Sub call with a nested "try-J" span per
 	// execution, so a partial rollback shows up as extra tries under the same
 	// block while the block's own duration captures the total retry cost.
-	sp := tx.rt.beginSpan(tx.traceID, tx.span, nil, "block", tx.subSeq)
-	err := tx.runSub(fn, tx.subSeq, sp.ID)
+	span := tx.span
+	sp := tx.rt.beginSpan(tx.traceID, span, nil, "block", tx.subSeq)
+	err := tx.runSub(fn, sp.ID)
+	tx.block, tx.span = 0, span
 	sp.end(err, "merged")
 	return err
 }
@@ -497,24 +462,28 @@ func (tx *Tx) Sub(fn func(*Tx) error) error {
 // block span (0 when unsampled). A Block that keeps rolling back past
 // MaxSubAttempts escalates to a parent abort attributed like its last partial
 // one: same cause, key, witness and Block.
-func (tx *Tx) runSub(fn func(*Tx) error, block int, blockID uint64) error {
+func (tx *Tx) runSub(fn func(*Tx) error, blockID uint64) error {
 	rt := tx.rt
-	last := &AbortError{Block: block}
+	save := tx.Checkpoint()
+	last := &AbortError{Block: tx.subSeq}
 	for attempt := 0; attempt < rt.cfg.MaxSubAttempts; attempt++ {
 		sp := rt.beginSpan(tx.traceID, blockID, nil, "try", attempt)
-		child := tx.subContext(block, sp.ID)
-		err := fn(child)
+		tx.block, tx.span = tx.subSeq, sp.ID
+		err := fn(tx)
 		sp.end(err, "merged")
 		if err == nil {
-			tx.merge(child)
 			return nil
 		}
 		ae, ok := AsAbort(err)
-		if !ok || ae.Level != AbortSub {
+		partial := ok && ae.Level == AbortSub
+		if partial {
+			rt.noteShards(tx.readOrder[save.reads:], shardSubAbort)
+		}
+		tx.Restore(save)
+		if !partial {
 			return err
 		}
 		rt.metrics.SubAborts.Add(1)
-		rt.noteShards(child, shardSubAbort)
 		rt.recordAbort(tx, ae, true, attempt)
 		last = ae
 		if err := rt.backoff(tx.ctx, attempt); err != nil {
@@ -524,49 +493,6 @@ func (tx *Tx) runSub(fn func(*Tx) error, block int, blockID uint64) error {
 	escalated := *last
 	escalated.Level, escalated.Reason = AbortParent, "sub-transaction retry budget exhausted"
 	return &escalated
-}
-
-// subContext hands out the transaction's sub-transaction context, emptied,
-// for one try of Block block. A Block body must not keep the context past its
-// return: the next try, or the next Block, is handed the same one.
-func (tx *Tx) subContext(block int, span uint64) *Tx {
-	c := tx.child
-	if c == nil {
-		c = &Tx{
-			rt:          tx.rt,
-			ctx:         tx.ctx,
-			id:          tx.id,
-			seed:        tx.seed,
-			incarnation: tx.incarnation,
-			deadline:    tx.deadline,
-			budget:      tx.budget,
-			parent:      tx,
-			traceID:     tx.traceID,
-			reads:       make(map[store.ObjectID]readEntry),
-			writes:      make(map[store.ObjectID]store.Value),
-		}
-		tx.child = c
-	} else {
-		clear(c.reads)
-		clear(c.writes)
-		c.readOrder = c.readOrder[:0]
-	}
-	c.block, c.span = block, span
-	return c
-}
-
-// merge folds a committed child into the parent (closed-nesting commit).
-func (tx *Tx) merge(child *Tx) {
-	for _, id := range child.readOrder {
-		if _, dup := tx.reads[id]; !dup {
-			tx.reads[id] = child.reads[id]
-			tx.readOrder = append(tx.readOrder, id)
-		}
-	}
-	for id, v := range child.writes {
-		tx.writes[id] = v
-		tx.writeBlock[id] = child.block
-	}
 }
 
 // commit finalizes a top-level transaction: two-phase commit against a write
@@ -620,12 +546,12 @@ func (tx *Tx) commitParts(one *[1]commitPart) []commitPart {
 		release = tx.readOrder
 		writes = make([]store.WriteDesc, 0, len(tx.writes))
 		for _, id := range tx.readOrder { // deterministic order
-			if v, ok := tx.writes[id]; ok {
+			if w, ok := tx.writes[id]; ok {
 				writes = append(writes, store.WriteDesc{
 					ID:         id,
-					Value:      v,
+					Value:      w.val,
 					NewVersion: tx.reads[id].ver + 1,
-					Block:      tx.writeBlock[id],
+					Block:      int(w.block),
 				})
 			}
 		}

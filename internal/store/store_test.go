@@ -201,6 +201,19 @@ func TestIDMatchesPercentV(t *testing.T) {
 	}
 }
 
+// TestIntIDAllocatesOnlyTheID: IntID is the bytes ID makes of the same ints,
+// and costs the one allocation of the ID itself, however large the keys.
+func TestIntIDAllocatesOnlyTheID(t *testing.T) {
+	if got, want := IntID("stock", 3, 100000, -7), ID("stock", 3, 100000, -7); got != want {
+		t.Fatalf("IntID = %q, ID = %q", got, want)
+	}
+	var id ObjectID
+	if n := testing.AllocsPerRun(100, func() { id = IntID("stock", 3, 100000) }); n != 1 {
+		t.Fatalf("IntID allocates %.0f times, want 1", n)
+	}
+	_ = id
+}
+
 // TestCloneKeepsImmutableScalars: Clone hands an Int64, Float64 or String
 // back as it is, nil as nil, and deep-copies everything else.
 func TestCloneKeepsImmutableScalars(t *testing.T) {

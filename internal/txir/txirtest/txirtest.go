@@ -34,7 +34,7 @@ func RandomProgram(rng *rand.Rand, nObjects, nStmts int) *txir.Program {
 		return txir.Var(fmt.Sprintf("v%d", varSeq))
 	}
 	objRef := func(i int) (string, string, txir.RefFunc) {
-		id := store.ID("obj", i)
+		id := store.IntID("obj", i)
 		return "obj", fmt.Sprintf("k%d", i), func(*txir.Env) store.ObjectID { return id }
 	}
 
@@ -92,7 +92,7 @@ func RandomProgram(rng *rand.Rand, nObjects, nStmts int) *txir.Program {
 			p.Write(cls, key, ref, intVars[rng.Intn(len(intVars))])
 		case 4: // insert a fresh derived object
 			src := intVars[rng.Intn(len(intVars))]
-			id := store.ID("derived", s, rng.Intn(DerivedFanout))
+			id := store.IntID("derived", s, rng.Intn(DerivedFanout))
 			p.Write("derived", fmt.Sprintf("d%d", s),
 				func(*txir.Env) store.ObjectID { return id }, src)
 		}
@@ -104,7 +104,7 @@ func RandomProgram(rng *rand.Rand, nObjects, nStmts int) *txir.Program {
 func Seed(nObjects int) map[store.ObjectID]store.Value {
 	objs := make(map[store.ObjectID]store.Value, nObjects)
 	for i := 0; i < nObjects; i++ {
-		objs[store.ID("obj", i)] = store.Int64(int64(10 + i))
+		objs[store.IntID("obj", i)] = store.Int64(int64(10 + i))
 	}
 	return objs
 }

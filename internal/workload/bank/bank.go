@@ -106,10 +106,10 @@ func (b *Bank) Phases() int { return 2 }
 func (b *Bank) SeedObjects() map[store.ObjectID]store.Value {
 	objs := make(map[store.ObjectID]store.Value, b.cfg.Branches+b.cfg.Accounts)
 	for i := 0; i < b.cfg.Branches; i++ {
-		objs[store.ID("branch", i)] = store.Int64(b.cfg.InitialBalance)
+		objs[store.IntID("branch", i)] = store.Int64(b.cfg.InitialBalance)
 	}
 	for i := 0; i < b.cfg.Accounts; i++ {
-		objs[store.ID("account", i)] = store.Int64(b.cfg.InitialBalance)
+		objs[store.IntID("account", i)] = store.Int64(b.cfg.InitialBalance)
 	}
 	return objs
 }

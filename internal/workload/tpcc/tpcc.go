@@ -129,21 +129,21 @@ func (t *TPCC) Phases() int { return 1 }
 func (t *TPCC) SeedObjects() map[store.ObjectID]store.Value {
 	objs := make(map[store.ObjectID]store.Value)
 	for w := 0; w < t.cfg.Warehouses; w++ {
-		objs[store.ID("warehouse", w)] = store.Int64(0) // ytd
+		objs[store.IntID("warehouse", w)] = store.Int64(0) // ytd
 		for d := 0; d < t.cfg.Districts; d++ {
 			// district = {nextOID, ytd}
-			objs[store.ID("district", w, d)] = store.Tuple{store.Int64(1), store.Int64(0)}
-			objs[store.ID("dlv", w, d)] = store.Int64(0) // next order to deliver
+			objs[store.IntID("district", w, d)] = store.Tuple{store.Int64(1), store.Int64(0)}
+			objs[store.IntID("dlv", w, d)] = store.Int64(0) // next order to deliver
 			for c := 0; c < t.cfg.CustomersPerDistrict; c++ {
-				objs[store.ID("customer", w, d, c)] = store.Int64(0) // balance
+				objs[store.IntID("customer", w, d, c)] = store.Int64(0) // balance
 			}
 		}
 		for i := 0; i < t.cfg.Items; i++ {
-			objs[store.ID("stock", w, i)] = store.Int64(t.cfg.InitialStock)
+			objs[store.IntID("stock", w, i)] = store.Int64(t.cfg.InitialStock)
 		}
 	}
 	for i := 0; i < t.cfg.Items; i++ {
-		objs[store.ID("item", i)] = store.Int64(int64(100 + i)) // price
+		objs[store.IntID("item", i)] = store.Int64(int64(100 + i)) // price
 	}
 	return objs
 }
@@ -238,7 +238,7 @@ func NewOrderProgram() *txir.Program {
 		return nil
 	}, uses, []txir.Var{"orderRow"})
 	p.Write("order", "w,d,oid", func(e *txir.Env) store.ObjectID {
-		return store.ID("order", e.ParamInt("w"), e.ParamInt("d"), e.GetInt64("oid"))
+		return store.IntID("order", e.ParamInt("w"), e.ParamInt("d"), int(e.GetInt64("oid")))
 	}, "orderRow", "oid")
 	return p
 }
@@ -301,7 +301,7 @@ func DeliveryProgram() *txir.Program {
 	}, []txir.Var{"cursor"}, []txir.Var{"oid", "ncursor"})
 	p.WriteP("dlv", "ncursor", "w", "d")
 	p.Read("order", "w,d,oid", func(e *txir.Env) store.ObjectID {
-		return store.ID("order", e.ParamInt("w"), e.ParamInt("d"), e.GetInt64("oid"))
+		return store.IntID("order", e.ParamInt("w"), e.ParamInt("d"), int(e.GetInt64("oid")))
 	}, "ord", "oid")
 	p.Local(func(e *txir.Env) error {
 		// The order may not exist yet (nothing to deliver): credit 0.
@@ -344,7 +344,7 @@ func OrderStatusProgram() *txir.Program {
 		return nil
 	}, []txir.Var{"dist"}, []txir.Var{"lastOID"})
 	p.Read("order", "w,d,lastOID", func(e *txir.Env) store.ObjectID {
-		return store.ID("order", e.ParamInt("w"), e.ParamInt("d"), e.GetInt64("lastOID"))
+		return store.IntID("order", e.ParamInt("w"), e.ParamInt("d"), int(e.GetInt64("lastOID")))
 	}, "ord", "lastOID")
 	p.Local(func(e *txir.Env) error {
 		var total int64

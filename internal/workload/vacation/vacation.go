@@ -116,11 +116,11 @@ func (v *Vacation) SeedObjects() map[store.ObjectID]store.Value {
 	objs := make(map[store.ObjectID]store.Value)
 	for _, tbl := range tables {
 		for i := 0; i < v.cfg.Rows; i++ {
-			objs[store.ID(tbl, i)] = store.Int64(v.cfg.InitialSeats)
+			objs[store.IntID(tbl, i)] = store.Int64(v.cfg.InitialSeats)
 		}
 	}
 	for i := 0; i < v.cfg.Customers; i++ {
-		objs[store.ID("customer", i)] = store.Int64(0) // bill
+		objs[store.IntID("customer", i)] = store.Int64(0) // bill
 	}
 	return objs
 }

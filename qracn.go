@@ -98,7 +98,9 @@ func Analyze(p *Program) (*Analysis, error) { return unitgraph.Analyze(p) }
 type (
 	// Runtime is a client node's DTM engine.
 	Runtime = dtm.Runtime
-	// Tx is a transaction context (supports one level of closed nesting).
+	// Tx is a transaction context. One level of closed nesting (Tx.Sub)
+	// and checkpoints (Tx.Checkpoint) are savepoints on it: rolling back to
+	// one forgets the reads and undoes the writes made since.
 	Tx = dtm.Tx
 	// RuntimeConfig tunes a Runtime.
 	RuntimeConfig = dtm.Config
