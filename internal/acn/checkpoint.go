@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"qracn/internal/dtm"
-	"qracn/internal/store"
 	"qracn/internal/txir"
 )
 
@@ -13,26 +12,28 @@ import (
 const maxCheckpointRollbacks = 1000
 
 // checkpointState is one saved execution point: the statement to resume
-// from, the transaction's savepoint, and a deep copy of the variables (they
-// live in the Env, not in the transaction, so no savepoint covers them).
+// from and the transaction's savepoint. The variables need no copy: each is
+// assigned once (txir.Program.Validate), so a variable defined before stmt
+// still holds its value, and one defined at or after stmt is defined again
+// before any resumed statement reads it.
 type checkpointState struct {
 	stmt int
 	tx   *dtm.Checkpoint
-	vars map[txir.Var]store.Value
 }
 
 // ExecuteCheckpointed runs one invocation under checkpoint-based partial
 // rollback — the alternative rollback mechanism the paper contrasts closed
 // nesting with (§I, §III). Before every remote first access the executor
-// takes a savepoint of the transaction and copies the variable bindings; when
-// an invalidation is detected, execution restores the latest checkpoint taken
-// *before* the invalidated object's first read and resumes from there,
-// instead of restarting the transaction.
+// takes a savepoint of the transaction; when an invalidation is detected,
+// execution restores the latest checkpoint taken *before* the invalidated
+// object's first read and resumes from there, instead of restarting the
+// transaction.
 //
-// A savepoint is the same one a Block's Sub takes, and copies nothing, so
-// checkpointing differs from closed nesting only in how fine its rollback
-// is (any anchor, not just Block boundaries) and in the variable copy.
-// Conflicts discovered at commit time still restart the transaction.
+// A savepoint is the same one a Block's Sub takes, and copies nothing; the
+// variables are assigned once, so they need no copy either. Checkpointing
+// therefore differs from closed nesting only in how fine its rollback is
+// (any anchor, not just Block boundaries). Conflicts discovered at commit
+// time still restart the transaction.
 func (e *Executor) ExecuteCheckpointed(ctx context.Context, params map[string]any) error {
 	rt := e.rt
 	return rt.Atomic(ctx, func(tx *dtm.Tx) error {
@@ -43,11 +44,7 @@ func (e *Executor) ExecuteCheckpointed(ctx context.Context, params map[string]an
 		for i < len(e.an.Stmts) {
 			info := &e.an.Stmts[i]
 			if info.IsAnchor {
-				cps = append(cps, checkpointState{
-					stmt: i,
-					tx:   tx.Checkpoint(),
-					vars: env.SnapshotVars(),
-				})
+				cps = append(cps, checkpointState{stmt: i, tx: tx.Checkpoint()})
 			}
 			err := e.runStmt(tx, env, nil, nil, i)
 			if err == nil {
@@ -75,7 +72,6 @@ func (e *Executor) ExecuteCheckpointed(ctx context.Context, params map[string]an
 				k--
 			}
 			tx.Restore(cps[k].tx)
-			env.RestoreVars(cps[k].vars)
 			i = cps[k].stmt
 			cps = cps[:k]
 			rt.Metrics().CheckpointRollbacks.Add(1)

@@ -27,12 +27,13 @@ import (
 // collapse into one under any composition while each Block keeps owning
 // exactly the reads its body makes.
 type Executor struct {
-	rt          *dtm.Runtime
-	an          *unitgraph.Analysis
-	comp        atomic.Pointer[compiled]
-	noPrefetch  atomic.Bool
-	samplers    []*contention.Sampler
-	varDefsNote varDefs
+	rt         *dtm.Runtime
+	an         *unitgraph.Analysis
+	comp       atomic.Pointer[compiled]
+	noPrefetch atomic.Bool
+	samplers   []*contention.Sampler
+	// varDef maps each variable to the one statement that defines it.
+	varDef map[txir.Var]int
 }
 
 // compiled pairs a composition with its read-ahead plan so a sequence swap
@@ -61,14 +62,10 @@ type aheadAnchor struct {
 	stmt int
 	// evalAt is the earliest Block whose entry already sees, for every
 	// variable the anchor's Ref consults, the value the Ref will see at
-	// statement time: one past the Block holding the variable's latest
-	// pre-anchor definition, 0 for a Ref over invocation parameters only.
+	// statement time: one past the Block holding the variable's definition,
+	// 0 for a Ref over invocation parameters only.
 	evalAt int
 }
-
-// varDefs maps each variable to the statement indices that define it, in
-// program order. Computed once per executor (the program never changes).
-type varDefs map[txir.Var][]int
 
 // SamplerCapacity bounds how many distinct recent object IDs are remembered
 // per UnitBlock for contention estimation.
@@ -77,7 +74,12 @@ const SamplerCapacity = 32
 // NewExecutor creates an executor with the given initial composition.
 func NewExecutor(rt *dtm.Runtime, an *unitgraph.Analysis, initial *Composition) *Executor {
 	e := &Executor{rt: rt, an: an}
-	e.varDefsNote = collectVarDefs(an)
+	e.varDef = make(map[txir.Var]int)
+	for idx := range an.Stmts {
+		for _, v := range an.Stmts[idx].Stmt.DefsVars() {
+			e.varDef[v] = idx
+		}
+	}
 	e.comp.Store(e.compile(initial))
 	e.samplers = make([]*contention.Sampler, an.NumAnchors)
 	for i := range e.samplers {
@@ -86,22 +88,12 @@ func NewExecutor(rt *dtm.Runtime, an *unitgraph.Analysis, initial *Composition) 
 	return e
 }
 
-func collectVarDefs(an *unitgraph.Analysis) varDefs {
-	defs := make(varDefs)
-	for idx := range an.Stmts {
-		for _, v := range an.Stmts[idx].Stmt.DefsVars() {
-			defs[v] = append(defs[v], idx)
-		}
-	}
-	return defs
-}
-
 // compile derives the read-ahead plan for a composition: for every anchor,
-// the earliest Block entry at which its Ref can be evaluated. The dependency
-// model orders every definition of a variable against its readers, so once
-// the latest pre-anchor definition has run no Block before the anchor's own
-// redefines the variable: the Env holds the statement-time value from that
-// entry on, re-executions of a rolled-back Block included.
+// the earliest Block entry at which its Ref can be evaluated. Each variable
+// is assigned once (txir.Program.Validate), so from the entry of the Block
+// after the one holding its definition, the Env holds the value the Ref will
+// see at statement time, re-executions of a rolled-back Block included: a
+// re-run repeats only later statements, and none of them redefines it.
 func (e *Executor) compile(c *Composition) *compiled {
 	blockOf := make(map[int]int, len(e.an.Stmts))
 	for bi := range c.Blocks {
@@ -150,13 +142,7 @@ func (e *Executor) evaluableAt(si int, blockOf map[int]int) int {
 	at := 0
 	for _, v := range e.an.Stmts[si].Stmt.RefVars {
 		// Validate guarantees a definition before every use.
-		latest := -1
-		for _, d := range e.varDefsNote[v] {
-			if d < si {
-				latest = d
-			}
-		}
-		if b := blockOf[latest] + 1; b > at {
+		if b := blockOf[e.varDef[v]] + 1; b > at {
 			at = b
 		}
 	}

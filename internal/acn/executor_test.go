@@ -340,3 +340,81 @@ func TestControllerRefreshFailsWhenClusterDown(t *testing.T) {
 		t.Fatal("failed refresh swapped the composition")
 	}
 }
+
+// TestPartialAbortRerunKeepsEarlierBlocksVariables rolls back the second of
+// two Blocks after a concurrent commit and checks the value it commits: the
+// re-run must see Block 0's variables as Block 0 left them and recompute its
+// own from scratch, which assign-once variables guarantee with no copy.
+func TestPartialAbortRerunKeepsEarlierBlocksVariables(t *testing.T) {
+	c := cluster.New(cluster.Config{Servers: 10, StatsWindow: time.Hour})
+	defer c.Close()
+	c.Seed(map[store.ObjectID]store.Value{
+		"cold": store.Int64(1),
+		"hot":  store.Int64(1),
+		"tail": store.Int64(1),
+	})
+	rt := c.Runtime(1, dtm.Config{Seed: 3})
+	other := c.Runtime(2, dtm.Config{Seed: 4})
+	ctx := context.Background()
+
+	ref := func(id store.ObjectID) txir.RefFunc { return func(*txir.Env) store.ObjectID { return id } }
+	coldRuns, hotRuns := 0, 0
+	p := txir.NewProgram("rerun-vars")
+	p.Read("cold", "cold", ref("cold"), "c") // anchor 0
+	p.Local(func(e *txir.Env) error {
+		coldRuns++
+		e.SetInt64("acc", e.GetInt64("c"))
+		return nil
+	}, []txir.Var{"c"}, []txir.Var{"acc"})
+	p.Read("hot", "hot", ref("hot"), "h") // anchor 1
+	p.Local(func(e *txir.Env) error {
+		if hotRuns++; hotRuns == 1 {
+			// A concurrent commit invalidates "hot" after this Block read it.
+			if err := other.Atomic(ctx, func(o *dtm.Tx) error {
+				return o.Write("hot", store.Int64(2))
+			}); err != nil {
+				return err
+			}
+		}
+		e.SetInt64("acc2", e.GetInt64("acc")+e.GetInt64("h"))
+		return nil
+	}, []txir.Var{"acc", "h"}, []txir.Var{"acc2"})
+	// The next read's incremental validation reports "hot" as stale.
+	p.Read("tail", "tail", ref("tail"), "tl") // anchor 2
+	p.Local(func(e *txir.Env) error {
+		e.SetInt64("out", e.GetInt64("acc2")+e.GetInt64("tl"))
+		return nil
+	}, []txir.Var{"acc2", "tl"}, []txir.Var{"out"})
+	p.Write("tail", "tail", ref("tail"), "out")
+
+	an, err := unitgraph.Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := acn.Manual(an, [][]int{{0}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := acn.NewExecutor(rt, an, comp)
+	exec.SetPrefetch(false)
+	if err := exec.Execute(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	if m := rt.Metrics().Snapshot(); m.SubAborts != 1 || m.ParentAborts != 0 {
+		t.Fatalf("sub aborts = %d, parent aborts = %d; want 1 and 0", m.SubAborts, m.ParentAborts)
+	}
+	if coldRuns != 1 || hotRuns != 2 {
+		t.Fatalf("Block 0's local ran %d times, Block 1's %d; want 1 and 2", coldRuns, hotRuns)
+	}
+	var tail int64
+	if err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
+		v, err := tx.Read("tail")
+		tail = store.AsInt64(v)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if tail != 1+2+1 {
+		t.Fatalf("tail = %d, want 4 (1 cold + 2 new hot + 1 tail), what a fresh run commits", tail)
+	}
+}

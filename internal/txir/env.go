@@ -66,24 +66,3 @@ func (e *Env) Set(v Var, val store.Value) { e.vars[v] = val }
 
 // SetInt64 assigns an integer variable.
 func (e *Env) SetInt64(v Var, val int64) { e.vars[v] = store.Int64(val) }
-
-// SnapshotVars deep-copies the variable bindings — the per-checkpoint state
-// save of the checkpointing rollback mechanism (its cost is the overhead the
-// paper's closed-nesting approach avoids).
-func (e *Env) SnapshotVars() map[Var]store.Value {
-	out := make(map[Var]store.Value, len(e.vars))
-	for k, v := range e.vars {
-		out[k] = store.Clone(v)
-	}
-	return out
-}
-
-// RestoreVars replaces the variable bindings with a snapshot taken by
-// SnapshotVars. The snapshot is copied again so it can be restored to more
-// than once.
-func (e *Env) RestoreVars(snap map[Var]store.Value) {
-	e.vars = make(map[Var]store.Value, len(snap))
-	for k, v := range snap {
-		e.vars[k] = store.Clone(v)
-	}
-}

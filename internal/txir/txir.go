@@ -5,6 +5,12 @@
 // definitions, which carries exactly the information Soot's UnitGraph
 // provides to ACN: where the remote object accesses are, how values flow
 // between statements, and which statements are independent.
+//
+// Every variable is assigned once: exactly one statement defines it, and
+// every use follows that definition in program order (Program.Validate).
+// A rollback to any point therefore re-runs a variable's one definition
+// before any re-run statement reads it, so no rollback saves or restores a
+// variable, and the only data dependencies are read-after-write ones.
 package txir
 
 import (
@@ -50,9 +56,10 @@ func (k Kind) String() string {
 type RefFunc func(*Env) store.ObjectID
 
 // LocalFunc is a local computation. It must be a pure function of its
-// declared read variables (and Env parameters): sub-transaction retries
-// re-execute it, so any hidden state would corrupt the partial-rollback
-// semantics.
+// declared read variables (and Env parameters), and it may set only its
+// declared, assigned-once definitions: a partial rollback re-executes it over
+// whatever the Env holds, so any hidden state — or a variable it both reads
+// and sets — would corrupt the partial-rollback semantics.
 type LocalFunc func(*Env) error
 
 // Stmt is one statement of a transaction program.
@@ -190,9 +197,10 @@ func refFromParams(class string, params []string) RefFunc {
 }
 
 // Validate checks the variable discipline: every variable a statement uses
-// must be defined by an earlier statement, Local statements must have a
-// function, object statements must have a Ref, and defined variables must be
-// named. It returns the first violation found.
+// must be defined by an earlier statement, every variable is defined by
+// exactly one statement (so `x = x + 1` is rejected: write `x1 = x + 1`),
+// Local statements must have a function, object statements must have a Ref,
+// and defined variables must be named. It returns the first violation found.
 func (p *Program) Validate() error {
 	defined := make(map[Var]bool)
 	for _, s := range p.Stmts {
@@ -217,6 +225,9 @@ func (p *Program) Validate() error {
 		for _, v := range s.DefsVars() {
 			if v == "" {
 				return fmt.Errorf("txir: %s: statement %d defines an unnamed variable", p.Name, s.Index)
+			}
+			if defined[v] {
+				return fmt.Errorf("txir: %s: statement %d redefines variable %q (each variable is assigned once)", p.Name, s.Index, v)
 			}
 			defined[v] = true
 		}

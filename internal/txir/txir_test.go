@@ -1,6 +1,7 @@
 package txir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -55,6 +56,41 @@ func TestValidateUndefinedVar(t *testing.T) {
 	err := p.Validate()
 	if err == nil || !strings.Contains(err.Error(), `"amt"`) {
 		t.Fatalf("err = %v, want undefined-variable error for amt", err)
+	}
+}
+
+func TestValidateRejectsRedefinition(t *testing.T) {
+	read := func(p *Program, dst Var) {
+		p.Read("o", "o", func(*Env) store.ObjectID { return "o" }, dst)
+	}
+	noop := func(*Env) error { return nil }
+	for _, tc := range []struct {
+		name  string
+		build func(p *Program)
+		stmt  int
+		v     Var
+	}{
+		{"plain redefinition", func(p *Program) {
+			read(p, "x")
+			p.Local(noop, nil, []Var{"y"})
+			p.Local(noop, []Var{"x"}, []Var{"y"})
+		}, 2, "y"},
+		{"read into a defined variable", func(p *Program) {
+			read(p, "x")
+			read(p, "x")
+		}, 1, "x"},
+		{"self-update", func(p *Program) {
+			read(p, "x")
+			p.Local(noop, []Var{"x"}, []Var{"x"}) // x = x + 1
+		}, 1, "x"},
+	} {
+		p := NewProgram("redef")
+		tc.build(p)
+		err := p.Validate()
+		want := fmt.Sprintf("redef: statement %d redefines variable %q", tc.stmt, tc.v)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, want)
+		}
 	}
 }
 

@@ -54,7 +54,8 @@ type Analysis struct {
 	// AnchorClass maps UnitBlock ID to the anchored object's class label.
 	AnchorClass []string
 	// OrderEdges are statement-index pairs (i, j) meaning i must execute
-	// before j under any recomposition (variable RAW/WAR/WAW and
+	// before j under any recomposition (variable read-after-write — the only
+	// variable dependency, as each variable is assigned once — and
 	// object-access ordering).
 	OrderEdges [][2]int
 }
@@ -66,28 +67,13 @@ func Analyze(p *txir.Program) (*Analysis, error) {
 	}
 	a := &Analysis{Program: p, Stmts: make([]StmtInfo, len(p.Stmts))}
 
-	varDef := make(map[txir.Var]int)            // var -> defining stmt
-	readersSinceDef := make(map[txir.Var][]int) // var -> readers since last def
-	objAnchor := make(map[string]int)           // objKey -> anchor ID
-	objLastWriter := make(map[string]int)       // objKey -> last writing stmt
+	varDef := make(map[txir.Var]int)      // var -> its one defining stmt
+	objAnchor := make(map[string]int)     // objKey -> anchor ID
+	objLastWriter := make(map[string]int) // objKey -> last writing stmt
 	objReadersSinceWrite := make(map[string][]int)
 	edgeSet := make(map[[2]int]bool)
-	prevHost := -1
-
-	// A variable defined more than once cannot feed a floating statement:
-	// floating statements are hoisted to the front of the sequence, which
-	// is only safe when their inputs and outputs are single-assignment.
-	defCount := make(map[txir.Var]int)
-	for _, s := range p.Stmts {
-		for _, v := range s.DefsVars() {
-			defCount[v]++
-		}
-	}
 
 	addEdge := func(i, j int) {
-		if i == j || i < 0 {
-			return
-		}
 		e := [2]int{i, j}
 		if !edgeSet[e] {
 			edgeSet[e] = true
@@ -115,17 +101,10 @@ func Analyze(p *txir.Program) (*Analysis, error) {
 		info := StmtInfo{Stmt: s, AnchorID: -1}
 		deps := depsOf(s)
 
-		// Variable-level ordering edges.
+		// Variable-level ordering edges: read-after-write only, as each
+		// variable is assigned once (Validate).
 		for _, v := range s.UsesVars() {
 			addEdge(varDef[v], idx)
-		}
-		for _, v := range s.DefsVars() {
-			if d, ok := varDef[v]; ok {
-				addEdge(d, idx) // WAW
-				for _, r := range readersSinceDef[v] {
-					addEdge(r, idx) // WAR
-				}
-			}
 		}
 
 		key := s.ObjKey()
@@ -164,77 +143,26 @@ func Analyze(p *txir.Program) (*Analysis, error) {
 
 		info.DepAnchors = sortedKeys(deps)
 		if !info.IsAnchor {
-			switch {
-			case len(info.DepAnchors) > 0:
+			if len(info.DepAnchors) > 0 {
 				info.StaticHost = info.DepAnchors[len(info.DepAnchors)-1]
-			case floatable(a, varDef, defCount, s):
-				// A pure parameter computation (or a chain over such):
-				// floats to the head of whichever Block runs first.
+			} else {
+				// A local over parameters only (or a chain over such): its
+				// variables are assigned once, so it floats to the head of
+				// whichever Block runs first.
 				info.Floating = true
-				info.StaticHost = -1
-			case prevHost >= 0:
-				// Independent of shared objects but not hoistable (its
-				// variables are reassigned): keep it where the programmer
-				// put it.
-				info.StaticHost = prevHost
-				info.DepAnchors = []int{prevHost}
-			default:
-				// Before the first UnitBlock: attach to block 0 once it
-				// exists; resolved in the fix-up pass below.
 				info.StaticHost = -1
 			}
 		}
-
-		// Bookkeeping after computing deps (a statement may read and define
-		// the same variable).
-		for _, v := range s.UsesVars() {
-			readersSinceDef[v] = append(readersSinceDef[v], idx)
-		}
 		for _, v := range s.DefsVars() {
 			varDef[v] = idx
-			readersSinceDef[v] = nil
 		}
-
 		a.Stmts[idx] = info
-		prevHost = info.StaticHost
 	}
 
 	if a.NumAnchors == 0 {
 		return nil, fmt.Errorf("unitgraph: %s: program has no remote object access", p.Name)
 	}
-	// Fix up non-floating preamble operations that ran before any UnitBlock
-	// existed.
-	for i := range a.Stmts {
-		if !a.Stmts[i].IsAnchor && !a.Stmts[i].Floating && a.Stmts[i].StaticHost < 0 {
-			a.Stmts[i].StaticHost = 0
-			a.Stmts[i].DepAnchors = []int{0}
-		}
-	}
 	return a, nil
-}
-
-// floatable reports whether a local statement with no shared-object
-// dependencies can be hoisted: every variable it uses must come from a
-// floating statement and every variable it touches must be assigned exactly
-// once in the program.
-func floatable(a *Analysis, varDef map[txir.Var]int, defCount map[txir.Var]int, s *txir.Stmt) bool {
-	if s.Kind != txir.KindLocal {
-		return false
-	}
-	for _, v := range s.UsesVars() {
-		if !a.Stmts[varDef[v]].Floating {
-			return false
-		}
-		if defCount[v] != 1 {
-			return false
-		}
-	}
-	for _, v := range s.DefsVars() {
-		if defCount[v] != 1 {
-			return false
-		}
-	}
-	return true
 }
 
 // FloatingStmts returns the indices of floating statements in program order.

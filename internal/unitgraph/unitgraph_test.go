@@ -17,6 +17,8 @@ func noop(*txir.Env) error { return nil }
 // paperExample builds §V-C1's example transaction:
 //
 //	{Read(A), Read(B), Read(C), Read(D), var=A+B, var=var/2, Read(E), var2=E+B}
+//
+// with var=var/2 written assign-once as half=var/2 (txir.Program.Validate).
 func paperExample() *txir.Program {
 	p := txir.NewProgram("paper-example")
 	p.Read("A", "A", func(*txir.Env) store.ObjectID { return "A" }, "a") // anchor 0
@@ -24,7 +26,7 @@ func paperExample() *txir.Program {
 	p.Read("C", "C", func(*txir.Env) store.ObjectID { return "C" }, "c") // anchor 2
 	p.Read("D", "D", func(*txir.Env) store.ObjectID { return "D" }, "d") // anchor 3
 	p.Local(noop, []txir.Var{"a", "b"}, []txir.Var{"var"})               // stmt 4: var = A+B
-	p.Local(noop, []txir.Var{"var"}, []txir.Var{"var"})                  // stmt 5: var = var/2
+	p.Local(noop, []txir.Var{"var"}, []txir.Var{"half"})                 // stmt 5: half = var/2
 	p.Read("E", "E", func(*txir.Env) store.ObjectID { return "E" }, "e") // anchor 4
 	p.Local(noop, []txir.Var{"e", "b"}, []txir.Var{"var2"})              // stmt 7: var2 = E+B
 	return p
@@ -43,10 +45,10 @@ func TestPaperExampleAttachment(t *testing.T) {
 	if got := a.Stmts[4].StaticHost; got != 1 {
 		t.Fatalf("var=A+B hosted at %d, want 1 (Read(B))", got)
 	}
-	// var = var/2 has no direct shared-object access; it follows the chain
+	// half = var/2 has no direct shared-object access; it follows the chain
 	// through var=A+B into the same UnitBlock.
 	if got := a.Stmts[5].StaticHost; got != 1 {
-		t.Fatalf("var=var/2 hosted at %d, want 1", got)
+		t.Fatalf("half=var/2 hosted at %d, want 1", got)
 	}
 	// var2 = E+B attaches to Read(E)'s UnitBlock.
 	if got := a.Stmts[7].StaticHost; got != 4 {
@@ -56,9 +58,9 @@ func TestPaperExampleAttachment(t *testing.T) {
 	if got := a.Stmts[4].DepAnchors; len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("DepAnchors(var=A+B) = %v, want [0 1]", got)
 	}
-	// var=var/2 inherits A and B transitively.
+	// half=var/2 inherits A and B transitively.
 	if got := a.Stmts[5].DepAnchors; len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("DepAnchors(var=var/2) = %v, want [0 1]", got)
+		t.Fatalf("DepAnchors(half=var/2) = %v, want [0 1]", got)
 	}
 	// var2=E+B depends on blocks of B and E.
 	if got := a.Stmts[7].DepAnchors; len(got) != 2 || got[0] != 1 || got[1] != 4 {
@@ -154,28 +156,6 @@ func TestOrderEdgesVarAndObject(t *testing.T) {
 	}
 }
 
-func TestWARAndWAWEdges(t *testing.T) {
-	p := txir.NewProgram("war")
-	readStmt(p, "o", "v")                           // 0
-	p.Local(noop, []txir.Var{"v"}, []txir.Var{"x"}) // 1: def x
-	p.Local(noop, []txir.Var{"x"}, []txir.Var{"y"}) // 2: read x
-	p.Local(noop, []txir.Var{"v"}, []txir.Var{"x"}) // 3: redef x (WAW vs 1, WAR vs 2)
-	a, err := Analyze(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[[2]int]bool{}
-	for _, e := range a.OrderEdges {
-		got[e] = true
-	}
-	if !got[[2]int{1, 3}] {
-		t.Fatalf("missing WAW edge 1->3 in %v", a.OrderEdges)
-	}
-	if !got[[2]int{2, 3}] {
-		t.Fatalf("missing WAR edge 2->3 in %v", a.OrderEdges)
-	}
-}
-
 func TestNoAnchorsRejected(t *testing.T) {
 	p := txir.NewProgram("pure-local")
 	p.Local(noop, nil, []txir.Var{"x"})
@@ -210,25 +190,6 @@ func TestParamOnlyLocalsFloat(t *testing.T) {
 	// Floating statements impose no block-level constraints.
 	if edges := a.BlockEdges(a.StaticHosts()); len(edges) != 0 {
 		t.Fatalf("floating statements leaked block edges: %v", edges)
-	}
-}
-
-func TestReassignedVarsDoNotFloat(t *testing.T) {
-	p := txir.NewProgram("reassigned")
-	readStmt(p, "o", "v")               // anchor 0
-	p.Local(noop, nil, []txir.Var{"k"}) // k defined...
-	readStmt(p, "q", "w")               // anchor 1
-	p.Local(noop, nil, []txir.Var{"k"}) // ...and reassigned: hoisting unsafe
-	a, err := Analyze(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Stmts[1].Floating || a.Stmts[3].Floating {
-		t.Fatal("reassigned-variable locals must not float")
-	}
-	// They stay where the programmer put them.
-	if a.Stmts[1].StaticHost != 0 || a.Stmts[3].StaticHost != 1 {
-		t.Fatalf("hosts = %d, %d; want 0, 1", a.Stmts[1].StaticHost, a.Stmts[3].StaticHost)
 	}
 }
 

@@ -72,7 +72,8 @@ type (
 	Program = txir.Program
 	// Env carries one invocation's parameters and private variables.
 	Env = txir.Env
-	// Var names a private variable.
+	// Var names a private variable. Each is assigned once: Analyze rejects
+	// a program in which two statements define the same Var.
 	Var = txir.Var
 	// Stmt is one statement of a Program.
 	Stmt = txir.Stmt
