@@ -233,8 +233,9 @@ func (e *Executor) Execute(ctx context.Context, params map[string]any) error {
 // one batched quorum round for every anchor object of this and any later
 // Block that is evaluable here and not held yet — on a re-execution that
 // includes the reads the rolled-back try discarded. A lone missing object is
-// left to its own Read, which costs the same round trip without the batch
-// envelope. ids is the attempt's evaluated-ID cache (nil: read-ahead off).
+// left to its own Read: that is a read round of the one object, the very
+// request a read-ahead of it would send. ids is the attempt's evaluated-ID
+// cache (nil: read-ahead off).
 func (e *Executor) readAhead(tx *dtm.Tx, env *txir.Env, comp *compiled, ids []store.ObjectID, bi int) error {
 	var need []store.ObjectID
 	for i := comp.blockStart[bi]; i < len(ids); i++ {

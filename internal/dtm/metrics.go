@@ -11,8 +11,10 @@ import (
 // histograms: where a transaction's wall-clock time goes. Recording is a
 // pair of atomic adds per event, cheap enough to leave on in production.
 type StageLatencies struct {
-	// Read is one first-access quorum read, including busy retries and
-	// quorum failovers.
+	// Read is one first access a Block's own Read sends to the servers (a
+	// read round of one object, Tx.remoteRead), including busy retries and
+	// quorum failovers; read-ahead and refetch rounds are not timed here.
+	// HedgeAfter < 0 derives the hedge delay from its p99.
 	Read metrics.LatencyHistogram
 	// PrefetchBatch is one batched prefetch round (Tx.Prefetch).
 	PrefetchBatch metrics.LatencyHistogram
@@ -29,7 +31,7 @@ type Metrics struct {
 	ParentAborts  atomic.Uint64 // full re-executions
 	SubAborts     atomic.Uint64 // partial rollbacks (sub-transaction retries)
 	BusyBackoffs  atomic.Uint64 // waits caused by protected objects
-	RemoteReads   atomic.Uint64 // quorum read round-trips
+	RemoteReads   atomic.Uint64 // read rounds of every kind, failovers included
 	Prepares      atomic.Uint64 // 2PC prepare rounds
 	PrepareFails  atomic.Uint64 // prepare rounds that voted no
 	ReadOnlyFasts atomic.Uint64 // read-only validations (no 2PC)
@@ -43,11 +45,13 @@ type Metrics struct {
 	// CheckpointRollbacks counts partial rollbacks performed by the
 	// checkpointing executor (the QR-CP comparison system).
 	CheckpointRollbacks atomic.Uint64
-	// BatchReads counts batched quorum read rounds (Tx.Prefetch); each also
-	// counts once in RemoteReads.
+	// BatchReads counts the read rounds of read-aheads (Tx.Prefetch) and of
+	// blind-write refetches, failovers included; each also counts once in
+	// RemoteReads. A Block's own Read is a round that counts in RemoteReads
+	// alone.
 	BatchReads atomic.Uint64
-	// PrefetchedObjects counts objects whose first-access read was served by
-	// a batched prefetch round instead of its own quorum fan-out.
+	// PrefetchedObjects counts objects a read-ahead round entered into the
+	// read-ahead buffer, so that no Block's own read round fetches them.
 	PrefetchedObjects atomic.Uint64
 	// TransportRetries counts transport-level reconnect attempts (TCP client
 	// re-dials after dead connections).

@@ -33,17 +33,16 @@ import (
 // interaction, which is what the per-read protocol guarantees.
 //
 // Objects the transaction already holds (read set or buffer) are skipped.
-// Objects that are busy (protected by a committing transaction) or
-// unreadable on every quorum member are skipped too — the Block body's own
-// Read will retry them through the usual busy/backoff path, and a busy abort
-// there rolls back that Block only.
+// An object the round leaves out as busy (settle: protected by a committing
+// transaction, and no member reported a version) is not buffered — the Block
+// body's own Read retries it through the usual busy/backoff path, and a busy
+// abort there rolls back that Block only.
 //
-// Like a plain read, every quorum member is asked for the value.
-//
-// It dedupes and filters the requested IDs, then runs one batched quorum
-// round (readRound) into the buffer. The call is timed into the PrefetchBatch
-// stage and, when the transaction is sampled, is a "prefetch" span whose ID
-// rides on the read requests so server spans nest under it.
+// It dedupes and filters the requested IDs, then runs one read round
+// (readRound) into the buffer — the round a Block's own Read runs for one
+// object. The call is timed into the PrefetchBatch stage and, when the
+// transaction is sampled, is a "prefetch" span whose ID rides on the read
+// requests so server spans nest under it.
 func (tx *Tx) Prefetch(ids ...store.ObjectID) (err error) {
 	rt := tx.rt
 	sp := rt.beginSpan(tx.traceID, tx.span, &rt.stages.PrefetchBatch, "prefetch", -1)
@@ -68,59 +67,87 @@ func (tx *Tx) Prefetch(ids ...store.ObjectID) (err error) {
 	if tx.ahead == nil {
 		tx.ahead = make(map[store.ObjectID]readEntry, len(need))
 	}
-	parked, err := tx.readRound(need, sp.ID, "prefetch quorum", tx.ahead)
+	parked, _, err := tx.readRound(need, sp.ID, "prefetch quorum", tx.ahead)
 	rt.metrics.PrefetchedObjects.Add(uint64(parked))
 	return err
 }
 
-// refetch reads, in one batched round, the versions of objects the
-// transaction wrote blind and a prepare found present: their entries stop
-// being blind and carry what the round saw. An object busy on every member
-// asked aborts the transaction as a lock conflict. Its requests parent to the
-// commit span, as the prepares around it do.
+// refetch reads, in one round, the versions of objects the transaction wrote
+// blind and a prepare found present: their entries stop being blind and carry
+// what the round saw. An object the round leaves out as busy aborts the
+// transaction as a lock conflict, attributed to the holder its server named.
+// Its requests parent to the commit span, as the prepares around it do.
 func (tx *Tx) refetch(ids []store.ObjectID) error {
-	if _, err := tx.readRound(ids, tx.span, "blind refetch quorum", tx.reads); err != nil {
+	_, busy, err := tx.readRound(ids, tx.span, "blind refetch quorum", tx.reads)
+	if err != nil {
 		return err
 	}
-	for _, id := range ids {
-		if tx.reads[id].blind {
-			return tx.busyAbort(id, "", "blind write's object busy on its re-read")
-		}
+	if busy.id != "" {
+		return tx.busyAbort(busy.id, busy.holder, "blind write's object busy on its re-read")
 	}
 	return nil
 }
 
-// readRound performs the first-access quorum read of need in one batched
-// round and enters each object a member answered for into dst; an object
-// busy everywhere is left out. The round is one concurrent fan-out over a
-// read quorum of every owning quorum group (a single group when unsharded). A
-// group whose quorum answered in full is merged at once; a group that lost a
-// member is asked again, alone, against a re-selected quorum. op names the
-// operation in a budget error. It reports how many objects it entered.
-func (tx *Tx) readRound(need []store.ObjectID, spanID uint64, op string, dst map[store.ObjectID]readEntry) (int, error) {
+// busyObject is an object a read round left out (settle): no member reported
+// a version of it and some member answered busy. holder is the first busy
+// member's conflict witness ("" when none came); id is "" when the round left
+// nothing out.
+type busyObject struct {
+	id     store.ObjectID
+	holder string
+}
+
+// readRound performs the first-access quorum read of need in one round. It is
+// the one way a first access reaches the servers: a Block's own Read
+// (remoteRead), the read-ahead (Prefetch) and the blind refetch. The round is
+// one concurrent fan-out over a read quorum of every owning quorum group (a
+// single group when unsharded or when need is one object), hedged when it
+// asks a single group and HedgeAfter is set. A group whose quorum answered in
+// full is merged at once; a group that lost a member is asked again, alone,
+// against a re-selected quorum. Entries go into dst — the read-ahead buffer or
+// the read set — or, when dst is nil, into the read log as the executing
+// Block's first access; only rounds with a dst count in BatchReads. op names
+// the operation in a budget error. It reports how many objects it entered and
+// the first it left out as busy.
+func (tx *Tx) readRound(need []store.ObjectID, spanID uint64, op string, dst map[store.ObjectID]readEntry) (entered int, busy busyObject, err error) {
 	rt := tx.rt
-	pending := []shard.Part{{IDs: need}}
-	if rt.cfg.Shards != nil {
+	pending := []shard.Part{{Group: rt.groupFor(need[0]), IDs: need}}
+	if len(need) > 1 && rt.cfg.Shards != nil {
 		pending = rt.cfg.Shards.Partition(need)
 	}
-	entered := 0
+	var one [1]leg
 	fo := rt.failover(tx.ctx, tx, tx.seed, wire.KindRead, op)
 	for fo.next() {
-		// Part i's quorum members are nodes[bounds[i-1].end:bounds[i].end].
+		// Part i's quorum members are nodes[legs[i-1].end:legs[i].end].
 		var nodes []quorum.NodeID
-		legs := make([]leg, len(pending))
+		legs := one[:]
+		if len(pending) > 1 {
+			legs = make([]leg, len(pending))
+		}
 		for i, p := range pending {
 			q, err := fo.readQuorum(p.Group)
 			if err != nil {
-				return entered, err
+				return entered, busy, err
 			}
-			nodes = append(nodes, q...)
+			if len(pending) == 1 {
+				nodes = q
+			} else {
+				nodes = append(nodes, q...)
+			}
 			legs[i] = leg{tx.groupRead(p, spanID), len(nodes)}
 		}
 		rt.metrics.RemoteReads.Add(1)
-		rt.metrics.BatchReads.Add(1)
+		if dst != nil {
+			rt.metrics.BatchReads.Add(1)
+		}
 
-		results := rt.fanoutLegs(tx.ctx, nodes, legs)
+		var results []callResult
+		if d := rt.hedgeDelay(); d > 0 && len(pending) == 1 {
+			results = rt.fanoutHedged(tx.ctx, pending[0].Group, nodes, legs[0].req, fo.seed+fo.attempt, fo.excl, d)
+			legs[0].end = len(results) // the members that answered, and the hedge
+		} else {
+			results = rt.fanoutLegs(tx.ctx, nodes, legs)
+		}
 		var failed []shard.Part
 		start := 0
 		for i, p := range pending {
@@ -130,18 +157,21 @@ func (tx *Tx) readRound(need []store.ObjectID, spanID uint64, op string, dst map
 				failed = append(failed, p)
 				continue
 			}
-			n, err := tx.mergeRound(p.IDs, part, dst)
+			n, b, err := tx.mergeRound(p.IDs, part, dst)
 			entered += n
+			if busy.id == "" {
+				busy = b
+			}
 			if err != nil {
-				return entered, err
+				return entered, busy, err
 			}
 		}
 		if len(failed) == 0 {
-			return entered, nil
+			return entered, busy, nil
 		}
 		pending = failed // re-select those groups' quorums without the failed members
 	}
-	return entered, fo.err()
+	return entered, busy, fo.err()
 }
 
 // groupRead builds the first-access read of one quorum group's share of a
@@ -157,59 +187,93 @@ func (tx *Tx) groupRead(p shard.Part, spanID uint64) *wire.Request {
 	return req
 }
 
-// mergeRound folds one quorum group's replies into dst, object by object
-// exactly as a plain read of each would be folded, and reports how many
-// objects it entered. The first object's replies are the members' responses
-// themselves, and carry the one validation report, so whatever the round
-// invalidated is acted on before any object is entered. Each further
-// object's result is viewed as the response a plain read of it would have
-// had, in one slab of views reused object after object: tallyRead and settle
-// keep nothing of a reply.
-func (tx *Tx) mergeRound(need []store.ObjectID, results []callResult, dst map[store.ObjectID]readEntry) (int, error) {
-	rt := tx.rt
-	entered := 0
-	var views []objectReply
-	var more []callResult
-	if len(need) > 1 {
-		views = make([]objectReply, len(results))
-		more = make([]callResult, 0, len(results))
+// mergeRound folds one quorum group's replies into dst (the read log when dst
+// is nil), object by object, and reports how many objects it entered and the
+// first it left out as busy. Each member's validation report rides once on its
+// response, so whatever the round invalidated is acted on before any object
+// is entered.
+func (tx *Tx) mergeRound(need []store.ObjectID, results []callResult, dst map[store.ObjectID]readEntry) (entered int, busy busyObject, err error) {
+	var invalid []store.ObjectID
+	for _, r := range results {
+		if r.resp != nil && r.resp.Read != nil {
+			invalid = appendNew(invalid, r.resp.Read.Invalid)
+		}
+	}
+	if len(invalid) > 0 {
+		if ae := tx.abortFor(invalid, "incremental validation on read of "+string(need[0])); ae != nil {
+			return 0, busy, ae
+		}
 	}
 	for i, id := range need {
-		replies := results
-		if i > 0 {
-			more = more[:0]
-			for j, r := range results {
-				if read := r.resp.Read; read != nil && i <= len(read.More) {
-					more = append(more, callResult{node: r.node, resp: views[j].of(&read.More[i-1])})
-				}
+		e, ok, holder := tx.rt.settle(results, i)
+		if !ok {
+			if busy.id == "" {
+				busy = busyObject{id, holder}
 			}
-			replies = more
-		}
-		t := rt.tallyRead(replies)
-		if ae := tx.abortFor(t.invalid, "incremental validation on batched read"); ae != nil {
-			return entered, ae
-		}
-		if t.answers == 0 {
-			// Busy everywhere (a commit is in flight) or malformed replies:
-			// leave the object to whoever owns the busy/backoff protocol —
-			// a read-ahead's Block body's own Read.
 			continue
 		}
-		dst[id] = rt.settle(replies, t.best)
+		if dst == nil {
+			tx.recordRead(id, e)
+		} else {
+			dst[id] = e
+		}
 		entered++
 	}
-	return entered, nil
+	return entered, busy, nil
 }
 
-// objectReply is the response a one-object read would have had, rebuilt from
-// one result of a multi-object read.
-type objectReply struct {
-	resp wire.Response
-	read wire.ReadResponse
+// settle folds what a round's members said of the i-th object their read
+// named into the object's first-access entry: the highest version reported
+// wins, and the members that answered with an older one, or with the
+// object's absence, are named for repairReads. It is the one rule for
+// entering an object: ok is false, and holder the first busy member's
+// conflict witness, when no member reported a version and some member
+// answered busy — a commit that writes the object is in flight.
+func (rt *Runtime) settle(results []callResult, i int) (e readEntry, ok bool, holder string) {
+	found, busy := false, false
+	for _, r := range results {
+		res, answered := objectResult(r, i)
+		switch {
+		case !answered:
+		case res.Status == wire.StatusOK:
+			if !found || res.Version > e.ver {
+				e.val, e.ver, found = res.Value, res.Version, true
+			}
+		case res.Status == wire.StatusBusy:
+			busy = true
+			if holder == "" {
+				holder = res.ConflictTx
+			}
+		}
+	}
+	if !found && busy {
+		return readEntry{}, false, holder
+	}
+	if !rt.cfg.NoRepair && e.ver > 0 {
+		e.stale = staleMembers(results, i, e.ver)
+	}
+	return e, true, ""
 }
 
-func (v *objectReply) of(m *wire.ReadResult) *wire.Response {
-	v.read = wire.ReadResponse{Value: m.Value, Version: m.Version}
-	v.resp = wire.Response{Status: m.Status, ConflictTx: m.ConflictTx, Read: &v.read}
-	return &v.resp
+// objectResult is member r's answer for the i-th object its read named: the
+// response itself for the first, the response's More entry for the rest. ok
+// is false when the member gave none: no reply, no result for that object,
+// or an OK reply without its payload.
+func objectResult(r callResult, i int) (res wire.ReadResult, ok bool) {
+	if r.resp == nil {
+		return res, false
+	}
+	read := r.resp.Read
+	if i > 0 {
+		if read == nil || i > len(read.More) {
+			return res, false
+		}
+		return read.More[i-1], true
+	}
+	res.Status, res.ConflictTx = r.resp.Status, r.resp.ConflictTx
+	if read == nil {
+		return res, res.Status != wire.StatusOK
+	}
+	res.Value, res.Version = read.Value, read.Version
+	return res, true
 }

@@ -25,21 +25,13 @@ import (
 // object, version-guarded server-side, and never block or fail the
 // transaction that triggered them.
 
-// staleMembers returns the quorum members whose answer for the object lags
-// behind version ver.
-func staleMembers(results []callResult, ver uint64) []quorum.NodeID {
+// staleMembers returns the quorum members whose answer for the i-th object
+// of their read lags behind version ver, absence included.
+func staleMembers(results []callResult, i int, ver uint64) []quorum.NodeID {
 	var out []quorum.NodeID
 	for _, r := range results {
-		if r.err != nil || r.resp == nil {
-			continue
-		}
-		switch r.resp.Status {
-		case wire.StatusOK:
-			if r.resp.Read != nil && r.resp.Read.Version < ver {
-				out = append(out, r.node)
-			}
-		case wire.StatusNotFound:
-			// The replica does not know the object at all (version 0).
+		res, ok := objectResult(r, i)
+		if ok && (res.Status == wire.StatusNotFound || res.Status == wire.StatusOK && res.Version < ver) {
 			out = append(out, r.node)
 		}
 	}

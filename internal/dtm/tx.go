@@ -80,6 +80,9 @@ type Tx struct {
 	// every incremental-validation list and is dropped, not aborted on, when
 	// reported stale (abortFor). Allocated by the first Prefetch.
 	ahead map[store.ObjectID]readEntry
+	// lone is the object remoteRead's one-object round names, kept here so
+	// that the round's need costs no allocation.
+	lone [1]store.ObjectID
 }
 
 // readEntry is one first access, in the read set or still in the read-ahead
@@ -295,91 +298,39 @@ func (tx *Tx) request(kind wire.Kind, txid string, span uint64) *wire.Request {
 	return req
 }
 
-// remoteRead performs the quorum read protocol for a first access. It is
-// timed into the Read stage and, when the transaction is sampled, is a "read"
-// span whose ID rides on the request so server serve spans nest under it.
+// remoteRead is a Block's own first access of an object the read-ahead did
+// not buffer: a read round of that one object (readRound), run again in place
+// while the round leaves the object out as busy. It is timed into the Read
+// stage and, when the transaction is sampled, is a "read" span whose ID rides
+// on the request so server serve spans nest under it.
 func (tx *Tx) remoteRead(id store.ObjectID) (_ store.Value, err error) {
 	rt := tx.rt
 	sp := rt.beginSpan(tx.traceID, tx.span, &rt.stages.Read, "read", -1)
 	sp.Detail = string(id)
 	defer func() { sp.end(err, "") }()
-	req := tx.request(wire.KindRead, tx.id, sp.ID)
-	req.Read = &wire.ReadRequest{Object: id, Validate: tx.validationListFor(rt.groupFor(id))}
-
+	tx.lone[0] = id
 	for busyTry := 0; ; busyTry++ {
-		results, err := tx.quorumRead(req)
+		n, busy, err := tx.readRound(tx.lone[:], sp.ID, "read quorum", nil)
 		if err != nil {
 			return nil, err
 		}
-		t := rt.tallyRead(results)
-		if len(t.invalid) > 0 {
-			if ae := tx.abortFor(t.invalid, "incremental validation on read of "+string(id)); ae != nil {
-				return nil, ae
-			}
+		if n == 1 {
+			return tx.reads[id].val, nil
 		}
-
-		if t.best == nil && t.busy {
-			// The object is exclusively protected everywhere we asked: a
-			// commit that writes it is in flight. Back off and retry the
-			// read in place a few times before aborting the executing Block.
-			if busyTry < rt.cfg.ReadBusyRetries {
-				rt.metrics.BusyBackoffs.Add(1)
-				if err := tx.takeRetry("busy re-read"); err != nil {
-					return nil, err
-				}
-				if err := rt.backoff(tx.ctx, busyTry); err != nil {
-					return nil, err
-				}
-				continue
+		// A commit that writes the object is in flight. Back off and retry
+		// the read in place a few times before aborting the executing Block.
+		if busyTry < rt.cfg.ReadBusyRetries {
+			rt.metrics.BusyBackoffs.Add(1)
+			if err := tx.takeRetry("busy re-read"); err != nil {
+				return nil, err
 			}
-			return nil, tx.busyAbort(id, t.conflictTx, "object busy past retry budget")
+			if err := rt.backoff(tx.ctx, busyTry); err != nil {
+				return nil, err
+			}
+			continue
 		}
-
-		e := rt.settle(results, t.best)
-		tx.recordRead(id, e)
-		return e.val, nil
+		return nil, tx.busyAbort(id, busy.holder, "object busy past retry budget")
 	}
-}
-
-// readTally is what the members of a read quorum said about one object.
-type readTally struct {
-	invalid    []store.ObjectID   // union of the incremental-validation reports
-	best       *wire.ReadResponse // highest version reported (nil: absent wherever it was looked for)
-	answers    int                // members that reported a version or the object's absence
-	busy       bool               // a member holds the object exclusively protected
-	conflictTx string             // the first such member's conflict witness
-}
-
-// tallyRead folds one object's replies — those of a plain read, or the
-// object's results of a multi-object round (mergeRound) — into a tally.
-// Every member was asked for the value, so the reply with the highest version
-// carries it.
-func (rt *Runtime) tallyRead(replies []callResult) readTally {
-	var t readTally
-	for _, r := range replies {
-		read := r.resp.Read
-		if read != nil {
-			t.invalid = appendNew(t.invalid, read.Invalid)
-		}
-		switch r.resp.Status {
-		case wire.StatusOK:
-			if read == nil {
-				break // an OK reply without its payload is no answer
-			}
-			t.answers++
-			if t.best == nil || read.Version > t.best.Version {
-				t.best = read
-			}
-		case wire.StatusNotFound:
-			t.answers++ // absence is an answer: version 0
-		case wire.StatusBusy:
-			t.busy = true
-			if t.conflictTx == "" {
-				t.conflictTx = r.resp.ConflictTx
-			}
-		}
-	}
-	return t
 }
 
 // appendNew appends the ids dst does not name yet. Replies name none or a
@@ -391,48 +342,6 @@ func appendNew(dst, ids []store.ObjectID) []store.ObjectID {
 		}
 	}
 	return dst
-}
-
-// settle turns the winning reply into the object's first-access entry.
-// Members that answered with an older version (or no object at all) are
-// behind the quorum maximum; the entry names them for repairReads.
-func (rt *Runtime) settle(replies []callResult, best *wire.ReadResponse) readEntry {
-	if best == nil {
-		return readEntry{}
-	}
-	e := readEntry{val: best.Value, ver: best.Version}
-	if !rt.cfg.NoRepair && e.ver > 0 {
-		e.stale = staleMembers(replies, e.ver)
-	}
-	return e
-}
-
-// quorumRead selects a read quorum and asks every member for the value,
-// hedged when HedgeAfter is set. If a member died mid-call the level majority
-// we picked is no longer intact and the versions we saw may miss the latest
-// commit, so the read fails over (see failover) to a freshly selected quorum.
-func (tx *Tx) quorumRead(req *wire.Request) ([]callResult, error) {
-	rt := tx.rt
-	g := rt.groupFor(req.Read.Object)
-	fo := rt.failover(tx.ctx, tx, tx.seed, wire.KindRead, "read quorum")
-	for fo.next() {
-		q, err := fo.readQuorum(g)
-		if err != nil {
-			return nil, err
-		}
-		rt.metrics.RemoteReads.Add(1)
-
-		var results []callResult
-		if d := rt.hedgeDelay(); d > 0 {
-			results = rt.fanoutHedged(tx.ctx, g, q, req, fo.seed+fo.attempt, fo.excl, d)
-		} else {
-			results = rt.fanout(tx.ctx, q, req)
-		}
-		if !fo.failed(results) {
-			return results, nil
-		}
-	}
-	return nil, fo.err()
 }
 
 // Sub runs fn as a closed-nested sub-transaction (Block) on tx itself, from
