@@ -258,12 +258,13 @@ func TestDeadlineExpiredWorkRejected(t *testing.T) {
 // replica answers ~50x slower than normal while staying up. A control client
 // (no hedging) sees its read tail collapse to the slow node's latency; a
 // hedged client escapes it — after the hedge delay the read goes to one
-// extra replica and the first valid quorum wins — while the abandoned slow
-// call stays detector-neutral (no suspicion flapping).
+// spare of its quorum's level and the first two answers of that level win —
+// while the abandoned slow call stays detector-neutral (no suspicion
+// flapping).
 //
 // The 4-node tree makes the geometry deterministic: levels are {0} and
-// {1,2,3}, so a hedge for a level-1 quorum always lands on the root, whose
-// singleton level completes a valid read quorum by itself.
+// {1,2,3}, so a level-1 quorum holding the slow node 3 hedges to the one
+// other node of level 1, and a root quorum never holds node 3.
 func TestSlowNodeHedgedReads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("gray-failure test skipped in -short mode")

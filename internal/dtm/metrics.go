@@ -96,11 +96,11 @@ type Metrics struct {
 	// BudgetExhausted counts operations abandoned because the transaction's
 	// shared retry budget (failover + busy + overload) ran out.
 	BudgetExhausted atomic.Uint64
-	// HedgesFired counts hedged quorum reads: the extra-replica request
-	// issued after the hedge delay elapsed with the quorum incomplete.
+	// HedgesFired counts spare requests sent: one per read round whose quorum
+	// had not fully answered after the hedge delay and whose level had a spare.
 	HedgesFired atomic.Uint64
-	// HedgeWins counts hedged reads where the hedge replica's answer let the
-	// read complete before the slow original member responded.
+	// HedgeWins counts read rounds completed with the spare's answer while a
+	// member of the quorum was still outstanding.
 	HedgeWins atomic.Uint64
 
 	// Per-cause abort attribution (forensics). Every recorded abort event —

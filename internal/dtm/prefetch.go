@@ -143,8 +143,8 @@ func (tx *Tx) readRound(need []store.ObjectID, spanID uint64, op string, dst map
 
 		var results []callResult
 		if d := rt.hedgeDelay(); d > 0 && len(pending) == 1 {
-			results = rt.fanoutHedged(tx.ctx, pending[0].Group, nodes, legs[0].req, fo.seed+fo.attempt, fo.excl, d)
-			legs[0].end = len(results) // the members that answered, and the hedge
+			results = rt.fanoutHedged(tx.ctx, pending[0].Group, nodes, legs[0].req, fo.excl, d)
+			legs[0].end = len(results) // the answers collected, the spare's among them
 		} else {
 			results = rt.fanoutLegs(tx.ctx, nodes, legs)
 		}

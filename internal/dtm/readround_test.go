@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"qracn/internal/cluster"
 	"qracn/internal/dtm"
 	"qracn/internal/forensics"
 	"qracn/internal/quorum"
@@ -130,6 +132,78 @@ func TestReadRoundHedgesASlowMember(t *testing.T) {
 		t.Fatalf("buffered %d objects, hedge wins %d, suspicions %d; want 3, > 0, 0",
 			m.PrefetchedObjects, m.HedgeWins, m.Suspicions)
 	}
+}
+
+// TestReadRoundHedgesToASpareOfItsLevel: on the paper's 10-node tree (levels
+// {0}, {1,2,3}, {4..9}) a hedge goes to a spare of the slow member's own
+// level, so the round completes however many nodes that level has. With one
+// member of a level-1 or a level-2 quorum two seconds slow, the read-ahead
+// ends long before it answers, on the spare's answer, with no suspicion.
+func TestReadRoundHedgesToASpareOfItsLevel(t *testing.T) {
+	for _, tc := range []struct {
+		client, level int
+	}{{3, 1}, {1, 2}} {
+		c := newCluster(t, 10)
+		seedOnes(c, "a", "b", "c")
+		q := firstReadQuorum(t, c.Tree, tc.client)
+		if !slices.Contains(c.Tree.Level(tc.level), q[0]) {
+			t.Fatalf("client %d's first read quorum %v is not on level %d", tc.client, q, tc.level)
+		}
+		slow := q[len(q)-1]
+		took, m := hedgedReadAhead(t, c, tc.client, slow, 2*time.Second)
+		if took >= 500*time.Millisecond {
+			t.Fatalf("level %d: read-ahead took %v with member %d of %v two seconds slow; a hedged round ends far sooner", tc.level, took, slow, q)
+		}
+		if m.PrefetchedObjects != 3 || m.HedgeWins == 0 || m.Suspicions != 0 {
+			t.Fatalf("level %d: buffered %d objects, hedge wins %d, suspicions %d; want 3, > 0, 0",
+				tc.level, m.PrefetchedObjects, m.HedgeWins, m.Suspicions)
+		}
+	}
+}
+
+// TestRootReadQuorumNeverHedges: a read quorum that is the root alone has no
+// spare on its level, so a slow root is waited for and no hedge is sent.
+func TestRootReadQuorumNeverHedges(t *testing.T) {
+	c := newCluster(t, 10)
+	seedOnes(c, "a", "b", "c")
+	const client = 2
+	if q, err := c.Tree.ReadQuorum(client+1, nil); err != nil || len(q) != 1 || q[0] != 0 {
+		t.Fatalf("client %d's first read quorum is %v, %v; want the root alone", client, q, err)
+	}
+	_, m := hedgedReadAhead(t, c, client, 0, 200*time.Millisecond)
+	if m.PrefetchedObjects != 3 || m.HedgesFired != 0 || m.Suspicions != 0 {
+		t.Fatalf("buffered %d objects, hedges fired %d, suspicions %d; want 3, 0, 0",
+			m.PrefetchedObjects, m.HedgesFired, m.Suspicions)
+	}
+}
+
+// hedgedReadAhead runs one read-ahead of a, b and c from a client hedging
+// after 1ms, with node slow delayed by delay, and reports how long the round
+// took and the client's metrics. The transaction stops after the read-ahead:
+// its commit would validate against a read quorum unhedged.
+func hedgedReadAhead(t *testing.T, c *cluster.Cluster, client int, slow quorum.NodeID, delay time.Duration) (time.Duration, dtm.Snapshot) {
+	t.Helper()
+	c.Net.SetFault(func(to quorum.NodeID, _ *wire.Request) transport.Fault {
+		if to == slow {
+			return transport.Fault{Delay: delay}
+		}
+		return transport.Fault{}
+	})
+	rt := c.Runtime(client, dtm.Config{HedgeAfter: time.Millisecond, Seed: 1})
+	measured := errors.New("measured")
+	var took time.Duration
+	err := rt.Atomic(context.Background(), func(tx *dtm.Tx) error {
+		start := time.Now()
+		if err := tx.Prefetch("a", "b", "c"); err != nil {
+			return err
+		}
+		took = time.Since(start)
+		return measured
+	})
+	if !errors.Is(err, measured) {
+		t.Fatal(err)
+	}
+	return took, rt.Metrics().Snapshot()
 }
 
 // TestBlindRefetchBusyAbortNamesTheHolder: when the re-read of a refused

@@ -92,12 +92,12 @@ type Config struct {
 	// budget fails the transaction with ErrRetriesExhausted instead of
 	// letting pathological clusters absorb unbounded retry work.
 	RetryBudget int
-	// HedgeAfter enables hedged quorum reads: when a read quorum has not
-	// fully answered after this delay, the read is issued to one extra
-	// replica and the first valid quorum's answers win (version arithmetic
-	// deduplicates). >0 is a fixed delay, 0 disables hedging, and negative
-	// derives the delay from the observed p99 read latency — the classic
-	// tail-tolerant setting that hedges only the slowest ~1% of reads.
+	// HedgeAfter enables hedged quorum reads: when a one-group read round's
+	// quorum has not fully answered after this delay, the read also goes to
+	// one spare of the quorum's tree level, and len(quorum) answers of the
+	// two complete the round (the root's level has no spare). >0 is a fixed
+	// delay, 0 disables hedging, and negative derives the delay from the p99
+	// of the Read stage (50ms before it has samples).
 	HedgeAfter time.Duration
 
 	// StatsEveryNReads, StatsWanted and StatsSink once piggybacked a
@@ -404,6 +404,15 @@ func (rt *Runtime) readQuorumOf(g *shard.Group) quorumFn {
 	return rt.cfg.Tree.ReadQuorumExcluding
 }
 
+// spareOf is quorum.Tree.Spare for read quorum q of group g (of the
+// whole-cluster tree when g is nil), under the runtime's alive view.
+func (rt *Runtime) spareOf(g *shard.Group, q []quorum.NodeID, excl quorum.ExcludeSet) (quorum.NodeID, bool) {
+	if g != nil {
+		return g.Spare(q, rt.aliveView, excl)
+	}
+	return rt.cfg.Tree.Spare(q, rt.aliveView, excl)
+}
+
 // writeQuorumOf is readQuorumOf for write quorums.
 func (rt *Runtime) writeQuorumOf(g *shard.Group) quorumFn {
 	if g != nil {
@@ -658,107 +667,53 @@ func (rt *Runtime) hedgeDelay() time.Duration {
 	return p
 }
 
-// fanoutHedged is fanout for quorum reads with tail-latency hedging: if the
-// quorum has not fully answered after the hedge delay, the same read goes to
-// one extra replica outside the quorum, and the read completes as soon as the
-// successful answers contain a valid read quorum — max-version arithmetic in
-// the caller deduplicates whatever subset returns. The abandoned slow call is
-// cancelled, which the detector ignores (caller-side cancellation), so a
-// merely slow member is neither waited on nor suspected.
-func (rt *Runtime) fanoutHedged(ctx context.Context, g *shard.Group, q []quorum.NodeID, req *wire.Request, seed int, excl quorum.ExcludeSet, hedgeAfter time.Duration) []callResult {
+// fanoutHedged is fanout for the read round of one quorum group, hedged
+// against a slow member: if read quorum q has not answered in full after
+// hedgeAfter, the same read goes to one spare of q's tree level
+// (quorum.Tree.Spare), and the round is complete once len(q) members of q and
+// the spare have answered. Any len(q) nodes of that level are a read quorum,
+// and max-version arithmetic in the caller merges whichever answered. A level
+// with no spare, the root's above all, sends no hedge. The abandoned slow call
+// is cancelled, which the detector ignores (caller-side cancellation), so a
+// merely slow member is neither waited on nor suspected. A failed spare is
+// left out of the results: it is no failure of q.
+func (rt *Runtime) fanoutHedged(ctx context.Context, g *shard.Group, q []quorum.NodeID, req *wire.Request, excl quorum.ExcludeSet, hedgeAfter time.Duration) []callResult {
 	cctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
 	defer cancel()
-
-	type done struct {
-		hedge bool
-		res   callResult
-	}
-	ch := make(chan done, len(q)+1)
+	ch := make(chan callResult, len(q)+1)
 	for _, n := range q {
-		go func(n quorum.NodeID) {
-			ch <- done{res: rt.call1(cctx, n, req)}
-		}(n)
+		go func() { ch <- rt.call1(cctx, n, req) }()
 	}
-
 	timer := time.NewTimer(hedgeAfter)
 	defer timer.Stop()
 
 	results := make([]callResult, 0, len(q)+1)
-	ok := make(map[quorum.NodeID]bool, len(q)+1)
-	answered := make(map[quorum.NodeID]bool, len(q))
-	var hedgeRes *callResult
-	pending := len(q)
-	hedged := false
-
-	// quorumIn reports whether the successful answers already contain a
-	// valid read quorum (the same selector the read used, alive = answered).
-	quorumIn := func() bool {
-		_, err := rt.readQuorumOf(g)(seed, func(id quorum.NodeID) bool { return ok[id] }, nil)
-		return err == nil
-	}
-
-	for pending > 0 {
+	spare, spareOK := quorum.NodeID(-1), false
+	outstanding, ok := len(q), 0
+	for outstanding > 0 && ok < len(q) {
 		select {
-		case d := <-ch:
-			if d.res.err == nil {
-				ok[d.res.node] = true
-			}
-			if d.hedge {
-				if d.res.err == nil {
-					hedgeRes = &d.res
-					if quorumIn() {
-						// The hedge completed the quorum before the slow
-						// member answered: stop waiting for it.
-						rt.metrics.HedgeWins.Add(1)
-						results = append(results, *hedgeRes)
-						return results
-					}
-				}
+		case r := <-ch:
+			outstanding--
+			switch {
+			case r.err == nil:
+				ok++
+				spareOK = spareOK || r.node == spare
+			case r.node == spare:
 				continue
 			}
-			pending--
-			answered[d.res.node] = true
-			results = append(results, d.res)
-			if hedgeRes != nil && quorumIn() {
-				results = append(results, *hedgeRes)
-				return results
-			}
+			results = append(results, r)
 		case <-timer.C:
-			if hedged {
-				continue
+			if s, found := rt.spareOf(g, q, excl); found {
+				rt.metrics.HedgesFired.Add(1)
+				spare = s
+				outstanding++
+				go func() { ch <- rt.call1(cctx, s, req) }()
 			}
-			hedged = true
-			// Pick one replica outside the quorum (and the operation's
-			// exclude set); a cluster exactly the size of the quorum has no
-			// spare, and then the hedge silently does not fire.
-			exq := make(quorum.ExcludeSet, len(q)+len(excl))
-			for id := range excl {
-				exq[id] = true
-			}
-			for _, n := range q {
-				exq[n] = true
-			}
-			// Deliberately NOT selectQuorum: its relaxation steps drop the
-			// exclude set, which here would re-pick a member of q. No spare
-			// replica simply means no hedge.
-			alt, err := rt.readQuorumOf(g)(seed+1, rt.aliveView, exq)
-			if err != nil || len(alt) == 0 {
-				continue
-			}
-			rt.metrics.HedgesFired.Add(1)
-			go func(n quorum.NodeID) {
-				ch <- done{hedge: true, res: rt.call1(cctx, n, req)}
-			}(alt[0])
-		case <-cctx.Done():
-			// Timed out mid-read: surface the context error for every member
-			// still outstanding so the caller's failover path takes over.
-			for _, n := range q {
-				if !answered[n] {
-					results = append(results, callResult{node: n, err: cctx.Err()})
-				}
-			}
-			return results
 		}
+	}
+	if spareOK && outstanding > 0 {
+		// The spare completed the round while a member of q was still out.
+		rt.metrics.HedgeWins.Add(1)
 	}
 	return results
 }

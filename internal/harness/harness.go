@@ -44,8 +44,8 @@ const (
 	// decomposition.
 	ModeQRACN
 	// ModeQRCP is checkpoint-based partial rollback, the alternative
-	// mechanism the paper contrasts closed nesting with (§I, §III): finer
-	// rollback points, but a state-copy cost on every remote access.
+	// mechanism the paper contrasts closed nesting with (§I, §III): a
+	// savepoint before every remote first access, which copies no state.
 	ModeQRCP
 )
 

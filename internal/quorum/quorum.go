@@ -12,6 +12,7 @@ package quorum
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // NodeID identifies a quorum (server) node.
@@ -135,6 +136,31 @@ func (t *Tree) ReadQuorumExcluding(seed int, f AliveFunc, excl ExcludeSet) ([]No
 		}
 	}
 	return nil, ErrUnavailable
+}
+
+// Spare returns a node that can stand in for any one member of read quorum q:
+// a node of q's level that is outside q and excl and alive under f. Any
+// len(q) distinct nodes of that level are again a majority of it, hence a
+// read quorum. The scan starts after q's last member, where the level
+// majority's own scan stopped. False means the level has no such node; the
+// root's level never has one.
+func (t *Tree) Spare(q []NodeID, f AliveFunc, excl ExcludeSet) (NodeID, bool) {
+	if len(q) == 0 {
+		return 0, false
+	}
+	last := q[len(q)-1]
+	for _, level := range t.levels {
+		if last < level[0] || last > level[len(level)-1] {
+			continue
+		}
+		for i := 1; i < len(level); i++ {
+			id := level[(int(last-level[0])+i)%len(level)]
+			if alive(f, id) && !excl[id] && !slices.Contains(q, id) {
+				return id, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // WriteQuorum returns a write quorum: a majority of the nodes at every

@@ -234,3 +234,66 @@ func TestQuorumMembersAlive(t *testing.T) {
 		}
 	}
 }
+
+func TestSpareIsASameLevelNodeOutsideTheQuorum(t *testing.T) {
+	// 10 nodes: levels {0}, {1,2,3}, {4..9}.
+	tr := NewTree(10, 3)
+	cases := []struct {
+		name string
+		q    []NodeID
+		dead NodeID // -1: every node alive
+		excl ExcludeSet
+		want NodeID // -1: no spare
+	}{
+		{"level 1", []NodeID{2, 3}, -1, nil, 1},
+		{"level 2 wraps after the last member", []NodeID{6, 7, 8, 9}, -1, nil, 4},
+		{"excluded spare", []NodeID{2, 3}, -1, ExcludeSet{1: true}, -1},
+		{"dead spare skipped", []NodeID{6, 7, 8, 9}, 4, nil, 5},
+		{"excluded and dead", []NodeID{6, 7, 8, 9}, 5, ExcludeSet{4: true}, -1},
+		{"root level", []NodeID{0}, -1, nil, -1},
+		{"empty quorum", nil, -1, nil, -1},
+	}
+	for _, c := range cases {
+		f := func(id NodeID) bool { return id != c.dead }
+		got, ok := tr.Spare(c.q, f, c.excl)
+		if want := c.want >= 0; ok != want || (ok && got != c.want) {
+			t.Errorf("%s: Spare(%v) = %d, %v; want %d", c.name, c.q, got, ok, c.want)
+		}
+	}
+}
+
+// TestSpareStandsInForAnyMember: whichever member of a read quorum its spare
+// replaces, the result is still a read quorum — it intersects every write
+// quorum.
+func TestSpareStandsInForAnyMember(t *testing.T) {
+	for _, n := range []int{4, 10, 13} {
+		tr := NewTree(n, 3)
+		var writes [][]NodeID
+		for seed := 0; seed < 12; seed++ {
+			wq, err := tr.WriteQuorum(seed, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writes = append(writes, wq)
+		}
+		for seed := 0; seed < 12; seed++ {
+			q, _ := tr.ReadQuorum(seed, nil)
+			s, ok := tr.Spare(q, nil, nil)
+			if !ok {
+				if len(q) > 1 {
+					t.Errorf("n=%d: read quorum %v has no spare", n, q)
+				}
+				continue
+			}
+			for i := range q {
+				alt := append([]NodeID(nil), q...)
+				alt[i] = s
+				for _, wq := range writes {
+					if !Intersects(alt, wq) {
+						t.Fatalf("n=%d: %v with spare %d for %d misses write quorum %v", n, q, s, q[i], wq)
+					}
+				}
+			}
+		}
+	}
+}

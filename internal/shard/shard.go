@@ -251,6 +251,18 @@ func (g *Group) WriteQuorum(seed int, f quorum.AliveFunc, excl quorum.ExcludeSet
 	return g.toGlobal(g.tree.WriteQuorumExcluding(seed, lf, lx))
 }
 
+// Spare is quorum.Tree.Spare within the group: q (a read quorum of the
+// group), the alive view, the exclude set and the answer are in global IDs.
+func (g *Group) Spare(q []quorum.NodeID, f quorum.AliveFunc, excl quorum.ExcludeSet) (quorum.NodeID, bool) {
+	lq := make([]quorum.NodeID, len(q))
+	for i, id := range q {
+		lq[i] = quorum.NodeID(g.local[id])
+	}
+	lf, lx := g.toLocal(f, excl)
+	l, ok := g.tree.Spare(lq, lf, lx)
+	return g.nodes[l], ok
+}
+
 // String renders the map in the flag format ParseGroups accepts:
 // semicolon-separated groups of comma-separated node IDs, contiguous runs
 // compressed to a-b ranges. Example: "0-2;3-5".

@@ -166,3 +166,31 @@ func TestStringParseRoundTrip(t *testing.T) {
 		t.Fatalf("mixed spec parsed to %v, want %v", g, want)
 	}
 }
+
+func TestGroupSpareIsInGlobalIDs(t *testing.T) {
+	// Group 1's local tree of four is {20} and {21, 22, 23}.
+	m, err := New(1, 3, [][]quorum.NodeID{{10, 11, 12, 13}, {20, 21, 22, 23}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := m.Group(1)
+	not23 := func(id quorum.NodeID) bool { return id != 23 }
+	cases := []struct {
+		name string
+		q    []quorum.NodeID
+		f    quorum.AliveFunc
+		excl quorum.ExcludeSet
+		want quorum.NodeID // -1: no spare
+	}{
+		{"same level, outside q", []quorum.NodeID{21, 22}, nil, nil, 23},
+		{"excluded", []quorum.NodeID{21, 22}, nil, quorum.ExcludeSet{23: true}, -1},
+		{"dead", []quorum.NodeID{21, 22}, not23, nil, -1},
+		{"root level", []quorum.NodeID{20}, nil, nil, -1},
+	}
+	for _, c := range cases {
+		got, ok := g.Spare(c.q, c.f, c.excl)
+		if want := c.want >= 0; ok != want || (ok && got != c.want) {
+			t.Errorf("%s: Spare(%v) = %d, %v; want %d", c.name, c.q, got, ok, c.want)
+		}
+	}
+}
