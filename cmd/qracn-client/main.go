@@ -47,7 +47,7 @@ func main() {
 	var (
 		nodesArg   = flag.String("nodes", "", "comma-separated node addresses, tree order (node 0 first)")
 		wlArg      = flag.String("workload", "bank", "workload: bank, tpcc, vacation")
-		modeArg    = flag.String("mode", "acn", "system: dtm, cn, acn")
+		modeArg    = flag.String("mode", "acn", "system: dtm, cn, acn, cp")
 		threads    = flag.Int("threads", 4, "concurrent transactions")
 		intervals  = flag.Int("intervals", 6, "measurement intervals")
 		interval   = flag.Duration("interval", 2*time.Second, "interval length")
@@ -247,14 +247,11 @@ func runThread(ctx context.Context, execute func(context.Context) error, meter *
 }
 
 // buildExecutors makes one executor per profile from its mode's starting
-// composition, and refuses cp: the client runs no checkpointed executor. In
-// acn mode it registers them all on one Hub, the client's one adaptation
-// path: one stats query per refresh covers every profile's objects.
+// composition. In acn mode it registers them all on one Hub, the client's
+// one adaptation path: one stats query per refresh covers every profile's
+// objects.
 func buildExecutors(rt *dtm.Runtime, w workload.Workload, name string) ([]*acn.Executor, *acn.Hub, error) {
 	mode, err := harness.ParseMode(name)
-	if err == nil && mode == harness.ModeQRCP {
-		err = fmt.Errorf("mode %q is not run by qracn-client (use dtm, cn, acn)", name)
-	}
 	if err != nil {
 		return nil, nil, err
 	}

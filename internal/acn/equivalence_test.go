@@ -97,7 +97,7 @@ func TestRecomposedExecutionEquivalence(t *testing.T) {
 		variants := []variant{
 			{"flat", func(e *acn.Executor) error { return e.Execute(context.Background(), nil) }, acn.Flat(an)},
 			{"recomposed", func(e *acn.Executor) error { return e.Execute(context.Background(), nil) }, recomposed},
-			{"checkpointed", func(e *acn.Executor) error { return e.ExecuteCheckpointed(context.Background(), nil) }, acn.Flat(an)},
+			{"checkpointed", func(e *acn.Executor) error { return e.Execute(context.Background(), nil) }, acn.Static(an)},
 		}
 		for _, v := range variants {
 			c := cluster.New(cluster.Config{Servers: 4, StatsWindow: time.Hour})

@@ -196,37 +196,95 @@ func sampledIDs(execs ...*Executor) []store.ObjectID {
 // Execute runs one invocation of the program with the given parameters.
 // params must contain every randomness the transaction needs (drawn before
 // the first attempt) so that retries re-execute deterministically.
+//
+// Each Block runs under Tx.Sub, which re-runs the Block alone when a conflict
+// stays inside it. When a Block's abort names an object an earlier Block
+// first read, Execute rewinds instead of restarting: it rolls the attempt
+// back to the savepoint it took at the entry of that earlier Block and runs
+// on from there (rewind). A flat composition runs no Sub and has no earlier
+// Block, so there every conflict restarts the transaction.
 func (e *Executor) Execute(ctx context.Context, params map[string]any) error {
 	comp := e.comp.Load()
 	return e.rt.Atomic(ctx, func(tx *dtm.Tx) error {
 		tx.SetBlockMeta(len(comp.anchors), comp.anchors)
 		env := txir.NewEnv(params)
 		// ids holds the anchors' object IDs by plan position, each evaluated
-		// once: from its evalAt entry on an anchor's Ref cannot change.
+		// once: from its evalAt entry on an anchor's Ref cannot change until
+		// a rewind re-runs an earlier Block, and rewind clears it then.
 		var ids []store.ObjectID
 		if !e.noPrefetch.Load() {
 			ids = make([]store.ObjectID, len(comp.ahead))
 		}
-		if len(comp.comp.Blocks) == 1 {
+		blocks := comp.comp.Blocks
+		if len(blocks) == 1 {
 			// A single block is flat nesting: no sub-transaction needed.
 			if err := e.readAhead(tx, env, comp, ids, 0); err != nil {
 				return err
 			}
-			return e.runStmts(tx, env, comp, ids, comp.comp.Blocks[0].StmtIdx)
+			return e.runStmts(tx, env, comp, ids, blocks[0].StmtIdx)
 		}
-		for i := range comp.comp.Blocks {
-			blk := &comp.comp.Blocks[i]
-			if err := tx.Sub(func(sub *dtm.Tx) error {
+		// saves[i] is the savepoint taken at Block i's entry, kept for the
+		// whole attempt; the array holds them without an allocation for up
+		// to 16 Blocks.
+		var buf [16]dtm.Checkpoint
+		saves := buf[:0]
+		for i, rewinds := 0, 0; i < len(blocks); {
+			saves = append(saves[:i], tx.Checkpoint())
+			err := tx.Sub(func(sub *dtm.Tx) error {
 				if err := e.readAhead(sub, env, comp, ids, i); err != nil {
 					return err
 				}
-				return e.runStmts(sub, env, comp, ids, blk.StmtIdx)
-			}); err != nil {
+				return e.runStmts(sub, env, comp, ids, blocks[i].StmtIdx)
+			})
+			if err == nil {
+				i++
+				continue
+			}
+			if i, err = e.rewind(tx, comp, ids, saves, err, rewinds); err != nil {
 				return err
 			}
+			rewinds++
 		}
 		return nil
 	})
+}
+
+// rewind answers the abort err of Block i = len(saves)-1, which Sub has
+// already rolled back. The earliest first read of an object err names
+// belongs to the Block j whose savepoint precedes it. When j is earlier than
+// i, rewind rolls back to j's savepoint (Tx.RollBack, as the attempt's n-th
+// rewind), drops every ID the read-ahead evaluated after j's entry, since
+// the re-run Blocks define their Refs' variables anew, and returns j.
+// Otherwise err stands. An object no earlier Block read, such as one an
+// escalated Block read and rolled back itself, maps to i.
+func (e *Executor) rewind(tx *dtm.Tx, comp *compiled, ids []store.ObjectID, saves []dtm.Checkpoint, err error, n int) (int, error) {
+	ae, ok := dtm.AsAbort(err)
+	if !ok {
+		return 0, err
+	}
+	i := len(saves) - 1
+	pos := saves[i].ReadLen() // a read of no earlier Block
+	for _, id := range ae.Invalid {
+		if p, ok := tx.ReadPosition(id); ok && p < pos {
+			pos = p
+		}
+	}
+	j := i
+	for j > 0 && saves[j].ReadLen() > pos {
+		j--
+	}
+	if j == i {
+		return 0, err
+	}
+	if err := tx.RollBack(saves[j], ae, n); err != nil {
+		return 0, err
+	}
+	for p := range ids {
+		if comp.ahead[p].evalAt > j {
+			ids[p] = ""
+		}
+	}
+	return j, nil
 }
 
 // readAhead runs at the entry of Block bi, first execution or re-execution:

@@ -29,7 +29,7 @@ type StageLatencies struct {
 type Metrics struct {
 	Commits       atomic.Uint64 // top-level commits
 	ParentAborts  atomic.Uint64 // full re-executions
-	SubAborts     atomic.Uint64 // partial rollbacks (sub-transaction retries)
+	SubAborts     atomic.Uint64 // partial rollbacks (Tx.RollBack: Block re-runs and rewinds)
 	BusyBackoffs  atomic.Uint64 // waits caused by protected objects
 	RemoteReads   atomic.Uint64 // read rounds of every kind, failovers included
 	Prepares      atomic.Uint64 // 2PC prepare rounds
@@ -42,9 +42,6 @@ type Metrics struct {
 	// RootRefusals counts the root-first rounds that ended at stage one: a
 	// root voted no (or failed), so the other members were never asked.
 	RootRefusals atomic.Uint64
-	// CheckpointRollbacks counts partial rollbacks performed by the
-	// checkpointing executor (the QR-CP comparison system).
-	CheckpointRollbacks atomic.Uint64
 	// BatchReads counts the read rounds of read-aheads (Tx.Prefetch) and of
 	// blind-write refetches, failovers included; each also counts once in
 	// RemoteReads. A Block's own Read is a round that counts in RemoteReads
@@ -165,35 +162,34 @@ func (w *WALStats) Add(o WALStats) {
 
 // Snapshot is a point-in-time copy of the counters.
 type Snapshot struct {
-	Commits             uint64
-	ParentAborts        uint64
-	SubAborts           uint64
-	BusyBackoffs        uint64
-	RemoteReads         uint64
-	Prepares            uint64
-	PrepareFails        uint64
-	ReadOnlyFasts       uint64
-	RootFirstRounds     uint64
-	RootRefusals        uint64
-	CheckpointRollbacks uint64
-	BatchReads          uint64
-	PrefetchedObjects   uint64
-	TransportRetries    uint64
-	Suspicions          uint64
-	Probes              uint64
-	Readmissions        uint64
-	Failovers           uint64
-	StatsQuorumRetries  uint64
-	Repairs             uint64
-	DecisionRetries     uint64
-	DecisionsDropped    uint64
-	SingleShardCommits  uint64
-	CrossShardCommits   uint64
-	CrossShardAborts    uint64
-	OverloadBackoffs    uint64
-	BudgetExhausted     uint64
-	HedgesFired         uint64
-	HedgeWins           uint64
+	Commits            uint64
+	ParentAborts       uint64
+	SubAborts          uint64
+	BusyBackoffs       uint64
+	RemoteReads        uint64
+	Prepares           uint64
+	PrepareFails       uint64
+	ReadOnlyFasts      uint64
+	RootFirstRounds    uint64
+	RootRefusals       uint64
+	BatchReads         uint64
+	PrefetchedObjects  uint64
+	TransportRetries   uint64
+	Suspicions         uint64
+	Probes             uint64
+	Readmissions       uint64
+	Failovers          uint64
+	StatsQuorumRetries uint64
+	Repairs            uint64
+	DecisionRetries    uint64
+	DecisionsDropped   uint64
+	SingleShardCommits uint64
+	CrossShardCommits  uint64
+	CrossShardAborts   uint64
+	OverloadBackoffs   uint64
+	BudgetExhausted    uint64
+	HedgesFired        uint64
+	HedgeWins          uint64
 
 	AbortsReadValidation uint64
 	AbortsLockConflict   uint64

@@ -444,12 +444,6 @@ func (rt *Runtime) backoff(ctx context.Context, attempt int) error {
 	return backoff.Sleep(ctx, d)
 }
 
-// Backoff sleeps the runtime's randomized exponential backoff for the given
-// attempt number (exposed for rollback mechanisms layered on the runtime).
-func (rt *Runtime) Backoff(ctx context.Context, attempt int) error {
-	return rt.backoff(ctx, attempt)
-}
-
 // Atomic runs fn as a top-level transaction, retrying on aborts until it
 // commits, the context is cancelled, or the attempt budget is exhausted.
 // fn must be idempotent: it may run many times.

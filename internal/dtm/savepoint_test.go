@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"qracn/internal/dtm"
+	"qracn/internal/forensics"
 	"qracn/internal/store"
 )
 
@@ -128,5 +129,77 @@ func TestSavepointsNestAsAStack(t *testing.T) {
 	}
 	if got != 10 {
 		t.Fatalf("committed a = %d, want the first savepoint's 10", got)
+	}
+}
+
+// A rewind to an earlier Block's savepoint numbers the Blocks it re-runs as
+// they were numbered the first time: a conflict in the re-run Block 1 names
+// Block 1 and its anchor, not a Block past the end of the composition, which
+// has no anchor.
+func TestRewindKeepsBlockNumbers(t *testing.T) {
+	c := newCluster(t, 10)
+	c.Seed(map[store.ObjectID]store.Value{"a": store.Int64(1), "b": store.Int64(1), "c": store.Int64(1)})
+	rt := rtFor(c, 1)
+	other := rtFor(c, 2)
+	ctx := context.Background()
+	anchors := []int{-1, 7, 8} // Block 1 runs anchor 7, Block 2 anchor 8
+	runs := 0
+	block1 := func(s *dtm.Tx) error {
+		if _, err := s.Read("a"); err != nil {
+			return err
+		}
+		if runs++; runs == 2 {
+			// The re-run's "a" goes stale before its read of "c" validates it.
+			if err := other.Atomic(ctx, func(o *dtm.Tx) error { return o.Write("a", store.Int64(2)) }); err != nil {
+				return err
+			}
+		}
+		_, err := s.Read("c")
+		return err
+	}
+	rewound := false
+	block2 := func(s *dtm.Tx) error {
+		if _, err := s.Read("b"); err != nil {
+			return err
+		}
+		if rewound {
+			return nil
+		}
+		rewound = true
+		return &dtm.AbortError{Level: dtm.AbortParent, Invalid: []store.ObjectID{"a"}, Key: "a",
+			Reason: "forced", Cause: forensics.CauseReadValidation, Block: 2}
+	}
+	err := rt.Atomic(ctx, func(tx *dtm.Tx) error {
+		tx.SetBlockMeta(len(anchors), anchors)
+		save := tx.Checkpoint()
+		if err := tx.Sub(block1); err != nil {
+			return err
+		}
+		err := tx.Sub(block2)
+		if ae, ok := dtm.AsAbort(err); ok {
+			if err := tx.RollBack(save, ae, 0); err != nil {
+				return err
+			}
+			if err := tx.Sub(block1); err != nil {
+				return err
+			}
+			err = tx.Sub(block2)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := rt.Metrics().Snapshot(); runs != 3 || m.SubAborts != 2 || m.ParentAborts != 0 {
+		t.Fatalf("Block 1 ran %d times, sub aborts = %d, parent aborts = %d; want 3, 2 and 0",
+			runs, m.SubAborts, m.ParentAborts)
+	}
+	evs := rt.Forensics().Snapshot(10).Aborts
+	if len(evs) != 2 {
+		t.Fatalf("want the rewind and the re-run's partial abort, got %+v", evs)
+	}
+	if ev := evs[1]; !ev.Partial || ev.Key != "a" || ev.BlockIndex != 1 || ev.UnitAnchorID != 7 {
+		t.Fatalf("re-run Block's abort: partial %v, key %q, block %d, anchor %d; want true, a, 1 and 7",
+			ev.Partial, ev.Key, ev.BlockIndex, ev.UnitAnchorID)
 	}
 }

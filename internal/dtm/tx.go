@@ -19,9 +19,10 @@ import (
 // closed-nested sub-transaction) it runs: one read log and one write set for
 // the whole attempt, each entry tagged with the Block that made it, and an
 // undo log of what every write replaced. A savepoint (Checkpoint) is the
-// lengths of the read and undo logs, so a Block's partial abort and QR-CP's
-// Restore are the same rollback: forget the reads after the savepoint and
-// undo the writes after it, newest first.
+// lengths of the read and undo logs, so every partial abort, a Block's re-run
+// and the executor's rewind to an earlier Block alike, is the same rollback
+// (RollBack): forget the reads after the savepoint and undo the writes after
+// it, newest first.
 type Tx struct {
 	rt   *Runtime
 	ctx  context.Context
@@ -40,7 +41,8 @@ type Tx struct {
 	budget *backoff.Budget
 
 	// block identifies which ACN Block is executing: 0 outside any Sub, k
-	// inside the k-th Sub of the transaction. subSeq counts Sub calls.
+	// inside the k-th Sub of the transaction. subSeq counts the Sub calls
+	// since the attempt began, less those a Restore took back.
 	block  int
 	subSeq int
 
@@ -384,18 +386,12 @@ func (tx *Tx) runSub(fn func(*Tx) error, blockID uint64) error {
 			return nil
 		}
 		ae, ok := AsAbort(err)
-		partial := ok && ae.Level == AbortSub
-		if partial {
-			rt.noteShards(tx.readOrder[save.reads:], shardSubAbort)
-		}
-		tx.Restore(save)
-		if !partial {
+		if !ok || ae.Level != AbortSub {
+			tx.Restore(save)
 			return err
 		}
-		rt.metrics.SubAborts.Add(1)
-		rt.recordAbort(tx, ae, true, attempt)
 		last = ae
-		if err := rt.backoff(tx.ctx, attempt); err != nil {
+		if err := tx.RollBack(save, ae, attempt); err != nil {
 			return err
 		}
 	}

@@ -41,7 +41,6 @@ type exportedSeries struct {
 	PartialAborts  uint64    `json:"partial_aborts"`
 	BusyBackoffs   uint64    `json:"busy_backoffs"`
 	RemoteReads    uint64    `json:"remote_reads"`
-	CPRollbacks    uint64    `json:"checkpoint_rollbacks,omitempty"`
 	ReadOnlyFastOK uint64    `json:"read_only_validations"`
 	// DroppedCommits counts commits outside the measurement window.
 	DroppedCommits uint64 `json:"dropped_commits,omitempty"`
@@ -250,7 +249,6 @@ func (r *Result) ExportJSON() ([]byte, error) {
 			PartialAborts:  s.Metrics.SubAborts,
 			BusyBackoffs:   s.Metrics.BusyBackoffs,
 			RemoteReads:    s.Metrics.RemoteReads,
-			CPRollbacks:    s.Metrics.CheckpointRollbacks,
 			ReadOnlyFastOK: s.Metrics.ReadOnlyFasts,
 			DroppedCommits: s.DroppedCommits,
 			ReadStage:      exportSummary(s.Stages.Read),

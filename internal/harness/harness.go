@@ -45,7 +45,9 @@ const (
 	ModeQRACN
 	// ModeQRCP is checkpoint-based partial rollback, the alternative
 	// mechanism the paper contrasts closed nesting with (§I, §III): a
-	// savepoint before every remote first access, which copies no state.
+	// savepoint before every UnitBlock, which copies no state, and a conflict
+	// rewinds to the one before the conflicting object's first read. It is
+	// the Static composition, never recomposed.
 	ModeQRCP
 )
 
@@ -76,11 +78,11 @@ func ParseMode(name string) (Mode, error) {
 }
 
 // Composition is the decomposition prof's executors start with under m:
-// QR-DTM and QR-CP run flat, QR-CN the programmer's Manual groups (flat when
-// there are none), and QR-ACN Static, one Block per UnitBlock.
+// QR-DTM runs flat, QR-CN the programmer's Manual groups (flat when there are
+// none), and QR-ACN and QR-CP Static, one Block per UnitBlock.
 func (m Mode) Composition(an *unitgraph.Analysis, prof workload.Profile) (*acn.Composition, error) {
 	switch {
-	case m == ModeQRACN:
+	case m == ModeQRACN || m == ModeQRCP:
 		return acn.Static(an), nil
 	case m == ModeQRCN && prof.Manual != nil:
 		return acn.Manual(an, prof.Manual)
@@ -418,13 +420,7 @@ func runMode(ctx context.Context, opts Options, mode Mode) (*Series, error) {
 				for runCtx.Err() == nil {
 					prof, params := w.Generate(rng, int(phase.Load()))
 					start := time.Now()
-					var err error
-					if mode == ModeQRCP {
-						err = cs.execs[prof].ExecuteCheckpointed(runCtx, params)
-					} else {
-						err = cs.execs[prof].Execute(runCtx, params)
-					}
-					if err != nil {
+					if err := cs.execs[prof].Execute(runCtx, params); err != nil {
 						if runCtx.Err() != nil {
 							return
 						}

@@ -124,9 +124,6 @@ func (r *Result) Summary() string {
 		fmt.Fprintf(&b, "%-7s commits=%-7d full-aborts=%-6d partial-aborts=%-6d busy=%-6d remote-reads=%d",
 			m, s.Metrics.Commits, s.Metrics.ParentAborts, s.Metrics.SubAborts,
 			s.Metrics.BusyBackoffs, s.Metrics.RemoteReads)
-		if m == ModeQRCP {
-			fmt.Fprintf(&b, " checkpoint-rollbacks=%d", s.Metrics.CheckpointRollbacks)
-		}
 		if s.MeanLatency > 0 {
 			fmt.Fprintf(&b, " latency(mean/p99)=%v/%v",
 				s.MeanLatency.Round(10*time.Microsecond), s.P99Latency.Round(10*time.Microsecond))
