@@ -86,12 +86,12 @@ func (f *failover) err() error { return f.stop }
 // tree when g is nil), avoiding the members that failed earlier rounds. An
 // error is the operation's final one.
 func (f *failover) readQuorum(g *shard.Group) ([]quorum.NodeID, error) {
-	return f.selected(f.rt.selectQuorum(f.rt.readQuorumOf(g), f.seed+f.attempt, f.excl))
+	return f.selected(f.rt.selectQuorum(f.rt.treeOf(g).ReadQuorumExcluding, f.seed+f.attempt, f.excl))
 }
 
 // writeQuorum is readQuorum for write quorums.
 func (f *failover) writeQuorum(g *shard.Group) ([]quorum.NodeID, error) {
-	return f.selected(f.rt.selectQuorum(f.rt.writeQuorumOf(g), f.seed+f.attempt, f.excl))
+	return f.selected(f.rt.selectQuorum(f.rt.treeOf(g).WriteQuorumExcluding, f.seed+f.attempt, f.excl))
 }
 
 func (f *failover) selected(q []quorum.NodeID, err error) ([]quorum.NodeID, error) {

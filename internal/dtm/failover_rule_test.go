@@ -370,21 +370,20 @@ func TestSinglePartCommitParity(t *testing.T) {
 			slices.Sort(wq)
 
 			// The recorded membership is a write quorum of the tree that owns x.
-			tree, local := c.Tree, wq
+			tree := c.Tree
 			if shards > 1 {
 				g := c.Shards.GroupOf("x")
-				tree, local = g.Tree(), nil
+				tree = g.Tree()
 				for _, n := range wq {
 					if !g.Contains(n) {
 						t.Fatalf("quorum member %d is outside x's group %v", n, g.Nodes())
 					}
-					local = append(local, quorum.NodeID(slices.Index(g.Nodes(), n)))
 				}
 			}
 			for l := 0; l < tree.Levels(); l++ {
 				have := 0
 				for _, n := range tree.Level(l) {
-					if slices.Contains(local, n) {
+					if slices.Contains(wq, n) {
 						have++
 					}
 				}

@@ -361,9 +361,8 @@ func (rt *Runtime) aliveView(id quorum.NodeID) bool {
 	return rt.health.Alive(id)
 }
 
-// quorumFn is the shape shared by the tree-wide and group-scoped quorum
-// selectors (quorum.Tree's *Excluding methods and shard.Group's
-// ReadQuorum/WriteQuorum).
+// quorumFn is the shape of quorum.Tree's ReadQuorumExcluding and
+// WriteQuorumExcluding.
 type quorumFn func(seed int, f quorum.AliveFunc, excl quorum.ExcludeSet) ([]quorum.NodeID, error)
 
 // selectQuorum picks a quorum under the composed alive view minus the
@@ -395,30 +394,13 @@ func (rt *Runtime) groupFor(id store.ObjectID) *shard.Group {
 	return rt.cfg.Shards.GroupOf(id)
 }
 
-// readQuorumOf returns the read-quorum selector of group g (of the
-// whole-cluster tree when g is nil).
-func (rt *Runtime) readQuorumOf(g *shard.Group) quorumFn {
+// treeOf returns the quorum tree of group g (the whole-cluster tree when g
+// is nil).
+func (rt *Runtime) treeOf(g *shard.Group) *quorum.Tree {
 	if g != nil {
-		return g.ReadQuorum
+		return g.Tree()
 	}
-	return rt.cfg.Tree.ReadQuorumExcluding
-}
-
-// spareOf is quorum.Tree.Spare for read quorum q of group g (of the
-// whole-cluster tree when g is nil), under the runtime's alive view.
-func (rt *Runtime) spareOf(g *shard.Group, q []quorum.NodeID, excl quorum.ExcludeSet) (quorum.NodeID, bool) {
-	if g != nil {
-		return g.Spare(q, rt.aliveView, excl)
-	}
-	return rt.cfg.Tree.Spare(q, rt.aliveView, excl)
-}
-
-// writeQuorumOf is readQuorumOf for write quorums.
-func (rt *Runtime) writeQuorumOf(g *shard.Group) quorumFn {
-	if g != nil {
-		return g.WriteQuorum
-	}
-	return rt.cfg.Tree.WriteQuorumExcluding
+	return rt.cfg.Tree
 }
 
 // observe feeds one RPC outcome to the failure detector.
@@ -697,7 +679,7 @@ func (rt *Runtime) fanoutHedged(ctx context.Context, g *shard.Group, q []quorum.
 			}
 			results = append(results, r)
 		case <-timer.C:
-			if s, found := rt.spareOf(g, q, excl); found {
+			if s, found := rt.treeOf(g).Spare(q, rt.aliveView, excl); found {
 				rt.metrics.HedgesFired.Add(1)
 				spare = s
 				outstanding++

@@ -22,33 +22,40 @@ type NodeID int
 // quorum (some tree level has lost its majority).
 var ErrUnavailable = errors.New("quorum: not enough alive nodes to form a quorum")
 
-// Tree is an immutable logical tree over server nodes 0..n-1, numbered
-// breadth-first so that level boundaries are implicit.
+// Tree is an immutable logical tree over a list of server nodes, filled
+// breadth-first in list order so that level boundaries are implicit.
 type Tree struct {
-	degree int
-	levels [][]NodeID
-	n      int
+	nodes  []NodeID
+	levels [][]NodeID // consecutive runs of nodes
 }
 
-// NewTree arranges n nodes into a complete tree of the given degree
+// NewTree arranges nodes 0..n-1 into a complete tree of the given degree
 // (the paper uses degree 3). It panics if n < 1 or degree < 2.
 func NewTree(n, degree int) *Tree {
-	if n < 1 {
+	nodes := make([]NodeID, max(n, 0))
+	for i := range nodes {
+		nodes[i] = NodeID(i)
+	}
+	return NewTreeOf(nodes, degree)
+}
+
+// NewTreeOf arranges the listed nodes into a complete tree of the given
+// degree in list order: nodes[0] is the root, the next degree nodes are
+// level 1, and so on. A quorum group's tree is built over its own node IDs
+// this way. The list must not name a node twice. It panics if the list is
+// empty or degree < 2.
+func NewTreeOf(nodes []NodeID, degree int) *Tree {
+	if len(nodes) == 0 {
 		panic("quorum: need at least one node")
 	}
 	if degree < 2 {
 		panic("quorum: degree must be >= 2")
 	}
-	t := &Tree{degree: degree, n: n}
-	width, next := 1, 0
-	for next < n {
-		level := make([]NodeID, 0, width)
-		for i := 0; i < width && next < n; i++ {
-			level = append(level, NodeID(next))
-			next++
-		}
-		t.levels = append(t.levels, level)
-		width *= degree
+	t := &Tree{nodes: slices.Clone(nodes)}
+	for width, next := 1, 0; next < len(nodes); width *= degree {
+		end := min(next+width, len(nodes))
+		t.levels = append(t.levels, t.nodes[next:end:end])
+		next = end
 	}
 	return t
 }
@@ -57,23 +64,15 @@ func NewTree(n, degree int) *Tree {
 func (t *Tree) Levels() int { return len(t.levels) }
 
 // Size reports the number of nodes.
-func (t *Tree) Size() int { return t.n }
+func (t *Tree) Size() int { return len(t.nodes) }
 
 // Level returns a copy of the node IDs at level l (0 = root).
 func (t *Tree) Level(l int) []NodeID {
-	out := make([]NodeID, len(t.levels[l]))
-	copy(out, t.levels[l])
-	return out
+	return slices.Clone(t.levels[l])
 }
 
 // All returns every node ID.
-func (t *Tree) All() []NodeID {
-	out := make([]NodeID, 0, t.n)
-	for _, l := range t.levels {
-		out = append(out, l...)
-	}
-	return out
-}
+func (t *Tree) All() []NodeID { return slices.Clone(t.nodes) }
 
 // AliveFunc reports whether a node is believed reachable. A nil AliveFunc
 // means all nodes are alive.
@@ -91,24 +90,20 @@ type ExcludeSet map[NodeID]bool
 // majority returns floor(n/2)+1.
 func majority(n int) int { return n/2 + 1 }
 
-// levelMajority picks a majority-size subset of alive, non-excluded nodes
-// at one level, starting the circular scan at seed so different clients
-// spread load across level members. It returns nil when the level has lost
+// levelMajority appends to dst a majority-size subset of alive, non-excluded
+// nodes at one level, starting the circular scan at seed so different
+// clients spread load across level members. False means the level has lost
 // its majority.
-func (t *Tree) levelMajority(l, seed int, f AliveFunc, excl ExcludeSet) []NodeID {
+func (t *Tree) levelMajority(dst []NodeID, l, seed int, f AliveFunc, excl ExcludeSet) ([]NodeID, bool) {
 	level := t.levels[l]
-	need := majority(len(level))
-	out := make([]NodeID, 0, need)
-	for i := 0; i < len(level) && len(out) < need; i++ {
+	need := len(dst) + majority(len(level))
+	for i := 0; i < len(level) && len(dst) < need; i++ {
 		id := level[(seed+i)%len(level)]
 		if alive(f, id) && !excl[id] {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	if len(out) < need {
-		return nil
-	}
-	return out
+	return dst, len(dst) == need
 }
 
 // ReadQuorum returns a read quorum: a majority of the nodes at one level.
@@ -131,7 +126,7 @@ func (t *Tree) ReadQuorumExcluding(seed int, f AliveFunc, excl ExcludeSet) ([]No
 	nl := len(t.levels)
 	for off := 0; off < nl; off++ {
 		l := (seed + off) % nl
-		if q := t.levelMajority(l, seed, f, excl); q != nil {
+		if q, ok := t.levelMajority(make([]NodeID, 0, majority(len(t.levels[l]))), l, seed, f, excl); ok {
 			return q, nil
 		}
 	}
@@ -150,15 +145,17 @@ func (t *Tree) Spare(q []NodeID, f AliveFunc, excl ExcludeSet) (NodeID, bool) {
 	}
 	last := q[len(q)-1]
 	for _, level := range t.levels {
-		if last < level[0] || last > level[len(level)-1] {
+		at := slices.Index(level, last)
+		if at < 0 {
 			continue
 		}
 		for i := 1; i < len(level); i++ {
-			id := level[(int(last-level[0])+i)%len(level)]
+			id := level[(at+i)%len(level)]
 			if alive(f, id) && !excl[id] && !slices.Contains(q, id) {
 				return id, true
 			}
 		}
+		break
 	}
 	return 0, false
 }
@@ -174,13 +171,16 @@ func (t *Tree) WriteQuorumExcluding(seed int, f AliveFunc, excl ExcludeSet) ([]N
 	if seed < 0 {
 		seed = -seed
 	}
-	var out []NodeID
+	size := 0
+	for _, level := range t.levels {
+		size += majority(len(level))
+	}
+	out := make([]NodeID, 0, size)
 	for l := range t.levels {
-		q := t.levelMajority(l, seed, f, excl)
-		if q == nil {
+		var ok bool
+		if out, ok = t.levelMajority(out, l, seed, f, excl); !ok {
 			return nil, fmt.Errorf("level %d: %w", l, ErrUnavailable)
 		}
-		out = append(out, q...)
 	}
 	return out, nil
 }

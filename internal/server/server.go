@@ -623,10 +623,7 @@ func (n *Node) readObject(req *wire.Request, id store.ObjectID) (res wire.ReadRe
 	case err != nil:
 		res.Status, detail = wire.StatusError, err.Error()
 	default:
-		if !req.Read.VersionOnly {
-			res.Value = v
-		}
-		res.Version = ver
+		res.Value, res.Version = v, ver
 	}
 	return res, detail
 }

@@ -47,30 +47,6 @@ func TestHandleReadNotFound(t *testing.T) {
 	}
 }
 
-// TestHandleReadVersionOnly: a VersionOnly read of a present object is
-// answered OK with the current version and no value; the same read without
-// the flag carries the value.
-func TestHandleReadVersionOnly(t *testing.T) {
-	n := newTestNode()
-	commit(t, n, "w1", []store.ReadDesc{{ID: "a", Version: 1}},
-		[]store.WriteDesc{{ID: "a", Value: store.Int64(9), NewVersion: 2}})
-	resp := n.Handle(context.Background(), &wire.Request{
-		Kind: wire.KindRead,
-		TxID: "t1",
-		Read: &wire.ReadRequest{Object: "a", VersionOnly: true},
-	})
-	if resp.Status != wire.StatusOK || resp.Read == nil {
-		t.Fatalf("version-only read: %+v", resp)
-	}
-	if resp.Read.Version != 2 || resp.Read.Value != nil {
-		t.Fatalf("version-only read answered %+v, want version 2 and no value", resp.Read)
-	}
-	full := read(n, "t1", "a", nil)
-	if full.Status != wire.StatusOK || full.Read.Version != 2 || store.AsInt64(full.Read.Value) != 9 {
-		t.Fatalf("plain read answered %+v, want value 9 at version 2", full.Read)
-	}
-}
-
 func TestHandleReadIncrementalValidation(t *testing.T) {
 	n := newTestNode()
 	// Commit a write to "b" so a reader that saw b@1 is invalidated.

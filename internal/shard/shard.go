@@ -13,7 +13,7 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -37,12 +37,10 @@ type Map struct {
 }
 
 // Group is one quorum group: a disjoint set of nodes with its own tree
-// quorum. Quorum selection runs over local indices 0..len-1 and is
-// translated back to the global NodeIDs callers address.
+// quorum, built over the group's node IDs in the order it lists them.
 type Group struct {
 	id    int
 	nodes []quorum.NodeID
-	local map[quorum.NodeID]int
 	tree  *quorum.Tree
 }
 
@@ -63,21 +61,20 @@ func New(version uint64, degree int, groups [][]quorum.NodeID) (*Map, error) {
 		if len(nodes) == 0 {
 			return nil, fmt.Errorf("shard: group %d is empty", gi)
 		}
-		g := &Group{id: gi, nodes: append([]quorum.NodeID(nil), nodes...), local: make(map[quorum.NodeID]int, len(nodes))}
-		for li, id := range g.nodes {
+		g := &Group{id: gi, nodes: append([]quorum.NodeID(nil), nodes...)}
+		for _, id := range g.nodes {
 			if id < 0 {
 				return nil, fmt.Errorf("shard: group %d names negative node %d", gi, id)
 			}
 			if prev, dup := m.home[id]; dup {
+				if prev == gi {
+					return nil, fmt.Errorf("shard: group %d lists node %d twice", gi, id)
+				}
 				return nil, fmt.Errorf("shard: node %d appears in groups %d and %d", id, prev, gi)
 			}
-			if _, dup := g.local[id]; dup {
-				return nil, fmt.Errorf("shard: group %d lists node %d twice", gi, id)
-			}
-			g.local[id] = li
 			m.home[id] = gi
 		}
-		g.tree = quorum.NewTree(len(g.nodes), degree)
+		g.tree = quorum.NewTreeOf(g.nodes, degree)
 		m.groups = append(m.groups, g)
 	}
 	return m, nil
@@ -197,83 +194,23 @@ func (g *Group) Nodes() []quorum.NodeID {
 func (g *Group) Size() int { return len(g.nodes) }
 
 // Contains reports whether the global node belongs to this group.
-func (g *Group) Contains(id quorum.NodeID) bool {
-	_, ok := g.local[id]
-	return ok
-}
+func (g *Group) Contains(id quorum.NodeID) bool { return slices.Contains(g.nodes, id) }
 
-// Tree exposes the group's local tree quorum (over indices 0..Size-1); most
-// callers want ReadQuorum/WriteQuorum, which translate to global IDs.
+// Tree is the group's tree quorum, over its node IDs: every quorum it
+// selects is in the IDs callers address.
 func (g *Group) Tree() *quorum.Tree { return g.tree }
 
-// toLocal adapts a global alive view and exclude set to the group's local
-// index space.
-func (g *Group) toLocal(f quorum.AliveFunc, excl quorum.ExcludeSet) (quorum.AliveFunc, quorum.ExcludeSet) {
-	var lf quorum.AliveFunc
-	if f != nil {
-		lf = func(l quorum.NodeID) bool { return f(g.nodes[l]) }
-	}
-	var lx quorum.ExcludeSet
-	if len(excl) > 0 {
-		lx = make(quorum.ExcludeSet, len(excl))
-		for id, on := range excl {
-			if li, ok := g.local[id]; ok && on {
-				lx[quorum.NodeID(li)] = true
-			}
-		}
-	}
-	return lf, lx
-}
-
-func (g *Group) toGlobal(local []quorum.NodeID, err error) ([]quorum.NodeID, error) {
-	if err != nil {
-		return nil, err
-	}
-	out := make([]quorum.NodeID, len(local))
-	for i, l := range local {
-		out[i] = g.nodes[l]
-	}
-	return out, nil
-}
-
-// ReadQuorum selects a read quorum within the group (a level majority of its
-// tree), returning global node IDs. The alive view and exclude set are in
-// global IDs; exclusions naming nodes outside the group are ignored.
-func (g *Group) ReadQuorum(seed int, f quorum.AliveFunc, excl quorum.ExcludeSet) ([]quorum.NodeID, error) {
-	lf, lx := g.toLocal(f, excl)
-	return g.toGlobal(g.tree.ReadQuorumExcluding(seed, lf, lx))
-}
-
-// WriteQuorum selects a write quorum within the group (a majority of every
-// tree level), returning global node IDs.
-func (g *Group) WriteQuorum(seed int, f quorum.AliveFunc, excl quorum.ExcludeSet) ([]quorum.NodeID, error) {
-	lf, lx := g.toLocal(f, excl)
-	return g.toGlobal(g.tree.WriteQuorumExcluding(seed, lf, lx))
-}
-
-// Spare is quorum.Tree.Spare within the group: q (a read quorum of the
-// group), the alive view, the exclude set and the answer are in global IDs.
-func (g *Group) Spare(q []quorum.NodeID, f quorum.AliveFunc, excl quorum.ExcludeSet) (quorum.NodeID, bool) {
-	lq := make([]quorum.NodeID, len(q))
-	for i, id := range q {
-		lq[i] = quorum.NodeID(g.local[id])
-	}
-	lf, lx := g.toLocal(f, excl)
-	l, ok := g.tree.Spare(lq, lf, lx)
-	return g.nodes[l], ok
-}
-
 // String renders the map in the flag format ParseGroups accepts:
-// semicolon-separated groups of comma-separated node IDs, contiguous runs
-// compressed to a-b ranges. Example: "0-2;3-5".
+// semicolon-separated groups of comma-separated node IDs in the order each
+// group lists them (its tree's order), runs ascending by one compressed to
+// a-b ranges. Example: "0-2;5,3,4".
 func (m *Map) String() string {
 	var b strings.Builder
 	for gi, g := range m.groups {
 		if gi > 0 {
 			b.WriteByte(';')
 		}
-		nodes := append([]quorum.NodeID(nil), g.nodes...)
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+		nodes := g.nodes
 		for i := 0; i < len(nodes); {
 			j := i
 			for j+1 < len(nodes) && nodes[j+1] == nodes[j]+1 {

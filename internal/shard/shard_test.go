@@ -85,11 +85,11 @@ func TestGroupQuorumsAreLocalAndTranslated(t *testing.T) {
 	m := NewUniform(12, 3, 3) // groups {0..3} {4..7} {8..11}
 	g := m.Group(1)
 	for seed := 0; seed < 8; seed++ {
-		rq, err := g.ReadQuorum(seed, nil, nil)
+		rq, err := g.Tree().ReadQuorumExcluding(seed, nil, nil)
 		if err != nil {
 			t.Fatalf("read quorum seed %d: %v", seed, err)
 		}
-		wq, err := g.WriteQuorum(seed, nil, nil)
+		wq, err := g.Tree().WriteQuorumExcluding(seed, nil, nil)
 		if err != nil {
 			t.Fatalf("write quorum seed %d: %v", seed, err)
 		}
@@ -112,10 +112,10 @@ func TestGroupQuorumExclusionAndAlive(t *testing.T) {
 	// Root down: write quorum impossible, read quorum falls to level 1.
 	down := quorum.NodeID(8)
 	aliveF := func(id quorum.NodeID) bool { return id != down }
-	if _, err := g.WriteQuorum(0, aliveF, nil); err == nil {
+	if _, err := g.Tree().WriteQuorumExcluding(0, aliveF, nil); err == nil {
 		t.Fatal("write quorum formed without the root level")
 	}
-	rq, err := g.ReadQuorum(0, aliveF, nil)
+	rq, err := g.Tree().ReadQuorumExcluding(0, aliveF, nil)
 	if err != nil {
 		t.Fatalf("read quorum with root down: %v", err)
 	}
@@ -126,11 +126,11 @@ func TestGroupQuorumExclusionAndAlive(t *testing.T) {
 	}
 	// Global exclusions naming other groups' nodes must not shrink this one.
 	excl := quorum.ExcludeSet{0: true, 4: true}
-	if _, err := g.WriteQuorum(0, nil, excl); err != nil {
+	if _, err := g.Tree().WriteQuorumExcluding(0, nil, excl); err != nil {
 		t.Fatalf("foreign exclusions broke the quorum: %v", err)
 	}
 	// Excluding a group member does bite.
-	if _, err := g.WriteQuorum(0, nil, quorum.ExcludeSet{8: true}); err == nil {
+	if _, err := g.Tree().WriteQuorumExcluding(0, nil, quorum.ExcludeSet{8: true}); err == nil {
 		t.Fatal("write quorum formed without its excluded root")
 	}
 }
@@ -167,8 +167,40 @@ func TestStringParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStringKeepsTreeOrder: a group's tree is its listed order, so String
+// renders members in that order and Parse of it builds the same trees.
+func TestStringKeepsTreeOrder(t *testing.T) {
+	for spec, want := range map[string]string{
+		"5,3,0,1;2,4":       "5,3,0,1;2,4",
+		"7,0,1,2,3;9,8":     "7,0-3;9,8",
+		"2,3,4,0,1;6;5":     "2-4,0,1;6;5",
+		"0-2,4,3;10-12,9,5": "0-2,4,3;10-12,9,5",
+	} {
+		m, err := Parse(spec, 1, 3)
+		if err != nil {
+			t.Fatalf("parse %q: %v", spec, err)
+		}
+		got := m.String()
+		if got != want {
+			t.Errorf("String of %q = %q, want %q", spec, got, want)
+		}
+		back, err := Parse(got, 1, 3)
+		if err != nil {
+			t.Fatalf("parse %q: %v", got, err)
+		}
+		if fmt.Sprint(back.Memberships()) != fmt.Sprint(m.Memberships()) {
+			t.Errorf("round trip of %q: %v != %v", spec, back.Memberships(), m.Memberships())
+		}
+		for gi := 0; gi < m.NumShards(); gi++ {
+			if a, b := back.Group(gi).Tree().Level(0), m.Group(gi).Tree().Level(0); fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Errorf("round trip of %q moved group %d's root from %v to %v", spec, gi, b, a)
+			}
+		}
+	}
+}
+
 func TestGroupSpareIsInGlobalIDs(t *testing.T) {
-	// Group 1's local tree of four is {20} and {21, 22, 23}.
+	// Group 1's tree of four is {20} and {21, 22, 23}.
 	m, err := New(1, 3, [][]quorum.NodeID{{10, 11, 12, 13}, {20, 21, 22, 23}})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +220,7 @@ func TestGroupSpareIsInGlobalIDs(t *testing.T) {
 		{"root level", []quorum.NodeID{20}, nil, nil, -1},
 	}
 	for _, c := range cases {
-		got, ok := g.Spare(c.q, c.f, c.excl)
+		got, ok := g.Tree().Spare(c.q, c.f, c.excl)
 		if want := c.want >= 0; ok != want || (ok && got != c.want) {
 			t.Errorf("%s: Spare(%v) = %d, %v; want %d", c.name, c.q, got, ok, c.want)
 		}

@@ -54,10 +54,10 @@ var hotPathFrames = []struct {
 			{Kind: wire.KindRead, TxID: "c1-t43-a0", Deadline: hotPathDeadline,
 				Read: &wire.ReadRequest{Object: store.ID("item", 7)}},
 			{Kind: wire.KindRead, TxID: "c1-t43-a0", Deadline: hotPathDeadline,
-				Read: &wire.ReadRequest{Object: store.ID("item", 9), VersionOnly: true}},
+				Read: &wire.ReadRequest{Object: store.ID("item", 9)}},
 		}},
-	}, "0000005700d63cf998" +
-		"0304060963312d7434332d61300000200201000963312d7434332d613000008110066974656d2f37000000aab4aed8c7bfce972f01000963312d7434332d613000008110066974656d2f39000001aab4aed8c7bfce972f"},
+	}, "00000057001d6a823d" +
+		"0304060963312d7434332d61300000200201000963312d7434332d613000008110066974656d2f37000000aab4aed8c7bfce972f01000963312d7434332d613000008110066974656d2f39000000aab4aed8c7bfce972f"},
 	{"multi-object read", &wire.Request{
 		Kind: wire.KindRead, TxID: "c1-t44-a0", Deadline: hotPathDeadline,
 		Read: &wire.ReadRequest{

@@ -24,10 +24,9 @@ var parityExchanges = map[wire.Kind]exchange{
 	wire.KindRead: {
 		req: &wire.Request{Kind: wire.KindRead, TxID: "c1-t1-a0", TraceID: "c1-t1", SpanID: 7, Deadline: 1700000000123456789,
 			Read: &wire.ReadRequest{
-				Object:      store.ID("acct", 1),
-				Validate:    []store.ReadDesc{{ID: store.ID("acct", 2), Version: 3}},
-				StatsFor:    []store.ObjectID{store.ID("acct", 1)},
-				VersionOnly: true,
+				Object:   store.ID("acct", 1),
+				Validate: []store.ReadDesc{{ID: store.ID("acct", 2), Version: 3}},
+				StatsFor: []store.ObjectID{store.ID("acct", 1)},
 			}},
 		resp: &wire.Response{Status: wire.StatusBusy, ConflictTx: "c2-t5-a1", Read: &wire.ReadResponse{
 			Value:   store.Tuple{store.Int64(300), store.String("x"), store.Bytes{1, 2}},

@@ -433,7 +433,7 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 		dst = appendString(dst, string(r.Read.Object))
 		dst = appendReadDescs(dst, r.Read.Validate)
 		dst = appendIDs(dst, r.Read.StatsFor)
-		dst = appendBool(dst, r.Read.VersionOnly)
+		dst = append(dst, 0) // a retired flag byte, always 0: every read asks for the value
 	}
 	if r.Prepare != nil {
 		dst = appendReadDescs(dst, r.Prepare.Reads)
@@ -903,8 +903,12 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 		if rr.StatsFor, err = d.ids(); err != nil {
 			return err
 		}
-		if rr.VersionOnly, err = d.boolean(); err != nil {
+		var retired byte
+		if retired, err = d.u8(); err != nil {
 			return err
+		}
+		if retired != 0 {
+			return fmt.Errorf("%w: read request sets retired flag byte %#x", ErrBadFrame, retired)
 		}
 		r.Read = rr
 	}

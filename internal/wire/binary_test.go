@@ -33,7 +33,7 @@ func binBatchEnv() *Envelope {
 		subs[i] = &Request{
 			Kind: KindRead,
 			TxID: "c1-t2-a9",
-			Read: &ReadRequest{Object: store.ID("stock", i), VersionOnly: i%2 == 0},
+			Read: &ReadRequest{Object: store.ID("stock", i)},
 		}
 	}
 	return &Envelope{Seq: 8, Req: &Request{Kind: KindBatch, Batch: &BatchRequest{Subs: subs}}}
@@ -73,6 +73,29 @@ func TestBinaryRejectsOutOfRangeKind(t *testing.T) {
 	if _, err := DecodeEnvelope([]byte{1, envHasReq, 0xEE}); err == nil ||
 		!strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("decode of kind byte 0xEE: got %v", err)
+	}
+}
+
+// TestBinaryRejectsVersionOnlyByte: the read payload's last byte once asked
+// for an object's version without its value. The flag is retired: a read
+// encodes the byte as 0, so plain-read frames keep their bytes, and a frame
+// that sets it fails instead of being answered with the value it did not
+// ask for.
+func TestBinaryRejectsVersionOnlyByte(t *testing.T) {
+	frame, err := AppendEnvelope(nil, &Envelope{Seq: 1, Req: &Request{Kind: KindRead, Read: &ReadRequest{Object: "a"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Object "a", no Validate, no StatsFor, the retired byte: nothing follows.
+	if !bytes.HasSuffix(frame, []byte{1, 'a', 0, 0, 0}) {
+		t.Fatalf("read payload %x does not end in a zero flag byte", frame)
+	}
+	if _, err := DecodeEnvelope(frame); err != nil {
+		t.Fatalf("plain read: %v", err)
+	}
+	frame[len(frame)-1] = 1
+	if _, err := DecodeEnvelope(frame); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("read with the retired flag set: got %v, want ErrBadFrame", err)
 	}
 }
 

@@ -24,10 +24,9 @@ var kindFixtures = map[Kind]*Request{
 		TxID:     "tx-read",
 		Deadline: 1700000000123456789,
 		Read: &ReadRequest{
-			Object:      store.ID("acct", 1),
-			Validate:    []store.ReadDesc{{ID: store.ID("acct", 2), Version: 7}},
-			StatsFor:    []store.ObjectID{store.ID("acct", 3)},
-			VersionOnly: true,
+			Object:   store.ID("acct", 1),
+			Validate: []store.ReadDesc{{ID: store.ID("acct", 2), Version: 7}},
+			StatsFor: []store.ObjectID{store.ID("acct", 3)},
 		},
 	},
 	KindPrepare: {

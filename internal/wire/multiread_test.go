@@ -77,7 +77,7 @@ func TestMoreReadsBitNeedsARead(t *testing.T) {
 		b := []byte{1, envIsResponse | envHasResp, 0, 0} // seq, flags, Status, Detail
 		return append(binary.AppendUvarint(b, mask), payload...)
 	}
-	readPayload := []byte{1, 'a', 0, 0, 0}  // Object "a", no Validate, no StatsFor, VersionOnly false
+	readPayload := []byte{1, 'a', 0, 0, 0}  // Object "a", no Validate, no StatsFor, retired flag byte 0
 	replyPayload := []byte{valNil, 0, 0, 0} // no Value, Version 0, no Invalid, no Stats
 	oneID, oneResult := []byte{1, 1, 'b'}, []byte{1, 0, 0, valNil, 0}
 	cases := map[string][]byte{

@@ -203,10 +203,6 @@ type ReadRequest struct {
 	// StatsFor asks for these objects' contention levels (writes in the
 	// node's last stats window), answered in ReadResponse.Stats.
 	StatsFor []store.ObjectID
-	// VersionOnly asks for the object's version without its value. Servers
-	// answer it, but no client in this module sends it: every quorum read
-	// asks each member for the value.
-	VersionOnly bool
 }
 
 // PrepareRequest is phase one of two-phase commit: validate the read-set and
