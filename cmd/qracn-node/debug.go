@@ -46,6 +46,8 @@ func nodeExposition(node *server.Node) *metrics.Exposition {
 	e := &metrics.Exposition{}
 	st := node.Stages()
 	e.Histogram("qracn_node_read_serve_seconds", "Time serving one read or batched-read request.", &st.ReadServe)
+	e.Histogram("qracn_node_read_wait_seconds", "Time a read of an exclusively protected object waited for the holder's decision before it was served.", &st.ReadWait)
+	e.Counter("qracn_node_read_wait_capped_total", "Read waits that gave up at their bound; those reads answered busy.", st.ReadWaitCapped.Load())
 	e.Histogram("qracn_node_prepare_serve_seconds", "Time serving one 2PC prepare request.", &st.PrepareServe)
 	e.Histogram("qracn_node_commit_apply_seconds", "Time applying one commit decision (including WAL append).", &st.CommitApply)
 	e.Histogram("qracn_node_repair_apply_seconds", "Time applying one read-repair push.", &st.RepairApply)

@@ -59,7 +59,10 @@ type Config struct {
 	// MaxSubAttempts bounds partial rollbacks of one sub-transaction before
 	// escalating to a parent abort (0: 1000).
 	MaxSubAttempts int
-	// ReadBusyRetries bounds re-reads of a protected object (0: 50).
+	// ReadBusyRetries bounds re-reads of a protected object (0: 50). A
+	// member answers busy only once the writer's hold has outlived the
+	// server's own wait for its decision, so each retry follows a slow or
+	// lost decision, not a commit in flight.
 	ReadBusyRetries int
 	// QuorumAttempts bounds re-selection of a quorum when members are
 	// unreachable (0: 4).

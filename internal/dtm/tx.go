@@ -302,9 +302,12 @@ func (tx *Tx) request(kind wire.Kind, txid string, span uint64) *wire.Request {
 
 // remoteRead is a Block's own first access of an object the read-ahead did
 // not buffer: a read round of that one object (readRound), run again in place
-// while the round leaves the object out as busy. It is timed into the Read
-// stage and, when the transaction is sampled, is a "read" span whose ID rides
-// on the request so server serve spans nest under it.
+// while the round leaves the object out as busy. A member holding the object
+// for a prepared writer waits for the writer's decision before it answers, so
+// the round is left busy only by a hold that outlived that wait. It is timed
+// into the Read stage (server waits included) and, when the transaction is
+// sampled, is a "read" span whose ID rides on the request so server serve
+// spans nest under it.
 func (tx *Tx) remoteRead(id store.ObjectID) (_ store.Value, err error) {
 	rt := tx.rt
 	sp := rt.beginSpan(tx.traceID, tx.span, &rt.stages.Read, "read", -1)

@@ -364,11 +364,12 @@ func (n *Node) applyDecision(txID string, commit bool, writes []store.WriteDesc,
 				return &wire.Response{Status: wire.StatusError, Detail: "wal: " + err.Error()}
 			}
 		}
+		// One step, so a read the commit wakes validates against all of it.
+		if err := n.store.ApplyAll(writes, txID); err != nil {
+			n.commitMu.RUnlock()
+			return &wire.Response{Status: wire.StatusError, Detail: err.Error()}
+		}
 		for _, w := range writes {
-			if err := n.store.Apply(w, txID); err != nil {
-				n.commitMu.RUnlock()
-				return &wire.Response{Status: wire.StatusError, Detail: err.Error()}
-			}
 			n.meter.RecordWrite(w.ID)
 		}
 	}

@@ -33,6 +33,13 @@ import (
 type StageLatencies struct {
 	// ReadServe is the server-side cost of a read (validate + fetch).
 	ReadServe metrics.LatencyHistogram
+	// ReadWait is how long a read of an exclusively protected object waited
+	// for the holder's decision before it was served (awaitWriter); a read
+	// that found nothing held records nothing.
+	ReadWait metrics.LatencyHistogram
+	// ReadWaitCapped counts the waits that gave up at their bound instead of
+	// seeing the object released; their reads answer busy.
+	ReadWaitCapped atomic.Uint64
 	// PrepareServe is 2PC phase one (protect + validate + vote).
 	PrepareServe metrics.LatencyHistogram
 	// CommitApply is 2PC phase two (WAL append + store apply + release).
@@ -119,6 +126,13 @@ const (
 	DefaultTTLAbortAfter = 60 * time.Second
 )
 
+// readWaitCap bounds how long a read waits for the decision of a transaction
+// that holds one of its objects exclusively (awaitWriter), and a hold at least
+// this old is not waited for. It sits above the longest commit holds the
+// durable benchmark sees (protect_hold p99 about 3.3 ms), so a read waits out
+// a live commit and gives up only on a holder that is slow to decide.
+const readWaitCap = 4 * time.Millisecond
+
 // Node is one quorum server.
 type Node struct {
 	id     quorum.NodeID
@@ -181,6 +195,10 @@ type Node struct {
 	// before the gate and regardless of whether one is configured.
 	gate       *admissionGate
 	admExpired atomic.Uint64
+
+	// readWaitCap is the package constant; tests that must not race the
+	// cap lengthen it.
+	readWaitCap time.Duration
 }
 
 // NewNode creates a node with an empty replica.
@@ -227,6 +245,7 @@ func NewNode(id quorum.NodeID, cfg Config) *Node {
 		shards:        cfg.Shards,
 		forensics:     rec,
 		gate:          newAdmissionGate(cfg.MaxInflight, cfg.QueueDepth, cfg.MaxQueueAge, now),
+		readWaitCap:   readWaitCap,
 	}
 }
 
@@ -480,6 +499,9 @@ func (n *Node) Handle(ctx context.Context, req *wire.Request) *wire.Response {
 	if resp := n.checkDeadline(req); resp != nil {
 		return resp
 	}
+	if req.Kind == wire.KindRead {
+		n.awaitWriter(ctx, req)
+	}
 	if n.gate != nil && admissionGated(req.Kind) {
 		release, shed := n.gate.acquire(ctx)
 		if shed != nil {
@@ -488,6 +510,37 @@ func (n *Node) Handle(ctx context.Context, req *wire.Request) *wire.Response {
 		defer release()
 	}
 	return n.serve(req)
+}
+
+// awaitWriter holds a read that names an exclusively protected object until
+// the holder's decision releases it (store.AwaitRelease), so the read is
+// served the committed version instead of the one the commit replaces. The
+// wait comes before the admission gate and holds no lock and no slot. It is
+// bounded by readWaitCap, the request's deadline and ctx; a read that gives
+// up is served as before and answers busy. Validation runs after the wait, so
+// the reply's Invalid also names what the awaited commit overwrote.
+//
+// The wait cannot deadlock: the waiting read holds nothing, and an exclusive
+// protection outlives its prepare only on a member that voted yes, so the
+// read waits only for a transaction in its commit phase, which sends no
+// reads. A stats query (no object) never waits, nor does any other kind.
+func (n *Node) awaitWriter(ctx context.Context, req *wire.Request) {
+	r := req.Read
+	if r == nil || r.Object == "" {
+		return
+	}
+	limit := n.readWaitCap
+	if req.Deadline != 0 {
+		limit = min(limit, time.Duration(req.Deadline-n.now().UnixNano()))
+	}
+	waited, capped := n.store.AwaitRelease(ctx, n.readWaitCap, limit, r.Object, r.More...)
+	if waited == 0 {
+		return
+	}
+	n.stages.ReadWait.Record(waited)
+	if capped {
+		n.stages.ReadWaitCapped.Add(1)
+	}
 }
 
 // checkDeadline answers StatusOverloaded for a request whose propagated

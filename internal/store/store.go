@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -174,6 +175,9 @@ type Store struct {
 	now        func() time.Time
 	// epoch is what lease starts are measured from (see object).
 	epoch time.Time
+	// released is closed, and cleared, when Apply, ApplyAll or Unprotect
+	// releases an exclusive protection. It exists only while an AwaitRelease is waiting.
+	released chan struct{}
 }
 
 // New returns an empty store.
@@ -253,7 +257,9 @@ func (s *Store) SeedBatch(objs map[ObjectID]Value) {
 // It returns ErrBusy (a *BusyError naming the holder) while the object is
 // exclusively protected and ErrNotFound for missing objects. Shared
 // protections do not refuse it: their holders only read the object, so the
-// value Get returns stays current until every one of them has decided.
+// value Get returns stays current until every one of them has decided. A
+// server calls AwaitRelease first, so a Get it serves answers busy only for a
+// hold that outlived that wait.
 func (s *Store) Get(id ObjectID) (Value, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -265,6 +271,82 @@ func (s *Store) Get(id ObjectID) (Value, uint64, error) {
 		return nil, 0, &BusyError{Holder: o.protectedBy}
 	}
 	return Clone(o.value), o.version, nil
+}
+
+// AwaitRelease waits while id or any of more is held exclusively by a hold
+// younger than max, until Apply, ApplyAll or Unprotect releases every such
+// object, limit has passed, or ctx is done. It reports how long it waited (0
+// when nothing was held) and whether it gave up at limit. A hold at least max old is not
+// waited for, so a holder that never decides costs a reader at most max once.
+// Shared holds never block it, and the call that finds nothing held takes the
+// read lock once and allocates nothing.
+//
+// The waiter holds no lock while it waits. It is woken through one channel
+// per store, made by the first waiter and closed by the next release, so
+// every release re-checks every waiter.
+func (s *Store) AwaitRelease(ctx context.Context, max, limit time.Duration, id ObjectID, more ...ObjectID) (waited time.Duration, capped bool) {
+	s.mu.RLock()
+	held := s.heldYoungerThan(max, id, more)
+	s.mu.RUnlock()
+	if !held {
+		return 0, false
+	}
+	start := time.Now()
+	timer := time.NewTimer(limit)
+	defer timer.Stop()
+	for {
+		s.mu.Lock()
+		if !s.heldYoungerThan(max, id, more) {
+			s.mu.Unlock()
+			return time.Since(start), false
+		}
+		if s.released == nil {
+			s.released = make(chan struct{})
+		}
+		released := s.released
+		s.mu.Unlock()
+		select {
+		case <-released:
+		case <-timer.C:
+			return time.Since(start), true
+		case <-ctx.Done():
+			return time.Since(start), false
+		}
+	}
+}
+
+// Awaiting reports whether an AwaitRelease call is waiting for a release.
+func (s *Store) Awaiting() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.released != nil
+}
+
+// heldYoungerThan reports whether id or any of more is held exclusively by a
+// hold younger than max. Callers hold s.mu (read or write).
+func (s *Store) heldYoungerThan(max time.Duration, id ObjectID, more []ObjectID) bool {
+	young := func(id ObjectID) bool {
+		o, ok := s.objs[id]
+		return ok && s.protectionActive(o) && s.sinceEpoch()-o.protectedAt < max
+	}
+	if young(id) {
+		return true
+	}
+	for _, id := range more {
+		if young(id) {
+			return true
+		}
+	}
+	return false
+}
+
+// wakeWaiters closes the channel AwaitRelease waiters wait on, if any.
+// Callers hold s.mu for writing and have released an exclusive hold.
+func (s *Store) wakeWaiters() {
+	if s.released != nil {
+		close(s.released)
+		s.released = nil
+	}
 }
 
 // Version returns the replica-local version of an object, and false if the
@@ -378,6 +460,7 @@ func (s *Store) Unprotect(id ObjectID, owner string) error {
 	}
 	o.protected = false
 	o.protectedBy = ""
+	s.wakeWaiters()
 	return nil
 }
 
@@ -385,25 +468,44 @@ func (s *Store) Unprotect(id ObjectID, owner string) error {
 // transactions' shared holds stay). The version only moves forward: replicas
 // that already learned a newer version through another write quorum keep it.
 func (s *Store) Apply(w WriteDesc, owner string) error {
+	return s.ApplyAll([]WriteDesc{w}, owner)
+}
+
+// ApplyAll applies a commit's writes, in order, as Apply does each, under one
+// hold of the store lock: a Get, Validate or AwaitRelease sees all of them or
+// none, so a read woken by the commit validates against the whole of it. It
+// stops at the first write another transaction holds (ErrNotOwner), with the
+// writes before it applied.
+func (s *Store) ApplyAll(ws []WriteDesc, owner string) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o, ok := s.objs[w.ID]
-	if !ok {
-		o = s.insert(w.ID)
+	released := false
+	for _, w := range ws {
+		o, ok := s.objs[w.ID]
+		if !ok {
+			o = s.insert(w.ID)
+		}
+		if o.protected && o.protectedBy != owner {
+			err = ErrNotOwner
+			break
+		}
+		if len(o.shared) > 0 {
+			s.dropShared(o, owner)
+		}
+		if w.NewVersion > o.version {
+			o.version = w.NewVersion
+			o.value = Clone(w.Value)
+		}
+		if o.protected {
+			o.protected = false
+			o.protectedBy = ""
+			released = true
+		}
 	}
-	if o.protected && o.protectedBy != owner {
-		return ErrNotOwner
+	if released {
+		s.wakeWaiters()
 	}
-	if len(o.shared) > 0 {
-		s.dropShared(o, owner)
-	}
-	if w.NewVersion > o.version {
-		o.version = w.NewVersion
-		o.value = Clone(w.Value)
-	}
-	o.protected = false
-	o.protectedBy = ""
-	return nil
+	return err
 }
 
 // Restore installs recovered objects (value + version, no protection
