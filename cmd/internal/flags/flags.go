@@ -14,7 +14,7 @@ func Client(fs *flag.FlagSet, c *dtm.Config) {
 	fs.BoolVar(&c.NoRepair, "no-repair", false, "disable asynchronous read-repair of quorum members observed behind the quorum-max version")
 	fs.DurationVar(&c.DecideTimeout, "decide-timeout", 0, "budget for delivering a 2PC decision after a yes-vote quorum (0: 10s default; keep below the nodes' -ttl-abort-after)")
 	fs.DurationVar(&c.TxDeadline, "tx-deadline", 0, "end-to-end deadline per transaction, propagated on every request so servers refuse already-expired work (0: none)")
-	fs.IntVar(&c.RetryBudget, "retry-budget", 0, "retries per transaction attempt shared across quorum failover, busy re-reads and overload backoff (0: 1000 default; negative: unlimited)")
+	fs.IntVar(&c.RetryBudget, "retry-budget", 0, "retries per transaction attempt shared across quorum failover and overload backoff (0: 1000 default; negative: unlimited)")
 	fs.DurationVar(&c.HedgeAfter, "hedge-after", 0, "hedge quorum reads to one spare replica after this delay (0: off; negative: from the observed p99 read latency)")
 	fs.IntVar(&c.TraceSample, "trace-sample", 1, "with tracing on, record spans for one in N top-level transactions (0/1: all; negative: none)")
 }

@@ -1,11 +1,12 @@
 // Package backoff is the single retry-pacing implementation shared by every
-// retry loop in the system: transport re-dials, dtm busy/abort backoff, the
-// 2PC decide retry rounds, and the overload (StatusOverloaded) backpressure
-// path. Before this package each of those carried its own ad-hoc copy of
-// "capped exponential sleep", with no shared notion of how much retrying one
-// transaction is allowed to do — the classic ingredient of a retry storm:
-// under overload every layer retries independently and the offered load
-// multiplies exactly when the system can least afford it.
+// retry loop in the system: transport re-dials, dtm abort backoff (busy
+// aborts included), the 2PC decide retry rounds, and the overload
+// (StatusOverloaded) backpressure path. Before this package each of those
+// carried its own ad-hoc copy of "capped exponential sleep", with no shared
+// notion of how much retrying one transaction is allowed to do — the classic
+// ingredient of a retry storm: under overload every layer retries
+// independently and the offered load multiplies exactly when the system can
+// least afford it.
 //
 // Two pieces:
 //
@@ -13,8 +14,8 @@
 //     [d/2, 3d/2] so synchronized clients decorrelate.
 //   - Budget is a small shared counter capping the total retries one
 //     transaction attempt may spend across ALL its retry loops (quorum
-//     failover, busy re-reads, overload backpressure). When it runs dry the
-//     transaction aborts instead of adding load.
+//     failover, overload backpressure). When it runs dry the transaction
+//     fails instead of adding load.
 package backoff
 
 import (
@@ -76,8 +77,8 @@ func Sleep(ctx context.Context, d time.Duration) error {
 // Budget caps the total number of retries one logical operation (a
 // transaction attempt) may spend across all its retry loops. It is shared by
 // reference: every loop touching the same transaction calls Take on the same
-// Budget, so a transaction that burned its allowance on busy re-reads cannot
-// then burn as much again on overload backpressure. A nil *Budget is
+// Budget, so a transaction that burned its allowance on quorum failovers
+// cannot then burn as much again on overload backpressure. A nil *Budget is
 // unlimited, so call sites stay unconditional.
 type Budget struct {
 	left atomic.Int64

@@ -79,14 +79,13 @@ func TestConflictAttributionEndToEnd(t *testing.T) {
 	protectEverywhere(t, c.Nodes, holder, "k")
 	defer releaseEverywhere(t, c.Nodes, holder, "k")
 
-	// One attempt, one busy re-read, microsecond backoff: the read aborts on
-	// the protection instead of outwaiting it.
+	// One attempt, microsecond backoff: the read aborts on the protection
+	// instead of outwaiting it.
 	rt := c.Runtime(2, dtm.Config{
-		Seed:            3,
-		MaxAttempts:     1,
-		ReadBusyRetries: 1,
-		BackoffBase:     time.Microsecond,
-		BackoffMax:      2 * time.Microsecond,
+		Seed:        3,
+		MaxAttempts: 1,
+		BackoffBase: time.Microsecond,
+		BackoffMax:  2 * time.Microsecond,
 	})
 	err := rt.Atomic(context.Background(), func(tx *dtm.Tx) error {
 		_, err := tx.Read("k")
@@ -237,11 +236,10 @@ func TestForensicsFetchRPC(t *testing.T) {
 		defer releaseEverywhere(t, c.nodes, holder, "k")
 
 		rt := c.runtime(3, dtm.Config{
-			Seed:            5,
-			MaxAttempts:     1,
-			ReadBusyRetries: 1,
-			BackoffBase:     time.Microsecond,
-			BackoffMax:      2 * time.Microsecond,
+			Seed:        5,
+			MaxAttempts: 1,
+			BackoffBase: time.Microsecond,
+			BackoffMax:  2 * time.Microsecond,
 		})
 		_ = rt.Atomic(context.Background(), func(tx *dtm.Tx) error {
 			_, err := tx.Read("k")

@@ -65,11 +65,10 @@ func TestBusyObjectEventuallyAborts(t *testing.T) {
 		}
 	}
 	rt := c.Runtime(1, dtm.Config{
-		MaxAttempts:     2,
-		ReadBusyRetries: 2,
-		BackoffBase:     10 * time.Microsecond,
-		BackoffMax:      50 * time.Microsecond,
-		Seed:            1,
+		MaxAttempts: 2,
+		BackoffBase: 10 * time.Microsecond,
+		BackoffMax:  50 * time.Microsecond,
+		Seed:        1,
 	})
 	err := rt.Atomic(context.Background(), func(tx *dtm.Tx) error {
 		_, err := tx.Read("locked")

@@ -20,21 +20,22 @@ import (
 // payload that is missing. Failed members enter the operation's exclude set,
 // so the next selection avoids them before the failure detector has seen
 // enough to suspect them. Every round after the first is a failover: it takes
-// one retry from the transaction attempt's budget (an operation outside a
-// transaction has none to charge) and counts one Failovers. The loop stops after QuorumAttempts rounds, when the
-// budget is spent (ErrRetriesExhausted naming the operation), when no quorum
-// can be selected, and — with the context's error alone — when a round failed
-// under a context that is already dead: that round says nothing about the
-// members, and its caller has stopped waiting. Otherwise the caller gets
-// ErrQuorumUnreachable joined with the last member's failure, which for a
-// refusing server carries its Status and Detail.
+// one retry from the budget of the transaction attempt the operation's
+// context belongs to (chargeRetry; outside a transaction there is none to
+// spend) and counts one Failovers. The loop stops after QuorumAttempts
+// rounds, when the budget is spent (ErrRetriesExhausted naming the
+// operation), when no quorum can be selected, and — with the context's error
+// alone — when a round failed under a context that is already dead: that
+// round says nothing about the members, and its caller has stopped waiting.
+// Otherwise the caller gets ErrQuorumUnreachable joined with the last
+// member's failure, which for a refusing server carries its Status and
+// Detail.
 //
 // It is a plain struct, not a helper taking closures, so a loop that never
 // fails over allocates nothing for it.
 type failover struct {
 	rt   *Runtime
 	ctx  context.Context
-	tx   *Tx       // nil outside a transaction: no retry budget to charge
 	seed int       // round k selects with seed+k, rotating level and member choice
 	kind wire.Kind // what the members are asked, hence what counts as an answer
 	op   string    // names the operation in the budget error
@@ -45,8 +46,8 @@ type failover struct {
 	stop    error             // why next returned false
 }
 
-func (rt *Runtime) failover(ctx context.Context, tx *Tx, seed int, kind wire.Kind, op string) failover {
-	return failover{rt: rt, ctx: ctx, tx: tx, seed: seed, kind: kind, op: op, attempt: -1}
+func (rt *Runtime) failover(ctx context.Context, seed int, kind wire.Kind, op string) failover {
+	return failover{rt: rt, ctx: ctx, seed: seed, kind: kind, op: op, attempt: -1}
 }
 
 // next starts the next round. False means the operation is over and err says
@@ -70,10 +71,8 @@ func (f *failover) next() bool {
 // charge accounts for one failover — a round after the first — and reports
 // whether the budget allowed it.
 func (f *failover) charge() bool {
-	if f.tx != nil {
-		if f.stop = f.tx.takeRetry(f.op + " failover"); f.stop != nil {
-			return false
-		}
+	if f.stop = f.rt.chargeRetry(f.ctx, f.op+" failover"); f.stop != nil {
+		return false
 	}
 	f.rt.metrics.Failovers.Add(1)
 	return true
@@ -136,7 +135,7 @@ func (f *failover) failed(results []callResult) bool {
 // answered reports whether resp answers a request of the given kind: the
 // payload a tally reads is there, or — for a read — the replica said the
 // object is absent or protected, which are answers too (a version of zero,
-// and backpressure the read's own busy loop handles). Everything else, a
+// and a hold that leaves the object out of the round). Everything else, a
 // StatusError above all, is a member that did not do what the quorum needed.
 func answered(kind wire.Kind, resp *wire.Response) bool {
 	switch resp.Status {

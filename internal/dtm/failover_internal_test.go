@@ -17,7 +17,7 @@ import (
 func TestFailoverRuleSkipsMembersNotAsked(t *testing.T) {
 	down := errors.New("down")
 	yes := &wire.Response{Status: wire.StatusOK, Prepare: &wire.PrepareResponse{Vote: true}}
-	fo := (&Runtime{}).failover(context.Background(), nil, 0, wire.KindPrepare, "write quorum")
+	fo := (&Runtime{}).failover(context.Background(), 0, wire.KindPrepare, "write quorum")
 
 	results := []callResult{{node: 0, resp: yes}, {node: 1}, {node: 2}}
 	if fo.failed(results) || len(fo.excl) != 0 {

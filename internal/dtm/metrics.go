@@ -12,8 +12,9 @@ import (
 // pair of atomic adds per event, cheap enough to leave on in production.
 type StageLatencies struct {
 	// Read is one first access a Block's own Read sends to the servers (a
-	// read round of one object, Tx.remoteRead), including busy retries and
-	// quorum failovers; read-ahead and refetch rounds are not timed here.
+	// read round of one object, Tx.remoteRead), including the servers' wait
+	// for a prepared writer and quorum failovers; read-ahead and refetch
+	// rounds are not timed here.
 	// HedgeAfter < 0 derives the hedge delay from its p99.
 	Read metrics.LatencyHistogram
 	// PrefetchBatch is one batched prefetch round (Tx.Prefetch).
@@ -30,7 +31,7 @@ type Metrics struct {
 	Commits       atomic.Uint64 // top-level commits
 	ParentAborts  atomic.Uint64 // full re-executions
 	SubAborts     atomic.Uint64 // partial rollbacks (Tx.RollBack: Block re-runs and rewinds)
-	BusyBackoffs  atomic.Uint64 // waits caused by protected objects
+	BusyBackoffs  atomic.Uint64 // back-offs before re-running an attempt a protected object aborted
 	RemoteReads   atomic.Uint64 // read rounds of every kind, failovers included
 	Prepares      atomic.Uint64 // 2PC prepare rounds
 	PrepareFails  atomic.Uint64 // prepare rounds that voted no
@@ -91,7 +92,7 @@ type Metrics struct {
 	// StatusOverloaded answer (backpressure honoured, not failover).
 	OverloadBackoffs atomic.Uint64
 	// BudgetExhausted counts operations abandoned because the transaction's
-	// shared retry budget (failover + busy + overload) ran out.
+	// shared retry budget (failover + overload) ran out.
 	BudgetExhausted atomic.Uint64
 	// HedgesFired counts spare requests sent: one per read round whose quorum
 	// had not fully answered after the hedge delay and whose level had a spare.

@@ -35,8 +35,8 @@ import (
 // Objects the transaction already holds (read set or buffer) are skipped.
 // An object the round leaves out as busy (settle: protected by a committing
 // transaction, and no member reported a version) is not buffered — the Block
-// body's own Read retries it through the usual busy/backoff path, and a busy
-// abort there rolls back that Block only.
+// body's own Read asks for it in a round of its own, and if that round still
+// finds it busy, the busy abort rolls back that Block only.
 //
 // It dedupes and filters the requested IDs, then runs one read round
 // (readRound) into the buffer — the round a Block's own Read runs for one
@@ -116,7 +116,7 @@ func (tx *Tx) readRound(need []store.ObjectID, spanID uint64, op string, dst map
 		pending = rt.cfg.Shards.Partition(need)
 	}
 	var one [1]leg
-	fo := rt.failover(tx.ctx, tx, tx.seed, wire.KindRead, op)
+	fo := rt.failover(tx.ctx, tx.seed, wire.KindRead, op)
 	for fo.next() {
 		// Part i's quorum members are nodes[legs[i-1].end:legs[i].end].
 		var nodes []quorum.NodeID

@@ -203,10 +203,9 @@ func TestReadAheadLeavesBusyObjectToItsBlock(t *testing.T) {
 		}
 	}
 	rt := c.Runtime(1, dtm.Config{
-		ReadBusyRetries: 1,
-		BackoffBase:     10 * time.Microsecond,
-		BackoffMax:      50 * time.Microsecond,
-		Seed:            1,
+		BackoffBase: 10 * time.Microsecond,
+		BackoffMax:  50 * time.Microsecond,
+		Seed:        1,
 	})
 
 	outerRuns, subRuns := 0, 0

@@ -42,8 +42,8 @@ func firstReadQuorum(t *testing.T, tree *quorum.Tree, clientSeed int) []quorum.N
 // TestReadRoundHalfProtectedRowIsBusy: a row one member of the read quorum
 // holds protected while the other members never saw it is a first-ever write
 // in flight. Neither read of it enters it as absent: the read-ahead leaves it
-// out of the buffer, and the Block's own Read backs off and then rolls back
-// that Block alone, as a lock conflict naming the holder.
+// out of the buffer, and the Block's own Read rolls back that Block alone at
+// once, as a lock conflict naming the holder.
 func TestReadRoundHalfProtectedRowIsBusy(t *testing.T) {
 	c := newCluster(t, 4)
 	seedOnes(c, "free")
@@ -53,10 +53,9 @@ func TestReadRoundHalfProtectedRowIsBusy(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := c.Runtime(client, dtm.Config{
-		ReadBusyRetries: 1,
-		BackoffBase:     10 * time.Microsecond,
-		BackoffMax:      50 * time.Microsecond,
-		Seed:            1,
+		BackoffBase: 10 * time.Microsecond,
+		BackoffMax:  50 * time.Microsecond,
+		Seed:        1,
 	})
 
 	subRuns := 0
@@ -88,6 +87,48 @@ func TestReadRoundHalfProtectedRowIsBusy(t *testing.T) {
 	evs := rt.Forensics().Snapshot(10).Aborts
 	if len(evs) != 1 || evs[0].Key != "held" || !evs[0].Partial || evs[0].ConflictingTxID != "ghost" {
 		t.Fatalf("abort events %+v, want one partial abort on held naming ghost", evs)
+	}
+}
+
+// TestBusyReadAbortsItsBlockAtOnce: a read that a member still answers busy
+// after the server's own wait for the writer is not read again in place. It
+// aborts its Block at once, and the Block's re-run is the retry: one read
+// round of the object per try of the Block.
+func TestBusyReadAbortsItsBlockAtOnce(t *testing.T) {
+	c := newCluster(t, 4)
+	seedOnes(c, "held")
+	for _, n := range c.Nodes {
+		if err := n.Store().Protect("held", "ghost", false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt := c.Runtime(1, dtm.Config{
+		BackoffBase: 10 * time.Microsecond,
+		BackoffMax:  50 * time.Microsecond,
+		Seed:        1,
+	})
+
+	subRuns := 0
+	err := rt.Atomic(context.Background(), func(tx *dtm.Tx) error {
+		return tx.Sub(func(s *dtm.Tx) error {
+			if subRuns++; subRuns == 2 {
+				for _, n := range c.Nodes {
+					if err := n.Store().Unprotect("held", "ghost"); err != nil {
+						return err
+					}
+				}
+			}
+			_, err := s.Read("held")
+			return err
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := rt.Metrics().Snapshot()
+	if subRuns != 2 || m.RemoteReads != 2 || m.SubAborts != 1 || m.ParentAborts != 0 || m.AbortsLockConflict != 1 {
+		t.Fatalf("sub ran %d times in %d read rounds, sub aborts = %d, parent aborts = %d, lock-conflict aborts = %d; want 2, 2, 1, 0, 1",
+			subRuns, m.RemoteReads, m.SubAborts, m.ParentAborts, m.AbortsLockConflict)
 	}
 }
 

@@ -59,11 +59,6 @@ type Config struct {
 	// MaxSubAttempts bounds partial rollbacks of one sub-transaction before
 	// escalating to a parent abort (0: 1000).
 	MaxSubAttempts int
-	// ReadBusyRetries bounds re-reads of a protected object (0: 50). A
-	// member answers busy only once the writer's hold has outlived the
-	// server's own wait for its decision, so each retry follows a slow or
-	// lost decision, not a commit in flight.
-	ReadBusyRetries int
 	// QuorumAttempts bounds re-selection of a quorum when members are
 	// unreachable (0: 4).
 	QuorumAttempts int
@@ -89,11 +84,11 @@ type Config struct {
 	// forwarded one, is exempt on both sides: a decided transaction's
 	// outcome must reach participants no matter how stale the delivery is.
 	TxDeadline time.Duration
-	// RetryBudget caps retries per transaction attempt, shared across every
-	// retry class — quorum failover, busy re-reads, and overload
-	// backpressure waits (0: 1000; negative: unlimited). Exhausting the
-	// budget fails the transaction with ErrRetriesExhausted instead of
-	// letting pathological clusters absorb unbounded retry work.
+	// RetryBudget caps retries per transaction attempt, shared across both
+	// retry classes — quorum failover and overload backpressure waits (0:
+	// 1000; negative: unlimited). Exhausting the budget fails the
+	// transaction with ErrRetriesExhausted instead of letting pathological
+	// clusters absorb unbounded retry work.
 	RetryBudget int
 	// HedgeAfter enables hedged quorum reads: when a one-group read round's
 	// quorum has not fully answered after this delay, the read also goes to
@@ -144,9 +139,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxSubAttempts == 0 {
 		c.MaxSubAttempts = 1000
-	}
-	if c.ReadBusyRetries == 0 {
-		c.ReadBusyRetries = 50
 	}
 	if c.QuorumAttempts == 0 {
 		c.QuorumAttempts = 4
@@ -470,16 +462,15 @@ func (rt *Runtime) runAttempts(ctx context.Context, fn func(*Tx) error, seq uint
 		}
 		sp := rt.beginSpan(traceID, rootID, nil, "attempt", attempt)
 		// A fresh retry budget per attempt: the budget bounds the fan-in of
-		// retries (failover, busy, overload) within one execution, while
+		// retries (failover, overload) within one execution, while
 		// MaxAttempts separately bounds whole re-executions. It rides the
-		// context so the fan-out layer can charge overload waits against it.
-		budget := backoff.NewBudget(rt.cfg.RetryBudget)
-		tctx := context.WithValue(ctx, txBudgetKey{}, budget)
+		// attempt's context, which every quorum operation and fan-out of
+		// the attempt runs under (chargeRetry).
+		tctx := context.WithValue(ctx, txBudgetKey{}, backoff.NewBudget(rt.cfg.RetryBudget))
 		tx := &Tx{
 			rt:          rt,
 			ctx:         tctx,
 			deadline:    deadline,
-			budget:      budget,
 			id:          fmt.Sprintf("c%d-t%d-a%d", rt.cfg.ClientSeed, seq, attempt),
 			seed:        rt.cfg.ClientSeed + int(seq),
 			incarnation: attempt,
@@ -541,14 +532,22 @@ func (rt *Runtime) fanout(ctx context.Context, nodes []quorum.NodeID, req *wire.
 }
 
 // txBudgetKey carries the transaction attempt's shared retry budget through
-// the context so the fan-out layer can charge overload waits against it.
+// the context, where chargeRetry finds it.
 // decide()'s context.WithoutCancel preserves values, but Decision delivery is
 // admission-exempt server-side, so the overload path never fires there.
 type txBudgetKey struct{}
 
-func budgetFrom(ctx context.Context) *backoff.Budget {
-	b, _ := ctx.Value(txBudgetKey{}).(*backoff.Budget)
-	return b // nil (unlimited) outside a transaction
+// chargeRetry takes one retry — a quorum failover or an overload wait — from
+// the budget of the transaction attempt ctx belongs to. Once that budget is
+// spent it counts BudgetExhausted and returns the error that fails the
+// transaction, naming the operation that wanted the retry. Outside a
+// transaction ctx carries no budget, which is unlimited.
+func (rt *Runtime) chargeRetry(ctx context.Context, op string) error {
+	if b, _ := ctx.Value(txBudgetKey{}).(*backoff.Budget); b.Take() {
+		return nil
+	}
+	rt.metrics.BudgetExhausted.Add(1)
+	return fmt.Errorf("%w: retry budget spent during %s", ErrRetriesExhausted, op)
 }
 
 // fanoutLegs issues each leg's request to that leg's nodes, all in parallel
@@ -599,13 +598,11 @@ func (rt *Runtime) call1(ctx context.Context, n quorum.NodeID, req *wire.Request
 			// (shifting an overloaded node's work onto its peers turns one
 			// hot node into a cascading brownout). Retry the SAME node after
 			// a jittered backoff, within the transaction's retry budget.
-			if budgetFrom(ctx).Take() {
+			if rt.chargeRetry(ctx, "overload wait") == nil {
 				rt.metrics.OverloadBackoffs.Add(1)
 				if rt.backoff(ctx, try) == nil {
 					continue
 				}
-			} else {
-				rt.metrics.BudgetExhausted.Add(1)
 			}
 			// Budget or context exhausted mid-backpressure: surface a plain
 			// error (health.CountsAsFailure is false for it) so callers
@@ -728,7 +725,7 @@ func (rt *Runtime) FetchStats(ctx context.Context, ids []store.ObjectID) (map[st
 // whole cluster when the part has no group), merged into levels.
 func (rt *Runtime) fetchStatsIn(ctx context.Context, p shard.Part, levels map[store.ObjectID]float64) error {
 	req := &wire.Request{Kind: wire.KindRead, Read: &wire.ReadRequest{StatsFor: p.IDs}}
-	fo := rt.failover(ctx, nil, rt.cfg.ClientSeed, wire.KindRead, "stats quorum")
+	fo := rt.failover(ctx, rt.cfg.ClientSeed, wire.KindRead, "stats quorum")
 	for fo.next() {
 		if fo.attempt > 0 {
 			rt.metrics.StatsQuorumRetries.Add(1)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"qracn/internal/backoff"
 	"qracn/internal/forensics"
 	"qracn/internal/quorum"
 	"qracn/internal/shard"
@@ -36,10 +35,6 @@ type Tx struct {
 	// stamped on every wire request so servers can refuse expired work
 	// before touching locks or the WAL. Decision delivery is exempt.
 	deadline int64
-	// budget is the attempt's shared retry budget, charged by quorum
-	// failovers, busy re-reads, and overload backpressure waits.
-	budget *backoff.Budget
-
 	// block identifies which ACN Block is executing: 0 outside any Sub, k
 	// inside the k-th Sub of the transaction. subSeq counts the Sub calls
 	// since the attempt began, less those a Restore took back.
@@ -128,18 +123,6 @@ func (tx *Tx) ID() string { return tx.id }
 func (tx *Tx) SetBlockMeta(count int, anchors []int) {
 	tx.blockCount = count
 	tx.blockAnchors = anchors
-}
-
-// takeRetry charges one retry — a quorum failover, a busy re-read, or any
-// other second try — against the attempt's shared budget. Once the budget is
-// gone it returns the error that fails the transaction instead of retrying
-// further, naming the operation that wanted the retry.
-func (tx *Tx) takeRetry(op string) error {
-	if tx.budget.Take() {
-		return nil
-	}
-	tx.rt.metrics.BudgetExhausted.Add(1)
-	return fmt.Errorf("%w: retry budget spent during %s", ErrRetriesExhausted, op)
 }
 
 // Holds reports whether the object's first access is already paid for: it
@@ -301,41 +284,28 @@ func (tx *Tx) request(kind wire.Kind, txid string, span uint64) *wire.Request {
 }
 
 // remoteRead is a Block's own first access of an object the read-ahead did
-// not buffer: a read round of that one object (readRound), run again in place
-// while the round leaves the object out as busy. A member holding the object
-// for a prepared writer waits for the writer's decision before it answers, so
-// the round is left busy only by a hold that outlived that wait. It is timed
-// into the Read stage (server waits included) and, when the transaction is
-// sampled, is a "read" span whose ID rides on the request so server serve
-// spans nest under it.
+// not buffer: one read round of that object (readRound). A member holding the
+// object for a prepared writer waits for the writer's decision before it
+// answers, so a round that still leaves the object busy met a hold that
+// outlived that wait: the read aborts the executing Block at once (busyAbort,
+// as the blind refetch does), and the Block's re-run, after a back-off, is the
+// retry. It is timed into the Read stage (server waits included) and, when the
+// transaction is sampled, is a "read" span whose ID rides on the request so
+// server serve spans nest under it.
 func (tx *Tx) remoteRead(id store.ObjectID) (_ store.Value, err error) {
 	rt := tx.rt
 	sp := rt.beginSpan(tx.traceID, tx.span, &rt.stages.Read, "read", -1)
 	sp.Detail = string(id)
 	defer func() { sp.end(err, "") }()
 	tx.lone[0] = id
-	for busyTry := 0; ; busyTry++ {
-		n, busy, err := tx.readRound(tx.lone[:], sp.ID, "read quorum", nil)
-		if err != nil {
-			return nil, err
-		}
-		if n == 1 {
-			return tx.reads[id].val, nil
-		}
-		// A commit that writes the object is in flight. Back off and retry
-		// the read in place a few times before aborting the executing Block.
-		if busyTry < rt.cfg.ReadBusyRetries {
-			rt.metrics.BusyBackoffs.Add(1)
-			if err := tx.takeRetry("busy re-read"); err != nil {
-				return nil, err
-			}
-			if err := rt.backoff(tx.ctx, busyTry); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		return nil, tx.busyAbort(id, busy.holder, "object busy past retry budget")
+	n, busy, err := tx.readRound(tx.lone[:], sp.ID, "read quorum", nil)
+	if err != nil {
+		return nil, err
 	}
+	if n == 1 {
+		return tx.reads[id].val, nil
+	}
+	return nil, tx.busyAbort(id, busy.holder, "object busy past the server's wait")
 }
 
 // appendNew appends the ids dst does not name yet. Replies name none or a
@@ -523,7 +493,7 @@ func (tx *Tx) onlyBlind(no refusal) bool {
 // (prepareorder.go); the votes, the records and the decision are the same
 // either way. A refused round's refusal is returned with its abort.
 func (rt *Runtime) prepareParts(ctx context.Context, tx *Tx, base string, parts []commitPart) (refusal, error) {
-	fo := rt.failover(ctx, tx, tx.seed, wire.KindPrepare, "write quorum")
+	fo := rt.failover(ctx, tx.seed, wire.KindPrepare, "write quorum")
 	for fo.next() {
 		// One write quorum per part; any group short of a quorum fails the
 		// whole commit (the exclude set spans the groups — each group's
@@ -594,7 +564,7 @@ func (rt *Runtime) prepareParts(ctx context.Context, tx *Tx, base string, parts 
 // no Quorum, which is what tells a server this is a validation-only vote —
 // nothing is protected, so there is no decision to deliver.
 func (rt *Runtime) commitReadOnly(ctx context.Context, tx *Tx, parts []commitPart) error {
-	fo := rt.failover(ctx, tx, tx.seed, wire.KindPrepare, "read-only validation")
+	fo := rt.failover(ctx, tx.seed, wire.KindPrepare, "read-only validation")
 	for fo.next() {
 		var nodes []quorum.NodeID
 		legs := make([]leg, len(parts))

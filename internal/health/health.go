@@ -223,19 +223,6 @@ func (d *Detector) ReportFailure(id quorum.NodeID) {
 	}
 }
 
-// Suspected returns the nodes whose breaker is currently open.
-func (d *Detector) Suspected() []quorum.NodeID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []quorum.NodeID
-	for id, st := range d.nodes {
-		if st.suspected {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // IsSuspected reports whether the node's breaker is open.
 func (d *Detector) IsSuspected(id quorum.NodeID) bool {
 	d.mu.Lock()
