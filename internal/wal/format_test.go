@@ -412,18 +412,36 @@ func BenchmarkRecordEncodeBinary(b *testing.B) {
 	_ = buf
 }
 
-func BenchmarkRecordDecodeBinary(b *testing.B) {
-	r := benchRecord()
-	frame, err := AppendRecordFrame(nil, &r)
-	if err != nil {
-		b.Fatal(err)
+// benchPrepare is a participant's prepare of four writes: recovery decodes
+// these as well as plain writes.
+func benchPrepare() Record {
+	r := Record{Type: RecordPrepare, TxID: "tx-ycsb-000042-7", Quorum: []quorum.NodeID{0, 1, 3}}
+	for i := 0; i < 4; i++ {
+		id := store.ObjectID(fmt.Sprintf("usertable/row-%08d", 1234+i))
+		r.Writes = append(r.Writes, store.WriteDesc{ID: id, Value: store.Int64(int64(i)), NewVersion: 98765, Block: i})
+		r.Release = append(r.Release, id)
 	}
-	payload := frame[8:]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := decodeRecordPayload(payload); err != nil {
-			b.Fatal(err)
-		}
+	return r
+}
+
+func BenchmarkRecordDecodeBinary(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		rec  Record
+	}{{"write", benchRecord()}, {"prepare", benchPrepare()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			frame, err := AppendRecordFrame(nil, &bc.rec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload := frame[8:]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeRecordPayload(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -106,15 +106,14 @@ func (e *TornTailError) Error() string {
 // The CRC covers only the payload; a bit flip in the length field surfaces
 // as a short read or a CRC mismatch, both classified as a torn tail.
 
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// frameHeader is a frame's header size. A frame is built by appending
+// frameHeader zero bytes, then the payload, and then sealFrame.
+const frameHeader = 8
+
+// sealFrame fills in the header of frame once its payload is in place.
+func sealFrame(frame []byte) {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeader))
+	binary.BigEndian.PutUint32(frame[4:], crc32Sum(frame[frameHeader:]))
 }
 
 // readFrame reads one frame. io.EOF means a clean end; any partial or
@@ -122,7 +121,7 @@ func writeFrame(w io.Writer, payload []byte) error {
 var errTorn = errors.New("wal: incomplete or corrupt frame")
 
 func readFrame(r io.Reader) ([]byte, error) {
-	hdr := make([]byte, 8)
+	hdr := make([]byte, frameHeader)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -137,7 +136,7 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, errTorn
 	}
-	if crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(hdr[4:]) {
+	if crc32Sum(payload) != binary.BigEndian.Uint32(hdr[4:]) {
 		return nil, errTorn
 	}
 	return payload, nil
@@ -299,7 +298,7 @@ func ReadSnapshot(path string) ([]store.WriteDesc, error) {
 // in dir, which recovery ignores, and returns its path; the caller renames it
 // into place (FinishCheckpoint) or removes it.
 func writeSnapshotTemp(dir string, objs []store.WriteDesc) (string, error) {
-	payload, err := appendSnapshotBody(nil, objs)
+	frame, err := appendSnapshotBody(make([]byte, frameHeader), objs)
 	if err != nil {
 		return "", fmt.Errorf("wal: encode snapshot: %w", err)
 	}
@@ -307,7 +306,8 @@ func writeSnapshotTemp(dir string, objs []store.WriteDesc) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	err = writeFrame(tmp, payload)
+	sealFrame(frame)
+	_, err = tmp.Write(frame)
 	if err == nil {
 		err = tmp.Sync()
 	}

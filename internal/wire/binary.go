@@ -339,8 +339,8 @@ func AppendEnvelope(dst []byte, env *Envelope) ([]byte, error) {
 // strings.Clone what it keeps, or it keeps the whole frame. Object values
 // are copied out one by one: they are what stores and read sets retain.
 func DecodeEnvelope(payload []byte) (*Envelope, error) {
-	d := &binReader{buf: payload}
-	seq, err := d.uvarint()
+	d := NewReader(payload)
+	seq, err := d.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -396,8 +396,8 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 		return nil, fmt.Errorf("wire: cannot encode out-of-range kind %d", r.Kind)
 	}
 	dst = append(dst, byte(r.Kind))
-	dst = appendString(dst, r.TxID)
-	dst = appendString(dst, r.TraceID)
+	dst = AppendString(dst, r.TxID)
+	dst = AppendString(dst, r.TraceID)
 	dst = binary.AppendUvarint(dst, r.SpanID)
 	var mask uint64
 	if r.Read != nil {
@@ -430,9 +430,9 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, mask)
 	var err error
 	if r.Read != nil {
-		dst = appendString(dst, string(r.Read.Object))
+		dst = AppendString(dst, string(r.Read.Object))
 		dst = appendReadDescs(dst, r.Read.Validate)
-		dst = appendIDs(dst, r.Read.StatsFor)
+		dst = AppendIDs(dst, r.Read.StatsFor)
 		dst = append(dst, 0) // a retired flag byte, always 0: every read asks for the value
 	}
 	if r.Prepare != nil {
@@ -440,7 +440,7 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 		if dst, err = appendWriteDescs(dst, r.Prepare.Writes, depth); err != nil {
 			return nil, err
 		}
-		dst = appendNodeIDs(dst, r.Prepare.Quorum)
+		dst = AppendNodeIDs(dst, r.Prepare.Quorum)
 	}
 	if r.Decision != nil {
 		var how byte
@@ -454,30 +454,30 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 		if dst, err = appendWriteDescs(dst, r.Decision.Writes, depth); err != nil {
 			return nil, err
 		}
-		dst = appendIDs(dst, r.Decision.Release)
+		dst = AppendIDs(dst, r.Decision.Release)
 	}
 	if r.Batch != nil {
 		dst = binary.AppendUvarint(dst, uint64(len(r.Batch.Subs)))
 		for _, sub := range r.Batch.Subs {
 			if sub == nil {
-				dst = appendBool(dst, false)
+				dst = AppendBool(dst, false)
 				continue
 			}
-			dst = appendBool(dst, true)
+			dst = AppendBool(dst, true)
 			if dst, err = appendRequest(dst, sub, depth+1); err != nil {
 				return nil, err
 			}
 		}
 	}
 	if r.Repair != nil {
-		dst = appendString(dst, string(r.Repair.Object))
+		dst = AppendString(dst, string(r.Repair.Object))
 		if dst, err = appendValue(dst, r.Repair.Value, depth); err != nil {
 			return nil, err
 		}
 		dst = binary.AppendUvarint(dst, r.Repair.Version)
 	}
 	if r.Inspect != nil {
-		dst = appendString(dst, r.Inspect.TraceID)
+		dst = AppendString(dst, r.Inspect.TraceID)
 		dst = binary.AppendVarint(dst, int64(r.Inspect.TopK))
 	}
 	if r.ShardMap != nil {
@@ -487,7 +487,7 @@ func appendRequest(dst []byte, r *Request, depth int) ([]byte, error) {
 		dst = binary.AppendVarint(dst, r.Deadline)
 	}
 	if mask&reqHasMoreReads != 0 {
-		dst = appendIDs(dst, r.Read.More)
+		dst = AppendIDs(dst, r.Read.More)
 	}
 	return dst, nil
 }
@@ -497,7 +497,7 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 		return nil, errTooDeep
 	}
 	dst = binary.AppendVarint(dst, int64(r.Status))
-	dst = appendString(dst, r.Detail)
+	dst = AppendString(dst, r.Detail)
 	var mask uint64
 	if r.Read != nil {
 		mask |= respHasRead
@@ -530,22 +530,22 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 			return nil, err
 		}
 		dst = binary.AppendUvarint(dst, r.Read.Version)
-		dst = appendIDs(dst, r.Read.Invalid)
+		dst = AppendIDs(dst, r.Read.Invalid)
 		dst = appendLevels(dst, r.Read.Stats)
 	}
 	if r.Prepare != nil {
-		dst = appendBool(dst, r.Prepare.Vote)
-		dst = appendIDs(dst, r.Prepare.Invalid)
-		dst = appendIDs(dst, r.Prepare.Busy)
+		dst = AppendBool(dst, r.Prepare.Vote)
+		dst = AppendIDs(dst, r.Prepare.Invalid)
+		dst = AppendIDs(dst, r.Prepare.Busy)
 	}
 	if r.Batch != nil {
 		dst = binary.AppendUvarint(dst, uint64(len(r.Batch.Subs)))
 		for _, sub := range r.Batch.Subs {
 			if sub == nil {
-				dst = appendBool(dst, false)
+				dst = AppendBool(dst, false)
 				continue
 			}
-			dst = appendBool(dst, true)
+			dst = AppendBool(dst, true)
 			if dst, err = appendResponse(dst, sub, depth+1); err != nil {
 				return nil, err
 			}
@@ -563,11 +563,11 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 		dst = binary.AppendVarint(dst, int64(r.ShardMap.Degree))
 		dst = binary.AppendUvarint(dst, uint64(len(r.ShardMap.Groups)))
 		for _, g := range r.ShardMap.Groups {
-			dst = appendNodeIDs(dst, g)
+			dst = AppendNodeIDs(dst, g)
 		}
 	}
 	if r.ConflictTx != "" {
-		dst = appendString(dst, r.ConflictTx)
+		dst = AppendString(dst, r.ConflictTx)
 	}
 	if mask&respHasMoreReads != 0 {
 		dst = binary.AppendUvarint(dst, uint64(len(r.Read.More)))
@@ -578,20 +578,24 @@ func appendResponse(dst []byte, r *Response, depth int) ([]byte, error) {
 			if dst, err = appendValue(dst, m.Value, depth); err != nil {
 				return nil, err
 			}
-			dst = appendString(dst, m.ConflictTx)
+			dst = AppendString(dst, m.ConflictTx)
 		}
 	}
 	return dst, nil
 }
 
-// Primitive appenders.
+// Primitive appenders. The exported ones, with AppendValue and
+// encoding/binary's varint appenders, also write internal/wal's records and
+// snapshot bodies.
 
-func appendString(dst []byte, s string) []byte {
+// AppendString appends s as a str: uvarint length, then its bytes.
+func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
-func appendBool(dst []byte, b bool) []byte {
+// AppendBool appends b as a u8, 1 for true.
+func AppendBool(dst []byte, b bool) []byte {
 	if b {
 		return append(dst, 1)
 	}
@@ -605,10 +609,16 @@ func appendFloat64(dst []byte, f float64) []byte {
 func appendReadDescs(dst []byte, descs []store.ReadDesc) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(descs)))
 	for _, d := range descs {
-		dst = appendString(dst, string(d.ID))
+		dst = AppendString(dst, string(d.ID))
 		dst = binary.AppendUvarint(dst, d.Version)
 	}
 	return dst
+}
+
+// AppendWriteDescs appends a write set: uvarint count, then each write as
+// str ID | value | uvarint NewVersion | varint Block.
+func AppendWriteDescs(dst []byte, descs []store.WriteDesc) ([]byte, error) {
+	return appendWriteDescs(dst, descs, 0)
 }
 
 func appendWriteDescs(dst []byte, descs []store.WriteDesc, depth int) ([]byte, error) {
@@ -616,7 +626,7 @@ func appendWriteDescs(dst []byte, descs []store.WriteDesc, depth int) ([]byte, e
 	var err error
 	for i := range descs {
 		w := &descs[i]
-		dst = appendString(dst, string(w.ID))
+		dst = AppendString(dst, string(w.ID))
 		if dst, err = appendValue(dst, w.Value, depth); err != nil {
 			return nil, err
 		}
@@ -626,15 +636,18 @@ func appendWriteDescs(dst []byte, descs []store.WriteDesc, depth int) ([]byte, e
 	return dst, nil
 }
 
-func appendIDs(dst []byte, ids []store.ObjectID) []byte {
+// AppendIDs appends an object-ID list: uvarint count, then each ID as a str.
+func AppendIDs(dst []byte, ids []store.ObjectID) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ids)))
 	for _, id := range ids {
-		dst = appendString(dst, string(id))
+		dst = AppendString(dst, string(id))
 	}
 	return dst
 }
 
-func appendNodeIDs(dst []byte, ids []quorum.NodeID) []byte {
+// AppendNodeIDs appends a node-ID list: uvarint count, then each ID as a
+// varint.
+func AppendNodeIDs(dst []byte, ids []quorum.NodeID) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ids)))
 	for _, id := range ids {
 		dst = binary.AppendVarint(dst, int64(id))
@@ -645,7 +658,7 @@ func appendNodeIDs(dst []byte, ids []quorum.NodeID) []byte {
 func appendLevels(dst []byte, levels map[store.ObjectID]float64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(levels)))
 	for id, lvl := range levels {
-		dst = appendString(dst, string(id))
+		dst = AppendString(dst, string(id))
 		dst = appendFloat64(dst, lvl)
 	}
 	return dst
@@ -691,7 +704,7 @@ func appendValue(dst []byte, v store.Value, depth int) ([]byte, error) {
 		return appendFloat64(dst, float64(x)), nil
 	case store.String:
 		dst = append(dst, valString)
-		return appendString(dst, string(x)), nil
+		return AppendString(dst, string(x)), nil
 	case store.Bytes:
 		dst = append(dst, valBytes)
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
@@ -717,37 +730,32 @@ func appendValue(dst []byte, v store.Value, depth int) ([]byte, error) {
 	}
 }
 
-// DecodeValue parses one binary-encoded value from the front of buf,
-// returning the value and the number of bytes consumed.
-func DecodeValue(buf []byte) (store.Value, int, error) {
-	d := &binReader{buf: buf}
-	v, err := d.value()
-	if err != nil {
-		return nil, 0, err
-	}
-	return v, d.pos, nil
-}
-
-// binReader is the allocation-lean payload parser. Counts are validated
-// against the remaining bytes before any slice is sized, so a hostile
-// length cannot force a huge allocation, and recursion is depth-bounded.
-type binReader struct {
+// Reader is the allocation-lean payload parser, and the only code that
+// reads the primitives: envelopes here, log records and snapshot bodies in
+// internal/wal. Counts are validated against the remaining bytes before any
+// slice is sized, so a hostile length cannot force a huge allocation, and
+// recursion is depth-bounded. Every error wraps ErrBadFrame.
+type Reader struct {
 	buf []byte
-	// frame is an immutable copy of buf that str hands out substrings of,
+	// frame is an immutable copy of buf that Str hands out substrings of,
 	// made by the first non-empty one: many replies carry no string at all.
 	frame string
 	pos   int
 	depth int
 }
 
-func (d *binReader) remaining() int { return len(d.buf) - d.pos }
+// NewReader returns a Reader over buf, positioned at its first byte.
+func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
-func (d *binReader) fail(what string) error {
+// Remaining is the number of bytes not yet read.
+func (d *Reader) Remaining() int { return len(d.buf) - d.pos }
+
+func (d *Reader) fail(what string) error {
 	return fmt.Errorf("%w: truncated %s at offset %d", ErrBadFrame, what, d.pos)
 }
 
-func (d *binReader) u8() (byte, error) {
-	if d.remaining() < 1 {
+func (d *Reader) u8() (byte, error) {
+	if d.Remaining() < 1 {
 		return 0, d.fail("byte")
 	}
 	b := d.buf[d.pos]
@@ -755,7 +763,8 @@ func (d *binReader) u8() (byte, error) {
 	return b, nil
 }
 
-func (d *binReader) uvarint() (uint64, error) {
+// Uvarint reads an unsigned varint.
+func (d *Reader) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(d.buf[d.pos:])
 	if n <= 0 {
 		return 0, d.fail("uvarint")
@@ -764,7 +773,8 @@ func (d *binReader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (d *binReader) varint() (int64, error) {
+// Varint reads a zigzag signed varint.
+func (d *Reader) Varint() (int64, error) {
 	v, n := binary.Varint(d.buf[d.pos:])
 	if n <= 0 {
 		return 0, d.fail("varint")
@@ -775,22 +785,22 @@ func (d *binReader) varint() (int64, error) {
 
 // count reads a collection length and sanity-checks it against the bytes
 // left (every element costs at least one byte).
-func (d *binReader) count(what string) (int, error) {
-	v, err := d.uvarint()
+func (d *Reader) count(what string) (int, error) {
+	v, err := d.Uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if v > uint64(d.remaining()) {
+	if v > uint64(d.Remaining()) {
 		return 0, fmt.Errorf("%w: %s count %d exceeds remaining %d bytes",
-			ErrBadFrame, what, v, d.remaining())
+			ErrBadFrame, what, v, d.Remaining())
 	}
 	return int(v), nil
 }
 
-// str reads an identifier string as a substring of the frame copy: one
-// allocation per frame instead of one per string. An empty string is the
+// Str reads an identifier string (str) as a substring of the frame copy:
+// one allocation per frame instead of one per string. An empty string is the
 // constant, not a zero-length view that would still pin the frame.
-func (d *binReader) str() (string, error) {
+func (d *Reader) Str() (string, error) {
 	n, err := d.count("string")
 	if err != nil || n == 0 {
 		return "", err
@@ -804,7 +814,7 @@ func (d *binReader) str() (string, error) {
 }
 
 // strCopy reads a string into memory of its own.
-func (d *binReader) strCopy() (string, error) {
+func (d *Reader) strCopy() (string, error) {
 	n, err := d.count("string")
 	if err != nil {
 		return "", err
@@ -814,7 +824,7 @@ func (d *binReader) strCopy() (string, error) {
 	return s, nil
 }
 
-func (d *binReader) bytesCopy() ([]byte, error) {
+func (d *Reader) bytesCopy() ([]byte, error) {
 	n, err := d.count("bytes")
 	if err != nil {
 		return nil, err
@@ -825,13 +835,14 @@ func (d *binReader) bytesCopy() ([]byte, error) {
 	return out, nil
 }
 
-func (d *binReader) boolean() (bool, error) {
+// Bool reads a u8 as a bool: any byte but zero is true.
+func (d *Reader) Bool() (bool, error) {
 	b, err := d.u8()
 	return b != 0, err
 }
 
-func (d *binReader) f64() (float64, error) {
-	if d.remaining() < 8 {
+func (d *Reader) f64() (float64, error) {
+	if d.Remaining() < 8 {
 		return 0, d.fail("float64")
 	}
 	bits := binary.LittleEndian.Uint64(d.buf[d.pos:])
@@ -839,7 +850,7 @@ func (d *binReader) f64() (float64, error) {
 	return math.Float64frombits(bits), nil
 }
 
-func (d *binReader) enter() error {
+func (d *Reader) enter() error {
 	d.depth++
 	if d.depth > maxBinaryDepth {
 		return fmt.Errorf("%w: nesting deeper than %d", ErrBadFrame, maxBinaryDepth)
@@ -856,7 +867,7 @@ const minSubBytes = 4
 // requestInto decodes a request into r. rr, when non-nil, is zeroed memory
 // for the read payload, should there be one: a batch decodes its sub-requests
 // and their reads into two slabs instead of two allocations apiece.
-func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
+func (d *Reader) requestInto(r *Request, rr *ReadRequest) error {
 	if err := d.enter(); err != nil {
 		return err
 	}
@@ -872,16 +883,16 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 		return fmt.Errorf("%w: kind byte %d is retired", ErrBadFrame, kb)
 	}
 	r.Kind = Kind(kb)
-	if r.TxID, err = d.str(); err != nil {
+	if r.TxID, err = d.Str(); err != nil {
 		return err
 	}
-	if r.TraceID, err = d.str(); err != nil {
+	if r.TraceID, err = d.Str(); err != nil {
 		return err
 	}
-	if r.SpanID, err = d.uvarint(); err != nil {
+	if r.SpanID, err = d.Uvarint(); err != nil {
 		return err
 	}
-	mask, err := d.uvarint()
+	mask, err := d.Uvarint()
 	if err != nil {
 		return err
 	}
@@ -893,14 +904,14 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 			rr = &ReadRequest{}
 		}
 		var obj string
-		if obj, err = d.str(); err != nil {
+		if obj, err = d.Str(); err != nil {
 			return err
 		}
 		rr.Object = store.ObjectID(obj)
 		if rr.Validate, err = d.readDescs(); err != nil {
 			return err
 		}
-		if rr.StatsFor, err = d.ids(); err != nil {
+		if rr.StatsFor, err = d.IDs(); err != nil {
 			return err
 		}
 		var retired byte
@@ -917,10 +928,10 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 		if pr.Reads, err = d.readDescs(); err != nil {
 			return err
 		}
-		if pr.Writes, err = d.writeDescs(); err != nil {
+		if pr.Writes, err = d.WriteDescs(); err != nil {
 			return err
 		}
-		if pr.Quorum, err = d.nodeIDs(); err != nil {
+		if pr.Quorum, err = d.NodeIDs(); err != nil {
 			return err
 		}
 		r.Prepare = pr
@@ -932,10 +943,10 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 			return err
 		}
 		dr.Commit, dr.Forwarded = how&decCommit != 0, how&decForwarded != 0
-		if dr.Writes, err = d.writeDescs(); err != nil {
+		if dr.Writes, err = d.WriteDescs(); err != nil {
 			return err
 		}
-		if dr.Release, err = d.ids(); err != nil {
+		if dr.Release, err = d.IDs(); err != nil {
 			return err
 		}
 		r.Decision = dr
@@ -946,10 +957,10 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 			return err
 		}
 		br := &BatchRequest{Subs: make([]*Request, n)}
-		subs := make([]Request, min(n, d.remaining()/minSubBytes))
+		subs := make([]Request, min(n, d.Remaining()/minSubBytes))
 		reads := make([]ReadRequest, len(subs))
 		for i, used := 0, 0; i < n; i++ {
-			present, err := d.boolean()
+			present, err := d.Bool()
 			if err != nil {
 				return err
 			}
@@ -970,25 +981,25 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 	if mask&reqHasRepair != 0 {
 		rp := &RepairRequest{}
 		var obj string
-		if obj, err = d.str(); err != nil {
+		if obj, err = d.Str(); err != nil {
 			return err
 		}
 		rp.Object = store.ObjectID(obj)
-		if rp.Value, err = d.value(); err != nil {
+		if rp.Value, err = d.Value(); err != nil {
 			return err
 		}
-		if rp.Version, err = d.uvarint(); err != nil {
+		if rp.Version, err = d.Uvarint(); err != nil {
 			return err
 		}
 		r.Repair = rp
 	}
 	if mask&reqHasInspect != 0 {
 		ir := &InspectRequest{}
-		if ir.TraceID, err = d.str(); err != nil {
+		if ir.TraceID, err = d.Str(); err != nil {
 			return err
 		}
 		var topK int64
-		if topK, err = d.varint(); err != nil {
+		if topK, err = d.Varint(); err != nil {
 			return err
 		}
 		ir.TopK = int(topK)
@@ -996,13 +1007,13 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 	}
 	if mask&reqHasShardMap != 0 {
 		sm := &ShardMapRequest{}
-		if sm.HaveVersion, err = d.uvarint(); err != nil {
+		if sm.HaveVersion, err = d.Uvarint(); err != nil {
 			return err
 		}
 		r.ShardMap = sm
 	}
 	if mask&reqHasDeadline != 0 {
-		if r.Deadline, err = d.varint(); err != nil {
+		if r.Deadline, err = d.Varint(); err != nil {
 			return err
 		}
 	}
@@ -1010,7 +1021,7 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 		if r.Read == nil {
 			return fmt.Errorf("%w: further read objects without a read", ErrBadFrame)
 		}
-		if r.Read.More, err = d.ids(); err != nil {
+		if r.Read.More, err = d.IDs(); err != nil {
 			return err
 		}
 		if r.Read.More == nil {
@@ -1022,20 +1033,20 @@ func (d *binReader) requestInto(r *Request, rr *ReadRequest) error {
 
 // responseInto is requestInto for responses: rr is zeroed memory for the
 // read payload, should there be one.
-func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
+func (d *Reader) responseInto(r *Response, rr *ReadResponse) error {
 	if err := d.enter(); err != nil {
 		return err
 	}
 	defer func() { d.depth-- }()
-	status, err := d.varint()
+	status, err := d.Varint()
 	if err != nil {
 		return err
 	}
 	r.Status = Status(status)
-	if r.Detail, err = d.str(); err != nil {
+	if r.Detail, err = d.Str(); err != nil {
 		return err
 	}
-	mask, err := d.uvarint()
+	mask, err := d.Uvarint()
 	if err != nil {
 		return err
 	}
@@ -1046,13 +1057,13 @@ func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
 		if rr == nil {
 			rr = &ReadResponse{}
 		}
-		if rr.Value, err = d.value(); err != nil {
+		if rr.Value, err = d.Value(); err != nil {
 			return err
 		}
-		if rr.Version, err = d.uvarint(); err != nil {
+		if rr.Version, err = d.Uvarint(); err != nil {
 			return err
 		}
-		if rr.Invalid, err = d.ids(); err != nil {
+		if rr.Invalid, err = d.IDs(); err != nil {
 			return err
 		}
 		if rr.Stats, err = d.levels(); err != nil {
@@ -1062,13 +1073,13 @@ func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
 	}
 	if mask&respHasPrepare != 0 {
 		pr := &PrepareResponse{}
-		if pr.Vote, err = d.boolean(); err != nil {
+		if pr.Vote, err = d.Bool(); err != nil {
 			return err
 		}
-		if pr.Invalid, err = d.ids(); err != nil {
+		if pr.Invalid, err = d.IDs(); err != nil {
 			return err
 		}
-		if pr.Busy, err = d.ids(); err != nil {
+		if pr.Busy, err = d.IDs(); err != nil {
 			return err
 		}
 		r.Prepare = pr
@@ -1079,10 +1090,10 @@ func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
 			return err
 		}
 		br := &BatchResponse{Subs: make([]*Response, n)}
-		subs := make([]Response, min(n, d.remaining()/minSubBytes))
+		subs := make([]Response, min(n, d.Remaining()/minSubBytes))
 		reads := make([]ReadResponse, len(subs))
 		for i, used := 0, 0; i < n; i++ {
-			present, err := d.boolean()
+			present, err := d.Bool()
 			if err != nil {
 				return err
 			}
@@ -1113,7 +1124,7 @@ func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
 	if mask&respHasTxStatus != 0 {
 		ts := &TxStatusResponse{}
 		var state int64
-		if state, err = d.varint(); err != nil {
+		if state, err = d.Varint(); err != nil {
 			return err
 		}
 		ts.State = TxState(state)
@@ -1121,11 +1132,11 @@ func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
 	}
 	if mask&respHasShardMap != 0 {
 		sm := &ShardMapResponse{}
-		if sm.Version, err = d.uvarint(); err != nil {
+		if sm.Version, err = d.Uvarint(); err != nil {
 			return err
 		}
 		var degree int64
-		if degree, err = d.varint(); err != nil {
+		if degree, err = d.Varint(); err != nil {
 			return err
 		}
 		sm.Degree = int(degree)
@@ -1136,7 +1147,7 @@ func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
 		if n > 0 {
 			sm.Groups = make([][]quorum.NodeID, n)
 			for i := range sm.Groups {
-				if sm.Groups[i], err = d.nodeIDs(); err != nil {
+				if sm.Groups[i], err = d.NodeIDs(); err != nil {
 					return err
 				}
 			}
@@ -1144,7 +1155,7 @@ func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
 		r.ShardMap = sm
 	}
 	if mask&respHasConflict != 0 {
-		if r.ConflictTx, err = d.str(); err != nil {
+		if r.ConflictTx, err = d.Str(); err != nil {
 			return err
 		}
 	}
@@ -1161,7 +1172,7 @@ func (d *binReader) responseInto(r *Response, rr *ReadResponse) error {
 
 // readResults reads a multi-object read's further results: at least one, or
 // the bit that announced them is a lie.
-func (d *binReader) readResults() ([]ReadResult, error) {
+func (d *Reader) readResults() ([]ReadResult, error) {
 	n, err := d.count("read results")
 	if err != nil {
 		return nil, err
@@ -1173,24 +1184,24 @@ func (d *binReader) readResults() ([]ReadResult, error) {
 	for i := range out {
 		m := &out[i]
 		var status int64
-		if status, err = d.varint(); err != nil {
+		if status, err = d.Varint(); err != nil {
 			return nil, err
 		}
 		m.Status = Status(status)
-		if m.Version, err = d.uvarint(); err != nil {
+		if m.Version, err = d.Uvarint(); err != nil {
 			return nil, err
 		}
-		if m.Value, err = d.value(); err != nil {
+		if m.Value, err = d.Value(); err != nil {
 			return nil, err
 		}
-		if m.ConflictTx, err = d.str(); err != nil {
+		if m.ConflictTx, err = d.Str(); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-func (d *binReader) readDescs() ([]store.ReadDesc, error) {
+func (d *Reader) readDescs() ([]store.ReadDesc, error) {
 	n, err := d.count("read descs")
 	if err != nil || n == 0 {
 		return nil, err
@@ -1198,18 +1209,20 @@ func (d *binReader) readDescs() ([]store.ReadDesc, error) {
 	out := make([]store.ReadDesc, n)
 	for i := range out {
 		var id string
-		if id, err = d.str(); err != nil {
+		if id, err = d.Str(); err != nil {
 			return nil, err
 		}
 		out[i].ID = store.ObjectID(id)
-		if out[i].Version, err = d.uvarint(); err != nil {
+		if out[i].Version, err = d.Uvarint(); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-func (d *binReader) writeDescs() ([]store.WriteDesc, error) {
+// WriteDescs reads a write set as AppendWriteDescs writes it; an empty one
+// is nil.
+func (d *Reader) WriteDescs() ([]store.WriteDesc, error) {
 	n, err := d.count("write descs")
 	if err != nil || n == 0 {
 		return nil, err
@@ -1217,18 +1230,18 @@ func (d *binReader) writeDescs() ([]store.WriteDesc, error) {
 	out := make([]store.WriteDesc, n)
 	for i := range out {
 		var id string
-		if id, err = d.str(); err != nil {
+		if id, err = d.Str(); err != nil {
 			return nil, err
 		}
 		out[i].ID = store.ObjectID(id)
-		if out[i].Value, err = d.value(); err != nil {
+		if out[i].Value, err = d.Value(); err != nil {
 			return nil, err
 		}
-		if out[i].NewVersion, err = d.uvarint(); err != nil {
+		if out[i].NewVersion, err = d.Uvarint(); err != nil {
 			return nil, err
 		}
 		var block int64
-		if block, err = d.varint(); err != nil {
+		if block, err = d.Varint(); err != nil {
 			return nil, err
 		}
 		out[i].Block = int(block)
@@ -1236,7 +1249,9 @@ func (d *binReader) writeDescs() ([]store.WriteDesc, error) {
 	return out, nil
 }
 
-func (d *binReader) nodeIDs() ([]quorum.NodeID, error) {
+// NodeIDs reads a node-ID list as AppendNodeIDs writes it; an empty one is
+// nil.
+func (d *Reader) NodeIDs() ([]quorum.NodeID, error) {
 	n, err := d.count("node ids")
 	if err != nil || n == 0 {
 		return nil, err
@@ -1244,7 +1259,7 @@ func (d *binReader) nodeIDs() ([]quorum.NodeID, error) {
 	out := make([]quorum.NodeID, n)
 	for i := range out {
 		var id int64
-		if id, err = d.varint(); err != nil {
+		if id, err = d.Varint(); err != nil {
 			return nil, err
 		}
 		out[i] = quorum.NodeID(id)
@@ -1252,7 +1267,8 @@ func (d *binReader) nodeIDs() ([]quorum.NodeID, error) {
 	return out, nil
 }
 
-func (d *binReader) ids() ([]store.ObjectID, error) {
+// IDs reads an object-ID list as AppendIDs writes it; an empty one is nil.
+func (d *Reader) IDs() ([]store.ObjectID, error) {
 	n, err := d.count("ids")
 	if err != nil || n == 0 {
 		return nil, err
@@ -1260,7 +1276,7 @@ func (d *binReader) ids() ([]store.ObjectID, error) {
 	out := make([]store.ObjectID, n)
 	for i := range out {
 		var id string
-		if id, err = d.str(); err != nil {
+		if id, err = d.Str(); err != nil {
 			return nil, err
 		}
 		out[i] = store.ObjectID(id)
@@ -1268,14 +1284,14 @@ func (d *binReader) ids() ([]store.ObjectID, error) {
 	return out, nil
 }
 
-func (d *binReader) levels() (map[store.ObjectID]float64, error) {
+func (d *Reader) levels() (map[store.ObjectID]float64, error) {
 	n, err := d.count("levels")
 	if err != nil || n == 0 {
 		return nil, err
 	}
 	out := make(map[store.ObjectID]float64, n)
 	for i := 0; i < n; i++ {
-		id, err := d.str()
+		id, err := d.Str()
 		if err != nil {
 			return nil, err
 		}
@@ -1288,7 +1304,9 @@ func (d *binReader) levels() (map[store.ObjectID]float64, error) {
 	return out, nil
 }
 
-func (d *binReader) value() (store.Value, error) {
+// Value reads one value as AppendValue writes it. Its bytes and strings
+// are copied out: values are what stores and read sets retain.
+func (d *Reader) Value() (store.Value, error) {
 	if err := d.enter(); err != nil {
 		return nil, err
 	}
@@ -1301,7 +1319,7 @@ func (d *binReader) value() (store.Value, error) {
 	case valNil:
 		return nil, nil
 	case valInt64:
-		v, err := d.varint()
+		v, err := d.Varint()
 		return store.Int64(v), err
 	case valFloat64:
 		v, err := d.f64()
@@ -1319,7 +1337,7 @@ func (d *binReader) value() (store.Value, error) {
 		}
 		out := make(store.Tuple, n)
 		for i := range out {
-			if out[i], err = d.value(); err != nil {
+			if out[i], err = d.Value(); err != nil {
 				return nil, err
 			}
 		}
